@@ -12,7 +12,7 @@
 //! "Ex-process" time — the row Fig. 8 prints for "calls for this process but
 //! outside of it (kernel and server time)".
 
-use crate::model::Trace;
+use crate::model::{pid_names, Trace};
 use crate::table::{Align, TextTable};
 use ktrace_events::{exception, ipc, sched, syscall as sysev, sysno};
 use ktrace_format::MajorId;
@@ -84,7 +84,7 @@ pub struct Breakdown {
 impl Breakdown {
     /// Replays the trace and attributes time.
     pub fn compute(trace: &Trace) -> Breakdown {
-        let names = trace.pid_names();
+        let names = pid_names(trace);
         let ncpus = trace.events.iter().map(|e| e.cpu + 1).max().unwrap_or(0);
         let mut stacks: Vec<Vec<Frame>> = vec![Vec::new(); ncpus];
         let mut last: Vec<Option<u64>> = vec![None; ncpus];

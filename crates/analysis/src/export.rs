@@ -17,6 +17,7 @@
 use crate::model::Trace;
 use ktrace_events::decode::{lock_event, sched_event, LockEv, SchedEv};
 use ktrace_format::ids::control;
+use ktrace_format::text::json_escape;
 use ktrace_format::MajorId;
 use std::fmt::Write as _;
 
@@ -26,24 +27,6 @@ fn csv_escape(field: &str) -> String {
     } else {
         field.to_string()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the trace as CSV with a header row. Control events (fillers,
@@ -311,12 +294,6 @@ mod tests {
             assert_eq!(line.matches('"').count() % 2, 0);
         }
         assert!(s.contains("\"payload\":[7,8]"));
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

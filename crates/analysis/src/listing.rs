@@ -36,6 +36,8 @@ impl ListingOptions {
 pub fn render_listing(trace: &Trace, opts: &ListingOptions) -> String {
     let mut out = String::new();
     let mut lines = 0usize;
+    // Found once: `Trace::seconds` would search for the origin per line.
+    let origin = trace.origin();
     for e in &trace.events {
         if opts.hide_control && e.is_control() {
             continue;
@@ -46,7 +48,7 @@ pub fn render_listing(trace: &Trace, opts: &ListingOptions) -> String {
         if opts.limit > 0 && lines >= opts.limit {
             break;
         }
-        let secs = trace.seconds(e.time);
+        let secs = e.time.saturating_sub(origin) as f64 / trace.ticks_per_sec as f64;
         match trace.registry.lookup(e.major, e.minor) {
             Some(desc) => {
                 let rendered = desc

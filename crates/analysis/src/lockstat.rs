@@ -13,7 +13,7 @@
 //! "instance by instance" capability — from the `LOCK`
 //! REQUEST/ACQUIRED/RELEASED triples.
 
-use crate::model::Trace;
+use crate::model::{tid_to_pid, Trace};
 use crate::table::ns_as_secs;
 use ktrace_events::decode::{lock_events, LockEv};
 use ktrace_events::{func, unpack_chain};
@@ -65,7 +65,7 @@ pub struct LockStats {
 impl LockStats {
     /// Aggregates lock events from a trace.
     pub fn compute(trace: &Trace) -> LockStats {
-        let tid_pid = trace.tid_to_pid();
+        let tid_pid = tid_to_pid(trace);
         let mut rows: HashMap<(u64, u64, u64), LockRow> = HashMap::new();
         for (_, ev) in lock_events(trace.of_major(MajorId::LOCK)) {
             let LockEv::Acquired {

@@ -7,7 +7,7 @@
 //! is a simulated function ID, mapped to the K42-flavoured names of the
 //! shared vocabulary.
 
-use crate::model::Trace;
+use crate::model::{pid_names, Trace};
 use crate::table::{Align, TextTable};
 use ktrace_events::{func, prof};
 use ktrace_format::MajorId;
@@ -38,7 +38,7 @@ impl PcProfile {
         }
         PcProfile {
             by_pid,
-            names: trace.pid_names(),
+            names: pid_names(trace),
         }
     }
 

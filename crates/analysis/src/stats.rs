@@ -28,7 +28,7 @@ impl EventStats {
     pub fn compute(trace: &Trace) -> EventStats {
         let mut s = EventStats {
             ticks_per_sec: trace.ticks_per_sec,
-            span_ticks: trace.end().saturating_sub(trace.origin()),
+            span_ticks: trace.span(),
             ..Default::default()
         };
         for e in &trace.events {

@@ -38,7 +38,7 @@ proptest! {
     fn no_tool_panics_on_arbitrary_streams(
         events in prop::collection::vec(arb_event(), 0..250),
     ) {
-        let trace = Trace::from_events(events, EventRegistry::with_builtin(), 1_000_000_000);
+        let trace = Trace::new(events, EventRegistry::with_builtin(), 1_000_000_000);
 
         let _ = render_listing(&trace, &ListingOptions::default());
         let _ = render_listing(&trace, &ListingOptions { hide_control: true, limit: 7, ..Default::default() });
@@ -69,11 +69,11 @@ proptest! {
         t1 in any::<u64>(),
         probe in any::<u64>(),
     ) {
-        let trace = Trace::from_events(events, EventRegistry::with_builtin(), 1_000_000_000);
-        let w = trace.window(t0.min(t1), t0.max(t1));
+        let trace = Trace::new(events, EventRegistry::with_builtin(), 1_000_000_000);
+        let w = trace.clone().window(t0.min(t1), t0.max(t1));
         prop_assert!(w.events.len() <= trace.events.len());
         let _ = trace.seconds(probe);
-        let _ = trace.tid_to_pid();
-        let _ = trace.pid_names();
+        let _ = ktrace_analysis::model::tid_to_pid(&trace);
+        let _ = ktrace_analysis::model::pid_names(&trace);
     }
 }

@@ -2,18 +2,8 @@
 //! `BENCH_adapt.json` artifact (first argument, default
 //! `BENCH_adapt.json`), and exits nonzero if rate-1 sampling costs more
 //! than the 1% gate.
-use ktrace_bench::adapt_gate;
+use ktrace_bench::overhead_gate::{measure_sampling, run_bin};
 
 fn main() {
-    let fast = !ktrace_bench::util::full_requested();
-    let g = adapt_gate::measure(fast);
-    println!("{}", adapt_gate::render(&g));
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_adapt.json".to_string());
-    std::fs::write(&path, adapt_gate::to_json(&g)).expect("write artifact");
-    eprintln!("wrote {path}");
-    if !g.pass {
-        std::process::exit(1);
-    }
+    run_bin(measure_sampling, "BENCH_adapt.json");
 }

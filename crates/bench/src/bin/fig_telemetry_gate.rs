@@ -2,18 +2,8 @@
 //! `BENCH_telemetry.json` artifact (first argument, default
 //! `BENCH_telemetry.json`), and exits nonzero if telemetry costs more than
 //! the 1% gate.
-use ktrace_bench::telemetry_gate;
+use ktrace_bench::overhead_gate::{measure_telemetry, run_bin};
 
 fn main() {
-    let fast = !ktrace_bench::util::full_requested();
-    let g = telemetry_gate::measure(fast);
-    println!("{}", telemetry_gate::render(&g));
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_telemetry.json".to_string());
-    std::fs::write(&path, telemetry_gate::to_json(&g)).expect("write artifact");
-    eprintln!("wrote {path}");
-    if !g.pass {
-        std::process::exit(1);
-    }
+    run_bin(measure_telemetry, "BENCH_telemetry.json");
 }

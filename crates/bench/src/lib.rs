@@ -16,13 +16,12 @@
 //!   lockless-vs-locking (E4), per-CPU-vs-global buffers (E5), and the
 //!   tool figures (Figs. 4–8) generated from emitted "8-way" traces.
 
-pub mod adapt_gate;
 pub mod event_cost;
 pub mod filler;
 pub mod garble;
+pub mod overhead_gate;
 pub mod schemes;
 pub mod sdet_fig3;
-pub mod telemetry_gate;
 pub mod tools;
 pub mod tsc;
 pub mod util;
@@ -66,10 +65,13 @@ pub fn run_all(fast: bool) -> Vec<(&'static str, String)> {
             schemes::report_stale_ablation(fast),
         ),
         ("E14 garble detection", garble::report(fast)),
-        ("E20 telemetry overhead gate", telemetry_gate::report(fast)),
+        (
+            "E20 telemetry overhead gate",
+            overhead_gate::render(&overhead_gate::measure_telemetry(fast)),
+        ),
         (
             "E23 adaptive-sampling overhead gate",
-            adapt_gate::report(fast),
+            overhead_gate::render(&overhead_gate::measure_sampling(fast)),
         ),
     ]
 }

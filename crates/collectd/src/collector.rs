@@ -20,7 +20,7 @@ use crate::store::NodeStore;
 use ktrace_adapt::{Anomaly, Detector};
 use ktrace_core::parse_buffer;
 use ktrace_format::ids::control;
-use ktrace_io::file::{decode_record_header, RECORD_HEADER_BYTES};
+use ktrace_io::file::{body_words, frame_record};
 use ktrace_io::FileHeader;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Read;
@@ -447,7 +447,7 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
                 .fetch_add(got as u64, Ordering::Relaxed);
             break;
         }
-        let Ok((cpu, seq, _complete)) = decode_record_header(&buf, 0) else {
+        let Ok(frame) = frame_record(&buf) else {
             // Desynced: without record alignment nothing downstream is
             // trustworthy. Abandon the connection, visibly.
             node.records_garbled.fetch_add(1, Ordering::Relaxed);
@@ -455,11 +455,8 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
         };
         // Parse once, here: exact event accounting for the drop path and
         // heartbeat capture for health, whatever the store decides.
-        let words: Vec<u64> = buf[RECORD_HEADER_BYTES..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect();
-        let parsed = parse_buffer(cpu as usize, seq, &words, None);
+        let words: Vec<u64> = body_words(frame.body).collect();
+        let parsed = parse_buffer(frame.cpu as usize, frame.seq, &words, None);
         let data_events = parsed.data_events().count() as u64;
         for e in &parsed.events {
             if e.is_control() && e.minor == control::HEARTBEAT {

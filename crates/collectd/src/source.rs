@@ -2,19 +2,17 @@
 //! store, so every assertion in `props/ktrace.toml` runs unchanged against
 //! fleet data — per node, or fleet-wide merged.
 //!
-//! Every shard is a valid trace file, so loading is just the strict reader
-//! over each shard; [`EventSet::new`] re-normalizes the cross-shard (and
-//! cross-node) stream into the canonical `(time, cpu, seq, offset)` order —
-//! the same contract every other source honors. Windowed loads use each
-//! shard's §3.2 time anchors ([`TraceFileReader::events_between`]), so a
-//! narrow question touches only the records that can answer it, shard by
-//! shard.
+//! Every shard is a valid trace file, so loading is just
+//! [`TraceFileReader::load`] over each shard; [`Trace::new`] re-normalizes
+//! the cross-shard (and cross-node) stream into the canonical order — the
+//! same contract every other source honors. Windowed loads use each shard's
+//! §3.2 time anchors, so a narrow question touches only the records that
+//! can answer it, shard by shard.
 
 use crate::store;
-use ktrace_core::reader::RawEvent;
 use ktrace_format::EventRegistry;
 use ktrace_io::TraceFileReader;
-use ktrace_query::{EventSet, QueryError, TraceSource};
+use ktrace_query::{QueryError, Trace, TraceSource};
 use std::path::{Path, PathBuf};
 
 /// A query source over a collector store.
@@ -65,29 +63,24 @@ impl CollectSource {
         Ok(shards)
     }
 
-    /// Reads the selected shards through `read`, merging registries (the
-    /// richest wins — nodes may register different app events) and taking
-    /// the clock rate from the first shard.
-    fn load_with(
-        &self,
-        mut read: impl FnMut(
-            &mut TraceFileReader<std::io::BufReader<std::fs::File>>,
-        ) -> Result<Vec<RawEvent>, QueryError>,
-    ) -> Result<EventSet, QueryError> {
+    /// Loads the selected shards (whole, or `window` only), merging
+    /// registries (the richest wins — nodes may register different app
+    /// events) and taking the clock rate from the first shard.
+    fn load_shards(&self, window: Option<(u64, u64)>) -> Result<Trace, QueryError> {
         let mut events = Vec::new();
         let mut registry = EventRegistry::new();
         let mut ticks_per_sec = 0u64;
         for shard in self.selected_shards()? {
-            let mut reader = TraceFileReader::open(&shard)?;
-            if reader.header().registry.len() > registry.len() {
-                registry = reader.header().registry.clone();
+            let part = TraceFileReader::open(&shard)?.load(window)?;
+            if part.registry.len() > registry.len() {
+                registry = part.registry;
             }
             if ticks_per_sec == 0 {
-                ticks_per_sec = reader.header().ticks_per_sec;
+                ticks_per_sec = part.ticks_per_sec;
             }
-            events.extend(read(&mut reader)?);
+            events.extend(part.events);
         }
-        Ok(EventSet::new(events, registry, ticks_per_sec))
+        Ok(Trace::new(events, registry, ticks_per_sec))
     }
 }
 
@@ -99,12 +92,12 @@ impl TraceSource for CollectSource {
         }
     }
 
-    fn load(&mut self) -> Result<EventSet, QueryError> {
-        self.load_with(|reader| Ok(reader.events()?.collect()))
+    fn load(&mut self) -> Result<Trace, QueryError> {
+        self.load_shards(None)
     }
 
-    fn load_window(&mut self, t0: u64, t1: u64) -> Result<EventSet, QueryError> {
-        self.load_with(|reader| Ok(reader.events_between(t0, t1)?))
+    fn load_window(&mut self, t0: u64, t1: u64) -> Result<Trace, QueryError> {
+        self.load_shards(Some((t0, t1)))
     }
 }
 

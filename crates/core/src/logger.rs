@@ -332,7 +332,7 @@ impl TraceLogger {
         if let Some(keep) = majors {
             dump.events.retain(|e| keep.contains(&e.major));
         }
-        dump.events.sort_by_key(|e| e.time);
+        dump.events.sort_by_key(RawEvent::order_key);
         if dump.events.len() > last_n {
             dump.events.drain(..dump.events.len() - last_n);
         }

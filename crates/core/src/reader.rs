@@ -47,6 +47,14 @@ impl RawEvent {
     pub fn len_words(&self) -> usize {
         1 + self.payload.len()
     }
+
+    /// The canonical event order: time first, then the event's position in
+    /// the trace (`cpu`, buffer `seq`, word `offset`), which is unique.
+    /// Every sort and merge of events uses this key, so tools agree on the
+    /// order of equal-time events and of garbled (non-monotonic) input alike.
+    pub fn order_key(&self) -> (u64, usize, u64, usize) {
+        (self.time, self.cpu, self.seq, self.offset)
+    }
 }
 
 /// An anomaly detected while decoding a buffer.

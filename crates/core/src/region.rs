@@ -46,6 +46,13 @@ use ktrace_telemetry::{CpuCounters, Telemetry};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// How long [`CpuRegion::take_buffer`] waits for a straggling commit before
+/// it reports the buffer garbled: long enough for a descheduled writer to
+/// run again on a busy host, short enough that a killed one stalls the
+/// drainer only briefly.
+const STRAGGLER_GRACE: Duration = Duration::from_millis(100);
 
 /// A drained, completed buffer handed to the consumer.
 #[derive(Debug, Clone)]
@@ -412,14 +419,16 @@ impl CpuRegion {
         // this buffer (its filler/header writes follow the reservation), so a
         // just-closed buffer can look transiently incomplete. Give stragglers
         // a bounded grace period before declaring garble — a logger that was
-        // killed (the §3.1 scenario) never commits and is still caught.
+        // killed (the §3.1 scenario) never commits and is still caught. The
+        // bound is elapsed time, not a yield count: on an oversubscribed host
+        // a thousand yields can pass while the writer is still descheduled.
         let mut committed = self.committed[slot].load(Ordering::Acquire);
-        for _ in 0..1000 {
-            if committed >= expected {
-                break;
+        if committed < expected {
+            let deadline = Instant::now() + STRAGGLER_GRACE;
+            while committed < expected && Instant::now() < deadline {
+                std::thread::yield_now();
+                committed = self.committed[slot].load(Ordering::Acquire);
             }
-            std::thread::yield_now();
-            committed = self.committed[slot].load(Ordering::Acquire);
         }
         let base = slot * bw as usize;
         let words: Vec<u64> = self.words[base..base + bw as usize]
@@ -707,6 +716,39 @@ mod tests {
         assert_eq!(h1.major, MajorId::TEST);
         let h2 = EventHeader::decode(buf.words[ANCHOR_WORDS + 3]).unwrap();
         assert!(h2.is_filler());
+    }
+
+    #[test]
+    fn take_buffer_waits_out_a_descheduled_writer() {
+        // A writer reserves, then loses the CPU for longer than any number
+        // of consumer yields takes on an idle host, then commits. The
+        // buffer it wrote into has been closed meanwhile; taking it must
+        // wait for the commit instead of reporting garble.
+        let cfg = TraceConfig::small();
+        let (_c, r) = region(cfg);
+        let r = Arc::new(r);
+        r.log_raw(MajorId::TEST, 0, &[1]).unwrap();
+        let (reserved_tx, reserved_rx) = std::sync::mpsc::channel();
+        let writer = {
+            let r = r.clone();
+            std::thread::spawn(move || {
+                let (at, ts) = r.reserve(3).expect("room in the first buffer");
+                reserved_tx.send(()).unwrap();
+                std::thread::sleep(STRAGGLER_GRACE / 5);
+                let header = EventHeader::new(ts as u32, 2, MajorId::TEST, 1).unwrap();
+                r.write_event(at, header, &[7, 8]);
+            })
+        };
+        reserved_rx.recv().unwrap();
+        assert!(r.flush(), "closes the buffer under the writer");
+        let buf = r.take_buffer().expect("closed buffer is takeable");
+        writer.join().unwrap();
+        assert!(
+            buf.complete,
+            "committed {} of {} words",
+            buf.committed_words, buf.expected_words
+        );
+        assert!(crate::reader::parse_buffer(0, 0, &buf.words, None).clean());
     }
 
     #[test]

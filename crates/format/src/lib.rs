@@ -18,6 +18,8 @@
 //!   each event carries a field spec such as `"64 64 str"` and a printf-like
 //!   template such as `"Region %0[%llx] attach to FCM %1[%llx]"`, so tools can
 //!   display events "without any special knowledge of the events themselves".
+//! * [`text`] — text encodings every report writer shares (JSON string
+//!   escaping).
 //!
 //! The layout constants here are shared by the lockless logger, every baseline
 //! logger, the file format, and all analysis tools — the paper's "unified"
@@ -30,6 +32,7 @@ pub mod header;
 pub mod ids;
 pub mod mask;
 pub mod pack;
+pub mod text;
 
 pub use describe::{EventDescriptor, EventRegistry, FieldSpec, FieldToken, FieldValue};
 pub use error::FormatError;

@@ -141,24 +141,67 @@ pub fn encode_record_header(cpu: u32, seq: u64, complete: bool) -> [u8; RECORD_H
     out
 }
 
-/// Decodes one record's fixed prefix: `(cpu, seq, complete)`.
-pub fn decode_record_header(mut bytes: &[u8], index: usize) -> Result<(u32, u64, bool), IoError> {
+/// One framed record: the decoded fixed prefix and the buffer bytes after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordFrame<'a> {
+    /// CPU that produced the buffer.
+    pub cpu: u32,
+    /// Buffer sequence number within that CPU's region.
+    pub seq: u64,
+    /// Whether the commit count matched when the buffer was drained.
+    pub complete: bool,
+    /// The buffer bytes that followed the prefix (short if `bytes` was).
+    pub body: &'a [u8],
+}
+
+/// Why bytes do not frame as a record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// Fewer than [`RECORD_HEADER_BYTES`] bytes.
+    TruncatedHeader,
+    /// The first four bytes are not [`RECORD_MAGIC`].
+    BadMagic,
+}
+
+impl FrameError {
+    /// The refusal as text, for [`IoError::CorruptRecord`].
+    pub fn reason(self) -> &'static str {
+        match self {
+            FrameError::TruncatedHeader => "truncated record header",
+            FrameError::BadMagic => "bad record magic",
+        }
+    }
+}
+
+/// Frames the record that starts at `bytes[0]`: the one decoder of the
+/// record prefix. `bytes` may hold less than a whole record (a torn tail,
+/// a metadata peek); `body` is then as short as what was given. What a
+/// refusal means is the caller's policy: the strict reader fails, salvage
+/// hunts for the next frame, the collector abandons the connection.
+#[inline]
+pub fn frame_record(mut bytes: &[u8]) -> Result<RecordFrame<'_>, FrameError> {
     if bytes.len() < RECORD_HEADER_BYTES {
-        return Err(IoError::CorruptRecord {
-            index,
-            reason: "truncated record header",
-        });
+        return Err(FrameError::TruncatedHeader);
     }
     if bytes.get_u32_le() != RECORD_MAGIC {
-        return Err(IoError::CorruptRecord {
-            index,
-            reason: "bad record magic",
-        });
+        return Err(FrameError::BadMagic);
     }
     let cpu = bytes.get_u32_le();
     let seq = bytes.get_u64_le();
     let flags = bytes.get_u64_le();
-    Ok((cpu, seq, flags & RECORD_FLAG_COMPLETE != 0))
+    Ok(RecordFrame {
+        cpu,
+        seq,
+        complete: flags & RECORD_FLAG_COMPLETE != 0,
+        body: bytes,
+    })
+}
+
+/// The little-endian words of a record body (a trailing partial word, left
+/// by a torn record, is not one).
+pub fn body_words(body: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    body.chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
 }
 
 #[cfg(test)]
@@ -222,19 +265,34 @@ mod tests {
     #[test]
     fn record_header_roundtrip() {
         let enc = encode_record_header(3, 42, true);
-        assert_eq!(decode_record_header(&enc, 0).unwrap(), (3, 42, true));
+        let frame = frame_record(&enc).unwrap();
+        assert_eq!((frame.cpu, frame.seq, frame.complete), (3, 42, true));
+        assert!(frame.body.is_empty());
         let enc = encode_record_header(0, 0, false);
-        assert_eq!(decode_record_header(&enc, 0).unwrap(), (0, 0, false));
+        let frame = frame_record(&enc).unwrap();
+        assert_eq!((frame.cpu, frame.seq, frame.complete), (0, 0, false));
     }
 
     #[test]
-    fn record_magic_checked() {
+    fn record_magic_and_length_checked() {
         let mut enc = encode_record_header(3, 42, true);
+        assert_eq!(
+            frame_record(&enc[..RECORD_HEADER_BYTES - 1]),
+            Err(FrameError::TruncatedHeader)
+        );
         enc[0] ^= 0xff;
-        assert!(matches!(
-            decode_record_header(&enc, 7),
-            Err(IoError::CorruptRecord { index: 7, .. })
-        ));
+        assert_eq!(frame_record(&enc), Err(FrameError::BadMagic));
+    }
+
+    #[test]
+    fn body_is_what_follows_the_prefix_and_words_drop_a_torn_tail() {
+        let mut enc = encode_record_header(1, 2, true).to_vec();
+        enc.extend_from_slice(&7u64.to_le_bytes());
+        enc.extend_from_slice(&9u64.to_le_bytes());
+        enc.extend_from_slice(&[0xaa; 5]);
+        let frame = frame_record(&enc).unwrap();
+        assert_eq!(frame.body.len(), 21);
+        assert_eq!(body_words(frame.body).collect::<Vec<u64>>(), vec![7, 9]);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!   time index built from each buffer's anchor, time-windowed reads, and
 //!   per-record garble reporting.
 //! * [`merge`] — a k-way, timestamp-ordered merge of per-CPU event streams.
+//! * [`trace`] — [`Trace`]: the in-memory model every read path loads into
+//!   ([`TraceFileReader::load`]) and every tool consumes.
 //! * [`salvage`] — the forgiving reader: walks arbitrarily damaged byte
 //!   images, re-anchors on record magic, and recovers every event outside
 //!   the corrupt extents with a typed [`SalvageReport`].
@@ -31,6 +33,7 @@ pub mod merge;
 pub mod reader;
 pub mod salvage;
 pub mod session;
+pub mod trace;
 pub mod writer;
 
 pub use error::IoError;
@@ -39,4 +42,5 @@ pub use merge::MergedEvents;
 pub use reader::{BufferRecord, RecordAnomaly, TraceFileReader};
 pub use salvage::{salvage_bytes, salvage_file, CpuSalvage, SalvageReport, SalvagedRecord};
 pub use session::{SessionBuilder, SessionConfig, SessionError, SessionStats, TraceSession};
+pub use trace::Trace;
 pub use writer::TraceFileWriter;

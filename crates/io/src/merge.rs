@@ -22,8 +22,8 @@ struct CpuCursor {
     hint: Option<u64>,
 }
 
-/// Iterator yielding all events of the selected records in global timestamp
-/// order (ties broken by CPU number for determinism).
+/// Iterator yielding all events of the selected records merged by
+/// [`RawEvent::order_key`] (timestamp order, ties broken by position).
 pub struct MergedEvents<'a, R: Read + Seek> {
     reader: &'a mut TraceFileReader<R>,
     cursors: Vec<CpuCursor>,
@@ -104,7 +104,7 @@ impl<R: Read + Seek> Iterator for MergedEvents<'_, R> {
             .cursors
             .iter()
             .enumerate()
-            .filter_map(|(c, cur)| cur.peeked.as_ref().map(|e| (e.time, c)))
+            .filter_map(|(c, cur)| cur.peeked.as_ref().map(|e| (e.order_key(), c)))
             .min()?
             .1;
         let event = self.cursors[cpu].peeked.take();

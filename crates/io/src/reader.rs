@@ -7,8 +7,9 @@
 //! only the overlapping records ([`TraceFileReader::events_between`]).
 
 use crate::error::IoError;
-use crate::file::{decode_record_header, FileHeader, RECORD_HEADER_BYTES};
+use crate::file::{body_words, frame_record, FileHeader, RecordFrame, RECORD_HEADER_BYTES};
 use crate::merge::MergedEvents;
+use crate::trace::Trace;
 use ktrace_core::reader::{parse_buffer, GarbleNote, RawEvent};
 use ktrace_format::EventHeader;
 use std::io::{Read, Seek, SeekFrom};
@@ -112,51 +113,50 @@ impl<R: Read + Seek> TraceFileReader<R> {
         Ok(())
     }
 
-    /// Reads record `index` in full — a single seek, no scanning.
-    pub fn record(&mut self, index: usize) -> Result<BufferRecord, IoError> {
+    /// Reads the first `bytes.len()` bytes of record `index` (a single
+    /// seek, no scanning) and frames them; a refusal is an `Err`.
+    fn read_frame<'b>(
+        &mut self,
+        index: usize,
+        bytes: &'b mut [u8],
+    ) -> Result<RecordFrame<'b>, IoError> {
         self.check_index(index)?;
         self.source
             .seek(SeekFrom::Start(self.record_offset(index)))?;
+        self.source.read_exact(bytes)?;
+        frame_record(bytes).map_err(|e| IoError::CorruptRecord {
+            index,
+            reason: e.reason(),
+        })
+    }
+
+    /// Reads record `index` in full.
+    pub fn record(&mut self, index: usize) -> Result<BufferRecord, IoError> {
         let mut bytes = vec![0u8; self.header.record_size()];
-        self.source.read_exact(&mut bytes)?;
-        let (cpu, seq, complete) = decode_record_header(&bytes, index)?;
-        let words = bytes[RECORD_HEADER_BYTES..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect();
+        let frame = self.read_frame(index, &mut bytes)?;
         Ok(BufferRecord {
             index,
-            cpu,
-            seq,
-            complete,
-            words,
+            cpu: frame.cpu,
+            seq: frame.seq,
+            complete: frame.complete,
+            words: body_words(frame.body).collect(),
         })
     }
 
     /// Reads only a record's identity and anchor time (header + 3 words):
     /// the cheap per-record metadata the time index is built from.
     pub fn record_meta(&mut self, index: usize) -> Result<(u32, u64, bool, Option<u64>), IoError> {
-        self.check_index(index)?;
-        self.source
-            .seek(SeekFrom::Start(self.record_offset(index)))?;
-        let mut bytes = vec![0u8; RECORD_HEADER_BYTES + 3 * 8];
-        self.source.read_exact(&mut bytes)?;
-        let (cpu, seq, complete) = decode_record_header(&bytes, index)?;
-        let w0 = u64::from_le_bytes(
-            bytes[RECORD_HEADER_BYTES..RECORD_HEADER_BYTES + 8]
-                .try_into()
-                .expect("8"),
-        );
-        let w1 = u64::from_le_bytes(
-            bytes[RECORD_HEADER_BYTES + 8..RECORD_HEADER_BYTES + 16]
-                .try_into()
-                .expect("8"),
-        );
-        let anchor = EventHeader::decode(w0)
-            .ok()
-            .filter(|h| h.is_time_anchor())
-            .map(|_| w1);
-        Ok((cpu, seq, complete, anchor))
+        let mut bytes = [0u8; RECORD_HEADER_BYTES + 3 * 8];
+        let frame = self.read_frame(index, &mut bytes)?;
+        let mut words = body_words(frame.body);
+        let anchor = match (words.next(), words.next()) {
+            (Some(w0), Some(w1)) => EventHeader::decode(w0)
+                .ok()
+                .filter(|h| h.is_time_anchor())
+                .map(|_| w1),
+            _ => None,
+        };
+        Ok((frame.cpu, frame.seq, frame.complete, anchor))
     }
 
     /// Decodes record `index` into events.
@@ -201,6 +201,22 @@ impl<R: Read + Seek> TraceFileReader<R> {
         wanted.sort_unstable();
         let merged = MergedEvents::over_records(self, wanted)?;
         Ok(merged.filter(|e| e.time >= t0 && e.time < t1).collect())
+    }
+
+    /// Loads the whole file, or with `window = Some((t0, t1))` only the
+    /// events in `[t0, t1)` (via [`events_between`](Self::events_between)),
+    /// as a [`Trace`]: the one step from an open reader to the model every
+    /// tool consumes.
+    pub fn load(&mut self, window: Option<(u64, u64)>) -> Result<Trace, IoError> {
+        let events = match window {
+            Some((t0, t1)) => self.events_between(t0, t1)?,
+            None => self.events()?.collect(),
+        };
+        Ok(Trace::new(
+            events,
+            self.header.registry.clone(),
+            self.header.ticks_per_sec,
+        ))
     }
 
     /// Scans every record for garbling: drain-time commit mismatches and

@@ -12,7 +12,7 @@
 //! never panics: any byte image in, a report out.
 
 use crate::error::IoError;
-use crate::file::{FileHeader, RECORD_FLAG_COMPLETE, RECORD_HEADER_BYTES, RECORD_MAGIC};
+use crate::file::{body_words, frame_record, FileHeader, RecordFrame, RECORD_HEADER_BYTES};
 use ktrace_core::reader::{parse_buffer, GarbleNote, RawEvent};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -74,8 +74,8 @@ pub struct SalvageReport {
     pub header: Option<FileHeader>,
     /// Every record slot examined, in file order.
     pub records: Vec<SalvagedRecord>,
-    /// All recovered events, merged into global timestamp order (ties broken
-    /// by CPU, matching [`MergedEvents`](crate::MergedEvents)).
+    /// All recovered events, merged by [`RawEvent::order_key`] (matching
+    /// [`MergedEvents`](crate::MergedEvents)).
     pub events: Vec<RawEvent>,
     /// Times the scanner lost the record chain and had to hunt for the next
     /// record magic.
@@ -206,21 +206,12 @@ impl SalvageReport {
     }
 }
 
-/// Reads `u32`/`u64` little-endian fields out of a record header candidate.
-fn record_fields(bytes: &[u8], pos: usize) -> (u32, u32, u64, u64) {
-    let g32 = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-    let g64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-    (g32(pos), g32(pos + 4), g64(pos + 8), g64(pos + 16))
-}
-
-/// True if `pos` plausibly starts a record: magic matches and the CPU field
-/// is within the header's range (rejecting accidental magic in payload data).
-fn plausible_record(bytes: &[u8], pos: usize, ncpus: u32) -> bool {
-    if pos + RECORD_HEADER_BYTES > bytes.len() {
-        return false;
-    }
-    let (magic, cpu, _seq, _flags) = record_fields(bytes, pos);
-    magic == RECORD_MAGIC && cpu < ncpus
+/// The record framed at `pos`, if one plausibly starts there: it frames and
+/// its CPU field is within the header's range (rejecting accidental magic in
+/// payload data).
+#[inline]
+fn plausible_record(bytes: &[u8], pos: usize, ncpus: u32) -> Option<RecordFrame<'_>> {
+    frame_record(&bytes[pos..]).ok().filter(|f| f.cpu < ncpus)
 }
 
 /// Salvages whatever is recoverable from a trace file byte image.
@@ -261,11 +252,12 @@ pub fn salvage_bytes(bytes: &[u8]) -> SalvageReport {
             report.trailing_bytes += bytes.len() - pos;
             break;
         }
-        if !plausible_record(bytes, pos, ncpus) {
+        let Some(frame) = plausible_record(bytes, pos, ncpus) else {
             // Lost the chain: hunt for the next plausible record header. A
             // retried write after a mid-record failure, or flipped header
             // bytes, land here.
-            let next = (pos + 1..bytes.len()).find(|&q| plausible_record(bytes, q, ncpus));
+            let next =
+                (pos + 1..bytes.len()).find(|&q| plausible_record(bytes, q, ncpus).is_some());
             report.resyncs += 1;
             match next {
                 Some(q) => {
@@ -278,14 +270,11 @@ pub fn salvage_bytes(bytes: &[u8]) -> SalvageReport {
                     break;
                 }
             }
-        }
-        let (_magic, cpu, seq, flags) = record_fields(bytes, pos);
+        };
+        let (cpu, seq) = (frame.cpu, frame.seq);
         let avail = record_size.min(bytes.len() - pos);
         let truncated = avail < record_size;
-        let words: Vec<u64> = bytes[pos + RECORD_HEADER_BYTES..pos + avail]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect();
+        let words: Vec<u64> = body_words(&frame.body[..avail - RECORD_HEADER_BYTES]).collect();
         let hint = hints[cpu as usize];
         let parsed = parse_buffer(cpu as usize, seq, &words, hint);
         hints[cpu as usize] = parsed.end_time.or(hint);
@@ -293,7 +282,7 @@ pub fn salvage_bytes(bytes: &[u8]) -> SalvageReport {
             offset: pos,
             cpu,
             seq,
-            complete: flags & RECORD_FLAG_COMPLETE != 0,
+            complete: frame.complete,
             truncated,
             events: parsed.events.len(),
             notes: parsed.notes,
@@ -305,9 +294,8 @@ pub fn salvage_bytes(bytes: &[u8]) -> SalvageReport {
         pos += avail;
     }
 
-    // Global merge: stable sort keeps each CPU's stream in file order, the
-    // (time, cpu) key matches MergedEvents' tie-break.
-    report.events.sort_by_key(|e| (e.time, e.cpu));
+    // Global merge, in the order MergedEvents yields.
+    report.events.sort_by_key(RawEvent::order_key);
     report
 }
 

@@ -56,10 +56,11 @@ proptest! {
         let mut reader = TraceFileReader::new(Cursor::new(bytes)).unwrap();
         prop_assert!(reader.anomalies().unwrap().is_empty());
         let mut got: Vec<Vec<(u8, u16, Vec<u64>)>> = vec![Vec::new(); ncpus];
-        let mut last_time = 0;
+        let mut last_key = None;
         for e in reader.events().unwrap() {
-            prop_assert!(e.time >= last_time, "merge order violated");
-            last_time = e.time;
+            // Canonical order, so time order too: `time` leads the key.
+            prop_assert!(Some(e.order_key()) >= last_key, "merge order violated");
+            last_key = Some(e.order_key());
             if !e.is_control() {
                 got[e.cpu].push((e.major.raw(), e.minor, e.payload));
             }

@@ -1,4 +1,4 @@
-//! Expression evaluation over an [`EventSet`].
+//! Expression evaluation over a [`Trace`].
 //!
 //! [`Query`] carries a built [`EventIndex`] and evaluates aggregations two
 //! ways: [`Query::eval`] extracts conservative time/CPU bounds from the
@@ -10,8 +10,9 @@
 
 use crate::expr::{Agg, Assertion, CmpOp, Field, Pred, SpanSpec};
 use crate::index::{Bounds, EventIndex};
-use crate::source::{EventSet, QueryError, TraceSource};
+use crate::source::{QueryError, TraceSource};
 use ktrace_core::reader::RawEvent;
+use ktrace_io::Trace;
 use std::collections::HashMap;
 
 /// Reads one field of one event; `None` when the payload word is absent.
@@ -98,7 +99,7 @@ pub struct SpanScan {
 }
 
 /// Pairs open/close endpoints per key (LIFO when one key nests) over
-/// `events`, which must be in normalized time order.
+/// `events`, which must be in canonical order.
 pub fn scan_spans<'a, I>(events: I, s: &SpanSpec) -> SpanScan
 where
     I: IntoIterator<Item = &'a RawEvent>,
@@ -127,18 +128,18 @@ where
     scan
 }
 
-/// A queryable trace: one [`EventSet`] plus its index.
+/// A queryable trace: one [`Trace`] plus its index.
 #[derive(Debug, Clone)]
 pub struct Query {
-    set: EventSet,
+    trace: Trace,
     index: EventIndex,
 }
 
 impl Query {
-    /// Wraps an already-loaded set.
-    pub fn new(set: EventSet) -> Query {
-        let index = EventIndex::build(&set);
-        Query { set, index }
+    /// Wraps an already-loaded trace.
+    pub fn new(trace: Trace) -> Query {
+        let index = EventIndex::build(&trace);
+        Query { trace, index }
     }
 
     /// Loads a source and wraps the result.
@@ -146,9 +147,9 @@ impl Query {
         Ok(Query::new(source.load()?))
     }
 
-    /// The underlying set.
-    pub fn set(&self) -> &EventSet {
-        &self.set
+    /// The underlying trace, for the tools that take one.
+    pub fn trace(&self) -> &Trace {
+        &self.trace
     }
 
     /// Evaluates via the index: candidates come from the extracted
@@ -156,14 +157,14 @@ impl Query {
     pub fn eval(&self, agg: &Agg) -> u64 {
         self.eval_with(agg, |pred| {
             let bounds = pred_bounds(pred);
-            self.index.candidates(&self.set, &bounds)
+            self.index.candidates(&self.trace, &bounds)
         })
     }
 
     /// Evaluates by scanning every event — the reference semantics the
     /// indexed path must reproduce.
     pub fn eval_naive(&self, agg: &Agg) -> u64 {
-        self.eval_with(agg, |_| Box::new(self.set.events.iter()))
+        self.eval_with(agg, |_| Box::new(self.trace.events.iter()))
     }
 
     /// Evaluates the assertion (indexed), returning the measured value and
@@ -196,8 +197,8 @@ impl Query {
                 .unwrap_or(0),
             Agg::Rate(p) => {
                 let n = matching(p).len() as u128;
-                let span = self.set.span().max(1) as u128;
-                let per_sec = n * self.set.ticks_per_sec as u128 / span;
+                let span = self.trace.span().max(1) as u128;
+                let per_sec = n * self.trace.ticks_per_sec as u128 / span;
                 u64::try_from(per_sec).unwrap_or(u64::MAX)
             }
             Agg::MaxGap(p) => {
@@ -208,8 +209,8 @@ impl Query {
                     .max()
                     .unwrap_or(0)
             }
-            Agg::MaxDuration(s) => scan_spans(self.set.events.iter(), s).max_duration,
-            Agg::Unpaired(s) => scan_spans(self.set.events.iter(), s).unpaired,
+            Agg::MaxDuration(s) => scan_spans(self.trace.events.iter(), s).max_duration,
+            Agg::Unpaired(s) => scan_spans(self.trace.events.iter(), s).unpaired,
         }
     }
 }
@@ -242,7 +243,7 @@ mod tests {
             ev(0, 400, MajorId::LOCK, 3, &[0xA, 1]), // release A (held 300)
             ev(1, 500, MajorId::LOCK, 3, &[0xC, 2]), // release never opened
         ];
-        Query::new(EventSet::new(events, EventRegistry::with_builtin(), 1_000))
+        Query::new(Trace::new(events, EventRegistry::with_builtin(), 1_000))
     }
 
     #[test]

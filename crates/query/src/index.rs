@@ -1,16 +1,16 @@
-//! Index layer over a loaded [`EventSet`].
+//! Index layer over a loaded [`Trace`].
 //!
 //! The on-disk reader already exploits §3.2 alignment points to skip whole
 //! records; this index gives the same two access patterns — per-CPU slices
-//! and time-range seeks — over an *in-memory* set, whatever source it came
-//! from. Because [`EventSet::new`] sorts globally by `(time, cpu, seq,
+//! and time-range seeks — over an *in-memory* trace, whatever source it came
+//! from. Because [`Trace::new`] sorts globally by `(time, cpu, seq,
 //! offset)`, time bounds become binary searches over the event array, and a
 //! per-CPU position list (positions ascend, and the global order is
 //! time-major, so each list is time-sorted too) makes `cpu == k` queries
 //! touch only that CPU's events.
 
-use crate::source::EventSet;
 use ktrace_core::reader::RawEvent;
+use ktrace_io::Trace;
 
 /// Conservative candidate bounds extracted from a predicate: a time window
 /// and an optional exact CPU. `hi` is exclusive; `None` means unbounded.
@@ -43,42 +43,42 @@ impl Bounds {
     }
 }
 
-/// Per-CPU and time-range random access over one [`EventSet`].
+/// Per-CPU and time-range random access over one [`Trace`].
 #[derive(Debug, Clone)]
 pub struct EventIndex {
     /// For each CPU (dense, indexed by `cpu`), the ascending positions of
-    /// its events in the set's global order.
+    /// its events in the trace's global order.
     by_cpu: Vec<Vec<u32>>,
 }
 
 impl EventIndex {
-    /// Builds the index for `set`.
-    pub fn build(set: &EventSet) -> EventIndex {
-        let ncpus = set.events.iter().map(|e| e.cpu + 1).max().unwrap_or(0);
+    /// Builds the index for `trace`.
+    pub fn build(trace: &Trace) -> EventIndex {
+        let ncpus = trace.events.iter().map(|e| e.cpu + 1).max().unwrap_or(0);
         let mut by_cpu = vec![Vec::new(); ncpus];
-        for (pos, e) in set.events.iter().enumerate() {
+        for (pos, e) in trace.events.iter().enumerate() {
             by_cpu[e.cpu].push(pos as u32);
         }
         EventIndex { by_cpu }
     }
 
     /// The contiguous global range of events inside `[t_lo, t_hi)`.
-    fn time_seek(&self, set: &EventSet, bounds: &Bounds) -> std::ops::Range<usize> {
-        let start = set.events.partition_point(|e| e.time < bounds.t_lo);
+    fn time_seek(&self, trace: &Trace, bounds: &Bounds) -> std::ops::Range<usize> {
+        let start = trace.events.partition_point(|e| e.time < bounds.t_lo);
         let stop = match bounds.t_hi {
-            Some(hi) => set.events.partition_point(|e| e.time < hi),
-            None => set.events.len(),
+            Some(hi) => trace.events.partition_point(|e| e.time < hi),
+            None => trace.events.len(),
         };
         start..stop.max(start)
     }
 
-    /// Yields candidate events for `bounds`, in the set's normalized order.
+    /// Yields candidate events for `bounds`, in the trace's canonical order.
     /// Every event inside the bounds is yielded; the caller re-applies the
     /// full predicate, so over-approximation is fine and under-approximation
     /// is a bug.
     pub fn candidates<'a>(
         &'a self,
-        set: &'a EventSet,
+        trace: &'a Trace,
         bounds: &Bounds,
     ) -> Box<dyn Iterator<Item = &'a RawEvent> + 'a> {
         if bounds.empty {
@@ -94,17 +94,17 @@ impl EventIndex {
                 return Box::new(std::iter::empty());
             };
             let lo = bounds.t_lo;
-            let start = positions.partition_point(|&p| set.events[p as usize].time < lo);
+            let start = positions.partition_point(|&p| trace.events[p as usize].time < lo);
             let bounds = *bounds;
             return Box::new(
                 positions[start..]
                     .iter()
-                    .map(move |&p| &set.events[p as usize])
+                    .map(move |&p| &trace.events[p as usize])
                     .take_while(move |e| bounds.admits_time(e.time)),
             );
         }
-        let range = self.time_seek(set, bounds);
-        Box::new(set.events[range].iter())
+        let range = self.time_seek(trace, bounds);
+        Box::new(trace.events[range].iter())
     }
 }
 
@@ -113,7 +113,7 @@ mod tests {
     use super::*;
     use ktrace_format::{EventRegistry, MajorId};
 
-    fn set() -> EventSet {
+    fn sample() -> Trace {
         let events = (0..20u64)
             .map(|i| RawEvent {
                 cpu: (i % 3) as usize,
@@ -126,12 +126,12 @@ mod tests {
                 payload: vec![],
             })
             .collect();
-        EventSet::new(events, EventRegistry::with_builtin(), 1_000)
+        Trace::new(events, EventRegistry::with_builtin(), 1_000)
     }
 
     #[test]
     fn time_seek_matches_linear_filter() {
-        let s = set();
+        let s = sample();
         let idx = EventIndex::build(&s);
         let bounds = Bounds {
             t_lo: 12,
@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn cpu_pin_touches_only_that_cpu() {
-        let s = set();
+        let s = sample();
         let idx = EventIndex::build(&s);
         let bounds = Bounds {
             t_lo: 10,
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn empty_and_unknown_cpu_yield_nothing() {
-        let s = set();
+        let s = sample();
         let idx = EventIndex::build(&s);
         let mut b = Bounds::unbounded();
         b.empty = true;

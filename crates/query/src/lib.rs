@@ -6,7 +6,7 @@
 //! own walk over whichever one it happened to have. This crate unifies them:
 //!
 //! * [`source`] — the [`TraceSource`] trait and the four implementations;
-//!   every source yields one normalized [`EventSet`].
+//!   every source yields one canonically ordered [`Trace`].
 //! * [`index`] — per-CPU and time-range random access over a loaded set
 //!   (the in-memory analogue of the §3.2 alignment-point seeks the file
 //!   reader does on disk).
@@ -21,11 +21,11 @@
 //! # Example
 //!
 //! ```
-//! use ktrace_query::{parse_assertion, EventSet, Query};
+//! use ktrace_query::{parse_assertion, Query, Trace};
 //! use ktrace_format::EventRegistry;
 //!
-//! let set = EventSet::new(vec![], EventRegistry::with_builtin(), 1_000_000_000);
-//! let q = Query::new(set);
+//! let trace = Trace::new(vec![], EventRegistry::with_builtin(), 1_000_000_000);
+//! let q = Query::new(trace);
 //! let a = parse_assertion("count(major == CONTROL & minor == 2) == 0").unwrap();
 //! assert_eq!(q.check(&a), (0, true));
 //! ```
@@ -46,7 +46,8 @@ pub use expr::{
 };
 pub use index::{Bounds, EventIndex};
 pub use ktrace_format::exit;
+pub use ktrace_io::Trace;
 pub use source::{
-    EventSet, FileSource, QueryError, SalvageSource, SnapshotSource, StreamSource, TraceSource,
+    FileSource, QueryError, SalvageSource, SnapshotSource, StreamSource, TraceSource,
 };
 pub use spec::{violation_kind, Property, Spec, SpecError};

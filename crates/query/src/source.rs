@@ -8,19 +8,19 @@
 //! * [`StreamSource`] — a drained network stream: the byte-identical trace
 //!   file a receiver accumulated from a socket.
 //!
-//! Every source yields an [`EventSet`]: events normalized into
-//! `(time, cpu, seq, offset)` order plus the registry and clock rate. The
-//! contract sources must honor: **the data events** (everything outside the
-//! `CONTROL` major) **of one underlying trace are identical through every
-//! source that can see the whole trace**. Control events are transport
-//! artifacts — a drained file carries fillers a live snapshot has not
-//! written yet — so queries that must agree across sources should filter
-//! `major == CONTROL` out (the parity matrix test pins exactly this).
+//! Every source yields a [`Trace`]: events in canonical
+//! [`order_key`](ktrace_core::reader::RawEvent::order_key) order plus the
+//! registry and clock rate. The contract sources must honor: **the data
+//! events** (everything outside the `CONTROL` major) **of one underlying
+//! trace are identical through every source that can see the whole trace**.
+//! Control events are transport artifacts — a drained file carries fillers a
+//! live snapshot has not written yet — so queries that must agree across
+//! sources should filter `major == CONTROL` out (the parity matrix test pins
+//! exactly this).
 
-use ktrace_core::reader::RawEvent;
 use ktrace_core::TraceLogger;
 use ktrace_format::EventRegistry;
-use ktrace_io::{salvage_bytes, IoError, TraceFileReader};
+use ktrace_io::{salvage_bytes, IoError, Trace, TraceFileReader};
 use std::fmt;
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
@@ -51,55 +51,6 @@ impl From<IoError> for QueryError {
     }
 }
 
-/// A normalized, queryable batch of events from some [`TraceSource`].
-#[derive(Debug, Clone)]
-pub struct EventSet {
-    /// Events in `(time, cpu, seq, offset)` order.
-    pub events: Vec<RawEvent>,
-    /// The self-describing registry (builtin-only when the source's header
-    /// was unreadable).
-    pub registry: EventRegistry,
-    /// Clock rate of the timestamps.
-    pub ticks_per_sec: u64,
-}
-
-impl EventSet {
-    /// Builds a set, normalizing event order. Sources differ in raw order
-    /// (k-way merge vs. per-buffer dump vs. salvage resync); one canonical
-    /// order makes query results source-independent.
-    pub fn new(mut events: Vec<RawEvent>, registry: EventRegistry, ticks_per_sec: u64) -> EventSet {
-        events.sort_by_key(|e| (e.time, e.cpu, e.seq, e.offset));
-        EventSet {
-            events,
-            registry,
-            ticks_per_sec,
-        }
-    }
-
-    /// Events outside the `CONTROL` major: no anchors, fillers, drop
-    /// markers, or heartbeats.
-    pub fn data_events(&self) -> impl Iterator<Item = &RawEvent> {
-        self.events.iter().filter(|e| !e.is_control())
-    }
-
-    /// First data-event timestamp. Control events are excluded so the
-    /// origin is transport-independent (a drained buffer's trailing filler
-    /// carries a later timestamp than any data event in it).
-    pub fn origin(&self) -> u64 {
-        self.data_events().next().map_or(0, |e| e.time)
-    }
-
-    /// Last data-event timestamp.
-    pub fn end(&self) -> u64 {
-        self.data_events().last().map_or(0, |e| e.time)
-    }
-
-    /// Data span in ticks.
-    pub fn span(&self) -> u64 {
-        self.end().saturating_sub(self.origin())
-    }
-}
-
 /// One way of reading a trace. See the module docs for the cross-source
 /// contract.
 pub trait TraceSource {
@@ -107,22 +58,13 @@ pub trait TraceSource {
     fn describe(&self) -> String;
 
     /// Reads everything the source can see.
-    fn load(&mut self) -> Result<EventSet, QueryError>;
+    fn load(&mut self) -> Result<Trace, QueryError>;
 
     /// Reads only events with `t0 <= time < t1`. The default filters a full
     /// load; sources with §3.2 random access override it to touch only the
     /// records that can overlap the window.
-    fn load_window(&mut self, t0: u64, t1: u64) -> Result<EventSet, QueryError> {
-        let full = self.load()?;
-        Ok(EventSet {
-            events: full
-                .events
-                .into_iter()
-                .filter(|e| e.time >= t0 && e.time < t1)
-                .collect(),
-            registry: full.registry,
-            ticks_per_sec: full.ticks_per_sec,
-        })
+    fn load_window(&mut self, t0: u64, t1: u64) -> Result<Trace, QueryError> {
+        Ok(self.load()?.window(t0, t1))
     }
 }
 
@@ -146,30 +88,20 @@ impl TraceSource for FileSource {
         format!("file:{}", self.path.display())
     }
 
-    fn load(&mut self) -> Result<EventSet, QueryError> {
-        let mut reader = TraceFileReader::open(&self.path)?;
-        let registry = reader.header().registry.clone();
-        let tps = reader.header().ticks_per_sec;
-        let events: Vec<RawEvent> = reader.events()?.collect();
-        Ok(EventSet::new(events, registry, tps))
+    fn load(&mut self) -> Result<Trace, QueryError> {
+        Ok(Trace::from_file(&self.path)?)
     }
 
     /// Seeks via each record's time anchor (§3.2): only records whose
     /// anchor range can overlap `[t0, t1)` are decoded.
-    fn load_window(&mut self, t0: u64, t1: u64) -> Result<EventSet, QueryError> {
-        let mut reader = TraceFileReader::open(&self.path)?;
-        let registry = reader.header().registry.clone();
-        let tps = reader.header().ticks_per_sec;
-        let events = reader.events_between(t0, t1)?;
-        Ok(EventSet::new(events, registry, tps))
+    fn load_window(&mut self, t0: u64, t1: u64) -> Result<Trace, QueryError> {
+        Ok(TraceFileReader::open(&self.path)?.load(Some((t0, t1)))?)
     }
 }
 
-/// A live logger's region snapshot (flight-recorder view): whatever is in
-/// the per-CPU rings right now, undrained. The dump is control-free by
-/// construction (`flight_dump` strips fillers, anchors, and heartbeats as
-/// debugger noise), so this source only ever yields data events — the
-/// half of the cross-source contract every source must agree on.
+/// A live logger's region snapshot ([`Trace::from_logger`]). The dump is
+/// control-free, so this source only ever yields data events — the half of
+/// the cross-source contract every source must agree on.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotSource<'a> {
     logger: &'a TraceLogger,
@@ -191,13 +123,8 @@ impl TraceSource for SnapshotSource<'_> {
         format!("snapshot:{}cpus", self.logger.ncpus())
     }
 
-    fn load(&mut self) -> Result<EventSet, QueryError> {
-        let events = self.logger.flight_dump(usize::MAX, None);
-        Ok(EventSet::new(
-            events,
-            self.logger.registry(),
-            self.ticks_per_sec,
-        ))
+    fn load(&mut self) -> Result<Trace, QueryError> {
+        Ok(Trace::from_logger(self.logger, self.ticks_per_sec))
     }
 }
 
@@ -235,13 +162,13 @@ impl TraceSource for SalvageSource {
         format!("salvage:{}", self.origin)
     }
 
-    fn load(&mut self) -> Result<EventSet, QueryError> {
+    fn load(&mut self) -> Result<Trace, QueryError> {
         let report = salvage_bytes(&self.bytes);
-        let (registry, tps) = match &report.header {
-            Some(h) => (h.registry.clone(), h.ticks_per_sec),
+        let (registry, tps) = match report.header {
+            Some(h) => (h.registry, h.ticks_per_sec),
             None => (EventRegistry::with_builtin(), 1_000_000_000),
         };
-        Ok(EventSet::new(report.events, registry, tps))
+        Ok(Trace::new(report.events, registry, tps))
     }
 }
 
@@ -264,18 +191,15 @@ impl TraceSource for StreamSource {
         format!("stream:{}B", self.bytes.len())
     }
 
-    fn load(&mut self) -> Result<EventSet, QueryError> {
-        let mut reader = TraceFileReader::new(Cursor::new(&self.bytes[..]))?;
-        let registry = reader.header().registry.clone();
-        let tps = reader.header().ticks_per_sec;
-        let events: Vec<RawEvent> = reader.events()?.collect();
-        Ok(EventSet::new(events, registry, tps))
+    fn load(&mut self) -> Result<Trace, QueryError> {
+        Ok(TraceFileReader::new(Cursor::new(&self.bytes[..]))?.load(None)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ktrace_core::reader::RawEvent;
     use ktrace_format::MajorId;
 
     fn raw(cpu: usize, time: u64, minor: u16) -> RawEvent {
@@ -292,32 +216,14 @@ mod tests {
     }
 
     #[test]
-    fn event_set_normalizes_order_and_spans_data_only() {
-        let mut anchor = raw(0, 999, 0);
-        anchor.major = MajorId::CONTROL;
-        let set = EventSet::new(
-            vec![raw(1, 30, 1), raw(0, 10, 2), anchor, raw(0, 30, 3)],
-            EventRegistry::with_builtin(),
-            1_000,
-        );
-        let times: Vec<(u64, usize)> = set.events.iter().map(|e| (e.time, e.cpu)).collect();
-        assert_eq!(times, vec![(10, 0), (30, 0), (30, 1), (999, 0)]);
-        // Control events don't stretch the data span.
-        assert_eq!(set.origin(), 10);
-        assert_eq!(set.end(), 30);
-        assert_eq!(set.span(), 20);
-        assert_eq!(set.data_events().count(), 3);
-    }
-
-    #[test]
     fn default_window_filters_half_open() {
         struct Fixed(Vec<RawEvent>);
         impl TraceSource for Fixed {
             fn describe(&self) -> String {
                 "fixed".into()
             }
-            fn load(&mut self) -> Result<EventSet, QueryError> {
-                Ok(EventSet::new(
+            fn load(&mut self) -> Result<Trace, QueryError> {
+                Ok(Trace::new(
                     self.0.clone(),
                     EventRegistry::with_builtin(),
                     1_000,

@@ -155,8 +155,8 @@ impl Spec {
     /// one on the shared exit-code table.
     pub fn check(&self, query: &Query) -> Report {
         let mut report = Report::new();
-        report.events_checked = query.set().events.len();
-        report.data_events_checked = query.set().data_events().count();
+        report.events_checked = query.trace().events.len();
+        report.data_events_checked = query.trace().data_events().count();
         for p in &self.properties {
             let (actual, holds) = query.check(&p.assertion);
             if !holds {
@@ -186,9 +186,9 @@ fn unquote(s: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::EventSet;
     use ktrace_core::reader::RawEvent;
     use ktrace_format::{EventRegistry, MajorId};
+    use ktrace_io::Trace;
 
     const SPEC: &str = r#"
 # trace properties
@@ -249,7 +249,7 @@ check = "unpaired(span(LOCK, 2 -> 3, key = payload[0])) == 0"
     fn check_reports_on_the_assertion_band() {
         let spec = Spec::parse(SPEC).unwrap();
         // Clean trace: one balanced lock pair, no drop markers.
-        let clean = Query::new(EventSet::new(
+        let clean = Query::new(Trace::new(
             vec![
                 ev(10, MajorId::LOCK, 2, &[0xA, 1]),
                 ev(20, MajorId::LOCK, 3, &[0xA, 1]),
@@ -263,7 +263,7 @@ check = "unpaired(span(LOCK, 2 -> 3, key = payload[0])) == 0"
 
         // One drop marker and one unbalanced acquire: both properties fire,
         // and the exit code is the smallest violated code (36).
-        let broken = Query::new(EventSet::new(
+        let broken = Query::new(Trace::new(
             vec![
                 ev(5, MajorId::CONTROL, 2, &[7]),
                 ev(10, MajorId::LOCK, 2, &[0xA, 1]),

@@ -15,8 +15,8 @@
 use ktrace_core::reader::RawEvent;
 use ktrace_format::{EventRegistry, MajorId};
 use ktrace_query::{
-    parse_agg, parse_assertion, parse_pred, Agg, Assertion, CmpOp, EventSet, Field, Pred, Query,
-    SpanSpec,
+    parse_agg, parse_assertion, parse_pred, Agg, Assertion, CmpOp, Field, Pred, Query, SpanSpec,
+    Trace,
 };
 use proptest::prelude::*;
 
@@ -148,8 +148,8 @@ fn gen_event(g: &mut Gen) -> RawEvent {
     }
 }
 
-fn gen_set(g: &mut Gen, n: usize) -> EventSet {
-    EventSet::new(
+fn gen_set(g: &mut Gen, n: usize) -> Trace {
+    Trace::new(
         (0..n).map(|_| gen_event(g)).collect(),
         EventRegistry::with_builtin(),
         1_000,

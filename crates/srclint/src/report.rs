@@ -11,6 +11,7 @@
 //! the **lowest** (most severe) code present and the report lists every
 //! failing pass.
 
+use ktrace_format::text::json_escape;
 pub use ktrace_verify::ViolationKind;
 use std::fmt::Write as _;
 
@@ -283,23 +284,6 @@ pub fn pass_name(kind: ViolationKind) -> &'static str {
         ViolationKind::UnsafeUnjustified => "unsafe",
         other => other.label(),
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use crate::vclock::VectorClock;
 use ktrace_core::RawEvent;
 use ktrace_events::{lock as lockev, mem, sched};
 use ktrace_format::MajorId;
-use ktrace_io::{IoError, TraceFileReader};
+use ktrace_io::{IoError, Trace};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
@@ -142,10 +142,11 @@ struct AddrHistory {
     reads_since_write: Vec<(AccessSite, VectorClock)>,
 }
 
-/// Runs the detector over `events` (any order; sorted internally by time).
+/// Runs the detector over `events` (any order; replayed in canonical
+/// [`RawEvent::order_key`] order).
 pub fn detect_races(events: &[RawEvent]) -> RaceAnalysis {
     let mut order: Vec<&RawEvent> = events.iter().collect();
-    order.sort_by_key(|e| (e.time, e.cpu, e.seq, e.offset));
+    order.sort_by_key(|e| e.order_key());
 
     // A thread's clock always carries its own live epoch (`tick` on first
     // sight), so its accesses are unordered with everyone else's until a
@@ -281,13 +282,7 @@ pub fn detect_races(events: &[RawEvent]) -> RaceAnalysis {
 
 /// Runs the detector over every event in a trace file, in merged time order.
 pub fn races_in_file(path: impl AsRef<Path>) -> Result<RaceAnalysis, IoError> {
-    let mut reader = TraceFileReader::open(path)?;
-    let mut events: Vec<RawEvent> = Vec::new();
-    for k in 0..reader.record_count() {
-        let (_, evs, _) = reader.parse_record(k)?;
-        events.extend(evs);
-    }
-    Ok(detect_races(&events))
+    Ok(detect_races(&Trace::from_file(path)?.events))
 }
 
 #[cfg(test)]

@@ -185,7 +185,7 @@ fn assert_cmd(input: AssertInput<'_>, spec_path: &str) -> ExitCode {
     println!(
         "{} assertion(s) checked over {} event(s): {} violation(s)",
         checked,
-        query.set().events.len(),
+        query.trace().events.len(),
         report.violations.len()
     );
     ExitCode::from(report.exit_code())

@@ -57,7 +57,9 @@ fn a_fleet_reconciles_with_a_node_dying_mid_stream() {
 
     // One node's sink dies mid-stream: CrashTracer kills a CPU's logging
     // and FaultySink cuts the wire after a byte budget — the worst case the
-    // paper's §3.1 commit counts are designed for.
+    // paper's §3.1 commit counts are designed for. The budget is the ~3 KiB
+    // header plus four 1 KiB records, half of the least this workload ever
+    // writes (~16 KiB), so the cut is certain and some records precede it.
     let dying = std::thread::spawn(move || {
         let conn = node::connect(addr, "dying-node").expect("connect");
         let session = TraceSession::builder()
@@ -66,7 +68,7 @@ fn a_fleet_reconciles_with_a_node_dying_mid_stream() {
             .register(ktrace::events::register_all)
             .start(FaultySink::new(
                 conn,
-                SinkPlan::permanent_failure(0xDEAD, 16 * 1024),
+                SinkPlan::permanent_failure(0xDEAD, 8 * 1024),
             ))
             .expect("session");
         let tracer = Arc::new(CrashTracer::new(

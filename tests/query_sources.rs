@@ -14,10 +14,12 @@
 //!
 //! The contract under test (see `ktrace_query::source`): the **data
 //! events** of one trace are identical through every source, and therefore
-//! so is every query over them. Control events are transport artifacts
-//! (drained buffers carry fillers a live snapshot has not written), so the
-//! matrix compares data events and control-free queries.
+//! so is every query over them and every analysis tool's report. Control
+//! events are transport artifacts (drained buffers carry fillers a live
+//! snapshot has not written), so the matrix compares data events,
+//! control-free queries, and tool output with control events hidden.
 
+use ktrace::analysis::{EventStats, Utilization};
 use ktrace::faults::{FaultySink, SinkPlan};
 use ktrace::ossim::workload::Workload;
 use ktrace::ossim::{KTracer, Machine, MachineConfig, Op, ProcessSpec, Program};
@@ -148,6 +150,32 @@ fn all_four_sources_agree_on_one_trace() {
                 "`{text}` diverged between snapshot and {name}"
             );
         }
+    }
+
+    // -- Tool parity: a tool's report does not depend on the transport ---
+    let tools = |t: &Trace| {
+        let mut locks: Vec<String> = LockStats::compute(t)
+            .rows
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        locks.sort();
+        (
+            locks,
+            format!("{:?}", Utilization::compute(t)),
+            format!("{:?}", Breakdown::compute(t)),
+            EventStats::compute(t).span_ticks,
+            render_listing(t, &ListingOptions::data_only()),
+        )
+    };
+    let reference = tools(&snapshot_set);
+    assert!(reference.3 > 0, "the run spans time");
+    for (name, set) in &sources[1..] {
+        assert_eq!(
+            tools(set),
+            reference,
+            "tool reports diverged between snapshot and {name}"
+        );
     }
 
     // All four sources see the same clock, so rates are comparable at all.
