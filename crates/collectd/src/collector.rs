@@ -22,7 +22,8 @@ use ktrace_core::parse_buffer;
 use ktrace_format::ids::control;
 use ktrace_io::file::{body_words, frame_record};
 use ktrace_io::FileHeader;
-use std::collections::{BTreeMap, HashMap};
+use ktrace_telemetry::{counter_block, TelemetrySnapshot};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -101,36 +102,91 @@ impl CollectError {
     }
 }
 
-/// Live per-node accounting, shared between the node's reader thread, its
-/// store worker, the scrape endpoint, and summaries. Plain counters under
-/// relaxed ordering: every value is a statistic, ordered by the happens-
-/// before edges of the queue hand-off.
-pub(crate) struct NodeState {
-    pub(crate) name: String,
-    pub(crate) records_received: AtomicU64,
-    pub(crate) records_stored: AtomicU64,
-    pub(crate) records_dropped: AtomicU64,
-    pub(crate) records_garbled: AtomicU64,
-    pub(crate) events_received: AtomicU64,
-    pub(crate) events_stored: AtomicU64,
-    pub(crate) events_dropped: AtomicU64,
-    pub(crate) bytes_received: AtomicU64,
-    pub(crate) torn_tail_bytes: AtomicU64,
-    pub(crate) connects: AtomicU64,
-    pub(crate) live_connections: AtomicU64,
-    pub(crate) heartbeats_seen: AtomicU64,
-    pub(crate) ticks_per_sec: AtomicU64,
-    /// Latest HEARTBEAT payload per CPU, as logged by the node itself.
-    pub(crate) beats: Mutex<BTreeMap<usize, [u64; control::HEARTBEAT_WORDS]>>,
-    /// Anomaly detection over this node's heartbeat-rebuilt snapshots,
-    /// stepped by the health plane at scrape time.
-    pub(crate) adapt: Mutex<NodeAdapt>,
+counter_block! {
+    /// Live per-node ingest accounting, shared between the node's reader
+    /// thread, its store worker, the scrape endpoint, and summaries. Plain
+    /// counters under relaxed ordering: every value is a statistic, ordered
+    /// by the happens-before edges of the queue hand-off.
+    #[derive(Default)]
+    pub(crate) struct NodeCounters;
+    /// Final (or live) accounting for one node.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct NodeSummary {
+        /// The node's wire name.
+        pub name: String,
+    }
+    counters {
+        records_received: AtomicU64 = "Well-formed records read off the wire.";
+        records_stored: AtomicU64 = "Records written into the store.";
+        records_dropped: AtomicU64 =
+            "Records dropped — queue overflow or store failure — instead of blocking the stream.";
+        records_garbled: AtomicU64 =
+            "Records abandoned because the stream desynced (bad record magic).";
+        events_received: AtomicU64 = "Data events inside received records.";
+        events_stored: AtomicU64 = "Data events inside stored records.";
+        events_dropped: AtomicU64 = "Data events inside dropped records.";
+        bytes_received: AtomicU64 = "Record bytes received per node."
+            => "ktrace_collectd_bytes_received_total";
+        torn_tail_bytes: AtomicU64 = "Bytes of partial final records cut off by dead connections."
+            => "ktrace_collectd_torn_tail_bytes_total";
+        connects: AtomicU64 = "Connections this node has opened.";
+        live_connections: AtomicU64 = "Connections currently open per node."
+            => "ktrace_collectd_live_connections";
+        heartbeats_seen: AtomicU64 = "HEARTBEAT events observed in each node's stream."
+            => "ktrace_collectd_heartbeats_seen_total";
+    }
+    histograms {}
+    totals { FleetSummary.nodes }
 }
 
-/// One node's detector plus the verdict of its latest stepped interval.
+impl NodeCounters {
+    /// One well-formed record of `bytes` bytes read off the wire, with the
+    /// data events inside it.
+    fn tally_received(&self, events: u64, bytes: u64) {
+        self.records_received.fetch_add(1, Ordering::Relaxed);
+        self.events_received.fetch_add(events, Ordering::Relaxed);
+        self.bytes_received.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// One record, and the data events inside it, written into the store.
+    fn tally_stored(&self, events: u64) {
+        self.records_stored.fetch_add(1, Ordering::Relaxed);
+        self.events_stored.fetch_add(events, Ordering::Relaxed);
+    }
+
+    /// One record, and the data events inside it, dropped and counted
+    /// instead of blocking the stream.
+    fn tally_dropped(&self, events: u64) {
+        self.records_dropped.fetch_add(1, Ordering::Relaxed);
+        self.events_dropped.fetch_add(events, Ordering::Relaxed);
+    }
+}
+
+/// One node, as every collector thread sees it.
+pub(crate) struct NodeState {
+    pub(crate) name: String,
+    counters: NodeCounters,
+    /// What the node's own HEARTBEATs say about it. One lock: the beat that
+    /// closes a round steps the detector over the beats it holds.
+    pub(crate) health: Mutex<NodeHealth>,
+}
+
+/// A node's health as rebuilt from its stream: the latest beats, and an
+/// anomaly detector **stepped by the stream** — once per heartbeat round,
+/// never by a scrape, so observing the fleet cannot change what it does.
 #[derive(Default)]
-pub(crate) struct NodeAdapt {
-    pub(crate) detector: Detector,
+pub(crate) struct NodeHealth {
+    /// Latest HEARTBEAT payload per CPU, as logged by the node itself.
+    pub(crate) beats: BTreeMap<usize, [u64; control::HEARTBEAT_WORDS]>,
+    /// CPUs that have reported since the detector last stepped.
+    round: BTreeSet<usize>,
+    detector: Detector,
+    pub(crate) verdicts: Verdicts,
+}
+
+/// What the detector has concluded so far; the scrape endpoints copy this.
+#[derive(Clone, Default)]
+pub(crate) struct Verdicts {
     /// Anomalies fired by the most recent interval.
     pub(crate) last: Vec<Anomaly>,
     /// Detector intervals stepped so far.
@@ -139,60 +195,49 @@ pub(crate) struct NodeAdapt {
     pub(crate) anomalies_total: u64,
 }
 
+impl NodeHealth {
+    /// Records one beat. A CPU reporting for the second time since the last
+    /// step closes the round: the detector steps one interval over the
+    /// snapshot the held beats rebuild, and the new beat opens the next
+    /// round. (So a node that never beats is never stepped, and the round
+    /// still open when a stream ends is not.)
+    fn note_beat(&mut self, words: [u64; control::HEARTBEAT_WORDS]) {
+        let cpu = words[0] as usize;
+        if !self.round.insert(cpu) {
+            let beats: Vec<_> = self.beats.values().copied().collect();
+            let fired = self
+                .detector
+                .observe(&TelemetrySnapshot::from_heartbeats(&beats));
+            self.verdicts.intervals += 1;
+            self.verdicts.anomalies_total += fired.len() as u64;
+            self.verdicts.last = fired;
+            self.round = BTreeSet::from([cpu]);
+        }
+        self.beats.insert(cpu, words);
+    }
+}
+
 impl NodeState {
-    fn new(name: String) -> NodeState {
+    pub(crate) fn new(name: &str) -> NodeState {
         NodeState {
-            name,
-            records_received: AtomicU64::new(0),
-            records_stored: AtomicU64::new(0),
-            records_dropped: AtomicU64::new(0),
-            records_garbled: AtomicU64::new(0),
-            events_received: AtomicU64::new(0),
-            events_stored: AtomicU64::new(0),
-            events_dropped: AtomicU64::new(0),
-            bytes_received: AtomicU64::new(0),
-            torn_tail_bytes: AtomicU64::new(0),
-            connects: AtomicU64::new(0),
-            live_connections: AtomicU64::new(0),
-            heartbeats_seen: AtomicU64::new(0),
-            ticks_per_sec: AtomicU64::new(0),
-            beats: Mutex::new(BTreeMap::new()),
-            adapt: Mutex::new(NodeAdapt::default()),
+            name: name.to_string(),
+            counters: NodeCounters::new(),
+            health: Mutex::new(NodeHealth::default()),
         }
     }
 
-    /// A detached node state for in-crate unit tests (the health plane
-    /// exercises detector plumbing without a live collector).
-    #[cfg(test)]
-    pub(crate) fn new_for_tests(name: &str) -> NodeState {
-        NodeState::new(name.to_string())
-    }
-
-    fn note_heartbeat(&self, payload: &[u64]) {
+    pub(crate) fn note_heartbeat(&self, payload: &[u64]) {
         let Ok(words) = <[u64; control::HEARTBEAT_WORDS]>::try_from(payload) else {
             return;
         };
-        self.heartbeats_seen.fetch_add(1, Ordering::Relaxed);
-        let cpu = words[0] as usize;
-        self.beats.lock().expect("beats lock").insert(cpu, words);
+        self.counters
+            .heartbeats_seen
+            .fetch_add(1, Ordering::Relaxed);
+        self.health.lock().expect("health lock").note_beat(words);
     }
 
     pub(crate) fn summary(&self) -> NodeSummary {
-        NodeSummary {
-            name: self.name.clone(),
-            records_received: self.records_received.load(Ordering::Relaxed),
-            records_stored: self.records_stored.load(Ordering::Relaxed),
-            records_dropped: self.records_dropped.load(Ordering::Relaxed),
-            records_garbled: self.records_garbled.load(Ordering::Relaxed),
-            events_received: self.events_received.load(Ordering::Relaxed),
-            events_stored: self.events_stored.load(Ordering::Relaxed),
-            events_dropped: self.events_dropped.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            torn_tail_bytes: self.torn_tail_bytes.load(Ordering::Relaxed),
-            connects: self.connects.load(Ordering::Relaxed),
-            live_connections: self.live_connections.load(Ordering::Relaxed),
-            heartbeats_seen: self.heartbeats_seen.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot(self.name.clone())
     }
 }
 
@@ -213,11 +258,20 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    pub(crate) fn new(config: CollectorConfig) -> Shared {
+        Shared {
+            config,
+            stop: AtomicBool::new(false),
+            nodes: Mutex::new(BTreeMap::new()),
+            stats: SelfStats::default(),
+        }
+    }
+
     pub(crate) fn node_entry(&self, name: &str) -> Arc<NodeState> {
         let mut nodes = self.nodes.lock().expect("nodes lock");
         nodes
             .entry(name.to_string())
-            .or_insert_with(|| Arc::new(NodeState::new(name.to_string())))
+            .or_insert_with(|| Arc::new(NodeState::new(name)))
             .clone()
     }
 
@@ -229,38 +283,11 @@ impl Shared {
             .cloned()
             .collect()
     }
-}
 
-/// Final (or live) accounting for one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeSummary {
-    /// The node's wire name.
-    pub name: String,
-    /// Well-formed records read off the wire.
-    pub records_received: u64,
-    /// Records written into the store.
-    pub records_stored: u64,
-    /// Records dropped — queue overflow or store failure — instead of
-    /// blocking the stream.
-    pub records_dropped: u64,
-    /// Records abandoned because the stream desynced (bad record magic).
-    pub records_garbled: u64,
-    /// Data events inside received records.
-    pub events_received: u64,
-    /// Data events inside stored records.
-    pub events_stored: u64,
-    /// Data events inside dropped records.
-    pub events_dropped: u64,
-    /// Payload bytes received (records only, not the hello or header).
-    pub bytes_received: u64,
-    /// Bytes of a final partial record cut off by a dead connection.
-    pub torn_tail_bytes: u64,
-    /// Connections this node has opened.
-    pub connects: u64,
-    /// Connections currently open.
-    pub live_connections: u64,
-    /// HEARTBEAT events observed in the stream.
-    pub heartbeats_seen: u64,
+    /// Live per-node accounting, name-sorted.
+    pub(crate) fn summaries(&self) -> Vec<NodeSummary> {
+        self.node_states().iter().map(|n| n.summary()).collect()
+    }
 }
 
 impl NodeSummary {
@@ -278,7 +305,8 @@ impl NodeSummary {
 }
 
 /// Fleet-wide accounting, from [`Collector::summary`] or
-/// [`Collector::shutdown`].
+/// [`Collector::shutdown`]. Every per-node counter has a fleet total of the
+/// same name (`records_dropped()`, `events_stored()`, …).
 #[derive(Debug, Clone, Default)]
 pub struct FleetSummary {
     /// Per-node accounting, name-sorted.
@@ -295,16 +323,6 @@ impl FleetSummary {
     /// [`NodeSummary::reconciled`]).
     pub fn reconciled(&self) -> bool {
         self.nodes.iter().all(|n| n.reconciled())
-    }
-
-    /// Total records dropped across the fleet.
-    pub fn records_dropped(&self) -> u64 {
-        self.nodes.iter().map(|n| n.records_dropped).sum()
-    }
-
-    /// Total data events stored across the fleet.
-    pub fn events_stored(&self) -> u64 {
-        self.nodes.iter().map(|n| n.events_stored).sum()
     }
 
     /// A one-line-per-node table.
@@ -430,10 +448,10 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
     };
     let record_size = header.record_size();
     let node = shared.node_entry(&name);
-    node.connects.fetch_add(1, Ordering::Relaxed);
-    node.live_connections.fetch_add(1, Ordering::Relaxed);
-    node.ticks_per_sec
-        .store(header.ticks_per_sec, Ordering::Relaxed);
+    node.counters.connects.fetch_add(1, Ordering::Relaxed);
+    node.counters
+        .live_connections
+        .fetch_add(1, Ordering::Relaxed);
     let tx = &senders[shard_of(&name, senders.len())];
     let header_bytes = Arc::new(header_bytes);
 
@@ -443,14 +461,17 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
             break; // clean EOF (or shutdown)
         }
         if got < record_size {
-            node.torn_tail_bytes
+            node.counters
+                .torn_tail_bytes
                 .fetch_add(got as u64, Ordering::Relaxed);
             break;
         }
         let Ok(frame) = frame_record(&buf) else {
             // Desynced: without record alignment nothing downstream is
             // trustworthy. Abandon the connection, visibly.
-            node.records_garbled.fetch_add(1, Ordering::Relaxed);
+            node.counters
+                .records_garbled
+                .fetch_add(1, Ordering::Relaxed);
             break;
         };
         // Parse once, here: exact event accounting for the drop path and
@@ -463,10 +484,7 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
                 node.note_heartbeat(&e.payload);
             }
         }
-        node.records_received.fetch_add(1, Ordering::Relaxed);
-        node.events_received
-            .fetch_add(data_events, Ordering::Relaxed);
-        node.bytes_received.fetch_add(got as u64, Ordering::Relaxed);
+        node.counters.tally_received(data_events, got as u64);
         let job = StoreJob {
             node: node.clone(),
             header_bytes: header_bytes.clone(),
@@ -478,15 +496,14 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
             Ok(()) => {}
             Err(TrySendError::Full(job)) => {
                 // The bounded-queue contract: never block the stream.
-                job.node.records_dropped.fetch_add(1, Ordering::Relaxed);
-                job.node
-                    .events_dropped
-                    .fetch_add(job.data_events, Ordering::Relaxed);
+                job.node.counters.tally_dropped(job.data_events);
             }
             Err(TrySendError::Disconnected(_)) => break,
         }
     }
-    node.live_connections.fetch_sub(1, Ordering::Relaxed);
+    node.counters
+        .live_connections
+        .fetch_sub(1, Ordering::Relaxed);
 }
 
 /// One store worker: owns the `NodeStore`s of every node hashed to it.
@@ -521,10 +538,7 @@ fn store_worker(rx: Receiver<StoreJob>, shared: &Shared) {
                 ) {
                     Ok(s) => e.insert(s),
                     Err(_) => {
-                        job.node.records_dropped.fetch_add(1, Ordering::Relaxed);
-                        job.node
-                            .events_dropped
-                            .fetch_add(job.data_events, Ordering::Relaxed);
+                        job.node.counters.tally_dropped(job.data_events);
                         continue;
                     }
                 }
@@ -532,16 +546,10 @@ fn store_worker(rx: Receiver<StoreJob>, shared: &Shared) {
         };
         match store.append(&job.bytes) {
             Ok(()) => {
-                job.node.records_stored.fetch_add(1, Ordering::Relaxed);
-                job.node
-                    .events_stored
-                    .fetch_add(job.data_events, Ordering::Relaxed);
+                job.node.counters.tally_stored(job.data_events);
             }
             Err(_) => {
-                job.node.records_dropped.fetch_add(1, Ordering::Relaxed);
-                job.node
-                    .events_dropped
-                    .fetch_add(job.data_events, Ordering::Relaxed);
+                job.node.counters.tally_dropped(job.data_events);
             }
         }
     }
@@ -579,12 +587,7 @@ impl Collector {
         let scrape_listener = TcpListener::bind("127.0.0.1:0").map_err(CollectError::Bind)?;
         let scrape_addr = scrape_listener.local_addr().map_err(CollectError::Bind)?;
 
-        let shared = Arc::new(Shared {
-            config,
-            stop: AtomicBool::new(false),
-            nodes: Mutex::new(BTreeMap::new()),
-            stats: SelfStats::default(),
-        });
+        let shared = Arc::new(Shared::new(config));
 
         let shards = shared.config.shards.max(1);
         let mut senders = Vec::with_capacity(shards);
@@ -669,12 +672,7 @@ impl Collector {
     /// A live fleet snapshot.
     pub fn summary(&self) -> FleetSummary {
         FleetSummary {
-            nodes: self
-                .shared
-                .node_states()
-                .iter()
-                .map(|n| n.summary())
-                .collect(),
+            nodes: self.shared.summaries(),
         }
     }
 
@@ -819,5 +817,71 @@ mod tests {
         );
         let summary = collector.shutdown();
         assert!(summary.nodes.is_empty());
+    }
+
+    /// ROADMAP 3e: observing the fleet must not change what it does. Two
+    /// threads scrape `/metrics` and `/anomalies` for as long as a node
+    /// beats — at least one scrape lands between any two rounds — and the
+    /// detector still steps exactly once per closed round and fires the one
+    /// spike exactly once. (When scrapes stepped the detector, `intervals`
+    /// counted requests and every extra scraper thinned the deltas.)
+    #[test]
+    fn scrapes_never_step_the_detector() {
+        const ROUNDS: u64 = 21;
+        const SPIKE_ROUND: u64 = 16;
+        let tmp = TempDir::new("collect-readonly-scrape");
+        let collector = Collector::bind("127.0.0.1:0", CollectorConfig::new(tmp.path())).unwrap();
+        let node = collector.shared.node_entry("web-1");
+        let addr = collector.scrape_addr();
+        let scrapes = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+
+        std::thread::scope(|s| {
+            for path in ["/metrics", "/anomalies"] {
+                let (scrapes, done) = (&scrapes, &done);
+                s.spawn(move || {
+                    while !done.load(Ordering::Acquire) {
+                        crate::scrape::fetch(addr, path).expect("scrape");
+                        scrapes.fetch_add(1, Ordering::Release);
+                    }
+                });
+            }
+            let mut dropped = 0u64;
+            for round in 0..ROUNDS {
+                dropped += if round == SPIKE_ROUND { 50_000 } else { 1 };
+                for cpu in 0..2 {
+                    let logged = 1000 * (round + 1);
+                    node.note_heartbeat(&[cpu, logged, 0, dropped, 0, 0, 0, 0, round + 1, 0]);
+                }
+                let seen = scrapes.load(Ordering::Acquire);
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                while scrapes.load(Ordering::Acquire) == seen {
+                    assert!(std::time::Instant::now() < deadline, "scrapers stalled");
+                    std::thread::yield_now();
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert!(scrapes.load(Ordering::Relaxed) >= ROUNDS);
+
+        // N rounds close N − 1 of them; the last stays open. And the answer
+        // is the same however many more times anyone asks.
+        let intervals = format!(
+            "ktrace_adapt_intervals_total{{node=\"web-1\"}} {}\n",
+            ROUNDS - 1
+        );
+        for _ in 0..100 {
+            let metrics = crate::scrape::fetch(addr, "/metrics").unwrap();
+            assert!(metrics.contains(&intervals), "{metrics}");
+            assert!(metrics.contains("ktrace_adapt_anomalies_total{node=\"web-1\"} 1\n"));
+        }
+        let anomalies = crate::scrape::fetch(addr, "/anomalies").unwrap();
+        assert!(
+            anomalies.contains(&format!(
+                "\"intervals\":{},\"anomalies_total\":1,\"anomalous\":false",
+                ROUNDS - 1
+            )),
+            "{anomalies}"
+        );
     }
 }

@@ -5,253 +5,152 @@
 //! ([`control::HEARTBEAT_METRICS`]). The collector captures the latest beat
 //! per `(node, cpu)` as records arrive, so fleet health needs no side
 //! channel: a node's scrape rows are decoded back out of its trace stream
-//! and rendered with the same `ktrace-telemetry` exposition the node itself
-//! would serve, just with a `node` label in front.
+//! ([`TelemetrySnapshot::from_heartbeats`]) and rendered with the same
+//! `ktrace-telemetry` exposition the node itself would serve, just with a
+//! `node` label in front.
+//!
+//! Everything here is a **pure read**. The per-node anomaly detector is
+//! stepped by the stream (one interval per heartbeat round, in the reader
+//! thread — see `NodeHealth`), so how often, or whether, anyone scrapes
+//! changes nothing. The collector's own families go through telemetry's one
+//! Prometheus writer and label escaper: node names are wire data.
 
-use crate::collector::{NodeState, Shared};
-use ktrace_adapt::Anomaly;
+use crate::collector::{NodeSummary, Shared, Verdicts};
 use ktrace_format::ids::control;
-use ktrace_telemetry::snapshot::{CpuTelemetry, SinkTelemetry, TelemetrySnapshot};
-use ktrace_telemetry::to_prometheus_labeled;
+use ktrace_format::text::json_escape;
+use ktrace_telemetry::expo::{label, prom_counters, prom_family};
+use ktrace_telemetry::{to_prometheus_labeled, TelemetrySnapshot};
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 
-/// Rebuilds a [`TelemetrySnapshot`] from the latest heartbeat payload of
-/// each CPU. Per-CPU counters map index-for-index from
-/// [`control::HEARTBEAT_METRICS`]; the sink counters (which every CPU's
-/// beat reports identically-or-staler) take the maximum across beats.
-/// Histograms are not carried by heartbeats and come back empty.
-pub fn snapshot_from_beats(beats: &[[u64; control::HEARTBEAT_WORDS]]) -> TelemetrySnapshot {
-    let field = |name: &str| -> usize {
-        control::HEARTBEAT_METRICS
-            .iter()
-            .position(|m| *m == name)
-            .expect("heartbeat metric name")
-            + 1
-    };
-    let per_cpu = beats
-        .iter()
-        .map(|b| CpuTelemetry {
-            cpu: b[0] as usize,
-            events_logged: b[field("events_logged")],
-            events_masked: b[field("events_masked")],
-            events_dropped: b[field("events_dropped")],
-            cas_retries: b[field("cas_retries")],
-            filler_words: b[field("filler_words")],
-            buffer_wraps: b[field("buffer_wraps")],
-            flight_overwrites: b[field("flight_overwrites")],
-            ..CpuTelemetry::default()
-        })
-        .collect();
-    let max_of = |name: &str| -> u64 { beats.iter().map(|b| b[field(name)]).max().unwrap_or(0) };
-    TelemetrySnapshot {
-        per_cpu,
-        sink: SinkTelemetry {
-            records_written: max_of("sink_records_written"),
-            buffers_dropped: max_of("sink_buffers_dropped"),
-            ..SinkTelemetry::default()
-        },
-        salvage: Default::default(),
-    }
-}
-
-/// One scrape-time observation of a node's adaptive-health state.
-pub(crate) struct AnomalyView {
-    /// Anomalies fired by the most recent stepped interval.
-    pub(crate) last: Vec<Anomaly>,
-    /// Detector intervals stepped so far.
-    pub(crate) intervals: u64,
-    /// Anomaly verdicts fired over the node's lifetime.
-    pub(crate) anomalies_total: u64,
-}
-
-/// Steps the node's anomaly detector one interval over its latest
-/// heartbeat-rebuilt snapshot and returns the post-step state. Every
-/// scrape is a control interval: the detector's cumulative-snapshot
-/// delta logic absorbs back-to-back scrapes (zero deltas score zero) and
-/// node restarts (saturating deltas). A node that has never heartbeat
-/// is observed as quiet without consuming a warmup interval.
-pub(crate) fn observe_node(node: &NodeState) -> AnomalyView {
-    let beats: Vec<[u64; control::HEARTBEAT_WORDS]> = node
-        .beats
-        .lock()
-        .expect("beats lock")
-        .values()
-        .copied()
-        .collect();
-    let mut adapt = node.adapt.lock().expect("adapt lock");
-    if !beats.is_empty() {
-        let snap = snapshot_from_beats(&beats);
-        let fired = adapt.detector.observe(&snap);
-        adapt.intervals += 1;
-        adapt.anomalies_total += fired.len() as u64;
-        adapt.last = fired;
-    }
-    AnomalyView {
-        last: adapt.last.clone(),
-        intervals: adapt.intervals,
-        anomalies_total: adapt.anomalies_total,
-    }
-}
-
-fn counter(out: &mut String, name: &str, help: &str, rows: &[(String, u64)]) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    for (labels, v) in rows {
-        let _ = writeln!(out, "{name}{{{labels}}} {v}");
-    }
-}
-
 /// Renders the whole scrape body: collector self-metrics, per-node ingest
-/// accounting, then each node's heartbeat-derived telemetry under a `node`
-/// label.
+/// accounting, per-node detector state, then each node's heartbeat-derived
+/// telemetry under a `node` label.
 pub(crate) fn render_fleet_metrics(shared: &Shared) -> String {
     let mut out = String::new();
-    let self_row = |name: &str, help: &str, v: u64| -> String {
-        format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n")
-    };
-    out.push_str(&self_row(
-        "ktrace_collectd_connections_accepted_total",
-        "Connections accepted by the collector.",
-        shared.stats.connections_accepted.load(Ordering::Relaxed),
-    ));
-    out.push_str(&self_row(
-        "ktrace_collectd_connections_rejected_total",
-        "Connections dropped before a valid hello and header.",
-        shared.stats.connections_rejected.load(Ordering::Relaxed),
-    ));
-    out.push_str(&self_row(
-        "ktrace_collectd_scrapes_served_total",
-        "Scrape requests served.",
-        shared.stats.scrapes_served.load(Ordering::Relaxed),
-    ));
+    let unlabeled = |v: u64| [(String::new(), v)];
+    for (name, help, v) in [
+        (
+            "ktrace_collectd_connections_accepted_total",
+            "Connections accepted by the collector.",
+            &shared.stats.connections_accepted,
+        ),
+        (
+            "ktrace_collectd_connections_rejected_total",
+            "Connections dropped before a valid hello and header.",
+            &shared.stats.connections_rejected,
+        ),
+        (
+            "ktrace_collectd_scrapes_served_total",
+            "Scrape requests served.",
+            &shared.stats.scrapes_served,
+        ),
+    ] {
+        let v = unlabeled(v.load(Ordering::Relaxed));
+        prom_family(&mut out, name, help, "counter", &v);
+    }
 
     let nodes = shared.node_states();
-    out.push_str("# HELP ktrace_collectd_nodes Nodes that have connected.\n");
-    out.push_str("# TYPE ktrace_collectd_nodes gauge\n");
-    let _ = writeln!(out, "ktrace_collectd_nodes {}", nodes.len());
+    prom_family(
+        &mut out,
+        "ktrace_collectd_nodes",
+        "Nodes that have connected.",
+        "gauge",
+        &unlabeled(nodes.len() as u64),
+    );
 
-    let rows = |f: &dyn Fn(&crate::collector::NodeSummary) -> Vec<(String, u64)>| {
-        nodes
-            .iter()
-            .flat_map(|n| f(&n.summary()))
-            .collect::<Vec<_>>()
+    // The outcome families are assembled by hand — folding them into the
+    // table would make the table branch on its caller — but through the one
+    // writer and the one escaper.
+    let summaries: Vec<NodeSummary> = nodes.iter().map(|n| n.summary()).collect();
+    let by_outcome = |outcomes: fn(&NodeSummary) -> Vec<(&'static str, u64)>| {
+        let mut samples = Vec::new();
+        for s in &summaries {
+            for (outcome, v) in outcomes(s) {
+                let labels = format!("{},{}", label("node", &s.name), label("outcome", outcome));
+                samples.push((labels, v));
+            }
+        }
+        samples
     };
-    counter(
+    prom_family(
         &mut out,
         "ktrace_collectd_records_total",
         "Records by ingest outcome; stored + dropped == received.",
-        &rows(&|s| {
+        "counter",
+        &by_outcome(|s| {
             vec![
-                (
-                    format!("node=\"{}\",outcome=\"stored\"", s.name),
-                    s.records_stored,
-                ),
-                (
-                    format!("node=\"{}\",outcome=\"dropped\"", s.name),
-                    s.records_dropped,
-                ),
-                (
-                    format!("node=\"{}\",outcome=\"garbled\"", s.name),
-                    s.records_garbled,
-                ),
+                ("stored", s.records_stored),
+                ("dropped", s.records_dropped),
+                ("garbled", s.records_garbled),
             ]
         }),
     );
-    counter(
+    prom_family(
         &mut out,
         "ktrace_collectd_events_total",
         "Data events by ingest outcome; stored + dropped == received.",
-        &rows(&|s| {
-            vec![
-                (
-                    format!("node=\"{}\",outcome=\"stored\"", s.name),
-                    s.events_stored,
-                ),
-                (
-                    format!("node=\"{}\",outcome=\"dropped\"", s.name),
-                    s.events_dropped,
-                ),
-            ]
-        }),
+        "counter",
+        &by_outcome(|s| vec![("stored", s.events_stored), ("dropped", s.events_dropped)]),
     );
-    counter(
-        &mut out,
-        "ktrace_collectd_bytes_received_total",
-        "Record bytes received per node.",
-        &rows(&|s| vec![(format!("node=\"{}\"", s.name), s.bytes_received)]),
-    );
-    counter(
-        &mut out,
-        "ktrace_collectd_torn_tail_bytes_total",
-        "Bytes of partial final records cut off by dead connections.",
-        &rows(&|s| vec![(format!("node=\"{}\"", s.name), s.torn_tail_bytes)]),
-    );
-    counter(
-        &mut out,
-        "ktrace_collectd_live_connections",
-        "Connections currently open per node.",
-        &rows(&|s| vec![(format!("node=\"{}\"", s.name), s.live_connections)]),
-    );
-    counter(
-        &mut out,
-        "ktrace_collectd_heartbeats_seen_total",
-        "HEARTBEAT events observed in each node's stream.",
-        &rows(&|s| vec![(format!("node=\"{}\"", s.name), s.heartbeats_seen)]),
-    );
-
-    let views: Vec<(String, AnomalyView)> = nodes
+    let blocks: Vec<(String, Vec<u64>)> = summaries
         .iter()
-        .map(|n| (n.name.clone(), observe_node(n)))
+        .map(|s| (label("node", &s.name), s.rows().map(|(_, v)| v).collect()))
         .collect();
-    counter(
+    prom_counters(&mut out, NodeSummary::COUNTERS, &blocks);
+
+    let health: Vec<_> = nodes
+        .iter()
+        .map(|n| {
+            let h = n.health.lock().expect("health lock");
+            let beats: Vec<_> = h.beats.values().copied().collect();
+            (label("node", &n.name), h.verdicts.clone(), beats)
+        })
+        .collect();
+    let per_node = |value: fn(&Verdicts) -> u64| -> Vec<(String, u64)> {
+        health
+            .iter()
+            .map(|(node, v, _)| (node.clone(), value(v)))
+            .collect()
+    };
+    prom_family(
         &mut out,
         "ktrace_adapt_intervals_total",
-        "Anomaly-detector intervals stepped per node (one per scrape).",
-        &views
-            .iter()
-            .map(|(name, v)| (format!("node=\"{name}\""), v.intervals))
-            .collect::<Vec<_>>(),
+        "Anomaly-detector intervals stepped per node (one per heartbeat round).",
+        "counter",
+        &per_node(|v| v.intervals),
     );
-    counter(
+    prom_family(
         &mut out,
         "ktrace_adapt_anomalies_total",
         "Anomaly verdicts fired per node over its lifetime.",
-        &views
-            .iter()
-            .map(|(name, v)| (format!("node=\"{name}\""), v.anomalies_total))
-            .collect::<Vec<_>>(),
+        "counter",
+        &per_node(|v| v.anomalies_total),
     );
-    out.push_str(
-        "# HELP ktrace_adapt_anomaly_score_milli Robust z-score (milli) of the latest \
-         interval per track; 0 = quiet.\n# TYPE ktrace_adapt_anomaly_score_milli gauge\n",
-    );
-    for (name, v) in &views {
+    let mut scores = Vec::new();
+    for (node, v, _) in &health {
         for (i, track) in control::ANOMALY_TRACKS.iter().enumerate() {
             let z = v
                 .last
                 .iter()
                 .find(|a| a.track == i)
                 .map_or(0, |a| a.z_milli.max(0));
-            let _ = writeln!(
-                out,
-                "ktrace_adapt_anomaly_score_milli{{node=\"{name}\",track=\"{track}\"}} {z}"
-            );
+            scores.push((format!("{node},{}", label("track", track)), z as u64));
         }
     }
+    prom_family(
+        &mut out,
+        "ktrace_adapt_anomaly_score_milli",
+        "Robust z-score (milli) of the latest interval per track; 0 = quiet.",
+        "gauge",
+        &scores,
+    );
 
-    for node in &nodes {
-        let beats: Vec<[u64; control::HEARTBEAT_WORDS]> = node
-            .beats
-            .lock()
-            .expect("beats lock")
-            .values()
-            .copied()
-            .collect();
+    for (node, (_, _, beats)) in nodes.iter().zip(&health) {
         if beats.is_empty() {
             continue;
         }
-        let snap = snapshot_from_beats(&beats);
+        let snap = TelemetrySnapshot::from_heartbeats(beats);
         out.push_str(&to_prometheus_labeled(&snap, &[("node", &node.name)]));
     }
     out
@@ -259,19 +158,18 @@ pub(crate) fn render_fleet_metrics(shared: &Shared) -> String {
 
 /// Renders the `/anomalies` JSON document: one object per node with the
 /// detector's interval/verdict counters and the anomalies (if any) of the
-/// latest interval. Requesting the document steps each node's detector,
-/// so the scrape cadence is the control cadence.
+/// latest interval.
 pub(crate) fn render_anomalies_json(shared: &Shared) -> String {
     let mut out = String::from("[");
     for (i, node) in shared.node_states().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let v = observe_node(node);
+        let v = node.health.lock().expect("health lock").verdicts.clone();
         let _ = write!(
             out,
             "{{\"name\":\"{}\",\"intervals\":{},\"anomalies_total\":{},\"anomalous\":{},\"last\":[",
-            node.name,
+            json_escape(&node.name),
             v.intervals,
             v.anomalies_total,
             !v.last.is_empty(),
@@ -296,35 +194,17 @@ pub(crate) fn render_anomalies_json(shared: &Shared) -> String {
 }
 
 /// Renders the `/nodes` JSON document: live per-node ingest accounting.
-pub(crate) fn render_nodes_json(shared: &Shared) -> String {
+pub(crate) fn render_nodes_json(nodes: &[NodeSummary]) -> String {
     let mut out = String::from("[");
-    for (i, node) in shared.node_states().iter().enumerate() {
+    for (i, s) in nodes.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let s = node.summary();
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"records_received\":{},\"records_stored\":{},\
-             \"records_dropped\":{},\"records_garbled\":{},\"events_received\":{},\
-             \"events_stored\":{},\"events_dropped\":{},\"bytes_received\":{},\
-             \"torn_tail_bytes\":{},\"connects\":{},\"live_connections\":{},\
-             \"heartbeats_seen\":{},\"reconciled\":{}}}",
-            s.name,
-            s.records_received,
-            s.records_stored,
-            s.records_dropped,
-            s.records_garbled,
-            s.events_received,
-            s.events_stored,
-            s.events_dropped,
-            s.bytes_received,
-            s.torn_tail_bytes,
-            s.connects,
-            s.live_connections,
-            s.heartbeats_seen,
-            s.reconciled(),
-        );
+        let _ = write!(out, "{{\"name\":\"{}\"", json_escape(&s.name));
+        for (desc, v) in s.rows() {
+            let _ = write!(out, ",\"{}\":{v}", desc.name);
+        }
+        let _ = write!(out, ",\"reconciled\":{}}}", s.reconciled());
     }
     out.push(']');
     out
@@ -333,126 +213,122 @@ pub(crate) fn render_nodes_json(shared: &Shared) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collector::{CollectorConfig, NodeState};
+    use std::path::PathBuf;
 
-    #[test]
-    fn beats_rebuild_a_snapshot() {
-        // A beat per CPU, in HEARTBEAT payload order:
-        // [cpu, logged, masked, dropped, cas, filler, wraps, overwrites,
-        //  sink_records, sink_dropped].
-        let beats = [
-            [0u64, 100, 2, 1, 7, 40, 5, 0, 12, 1],
-            [1u64, 90, 0, 0, 3, 32, 4, 0, 13, 1],
-        ];
-        let snap = snapshot_from_beats(&beats);
-        assert_eq!(snap.per_cpu.len(), 2);
-        assert_eq!(snap.per_cpu[0].events_logged, 100);
-        assert_eq!(snap.per_cpu[0].cas_retries, 7);
-        assert_eq!(snap.per_cpu[1].filler_words, 32);
-        assert_eq!(snap.events_logged(), 190);
-        // Sink counters are fleet-of-one maxima across the CPUs' beats.
-        assert_eq!(snap.sink.records_written, 13);
-        assert_eq!(snap.sink.buffers_dropped, 1);
-        assert_eq!(snap.salvage.runs, 0);
+    /// A HEARTBEAT payload for `cpu` with `drops` cumulative dropped events:
+    /// [cpu, logged, masked, dropped, cas, filler, wraps, overwrites,
+    ///  sink_records, sink_dropped].
+    fn beat(cpu: u64, drops: u64) -> [u64; control::HEARTBEAT_WORDS] {
+        [cpu, 1000, 0, drops, 0, 0, 0, 0, 1, 0]
     }
 
     #[test]
     fn labeled_exposition_carries_the_node() {
         let beats = [[0u64, 10, 0, 0, 0, 0, 0, 0, 1, 0]];
-        let snap = snapshot_from_beats(&beats);
+        let snap = TelemetrySnapshot::from_heartbeats(&beats);
         let text = to_prometheus_labeled(&snap, &[("node", "db-1")]);
         assert!(text.contains("ktrace_events_logged_total{node=\"db-1\",cpu=\"0\"} 10"));
     }
 
-    /// Satellite of the adaptive control plane: the HEARTBEAT schema must
-    /// round-trip. A snapshot rebuilt from the payloads a node's telemetry
-    /// serializes is bit-identical, for every carried field, to the
-    /// snapshot the node itself would take.
-    #[test]
-    fn heartbeat_payloads_round_trip_bit_identically() {
-        use ktrace_telemetry::Telemetry;
-        let t = Telemetry::new(2);
-        for _ in 0..100 {
-            t.cpu(0).tally_event();
-        }
-        for _ in 0..7 {
-            t.cpu(0).tally_cas_retry();
-        }
-        t.cpu(0).tally_masked();
-        t.cpu(0).tally_dropped();
-        t.cpu(0).tally_filler_words(40);
-        t.cpu(0).tally_wrap();
-        t.cpu(0).tally_overwrite();
-        for _ in 0..90 {
-            t.cpu(1).tally_event();
-        }
-        t.cpu(1).tally_wrap();
-        for _ in 0..13 {
-            t.sink().tally_record_written();
-        }
-        t.sink().tally_buffer_dropped(5);
-
-        let beats = [t.heartbeat_payload(0), t.heartbeat_payload(1)];
-        let rebuilt = snapshot_from_beats(&beats);
-        let live = t.snapshot();
-
-        assert_eq!(rebuilt.per_cpu.len(), live.per_cpu.len());
-        for (r, l) in rebuilt.per_cpu.iter().zip(live.per_cpu.iter()) {
-            assert_eq!(r.cpu, l.cpu);
-            assert_eq!(r.events_logged, l.events_logged);
-            assert_eq!(r.events_masked, l.events_masked);
-            assert_eq!(r.events_dropped, l.events_dropped);
-            assert_eq!(r.cas_retries, l.cas_retries);
-            assert_eq!(r.filler_words, l.filler_words);
-            assert_eq!(r.buffer_wraps, l.buffer_wraps);
-            assert_eq!(r.flight_overwrites, l.flight_overwrites);
-        }
-        assert_eq!(rebuilt.sink.records_written, live.sink.records_written);
-        assert_eq!(rebuilt.sink.buffers_dropped, live.sink.buffers_dropped);
-        // And the rebuilt snapshot re-serializes to the identical beats:
-        // the schema is a true fixed point, not merely field-compatible.
-        for (cpu, beat) in beats.iter().enumerate() {
-            let rb = &rebuilt.per_cpu[cpu];
-            let reserialized = [
-                cpu as u64,
-                rb.events_logged,
-                rb.events_masked,
-                rb.events_dropped,
-                rb.cas_retries,
-                rb.filler_words,
-                rb.buffer_wraps,
-                rb.flight_overwrites,
-                rebuilt.sink.records_written,
-                rebuilt.sink.buffers_dropped,
-            ];
-            assert_eq!(&reserialized, beat, "cpu {cpu} beat not a fixed point");
-        }
-    }
-
-    /// The scrape-time detector plumbing: quiet beats observe as healthy,
-    /// a drop spike fires, and the JSON document surfaces it.
+    /// The detector plumbing, driven by heartbeat rounds: quiet rounds
+    /// observe as healthy, a drop spike fires once its round closes, and
+    /// reading the verdict — any number of times — steps nothing.
     #[test]
     fn anomaly_plumbing_fires_on_a_drop_spike() {
-        use crate::collector::NodeState;
-        let node = NodeState::new_for_tests("web-1");
+        let shared = Shared::new(CollectorConfig::new("unused"));
+        let node = shared.node_entry("web-1");
+        let verdicts = || node.health.lock().unwrap().verdicts.clone();
         let mut dropped = 0u64;
-        let beat = |node: &NodeState, drops: u64| {
-            let payload = [0u64, 1000, 0, drops, 0, 0, 0, 0, 1, 0];
-            node.beats.lock().unwrap().insert(0, payload);
-        };
-        // Seed + a dozen quiet intervals (steady trickle of drops).
-        for _ in 0..13 {
+        // Seed + a dozen quiet rounds (steady trickle of drops). With one
+        // CPU, every beat after the first closes the round before it.
+        for round in 0..13 {
             dropped += 1;
-            beat(&node, dropped);
-            let v = observe_node(&node);
-            assert!(v.last.is_empty(), "quiet interval fired: {:?}", v.last);
+            node.note_heartbeat(&beat(0, dropped));
+            assert_eq!(verdicts().intervals, round);
+            assert!(verdicts().last.is_empty(), "quiet round fired");
         }
-        // The spike.
+        // The spike, then the beat that closes its round.
         dropped += 50_000;
-        beat(&node, dropped);
-        let v = observe_node(&node);
+        node.note_heartbeat(&beat(0, dropped));
+        assert!(
+            verdicts().last.is_empty(),
+            "the spike's round is still open"
+        );
+        node.note_heartbeat(&beat(0, dropped + 1));
+        for _ in 0..3 {
+            let _ = render_fleet_metrics(&shared);
+            let json = render_anomalies_json(&shared);
+            assert!(json.contains("\"intervals\":14,\"anomalies_total\":1,\"anomalous\":true"));
+            assert!(json.contains("\"name\":\"drop_rate\""), "{json}");
+        }
+        let v = verdicts();
         assert_eq!(v.last.len(), 1, "{:?}", v.last);
         assert_eq!(v.last[0].track_name(), "drop_rate");
         assert_eq!(v.anomalies_total, 1);
         assert_eq!(v.intervals, 14);
+    }
+
+    /// `/nodes` for one node with every counter distinct (row `i` holds
+    /// `3001 + i`), byte for byte as the hand-written renderer that
+    /// preceded the counter table wrote it. Regenerate after an intentional
+    /// change with `KTRACE_BLESS=1 cargo test -p ktrace-collectd nodes_json`.
+    #[test]
+    fn nodes_json_matches_the_committed_fixture() {
+        let mut s = NodeState::new("web-1").summary();
+        for (i, (_, v)) in s.rows_mut().enumerate() {
+            *v = 3001 + i as u64;
+        }
+        let rendered = render_nodes_json(&[s]);
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/nodes.json");
+        if std::env::var("KTRACE_BLESS").is_ok() {
+            std::fs::write(&path, &rendered).expect("write fixture");
+            return;
+        }
+        let expected = std::fs::read_to_string(&path)
+            .expect("fixture missing: run with KTRACE_BLESS=1 to create it");
+        assert_eq!(
+            rendered, expected,
+            "/nodes drifted from the committed fixture"
+        );
+    }
+
+    /// A node name is wire data. Every collector family now goes through
+    /// telemetry's escaper, so a hostile name can neither tear a sample
+    /// line nor forge a label — in `/metrics` or in the JSON documents.
+    #[test]
+    fn hostile_node_names_cannot_tear_or_forge_samples() {
+        let hostile = "a\"} 1\nevil{x=\"\\";
+        let shared = Shared::new(CollectorConfig::new("unused"));
+        let node = shared.node_entry(hostile);
+        node.note_heartbeat(&beat(0, 0));
+
+        let escaped = label("node", hostile);
+        assert_eq!(escaped, "node=\"a\\\"} 1\\nevil{x=\\\"\\\\\"");
+        let text = render_fleet_metrics(&shared);
+        let mut labeled = 0;
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            if line.starts_with("ktrace_collectd_connections")
+                || line.starts_with("ktrace_collectd_scrapes")
+                || line.starts_with("ktrace_collectd_nodes ")
+            {
+                continue;
+            }
+            assert!(
+                line.contains(&format!("{{{escaped}")),
+                "torn or forged sample: {line}"
+            );
+            labeled += 1;
+        }
+        // 3 + 2 outcome samples, 4 table families, 2 + 4 adapt samples, and
+        // the node's own telemetry below them.
+        assert!(labeled > 15, "{text}");
+        assert!(text.contains(&format!(
+            "ktrace_collectd_records_total{{{escaped},outcome=\"garbled\"}} 0"
+        )));
+
+        let quoted = format!("\"name\":\"{}\"", json_escape(hostile));
+        assert!(render_nodes_json(&shared.summaries()).contains(&quoted));
+        assert!(render_anomalies_json(&shared).contains(&quoted));
     }
 }

@@ -4,8 +4,10 @@
 //!
 //! * `GET /metrics` — the fleet exposition ([`crate::health`]).
 //! * `GET /nodes` — live per-node ingest accounting as JSON.
-//! * `GET /anomalies` — per-node anomaly-detector state as JSON (each
-//!   request steps the detectors one interval).
+//! * `GET /anomalies` — per-node anomaly-detector state as JSON.
+//!
+//! All three are pure reads: the detectors are stepped by the streams, not
+//! by requests.
 
 use crate::collector::Shared;
 use crate::health;
@@ -47,7 +49,7 @@ fn serve_one(mut conn: TcpStream, shared: &Shared) {
             respond(&mut conn, "200 OK", "text/plain; version=0.0.4", &body);
         }
         "/nodes" => {
-            let body = health::render_nodes_json(shared);
+            let body = health::render_nodes_json(&shared.summaries());
             respond(&mut conn, "200 OK", "application/json", &body);
         }
         "/anomalies" => {

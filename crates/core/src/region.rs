@@ -424,6 +424,7 @@ impl CpuRegion {
         // a thousand yields can pass while the writer is still descheduled.
         let mut committed = self.committed[slot].load(Ordering::Acquire);
         if committed < expected {
+            self.tel.sink().tally_grace_wait();
             let deadline = Instant::now() + STRAGGLER_GRACE;
             while committed < expected && Instant::now() < deadline {
                 std::thread::yield_now();
@@ -741,8 +742,10 @@ mod tests {
         };
         reserved_rx.recv().unwrap();
         assert!(r.flush(), "closes the buffer under the writer");
+        assert_eq!(r.telemetry().sink().grace_waits(), 0);
         let buf = r.take_buffer().expect("closed buffer is takeable");
         writer.join().unwrap();
+        assert_eq!(r.telemetry().sink().grace_waits(), 1, "the wait is counted");
         assert!(
             buf.complete,
             "committed {} of {} words",

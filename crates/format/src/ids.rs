@@ -143,9 +143,8 @@ pub mod control {
     /// Tracer-health heartbeat: a periodic snapshot of the tracer's own
     /// telemetry counters for one CPU, logged into the stream so
     /// post-processing can plot tracer health over trace time. Payload is
-    /// `[cpu, events_logged, events_masked, events_dropped, cas_retries,
-    /// filler_words, buffer_wraps, flight_overwrites, sink_records_written,
-    /// sink_buffers_dropped]` — cumulative counts since logger creation.
+    /// the CPU index, then one cumulative count (since logger creation) per
+    /// entry of [`HEARTBEAT_METRICS`], in that order.
     pub const HEARTBEAT: MinorId = 3;
 
     /// Payload arity of a [`HEARTBEAT`] event, shared by the logger (writer)
@@ -153,7 +152,9 @@ pub mod control {
     pub const HEARTBEAT_WORDS: usize = 10;
 
     /// Field names of the [`HEARTBEAT`] payload, index-aligned with the
-    /// payload words after the leading `cpu` field. Exporters use these as
+    /// payload words after the leading `cpu` field. This is the wire order:
+    /// `ktrace-telemetry`'s counter tables flag the rows that ride it and
+    /// fail to compile if they disagree. Exporters use these as
     /// counter-track names (one track per metric).
     pub const HEARTBEAT_METRICS: [&str; 9] = [
         "events_logged",

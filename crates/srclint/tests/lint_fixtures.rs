@@ -338,8 +338,10 @@ fn the_workspace_itself_lints_clean() {
     assert!(report.stats.hot_fns_walked > 0);
     // All three concurrency passes genuinely ran — and clean means clean:
     // every manifest-listed atomic checked, the real lock graph acyclic,
-    // and the core still free of unsafe code.
-    assert!(report.stats.atomic_ops_checked >= 80, "{:?}", report.stats);
+    // and the core still free of unsafe code. (The telemetry getters' 17
+    // relaxed loads are one line of `counter_block!` now, outside the
+    // manifest; every hand-written tally is still counted here.)
+    assert!(report.stats.atomic_ops_checked >= 70, "{:?}", report.stats);
     assert!(
         report.stats.atomic_fields_declared >= 30,
         "{:?}",

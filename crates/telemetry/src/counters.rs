@@ -23,7 +23,17 @@
 //!   pushed the gate past 2%, so multi-writer runs accept undercounted
 //!   wait observations instead — `tests/telemetry_e2e.rs` asserts the
 //!   tolerant direction.)
+//!
+//! Each block is declared once, as a [`counter_block!`] table: the atomic
+//! struct, its `new()` and getters, the snapshot struct and everything that
+//! reads one are generated from the rows (see [`crate::schema`]). What is
+//! hand-written here is the hot half — the `tally_*` / `observe_*` functions
+//! and the protocol-role comment binding every atomic they touch. **Adding a
+//! counter** is one row (plus its name in that comment), one `tally_*`, and
+//! the call site.
 
+use crate::counter_block;
+use crate::snapshot::TelemetrySnapshot;
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -116,36 +126,43 @@ impl Default for Histogram {
     }
 }
 
-/// One CPU's counter block. Embedded cache-line-padded, one per region, so a
-/// tally never contends with another CPU's.
 // ktrace-protocol: exact-counter(events_logged, events_dropped, cas_retries, filler_words, buffer_wraps, flight_overwrites)
-#[derive(Debug, Default)]
-pub struct CpuCounters {
-    events_logged: AtomicU64,
-    events_masked: AtomicU64,
-    events_dropped: AtomicU64,
-    cas_retries: AtomicU64,
-    filler_words: AtomicU64,
-    buffer_wraps: AtomicU64,
-    flight_overwrites: AtomicU64,
-    reserve_wait: Histogram,
+counter_block! {
+    /// One CPU's counter block. Embedded cache-line-padded, one per region,
+    /// so a tally never contends with another CPU's.
+    #[derive(Debug, Default)]
+    pub struct CpuCounters;
+    /// Plain-data copy of one CPU's counter block.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct CpuTelemetry {
+        /// The CPU index this block belongs to.
+        pub cpu: usize,
+    }
+    counters {
+        events_logged: AtomicU64 = "Data events successfully logged."
+            => "ktrace_events_logged_total", wire "events_logged";
+        events_masked: AtomicU64 = "Log calls rejected by the trace mask."
+            => "ktrace_events_masked_total", wire "events_masked";
+        events_dropped: AtomicU64 = "Events dropped to stream-mode consumer overrun."
+            => "ktrace_events_dropped_total", wire "events_dropped";
+        cas_retries: AtomicU64 = "Failed reservation compare-and-swaps."
+            => "ktrace_cas_retries_total", wire "cas_retries";
+        filler_words: AtomicU64 = "Filler words written at buffer boundaries."
+            => "ktrace_filler_words_total", wire "filler_words";
+        buffer_wraps: AtomicU64 = "Buffer-boundary crossings (reservation slow path)."
+            => "ktrace_buffer_wraps_total", wire "buffer_wraps";
+        flight_overwrites: AtomicU64 = "Unconsumed buffers overwritten in flight-recorder mode."
+            => "ktrace_flight_overwrites_total", wire "flight_overwrites";
+    }
+    histograms {
+        reserve_wait: Histogram, reserve_wait_sum =
+            "Reservation wait from first to winning CAS attempt, clock ticks."
+            => "ktrace_reserve_wait_ticks", json "reserve_wait_ticks";
+    }
+    totals { TelemetrySnapshot.per_cpu }
 }
 
 impl CpuCounters {
-    /// A zeroed counter block.
-    pub const fn new() -> CpuCounters {
-        CpuCounters {
-            events_logged: AtomicU64::new(0),
-            events_masked: AtomicU64::new(0),
-            events_dropped: AtomicU64::new(0),
-            cas_retries: AtomicU64::new(0),
-            filler_words: AtomicU64::new(0),
-            buffer_wraps: AtomicU64::new(0),
-            flight_overwrites: AtomicU64::new(0),
-            reserve_wait: Histogram::new(),
-        }
-    }
-
     /// One data event successfully reserved, written, and committed. Exact
     /// (`fetch_add`): this backs the `file events == events_logged −
     /// events_lost` invariant, and it replaces — not adds to — the per-event
@@ -201,74 +218,39 @@ impl CpuCounters {
     pub fn observe_reserve_wait(&self, ticks: u64) {
         self.reserve_wait.observe(ticks);
     }
-
-    /// Events successfully logged.
-    pub fn events_logged(&self) -> u64 {
-        self.events_logged.load(Ordering::Relaxed)
-    }
-
-    /// Log calls rejected by the mask.
-    pub fn events_masked(&self) -> u64 {
-        self.events_masked.load(Ordering::Relaxed)
-    }
-
-    /// Events dropped to consumer overrun.
-    pub fn events_dropped(&self) -> u64 {
-        self.events_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Failed reservation CASes.
-    pub fn cas_retries(&self) -> u64 {
-        self.cas_retries.load(Ordering::Relaxed)
-    }
-
-    /// Filler words written.
-    pub fn filler_words(&self) -> u64 {
-        self.filler_words.load(Ordering::Relaxed)
-    }
-
-    /// Buffer-boundary crossings.
-    pub fn buffer_wraps(&self) -> u64 {
-        self.buffer_wraps.load(Ordering::Relaxed)
-    }
-
-    /// Flight-recorder overwrites.
-    pub fn flight_overwrites(&self) -> u64 {
-        self.flight_overwrites.load(Ordering::Relaxed)
-    }
-
-    /// The reservation-wait histogram (clock ticks).
-    pub fn reserve_wait(&self) -> &Histogram {
-        &self.reserve_wait
-    }
 }
 
-/// Drain-side counters, fed by `io::session`'s background drainer. One block
-/// per pipeline (the drainer is a single thread), not per CPU.
-// ktrace-protocol: exact-counter(records_written, write_retries, buffers_dropped, events_lost, heartbeats_emitted)
-#[derive(Debug, Default)]
-pub struct SinkCounters {
-    records_written: AtomicU64,
-    write_retries: AtomicU64,
-    buffers_dropped: AtomicU64,
-    events_lost: AtomicU64,
-    heartbeats_emitted: AtomicU64,
-    drain_write: Histogram,
+// ktrace-protocol: exact-counter(records_written, write_retries, buffers_dropped, events_lost, heartbeats_emitted, grace_waits)
+counter_block! {
+    /// Drain-side counters, fed by `io::session`'s background drainer. One
+    /// block per pipeline (the drainer is a single thread), not per CPU.
+    #[derive(Debug, Default)]
+    pub struct SinkCounters;
+    /// Plain-data copy of the drain-side block.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct SinkTelemetry {}
+    counters {
+        records_written: AtomicU64 = "Buffer records written to the sink."
+            => "ktrace_sink_records_written_total", wire "sink_records_written";
+        write_retries: AtomicU64 = "Sink writes retried after transient errors."
+            => "ktrace_sink_write_retries_total";
+        buffers_dropped: AtomicU64 = "Drained buffers abandoned after the retry budget ran out."
+            => "ktrace_sink_buffers_dropped_total", wire "sink_buffers_dropped";
+        events_lost: AtomicU64 = "Already-logged events lost in dropped buffers."
+            => "ktrace_sink_events_lost_total";
+        heartbeats_emitted: AtomicU64 = "Heartbeat events emitted into the trace."
+            => "ktrace_heartbeats_emitted_total";
+        grace_waits: AtomicU64 = "Closed buffers the drainer had to wait on for a straggling commit."
+            => "ktrace_sink_grace_waits_total";
+    }
+    histograms {
+        drain_write: Histogram, drain_write_sum = "Sink write latency, nanoseconds."
+            => "ktrace_drain_write_ns", json "drain_write_ns";
+    }
+    totals {}
 }
 
 impl SinkCounters {
-    /// A zeroed block.
-    pub const fn new() -> SinkCounters {
-        SinkCounters {
-            records_written: AtomicU64::new(0),
-            write_retries: AtomicU64::new(0),
-            buffers_dropped: AtomicU64::new(0),
-            events_lost: AtomicU64::new(0),
-            heartbeats_emitted: AtomicU64::new(0),
-            drain_write: Histogram::new(),
-        }
-    }
-
     /// One buffer record written to the sink.
     #[inline]
     pub fn tally_record_written(&self) {
@@ -301,66 +283,45 @@ impl SinkCounters {
         self.heartbeats_emitted.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// One `take_buffer` that found a closed buffer not yet fully committed
+    /// and entered the straggler grace wait (cold: the drainer's branch).
+    #[inline]
+    pub fn tally_grace_wait(&self) {
+        self.grace_waits.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one sink write's latency in nanoseconds.
     #[inline]
     pub fn observe_drain_write(&self, ns: u64) {
         self.drain_write.observe(ns);
     }
-
-    /// Records written to the sink.
-    pub fn records_written(&self) -> u64 {
-        self.records_written.load(Ordering::Relaxed)
-    }
-
-    /// Transient-error retries.
-    pub fn write_retries(&self) -> u64 {
-        self.write_retries.load(Ordering::Relaxed)
-    }
-
-    /// Buffers abandoned after retries.
-    pub fn buffers_dropped(&self) -> u64 {
-        self.buffers_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Already-logged data events lost in dropped buffers.
-    pub fn events_lost(&self) -> u64 {
-        self.events_lost.load(Ordering::Relaxed)
-    }
-
-    /// Heartbeats emitted into the trace.
-    pub fn heartbeats_emitted(&self) -> u64 {
-        self.heartbeats_emitted.load(Ordering::Relaxed)
-    }
-
-    /// The drain-write latency histogram (nanoseconds).
-    pub fn drain_write(&self) -> &Histogram {
-        &self.drain_write
-    }
 }
 
-/// Recovery counters, fed by `io::salvage` when a damaged file is read.
 // ktrace-protocol: exact-counter(runs, records_recovered, events_recovered, records_damaged, bytes_skipped)
-#[derive(Debug, Default)]
-pub struct SalvageCounters {
-    runs: AtomicU64,
-    records_recovered: AtomicU64,
-    events_recovered: AtomicU64,
-    records_damaged: AtomicU64,
-    bytes_skipped: AtomicU64,
+counter_block! {
+    /// Recovery counters, fed by `io::salvage` when a damaged file is read.
+    #[derive(Debug, Default)]
+    pub struct SalvageCounters;
+    /// Plain-data copy of the salvage block.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct SalvageTelemetry {}
+    counters {
+        runs: AtomicU64 = "Salvage passes run."
+            => "ktrace_salvage_runs_total";
+        records_recovered: AtomicU64 = "Clean records recovered by salvage."
+            => "ktrace_salvage_records_recovered_total";
+        events_recovered: AtomicU64 = "Events recovered by salvage."
+            => "ktrace_salvage_events_recovered_total";
+        records_damaged: AtomicU64 = "Records found damaged by salvage."
+            => "ktrace_salvage_records_damaged_total";
+        bytes_skipped: AtomicU64 = "Bytes skipped as unrecoverable by salvage."
+            => "ktrace_salvage_bytes_skipped_total";
+    }
+    histograms {}
+    totals {}
 }
 
 impl SalvageCounters {
-    /// A zeroed block.
-    pub const fn new() -> SalvageCounters {
-        SalvageCounters {
-            runs: AtomicU64::new(0),
-            records_recovered: AtomicU64::new(0),
-            events_recovered: AtomicU64::new(0),
-            records_damaged: AtomicU64::new(0),
-            bytes_skipped: AtomicU64::new(0),
-        }
-    }
-
     /// Accounts one salvage pass.
     pub fn tally_run(&self, records: u64, events: u64, damaged: u64, bytes_skipped: u64) {
         self.runs.fetch_add(1, Ordering::Relaxed);
@@ -369,31 +330,6 @@ impl SalvageCounters {
         self.records_damaged.fetch_add(damaged, Ordering::Relaxed);
         self.bytes_skipped
             .fetch_add(bytes_skipped, Ordering::Relaxed);
-    }
-
-    /// Salvage passes run.
-    pub fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
-    }
-
-    /// Clean records recovered.
-    pub fn records_recovered(&self) -> u64 {
-        self.records_recovered.load(Ordering::Relaxed)
-    }
-
-    /// Events recovered.
-    pub fn events_recovered(&self) -> u64 {
-        self.events_recovered.load(Ordering::Relaxed)
-    }
-
-    /// Records found damaged.
-    pub fn records_damaged(&self) -> u64 {
-        self.records_damaged.load(Ordering::Relaxed)
-    }
-
-    /// Bytes skipped as unrecoverable.
-    pub fn bytes_skipped(&self) -> u64 {
-        self.bytes_skipped.load(Ordering::Relaxed)
     }
 }
 

@@ -1,9 +1,16 @@
 //! Exposition: Prometheus text format and JSON, hand-rolled (the workspace
 //! vendors no serialization crates). Both render a [`TelemetrySnapshot`], so
 //! scrapes and dumps never touch the hot counters beyond relaxed loads.
+//!
+//! Nothing here names a counter: metric names, help texts and JSON keys are
+//! data in the [`counter_block!`](crate::counter_block) tables, and the
+//! renderers loop over `rows()`. The fleet collector renders its own blocks
+//! through the same [`prom_counters`] / [`prom_family`] / [`label`], so the
+//! workspace has one `# HELP` / `# TYPE` writer and one label escaper.
 
 use crate::counters::HIST_BUCKETS;
-use crate::snapshot::{CpuTelemetry, TelemetrySnapshot};
+use crate::schema::{CounterDesc, HistDesc};
+use crate::snapshot::{CpuTelemetry, SalvageTelemetry, SinkTelemetry, TelemetrySnapshot};
 use std::fmt::Write as _;
 
 /// Upper bound (inclusive) of histogram bucket `i`, as a Prometheus `le`
@@ -17,6 +24,18 @@ fn le_label(i: usize) -> String {
     } else {
         ((1u64 << i) - 1).to_string()
     }
+}
+
+/// One `key="value"` label pair. The value is quoted; `\`, `"` and newlines
+/// are escaped per the exposition-format rules (a raw newline in a label
+/// value would tear the sample line; a raw quote would let wire data such as
+/// a node name forge labels).
+pub fn label(key: &str, value: &str) -> String {
+    let escaped = value
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n");
+    format!("{key}=\"{escaped}\"")
 }
 
 /// Joins two bare (unbraced) label bodies, either of which may be empty.
@@ -38,29 +57,53 @@ fn braced(labels: &str) -> String {
     }
 }
 
-fn prom_counter(out: &mut String, name: &str, help: &str, rows: &[(String, u64)]) {
+fn family_header(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    for (labels, v) in rows {
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// Writes one metric family of `kind` (`counter`, `gauge`): the `# HELP` /
+/// `# TYPE` header, then one sample per `(bare label body, value)`.
+pub fn prom_family(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    kind: &str,
+    samples: &[(String, u64)],
+) {
+    family_header(out, name, help, kind);
+    for (labels, v) in samples {
         let _ = writeln!(out, "{name}{} {v}", braced(labels));
+    }
+}
+
+/// Writes one `counter` family per row of `descs` that names one, in table
+/// order. Each of `blocks` is one instance of the block — its bare label
+/// body and its `rows()` values — and contributes one sample per family.
+pub fn prom_counters(out: &mut String, descs: &[CounterDesc], blocks: &[(String, Vec<u64>)]) {
+    for (i, desc) in descs.iter().enumerate() {
+        let Some(name) = desc.prom else { continue };
+        let samples: Vec<(String, u64)> = blocks
+            .iter()
+            .map(|(labels, values)| (labels.clone(), values[i]))
+            .collect();
+        prom_family(out, name, desc.help, "counter", &samples);
     }
 }
 
 fn prom_hist(
     out: &mut String,
-    name: &str,
-    help: &str,
+    desc: &HistDesc,
     labels: &str,
     buckets: &[u64; HIST_BUCKETS],
     sum: u64,
 ) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
+    let name = desc.prom;
+    family_header(out, name, desc.help, "histogram");
     let mut cum = 0u64;
     for (i, &n) in buckets.iter().enumerate() {
         cum += n;
-        let le = le_label(i);
-        let body = join_labels(labels, &format!("le=\"{le}\""));
+        let body = join_labels(labels, &label("le", &le_label(i)));
         let _ = writeln!(out, "{name}_bucket{} {cum}", braced(&body));
     }
     let tail = braced(labels);
@@ -71,171 +114,69 @@ fn prom_hist(
 /// Renders the snapshot in the Prometheus text exposition format. Per-CPU
 /// counters carry a `cpu` label; sink and salvage counters are unlabelled.
 pub fn to_prometheus(snap: &TelemetrySnapshot) -> String {
-    render_prometheus(snap, "")
+    to_prometheus_labeled(snap, &[])
 }
 
 /// Like [`to_prometheus`], but with `extra` labels prepended to every
 /// sample — how an aggregator renders many snapshots into one exposition
 /// (e.g. `[("node", "web-3")]` for per-node fleet health). Label values are
-/// quoted; `"`, `\`, and newlines are escaped per the exposition-format
-/// rules (a raw newline in a label value would tear the sample line).
+/// escaped by [`label`].
 pub fn to_prometheus_labeled(snap: &TelemetrySnapshot, extra: &[(&str, &str)]) -> String {
-    let body = extra
+    let extra = extra
         .iter()
-        .map(|(k, v)| {
-            let escaped = v
-                .replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n");
-            format!("{k}=\"{escaped}\"")
-        })
+        .map(|(k, v)| label(k, v))
         .collect::<Vec<_>>()
         .join(",");
-    render_prometheus(snap, &body)
-}
-
-/// The shared renderer: `extra` is a bare label body prepended to every
-/// sample's label set (empty for the plain single-process exposition).
-fn render_prometheus(snap: &TelemetrySnapshot, extra: &str) -> String {
+    let values = |(_, v): (&CounterDesc, u64)| v;
     let mut out = String::new();
-    let per_cpu = |f: fn(&CpuTelemetry) -> u64| -> Vec<(String, u64)> {
-        snap.per_cpu
-            .iter()
-            .map(|c| (join_labels(extra, &format!("cpu=\"{}\"", c.cpu)), f(c)))
-            .collect()
-    };
-    prom_counter(
-        &mut out,
-        "ktrace_events_logged_total",
-        "Data events successfully logged.",
-        &per_cpu(|c| c.events_logged),
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_events_masked_total",
-        "Log calls rejected by the trace mask.",
-        &per_cpu(|c| c.events_masked),
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_events_dropped_total",
-        "Events dropped to stream-mode consumer overrun.",
-        &per_cpu(|c| c.events_dropped),
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_cas_retries_total",
-        "Failed reservation compare-and-swaps.",
-        &per_cpu(|c| c.cas_retries),
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_filler_words_total",
-        "Filler words written at buffer boundaries.",
-        &per_cpu(|c| c.filler_words),
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_buffer_wraps_total",
-        "Buffer-boundary crossings (reservation slow path).",
-        &per_cpu(|c| c.buffer_wraps),
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_flight_overwrites_total",
-        "Unconsumed buffers overwritten in flight-recorder mode.",
-        &per_cpu(|c| c.flight_overwrites),
-    );
-    for c in &snap.per_cpu {
-        prom_hist(
-            &mut out,
-            "ktrace_reserve_wait_ticks",
-            "Reservation wait from first to winning CAS attempt, clock ticks.",
-            &join_labels(extra, &format!("cpu=\"{}\"", c.cpu)),
-            &c.reserve_wait,
-            c.reserve_wait_sum,
-        );
+
+    let per_cpu: Vec<(String, Vec<u64>)> = snap
+        .per_cpu
+        .iter()
+        .map(|c| {
+            let labels = join_labels(&extra, &label("cpu", &c.cpu.to_string()));
+            (labels, c.rows().map(values).collect())
+        })
+        .collect();
+    prom_counters(&mut out, CpuTelemetry::COUNTERS, &per_cpu);
+    for (c, (labels, _)) in snap.per_cpu.iter().zip(&per_cpu) {
+        for (desc, buckets, sum) in c.histograms() {
+            prom_hist(&mut out, desc, labels, buckets, sum);
+        }
     }
-    prom_counter(
-        &mut out,
-        "ktrace_sink_records_written_total",
-        "Buffer records written to the sink.",
-        &[(extra.to_string(), snap.sink.records_written)],
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_sink_write_retries_total",
-        "Sink writes retried after transient errors.",
-        &[(extra.to_string(), snap.sink.write_retries)],
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_sink_buffers_dropped_total",
-        "Drained buffers abandoned after the retry budget ran out.",
-        &[(extra.to_string(), snap.sink.buffers_dropped)],
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_sink_events_lost_total",
-        "Already-logged events lost in dropped buffers.",
-        &[(extra.to_string(), snap.sink.events_lost)],
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_heartbeats_emitted_total",
-        "Heartbeat events emitted into the trace.",
-        &[(extra.to_string(), snap.sink.heartbeats_emitted)],
-    );
-    prom_hist(
-        &mut out,
-        "ktrace_drain_write_ns",
-        "Sink write latency, nanoseconds.",
-        extra,
-        &snap.sink.drain_write,
-        snap.sink.drain_write_sum,
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_salvage_runs_total",
-        "Salvage passes run.",
-        &[(extra.to_string(), snap.salvage.runs)],
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_salvage_records_recovered_total",
-        "Clean records recovered by salvage.",
-        &[(extra.to_string(), snap.salvage.records_recovered)],
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_salvage_events_recovered_total",
-        "Events recovered by salvage.",
-        &[(extra.to_string(), snap.salvage.events_recovered)],
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_salvage_records_damaged_total",
-        "Records found damaged by salvage.",
-        &[(extra.to_string(), snap.salvage.records_damaged)],
-    );
-    prom_counter(
-        &mut out,
-        "ktrace_salvage_bytes_skipped_total",
-        "Bytes skipped as unrecoverable by salvage.",
-        &[(extra.to_string(), snap.salvage.bytes_skipped)],
-    );
+
+    let sink = (extra.clone(), snap.sink.rows().map(values).collect());
+    prom_counters(&mut out, SinkTelemetry::COUNTERS, &[sink]);
+    for (desc, buckets, sum) in snap.sink.histograms() {
+        prom_hist(&mut out, desc, &extra, buckets, sum);
+    }
+
+    let salvage = (extra.clone(), snap.salvage.rows().map(values).collect());
+    prom_counters(&mut out, SalvageTelemetry::COUNTERS, &[salvage]);
     out
 }
 
-fn json_hist(out: &mut String, buckets: &[u64; HIST_BUCKETS], sum: u64) {
-    out.push_str("{\"buckets\":[");
-    for (i, n) in buckets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{n}");
+/// Writes one block's members — `"name":value` per counter, then
+/// `"key":{"buckets":[…],"sum":n}` per histogram — comma-separated, without
+/// the enclosing braces.
+fn json_block(
+    out: &mut String,
+    rows: &[(&CounterDesc, u64)],
+    histograms: &[(&HistDesc, &[u64; HIST_BUCKETS], u64)],
+) {
+    let mut sep = "";
+    for (desc, v) in rows {
+        let _ = write!(out, "{sep}\"{}\":{v}", desc.name);
+        sep = ",";
     }
-    let _ = write!(out, "],\"sum\":{sum}}}");
+    for (desc, buckets, sum) in histograms {
+        let _ = write!(out, "{sep}\"{}\":{{\"buckets\":[", desc.json);
+        for (i, n) in buckets.iter().enumerate() {
+            let _ = write!(out, "{}{n}", if i > 0 { "," } else { "" });
+        }
+        let _ = write!(out, "],\"sum\":{sum}}}");
+        sep = ",";
+    }
 }
 
 /// Renders the snapshot as a stable JSON document mirroring the snapshot
@@ -243,47 +184,27 @@ fn json_hist(out: &mut String, buckets: &[u64; HIST_BUCKETS], sum: u64) {
 pub fn to_json(snap: &TelemetrySnapshot) -> String {
     let mut out = String::from("{\"per_cpu\":[");
     for (i, c) in snap.per_cpu.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"cpu\":{},\"events_logged\":{},\"events_masked\":{},\"events_dropped\":{},\
-             \"cas_retries\":{},\"filler_words\":{},\"buffer_wraps\":{},\"flight_overwrites\":{},\
-             \"reserve_wait_ticks\":",
-            c.cpu,
-            c.events_logged,
-            c.events_masked,
-            c.events_dropped,
-            c.cas_retries,
-            c.filler_words,
-            c.buffer_wraps,
-            c.flight_overwrites
+        let _ = write!(out, "{}{{\"cpu\":{},", if i > 0 { "," } else { "" }, c.cpu);
+        json_block(
+            &mut out,
+            &c.rows().collect::<Vec<_>>(),
+            &c.histograms().collect::<Vec<_>>(),
         );
-        json_hist(&mut out, &c.reserve_wait, c.reserve_wait_sum);
         out.push('}');
     }
-    let _ = write!(
-        out,
-        "],\"sink\":{{\"records_written\":{},\"write_retries\":{},\"buffers_dropped\":{},\
-         \"events_lost\":{},\"heartbeats_emitted\":{},\"drain_write_ns\":",
-        snap.sink.records_written,
-        snap.sink.write_retries,
-        snap.sink.buffers_dropped,
-        snap.sink.events_lost,
-        snap.sink.heartbeats_emitted
+    out.push_str("],\"sink\":{");
+    json_block(
+        &mut out,
+        &snap.sink.rows().collect::<Vec<_>>(),
+        &snap.sink.histograms().collect::<Vec<_>>(),
     );
-    json_hist(&mut out, &snap.sink.drain_write, snap.sink.drain_write_sum);
-    let _ = write!(
-        out,
-        "}},\"salvage\":{{\"runs\":{},\"records_recovered\":{},\"events_recovered\":{},\
-         \"records_damaged\":{},\"bytes_skipped\":{}}}}}",
-        snap.salvage.runs,
-        snap.salvage.records_recovered,
-        snap.salvage.events_recovered,
-        snap.salvage.records_damaged,
-        snap.salvage.bytes_skipped
+    out.push_str("},\"salvage\":{");
+    json_block(
+        &mut out,
+        &snap.salvage.rows().collect::<Vec<_>>(),
+        &snap.salvage.histograms().collect::<Vec<_>>(),
     );
+    out.push_str("}}");
     out
 }
 

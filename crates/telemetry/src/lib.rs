@@ -33,6 +33,7 @@
 
 pub mod counters;
 pub mod expo;
+pub mod schema;
 pub mod snapshot;
 
 pub use counters::{
@@ -40,6 +41,7 @@ pub use counters::{
     HIST_BUCKETS,
 };
 pub use expo::{to_json, to_prometheus, to_prometheus_labeled};
+pub use schema::{CounterDesc, HistDesc};
 pub use snapshot::{
     hist_count, hist_mean, hist_quantile, CpuTelemetry, SalvageTelemetry, SinkTelemetry,
     TelemetrySnapshot,

@@ -7,66 +7,9 @@
 //! rates.
 
 use crate::counters::{bucket_floor, Telemetry, HIST_BUCKETS};
+pub use crate::counters::{CpuTelemetry, SalvageTelemetry, SinkTelemetry};
+use crate::schema::CounterDesc;
 use ktrace_format::ids::control;
-
-/// Plain-data copy of one CPU's counter block.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CpuTelemetry {
-    /// The CPU index this block belongs to.
-    pub cpu: usize,
-    /// Data events successfully logged.
-    pub events_logged: u64,
-    /// Log calls rejected by the trace mask.
-    pub events_masked: u64,
-    /// Events dropped to stream-mode consumer overrun.
-    pub events_dropped: u64,
-    /// Failed reservation CASes.
-    pub cas_retries: u64,
-    /// Filler words written at buffer boundaries.
-    pub filler_words: u64,
-    /// Buffer-boundary crossings (reservation slow path wins).
-    pub buffer_wraps: u64,
-    /// Unconsumed buffers overwritten in flight-recorder mode.
-    pub flight_overwrites: u64,
-    /// Reservation-wait histogram bucket counts (clock ticks).
-    pub reserve_wait: [u64; HIST_BUCKETS],
-    /// Sum of all reservation waits (ticks).
-    pub reserve_wait_sum: u64,
-}
-
-/// Plain-data copy of the drain-side block.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SinkTelemetry {
-    /// Buffer records written to the sink.
-    pub records_written: u64,
-    /// Sink writes retried after transient errors.
-    pub write_retries: u64,
-    /// Buffers abandoned after the retry budget ran out.
-    pub buffers_dropped: u64,
-    /// Already-logged data events lost in those buffers.
-    pub events_lost: u64,
-    /// Heartbeat events emitted into the trace.
-    pub heartbeats_emitted: u64,
-    /// Drain-write latency histogram bucket counts (nanoseconds).
-    pub drain_write: [u64; HIST_BUCKETS],
-    /// Sum of all drain-write latencies (nanoseconds).
-    pub drain_write_sum: u64,
-}
-
-/// Plain-data copy of the salvage block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SalvageTelemetry {
-    /// Salvage passes run.
-    pub runs: u64,
-    /// Clean records recovered.
-    pub records_recovered: u64,
-    /// Events recovered.
-    pub events_recovered: u64,
-    /// Records found damaged.
-    pub records_damaged: u64,
-    /// Bytes skipped as unrecoverable.
-    pub bytes_skipped: u64,
-}
 
 /// A point-in-time copy of a whole [`Telemetry`] registry.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -83,173 +26,125 @@ impl Telemetry {
     /// Copies every counter with relaxed loads. Concurrent tallies may land
     /// on either side of the snapshot; each lands in exactly one.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let per_cpu = (0..self.ncpus())
-            .map(|cpu| {
-                let c = self.cpu(cpu);
-                CpuTelemetry {
-                    cpu,
-                    events_logged: c.events_logged(),
-                    events_masked: c.events_masked(),
-                    events_dropped: c.events_dropped(),
-                    cas_retries: c.cas_retries(),
-                    filler_words: c.filler_words(),
-                    buffer_wraps: c.buffer_wraps(),
-                    flight_overwrites: c.flight_overwrites(),
-                    reserve_wait: c.reserve_wait().snap(),
-                    reserve_wait_sum: c.reserve_wait().sum(),
-                }
-            })
-            .collect();
-        let s = self.sink();
-        let v = self.salvage();
         TelemetrySnapshot {
-            per_cpu,
-            sink: SinkTelemetry {
-                records_written: s.records_written(),
-                write_retries: s.write_retries(),
-                buffers_dropped: s.buffers_dropped(),
-                events_lost: s.events_lost(),
-                heartbeats_emitted: s.heartbeats_emitted(),
-                drain_write: s.drain_write().snap(),
-                drain_write_sum: s.drain_write().sum(),
-            },
-            salvage: SalvageTelemetry {
-                runs: v.runs(),
-                records_recovered: v.records_recovered(),
-                events_recovered: v.events_recovered(),
-                records_damaged: v.records_damaged(),
-                bytes_skipped: v.bytes_skipped(),
-            },
+            per_cpu: (0..self.ncpus())
+                .map(|cpu| self.cpu(cpu).snapshot(cpu))
+                .collect(),
+            sink: self.sink().snapshot(),
+            salvage: self.salvage().snapshot(),
         }
     }
-}
 
-impl Telemetry {
-    /// The payload of a `CONTROL`/`HEARTBEAT` event for `cpu`: cumulative
-    /// counters in the order fixed by
-    /// [`control::HEARTBEAT_METRICS`] after the leading `cpu` field. The
-    /// logger writes this into the trace; exporters decode it back into
-    /// counter tracks.
+    /// The payload of a `CONTROL`/`HEARTBEAT` event for `cpu`: the CPU
+    /// index, then the cumulative value of every `wire`-flagged counter of
+    /// the CPU block and of the sink block, in table order — which is
+    /// [`control::HEARTBEAT_METRICS`] order, checked at compile time below.
+    /// The logger writes this into the trace; exporters decode it back into
+    /// counter tracks, and [`TelemetrySnapshot::from_heartbeats`] inverts
+    /// it.
     pub fn heartbeat_payload(&self, cpu: usize) -> [u64; control::HEARTBEAT_WORDS] {
-        let c = self.cpu(cpu);
-        let s = self.sink();
-        [
-            cpu as u64,
-            c.events_logged(),
-            c.events_masked(),
-            c.events_dropped(),
-            c.cas_retries(),
-            c.filler_words(),
-            c.buffer_wraps(),
-            c.flight_overwrites(),
-            s.records_written(),
-            s.buffers_dropped(),
-        ]
+        heartbeat_words(&self.cpu(cpu).snapshot(cpu), &self.sink().snapshot())
     }
 }
 
-fn sub_hist(a: &[u64; HIST_BUCKETS], b: &[u64; HIST_BUCKETS]) -> [u64; HIST_BUCKETS] {
-    let mut out = [0u64; HIST_BUCKETS];
-    for i in 0..HIST_BUCKETS {
-        out[i] = a[i].saturating_sub(b[i]);
+fn heartbeat_words(cpu: &CpuTelemetry, sink: &SinkTelemetry) -> [u64; control::HEARTBEAT_WORDS] {
+    let mut words = [0; control::HEARTBEAT_WORDS];
+    words[0] = cpu.cpu as u64;
+    let wired = cpu
+        .rows()
+        .chain(sink.rows())
+        .filter(|(d, _)| d.wire.is_some());
+    for (word, (_, value)) in words[1..].iter_mut().zip(wired) {
+        *word = value;
     }
-    out
+    words
 }
+
+const fn same(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let mut i = 0;
+    while i < a.len() && i < b.len() && a[i] == b[i] {
+        i += 1;
+    }
+    i == a.len() && i == b.len()
+}
+
+/// Checks the `wire`-flagged rows of `rows`, in order, against
+/// `HEARTBEAT_METRICS[at..]`; returns the index after the last one.
+const fn wire_rows_match(rows: &[CounterDesc], mut at: usize) -> usize {
+    let mut i = 0;
+    while i < rows.len() {
+        if let Some(name) = rows[i].wire {
+            assert!(
+                at < control::HEARTBEAT_METRICS.len() && same(name, control::HEARTBEAT_METRICS[at]),
+                "a heartbeat-flagged counter row disagrees with HEARTBEAT_METRICS"
+            );
+            at += 1;
+        }
+        i += 1;
+    }
+    at
+}
+
+// `ktrace_format` owns the wire order; the tables may not drift from it.
+const _: () = {
+    let at = wire_rows_match(CpuTelemetry::COUNTERS, 0);
+    let at = wire_rows_match(SinkTelemetry::COUNTERS, at);
+    assert!(
+        at == control::HEARTBEAT_METRICS.len() && at + 1 == control::HEARTBEAT_WORDS,
+        "HEARTBEAT_METRICS has entries no counter row is flagged for"
+    );
+    assert!(
+        wire_rows_match(SalvageTelemetry::COUNTERS, at) == at,
+        "only the CPU and sink blocks ride the heartbeat"
+    );
+};
 
 impl TelemetrySnapshot {
+    /// Rebuilds a snapshot from the latest heartbeat payload of each CPU —
+    /// the inverse of [`Telemetry::heartbeat_payload`], for readers that
+    /// have a node's trace stream but not its registry. Every flagged
+    /// counter comes back bit-identical; per-CPU counters map beat by beat,
+    /// and the sink counters (which every CPU's beat reports
+    /// identically-or-staler) take the maximum across beats. Counters and
+    /// histograms the payload does not carry come back zero.
+    pub fn from_heartbeats(beats: &[[u64; control::HEARTBEAT_WORDS]]) -> TelemetrySnapshot {
+        let mut snap = TelemetrySnapshot::default();
+        for beat in beats {
+            let mut cpu = CpuTelemetry {
+                cpu: beat[0] as usize,
+                ..CpuTelemetry::default()
+            };
+            let mut sink = SinkTelemetry::default();
+            let wired = cpu
+                .rows_mut()
+                .chain(sink.rows_mut())
+                .filter(|(d, _)| d.wire.is_some());
+            for ((_, value), word) in wired.zip(&beat[1..]) {
+                *value = *word;
+            }
+            for ((_, max), (_, seen)) in snap.sink.rows_mut().zip(sink.rows()) {
+                *max = (*max).max(seen);
+            }
+            snap.per_cpu.push(cpu);
+        }
+        snap
+    }
+
     /// The interval delta `self - earlier` (saturating, so a restarted or
     /// mismatched earlier snapshot yields zeros rather than garbage). CPUs
     /// present only in `self` are carried through unchanged.
     pub fn delta(&self, earlier: &TelemetrySnapshot) -> TelemetrySnapshot {
-        let per_cpu = self
-            .per_cpu
-            .iter()
-            .map(|c| {
-                let zero = CpuTelemetry::default();
-                let e = earlier.per_cpu.get(c.cpu).unwrap_or(&zero);
-                CpuTelemetry {
-                    cpu: c.cpu,
-                    events_logged: c.events_logged.saturating_sub(e.events_logged),
-                    events_masked: c.events_masked.saturating_sub(e.events_masked),
-                    events_dropped: c.events_dropped.saturating_sub(e.events_dropped),
-                    cas_retries: c.cas_retries.saturating_sub(e.cas_retries),
-                    filler_words: c.filler_words.saturating_sub(e.filler_words),
-                    buffer_wraps: c.buffer_wraps.saturating_sub(e.buffer_wraps),
-                    flight_overwrites: c.flight_overwrites.saturating_sub(e.flight_overwrites),
-                    reserve_wait: sub_hist(&c.reserve_wait, &e.reserve_wait),
-                    reserve_wait_sum: c.reserve_wait_sum.saturating_sub(e.reserve_wait_sum),
-                }
-            })
-            .collect();
+        let zero = CpuTelemetry::default();
         TelemetrySnapshot {
-            per_cpu,
-            sink: SinkTelemetry {
-                records_written: self
-                    .sink
-                    .records_written
-                    .saturating_sub(earlier.sink.records_written),
-                write_retries: self
-                    .sink
-                    .write_retries
-                    .saturating_sub(earlier.sink.write_retries),
-                buffers_dropped: self
-                    .sink
-                    .buffers_dropped
-                    .saturating_sub(earlier.sink.buffers_dropped),
-                events_lost: self
-                    .sink
-                    .events_lost
-                    .saturating_sub(earlier.sink.events_lost),
-                heartbeats_emitted: self
-                    .sink
-                    .heartbeats_emitted
-                    .saturating_sub(earlier.sink.heartbeats_emitted),
-                drain_write: sub_hist(&self.sink.drain_write, &earlier.sink.drain_write),
-                drain_write_sum: self
-                    .sink
-                    .drain_write_sum
-                    .saturating_sub(earlier.sink.drain_write_sum),
-            },
-            salvage: SalvageTelemetry {
-                runs: self.salvage.runs.saturating_sub(earlier.salvage.runs),
-                records_recovered: self
-                    .salvage
-                    .records_recovered
-                    .saturating_sub(earlier.salvage.records_recovered),
-                events_recovered: self
-                    .salvage
-                    .events_recovered
-                    .saturating_sub(earlier.salvage.events_recovered),
-                records_damaged: self
-                    .salvage
-                    .records_damaged
-                    .saturating_sub(earlier.salvage.records_damaged),
-                bytes_skipped: self
-                    .salvage
-                    .bytes_skipped
-                    .saturating_sub(earlier.salvage.bytes_skipped),
-            },
+            per_cpu: self
+                .per_cpu
+                .iter()
+                .map(|c| c.delta(earlier.per_cpu.get(c.cpu).unwrap_or(&zero)))
+                .collect(),
+            sink: self.sink.delta(&earlier.sink),
+            salvage: self.salvage.delta(&earlier.salvage),
         }
-    }
-
-    /// Total events logged across CPUs.
-    pub fn events_logged(&self) -> u64 {
-        self.per_cpu.iter().map(|c| c.events_logged).sum()
-    }
-
-    /// Total events dropped (writer-side overrun) across CPUs.
-    pub fn events_dropped(&self) -> u64 {
-        self.per_cpu.iter().map(|c| c.events_dropped).sum()
-    }
-
-    /// Total mask rejections across CPUs.
-    pub fn events_masked(&self) -> u64 {
-        self.per_cpu.iter().map(|c| c.events_masked).sum()
-    }
-
-    /// Total reservation CAS retries across CPUs.
-    pub fn cas_retries(&self) -> u64 {
-        self.per_cpu.iter().map(|c| c.cas_retries).sum()
     }
 }
 
@@ -360,6 +255,83 @@ mod tests {
         assert_eq!(by_name("cas_retries"), 1);
         assert_eq!(by_name("sink_records_written"), 1);
         assert_eq!(by_name("sink_buffers_dropped"), 0);
+    }
+
+    #[test]
+    fn beats_rebuild_a_snapshot() {
+        // A beat per CPU, in HEARTBEAT payload order:
+        // [cpu, logged, masked, dropped, cas, filler, wraps, overwrites,
+        //  sink_records, sink_dropped].
+        let beats = [
+            [0u64, 100, 2, 1, 7, 40, 5, 0, 12, 1],
+            [1u64, 90, 0, 0, 3, 32, 4, 0, 13, 1],
+        ];
+        let snap = TelemetrySnapshot::from_heartbeats(&beats);
+        assert_eq!(snap.per_cpu.len(), 2);
+        assert_eq!(snap.per_cpu[0].events_logged, 100);
+        assert_eq!(snap.per_cpu[0].cas_retries, 7);
+        assert_eq!(snap.per_cpu[1].filler_words, 32);
+        assert_eq!(snap.events_logged(), 190);
+        // Sink counters are fleet-of-one maxima across the CPUs' beats.
+        assert_eq!(snap.sink.records_written, 13);
+        assert_eq!(snap.sink.buffers_dropped, 1);
+        assert_eq!(snap.salvage.runs, 0);
+    }
+
+    /// The HEARTBEAT schema must round-trip: payload → snapshot → payload is
+    /// a fixed point for every `wire`-flagged counter, and every unflagged
+    /// one comes back zero. Driven by the tables, so a counter added to one
+    /// is covered without touching this test.
+    #[test]
+    fn heartbeat_payloads_round_trip_bit_identically() {
+        let mut live = TelemetrySnapshot::default();
+        let mut next = 0u64;
+        for cpu in 0..2 {
+            live.per_cpu.push(CpuTelemetry {
+                cpu,
+                ..CpuTelemetry::default()
+            });
+        }
+        for (_, v) in live
+            .per_cpu
+            .iter_mut()
+            .flat_map(|c| c.rows_mut())
+            .chain(live.sink.rows_mut())
+            .chain(live.salvage.rows_mut())
+        {
+            next += 1;
+            *v = next;
+        }
+
+        let beats: Vec<_> = live
+            .per_cpu
+            .iter()
+            .map(|c| heartbeat_words(c, &live.sink))
+            .collect();
+        let rebuilt = TelemetrySnapshot::from_heartbeats(&beats);
+
+        let carried = |(desc, v): (&CounterDesc, u64)| if desc.wire.is_some() { v } else { 0 };
+        assert_eq!(rebuilt.per_cpu.len(), live.per_cpu.len());
+        for (r, l) in rebuilt.per_cpu.iter().zip(&live.per_cpu) {
+            assert_eq!(r.cpu, l.cpu);
+            for ((desc, got), want) in r.rows().zip(l.rows().map(carried)) {
+                assert_eq!(got, want, "cpu {} {}", l.cpu, desc.name);
+            }
+        }
+        for ((desc, got), want) in rebuilt.sink.rows().zip(live.sink.rows().map(carried)) {
+            assert_eq!(got, want, "sink {}", desc.name);
+        }
+        assert_eq!(rebuilt.salvage, SalvageTelemetry::default());
+        assert!(
+            beats.iter().all(|b| b[1..].iter().all(|&w| w != 0)),
+            "every payload word carried a distinct non-zero counter"
+        );
+
+        // And the rebuilt snapshot re-serializes to the identical beats:
+        // the schema is a true fixed point, not merely field-compatible.
+        for (c, beat) in rebuilt.per_cpu.iter().zip(&beats) {
+            assert_eq!(&heartbeat_words(c, &rebuilt.sink), beat, "cpu {}", c.cpu);
+        }
     }
 
     #[test]

@@ -396,19 +396,20 @@ fn render_session_summary(stats: &ktrace::io::SessionStats) -> String {
         out,
         "hot path: {} CAS retries, {} buffer wraps, {} flight overwrites",
         t.cas_retries(),
-        t.per_cpu.iter().map(|c| c.buffer_wraps).sum::<u64>(),
-        t.per_cpu.iter().map(|c| c.flight_overwrites).sum::<u64>(),
+        t.buffer_wraps(),
+        t.flight_overwrites(),
     );
     let dw = &t.sink.drain_write;
     if hist_count(dw) > 0 {
         let _ = writeln!(
             out,
-            "drain:   {} writes, mean {:.0} ns, p50 ≥ {} ns, p99 ≥ {} ns, {} retries",
+            "drain:   {} writes, mean {:.0} ns, p50 ≥ {} ns, p99 ≥ {} ns, {} retries, {} grace waits",
             hist_count(dw),
             hist_mean(dw, t.sink.drain_write_sum),
             hist_quantile(dw, 0.50),
             hist_quantile(dw, 0.99),
             t.sink.write_retries,
+            t.sink.grace_waits,
         );
     }
     let _ = writeln!(
