@@ -232,7 +232,7 @@ mod tests {
             .flatten()
             .flat_map(|b| ktrace_core::parse_buffer(0, b.seq, &b.words, None).events)
             .filter(|e| e.major == MajorId::CONTROL && e.minor >= control::ANOMALY)
-            .map(|e| (e.minor, e.payload))
+            .map(|e| (e.minor, e.payload.to_vec()))
             .collect()
     }
 

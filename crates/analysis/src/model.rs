@@ -69,7 +69,7 @@ pub(crate) mod testutil {
             ts32: time as u32,
             major,
             minor,
-            payload: payload.to_vec(),
+            payload: payload.into(),
         }
     }
 

@@ -27,7 +27,7 @@ fn arb_event() -> impl Strategy<Value = RawEvent> {
             ts32: time as u32,
             major: MajorId::new(major).expect("bounded"),
             minor,
-            payload,
+            payload: payload.into(),
         })
 }
 

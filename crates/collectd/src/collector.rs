@@ -18,7 +18,7 @@ use crate::proto;
 use crate::scrape;
 use crate::store::NodeStore;
 use ktrace_adapt::{Anomaly, Detector};
-use ktrace_core::parse_buffer;
+use ktrace_core::walk_buffer;
 use ktrace_format::ids::control;
 use ktrace_io::file::{body_words, frame_record};
 use ktrace_io::FileHeader;
@@ -421,6 +421,21 @@ fn shard_of(name: &str, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
+/// What the reader thread takes from a record, in place: the number of data
+/// events in it (up to the first garble — what a reader of the stored record
+/// will decode), with every HEARTBEAT's payload handed to `on_heartbeat`.
+fn tally_record(words: &[u64], mut on_heartbeat: impl FnMut(&[u64])) -> u64 {
+    let mut data_events = 0;
+    for e in walk_buffer(words, None) {
+        if !e.is_control() {
+            data_events += 1;
+        } else if e.minor == control::HEARTBEAT {
+            on_heartbeat(e.payload);
+        }
+    }
+    data_events
+}
+
 /// One connection, hello to EOF.
 fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<StoreJob>]) {
     let mut r = PatientReader {
@@ -456,6 +471,7 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
     let header_bytes = Arc::new(header_bytes);
 
     let mut buf = vec![0u8; record_size];
+    let mut words: Vec<u64> = Vec::new();
     while let Ok(got) = read_up_to(&mut r, &mut buf) {
         if got == 0 {
             break; // clean EOF (or shutdown)
@@ -474,16 +490,11 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
                 .fetch_add(1, Ordering::Relaxed);
             break;
         };
-        // Parse once, here: exact event accounting for the drop path and
+        // Walk once, here: exact event accounting for the drop path and
         // heartbeat capture for health, whatever the store decides.
-        let words: Vec<u64> = body_words(frame.body).collect();
-        let parsed = parse_buffer(frame.cpu as usize, frame.seq, &words, None);
-        let data_events = parsed.data_events().count() as u64;
-        for e in &parsed.events {
-            if e.is_control() && e.minor == control::HEARTBEAT {
-                node.note_heartbeat(&e.payload);
-            }
-        }
+        words.clear();
+        words.extend(body_words(frame.body));
+        let data_events = tally_record(&words, |beat| node.note_heartbeat(beat));
         node.counters.tally_received(data_events, got as u64);
         let job = StoreJob {
             node: node.clone(),
@@ -769,6 +780,67 @@ mod tests {
             stored += r.events().unwrap().filter(|e| !e.is_control()).count() as u64;
         }
         assert_eq!(stored, logged);
+    }
+
+    /// The reader thread counts in place; every consumer of the stored
+    /// record decodes it with `parse_buffer`. The two must agree wherever
+    /// the chain breaks, or `events_stored` stops meaning "what a reader of
+    /// the store will find".
+    #[test]
+    fn a_record_whose_chain_breaks_is_tallied_up_to_the_break() {
+        use ktrace_core::parse_buffer;
+        use ktrace_format::EventHeader;
+        let event = |ts: u32, major: MajorId, minor: u16, payload: &[u64]| {
+            let mut words = vec![EventHeader::new(ts, payload.len(), major, minor)
+                .unwrap()
+                .encode()];
+            words.extend_from_slice(payload);
+            words
+        };
+        let beat = |cpu: u64| [cpu, 7, 0, 0, 0, 0, 0, 0, 1, 0];
+        let chain = [
+            event(100, MajorId::CONTROL, control::TIME_ANCHOR, &[100, 0]),
+            event(101, MajorId::TEST, 1, &[1, 2]),
+            event(102, MajorId::CONTROL, control::HEARTBEAT, &beat(0)),
+            event(103, MajorId::TEST, 2, &[]),
+            event(104, MajorId::LOCK, 2, &[9, 9, 9, 9, 9]),
+            event(105, MajorId::CONTROL, control::HEARTBEAT, &beat(1)),
+            event(106, MajorId::TEST, 3, &[3]),
+        ];
+        // The whole chain, then the chain broken before each event in turn:
+        // by an unwritten header, and by a length that overruns the buffer.
+        let overrun = EventHeader::new(107, 500, MajorId::TEST, 9)
+            .unwrap()
+            .encode();
+        for keep in 0..=chain.len() {
+            for breaker in [None, Some(0), Some(overrun)] {
+                let mut words: Vec<u64> = chain[..keep].concat();
+                if let Some(word) = breaker {
+                    words.push(word);
+                    words.extend(chain[keep..].concat());
+                }
+                let mut beats: Vec<Vec<u64>> = Vec::new();
+                let tallied = tally_record(&words, |b| beats.push(b.to_vec()));
+
+                let parsed = parse_buffer(0, 0, &words, None);
+                assert_eq!(parsed.clean(), breaker.is_none());
+                assert_eq!(tallied, parsed.data_events().count() as u64);
+                let data_before =
+                    |e: &&Vec<u64>| EventHeader::decode(e[0]).unwrap().major != MajorId::CONTROL;
+                assert_eq!(
+                    tallied,
+                    chain[..keep].iter().filter(data_before).count() as u64,
+                    "{keep} events before {breaker:?}"
+                );
+                let parsed_beats: Vec<Vec<u64>> = parsed
+                    .events
+                    .iter()
+                    .filter(|e| e.is_control() && e.minor == control::HEARTBEAT)
+                    .map(|e| e.payload.to_vec())
+                    .collect();
+                assert_eq!(beats, parsed_beats);
+            }
+        }
     }
 
     /// Polls until the node's stored+dropped records reach `records` (the

@@ -55,6 +55,8 @@ pub use builder::LoggerBuilder;
 pub use config::{Mode, TraceConfig, ANCHOR_WORDS, DROPPED_WORDS};
 pub use error::CoreError;
 pub use logger::{CpuHandle, FlightDump, LoggerStats, RestrictedHandle, TraceLogger};
-pub use reader::{parse_buffer, GarbleNote, ParsedBuffer, RawEvent};
+pub use reader::{
+    parse_buffer, walk_buffer, BufferWalker, EventView, GarbleNote, ParsedBuffer, Payload, RawEvent,
+};
 pub use region::{CompletedBuffer, RegionSnapshot};
 pub use sample::SampleGate;

@@ -2,14 +2,114 @@
 //!
 //! Because events never cross buffer boundaries, a reader can start at any
 //! alignment point of a large trace and interpret forward (§3.2's "random
-//! access" property). [`parse_buffer`] walks one buffer: it reconstructs full
-//! 64-bit timestamps from the buffer's time anchor, validates the event
-//! chain, and reports every anomaly (zero headers, overruns, missing anchors,
-//! timestamp regressions) as [`GarbleNote`]s instead of failing — "with high
-//! probability … errors can be detected by the post-processing tools" (§3.1).
+//! access" property) — and read each event *where it lies*. [`walk_buffer`]
+//! is the workspace's one decode loop: a borrowing iterator of
+//! [`EventView`]s over one buffer's words that reconstructs full 64-bit
+//! timestamps from the buffer's time anchor, validates the event chain, and
+//! reports every anomaly (zero headers, overruns, missing anchors, timestamp
+//! regressions) as [`GarbleNote`]s instead of failing — "with high
+//! probability … errors can be detected by the post-processing tools"
+//! (§3.1). Consumers that only fold (count, lint, capture heartbeats) run on
+//! the walker; [`parse_buffer`] collects it into owned [`RawEvent`]s for the
+//! ones that keep events.
 
 use ktrace_clock::WrapExtender;
 use ktrace_format::{EventHeader, MajorId, MinorId};
+use std::fmt;
+use std::ops::Deref;
+
+/// Payload words held inline by a [`Payload`]. Measured, not tuned by users:
+/// at 3 a [`RawEvent`] is 72 B and only the longest common event spills to
+/// the heap; at 5 nothing spills but every event pays 88 B of page faults,
+/// which cost more than the spills saved (EXPERIMENTS.md).
+const INLINE_WORDS: usize = 3;
+
+/// An event's payload words: short payloads live inside the event, longer
+/// ones are boxed. Reads like a `[u64]` through `Deref`.
+#[derive(Clone)]
+pub struct Payload(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, words: [u64; INLINE_WORDS] },
+    Heap(Box<[u64]>),
+}
+
+impl Deref for Payload {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        match &self.0 {
+            Repr::Inline { len, words } => &words[..usize::from(*len)],
+            Repr::Heap(words) => words,
+        }
+    }
+}
+
+impl From<&[u64]> for Payload {
+    #[inline]
+    fn from(words: &[u64]) -> Payload {
+        if words.len() <= INLINE_WORDS {
+            let mut inline = [0u64; INLINE_WORDS];
+            inline[..words.len()].copy_from_slice(words);
+            Payload(Repr::Inline {
+                len: words.len() as u8,
+                words: inline,
+            })
+        } else {
+            Payload(Repr::Heap(words.into()))
+        }
+    }
+}
+
+impl From<Vec<u64>> for Payload {
+    fn from(words: Vec<u64>) -> Payload {
+        if words.len() <= INLINE_WORDS {
+            Payload::from(&words[..])
+        } else {
+            Payload(Repr::Heap(words.into_boxed_slice()))
+        }
+    }
+}
+
+impl FromIterator<u64> for Payload {
+    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Payload {
+        Payload::from(iter.into_iter().collect::<Vec<u64>>())
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+impl PartialEq<[u64]> for Payload {
+    fn eq(&self, other: &[u64]) -> bool {
+        **self == *other
+    }
+}
+
+impl PartialEq<&[u64]> for Payload {
+    fn eq(&self, other: &&[u64]) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<Vec<u64>> for Payload {
+    fn eq(&self, other: &Vec<u64>) -> bool {
+        **self == other[..]
+    }
+}
 
 /// One decoded event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,8 +129,12 @@ pub struct RawEvent {
     /// Minor ID.
     pub minor: MinorId,
     /// Payload words.
-    pub payload: Vec<u64>,
+    pub payload: Payload,
 }
+
+// Bytes materialised are time on the read side (a page fault per 4 KiB of
+// events): a field or an inline word added here shows up in `analyze_file`.
+const _: () = assert!(std::mem::size_of::<RawEvent>() == 72);
 
 impl RawEvent {
     /// True for stream-control filler events.
@@ -54,6 +158,56 @@ impl RawEvent {
     /// order of equal-time events and of garbled (non-monotonic) input alike.
     pub fn order_key(&self) -> (u64, usize, u64, usize) {
         (self.time, self.cpu, self.seq, self.offset)
+    }
+}
+
+/// One event read in place: what a [`RawEvent`] holds minus the buffer's
+/// identity (`cpu`, `seq` — the caller knows whose words it is walking),
+/// with the payload borrowed from the buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventView<'a> {
+    /// Word offset of the header within the buffer.
+    pub offset: usize,
+    /// Reconstructed full 64-bit timestamp (clock ticks).
+    pub time: u64,
+    /// The raw 32-bit stamp from the header.
+    pub ts32: u32,
+    /// Major ID.
+    pub major: MajorId,
+    /// Minor ID.
+    pub minor: MinorId,
+    /// Payload words, where they lie in the buffer.
+    pub payload: &'a [u64],
+}
+
+impl EventView<'_> {
+    /// True for stream-control filler events.
+    pub fn is_filler(&self) -> bool {
+        self.major == MajorId::CONTROL && self.minor == ktrace_format::ids::control::FILLER
+    }
+
+    /// True for any tracing-infrastructure control event.
+    pub fn is_control(&self) -> bool {
+        self.major == MajorId::CONTROL
+    }
+
+    /// Total size in words (header + payload).
+    pub fn len_words(&self) -> usize {
+        1 + self.payload.len()
+    }
+
+    /// The owned event, as part of buffer `seq` of `cpu`'s region.
+    pub fn to_raw(&self, cpu: usize, seq: u64) -> RawEvent {
+        RawEvent {
+            cpu,
+            seq,
+            offset: self.offset,
+            time: self.time,
+            ts32: self.ts32,
+            major: self.major,
+            minor: self.minor,
+            payload: self.payload.into(),
+        }
     }
 }
 
@@ -85,6 +239,140 @@ pub enum GarbleNote {
     },
 }
 
+/// The decode loop over one buffer's words: an iterator of [`EventView`]s
+/// that stops at the buffer's end or its first undecodable header, keeping
+/// the notes, filler accounting and end time a [`ParsedBuffer`] reports.
+/// Iterate it (`by_ref()`), then read those off.
+#[derive(Debug, Clone)]
+pub struct BufferWalker<'a> {
+    /// The words still to walk are `words[off..]`; a broken chain truncates
+    /// `words` to where it broke.
+    words: &'a [u64],
+    off: usize,
+    time_hint: Option<u64>,
+    extender: Option<WrapExtender>,
+    notes: Vec<GarbleNote>,
+    filler_words: usize,
+    end_time: Option<u64>,
+}
+
+/// Starts decoding a buffer's words.
+///
+/// `time_hint` supplies an approximate full timestamp (e.g. the previous
+/// buffer's `end_time`) used when the buffer's own anchor is missing or
+/// damaged.
+pub fn walk_buffer(words: &[u64], time_hint: Option<u64>) -> BufferWalker<'_> {
+    BufferWalker {
+        words,
+        off: 0,
+        time_hint,
+        extender: None,
+        notes: Vec::new(),
+        filler_words: 0,
+        end_time: None,
+    }
+}
+
+impl BufferWalker<'_> {
+    /// Anomalies found so far, in the order decoding met them.
+    pub fn notes(&self) -> &[GarbleNote] {
+        &self.notes
+    }
+
+    /// Consumes the walker, returning its anomalies.
+    pub fn into_notes(self) -> Vec<GarbleNote> {
+        self.notes
+    }
+
+    /// Words consumed by filler events so far.
+    pub fn filler_words(&self) -> usize {
+        self.filler_words
+    }
+
+    /// The timestamp of the last event yielded.
+    pub fn end_time(&self) -> Option<u64> {
+        self.end_time
+    }
+
+    /// Ends the walk where the chain broke.
+    fn garbled(&mut self, note: GarbleNote) {
+        self.notes.push(note);
+        self.words = &self.words[..self.off];
+    }
+}
+
+impl<'a> Iterator for BufferWalker<'a> {
+    type Item = EventView<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<EventView<'a>> {
+        let off = self.off;
+        let words = self.words;
+        let Ok(header) = EventHeader::decode(*words.get(off)?) else {
+            self.garbled(GarbleNote::ZeroHeader { offset: off });
+            return None;
+        };
+        let len = header.len_words as usize;
+        let Some(payload) = words.get(off + 1..off + len) else {
+            self.garbled(GarbleNote::Overrun {
+                offset: off,
+                len_words: len,
+            });
+            return None;
+        };
+
+        // A time anchor re-seeds the extender with the full 64-bit time.
+        if header.is_time_anchor() && !payload.is_empty() {
+            let full = payload[0];
+            match &mut self.extender {
+                Some(e) => {
+                    if full < e.last() {
+                        self.notes.push(GarbleNote::NonMonotonic { offset: off });
+                    }
+                    e.reseed(full);
+                }
+                None => self.extender = Some(WrapExtender::new(full)),
+            }
+        } else if off == 0 {
+            self.notes.push(GarbleNote::MissingAnchor);
+        }
+
+        let time = match &mut self.extender {
+            Some(e) => {
+                let prev = e.last();
+                let t = e.extend(header.timestamp);
+                if t < prev {
+                    self.notes.push(GarbleNote::NonMonotonic { offset: off });
+                }
+                t
+            }
+            None => match self.time_hint {
+                Some(hint) => {
+                    let mut e = WrapExtender::new(hint);
+                    let t = e.extend(header.timestamp);
+                    self.extender = Some(e);
+                    t
+                }
+                None => header.timestamp as u64,
+            },
+        };
+
+        if header.is_filler() {
+            self.filler_words += len;
+        }
+        self.end_time = Some(time);
+        self.off = off + len;
+        Some(EventView {
+            offset: off,
+            time,
+            ts32: header.timestamp,
+            major: header.major,
+            minor: header.minor,
+            payload,
+        })
+    }
+}
+
 /// The result of decoding one buffer.
 #[derive(Debug, Clone)]
 pub struct ParsedBuffer {
@@ -111,94 +399,19 @@ impl ParsedBuffer {
     }
 }
 
-/// Decodes the words of buffer `seq` from `cpu`'s region.
-///
-/// `time_hint` supplies an approximate full timestamp (e.g. the previous
-/// buffer's `end_time`) used when the buffer's own anchor is missing or
-/// damaged.
+/// Decodes the words of buffer `seq` from `cpu`'s region into owned events:
+/// [`walk_buffer`], collected.
 pub fn parse_buffer(cpu: usize, seq: u64, words: &[u64], time_hint: Option<u64>) -> ParsedBuffer {
-    let mut events = Vec::new();
-    let mut notes = Vec::new();
-    let mut filler_words = 0usize;
-    let mut extender: Option<WrapExtender> = None;
-    let mut off = 0usize;
-
-    while off < words.len() {
-        let header = match EventHeader::decode(words[off]) {
-            Ok(h) => h,
-            Err(_) => {
-                notes.push(GarbleNote::ZeroHeader { offset: off });
-                break;
-            }
-        };
-        let len = header.len_words as usize;
-        if off + len > words.len() {
-            notes.push(GarbleNote::Overrun {
-                offset: off,
-                len_words: len,
-            });
-            break;
-        }
-        let payload = words[off + 1..off + len].to_vec();
-
-        // A time anchor re-seeds the extender with the full 64-bit time.
-        if header.is_time_anchor() && !payload.is_empty() {
-            let full = payload[0];
-            match &mut extender {
-                Some(e) => {
-                    if full < e.last() {
-                        notes.push(GarbleNote::NonMonotonic { offset: off });
-                    }
-                    e.reseed(full);
-                }
-                None => extender = Some(WrapExtender::new(full)),
-            }
-        } else if off == 0 {
-            notes.push(GarbleNote::MissingAnchor);
-        }
-
-        let time = match &mut extender {
-            Some(e) => {
-                let prev = e.last();
-                let t = e.extend(header.timestamp);
-                if t < prev {
-                    notes.push(GarbleNote::NonMonotonic { offset: off });
-                }
-                t
-            }
-            None => match time_hint {
-                Some(hint) => {
-                    let mut e = WrapExtender::new(hint);
-                    let t = e.extend(header.timestamp);
-                    extender = Some(e);
-                    t
-                }
-                None => header.timestamp as u64,
-            },
-        };
-
-        if header.is_filler() {
-            filler_words += len;
-        }
-        events.push(RawEvent {
-            cpu,
-            seq,
-            offset: off,
-            time,
-            ts32: header.timestamp,
-            major: header.major,
-            minor: header.minor,
-            payload,
-        });
-        off += len;
-    }
-
-    let end_time = events.last().map(|e| e.time);
+    let mut walk = walk_buffer(words, time_hint);
+    // Room for three-word events without regrowing (the benchmark's mix
+    // averages 3.76 words an event); untouched capacity is never paged in.
+    let mut events = Vec::with_capacity(words.len() / 3);
+    events.extend(walk.by_ref().map(|v| v.to_raw(cpu, seq)));
     ParsedBuffer {
         events,
-        notes,
-        filler_words,
-        end_time,
+        filler_words: walk.filler_words(),
+        end_time: walk.end_time(),
+        notes: walk.into_notes(),
     }
 }
 
@@ -255,6 +468,25 @@ mod tests {
         let p = parse_buffer(0, 0, &words, None);
         assert_eq!(p.events.len(), 2);
         assert_eq!(p.notes, vec![GarbleNote::ZeroHeader { offset: 5 }]);
+    }
+
+    #[test]
+    fn walker_reads_in_place_and_stays_stopped_at_a_break() {
+        let mut words = anchor(1000, 0);
+        words.extend(event(1001, MajorId::TEST, 1, &[7, 8]));
+        words.push(0); // unwritten reservation
+        words.extend(event(1002, MajorId::TEST, 2, &[9])); // unreachable
+        let mut walk = walk_buffer(&words, None);
+        let views: Vec<EventView<'_>> = walk.by_ref().collect();
+        assert_eq!(views.len(), 2);
+        // The payload is the buffer's own words, not a copy.
+        assert!(std::ptr::eq(views[1].payload, &words[4..6]));
+        assert_eq!(walk.next(), None);
+        assert_eq!(walk.notes(), [GarbleNote::ZeroHeader { offset: 6 }]);
+        assert_eq!(walk.end_time(), Some(1001));
+        // parse_buffer is the same walk, collected.
+        let owned: Vec<RawEvent> = views.iter().map(|v| v.to_raw(3, 9)).collect();
+        assert_eq!(parse_buffer(3, 9, &words, None).events, owned);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! with clean buffer chains, for arbitrary buffer geometries.
 
 use ktrace_clock::ManualClock;
-use ktrace_core::{parse_buffer, Mode, TraceConfig, TraceLogger};
-use ktrace_format::MajorId;
+use ktrace_core::{parse_buffer, Mode, Payload, TraceConfig, TraceLogger};
+use ktrace_format::ids::control;
+use ktrace_format::{EventHeader, MajorId, MAX_PAYLOAD_WORDS};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -114,6 +115,56 @@ proptest! {
             prop_assert_eq!(got.major.raw(), want.major);
             prop_assert_eq!(got.minor, want.minor);
             prop_assert_eq!(&got.payload, &want.payload);
+        }
+    }
+
+    /// `Payload` holds short payloads inline and boxes long ones; either way
+    /// it must read exactly like the words it was built from. Lengths on
+    /// both sides of the inline capacity, and the longest an event can carry.
+    #[test]
+    fn payloads_of_every_length_read_like_their_words(seed in any::<u64>()) {
+        let mut word = seed;
+        let mut buffer = {
+            let anchor = EventHeader::new(1, 2, MajorId::CONTROL, control::TIME_ANCHOR).unwrap();
+            vec![anchor.encode(), 1, 0]
+        };
+        let mut logged = Vec::new();
+        for (i, len) in [0, 1, 2, 3, 4, 5, MAX_PAYLOAD_WORDS].into_iter().enumerate() {
+            let words: Vec<u64> = (0..len)
+                .map(|_| {
+                    word = word.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    word
+                })
+                .collect();
+            let payload = Payload::from(&words[..]);
+            prop_assert_eq!(&*payload, &words[..]);
+            prop_assert_eq!(&payload, &words);
+            let slice: &[u64] = &words;
+            prop_assert!(payload == *slice && payload == slice);
+            prop_assert_eq!(&payload.clone(), &payload);
+            prop_assert_eq!(&Payload::from(words.clone()), &payload);
+            prop_assert_eq!(&words.iter().copied().collect::<Payload>(), &payload);
+            prop_assert_eq!(format!("{payload:?}"), format!("{words:?}"));
+            let header = EventHeader::new(2 + i as u32, len, MajorId::TEST, i as u16).unwrap();
+            buffer.push(header.encode());
+            buffer.extend_from_slice(&words);
+            logged.push(words);
+        }
+
+        // A buffer of such events comes back word for word.
+        let parsed = parse_buffer(0, 0, &buffer, None);
+        prop_assert!(parsed.clean(), "{:?}", parsed.notes);
+        prop_assert_eq!(parsed.events.len(), 1 + logged.len());
+        let mut rebuilt = Vec::new();
+        for e in &parsed.events {
+            let header = EventHeader::new(e.ts32, e.payload.len(), e.major, e.minor).unwrap();
+            rebuilt.push(header.encode());
+            rebuilt.extend_from_slice(&e.payload);
+        }
+        prop_assert_eq!(&rebuilt, &buffer);
+        for (e, words) in parsed.events[1..].iter().zip(&logged) {
+            prop_assert_eq!(&e.payload, words);
+            prop_assert_eq!(&e.clone(), e);
         }
     }
 }

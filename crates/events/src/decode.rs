@@ -187,7 +187,7 @@ mod tests {
             ts32: 1,
             major,
             minor,
-            payload: payload.to_vec(),
+            payload: payload.into(),
         }
     }
 

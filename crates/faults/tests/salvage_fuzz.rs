@@ -1,12 +1,16 @@
 //! Property: no byte-level corruption of a valid trace file can panic the
 //! salvage reader. It must always return — with recovered events, a typed
-//! damage report, or both — never unwrap, index out of bounds, or OOM.
+//! damage report, or both — never unwrap, index out of bounds, or OOM. And
+//! what it returns is, for any image, exactly what its definition says: the
+//! events of the records it lists, each decoded on its own, in canonical
+//! order.
 
 use ktrace_clock::ManualClock;
-use ktrace_core::{TraceConfig, TraceLogger};
+use ktrace_core::{parse_buffer, RawEvent, TraceConfig, TraceLogger};
 use ktrace_faults::FileCorruptor;
 use ktrace_format::{EventRegistry, MajorId};
-use ktrace_io::{salvage_bytes, FileHeader, TraceFileWriter};
+use ktrace_io::file::{body_words, frame_record};
+use ktrace_io::{salvage_bytes, FileHeader, SalvageReport, TraceFileWriter};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -49,6 +53,60 @@ fn valid_trace(events_per_cpu: u64) -> Vec<u8> {
     w.finish().unwrap()
 }
 
+/// The definition salvage's lazy merge (and its fallback sort) must meet:
+/// `report.events` is the per-record `parse_buffer` output of the records
+/// the report lists — each CPU's time hint carried in file order — sorted by
+/// `order_key()`, and every record accounts for its own events and notes.
+fn check_against_definition(bytes: &[u8], report: &SalvageReport) -> Result<(), TestCaseError> {
+    let Some(header) = &report.header else {
+        prop_assert!(report.events.is_empty() && report.records.is_empty());
+        return Ok(());
+    };
+    let mut expected: Vec<RawEvent> = Vec::new();
+    let mut hints = vec![None; header.ncpus as usize];
+    for rec in &report.records {
+        let end = (rec.offset + header.record_size()).min(bytes.len());
+        prop_assert_eq!(rec.truncated, end - rec.offset < header.record_size());
+        let frame = frame_record(&bytes[rec.offset..end]).expect("a listed record frames");
+        prop_assert_eq!((frame.cpu, frame.seq), (rec.cpu, rec.seq));
+        let words: Vec<u64> = body_words(frame.body).collect();
+        let hint = hints[rec.cpu as usize];
+        let parsed = parse_buffer(rec.cpu as usize, rec.seq, &words, hint);
+        hints[rec.cpu as usize] = parsed.end_time.or(hint);
+        prop_assert_eq!(
+            rec.events,
+            parsed.events.len(),
+            "record at byte {}",
+            rec.offset
+        );
+        prop_assert_eq!(&rec.notes, &parsed.notes, "record at byte {}", rec.offset);
+        expected.extend(parsed.events);
+    }
+    prop_assert_eq!(
+        report.events.len(),
+        report.records.iter().map(|r| r.events).sum::<usize>()
+    );
+    prop_assert!(
+        report
+            .events
+            .windows(2)
+            .all(|w| w[0].order_key() <= w[1].order_key()),
+        "events out of order_key order"
+    );
+    // The same multiset. A record written twice repeats its keys, so order
+    // both sides by everything that tells two events apart.
+    let total = |e: &RawEvent| (e.order_key(), e.major.raw(), e.minor, e.payload.to_vec());
+    let mut got: Vec<&RawEvent> = report.events.iter().collect();
+    got.sort_by_key(|e| total(e));
+    let mut want: Vec<&RawEvent> = expected.iter().collect();
+    want.sort_by_key(|e| total(e));
+    prop_assert!(
+        got == want,
+        "recovered events differ from the listed records' events"
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -75,6 +133,7 @@ proptest! {
             report.records.iter().map(|r| r.events).sum::<usize>()
         );
         prop_assert!(report.skipped_bytes + report.trailing_bytes <= report.file_bytes);
+        check_against_definition(&bytes, &report)?;
     }
 
     /// Raw random overwrites at arbitrary offsets, bypassing the corruptor:
@@ -101,6 +160,7 @@ proptest! {
         if let Some(h) = &report.header {
             prop_assert!(report.events.iter().all(|e| (e.cpu as u32) < h.ncpus));
         }
+        check_against_definition(&bytes, &report)?;
     }
 
     /// Pure noise — not even a valid prefix — must yield an empty, typed

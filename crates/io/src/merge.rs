@@ -3,30 +3,100 @@
 //! Each CPU's records are internally time-ordered (the reservation loop
 //! guarantees it), so a global view is a k-way merge. Records are parsed
 //! lazily, one per CPU at a time, so merging a huge file streams instead of
-//! loading everything.
+//! loading everything. [`MergedEvents`] merges the records of an open
+//! [`TraceFileReader`]; salvage runs the same [`LazyMerge`] over the record
+//! slots it framed in a damaged image.
 
 use crate::error::IoError;
 use crate::reader::TraceFileReader;
-use ktrace_core::reader::{parse_buffer, RawEvent};
-use std::collections::VecDeque;
+use ktrace_core::reader::{parse_buffer, ParsedBuffer, RawEvent};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Seek};
 
 struct CpuCursor {
-    /// Record indices belonging to this CPU, in file (= seq) order.
+    /// Records belonging to this CPU still to decode, in file (= seq) order.
     records: VecDeque<usize>,
-    /// Events of the currently parsed record.
+    /// Undelivered events of the currently parsed record; its head is the
+    /// CPU's candidate for the merge, peeked in place.
     current: std::vec::IntoIter<RawEvent>,
-    /// Next event, peeked for merge ordering.
-    peeked: Option<RawEvent>,
     /// End-time hint carried across records for anchor-less buffers.
     hint: Option<u64>,
+}
+
+/// The k-way merge itself, over numbered records that the caller decodes on
+/// demand, one stream per CPU. Between calls every stream with records left
+/// holds at least one undelivered event: [`prime`](LazyMerge::prime) before
+/// the first [`pop`](LazyMerge::pop), and [`refill`](LazyMerge::refill) the
+/// popped stream after every pop.
+pub(crate) struct LazyMerge {
+    cursors: Vec<CpuCursor>,
+}
+
+impl LazyMerge {
+    /// A merge over each CPU's records, given in decode order. One stream
+    /// per CPU that *has* records: the per-event scan must not grow with a
+    /// CPU count that a (possibly damaged) header merely claims.
+    pub(crate) fn new(per_cpu: BTreeMap<u32, VecDeque<usize>>) -> LazyMerge {
+        LazyMerge {
+            cursors: per_cpu
+                .into_values()
+                .map(|records| CpuCursor {
+                    records,
+                    current: Vec::new().into_iter(),
+                    hint: None,
+                })
+                .collect(),
+        }
+    }
+
+    /// Gives every stream its first undelivered event.
+    pub(crate) fn prime<E>(
+        &mut self,
+        mut decode: impl FnMut(usize, Option<u64>) -> Result<ParsedBuffer, E>,
+    ) -> Result<(), E> {
+        (0..self.cursors.len()).try_for_each(|stream| self.refill(stream, &mut decode))
+    }
+
+    /// Decodes `stream`'s next records — `decode(record, time_hint)` — until
+    /// it has an undelivered event or runs out. After an `Err` the stream
+    /// holds no event, so `pop` never names it again: it has ended.
+    pub(crate) fn refill<E>(
+        &mut self,
+        stream: usize,
+        mut decode: impl FnMut(usize, Option<u64>) -> Result<ParsedBuffer, E>,
+    ) -> Result<(), E> {
+        let cursor = &mut self.cursors[stream];
+        while cursor.current.as_slice().is_empty() {
+            let Some(k) = cursor.records.pop_front() else {
+                break;
+            };
+            let parsed = decode(k, cursor.hint)?;
+            cursor.hint = parsed.end_time.or(cursor.hint);
+            cursor.current = parsed.events.into_iter();
+        }
+        Ok(())
+    }
+
+    /// The undelivered event smallest by [`RawEvent::order_key`], and the
+    /// stream it came from (to refill).
+    pub(crate) fn pop(&mut self) -> Option<(usize, RawEvent)> {
+        // A handful of streams: a linear scan beats heap bookkeeping.
+        let stream = self
+            .cursors
+            .iter()
+            .enumerate()
+            .filter_map(|(s, cur)| cur.current.as_slice().first().map(|e| (e.order_key(), s)))
+            .min()?
+            .1;
+        Some((stream, self.cursors[stream].current.next()?))
+    }
 }
 
 /// Iterator yielding all events of the selected records merged by
 /// [`RawEvent::order_key`] (timestamp order, ties broken by position).
 pub struct MergedEvents<'a, R: Read + Seek> {
     reader: &'a mut TraceFileReader<R>,
-    cursors: Vec<CpuCursor>,
+    merge: LazyMerge,
     error: Option<IoError>,
 }
 
@@ -38,31 +108,21 @@ impl<'a, R: Read + Seek> MergedEvents<'a, R> {
         mut records: Vec<usize>,
     ) -> Result<MergedEvents<'a, R>, IoError> {
         records.sort_unstable();
-        let ncpus = reader.header().ncpus as usize;
-        let mut per_cpu: Vec<VecDeque<usize>> = vec![VecDeque::new(); ncpus];
+        let ncpus = reader.header().ncpus;
+        let mut per_cpu: BTreeMap<u32, VecDeque<usize>> = BTreeMap::new();
         for k in records {
             let (cpu, _seq, _complete, _anchor) = reader.record_meta(k)?;
-            if (cpu as usize) < ncpus {
-                per_cpu[cpu as usize].push_back(k);
+            if cpu < ncpus {
+                per_cpu.entry(cpu).or_default().push_back(k);
             }
         }
-        let mut merged = MergedEvents {
+        let mut merge = LazyMerge::new(per_cpu);
+        merge.prime(|k, hint| decode_record(reader, k, hint))?;
+        Ok(MergedEvents {
             reader,
-            cursors: per_cpu
-                .into_iter()
-                .map(|records| CpuCursor {
-                    records,
-                    current: Vec::new().into_iter(),
-                    peeked: None,
-                    hint: None,
-                })
-                .collect(),
+            merge,
             error: None,
-        };
-        for cpu in 0..merged.cursors.len() {
-            merged.advance(cpu)?;
-        }
-        Ok(merged)
+        })
     }
 
     /// The I/O error that cut the merge short, if one occurred mid-stream.
@@ -70,51 +130,40 @@ impl<'a, R: Read + Seek> MergedEvents<'a, R> {
         self.error.as_ref()
     }
 
-    /// Refills `cursors[cpu].peeked`, parsing the next record when the
-    /// current one is exhausted.
-    fn advance(&mut self, cpu: usize) -> Result<(), IoError> {
-        loop {
-            if let Some(e) = self.cursors[cpu].current.next() {
-                self.cursors[cpu].peeked = Some(e);
-                return Ok(());
-            }
-            let Some(k) = self.cursors[cpu].records.pop_front() else {
-                self.cursors[cpu].peeked = None;
-                return Ok(());
-            };
-            let rec = self.reader.record(k)?;
-            let parsed = parse_buffer(
-                rec.cpu as usize,
-                rec.seq,
-                &rec.words,
-                self.cursors[cpu].hint,
-            );
-            self.cursors[cpu].hint = parsed.end_time.or(self.cursors[cpu].hint);
-            self.cursors[cpu].current = parsed.events.into_iter();
-        }
+    /// Ends the merge: `Err` with the I/O error that cut it short, if one
+    /// did — what a caller that collected the iterator must look at before
+    /// trusting what it collected.
+    pub fn finish(self) -> Result<(), IoError> {
+        self.error.map_or(Ok(()), Err)
     }
+}
+
+/// Reads and decodes record `k` for the merge.
+fn decode_record<R: Read + Seek>(
+    reader: &mut TraceFileReader<R>,
+    k: usize,
+    hint: Option<u64>,
+) -> Result<ParsedBuffer, IoError> {
+    let rec = reader.read_record(k)?;
+    Ok(parse_buffer(rec.cpu as usize, rec.seq, &rec.words, hint))
 }
 
 impl<R: Read + Seek> Iterator for MergedEvents<'_, R> {
     type Item = RawEvent;
 
     fn next(&mut self) -> Option<RawEvent> {
-        // ≤ 64 CPUs: a linear scan beats heap bookkeeping.
-        let cpu = self
-            .cursors
-            .iter()
-            .enumerate()
-            .filter_map(|(c, cur)| cur.peeked.as_ref().map(|e| (e.order_key(), c)))
-            .min()?
-            .1;
-        let event = self.cursors[cpu].peeked.take();
+        let (stream, event) = self.merge.pop()?;
         // An I/O error mid-stream ends that CPU's stream; the error is kept
-        // for io_error() so callers can tell "drained" from "died". The
-        // salvage module is the path that tolerates damage instead.
-        if let Err(e) = self.advance(cpu) {
+        // for io_error()/finish() so callers can tell "drained" from "died".
+        // The salvage module is the path that tolerates damage instead.
+        let reader = &mut *self.reader;
+        let refilled = self
+            .merge
+            .refill(stream, |k, hint| decode_record(reader, k, hint));
+        if let Err(e) = refilled {
             self.error = Some(e);
         }
-        event
+        Some(event)
     }
 }
 

@@ -12,11 +12,12 @@ use crate::merge::MergedEvents;
 use crate::trace::Trace;
 use ktrace_core::reader::{parse_buffer, GarbleNote, RawEvent};
 use ktrace_format::EventHeader;
+use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 /// One buffer record read back from a file.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BufferRecord {
     /// Index of the record in the file.
     pub index: usize,
@@ -51,6 +52,10 @@ pub struct TraceFileReader<R: Read + Seek> {
     header: FileHeader,
     data_start: u64,
     record_count: usize,
+    /// The bytes and the decoded form of the record read last, reused from
+    /// read to read ([`read_record`](Self::read_record)).
+    bytes: Vec<u8>,
+    scratch: BufferRecord,
 }
 
 impl TraceFileReader<std::io::BufReader<std::fs::File>> {
@@ -86,6 +91,8 @@ impl<R: Read + Seek> TraceFileReader<R> {
             header,
             data_start,
             record_count: (data_bytes / record_size) as usize,
+            bytes: Vec::new(),
+            scratch: BufferRecord::default(),
         })
     }
 
@@ -130,17 +137,26 @@ impl<R: Read + Seek> TraceFileReader<R> {
         })
     }
 
+    /// Reads record `index` in full into the reader's own record buffer,
+    /// which the next read overwrites: the allocation-free form of
+    /// [`record`](Self::record) for callers that decode and move on.
+    pub fn read_record(&mut self, index: usize) -> Result<&BufferRecord, IoError> {
+        let mut bytes = std::mem::take(&mut self.bytes);
+        bytes.resize(self.header.record_size(), 0);
+        let framed = self.read_frame(index, &mut bytes).map(|frame| {
+            let rec = &mut self.scratch;
+            (rec.index, rec.cpu, rec.seq) = (index, frame.cpu, frame.seq);
+            rec.complete = frame.complete;
+            rec.words.clear();
+            rec.words.extend(body_words(frame.body));
+        });
+        self.bytes = bytes;
+        framed.map(|()| &self.scratch)
+    }
+
     /// Reads record `index` in full.
     pub fn record(&mut self, index: usize) -> Result<BufferRecord, IoError> {
-        let mut bytes = vec![0u8; self.header.record_size()];
-        let frame = self.read_frame(index, &mut bytes)?;
-        Ok(BufferRecord {
-            index,
-            cpu: frame.cpu,
-            seq: frame.seq,
-            complete: frame.complete,
-            words: body_words(frame.body).collect(),
-        })
+        self.read_record(index).cloned()
     }
 
     /// Reads only a record's identity and anchor time (header + 3 words):
@@ -179,17 +195,16 @@ impl<R: Read + Seek> TraceFileReader<R> {
     /// that can overlap the window (via the anchor-time index).
     pub fn events_between(&mut self, t0: u64, t1: u64) -> Result<Vec<RawEvent>, IoError> {
         // Build the cheap index: (cpu, record, anchor time).
-        let mut per_cpu: Vec<Vec<(usize, Option<u64>)>> =
-            vec![Vec::new(); self.header.ncpus as usize];
+        let mut per_cpu: BTreeMap<u32, Vec<(usize, Option<u64>)>> = BTreeMap::new();
         for k in 0..self.record_count {
             let (cpu, _seq, _complete, anchor) = self.record_meta(k)?;
-            if (cpu as usize) < per_cpu.len() {
-                per_cpu[cpu as usize].push((k, anchor));
+            if cpu < self.header.ncpus {
+                per_cpu.entry(cpu).or_default().push((k, anchor));
             }
         }
         // A record spans [its anchor, next record-of-same-cpu's anchor).
         let mut wanted = Vec::new();
-        for records in &per_cpu {
+        for records in per_cpu.values() {
             for (i, &(k, start)) in records.iter().enumerate() {
                 let start = start.unwrap_or(0);
                 let end = records.get(i + 1).and_then(|&(_, a)| a).unwrap_or(u64::MAX);
@@ -199,8 +214,13 @@ impl<R: Read + Seek> TraceFileReader<R> {
             }
         }
         wanted.sort_unstable();
-        let merged = MergedEvents::over_records(self, wanted)?;
-        Ok(merged.filter(|e| e.time >= t0 && e.time < t1).collect())
+        let mut merged = MergedEvents::over_records(self, wanted)?;
+        let events = merged
+            .by_ref()
+            .filter(|e| e.time >= t0 && e.time < t1)
+            .collect();
+        merged.finish()?;
+        Ok(events)
     }
 
     /// Loads the whole file, or with `window = Some((t0, t1))` only the
@@ -210,7 +230,17 @@ impl<R: Read + Seek> TraceFileReader<R> {
     pub fn load(&mut self, window: Option<(u64, u64)>) -> Result<Trace, IoError> {
         let events = match window {
             Some((t0, t1)) => self.events_between(t0, t1)?,
-            None => self.events()?.collect(),
+            None => {
+                let mut events = Vec::new();
+                // Room for three-word events wall to wall; a reservation too
+                // big to grant is simply not made.
+                let per_record = self.header.buffer_words as usize / 3;
+                let _ = events.try_reserve(self.record_count.saturating_mul(per_record));
+                let mut merged = self.events()?;
+                events.extend(merged.by_ref());
+                merged.finish()?;
+                events
+            }
         };
         Ok(Trace::new(
             events,
@@ -386,6 +416,88 @@ mod tests {
             .notes
             .iter()
             .any(|n| matches!(n, GarbleNote::ZeroHeader { .. }))));
+    }
+
+    /// A good image whose `fail_on`-th read of a whole record errors: a disk
+    /// that dies after the metadata pass succeeded.
+    struct DiesMidRead {
+        image: Cursor<Vec<u8>>,
+        record_size: usize,
+        record_reads: usize,
+        fail_on: usize,
+    }
+
+    impl Read for DiesMidRead {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if buf.len() == self.record_size {
+                self.record_reads += 1;
+                if self.record_reads == self.fail_on {
+                    return Err(std::io::Error::other("injected read failure"));
+                }
+            }
+            self.image.read(buf)
+        }
+    }
+
+    impl Seek for DiesMidRead {
+        fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+            self.image.seek(pos)
+        }
+    }
+
+    #[test]
+    fn a_read_that_fails_mid_merge_is_an_error_not_a_shorter_trace() {
+        let (bytes, _) = sample_trace();
+        let (header, _) = FileHeader::decode(&bytes).unwrap();
+        let dying = |fail_on| {
+            TraceFileReader::new(DiesMidRead {
+                image: Cursor::new(bytes.clone()),
+                record_size: header.record_size(),
+                record_reads: 0,
+                fail_on,
+            })
+            .unwrap()
+        };
+        let records = dying(usize::MAX).record_count();
+        assert!(records > 4, "trace should span several buffers per cpu");
+        // Opening the merge reads each CPU's first record; the failure comes
+        // after that, on every later record in turn.
+        for fail_on in 3..=records {
+            let mut r = dying(fail_on);
+            assert!(
+                matches!(r.load(None), Err(IoError::Io(_))),
+                "load with read {fail_on} of {records} failing"
+            );
+            let mut r = dying(fail_on);
+            assert!(matches!(r.events_between(0, u64::MAX), Err(IoError::Io(_))));
+            // Iterating by hand still ends that CPU's stream and parks the
+            // error where the caller can find it.
+            let mut r = dying(fail_on);
+            let mut merged = r.events().unwrap();
+            let seen = merged.by_ref().count();
+            assert!(merged.io_error().is_some());
+            assert!(seen < dying(usize::MAX).events().unwrap().count());
+        }
+    }
+
+    #[test]
+    fn a_header_claiming_four_billion_cpus_sizes_nothing() {
+        // `ncpus` is outside input: nothing may be allocated, or scanned per
+        // event, in proportion to it. (Fixed header layout: magic 8, version
+        // 4, flags 4, then ncpus.)
+        let (bytes, _) = sample_trace();
+        let mut inflated = bytes.clone();
+        inflated[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut honest = TraceFileReader::new(Cursor::new(bytes)).unwrap();
+        let mut r = TraceFileReader::new(Cursor::new(inflated)).unwrap();
+        assert_eq!(r.header().ncpus, u32::MAX);
+        let all = honest.load(None).unwrap().events;
+        assert_eq!(r.load(None).unwrap().events, all);
+        let (lo, hi) = (all[all.len() / 4].time, all[all.len() / 2].time);
+        assert_eq!(
+            r.events_between(lo, hi).unwrap(),
+            honest.events_between(lo, hi).unwrap()
+        );
     }
 
     #[test]

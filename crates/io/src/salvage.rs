@@ -13,7 +13,10 @@
 
 use crate::error::IoError;
 use crate::file::{body_words, frame_record, FileHeader, RecordFrame, RECORD_HEADER_BYTES};
+use crate::merge::LazyMerge;
 use ktrace_core::reader::{parse_buffer, GarbleNote, RawEvent};
+use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -242,9 +245,10 @@ pub fn salvage_bytes(bytes: &[u8]) -> SalvageReport {
     report.header_ok = true;
     let record_size = header.record_size();
     let ncpus = header.ncpus;
-    let mut hints: Vec<Option<u64>> = vec![None; ncpus as usize];
     report.header = Some(header);
 
+    // Tolerant framing: find every record slot, decode none.
+    let mut per_cpu: BTreeMap<u32, VecDeque<usize>> = BTreeMap::new();
     let mut pos = header_len;
     while pos < bytes.len() {
         if bytes.len() - pos < RECORD_HEADER_BYTES {
@@ -271,30 +275,55 @@ pub fn salvage_bytes(bytes: &[u8]) -> SalvageReport {
                 }
             }
         };
-        let (cpu, seq) = (frame.cpu, frame.seq);
         let avail = record_size.min(bytes.len() - pos);
         let truncated = avail < record_size;
-        let words: Vec<u64> = body_words(&frame.body[..avail - RECORD_HEADER_BYTES]).collect();
-        let hint = hints[cpu as usize];
-        let parsed = parse_buffer(cpu as usize, seq, &words, hint);
-        hints[cpu as usize] = parsed.end_time.or(hint);
+        per_cpu
+            .entry(frame.cpu)
+            .or_default()
+            .push_back(report.records.len());
         report.records.push(SalvagedRecord {
             offset: pos,
-            cpu,
-            seq,
+            cpu: frame.cpu,
+            seq: frame.seq,
             complete: frame.complete,
             truncated,
-            events: parsed.events.len(),
-            notes: parsed.notes,
+            events: 0,
+            notes: Vec::new(),
         });
         if truncated {
             report.trailing_bytes += avail;
         }
-        report.events.extend(parsed.events);
         pos += avail;
     }
 
-    // Global merge, in the order MergedEvents yields.
+    // The reader's lazy per-CPU merge over those slots: each is decoded once,
+    // when its CPU's stream reaches it, and only one per CPU is held decoded.
+    let mut words: Vec<u64> = Vec::new();
+    let records = &mut report.records;
+    let mut decode = |slot: usize, hint: Option<u64>| {
+        let rec = &mut records[slot];
+        let end = (rec.offset + record_size).min(bytes.len());
+        words.clear();
+        words.extend(body_words(&bytes[rec.offset + RECORD_HEADER_BYTES..end]));
+        let mut parsed = parse_buffer(rec.cpu as usize, rec.seq, &words, hint);
+        rec.events = parsed.events.len();
+        rec.notes = std::mem::take(&mut parsed.notes);
+        Ok::<_, Infallible>(parsed)
+    };
+    // Room for three-word events wall to wall, if it can be had.
+    let _ = report
+        .events
+        .try_reserve((bytes.len() - header_len) / 8 / 3);
+    let mut merge = LazyMerge::new(per_cpu);
+    let Ok(()) = merge.prime(&mut decode);
+    while let Some((stream, event)) = merge.pop() {
+        report.events.push(event);
+        let Ok(()) = merge.refill(stream, &mut decode);
+    }
+
+    // The merge is in `order_key` order when every CPU's stream is — true of
+    // honest streams, where this sort is one scan. A garbled stream (rewound
+    // times, a record written twice) is put in order here.
     report.events.sort_by_key(RawEvent::order_key);
     report
 }
@@ -458,6 +487,19 @@ mod tests {
         let mut r = TraceFileReader::new(Cursor::new(repaired)).unwrap();
         assert_eq!(r.record_count(), report.clean_records());
         assert!(r.anomalies().unwrap().is_empty(), "repaired file is clean");
+    }
+
+    #[test]
+    fn a_header_claiming_four_billion_cpus_sizes_nothing() {
+        // A flipped bit in `ncpus` (bytes 16..20 of the fixed header) must
+        // cost neither memory nor a per-event scan over CPUs that never
+        // logged.
+        let bytes = sample_trace(2, 200);
+        let mut inflated = bytes.clone();
+        inflated[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let report = salvage_bytes(&inflated);
+        assert!(report.header_ok);
+        assert_eq!(report.events, strict_events(&bytes));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::error::IoError;
 use crate::file::FileHeader;
 use crate::writer::TraceFileWriter;
 use ktrace_clock::ClockSource;
-use ktrace_core::{parse_buffer, CoreError, LoggerStats, TraceConfig, TraceLogger};
+use ktrace_core::{walk_buffer, CoreError, LoggerStats, TraceConfig, TraceLogger};
 use ktrace_telemetry::TelemetrySnapshot;
 use std::io::Write;
 use std::path::Path;
@@ -146,10 +146,10 @@ impl TraceSession {
         ) -> bool {
             let tel = logger.telemetry().clone();
             // A dropped buffer loses every data event already committed into
-            // it; parse the words we're about to discard so the loss is
+            // it; walk the words we're about to discard so the loss is
             // accounted exactly (control events don't count).
-            fn count_lost(cpu: usize, seq: u64, words: &[u64]) -> u64 {
-                parse_buffer(cpu, seq, words, None).data_events().count() as u64
+            fn count_lost(words: &[u64]) -> u64 {
+                walk_buffer(words, None).filter(|e| !e.is_control()).count() as u64
             }
             let mut drained_any = false;
             for cpu in 0..logger.ncpus() {
@@ -157,7 +157,7 @@ impl TraceSession {
                     drained_any = true;
                     if stats.sink_error.is_some() {
                         stats.buffers_dropped += 1;
-                        let lost = count_lost(cpu, buf.seq, &buf.words);
+                        let lost = count_lost(&buf.words);
                         stats.events_lost += lost;
                         tel.sink().tally_buffer_dropped(lost);
                         continue;
@@ -178,7 +178,7 @@ impl TraceSession {
                         Err(e) => {
                             stats.sink_error = Some(e.to_string());
                             stats.buffers_dropped += 1;
-                            let lost = count_lost(cpu, buf.seq, &buf.words);
+                            let lost = count_lost(&buf.words);
                             stats.events_lost += lost;
                             tel.sink().tally_buffer_dropped(lost);
                         }

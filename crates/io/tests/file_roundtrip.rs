@@ -62,7 +62,7 @@ proptest! {
             prop_assert!(Some(e.order_key()) >= last_key, "merge order violated");
             last_key = Some(e.order_key());
             if !e.is_control() {
-                got[e.cpu].push((e.major.raw(), e.minor, e.payload));
+                got[e.cpu].push((e.major.raw(), e.minor, e.payload.to_vec()));
             }
         }
         prop_assert_eq!(&got, &expected);

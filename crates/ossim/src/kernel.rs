@@ -416,7 +416,7 @@ mod tests {
             .logger()
             .flight_dump(10_000, Some(&[major]))
             .into_iter()
-            .map(|e| (e.minor, e.payload))
+            .map(|e| (e.minor, e.payload.to_vec()))
             .collect()
     }
 

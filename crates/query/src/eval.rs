@@ -1,12 +1,14 @@
 //! Expression evaluation over a [`Trace`].
 //!
-//! [`Query`] carries a built [`EventIndex`] and evaluates aggregations two
-//! ways: [`Query::eval`] extracts conservative time/CPU bounds from the
-//! predicate's top-level conjunction and walks only the index candidates,
-//! while [`Query::eval_naive`] is the deliberately simple reference
-//! interpreter that scans every event. Both must always agree — the
-//! property-test suite generates random expressions and random streams and
-//! asserts exactly that.
+//! One evaluator: a [`Fold`] is an aggregation's accumulator, fed one event
+//! at a time in canonical order. [`Query::eval`] runs one fold over the
+//! candidates the index yields for the predicate's conservative bounds;
+//! [`Spec::check`](crate::Spec::check) runs every property's fold over one
+//! walk of the trace. [`Query::eval_naive`] is the deliberately simple
+//! reference interpreter — collect the matching events, then aggregate —
+//! that shares nothing with `Fold` but [`pred_matches`] and [`field_value`].
+//! Both must always agree: the property-test suite generates random
+//! expressions and random streams and asserts exactly that.
 
 use crate::expr::{Agg, Assertion, CmpOp, Field, Pred, SpanSpec};
 use crate::index::{Bounds, EventIndex};
@@ -39,9 +41,10 @@ pub fn pred_matches(pred: &Pred, e: &RawEvent) -> bool {
 }
 
 /// Conservative candidate bounds for `pred`: only comparisons in the
-/// TOP-LEVEL `&` chain narrow the window — anything under `|` or `!` could
-/// admit events outside it, so those subtrees are ignored. The result may
-/// over-approximate; the full predicate is always re-applied.
+/// TOP-LEVEL `&` chain narrow the time window or pin the CPU or the major —
+/// anything under `|` or `!` could admit events outside them, so those
+/// subtrees are ignored. The result may over-approximate; the full
+/// predicate is always re-applied.
 pub fn pred_bounds(pred: &Pred) -> Bounds {
     let mut b = Bounds::unbounded();
     collect_bounds(pred, &mut b);
@@ -75,11 +78,17 @@ fn collect_bounds(pred: &Pred, b: &mut Bounds) {
             CmpOp::Ge => b.t_lo = b.t_lo.max(*v),
             CmpOp::Ne => {}
         },
-        Pred::Cmp(Field::Cpu, CmpOp::Eq, v) => match b.cpu {
-            Some(c) if c != *v => b.empty = true,
-            _ => b.cpu = Some(*v),
-        },
+        Pred::Cmp(Field::Cpu, CmpOp::Eq, v) => pin(&mut b.cpu, *v, &mut b.empty),
+        Pred::Cmp(Field::Major, CmpOp::Eq, v) => pin(&mut b.major, *v, &mut b.empty),
         _ => {}
+    }
+}
+
+/// Pins `slot` to `v`; two different pins under one `&` match nothing.
+fn pin(slot: &mut Option<u64>, v: u64, empty: &mut bool) {
+    match *slot {
+        Some(pinned) if pinned != v => *empty = true,
+        _ => *slot = Some(v),
     }
 }
 
@@ -99,7 +108,8 @@ pub struct SpanScan {
 }
 
 /// Pairs open/close endpoints per key (LIFO when one key nests) over
-/// `events`, which must be in canonical order.
+/// `events`, which must be in canonical order. The reference pairing
+/// [`Query::eval_naive`] uses.
 pub fn scan_spans<'a, I>(events: I, s: &SpanSpec) -> SpanScan
 where
     I: IntoIterator<Item = &'a RawEvent>,
@@ -128,6 +138,145 @@ where
     scan
 }
 
+/// One aggregation being evaluated: its accumulator, fed events one at a
+/// time in canonical order by [`offer`](Fold::offer) and read by
+/// [`finish`](Fold::finish). State is bounded by the aggregation, not the
+/// trace: a counter, a watermark, or the open spans per key.
+#[derive(Debug)]
+pub struct Fold<'a> {
+    agg: &'a Agg,
+    bounds: Bounds,
+    acc: Acc,
+}
+
+#[derive(Debug)]
+enum Acc {
+    /// `count` and `rate`: matches so far.
+    Count(u64),
+    /// `sum`: wrapping sum of the field over matches that have it.
+    Sum(u64),
+    /// `max`: largest field value over matches that have it.
+    Max(u64),
+    /// `max_gap`: the previous match's time, and the widest gap so far.
+    Gap { last: Option<u64>, widest: u64 },
+    /// `max_duration` and `unpaired`: open times per key, innermost last.
+    Spans {
+        open: HashMap<u64, Vec<u64>>,
+        longest: u64,
+        unopened: u64,
+    },
+}
+
+impl<'a> Fold<'a> {
+    /// An empty accumulator for `agg`.
+    pub fn new(agg: &'a Agg) -> Fold<'a> {
+        let (bounds, acc) = match agg {
+            Agg::Count(p) | Agg::Rate(p) => (pred_bounds(p), Acc::Count(0)),
+            Agg::Sum(p, _) => (pred_bounds(p), Acc::Sum(0)),
+            Agg::Max(p, _) => (pred_bounds(p), Acc::Max(0)),
+            Agg::MaxGap(p) => (
+                pred_bounds(p),
+                Acc::Gap {
+                    last: None,
+                    widest: 0,
+                },
+            ),
+            Agg::MaxDuration(s) | Agg::Unpaired(s) => (
+                // A span's endpoints all carry its major.
+                Bounds {
+                    major: Some(u64::from(s.major.raw())),
+                    ..Bounds::unbounded()
+                },
+                Acc::Spans {
+                    open: HashMap::new(),
+                    longest: 0,
+                    unopened: 0,
+                },
+            ),
+        };
+        Fold { agg, bounds, acc }
+    }
+
+    /// Bounds outside which no event can move this fold: offering only the
+    /// events inside them is an optimisation, never a requirement.
+    pub fn bounds(&self) -> &Bounds {
+        &self.bounds
+    }
+
+    /// Feeds one event. Events must arrive in canonical order; one the
+    /// aggregation does not match leaves the fold as it was.
+    pub fn offer(&mut self, e: &RawEvent) {
+        match (self.agg, &mut self.acc) {
+            (Agg::Count(p) | Agg::Rate(p), Acc::Count(n)) => {
+                if pred_matches(p, e) {
+                    *n += 1;
+                }
+            }
+            (Agg::Sum(p, field), Acc::Sum(sum)) => {
+                if pred_matches(p, e) {
+                    *sum = sum.wrapping_add(field_value(e, *field).unwrap_or(0));
+                }
+            }
+            (Agg::Max(p, field), Acc::Max(max)) => {
+                if pred_matches(p, e) {
+                    *max = (*max).max(field_value(e, *field).unwrap_or(0));
+                }
+            }
+            (Agg::MaxGap(p), Acc::Gap { last, widest }) => {
+                if pred_matches(p, e) {
+                    if let Some(prev) = last.replace(e.time) {
+                        *widest = (*widest).max(e.time.saturating_sub(prev));
+                    }
+                }
+            }
+            (
+                Agg::MaxDuration(s) | Agg::Unpaired(s),
+                Acc::Spans {
+                    open,
+                    longest,
+                    unopened,
+                },
+            ) => {
+                if e.major != s.major {
+                    return;
+                }
+                let Some(&key) = e.payload.get(s.key) else {
+                    return;
+                };
+                if e.minor == s.open {
+                    open.entry(key).or_default().push(e.time);
+                } else if e.minor == s.close {
+                    match open.get_mut(&key).and_then(Vec::pop) {
+                        Some(opened_at) => {
+                            *longest = (*longest).max(e.time.saturating_sub(opened_at));
+                        }
+                        None => *unopened += 1,
+                    }
+                }
+            }
+            _ => unreachable!("Fold::new pairs every aggregation with its accumulator"),
+        }
+    }
+
+    /// The aggregation's value over the events offered. `trace` supplies
+    /// what `rate` divides by: the data span and the clock rate.
+    pub fn finish(self, trace: &Trace) -> u64 {
+        match (self.agg, self.acc) {
+            (Agg::Rate(_), Acc::Count(n)) => {
+                let span = trace.span().max(1) as u128;
+                let per_sec = n as u128 * trace.ticks_per_sec as u128 / span;
+                u64::try_from(per_sec).unwrap_or(u64::MAX)
+            }
+            (_, Acc::Count(v) | Acc::Sum(v) | Acc::Max(v)) => v,
+            (_, Acc::Gap { widest, .. }) => widest,
+            (Agg::MaxDuration(_), Acc::Spans { longest, .. }) => longest,
+            (_, Acc::Spans { open, unopened, .. }) => {
+                unopened + open.values().map(|stack| stack.len() as u64).sum::<u64>()
+            }
+        }
+    }
+}
+
 /// A queryable trace: one [`Trace`] plus its index.
 #[derive(Debug, Clone)]
 pub struct Query {
@@ -136,10 +285,13 @@ pub struct Query {
 }
 
 impl Query {
-    /// Wraps an already-loaded trace.
+    /// Wraps an already-loaded trace. The index costs nothing until a
+    /// CPU-pinned predicate asks for its per-CPU lists.
     pub fn new(trace: Trace) -> Query {
-        let index = EventIndex::build(&trace);
-        Query { trace, index }
+        Query {
+            trace,
+            index: EventIndex::default(),
+        }
     }
 
     /// Loads a source and wraps the result.
@@ -152,37 +304,22 @@ impl Query {
         &self.trace
     }
 
-    /// Evaluates via the index: candidates come from the extracted
-    /// time/CPU bounds, then the full predicate re-filters them.
+    /// Evaluates one [`Fold`] over the index's candidates for the
+    /// aggregation's bounds.
     pub fn eval(&self, agg: &Agg) -> u64 {
-        self.eval_with(agg, |pred| {
-            let bounds = pred_bounds(pred);
-            self.index.candidates(&self.trace, &bounds)
-        })
+        let mut fold = Fold::new(agg);
+        for e in self.index.candidates(&self.trace, fold.bounds()) {
+            fold.offer(e);
+        }
+        fold.finish(&self.trace)
     }
 
-    /// Evaluates by scanning every event — the reference semantics the
-    /// indexed path must reproduce.
+    /// Evaluates by collecting every matching event of a full scan and then
+    /// aggregating — the reference semantics [`Fold`] must reproduce.
     pub fn eval_naive(&self, agg: &Agg) -> u64 {
-        self.eval_with(agg, |_| Box::new(self.trace.events.iter()))
-    }
-
-    /// Evaluates the assertion (indexed), returning the measured value and
-    /// whether the bound holds.
-    pub fn check(&self, assertion: &Assertion) -> (u64, bool) {
-        let actual = self.eval(&assertion.agg);
-        (actual, assertion.holds(actual))
-    }
-
-    fn eval_with<'a, F>(&'a self, agg: &Agg, select: F) -> u64
-    where
-        F: Fn(&Pred) -> Box<dyn Iterator<Item = &'a RawEvent> + 'a>,
-    {
-        let matching = |pred: &Pred| {
-            let pred = pred.clone();
-            select(&pred)
-                .filter(move |e| pred_matches(&pred, e))
-                .collect::<Vec<&RawEvent>>()
+        let matching = |pred: &Pred| -> Vec<&RawEvent> {
+            let events = self.trace.events.iter();
+            events.filter(|e| pred_matches(pred, e)).collect()
         };
         match agg {
             Agg::Count(p) => matching(p).len() as u64,
@@ -201,17 +338,21 @@ impl Query {
                 let per_sec = n * self.trace.ticks_per_sec as u128 / span;
                 u64::try_from(per_sec).unwrap_or(u64::MAX)
             }
-            Agg::MaxGap(p) => {
-                let events = matching(p);
-                events
-                    .windows(2)
-                    .map(|w| w[1].time.saturating_sub(w[0].time))
-                    .max()
-                    .unwrap_or(0)
-            }
+            Agg::MaxGap(p) => matching(p)
+                .windows(2)
+                .map(|w| w[1].time.saturating_sub(w[0].time))
+                .max()
+                .unwrap_or(0),
             Agg::MaxDuration(s) => scan_spans(self.trace.events.iter(), s).max_duration,
             Agg::Unpaired(s) => scan_spans(self.trace.events.iter(), s).unpaired,
         }
+    }
+
+    /// Evaluates the assertion (indexed), returning the measured value and
+    /// whether the bound holds.
+    pub fn check(&self, assertion: &Assertion) -> (u64, bool) {
+        let actual = self.eval(&assertion.agg);
+        (actual, assertion.holds(actual))
     }
 }
 
@@ -230,7 +371,7 @@ mod tests {
             ts32: time as u32,
             major,
             minor,
-            payload: payload.to_vec(),
+            payload: payload.into(),
         }
     }
 

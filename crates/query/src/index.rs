@@ -7,13 +7,16 @@
 //! offset)`, time bounds become binary searches over the event array, and a
 //! per-CPU position list (positions ascend, and the global order is
 //! time-major, so each list is time-sorted too) makes `cpu == k` queries
-//! touch only that CPU's events.
+//! touch only that CPU's events. Time seeks need nothing built; the per-CPU
+//! lists are built by the first request that pins a CPU.
 
 use ktrace_core::reader::RawEvent;
 use ktrace_io::Trace;
+use std::sync::OnceLock;
 
-/// Conservative candidate bounds extracted from a predicate: a time window
-/// and an optional exact CPU. `hi` is exclusive; `None` means unbounded.
+/// Conservative candidate bounds extracted from a predicate: a time window,
+/// an optional exact CPU and an optional exact major. `hi` is exclusive;
+/// `None` means unbounded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bounds {
     /// Inclusive lower time bound.
@@ -22,6 +25,10 @@ pub struct Bounds {
     pub t_hi: Option<u64>,
     /// Exact CPU, when the predicate pins one.
     pub cpu: Option<u64>,
+    /// Exact major (raw value), when the predicate pins one. The index has
+    /// no per-major list, so [`EventIndex::candidates`] ignores it; a walk
+    /// feeding several folds uses it to pick the folds an event can move.
+    pub major: Option<u64>,
     /// True when the bounds are known unsatisfiable (e.g. `time > u64::MAX`).
     pub empty: bool,
 }
@@ -33,6 +40,7 @@ impl Bounds {
             t_lo: 0,
             t_hi: None,
             cpu: None,
+            major: None,
             empty: false,
         }
     }
@@ -43,23 +51,34 @@ impl Bounds {
     }
 }
 
-/// Per-CPU and time-range random access over one [`Trace`].
-#[derive(Debug, Clone)]
+/// Per-CPU and time-range random access over one [`Trace`]. The default
+/// index is unbuilt: its per-CPU lists are filled in by the first
+/// [`candidates`](EventIndex::candidates) call that pins a CPU, from the
+/// trace that call passes — so one index serves one trace.
+#[derive(Debug, Clone, Default)]
 pub struct EventIndex {
     /// For each CPU (dense, indexed by `cpu`), the ascending positions of
     /// its events in the trace's global order.
-    by_cpu: Vec<Vec<u32>>,
+    by_cpu: OnceLock<Vec<Vec<u32>>>,
 }
 
 impl EventIndex {
-    /// Builds the index for `trace`.
+    /// Builds the index for `trace`, per-CPU lists included.
     pub fn build(trace: &Trace) -> EventIndex {
-        let ncpus = trace.events.iter().map(|e| e.cpu + 1).max().unwrap_or(0);
-        let mut by_cpu = vec![Vec::new(); ncpus];
-        for (pos, e) in trace.events.iter().enumerate() {
-            by_cpu[e.cpu].push(pos as u32);
-        }
-        EventIndex { by_cpu }
+        let index = EventIndex::default();
+        index.by_cpu(trace);
+        index
+    }
+
+    fn by_cpu(&self, trace: &Trace) -> &[Vec<u32>] {
+        self.by_cpu.get_or_init(|| {
+            let ncpus = trace.events.iter().map(|e| e.cpu + 1).max().unwrap_or(0);
+            let mut by_cpu = vec![Vec::new(); ncpus];
+            for (pos, e) in trace.events.iter().enumerate() {
+                by_cpu[e.cpu].push(pos as u32);
+            }
+            by_cpu
+        })
     }
 
     /// The contiguous global range of events inside `[t_lo, t_hi)`.
@@ -90,7 +109,7 @@ impl EventIndex {
             let Ok(cpu) = usize::try_from(cpu) else {
                 return Box::new(std::iter::empty());
             };
-            let Some(positions) = self.by_cpu.get(cpu) else {
+            let Some(positions) = self.by_cpu(trace).get(cpu) else {
                 return Box::new(std::iter::empty());
             };
             let lo = bounds.t_lo;
@@ -123,7 +142,7 @@ mod tests {
                 ts32: (i * 5) as u32,
                 major: MajorId::TEST,
                 minor: i as u16,
-                payload: vec![],
+                payload: vec![].into(),
             })
             .collect();
         Trace::new(events, EventRegistry::with_builtin(), 1_000)
@@ -137,6 +156,7 @@ mod tests {
             t_lo: 12,
             t_hi: Some(61),
             cpu: None,
+            major: None,
             empty: false,
         };
         let seek: Vec<u64> = idx.candidates(&s, &bounds).map(|e| e.time).collect();
@@ -159,6 +179,7 @@ mod tests {
             t_lo: 10,
             t_hi: Some(80),
             cpu: Some(1),
+            major: None,
             empty: false,
         };
         let got: Vec<u64> = idx.candidates(&s, &bounds).map(|e| e.time).collect();

@@ -211,7 +211,7 @@ mod tests {
             ts32: time as u32,
             major: MajorId::TEST,
             minor,
-            payload: vec![],
+            payload: vec![].into(),
         }
     }
 

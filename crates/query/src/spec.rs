@@ -8,14 +8,16 @@
 //! check = "count(major == CONTROL & minor == 2) == 0"
 //! ```
 //!
-//! [`Spec::check`] evaluates every property against one [`Query`] and
-//! returns a [`Report`] on the shared verify/srclint exit-code table: each
-//! violated property maps to the assertion band (codes 36–39) by its
-//! aggregation class, so CI can tell *which kind* of property broke from
-//! the exit code alone.
+//! [`Spec::check`] evaluates every property in one walk of a [`Query`]'s
+//! trace and returns a [`Report`] on the shared verify/srclint exit-code
+//! table: each violated property maps to the assertion band (codes 36–39)
+//! by its aggregation class, so CI can tell *which kind* of property broke
+//! from the exit code alone.
 
-use crate::eval::Query;
+use crate::eval::{Fold, Query};
 use crate::expr::{parse_assertion, Agg, Assertion};
+use crate::index::Bounds;
+use ktrace_format::NUM_MAJOR_IDS;
 use ktrace_verify::{Report, ViolationKind};
 use std::fmt;
 use std::path::Path;
@@ -151,15 +153,42 @@ impl Spec {
         Spec::parse(&text)
     }
 
-    /// Evaluates every property against `query`, reporting each violated
-    /// one on the shared exit-code table.
+    /// Evaluates every property against `query` in one walk of its trace,
+    /// reporting each violated one on the shared exit-code table.
     pub fn check(&self, query: &Query) -> Report {
+        let trace = query.trace();
+        let mut folds: Vec<Fold<'_>> = self
+            .properties
+            .iter()
+            .map(|p| Fold::new(&p.assertion.agg))
+            .collect();
+        // An event is offered only to the folds it can move: those pinned to
+        // its major, and those pinned to none. (The last slot takes whatever
+        // is outside the ID space, so nothing can index out of range.)
+        let slot =
+            |major: u64| usize::try_from(major).map_or(NUM_MAJOR_IDS, |m| m.min(NUM_MAJOR_IDS));
+        let mut by_major: Vec<Vec<usize>> = vec![Vec::new(); NUM_MAJOR_IDS + 1];
+        for (i, fold) in folds.iter().enumerate() {
+            match fold.bounds() {
+                Bounds { empty: true, .. } => {}
+                Bounds { major: Some(m), .. } => by_major[slot(*m)].push(i),
+                _ => by_major.iter_mut().for_each(|list| list.push(i)),
+            }
+        }
+
         let mut report = Report::new();
-        report.events_checked = query.trace().events.len();
-        report.data_events_checked = query.trace().data_events().count();
-        for p in &self.properties {
-            let (actual, holds) = query.check(&p.assertion);
-            if !holds {
+        report.events_checked = trace.events.len();
+        for e in &trace.events {
+            if !e.is_control() {
+                report.data_events_checked += 1;
+            }
+            for &i in &by_major[slot(u64::from(e.major.raw()))] {
+                folds[i].offer(e);
+            }
+        }
+        for (p, fold) in self.properties.iter().zip(folds) {
+            let actual = fold.finish(trace);
+            if !p.assertion.holds(actual) {
                 report.push(
                     violation_kind(&p.assertion.agg),
                     None,
@@ -210,7 +239,7 @@ check = "unpaired(span(LOCK, 2 -> 3, key = payload[0])) == 0"
             ts32: time as u32,
             major,
             minor,
-            payload: payload.to_vec(),
+            payload: payload.into(),
         }
     }
 

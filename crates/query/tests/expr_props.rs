@@ -5,7 +5,9 @@
 //! 1. **Round-trip**: the canonical printer output re-parses to the
 //!    identical AST (`parse(print(x)) == x`).
 //! 2. **Agreement**: the indexed evaluator and the naive reference
-//!    interpreter return the same value on any event stream.
+//!    interpreter return the same value on any event stream — one fold at
+//!    a time through `Query::eval`, and every property of a spec at once
+//!    through `Spec::check`'s single walk.
 //!
 //! The vendored proptest stub has no recursive strategies, so ASTs are
 //! built deterministically from a generated seed via a splitmix64 word
@@ -15,8 +17,8 @@
 use ktrace_core::reader::RawEvent;
 use ktrace_format::{EventRegistry, MajorId};
 use ktrace_query::{
-    parse_agg, parse_assertion, parse_pred, Agg, Assertion, CmpOp, Field, Pred, Query, SpanSpec,
-    Trace,
+    parse_agg, parse_assertion, parse_pred, Agg, Assertion, CmpOp, Field, Pred, Property, Query,
+    SpanSpec, Spec, Trace,
 };
 use proptest::prelude::*;
 
@@ -221,5 +223,65 @@ proptest! {
             let agg = parse_agg(&text).unwrap();
             prop_assert_eq!(query.eval(&agg), query.eval_naive(&agg), "{}", text);
         }
+    }
+
+    #[test]
+    fn spec_check_agrees_with_naive_on_every_property(seed in any::<u64>(), n in 0usize..120) {
+        let mut g = Gen::new(seed);
+        let query = Query::new(gen_set(&mut g, n));
+        // Shapes the major pin must narrow on, and shapes it must not: a pin
+        // may come only from `major == X` in the top-level `&` chain.
+        // X and Y are majors the generated events carry.
+        let majors = [0u64, 4, 5, 63, 23];
+        let x = majors[g.below(5) as usize];
+        let y = majors[g.below(5) as usize];
+        let pin_shapes = [
+            format!("count(major == {x})"),
+            format!("count(major == {x} & minor == {})", g.below(6)),
+            format!("count(major != {x})"),
+            format!("count(!(major == {x}))"),
+            format!("count(major == {x} | cpu == 1)"),
+            format!("count(major == {x} & major == {y})"),
+            format!("sum(major == {x} & (major == {y} | time >= {}), time)", g.below(1_000)),
+            format!("max_gap(payload[0] == {} & major == {x})", g.below(16)),
+        ];
+        let aggs: Vec<Agg> = (0..1 + g.below(6))
+            .map(|_| {
+                if g.below(2) == 0 {
+                    parse_agg(&pin_shapes[g.below(pin_shapes.len() as u64) as usize]).unwrap()
+                } else {
+                    gen_agg(&mut g)
+                }
+            })
+            .collect();
+        // `agg != naive` holds exactly when the fold disagrees with the
+        // reference, so an agreeing engine violates every property and each
+        // violation reports the fold's actual.
+        let naive: Vec<u64> = aggs.iter().map(|agg| query.eval_naive(agg)).collect();
+        let spec = Spec {
+            properties: aggs
+                .iter()
+                .zip(&naive)
+                .enumerate()
+                .map(|(i, (agg, &bound))| Property {
+                    name: format!("p{i}"),
+                    assertion: Assertion { agg: agg.clone(), op: CmpOp::Ne, bound },
+                })
+                .collect(),
+        };
+        let report = spec.check(&query);
+        let details: Vec<&str> = report.violations.iter().map(|v| v.detail.as_str()).collect();
+        let expected: Vec<String> = spec
+            .properties
+            .iter()
+            .zip(&naive)
+            .map(|(p, actual)| format!("property '{}': {} (actual {actual})", p.name, p.assertion))
+            .collect();
+        prop_assert_eq!(details, expected, "seed {} over {} events", seed, n);
+        prop_assert_eq!(
+            report.data_events_checked,
+            query.trace().events.iter().filter(|e| !e.is_control()).count()
+        );
+        prop_assert_eq!(report.events_checked, n);
     }
 }

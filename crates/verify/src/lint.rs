@@ -19,8 +19,8 @@
 //!   have a descriptor, and every descriptor's template must agree with its
 //!   field spec.
 
-use crate::report::{Report, ViolationKind};
-use ktrace_core::reader::parse_buffer;
+use crate::report::{Report, Violation, ViolationKind};
+use ktrace_core::reader::walk_buffer;
 use ktrace_core::{CompletedBuffer, GarbleNote, RegionSnapshot};
 use ktrace_format::pack::WordUnpacker;
 use ktrace_format::{EventDescriptor, EventRegistry, FieldToken};
@@ -105,38 +105,19 @@ impl StreamLinter {
             );
         }
 
+        // One walk, nothing materialised. A buffer's decode notes are
+        // reported before its per-event findings, but are only complete once
+        // the walk ends — so the findings go straight into the report and
+        // the notes are slotted in ahead of them afterwards.
+        let notes_at = self.report.violations.len();
         let hint = self.last_time.get(&cpu).copied();
-        let parsed = parse_buffer(cpu, seq, words, hint);
-        for note in &parsed.notes {
-            let (kind, offset, what) = match note {
-                GarbleNote::ZeroHeader { offset } => (
-                    ViolationKind::GarbledCommit,
-                    Some(*offset),
-                    "zero header: a reservation that was never written".to_string(),
-                ),
-                GarbleNote::Overrun { offset, len_words } => (
-                    ViolationKind::LengthMismatch,
-                    Some(*offset),
-                    format!("declared length {len_words} words runs past the buffer end"),
-                ),
-                GarbleNote::MissingAnchor => (
-                    ViolationKind::MissingAnchor,
-                    Some(0),
-                    "buffer does not begin with a time anchor".to_string(),
-                ),
-                GarbleNote::NonMonotonic { offset } => (
-                    ViolationKind::NonMonotonicTimestamp,
-                    Some(*offset),
-                    "timestamp stepped backwards within the buffer".to_string(),
-                ),
-            };
-            self.report.push(kind, Some(cpu), Some(seq), offset, what);
-        }
-
+        let mut walk = walk_buffer(words, hint);
         let mut filler_seen = false;
         let mut prev_time = hint;
-        for e in &parsed.events {
+        let mut end = None;
+        for e in walk.by_ref() {
             self.report.events_checked += 1;
+            end = Some(e.offset + e.len_words());
 
             if let Some(prev) = prev_time {
                 if e.time < prev {
@@ -164,7 +145,7 @@ impl StreamLinter {
                 filler_seen = true;
                 continue;
             }
-            if e.major != ktrace_format::MajorId::CONTROL {
+            if !e.is_control() {
                 self.report.data_events_checked += 1;
             }
 
@@ -179,7 +160,7 @@ impl StreamLinter {
                     );
                 }
                 Some(desc) => {
-                    if let Some(mismatch) = spec_length_mismatch(desc, &e.payload) {
+                    if let Some(mismatch) = spec_length_mismatch(desc, e.payload) {
                         self.report.push(
                             ViolationKind::LengthMismatch,
                             Some(cpu),
@@ -192,26 +173,56 @@ impl StreamLinter {
             }
         }
 
+        let noted = walk.notes().iter().map(|note| {
+            let (kind, offset, detail) = match note {
+                GarbleNote::ZeroHeader { offset } => (
+                    ViolationKind::GarbledCommit,
+                    *offset,
+                    "zero header: a reservation that was never written".to_string(),
+                ),
+                GarbleNote::Overrun { offset, len_words } => (
+                    ViolationKind::LengthMismatch,
+                    *offset,
+                    format!("declared length {len_words} words runs past the buffer end"),
+                ),
+                GarbleNote::MissingAnchor => (
+                    ViolationKind::MissingAnchor,
+                    0,
+                    "buffer does not begin with a time anchor".to_string(),
+                ),
+                GarbleNote::NonMonotonic { offset } => (
+                    ViolationKind::NonMonotonicTimestamp,
+                    *offset,
+                    "timestamp stepped backwards within the buffer".to_string(),
+                ),
+            };
+            Violation {
+                kind,
+                cpu: Some(cpu),
+                seq: Some(seq),
+                offset: Some(offset),
+                detail,
+            }
+        });
+        self.report.violations.splice(notes_at..notes_at, noted);
+
         // Fillers realign the stream to the buffer boundary: the filler chain
         // must run exactly to the end of a closed buffer.
-        if filler_seen && !partial && parsed.notes.is_empty() {
-            let end = parsed.events.last().map(|e| e.offset + e.len_words());
-            if end != Some(words.len()) {
-                self.report.push(
-                    ViolationKind::FillerMisaligned,
-                    Some(cpu),
-                    Some(seq),
-                    end,
-                    format!(
-                        "filler chain ends at word {} of {}",
-                        end.unwrap_or(0),
-                        words.len()
-                    ),
-                );
-            }
+        if filler_seen && !partial && walk.notes().is_empty() && end != Some(words.len()) {
+            self.report.push(
+                ViolationKind::FillerMisaligned,
+                Some(cpu),
+                Some(seq),
+                end,
+                format!(
+                    "filler chain ends at word {} of {}",
+                    end.unwrap_or(0),
+                    words.len()
+                ),
+            );
         }
 
-        if let Some(t) = parsed.end_time {
+        if let Some(t) = walk.end_time() {
             let slot = self.last_time.entry(cpu).or_insert(t);
             *slot = (*slot).max(t);
         }
@@ -315,7 +326,7 @@ pub fn lint_open_reader<R: Read + Seek>(reader: &mut TraceFileReader<R>) -> Repo
     let mut report = lint_registry(&header.registry);
     let mut linter = StreamLinter::new(header.registry.clone(), buffer_words);
     for k in 0..reader.record_count() {
-        match reader.record(k) {
+        match reader.read_record(k) {
             Ok(rec) => {
                 linter.lint_buffer(
                     rec.cpu as usize,

@@ -298,7 +298,7 @@ mod tests {
             ts32: time as u32,
             major,
             minor,
-            payload: payload.to_vec(),
+            payload: payload.into(),
         }
     }
 

@@ -1,5 +1,11 @@
 //! End-to-end linter tests: a clean trace file lints clean, and each seeded
 //! corruption produces its own distinct violation kind / exit code.
+//!
+//! Every rendered report is also pinned, line for line, by a fixture under
+//! `tests/fixtures/` — that is what holds the *order* violations are reported
+//! in (a buffer's decode notes before its per-event findings). After an
+//! intentional change: `KTRACE_BLESS=1 cargo test -p ktrace-verify --test
+//! lint_corruption`.
 
 use ktrace_clock::ManualClock;
 use ktrace_core::{TraceConfig, TraceLogger};
@@ -8,6 +14,7 @@ use ktrace_io::file::{FileHeader, RECORD_HEADER_BYTES};
 use ktrace_io::{TraceFileReader, TraceFileWriter};
 use ktrace_verify::{lint_file, ViolationKind};
 use std::io::Cursor;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 fn test_registry() -> EventRegistry {
@@ -95,10 +102,29 @@ fn record_of(bytes: &[u8], cpu: u32, seq: u64) -> usize {
     panic!("no cpu{cpu} record with seq {seq} in sample trace");
 }
 
+fn assert_matches_fixture(name: &str, rendered: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    if std::env::var("KTRACE_BLESS").is_ok() {
+        std::fs::write(&path, rendered).expect("write fixture");
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .expect("fixture missing: run with KTRACE_BLESS=1 to create it");
+    assert_eq!(
+        rendered, expected,
+        "{name} drifted from the committed fixture; if the change is \
+         intentional, regenerate with KTRACE_BLESS=1"
+    );
+}
+
 #[test]
 fn clean_trace_lints_clean() {
     let path = write_temp("clean.ktrace", &sample_trace(true));
     let report = lint_file(&path).unwrap();
+    assert_matches_fixture("lint_clean.txt", &report.render());
     assert!(report.is_clean(), "{}", report.render());
     assert!(
         report.buffers_checked > 2,
@@ -115,6 +141,7 @@ fn truncated_file_reports_truncated_buffer() {
     bytes.truncate(cut);
     let path = write_temp("truncated.ktrace", &bytes);
     let report = lint_file(&path).unwrap();
+    assert_matches_fixture("lint_truncated.txt", &report.render());
     assert_eq!(
         report.kinds(),
         vec![ViolationKind::TruncatedBuffer],
@@ -135,6 +162,7 @@ fn cleared_commit_flag_reports_garbled_commit() {
     bytes[flags_at] &= !1; // clear RECORD_FLAG_COMPLETE
     let path = write_temp("garbled-flag.ktrace", &bytes);
     let report = lint_file(&path).unwrap();
+    assert_matches_fixture("lint_cleared_commit_flag.txt", &report.render());
     assert_eq!(
         report.kinds(),
         vec![ViolationKind::GarbledCommit],
@@ -152,6 +180,7 @@ fn zeroed_header_word_reports_garbled_commit() {
     bytes[word..word + 8].fill(0);
     let path = write_temp("garbled-zero.ktrace", &bytes);
     let report = lint_file(&path).unwrap();
+    assert_matches_fixture("lint_zeroed_header.txt", &report.render());
     assert!(
         report.kinds().contains(&ViolationKind::GarbledCommit),
         "{}",
@@ -174,6 +203,7 @@ fn rewound_timestamp_reports_non_monotonic() {
     bytes[hdr_at..hdr_at + 8].copy_from_slice(&rewound.to_le_bytes());
     let path = write_temp("rewound.ktrace", &bytes);
     let report = lint_file(&path).unwrap();
+    assert_matches_fixture("lint_rewound_timestamp.txt", &report.render());
     assert!(
         report
             .kinds()
@@ -193,6 +223,7 @@ fn rewound_timestamp_reports_non_monotonic() {
 fn undeclared_events_reported() {
     let path = write_temp("undeclared.ktrace", &sample_trace(false));
     let report = lint_file(&path).unwrap();
+    assert_matches_fixture("lint_undeclared.txt", &report.render());
     assert_eq!(
         report.kinds(),
         vec![ViolationKind::UndeclaredEvent],
@@ -203,4 +234,31 @@ fn undeclared_events_reported() {
         report.exit_code(),
         ViolationKind::UndeclaredEvent.exit_code()
     );
+}
+
+#[test]
+fn two_corruptions_in_one_buffer_report_notes_before_event_findings() {
+    let mut bytes = sample_trace(true);
+    // In cpu0's first buffer: retag the first data event (word 3) with a
+    // minor nobody registered, and zero the header ten events later
+    // (word 33). The zero header is a decode note, the retagged event a
+    // per-event finding: the report lists the note first although it sits
+    // later in the buffer.
+    let words_at = record_offset(&bytes, record_of(&bytes, 0, 0)) + RECORD_HEADER_BYTES;
+    let retag_at = words_at + 3 * 8;
+    let word = u64::from_le_bytes(bytes[retag_at..retag_at + 8].try_into().unwrap());
+    bytes[retag_at..retag_at + 8].copy_from_slice(&((word & !0xffff) | 99).to_le_bytes());
+    let zero_at = words_at + 33 * 8;
+    bytes[zero_at..zero_at + 8].fill(0);
+    let path = write_temp("two-in-one.ktrace", &bytes);
+    let report = lint_file(&path).unwrap();
+    assert_matches_fixture("lint_two_in_one_buffer.txt", &report.render());
+    assert_eq!(
+        report.kinds(),
+        vec![ViolationKind::GarbledCommit, ViolationKind::UndeclaredEvent],
+        "{}",
+        report.render()
+    );
+    let at = |kind| report.violations.iter().position(|v| v.kind == kind);
+    assert!(at(ViolationKind::GarbledCommit) < at(ViolationKind::UndeclaredEvent));
 }
