@@ -18,11 +18,11 @@ use crate::table::ns_as_secs;
 use ktrace_events::decode::{lock_events, LockEv};
 use ktrace_events::{func, unpack_chain};
 use ktrace_format::MajorId;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// Aggregated contention for one (lock, call chain, pid) instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LockRow {
     /// Lock identity.
     pub lock_id: u64,
@@ -65,8 +65,10 @@ pub struct LockStats {
 impl LockStats {
     /// Aggregates lock events from a trace.
     pub fn compute(trace: &Trace) -> LockStats {
-        let tid_pid = tid_to_pid(trace);
-        let mut rows: HashMap<(u64, u64, u64), LockRow> = HashMap::new();
+        // Per (lock, chain, tid) first, so that pids are recovered for the
+        // threads that took locks and no others; sums, counts and maxima
+        // fold by pid afterwards into the same rows.
+        let mut by_tid: HashMap<(u64, u64, u64), LockRow> = HashMap::new();
         for (_, ev) in lock_events(trace.of_major(MajorId::LOCK)) {
             let LockEv::Acquired {
                 lock: lock_id,
@@ -78,17 +80,7 @@ impl LockStats {
             else {
                 continue;
             };
-            let pid = tid_pid.get(&tid).copied().unwrap_or(0);
-            let row = rows.entry((lock_id, chain, pid)).or_insert(LockRow {
-                lock_id,
-                chain,
-                pid,
-                wait_ns: 0,
-                contended: 0,
-                acquisitions: 0,
-                spins: 0,
-                max_wait_ns: 0,
-            });
+            let row = by_tid.entry((lock_id, chain, tid)).or_default();
             row.acquisitions += 1;
             row.spins += spins;
             row.wait_ns += wait_ns;
@@ -96,6 +88,23 @@ impl LockStats {
             if wait_ns > 0 || spins > 0 {
                 row.contended += 1;
             }
+        }
+        let tids: HashSet<u64> = by_tid.keys().map(|&(_, _, tid)| tid).collect();
+        let tid_pid = tid_to_pid(trace, |tid| tids.contains(&tid));
+        let mut rows: HashMap<(u64, u64, u64), LockRow> = HashMap::new();
+        for ((lock_id, chain, tid), part) in by_tid {
+            let pid = tid_pid.get(&tid).copied().unwrap_or(0);
+            let row = rows.entry((lock_id, chain, pid)).or_insert(LockRow {
+                lock_id,
+                chain,
+                pid,
+                ..LockRow::default()
+            });
+            row.acquisitions += part.acquisitions;
+            row.spins += part.spins;
+            row.wait_ns += part.wait_ns;
+            row.max_wait_ns = row.max_wait_ns.max(part.max_wait_ns);
+            row.contended += part.contended;
         }
         let mut stats = LockStats {
             rows: rows.into_values().collect(),
@@ -199,6 +208,41 @@ mod tests {
         assert_eq!(top.spins, 200);
         assert_eq!(top.max_wait_ns, 3_000);
         assert_eq!(stats.total_wait_ns(), 4_000 + 500 + 200);
+    }
+
+    #[test]
+    fn a_thread_has_one_pid_the_last_seen_wherever_its_acquisitions_lie() {
+        let chain = pack_chain(&[func::GMALLOC]);
+        let stats = LockStats::compute(&trace(vec![
+            // Thread 100 takes the lock before any event introduces it.
+            acquired(10, 0x100, 100, chain, 1, 100),
+            ev(0, 20, MajorId::SCHED, sched::THREAD_START, &[100, 1]),
+            // Thread 200 starts in pid 2 and is last seen in pid 3.
+            ev(0, 25, MajorId::SCHED, sched::THREAD_START, &[200, 2]),
+            acquired(30, 0x100, 200, chain, 2, 200),
+            ev(0, 40, MajorId::SCHED, sched::CTX_SWITCH, &[0, 200, 3]),
+            acquired(50, 0x100, 200, chain, 4, 400),
+            // A second thread of pid 1 folds into its row; thread 300 takes
+            // no lock and makes none.
+            ev(0, 60, MajorId::SCHED, sched::THREAD_START, &[101, 1]),
+            acquired(70, 0x100, 101, chain, 0, 0),
+            ev(0, 80, MajorId::SCHED, sched::THREAD_START, &[300, 9]),
+        ]));
+        let rows: Vec<(u64, u64, u64, u64, u64, u64)> = stats
+            .rows
+            .iter()
+            .map(|r| {
+                (
+                    r.pid,
+                    r.acquisitions,
+                    r.contended,
+                    r.spins,
+                    r.wait_ns,
+                    r.max_wait_ns,
+                )
+            })
+            .collect();
+        assert_eq!(rows, vec![(3, 2, 2, 6, 600, 400), (1, 2, 1, 1, 100, 100)]);
     }
 
     #[test]

@@ -10,20 +10,21 @@ use ktrace_format::MajorId;
 pub use ktrace_io::Trace;
 use std::collections::HashMap;
 
-/// A map from thread ID to process ID, recovered from scheduler events.
-pub fn tid_to_pid(trace: &Trace) -> HashMap<u64, u64> {
+/// A map from thread ID to process ID for the threads `wanted` admits,
+/// recovered from scheduler events wherever in the trace they lie; a thread
+/// seen under several pids keeps the last.
+pub fn tid_to_pid(trace: &Trace, wanted: impl Fn(u64) -> bool) -> HashMap<u64, u64> {
     let mut map = HashMap::new();
     for (_, ev) in sched_events(trace.of_major(MajorId::SCHED)) {
-        match ev {
-            SchedEv::ThreadStart { tid, pid } | SchedEv::ThreadExit { tid, pid } => {
-                map.insert(tid, pid);
-            }
+        let (tid, pid) = match ev {
+            SchedEv::ThreadStart { tid, pid } | SchedEv::ThreadExit { tid, pid } => (tid, pid),
             SchedEv::CtxSwitch {
                 new_tid, new_pid, ..
-            } => {
-                map.insert(new_tid, new_pid);
-            }
-            _ => {}
+            } => (new_tid, new_pid),
+            _ => continue,
+        };
+        if wanted(tid) {
+            map.insert(tid, pid);
         }
     }
     map
@@ -102,7 +103,11 @@ mod tests {
             ev(0, 1, MajorId::SCHED, sched::THREAD_START, &[0x100, 7]),
             ev(0, 2, MajorId::SCHED, sched::CTX_SWITCH, &[0, 0x200, 9]),
         ]);
-        let map = tid_to_pid(&t);
+        let map = tid_to_pid(&t, |_| true);
+        assert_eq!(
+            tid_to_pid(&t, |tid| tid == 0x200),
+            HashMap::from([(0x200, 9)])
+        );
         assert_eq!(map[&0x100], 7);
         assert_eq!(map[&0x200], 9);
     }

@@ -73,7 +73,7 @@ proptest! {
         let w = trace.clone().window(t0.min(t1), t0.max(t1));
         prop_assert!(w.events.len() <= trace.events.len());
         let _ = trace.seconds(probe);
-        let _ = ktrace_analysis::model::tid_to_pid(&trace);
+        let _ = ktrace_analysis::model::tid_to_pid(&trace, |_| true);
         let _ = ktrace_analysis::model::pid_names(&trace);
     }
 }

@@ -56,7 +56,8 @@ pub use config::{Mode, TraceConfig, ANCHOR_WORDS, DROPPED_WORDS};
 pub use error::CoreError;
 pub use logger::{CpuHandle, FlightDump, LoggerStats, RestrictedHandle, TraceLogger};
 pub use reader::{
-    parse_buffer, walk_buffer, BufferWalker, EventView, GarbleNote, ParsedBuffer, Payload, RawEvent,
+    parse_buffer, walk_buffer, BufferWalker, EventView, GarbleNote, ParsedBuffer, Payload,
+    RawEvent, WalkState,
 };
 pub use region::{CompletedBuffer, RegionSnapshot};
 pub use sample::SampleGate;

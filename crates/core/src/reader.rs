@@ -197,6 +197,7 @@ impl EventView<'_> {
     }
 
     /// The owned event, as part of buffer `seq` of `cpu`'s region.
+    #[inline]
     pub fn to_raw(&self, cpu: usize, seq: u64) -> RawEvent {
         RawEvent {
             cpu,
@@ -239,16 +240,18 @@ pub enum GarbleNote {
     },
 }
 
-/// The decode loop over one buffer's words: an iterator of [`EventView`]s
-/// that stops at the buffer's end or its first undecodable header, keeping
-/// the notes, filler accounting and end time a [`ParsedBuffer`] reports.
-/// Iterate it (`by_ref()`), then read those off.
-#[derive(Debug, Clone)]
-pub struct BufferWalker<'a> {
-    /// The words still to walk are `words[off..]`; a broken chain truncates
-    /// `words` to where it broke.
-    words: &'a [u64],
+/// The decode loop's state between events, apart from the words it walks:
+/// the next header's offset, the time reconstruction, and the notes, filler
+/// accounting and end time a [`ParsedBuffer`] reports. A caller that owns
+/// its buffer (the merge's per-CPU cursor) keeps one of these beside the
+/// words and calls [`step`](WalkState::step); everyone else borrows the
+/// words into a [`BufferWalker`], which is the iterator over the same step.
+#[derive(Debug, Clone, Default)]
+pub struct WalkState {
     off: usize,
+    /// Set where the chain broke: nothing past an undecodable header is an
+    /// event, whatever the words there look like.
+    broken: bool,
     time_hint: Option<u64>,
     extender: Option<WrapExtender>,
     notes: Vec<GarbleNote>,
@@ -256,30 +259,22 @@ pub struct BufferWalker<'a> {
     end_time: Option<u64>,
 }
 
-/// Starts decoding a buffer's words.
-///
-/// `time_hint` supplies an approximate full timestamp (e.g. the previous
-/// buffer's `end_time`) used when the buffer's own anchor is missing or
-/// damaged.
-pub fn walk_buffer(words: &[u64], time_hint: Option<u64>) -> BufferWalker<'_> {
-    BufferWalker {
-        words,
-        off: 0,
-        time_hint,
-        extender: None,
-        notes: Vec::new(),
-        filler_words: 0,
-        end_time: None,
+impl WalkState {
+    /// The state before a buffer's first event; `time_hint` as for
+    /// [`walk_buffer`].
+    pub fn new(time_hint: Option<u64>) -> WalkState {
+        WalkState {
+            time_hint,
+            ..WalkState::default()
+        }
     }
-}
 
-impl BufferWalker<'_> {
     /// Anomalies found so far, in the order decoding met them.
     pub fn notes(&self) -> &[GarbleNote] {
         &self.notes
     }
 
-    /// Consumes the walker, returning its anomalies.
+    /// Consumes the state, returning its anomalies.
     pub fn into_notes(self) -> Vec<GarbleNote> {
         self.notes
     }
@@ -297,17 +292,18 @@ impl BufferWalker<'_> {
     /// Ends the walk where the chain broke.
     fn garbled(&mut self, note: GarbleNote) {
         self.notes.push(note);
-        self.words = &self.words[..self.off];
+        self.broken = true;
     }
-}
 
-impl<'a> Iterator for BufferWalker<'a> {
-    type Item = EventView<'a>;
-
+    /// Decodes the next event of `words` — the same buffer on every call —
+    /// or `None` at the buffer's end or its first undecodable header. The
+    /// workspace's one place an [`EventHeader`] becomes an event.
     #[inline]
-    fn next(&mut self) -> Option<EventView<'a>> {
+    pub fn step<'a>(&mut self, words: &'a [u64]) -> Option<EventView<'a>> {
+        if self.broken {
+            return None;
+        }
         let off = self.off;
-        let words = self.words;
         let Ok(header) = EventHeader::decode(*words.get(off)?) else {
             self.garbled(GarbleNote::ZeroHeader { offset: off });
             return None;
@@ -370,6 +366,52 @@ impl<'a> Iterator for BufferWalker<'a> {
             minor: header.minor,
             payload,
         })
+    }
+}
+
+/// [`WalkState::step`] as an iterator over borrowed words: [`EventView`]s up
+/// to the buffer's end or its first undecodable header. Iterate it
+/// (`by_ref()`), then read the notes, filler accounting and end time off it.
+#[derive(Debug, Clone)]
+pub struct BufferWalker<'a> {
+    words: &'a [u64],
+    state: WalkState,
+}
+
+/// Starts decoding a buffer's words.
+///
+/// `time_hint` supplies an approximate full timestamp (e.g. the previous
+/// buffer's `end_time`) used when the buffer's own anchor is missing or
+/// damaged.
+pub fn walk_buffer(words: &[u64], time_hint: Option<u64>) -> BufferWalker<'_> {
+    BufferWalker {
+        words,
+        state: WalkState::new(time_hint),
+    }
+}
+
+impl BufferWalker<'_> {
+    /// Consumes the walker, returning its anomalies.
+    pub fn into_notes(self) -> Vec<GarbleNote> {
+        self.state.into_notes()
+    }
+}
+
+/// `notes()`, `filler_words()` and `end_time()` are the state's.
+impl Deref for BufferWalker<'_> {
+    type Target = WalkState;
+
+    fn deref(&self) -> &WalkState {
+        &self.state
+    }
+}
+
+impl<'a> Iterator for BufferWalker<'a> {
+    type Item = EventView<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<EventView<'a>> {
+        self.state.step(self.words)
     }
 }
 

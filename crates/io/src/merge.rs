@@ -5,90 +5,218 @@
 //! lazily, one per CPU at a time, so merging a huge file streams instead of
 //! loading everything. [`MergedEvents`] merges the records of an open
 //! [`TraceFileReader`]; salvage runs the same [`LazyMerge`] over the record
-//! slots it framed in a damaged image.
+//! slots it framed in a damaged image. Each CPU's cursor walks its current
+//! record where the words lie and builds a [`RawEvent`] only when the merge
+//! delivers it, straight into the caller's `Vec` or the iterator's item.
 
 use crate::error::IoError;
 use crate::reader::TraceFileReader;
-use ktrace_core::reader::{parse_buffer, ParsedBuffer, RawEvent};
+use ktrace_core::reader::{EventView, GarbleNote, RawEvent, WalkState};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Seek};
 
+/// What [`RawEvent::order_key`] returns.
+type OrderKey = (u64, usize, u64, usize);
+
+/// Where a merge's numbered records come from.
+pub(crate) trait RecordSource {
+    /// Why a record could not be had.
+    type Error;
+
+    /// Replaces `words` with record `k`'s buffer words; returns its
+    /// `(cpu, seq, complete)`.
+    fn fetch(&mut self, k: usize, words: &mut Vec<u64>) -> Result<(u32, u64, bool), Self::Error>;
+
+    /// Record `k` has been walked to its end: the events it yielded and the
+    /// notes the walk took.
+    fn walked(&mut self, _k: usize, _events: usize, _notes: Vec<GarbleNote>) {}
+}
+
+/// What a cursor keeps of its head between runs: the view's fixed fields,
+/// over no words. The payload stays where it lies — the `payload_len` words
+/// after the header at `offset`, in the cursor's words — until the event is
+/// delivered.
+#[derive(Clone, Copy)]
+struct Head {
+    fixed: EventView<'static>,
+    payload_len: usize,
+}
+
+impl Head {
+    fn of(v: &EventView<'_>) -> Head {
+        Head {
+            fixed: EventView {
+                offset: v.offset,
+                time: v.time,
+                ts32: v.ts32,
+                major: v.major,
+                minor: v.minor,
+                payload: &[],
+            },
+            payload_len: v.payload.len(),
+        }
+    }
+
+    /// The view again, over the words it was taken from.
+    fn view<'a>(&self, words: &'a [u64]) -> EventView<'a> {
+        EventView {
+            payload: &words[self.fixed.offset + 1..][..self.payload_len],
+            ..self.fixed
+        }
+    }
+}
+
+#[derive(Default)]
 struct CpuCursor {
-    /// Records belonging to this CPU still to decode, in file (= seq) order.
+    /// Records belonging to this CPU still to walk, in file (= seq) order.
     records: VecDeque<usize>,
-    /// Undelivered events of the currently parsed record; its head is the
-    /// CPU's candidate for the merge, peeked in place.
-    current: std::vec::IntoIter<RawEvent>,
+    /// The record being walked — its index, identity and words — and the
+    /// walk over them, one event ahead of what has been delivered.
+    record: Option<usize>,
+    cpu: usize,
+    seq: u64,
+    words: Vec<u64>,
+    walk: WalkState,
+    /// Events the walk has yielded from this record so far.
+    yielded: usize,
+    /// The undelivered event the walk stands after: the CPU's candidate for
+    /// the merge.
+    head: Option<Head>,
     /// End-time hint carried across records for anchor-less buffers.
     hint: Option<u64>,
 }
 
-/// The k-way merge itself, over numbered records that the caller decodes on
-/// demand, one stream per CPU. Between calls every stream with records left
-/// holds at least one undelivered event: [`prime`](LazyMerge::prime) before
-/// the first [`pop`](LazyMerge::pop), and [`refill`](LazyMerge::refill) the
-/// popped stream after every pop.
+impl CpuCursor {
+    /// Steps to the next undelivered event, fetching this CPU's next records
+    /// as the walk runs off each. After an `Err`, or out of records, the
+    /// cursor has no head and the merge never names it again: it has ended.
+    fn advance<S: RecordSource>(&mut self, source: &mut S) -> Result<(), S::Error> {
+        self.head = None;
+        loop {
+            if let Some(v) = self.walk.step(&self.words) {
+                self.yielded += 1;
+                self.head = Some(Head::of(&v));
+                return Ok(());
+            }
+            self.hint = self.walk.end_time().or(self.hint);
+            let walk = std::mem::replace(&mut self.walk, WalkState::new(self.hint));
+            if let Some(k) = self.record.take() {
+                source.walked(k, self.yielded, walk.into_notes());
+            }
+            self.words.clear();
+            let Some(k) = self.records.pop_front() else {
+                return Ok(());
+            };
+            let (cpu, seq, _complete) = source.fetch(k, &mut self.words)?;
+            (self.cpu, self.seq) = (cpu as usize, seq);
+            (self.record, self.yielded) = (Some(k), 0);
+        }
+    }
+
+    /// Delivers this stream's events into `out` for as long as they do not
+    /// pass `bound`, each built where it will stay; inside a record the head
+    /// is a borrowed view and is parked as a [`Head`] only where the run
+    /// ends. Returns whether every key followed `last`, which it moves on.
+    fn run<S: RecordSource>(
+        &mut self,
+        bound: Option<OrderKey>,
+        last: &mut OrderKey,
+        out: &mut Vec<RawEvent>,
+        source: &mut S,
+    ) -> Result<bool, S::Error> {
+        let mut ordered = true;
+        while let Some(head) = self.head.take() {
+            let (cpu, seq) = (self.cpu, self.seq);
+            let mut next = Some(head.view(&self.words));
+            while let Some(v) = next {
+                let key = (v.time, cpu, seq, v.offset);
+                if bound.is_some_and(|b| key > b) {
+                    self.head = Some(Head::of(&v));
+                    return Ok(ordered);
+                }
+                ordered &= *last <= key;
+                *last = key;
+                out.push(v.to_raw(cpu, seq));
+                next = self.walk.step(&self.words);
+                self.yielded += usize::from(next.is_some());
+            }
+            self.advance(source)?;
+        }
+        Ok(ordered)
+    }
+}
+
+/// The k-way merge itself, over numbered records fetched on demand, one
+/// stream per CPU, each holding one record's words and a resumable walk over
+/// them. Every stream with events left holds its next one as a head;
+/// [`pop`](LazyMerge::pop) delivers the smallest, and
+/// [`drain_into`](LazyMerge::drain_into) all that are left.
 pub(crate) struct LazyMerge {
     cursors: Vec<CpuCursor>,
 }
 
 impl LazyMerge {
-    /// A merge over each CPU's records, given in decode order. One stream
-    /// per CPU that *has* records: the per-event scan must not grow with a
-    /// CPU count that a (possibly damaged) header merely claims.
-    pub(crate) fn new(per_cpu: BTreeMap<u32, VecDeque<usize>>) -> LazyMerge {
-        LazyMerge {
-            cursors: per_cpu
-                .into_values()
-                .map(|records| CpuCursor {
-                    records,
-                    current: Vec::new().into_iter(),
-                    hint: None,
-                })
-                .collect(),
-        }
+    /// A merge over each CPU's records, given in decode order, every stream
+    /// at its first event. One stream per CPU that *has* records: the
+    /// per-event scan must not grow with a CPU count that a (possibly
+    /// damaged) header merely claims.
+    pub(crate) fn new<S: RecordSource>(
+        per_cpu: BTreeMap<u32, VecDeque<usize>>,
+        source: &mut S,
+    ) -> Result<LazyMerge, S::Error> {
+        let mut cursors: Vec<CpuCursor> = per_cpu
+            .into_values()
+            .map(|records| CpuCursor {
+                records,
+                ..CpuCursor::default()
+            })
+            .collect();
+        cursors.iter_mut().try_for_each(|c| c.advance(source))?;
+        Ok(LazyMerge { cursors })
     }
 
-    /// Gives every stream its first undelivered event.
-    pub(crate) fn prime<E>(
-        &mut self,
-        mut decode: impl FnMut(usize, Option<u64>) -> Result<ParsedBuffer, E>,
-    ) -> Result<(), E> {
-        (0..self.cursors.len()).try_for_each(|stream| self.refill(stream, &mut decode))
-    }
-
-    /// Decodes `stream`'s next records — `decode(record, time_hint)` — until
-    /// it has an undelivered event or runs out. After an `Err` the stream
-    /// holds no event, so `pop` never names it again: it has ended.
-    pub(crate) fn refill<E>(
-        &mut self,
-        stream: usize,
-        mut decode: impl FnMut(usize, Option<u64>) -> Result<ParsedBuffer, E>,
-    ) -> Result<(), E> {
-        let cursor = &mut self.cursors[stream];
-        while cursor.current.as_slice().is_empty() {
-            let Some(k) = cursor.records.pop_front() else {
-                break;
-            };
-            let parsed = decode(k, cursor.hint)?;
-            cursor.hint = parsed.end_time.or(cursor.hint);
-            cursor.current = parsed.events.into_iter();
-        }
-        Ok(())
-    }
-
-    /// The undelivered event smallest by [`RawEvent::order_key`], and the
-    /// stream it came from (to refill).
-    pub(crate) fn pop(&mut self) -> Option<(usize, RawEvent)> {
+    /// Every stream's head key, with the stream it is the head of.
+    fn heads(&self) -> impl Iterator<Item = (OrderKey, usize)> + '_ {
         // A handful of streams: a linear scan beats heap bookkeeping.
-        let stream = self
-            .cursors
-            .iter()
-            .enumerate()
-            .filter_map(|(s, cur)| cur.current.as_slice().first().map(|e| (e.order_key(), s)))
-            .min()?
-            .1;
-        Some((stream, self.cursors[stream].current.next()?))
+        self.cursors.iter().enumerate().filter_map(|(s, cur)| {
+            let head = cur.head?.fixed;
+            Some(((head.time, cur.cpu, cur.seq, head.offset), s))
+        })
+    }
+
+    /// Delivers the undelivered event smallest by [`RawEvent::order_key`]
+    /// and moves its stream on, which is what can fail.
+    pub(crate) fn pop<S: RecordSource>(
+        &mut self,
+        source: &mut S,
+    ) -> Option<(RawEvent, Result<(), S::Error>)> {
+        let (_, stream) = self.heads().min()?;
+        let cursor = &mut self.cursors[stream];
+        let event = cursor.head?.view(&cursor.words);
+        let event = event.to_raw(cursor.cpu, cursor.seq);
+        Some((event, cursor.advance(source)))
+    }
+
+    /// Appends every remaining event to `out` in merge order, a run at a
+    /// time: the stream with the smallest head delivers until its head passes
+    /// the smallest head among the others, so an event inside a run costs a
+    /// comparison with that bound, not a scan of the streams. Returns whether
+    /// the appended events came out in [`RawEvent::order_key`] order — they
+    /// do when every stream is itself in order, which honest streams are and
+    /// a garbled one (rewound times, a record written twice) need not be.
+    pub(crate) fn drain_into<S: RecordSource>(
+        &mut self,
+        source: &mut S,
+        out: &mut Vec<RawEvent>,
+    ) -> Result<bool, S::Error> {
+        let mut ordered = true;
+        let mut last = OrderKey::default();
+        while let Some((_, stream)) = self.heads().min() {
+            let others = self.heads().filter(|&(_, s)| s != stream);
+            let bound = others.map(|(key, _)| key).min();
+            ordered &= self.cursors[stream].run(bound, &mut last, out, source)?;
+        }
+        Ok(ordered)
     }
 }
 
@@ -116,8 +244,7 @@ impl<'a, R: Read + Seek> MergedEvents<'a, R> {
                 per_cpu.entry(cpu).or_default().push_back(k);
             }
         }
-        let mut merge = LazyMerge::new(per_cpu);
-        merge.prime(|k, hint| decode_record(reader, k, hint))?;
+        let merge = LazyMerge::new(per_cpu, reader)?;
         Ok(MergedEvents {
             reader,
             merge,
@@ -136,31 +263,24 @@ impl<'a, R: Read + Seek> MergedEvents<'a, R> {
     pub fn finish(self) -> Result<(), IoError> {
         self.error.map_or(Ok(()), Err)
     }
-}
 
-/// Reads and decodes record `k` for the merge.
-fn decode_record<R: Read + Seek>(
-    reader: &mut TraceFileReader<R>,
-    k: usize,
-    hint: Option<u64>,
-) -> Result<ParsedBuffer, IoError> {
-    let rec = reader.read_record(k)?;
-    Ok(parse_buffer(rec.cpu as usize, rec.seq, &rec.words, hint))
+    /// Collects the rest of the merge into `out`; `Ok(true)` vouches that it
+    /// arrived in [`RawEvent::order_key`] order
+    /// ([`LazyMerge::drain_into`]). An I/O error is returned, not parked.
+    pub(crate) fn drain_into(mut self, out: &mut Vec<RawEvent>) -> Result<bool, IoError> {
+        self.merge.drain_into(self.reader, out)
+    }
 }
 
 impl<R: Read + Seek> Iterator for MergedEvents<'_, R> {
     type Item = RawEvent;
 
     fn next(&mut self) -> Option<RawEvent> {
-        let (stream, event) = self.merge.pop()?;
+        let (event, moved_on) = self.merge.pop(self.reader)?;
         // An I/O error mid-stream ends that CPU's stream; the error is kept
         // for io_error()/finish() so callers can tell "drained" from "died".
         // The salvage module is the path that tolerates damage instead.
-        let reader = &mut *self.reader;
-        let refilled = self
-            .merge
-            .refill(stream, |k, hint| decode_record(reader, k, hint));
-        if let Err(e) = refilled {
+        if let Err(e) = moved_on {
             self.error = Some(e);
         }
         Some(event)

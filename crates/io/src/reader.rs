@@ -8,7 +8,7 @@
 
 use crate::error::IoError;
 use crate::file::{body_words, frame_record, FileHeader, RecordFrame, RECORD_HEADER_BYTES};
-use crate::merge::MergedEvents;
+use crate::merge::{MergedEvents, RecordSource};
 use crate::trace::Trace;
 use ktrace_core::reader::{parse_buffer, GarbleNote, RawEvent};
 use ktrace_format::EventHeader;
@@ -141,17 +141,13 @@ impl<R: Read + Seek> TraceFileReader<R> {
     /// which the next read overwrites: the allocation-free form of
     /// [`record`](Self::record) for callers that decode and move on.
     pub fn read_record(&mut self, index: usize) -> Result<&BufferRecord, IoError> {
-        let mut bytes = std::mem::take(&mut self.bytes);
-        bytes.resize(self.header.record_size(), 0);
-        let framed = self.read_frame(index, &mut bytes).map(|frame| {
-            let rec = &mut self.scratch;
-            (rec.index, rec.cpu, rec.seq) = (index, frame.cpu, frame.seq);
-            rec.complete = frame.complete;
-            rec.words.clear();
-            rec.words.extend(body_words(frame.body));
-        });
-        self.bytes = bytes;
-        framed.map(|()| &self.scratch)
+        let mut words = std::mem::take(&mut self.scratch.words);
+        let framed = self.fetch(index, &mut words);
+        self.scratch.words = words;
+        let rec = &mut self.scratch;
+        (rec.cpu, rec.seq, rec.complete) = framed?;
+        rec.index = index;
+        Ok(&self.scratch)
     }
 
     /// Reads record `index` in full.
@@ -228,21 +224,25 @@ impl<R: Read + Seek> TraceFileReader<R> {
     /// as a [`Trace`]: the one step from an open reader to the model every
     /// tool consumes.
     pub fn load(&mut self, window: Option<(u64, u64)>) -> Result<Trace, IoError> {
-        let events = match window {
-            Some((t0, t1)) => self.events_between(t0, t1)?,
+        let (events, ordered) = match window {
+            Some((t0, t1)) => (self.events_between(t0, t1)?, false),
             None => {
                 let mut events = Vec::new();
                 // Room for three-word events wall to wall; a reservation too
                 // big to grant is simply not made.
                 let per_record = self.header.buffer_words as usize / 3;
                 let _ = events.try_reserve(self.record_count.saturating_mul(per_record));
-                let mut merged = self.events()?;
-                events.extend(merged.by_ref());
-                merged.finish()?;
-                events
+                let ordered = self.events()?.drain_into(&mut events)?;
+                (events, ordered)
             }
         };
-        Ok(Trace::new(
+        // Only a merge that vouches for its own order is spared the sort.
+        let build = if ordered {
+            Trace::from_ordered
+        } else {
+            Trace::new
+        };
+        Ok(build(
             events,
             self.header.registry.clone(),
             self.header.ticks_per_sec,
@@ -266,6 +266,23 @@ impl<R: Read + Seek> TraceFileReader<R> {
             }
         }
         Ok(out)
+    }
+}
+
+/// A record read in full is one seek, one read, one bytes→words pass.
+impl<R: Read + Seek> RecordSource for TraceFileReader<R> {
+    type Error = IoError;
+
+    fn fetch(&mut self, index: usize, words: &mut Vec<u64>) -> Result<(u32, u64, bool), IoError> {
+        let mut bytes = std::mem::take(&mut self.bytes);
+        bytes.resize(self.header.record_size(), 0);
+        let framed = self.read_frame(index, &mut bytes).map(|frame| {
+            words.clear();
+            words.extend(body_words(frame.body));
+            (frame.cpu, frame.seq, frame.complete)
+        });
+        self.bytes = bytes;
+        framed
     }
 }
 

@@ -13,8 +13,10 @@
 
 use crate::error::IoError;
 use crate::file::{body_words, frame_record, FileHeader, RecordFrame, RECORD_HEADER_BYTES};
-use crate::merge::LazyMerge;
-use ktrace_core::reader::{parse_buffer, GarbleNote, RawEvent};
+use crate::merge::{LazyMerge, RecordSource};
+use crate::trace::Trace;
+use ktrace_core::reader::{GarbleNote, RawEvent};
+use ktrace_format::EventRegistry;
 use std::collections::{BTreeMap, VecDeque};
 use std::convert::Infallible;
 use std::fmt::Write as _;
@@ -114,15 +116,12 @@ impl SalvageReport {
         self.records.len() - self.clean_records()
     }
 
-    /// Per-CPU statistics, indexed by CPU number (empty if the header was
-    /// unreadable).
-    pub fn per_cpu(&self) -> Vec<CpuSalvage> {
-        let ncpus = self.header.as_ref().map_or(0, |h| h.ncpus as usize);
-        let mut out = vec![CpuSalvage::default(); ncpus];
+    /// Per-CPU statistics of the CPUs that have records, by CPU number. The
+    /// header's `ncpus` is outside input and sizes nothing here.
+    pub fn per_cpu(&self) -> BTreeMap<u32, CpuSalvage> {
+        let mut out: BTreeMap<u32, CpuSalvage> = BTreeMap::new();
         for r in &self.records {
-            let Some(s) = out.get_mut(r.cpu as usize) else {
-                continue;
-            };
+            let s = out.entry(r.cpu).or_default();
             s.records += 1;
             if r.clean() {
                 s.clean_records += 1;
@@ -182,14 +181,12 @@ impl SalvageReport {
                 self.trailing_bytes
             );
         }
-        for (cpu, s) in self.per_cpu().iter().enumerate() {
-            if s.records > 0 {
-                let _ = writeln!(
-                    out,
-                    "  cpu {cpu}: {} records ({} clean, {} torn), {} events",
-                    s.records, s.clean_records, s.torn_records, s.events_recovered
-                );
-            }
+        for (cpu, s) in self.per_cpu() {
+            let _ = writeln!(
+                out,
+                "  cpu {cpu}: {} records ({} clean, {} torn), {} events",
+                s.records, s.clean_records, s.torn_records, s.events_recovered
+            );
         }
         for r in self.records.iter().filter(|r| !r.clean()) {
             let why = if r.truncated {
@@ -296,36 +293,63 @@ pub fn salvage_bytes(bytes: &[u8]) -> SalvageReport {
         pos += avail;
     }
 
-    // The reader's lazy per-CPU merge over those slots: each is decoded once,
-    // when its CPU's stream reaches it, and only one per CPU is held decoded.
-    let mut words: Vec<u64> = Vec::new();
-    let records = &mut report.records;
-    let mut decode = |slot: usize, hint: Option<u64>| {
-        let rec = &mut records[slot];
-        let end = (rec.offset + record_size).min(bytes.len());
-        words.clear();
-        words.extend(body_words(&bytes[rec.offset + RECORD_HEADER_BYTES..end]));
-        let mut parsed = parse_buffer(rec.cpu as usize, rec.seq, &words, hint);
-        rec.events = parsed.events.len();
-        rec.notes = std::mem::take(&mut parsed.notes);
-        Ok::<_, Infallible>(parsed)
-    };
     // Room for three-word events wall to wall, if it can be had.
     let _ = report
         .events
         .try_reserve((bytes.len() - header_len) / 8 / 3);
-    let mut merge = LazyMerge::new(per_cpu);
-    let Ok(()) = merge.prime(&mut decode);
-    while let Some((stream, event)) = merge.pop() {
-        report.events.push(event);
-        let Ok(()) = merge.refill(stream, &mut decode);
+    // The reader's lazy per-CPU merge over those slots: each is walked once,
+    // when its CPU's stream reaches it, and only one per CPU is held.
+    let mut slots = Slots {
+        bytes,
+        record_size,
+        records: &mut report.records,
+    };
+    let Ok(mut merge) = LazyMerge::new(per_cpu, &mut slots);
+    let Ok(ordered) = merge.drain_into(&mut slots, &mut report.events);
+    // The merge is in `order_key` order when every CPU's stream is — true of
+    // honest streams. A garbled stream (rewound times, a record written
+    // twice) is put in order here.
+    if !ordered {
+        report.events.sort_by_key(RawEvent::order_key);
+    }
+    report
+}
+
+/// The record slots the framing pass found, as the merge's source.
+struct Slots<'a> {
+    bytes: &'a [u8],
+    record_size: usize,
+    records: &'a mut [SalvagedRecord],
+}
+
+impl RecordSource for Slots<'_> {
+    type Error = Infallible;
+
+    fn fetch(&mut self, slot: usize, words: &mut Vec<u64>) -> Result<(u32, u64, bool), Infallible> {
+        let rec = &self.records[slot];
+        let end = (rec.offset + self.record_size).min(self.bytes.len());
+        words.clear();
+        words.extend(body_words(
+            &self.bytes[rec.offset + RECORD_HEADER_BYTES..end],
+        ));
+        Ok((rec.cpu, rec.seq, rec.complete))
     }
 
-    // The merge is in `order_key` order when every CPU's stream is — true of
-    // honest streams, where this sort is one scan. A garbled stream (rewound
-    // times, a record written twice) is put in order here.
-    report.events.sort_by_key(RawEvent::order_key);
-    report
+    fn walked(&mut self, slot: usize, events: usize, notes: Vec<GarbleNote>) {
+        (self.records[slot].events, self.records[slot].notes) = (events, notes);
+    }
+}
+
+/// Salvages a byte image into the [`Trace`] every tool consumes; an
+/// unreadable header leaves it empty, with the builtin registry.
+pub fn salvage_trace(bytes: &[u8]) -> Trace {
+    let report = salvage_bytes(bytes);
+    let (registry, ticks_per_sec) = match report.header {
+        Some(h) => (h.registry, h.ticks_per_sec),
+        None => (EventRegistry::with_builtin(), 1_000_000_000),
+    };
+    // `salvage_bytes` has put the events in order, whatever it found.
+    Trace::from_ordered(report.events, registry, ticks_per_sec)
 }
 
 /// Salvages a trace file from disk. Errs only if the file cannot be *read*;
@@ -410,7 +434,7 @@ mod tests {
         assert_eq!(report.torn_records(), 0);
         let per_cpu = report.per_cpu();
         assert_eq!(per_cpu.len(), 2);
-        assert!(per_cpu.iter().all(|s| s.torn_records == 0));
+        assert!(per_cpu.values().all(|s| s.torn_records == 0));
     }
 
     #[test]
@@ -500,6 +524,23 @@ mod tests {
         let report = salvage_bytes(&inflated);
         assert!(report.header_ok);
         assert_eq!(report.events, strict_events(&bytes));
+    }
+
+    #[test]
+    fn a_report_on_four_billion_claimed_cpus_renders_the_two_that_logged() {
+        // The render path of `ktrace-tools salvage`: what it prints is sized
+        // by the records found, and reads as it does for the honest header.
+        let bytes = sample_trace(2, 200);
+        let mut inflated = bytes.clone();
+        inflated[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let report = salvage_bytes(&inflated);
+        assert_eq!(report.per_cpu().len(), 2);
+        assert_eq!(report.render(), salvage_bytes(&bytes).render());
+        assert!(
+            report.render().contains("\n  cpu 1: "),
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! at a time in canonical order. [`Query::eval`] runs one fold over the
 //! candidates the index yields for the predicate's conservative bounds;
 //! [`Spec::check`](crate::Spec::check) runs every property's fold over one
-//! walk of the trace. [`Query::eval_naive`] is the deliberately simple
-//! reference interpreter — collect the matching events, then aggregate —
-//! that shares nothing with `Fold` but [`pred_matches`] and [`field_value`].
-//! Both must always agree: the property-test suite generates random
-//! expressions and random streams and asserts exactly that.
+//! walk of the trace. The deliberately simple reference interpreter —
+//! collect the matching events, then aggregate — lives with the property
+//! tests that hold `Fold` to it (`tests/expr_props.rs`) and shares nothing
+//! with `Fold` but [`pred_matches`] and [`field_value`]: the suite generates
+//! random expressions and random streams and asserts the two always agree.
 
-use crate::expr::{Agg, Assertion, CmpOp, Field, Pred, SpanSpec};
+use crate::expr::{Agg, Assertion, CmpOp, Field, Pred};
 use crate::index::{Bounds, EventIndex};
 use crate::source::{QueryError, TraceSource};
 use ktrace_core::reader::RawEvent;
@@ -96,46 +96,6 @@ fn tighten_hi(b: &mut Bounds, hi: Option<u64>) {
     if let Some(hi) = hi {
         b.t_hi = Some(b.t_hi.map_or(hi, |old| old.min(hi)));
     }
-}
-
-/// Result of pairing a [`SpanSpec`] over a stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpanScan {
-    /// Longest closed open→close duration in ticks.
-    pub max_duration: u64,
-    /// Closes with no matching open, plus opens never closed.
-    pub unpaired: u64,
-}
-
-/// Pairs open/close endpoints per key (LIFO when one key nests) over
-/// `events`, which must be in canonical order. The reference pairing
-/// [`Query::eval_naive`] uses.
-pub fn scan_spans<'a, I>(events: I, s: &SpanSpec) -> SpanScan
-where
-    I: IntoIterator<Item = &'a RawEvent>,
-{
-    let mut stacks: HashMap<u64, Vec<u64>> = HashMap::new();
-    let mut scan = SpanScan::default();
-    for e in events {
-        if e.major != s.major {
-            continue;
-        }
-        let Some(&key) = e.payload.get(s.key) else {
-            continue;
-        };
-        if e.minor == s.open {
-            stacks.entry(key).or_default().push(e.time);
-        } else if e.minor == s.close {
-            match stacks.get_mut(&key).and_then(|stack| stack.pop()) {
-                Some(opened_at) => {
-                    scan.max_duration = scan.max_duration.max(e.time.saturating_sub(opened_at));
-                }
-                None => scan.unpaired += 1,
-            }
-        }
-    }
-    scan.unpaired += stacks.values().map(|stack| stack.len() as u64).sum::<u64>();
-    scan
 }
 
 /// One aggregation being evaluated: its accumulator, fed events one at a
@@ -314,40 +274,6 @@ impl Query {
         fold.finish(&self.trace)
     }
 
-    /// Evaluates by collecting every matching event of a full scan and then
-    /// aggregating — the reference semantics [`Fold`] must reproduce.
-    pub fn eval_naive(&self, agg: &Agg) -> u64 {
-        let matching = |pred: &Pred| -> Vec<&RawEvent> {
-            let events = self.trace.events.iter();
-            events.filter(|e| pred_matches(pred, e)).collect()
-        };
-        match agg {
-            Agg::Count(p) => matching(p).len() as u64,
-            Agg::Sum(p, field) => matching(p)
-                .iter()
-                .filter_map(|e| field_value(e, *field))
-                .fold(0u64, |acc, v| acc.wrapping_add(v)),
-            Agg::Max(p, field) => matching(p)
-                .iter()
-                .filter_map(|e| field_value(e, *field))
-                .max()
-                .unwrap_or(0),
-            Agg::Rate(p) => {
-                let n = matching(p).len() as u128;
-                let span = self.trace.span().max(1) as u128;
-                let per_sec = n * self.trace.ticks_per_sec as u128 / span;
-                u64::try_from(per_sec).unwrap_or(u64::MAX)
-            }
-            Agg::MaxGap(p) => matching(p)
-                .windows(2)
-                .map(|w| w[1].time.saturating_sub(w[0].time))
-                .max()
-                .unwrap_or(0),
-            Agg::MaxDuration(s) => scan_spans(self.trace.events.iter(), s).max_duration,
-            Agg::Unpaired(s) => scan_spans(self.trace.events.iter(), s).unpaired,
-        }
-    }
-
     /// Evaluates the assertion (indexed), returning the measured value and
     /// whether the bound holds.
     pub fn check(&self, assertion: &Assertion) -> (u64, bool) {
@@ -385,27 +311,6 @@ mod tests {
             ev(1, 500, MajorId::LOCK, 3, &[0xC, 2]), // release never opened
         ];
         Query::new(Trace::new(events, EventRegistry::with_builtin(), 1_000))
-    }
-
-    #[test]
-    fn count_indexed_agrees_with_naive() {
-        let q = lock_trace();
-        for text in [
-            "count(true)",
-            "count(major == LOCK)",
-            "count(major == LOCK & time >= 150 & time < 401)",
-            "count(cpu == 1)",
-            "count(cpu == 1 & cpu == 0)",
-            "count(time > 100 & time <= 200)",
-            "count(!(major == LOCK) | payload[2] == 9)",
-            "sum(major == LOCK, payload[1])",
-            "max(true, time)",
-            "rate(major == LOCK)",
-            "max_gap(major == LOCK)",
-        ] {
-            let agg = parse_agg(text).unwrap();
-            assert_eq!(q.eval(&agg), q.eval_naive(&agg), "{text}");
-        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   reader does on disk).
 //! * [`expr`] — the predicate/aggregation expression language
 //!   (`count(major == LOCK & minor == 2) == 0`) with a canonical printer.
-//! * [`eval`] — [`Query`]: indexed evaluation plus the naive reference
-//!   interpreter it is property-tested against.
+//! * [`eval`] — [`Query`]: indexed evaluation, property-tested against the
+//!   naive reference interpreter in `tests/expr_props.rs`.
 //! * [`spec`] — named assertion specs (`props/ktrace.toml`) evaluated into
 //!   the shared verify/srclint exit-code [`Report`](ktrace_verify::Report)
 //!   (assertion band: codes 36–39).
@@ -39,7 +39,7 @@ pub mod index;
 pub mod source;
 pub mod spec;
 
-pub use eval::{pred_bounds, pred_matches, scan_spans, Query, SpanScan};
+pub use eval::{pred_bounds, pred_matches, Query};
 pub use expr::{
     parse_agg, parse_assertion, parse_pred, Agg, Assertion, CmpOp, Field, ParseError, Pred,
     SpanSpec,

@@ -4,7 +4,7 @@
 //! * [`FileSource`] — the strict on-disk reader ([`TraceFileReader`]).
 //! * [`SnapshotSource`] — a live logger's flight-recorder snapshot.
 //! * [`SalvageSource`] — the forgiving reader over a (possibly damaged)
-//!   byte image ([`ktrace_io::salvage_bytes`]).
+//!   byte image ([`ktrace_io::salvage_trace`]).
 //! * [`StreamSource`] — a drained network stream: the byte-identical trace
 //!   file a receiver accumulated from a socket.
 //!
@@ -19,8 +19,7 @@
 //! exactly this).
 
 use ktrace_core::TraceLogger;
-use ktrace_format::EventRegistry;
-use ktrace_io::{salvage_bytes, IoError, Trace, TraceFileReader};
+use ktrace_io::{salvage_trace, IoError, Trace, TraceFileReader};
 use std::fmt;
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
@@ -163,12 +162,7 @@ impl TraceSource for SalvageSource {
     }
 
     fn load(&mut self) -> Result<Trace, QueryError> {
-        let report = salvage_bytes(&self.bytes);
-        let (registry, tps) = match report.header {
-            Some(h) => (h.registry, h.ticks_per_sec),
-            None => (EventRegistry::with_builtin(), 1_000_000_000),
-        };
-        Ok(Trace::new(report.events, registry, tps))
+        Ok(salvage_trace(&self.bytes))
     }
 }
 
@@ -200,7 +194,7 @@ impl TraceSource for StreamSource {
 mod tests {
     use super::*;
     use ktrace_core::reader::RawEvent;
-    use ktrace_format::MajorId;
+    use ktrace_format::{EventRegistry, MajorId};
 
     fn raw(cpu: usize, time: u64, minor: u16) -> RawEvent {
         RawEvent {

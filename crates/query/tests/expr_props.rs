@@ -16,11 +16,128 @@
 
 use ktrace_core::reader::RawEvent;
 use ktrace_format::{EventRegistry, MajorId};
+use ktrace_query::eval::field_value;
 use ktrace_query::{
-    parse_agg, parse_assertion, parse_pred, Agg, Assertion, CmpOp, Field, Pred, Property, Query,
-    SpanSpec, Spec, Trace,
+    parse_agg, parse_assertion, parse_pred, pred_matches, Agg, Assertion, CmpOp, Field, Pred,
+    Property, Query, SpanSpec, Spec, Trace,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
+
+/// Result of pairing a [`SpanSpec`] over a stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct SpanScan {
+    /// Longest closed open→close duration in ticks.
+    max_duration: u64,
+    /// Closes with no matching open, plus opens never closed.
+    unpaired: u64,
+}
+
+/// Pairs open/close endpoints per key (LIFO when one key nests) over
+/// `events`, which must be in canonical order: the reference pairing.
+fn scan_spans(events: &[RawEvent], s: &SpanSpec) -> SpanScan {
+    let mut stacks: HashMap<u64, Vec<u64>> = HashMap::new();
+    let mut scan = SpanScan::default();
+    for e in events {
+        if e.major != s.major {
+            continue;
+        }
+        let Some(&key) = e.payload.get(s.key) else {
+            continue;
+        };
+        if e.minor == s.open {
+            stacks.entry(key).or_default().push(e.time);
+        } else if e.minor == s.close {
+            match stacks.get_mut(&key).and_then(|stack| stack.pop()) {
+                Some(opened_at) => {
+                    scan.max_duration = scan.max_duration.max(e.time.saturating_sub(opened_at));
+                }
+                None => scan.unpaired += 1,
+            }
+        }
+    }
+    scan.unpaired += stacks.values().map(|stack| stack.len() as u64).sum::<u64>();
+    scan
+}
+
+/// The reference semantics `Fold` must reproduce: collect every matching
+/// event of a full scan, then aggregate. Shares nothing with the engine but
+/// `pred_matches` and `field_value`.
+fn eval_naive(query: &Query, agg: &Agg) -> u64 {
+    let trace = query.trace();
+    let matching = |pred: &Pred| -> Vec<&RawEvent> {
+        let events = trace.events.iter();
+        events.filter(|e| pred_matches(pred, e)).collect()
+    };
+    match agg {
+        Agg::Count(p) => matching(p).len() as u64,
+        Agg::Sum(p, field) => matching(p)
+            .iter()
+            .filter_map(|e| field_value(e, *field))
+            .fold(0u64, |acc, v| acc.wrapping_add(v)),
+        Agg::Max(p, field) => matching(p)
+            .iter()
+            .filter_map(|e| field_value(e, *field))
+            .max()
+            .unwrap_or(0),
+        Agg::Rate(p) => {
+            let n = matching(p).len() as u128;
+            let span = trace.span().max(1) as u128;
+            let per_sec = n * trace.ticks_per_sec as u128 / span;
+            u64::try_from(per_sec).unwrap_or(u64::MAX)
+        }
+        Agg::MaxGap(p) => matching(p)
+            .windows(2)
+            .map(|w| w[1].time.saturating_sub(w[0].time))
+            .max()
+            .unwrap_or(0),
+        Agg::MaxDuration(s) => scan_spans(&trace.events, s).max_duration,
+        Agg::Unpaired(s) => scan_spans(&trace.events, s).unpaired,
+    }
+}
+
+/// The engine and the reference on one small hand-written trace, shape by
+/// shape, before the random ones.
+#[test]
+fn count_indexed_agrees_with_naive() {
+    let ev = |cpu, time: u64, major, minor, payload: &[u64]| RawEvent {
+        cpu,
+        seq: 0,
+        offset: 0,
+        time,
+        ts32: time as u32,
+        major,
+        minor,
+        payload: payload.into(),
+    };
+    let events = vec![
+        ev(0, 100, MajorId::LOCK, 2, &[0xA, 1]), // acquire A
+        ev(0, 150, MajorId::LOCK, 2, &[0xB, 1]), // acquire B
+        ev(1, 180, MajorId::SCHED, 1, &[1, 2, 9]),
+        ev(0, 200, MajorId::LOCK, 3, &[0xB, 1]), // release B (held 50)
+        ev(0, 400, MajorId::LOCK, 3, &[0xA, 1]), // release A (held 300)
+        ev(1, 500, MajorId::LOCK, 3, &[0xC, 2]), // release never opened
+    ];
+    let q = Query::new(Trace::new(events, EventRegistry::with_builtin(), 1_000));
+    for text in [
+        "count(true)",
+        "count(major == LOCK)",
+        "count(major == LOCK & time >= 150 & time < 401)",
+        "count(cpu == 1)",
+        "count(cpu == 1 & cpu == 0)",
+        "count(time > 100 & time <= 200)",
+        "count(!(major == LOCK) | payload[2] == 9)",
+        "sum(major == LOCK, payload[1])",
+        "max(true, time)",
+        "rate(major == LOCK)",
+        "max_gap(major == LOCK)",
+        "max_duration(span(LOCK, 2 -> 3, key = payload[0]))",
+        "unpaired(span(LOCK, 2 -> 3, key = payload[0]))",
+    ] {
+        let agg = parse_agg(text).unwrap();
+        assert_eq!(q.eval(&agg), eval_naive(&q, &agg), "{text}");
+    }
+}
 
 /// Deterministic word stream (splitmix64) so a single `u64` seed expands
 /// into an arbitrarily deep expression tree.
@@ -195,7 +312,7 @@ proptest! {
             let agg = gen_agg(&mut g);
             prop_assert_eq!(
                 query.eval(&agg),
-                query.eval_naive(&agg),
+                eval_naive(&query, &agg),
                 "diverged on {} over {} events (seed {})",
                 agg,
                 n,
@@ -221,7 +338,7 @@ proptest! {
             format!("count(cpu == {} & time >= {t})", g.below(5)),
         ] {
             let agg = parse_agg(&text).unwrap();
-            prop_assert_eq!(query.eval(&agg), query.eval_naive(&agg), "{}", text);
+            prop_assert_eq!(query.eval(&agg), eval_naive(&query, &agg), "{}", text);
         }
     }
 
@@ -257,7 +374,7 @@ proptest! {
         // `agg != naive` holds exactly when the fold disagrees with the
         // reference, so an agreeing engine violates every property and each
         // violation reports the fold's actual.
-        let naive: Vec<u64> = aggs.iter().map(|agg| query.eval_naive(agg)).collect();
+        let naive: Vec<u64> = aggs.iter().map(|agg| eval_naive(&query, agg)).collect();
         let spec = Spec {
             properties: aggs
                 .iter()

@@ -29,12 +29,22 @@ use std::collections::HashMap;
 use std::io::{Read, Seek};
 use std::path::Path;
 
+/// Slots in the linter's memo of length checks that passed.
+const MEMO_SLOTS: usize = 256;
+
 /// Incremental linter holding per-CPU continuity state, so buffers can be
 /// fed as they are drained (live monitoring) or in file order.
 pub struct StreamLinter {
     registry: EventRegistry,
     buffer_words: usize,
     last_time: HashMap<usize, u64>,
+    /// Direct-mapped `(major << 16 | minor, payload words)` of events whose
+    /// descriptor was found and whose length agreed with its spec. Only
+    /// specs without a `str` field are remembered: their verdict depends on
+    /// the length alone, so a hit needs neither the registry's hash lookup
+    /// nor a replay of the spec. A miss, and every event that does not pass,
+    /// takes the full check.
+    memo: [(u32, u32); MEMO_SLOTS],
     report: Report,
 }
 
@@ -46,6 +56,8 @@ impl StreamLinter {
             registry,
             buffer_words,
             last_time: HashMap::new(),
+            // No event has this key: a major is six bits.
+            memo: [(u32::MAX, 0); MEMO_SLOTS],
             report: Report::new(),
         }
     }
@@ -149,6 +161,12 @@ impl StreamLinter {
                 self.report.data_events_checked += 1;
             }
 
+            let key = u32::from(e.major.raw()) << 16 | u32::from(e.minor);
+            let passed = (key, e.payload.len() as u32);
+            let slot = &mut self.memo[(key.wrapping_mul(0x9E37_79B1) >> 16) as usize % MEMO_SLOTS];
+            if *slot == passed {
+                continue;
+            }
             match self.registry.lookup(e.major, e.minor) {
                 None => {
                     self.report.push(
@@ -159,17 +177,17 @@ impl StreamLinter {
                         format!("{}/{} has no descriptor in the registry", e.major, e.minor),
                     );
                 }
-                Some(desc) => {
-                    if let Some(mismatch) = spec_length_mismatch(desc, e.payload) {
-                        self.report.push(
-                            ViolationKind::LengthMismatch,
-                            Some(cpu),
-                            Some(seq),
-                            Some(e.offset),
-                            format!("{} ({}/{}): {mismatch}", desc.name, e.major, e.minor),
-                        );
-                    }
-                }
+                Some(desc) => match spec_length_mismatch(desc, e.payload) {
+                    Some(mismatch) => self.report.push(
+                        ViolationKind::LengthMismatch,
+                        Some(cpu),
+                        Some(seq),
+                        Some(e.offset),
+                        format!("{} ({}/{}): {mismatch}", desc.name, e.major, e.minor),
+                    ),
+                    None if !desc.spec.tokens().contains(&FieldToken::Str) => *slot = passed,
+                    None => {}
+                },
             }
         }
 

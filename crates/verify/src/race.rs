@@ -364,6 +364,24 @@ mod tests {
     }
 
     #[test]
+    fn an_unordered_read_is_reported_before_the_lockset_empties() {
+        // Thread 2's first touch is a read: Eraser's state is only Shared, so
+        // the lockset has nothing to say yet, but the read is unordered with
+        // thread 1's write. That access is the address's one finding; the
+        // write that follows would break the lockset too and adds nothing.
+        let events = vec![write(0, 10, A, 1), read(1, 20, A, 2), write(1, 30, A, 2)];
+        let r = detect_races(&events);
+        assert_eq!(r.findings.len(), 1, "{}", r.render());
+        let f = &r.findings[0];
+        assert!(f.unordered && !f.lockset_empty, "{}", r.render());
+        assert_eq!((f.first.tid, f.first.time), (1, 10));
+        assert_eq!(
+            (f.second.tid, f.second.time, f.second.write),
+            (2, 20, false)
+        );
+    }
+
+    #[test]
     fn read_only_sharing_is_silent() {
         let events = vec![read(0, 10, A, 1), read(1, 20, A, 2), read(0, 30, A, 3)];
         let r = detect_races(&events);

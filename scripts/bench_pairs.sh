@@ -2,7 +2,7 @@
 # Alternating parent/change pairs of the pipeline benchmark, committed as a
 # trajectory.
 #
-#   scripts/bench_pairs.sh [-n PAIRS] <parent-ref> [workload...]
+#   scripts/bench_pairs.sh [-n PAIRS] [--label TEXT] [--control] <parent-ref> [workload...]
 #
 # Builds the benchmark of <parent-ref> (a `git archive` under .bench_pairs/,
 # its own target directory) and of this checkout (the change: HEAD plus
@@ -12,6 +12,17 @@
 # that runs first alternates from pair to pair. It reads only the
 # benchmark's standard output: the last line's metrics, and the UNRESOLVED
 # line a run prints when the host changed speed under it.
+#
+# --label TEXT names the rows (the PR they belong to: the change is built
+# before it is committed, so its commit field can only say "<parent>+dirty").
+#
+# --control measures the host, not a change: the "change" side is a second
+# `git archive` of <parent-ref> in a differently named directory, so both
+# sides run the same source and whatever separates them is what two builds
+# of one commit differ by here, today. Its rows are marked "control". Every
+# later summary prints, beside each ratio, the newest control ratio recorded
+# for the same parent, workload and metric: "n of n pairs" is evidence only
+# for a gap wider than that one.
 #
 # Prints, per metric, both sides' median/q1/q3 (Python's
 # statistics.quantiles, as the benchmark itself), the pairs each side won,
@@ -24,12 +35,18 @@
 set -euo pipefail
 
 pairs=10
-if [ "${1:-}" = "-n" ]; then
-    pairs=$2
-    shift 2
-fi
+label=
+control=0
+while [ $# -gt 0 ]; do
+    case $1 in
+        -n) pairs=$2; shift 2 ;;
+        --label) label=$2; shift 2 ;;
+        --control) control=1; shift ;;
+        *) break ;;
+    esac
+done
 if [ $# -lt 1 ]; then
-    echo "usage: scripts/bench_pairs.sh [-n PAIRS] <parent-ref> [workload...]" >&2
+    echo "usage: scripts/bench_pairs.sh [-n PAIRS] [--label TEXT] [--control] <parent-ref> [workload...]" >&2
     exit 2
 fi
 parent_ref=$1
@@ -56,10 +73,19 @@ rm -rf "$work/parent" "$work/runs"
 mkdir -p "$work/parent" "$work/runs"
 git archive "$parent_id" | tar -x -C "$work/parent"
 cargo build --release --offline --manifest-path "$work/parent/benchmark/Cargo.toml"
-CARGO_TARGET_DIR="$PWD/$work/change-target" \
-    cargo build --release --offline --manifest-path benchmark/Cargo.toml
 parent_bin=$work/parent/benchmark/target/release/ktrace-pipeline-bench
-change_bin=$work/change-target/release/ktrace-pipeline-bench
+if ((control)); then
+    change_id=$parent_id
+    rm -rf "$work/control"
+    mkdir -p "$work/control"
+    git archive "$parent_id" | tar -x -C "$work/control"
+    cargo build --release --offline --manifest-path "$work/control/benchmark/Cargo.toml"
+    change_bin=$work/control/benchmark/target/release/ktrace-pipeline-bench
+else
+    CARGO_TARGET_DIR="$PWD/$work/change-target" \
+        cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    change_bin=$work/change-target/release/ktrace-pipeline-bench
+fi
 
 run_side() { # side binary workload seed
     local out="$work/runs/$1-$3-$4.out"
@@ -85,11 +111,11 @@ for w in "${workloads[@]}"; do
     done
 done
 
-python3 - "$work/runs" "$parent_id" "$change_id" "$seconds" "${workloads[@]}" <<'EOF'
+python3 - "$work/runs" "$parent_id" "$change_id" "$seconds" "$label" "$control" "${workloads[@]}" <<'EOF'
 import json, statistics, sys, time
 from pathlib import Path
 
-runs, parent_id, change_id, seconds, *workloads = sys.argv[1:]
+runs, parent_id, change_id, seconds, label, control, *workloads = sys.argv[1:]
 spec = json.load(open("BENCHMARK.json"))
 stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
@@ -131,19 +157,32 @@ for workload in workloads:
             "change_wins": change_wins, "parent_wins": parent_wins,
             "unresolved": not ties and (flagged or (spread > m["bound"] and not sweep)),
         })
+        if label:
+            rows[-1]["label"] = label
+        if control == "1":
+            rows[-1]["control"] = True
 
+trajectory = Path("BENCH_pipeline.json")
+history = json.loads(trajectory.read_text()) if trajectory.exists() else []
+
+def control_gap(row):
+    """The newest A/A ratio on record for this row's parent, workload and metric."""
+    same = [h["ratio"] for h in history
+            if h.get("control") and h["parent"]["commit"] == row["parent"]["commit"]
+            and (h["workload"], h["metric"]) == (row["workload"], row["metric"])]
+    return "-" if not same or same[-1] is None else f"{same[-1]:.3f}"
+
+other = "control" if control == "1" else "change"
 print(f"{'workload':<16} {'metric':<18} {'parent median (q1..q3)':>42} "
-      f"{'change median (q1..q3)':>42} {'ratio':>7}  wins c/p")
+      f"{other + ' median (q1..q3)':>42} {'ratio':>7} {'control':>7}  wins c/p")
 for r in rows:
     side = lambda s: f"{s['median']:.6g} ({s['q1']:.6g}..{s['q3']:.6g})"
     ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
     mark = "  unresolved" if r["unresolved"] else ""
     print(f"{r['workload']:<16} {r['metric']:<18} {side(r['parent']):>42} "
-          f"{side(r['change']):>42} {ratio:>7}  {r['change_wins']}/{r['parent_wins']}"
-          f" of {r['n']}{mark}")
+          f"{side(r['change']):>42} {ratio:>7} {control_gap(r):>7}  "
+          f"{r['change_wins']}/{r['parent_wins']} of {r['n']}{mark}")
 
-trajectory = Path("BENCH_pipeline.json")
-history = json.loads(trajectory.read_text()) if trajectory.exists() else []
 history.extend(rows)
 trajectory.write_text("[\n" + ",\n".join(json.dumps(r) for r in history) + "\n]\n")
 print(f"{len(rows)} rows appended to {trajectory} ({len(history)} in all)")
