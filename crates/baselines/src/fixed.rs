@@ -10,7 +10,6 @@
 //! variable-length scheme.
 
 use crate::sink::EventSink;
-use crossbeam::utils::CachePadded;
 use ktrace_clock::ClockSource;
 use ktrace_format::{EventHeader, MajorId, MinorId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,6 +19,9 @@ use std::sync::Arc;
 /// the timestamp, so fixed-slot schemes spend a whole extra word on it.
 const VALID: u64 = 1;
 
+/// Aligned to two cache lines (adjacent-line prefetch): one CPU's claim
+/// counter never shares a line with a neighbour's.
+#[repr(align(128))]
 struct CpuRing {
     /// `slots * slot_words` data words plus one valid word per slot.
     words: Vec<AtomicU64>,
@@ -27,13 +29,15 @@ struct CpuRing {
     next: AtomicU64,
 }
 
+const _: () = assert!(std::mem::align_of::<CpuRing>() == 128);
+
 /// Per-CPU fixed-slot lockless logger.
 pub struct FixedSlotSink {
     clock: Arc<dyn ClockSource>,
     /// Words per slot including the header word.
     slot_words: usize,
     slots_per_cpu: usize,
-    cpus: Vec<CachePadded<CpuRing>>,
+    cpus: Vec<CpuRing>,
     truncated: AtomicU64,
 }
 
@@ -47,14 +51,12 @@ impl FixedSlotSink {
     ) -> FixedSlotSink {
         assert!(slot_words >= 1, "a slot must at least hold a header");
         let cpus = (0..ncpus)
-            .map(|_| {
-                CachePadded::new(CpuRing {
-                    words: (0..slot_words * slots_per_cpu)
-                        .map(|_| AtomicU64::new(0))
-                        .collect(),
-                    valid: (0..slots_per_cpu).map(|_| AtomicU64::new(0)).collect(),
-                    next: AtomicU64::new(0),
-                })
+            .map(|_| CpuRing {
+                words: (0..slot_words * slots_per_cpu)
+                    .map(|_| AtomicU64::new(0))
+                    .collect(),
+                valid: (0..slots_per_cpu).map(|_| AtomicU64::new(0)).collect(),
+                next: AtomicU64::new(0),
             })
             .collect();
         FixedSlotSink {

@@ -12,8 +12,7 @@
 use crate::sink::EventSink;
 use ktrace_clock::ClockSource;
 use ktrace_format::{EventHeader, MajorId, MinorId};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 struct Ring {
     words: Vec<u64>,
@@ -60,7 +59,7 @@ impl LockingSink {
 impl EventSink for LockingSink {
     fn log(&self, cpu: usize, major: MajorId, minor: MinorId, payload: &[u64]) -> bool {
         let total = payload.len() + 1;
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         // "Disable interrupts" while holding the lock.
         Self::busy_wait(self.irq_cost_ns);
         let ts = self.clock.now(cpu);
@@ -82,7 +81,8 @@ impl EventSink for LockingSink {
     }
 
     fn events_logged(&self) -> u64 {
-        self.ring.lock().events
+        let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        ring.events
     }
 
     fn name(&self) -> &'static str {

@@ -159,22 +159,32 @@ fn gate(subject: Subject, raw_ns: f64, fast: bool) -> GateResult {
     let on_with = run_point(ncpus, Scheme::LocklessPerCpu, with, scripts_per_cpu);
     let on_without = run_point(ncpus, Scheme::LocklessPerCpu, without, scripts_per_cpu);
 
-    let busy_with = busy(&on_with);
-    let busy_without = busy(&on_without);
-    let overhead = (busy_with - busy_without) / busy_without;
     GateResult {
         subject,
         added_ns,
         event_ns,
         added_fraction,
         ncpus,
-        busy_with,
-        busy_without,
+        busy_with: busy(&on_with),
+        busy_without: busy(&on_without),
         throughput_with: on_with.throughput_per_hour(),
         throughput_without: on_without.throughput_per_hour(),
-        overhead,
+        overhead: 0.0,
         threshold: MAX_OVERHEAD,
-        pass: overhead < MAX_OVERHEAD,
+        pass: false,
+    }
+    .judged()
+}
+
+impl GateResult {
+    /// Step 3: the added busy-work fraction and the verdict on it. A model
+    /// that reads *less* busy work with the addition than without it has
+    /// resolved nothing (the stripped share fell inside the simulator's
+    /// scheduling noise): that is a measurement error, never a pass.
+    fn judged(mut self) -> GateResult {
+        self.overhead = (self.busy_with - self.busy_without) / self.busy_without;
+        self.pass = self.busy_with >= self.busy_without && self.overhead < self.threshold;
+        self
     }
 }
 
@@ -247,68 +257,86 @@ pub fn render(g: &GateResult) -> String {
         "\ngate: {noun} overhead {:.3}% < {:.0}% — {}",
         100.0 * g.overhead,
         100.0 * g.threshold,
-        if g.pass { "PASS" } else { "FAIL" }
+        if g.pass {
+            "PASS"
+        } else if g.busy_with < g.busy_without {
+            "MEASUREMENT ERROR (busy work fell when the cost was added; run again)"
+        } else {
+            "FAIL"
+        }
     );
     out
 }
 
-/// The body of the `fig_*_gate` binaries: prints the report, writes the
-/// artifact to the first argument (default `default_artifact`), and exits
-/// nonzero if the gate failed.
-pub fn run_bin(measure: fn(bool) -> GateResult, default_artifact: &str) {
-    let g = measure(!crate::util::full_requested());
+/// `ktrace-bench telemetry_gate|adapt_gate`, where the hard 1% binds (CI
+/// runs it in release): prints the report, writes the JSON artifact to
+/// `artifact` (default `default_artifact`), and answers whether the gate
+/// passed.
+pub fn run_gate(
+    measure: fn(bool) -> GateResult,
+    fast: bool,
+    artifact: Option<String>,
+    default_artifact: &str,
+) -> bool {
+    let g = measure(fast);
     println!("{}", render(&g));
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| default_artifact.to_string());
+    let path = artifact.unwrap_or_else(|| default_artifact.to_string());
     std::fs::write(&path, to_json(&g)).expect("write artifact");
     eprintln!("wrote {path}");
-    if !g.pass {
-        std::process::exit(1);
-    }
+    g.pass
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A debug build inflates the isolated measurement several times more
-    /// than the full (partly memory-bound) event path, so the measured
-    /// *share* doesn't transfer — the same reason E1's shape test pins paper
-    /// params. The hard 1% gate therefore binds in release builds, the
-    /// configuration CI runs via the `fig_*_gate` binaries; debug gets a
-    /// loosened sanity ceiling.
-    fn assert_under_ceiling(measure: fn(bool) -> GateResult) {
-        let g = measure(true);
-        let ceiling = if cfg!(debug_assertions) {
-            0.05
-        } else {
-            g.threshold
-        };
-        assert!(
-            g.overhead < ceiling,
-            "{} adds {:.3}% to SDET busy work (gate {:.1}%); {:.2} ns of {:.2} ns/event",
-            g.subject.noun,
-            100.0 * g.overhead,
-            100.0 * ceiling,
-            g.added_ns,
-            g.event_ns
-        );
-        // Sanity: the measurement saw real, nonzero costs and the "without"
-        // model is genuinely cheaper (the share was actually stripped).
-        assert!(g.added_ns > 0.0 && g.event_ns > g.added_ns);
-        assert!(g.busy_with >= g.busy_without);
-        assert!(g.throughput_without >= g.throughput_with);
+    /// A gate result with the given busy-work readings, judged.
+    fn gate_reading(busy_with: f64, busy_without: f64) -> GateResult {
+        GateResult {
+            subject: SAMPLING,
+            added_ns: 0.8,
+            event_ns: 40.0,
+            added_fraction: 0.02,
+            ncpus: 8,
+            busy_with,
+            busy_without,
+            throughput_with: 5.0e5,
+            throughput_without: 5.01e5,
+            overhead: f64::NAN,
+            threshold: MAX_OVERHEAD,
+            pass: true,
+        }
+        .judged()
     }
 
+    /// The verdict on fixed inputs. The timed halves (`measure_*`) are judged
+    /// where the 1% binds — `ktrace-bench telemetry_gate|adapt_gate`, in
+    /// release, alone on the host — not here beside the rest of the suite.
     #[test]
-    fn telemetry_overhead_under_one_percent() {
-        assert_under_ceiling(measure_telemetry);
-    }
+    fn verdict_passes_just_under_fails_just_over_and_refuses_an_inverted_model() {
+        let under = gate_reading(1.009_9e9, 1.0e9);
+        assert!((under.overhead - 0.0099).abs() < 1e-9);
+        assert!(under.pass);
+        assert!(render(&under).contains("0.990% < 1% — PASS"));
 
-    #[test]
-    fn sampling_overhead_under_one_percent() {
-        assert_under_ceiling(measure_sampling);
+        let at = gate_reading(1.01e9, 1.0e9);
+        assert!(!at.pass, "the gate is strict: exactly 1% fails");
+        let over = gate_reading(1.010_1e9, 1.0e9);
+        assert!(!over.pass);
+        assert!(render(&over).contains("1.010% < 1% — FAIL"));
+        assert!(to_json(&over).contains("\"pass\": false"));
+
+        let same = gate_reading(1.0e9, 1.0e9);
+        assert!(same.pass && same.overhead == 0.0);
+
+        // Less busy work *with* the addition: the model resolved nothing.
+        let inverted = gate_reading(0.999e9, 1.0e9);
+        assert!(inverted.overhead < 0.0);
+        assert!(!inverted.pass, "a negative overhead is not a pass");
+        let text = render(&inverted);
+        assert!(text.contains("MEASUREMENT ERROR"), "{text}");
+        assert!(!text.contains("PASS") && !text.contains("FAIL"));
+        assert!(to_json(&inverted).contains("\"pass\": false"));
     }
 
     #[test]

@@ -5,12 +5,6 @@ use ktrace_core::{TraceConfig, TraceLogger};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Is the `KTRACE_BENCH_FULL` environment variable set? (Harness binaries
-/// default to fast runs; set it for longer, lower-variance measurements.)
-pub fn full_requested() -> bool {
-    std::env::var_os("KTRACE_BENCH_FULL").is_some()
-}
-
 /// A flight-recorder logger suitable for hot-loop measurement (never blocks
 /// on a consumer).
 pub fn bench_logger(ncpus: usize) -> TraceLogger {

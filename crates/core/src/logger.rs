@@ -17,21 +17,43 @@ use crate::error::CoreError;
 use crate::reader::{parse_buffer, GarbleNote, RawEvent};
 use crate::region::{CompletedBuffer, CpuRegion, RegionSnapshot};
 use crate::sample::SampleGate;
-use crossbeam::utils::CachePadded;
 use ktrace_clock::ClockSource;
 use ktrace_format::ids::control;
 use ktrace_format::{EventDescriptor, EventRegistry, FieldValue, MajorId, MinorId, TraceMask};
-use ktrace_telemetry::Telemetry;
-use parking_lot::RwLock;
-use std::sync::Arc;
+use ktrace_telemetry::{CpuCounters, Telemetry};
+use std::sync::{Arc, PoisonError, RwLock};
 
 struct Shared {
     config: TraceConfig,
     mask: TraceMask,
     sample: SampleGate,
-    regions: Box<[CachePadded<CpuRegion>]>,
+    regions: Box<[CpuRegion]>,
     registry: RwLock<EventRegistry>,
     tel: Arc<Telemetry>,
+}
+
+// Slices of these are indexed by CPU: a reservation CAS or a tally on one
+// CPU must never share a (pair-prefetched) cache line with its neighbour's.
+const _: () =
+    assert!(std::mem::align_of::<CpuRegion>() == 128 && std::mem::align_of::<CpuCounters>() == 128);
+
+/// The one gate every `log*` passes, and the one place `trace-off` is
+/// spelled: compiled out, then the mask bit, then the sampling gate. A
+/// refusal tallies as masked on `cpu` (when there is such a CPU), so
+/// `logged + masked == attempts` stays exact. `CONTROL` is pinned on in
+/// both the mask and the gate, so control traffic asks only the first.
+#[inline(always)]
+fn admit(shared: &Shared, cpu: usize, major: MajorId) -> bool {
+    if cfg!(feature = "trace-off") {
+        return false;
+    }
+    if shared.mask.is_enabled(major) && shared.sample.admit(major) {
+        return true;
+    }
+    if cpu < shared.tel.ncpus() {
+        shared.tel.cpu(cpu).tally_masked();
+    }
+    false
 }
 
 /// The unified, per-CPU, lockless trace logger.
@@ -97,15 +119,7 @@ impl TraceLogger {
         }
         let tel = Arc::new(Telemetry::new(ncpus));
         let regions = (0..ncpus)
-            .map(|cpu| {
-                CachePadded::new(CpuRegion::with_telemetry(
-                    config,
-                    clock.clone(),
-                    cpu,
-                    tel.clone(),
-                    cpu,
-                ))
-            })
+            .map(|cpu| CpuRegion::with_telemetry(config, clock.clone(), cpu, tel.clone(), cpu))
             .collect();
         Ok(TraceLogger {
             shared: Arc::new(Shared {
@@ -143,52 +157,47 @@ impl TraceLogger {
 
     /// Registers a self-describing event descriptor.
     pub fn register_event(&self, major: MajorId, minor: MinorId, desc: EventDescriptor) {
-        self.shared.registry.write().register(major, minor, desc);
+        self.shared
+            .registry
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .register(major, minor, desc);
     }
 
     /// A snapshot of the event registry (for embedding into trace files).
     pub fn registry(&self) -> EventRegistry {
-        self.shared.registry.read().clone()
+        self.shared
+            .registry
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// A handle binding the calling thread to `cpu`'s buffers.
     pub fn handle(&self, cpu: usize) -> Result<CpuHandle, CoreError> {
-        if cpu >= self.ncpus() {
-            return Err(CoreError::BadCpu {
-                cpu,
-                ncpus: self.ncpus(),
-            });
-        }
+        self.region_checked(cpu)?;
         Ok(CpuHandle {
             shared: self.shared.clone(),
             cpu: cpu as u32,
         })
     }
 
-    #[cfg_attr(feature = "trace-off", allow(dead_code))]
     fn region(&self, cpu: usize) -> &CpuRegion {
         &self.shared.regions[cpu]
+    }
+
+    fn region_checked(&self, cpu: usize) -> Result<&CpuRegion, CoreError> {
+        self.shared.regions.get(cpu).ok_or(CoreError::BadCpu {
+            cpu,
+            ncpus: self.ncpus(),
+        })
     }
 
     /// Logs an event on `cpu` if its major is enabled. Returns true if
     /// logged. Errors (overrun, oversized) read as "not logged".
     #[inline]
     pub fn log(&self, cpu: usize, major: MajorId, minor: MinorId, payload: &[u64]) -> bool {
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (cpu, major, minor, payload);
-            false
-        }
-        #[cfg(not(feature = "trace-off"))]
-        {
-            if !self.shared.mask.is_enabled(major) || !self.shared.sample.admit(major) {
-                if cpu < self.ncpus() {
-                    self.shared.tel.cpu(cpu).tally_masked();
-                }
-                return false;
-            }
-            self.region(cpu).log_raw(major, minor, payload).is_ok()
-        }
+        admit(&self.shared, cpu, major) && self.region(cpu).log_raw(major, minor, payload).is_ok()
     }
 
     /// Like [`log`](TraceLogger::log) but surfacing the error cause.
@@ -200,27 +209,11 @@ impl TraceLogger {
         minor: MinorId,
         payload: &[u64],
     ) -> Result<bool, CoreError> {
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (cpu, major, minor, payload);
-            Ok(false)
+        let region = self.region_checked(cpu)?;
+        if !admit(&self.shared, cpu, major) {
+            return Ok(false);
         }
-        #[cfg(not(feature = "trace-off"))]
-        {
-            if cpu >= self.ncpus() {
-                return Err(CoreError::BadCpu {
-                    cpu,
-                    ncpus: self.ncpus(),
-                });
-            }
-            if !self.shared.mask.is_enabled(major) || !self.shared.sample.admit(major) {
-                self.shared.tel.cpu(cpu).tally_masked();
-                return Ok(false);
-            }
-            self.region(cpu)
-                .log_raw(major, minor, payload)
-                .map(|()| true)
-        }
+        region.log_raw(major, minor, payload).map(|()| true)
     }
 
     /// Encodes `values` according to the registered descriptor's field spec
@@ -235,14 +228,15 @@ impl TraceLogger {
     ) -> Result<bool, CoreError> {
         // ktrace-lint: allow(hot-path) — the registry lookup under RwLock is
         // the documented slow path for string-bearing events.
-        if !self.shared.mask.is_enabled(major) {
-            if cpu < self.ncpus() {
-                self.shared.tel.cpu(cpu).tally_masked();
-            }
+        if !admit(&self.shared, cpu, major) {
             return Ok(false);
         }
         let words = {
-            let registry = self.shared.registry.read();
+            let registry = self
+                .shared
+                .registry
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
             match registry.lookup(major, minor) {
                 Some(desc) => desc
                     .spec
@@ -251,7 +245,9 @@ impl TraceLogger {
                 None => values.iter().map(FieldValue::as_int).collect(),
             }
         };
-        self.try_log(cpu, major, minor, &words)
+        self.region_checked(cpu)?
+            .log_raw(major, minor, &words)
+            .map(|()| true)
     }
 
     /// Force-closes `cpu`'s current partial buffer so it can be drained.
@@ -376,26 +372,18 @@ impl TraceLogger {
     /// file == events_logged - sink losses` stays exact. The mask does not
     /// gate CONTROL traffic.
     pub fn log_heartbeat(&self, cpu: usize) -> bool {
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = cpu;
-            false
+        if cpu >= self.ncpus() || !admit(&self.shared, cpu, MajorId::CONTROL) {
+            return false;
         }
-        #[cfg(not(feature = "trace-off"))]
-        {
-            if cpu >= self.ncpus() {
-                return false;
-            }
-            let payload = self.shared.tel.heartbeat_payload(cpu);
-            let ok = self
-                .region(cpu)
-                .log_control(control::HEARTBEAT, &payload)
-                .is_ok();
-            if ok {
-                self.shared.tel.sink().tally_heartbeat();
-            }
-            ok
+        let payload = self.shared.tel.heartbeat_payload(cpu);
+        let ok = self
+            .region(cpu)
+            .log_control(control::HEARTBEAT, &payload)
+            .is_ok();
+        if ok {
+            self.shared.tel.sink().tally_heartbeat();
         }
+        ok
     }
 
     /// Logs an arbitrary `CONTROL` event on `cpu` — the audit channel the
@@ -407,18 +395,9 @@ impl TraceLogger {
     /// are *not* counted in `events_logged`, and neither the mask nor the
     /// sampling gate applies to CONTROL traffic.
     pub fn log_control_event(&self, cpu: usize, minor: MinorId, payload: &[u64]) -> bool {
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (cpu, minor, payload);
-            false
-        }
-        #[cfg(not(feature = "trace-off"))]
-        {
-            if cpu >= self.ncpus() {
-                return false;
-            }
-            self.region(cpu).log_control(minor, payload).is_ok()
-        }
+        cpu < self.ncpus()
+            && admit(&self.shared, cpu, MajorId::CONTROL)
+            && self.region(cpu).log_control(minor, payload).is_ok()
     }
 
     /// Per-CPU ring occupancy: `(outstanding_words, capacity_words)` —
@@ -427,7 +406,7 @@ impl TraceLogger {
     /// fill gauge; in flight-recorder mode nothing is ever consumed, so a
     /// full ring is the steady state.
     pub fn occupancy(&self, cpu: usize) -> (u64, u64) {
-        let r: &CpuRegion = &self.shared.regions[cpu];
+        let r = self.region(cpu);
         let bw = self.shared.config.buffer_words as u64;
         let cap = bw * self.shared.config.buffers_per_cpu as u64;
         let outstanding = r.index().saturating_sub(r.buffers_consumed() * bw);
@@ -480,20 +459,8 @@ macro_rules! arity_logger {
         #[inline]
         #[allow(clippy::too_many_arguments)]
         pub fn $name(&self, major: MajorId, minor: MinorId $(, $arg: u64)*) -> bool {
-            #[cfg(feature = "trace-off")]
-            {
-                let _ = (major, minor $(, $arg)*);
-                false
-            }
-            #[cfg(not(feature = "trace-off"))]
-            {
-                if !self.shared.mask.is_enabled(major) || !self.shared.sample.admit(major) {
-                    self.shared.tel.cpu(self.cpu as usize).tally_masked();
-                    return false;
-                }
-                let payload = [$($arg),*];
-                self.region().log_raw(major, minor, &payload).is_ok()
-            }
+            admit(&self.shared, self.cpu as usize, major)
+                && self.region().log_raw(major, minor, &[$($arg),*]).is_ok()
         }
     };
 }
@@ -518,19 +485,8 @@ impl CpuHandle {
     /// Logs an event with an arbitrary payload slice.
     #[inline]
     pub fn log_slice(&self, major: MajorId, minor: MinorId, payload: &[u64]) -> bool {
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (major, minor, payload);
-            false
-        }
-        #[cfg(not(feature = "trace-off"))]
-        {
-            if !self.shared.mask.is_enabled(major) || !self.shared.sample.admit(major) {
-                self.shared.tel.cpu(self.cpu as usize).tally_masked();
-                return false;
-            }
-            self.region().log_raw(major, minor, payload).is_ok()
-        }
+        admit(&self.shared, self.cpu as usize, major)
+            && self.region().log_raw(major, minor, payload).is_ok()
     }
 
     arity_logger!(

@@ -43,9 +43,8 @@ use ktrace_format::header::filler_chain;
 use ktrace_format::ids::control;
 use ktrace_format::{EventHeader, MajorId, MinorId};
 use ktrace_telemetry::{CpuCounters, Telemetry};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long [`CpuRegion::take_buffer`] waits for a straggling commit before
@@ -120,7 +119,9 @@ impl RegionSnapshot {
 /// In K42 these live in processor-local memory mapped into every address
 /// space; here the region is plain shared memory reached through an `Arc`,
 /// which preserves the measured property (no syscall, no lock, one CAS on a
-/// CPU-local cache line per event).
+/// CPU-local cache line per event). Aligned to two cache lines (adjacent-
+/// line prefetch) so neighbouring CPUs' reservation CASes never share one.
+#[repr(align(128))]
 pub struct CpuRegion {
     cpu: usize,
     config: TraceConfig,
@@ -402,7 +403,10 @@ impl CpuRegion {
         if self.config.mode != Mode::Stream {
             return None;
         }
-        let _guard = self.take_lock.lock();
+        let _guard = self
+            .take_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let bw = self.config.buffer_words as u64;
         // Acquire pairs with the Release store below: a consumer taking over
         // (e.g. after the take lock changes hands) must see the predecessor's

@@ -9,7 +9,7 @@
 //!
 //! Cost model: the common case is rate 1, where [`SampleGate::admit`] is a
 //! single relaxed load and a compare — measured under 1% of the event cost
-//! by the E23 gate (`ktrace-bench fig_adapt_gate`). Only while the
+//! by the E23 gate (`ktrace-bench adapt_gate`). Only while the
 //! controller is actively shedding (rate > 1) does the path pay a relaxed
 //! `fetch_add`; that contention is accepted precisely because the system is
 //! overloaded and dropping events anyway.

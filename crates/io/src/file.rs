@@ -22,7 +22,6 @@
 //! words…`. Flag bit 0 = "complete" (commit count matched when drained).
 
 use crate::error::IoError;
-use bytes::{Buf, BufMut};
 use ktrace_format::EventRegistry;
 
 /// File magic: identifies a ktrace trace file.
@@ -68,18 +67,19 @@ impl FileHeader {
     pub fn encode(&self) -> Vec<u8> {
         let registry_text = self.registry.to_text();
         let mut out = Vec::with_capacity(40 + registry_text.len());
-        out.put_slice(&FILE_MAGIC);
-        out.put_u32_le(FILE_VERSION);
-        out.put_u32_le(if self.clock_synchronized {
+        let flags = if self.clock_synchronized {
             FLAG_CLOCK_SYNCHRONIZED
         } else {
             0
-        });
-        out.put_u32_le(self.ncpus);
-        out.put_u32_le(self.buffer_words);
-        out.put_u64_le(self.ticks_per_sec);
-        out.put_u64_le(registry_text.len() as u64);
-        out.put_slice(registry_text.as_bytes());
+        };
+        out.extend_from_slice(&FILE_MAGIC);
+        out.extend_from_slice(&FILE_VERSION.to_le_bytes());
+        out.extend_from_slice(&flags.to_le_bytes());
+        out.extend_from_slice(&self.ncpus.to_le_bytes());
+        out.extend_from_slice(&self.buffer_words.to_le_bytes());
+        out.extend_from_slice(&self.ticks_per_sec.to_le_bytes());
+        out.extend_from_slice(&(registry_text.len() as u64).to_le_bytes());
+        out.extend_from_slice(registry_text.as_bytes());
         out
     }
 
@@ -87,23 +87,25 @@ impl FileHeader {
     /// number of bytes it occupied.
     pub fn decode(mut bytes: &[u8]) -> Result<(FileHeader, usize), IoError> {
         let total = bytes.len();
-        if bytes.len() < 8 + 4 + 4 + 4 + 4 + 8 + 8 {
-            return Err(IoError::BadHeader("file shorter than fixed header"));
-        }
-        let mut magic = [0u8; 8];
-        bytes.copy_to_slice(&mut magic);
+        let mut fixed = || {
+            Some((
+                take::<8>(&mut bytes)?,
+                u32::from_le_bytes(take(&mut bytes)?),
+                u32::from_le_bytes(take(&mut bytes)?),
+                u32::from_le_bytes(take(&mut bytes)?),
+                u32::from_le_bytes(take(&mut bytes)?),
+                u64::from_le_bytes(take(&mut bytes)?),
+                u64::from_le_bytes(take(&mut bytes)?) as usize,
+            ))
+        };
+        let (magic, version, flags, ncpus, buffer_words, ticks_per_sec, registry_bytes) =
+            fixed().ok_or(IoError::BadHeader("file shorter than fixed header"))?;
         if magic != FILE_MAGIC {
             return Err(IoError::BadMagic);
         }
-        let version = bytes.get_u32_le();
         if version != FILE_VERSION {
             return Err(IoError::BadVersion(version));
         }
-        let flags = bytes.get_u32_le();
-        let ncpus = bytes.get_u32_le();
-        let buffer_words = bytes.get_u32_le();
-        let ticks_per_sec = bytes.get_u64_le();
-        let registry_bytes = bytes.get_u64_le() as usize;
         if ncpus == 0 {
             return Err(IoError::BadHeader("ncpus is zero"));
         }
@@ -132,13 +134,22 @@ impl FileHeader {
 
 /// Encodes one record's fixed prefix.
 pub fn encode_record_header(cpu: u32, seq: u64, complete: bool) -> [u8; RECORD_HEADER_BYTES] {
+    let flags = if complete { RECORD_FLAG_COMPLETE } else { 0 };
     let mut out = [0u8; RECORD_HEADER_BYTES];
-    let mut buf = &mut out[..];
-    buf.put_u32_le(RECORD_MAGIC);
-    buf.put_u32_le(cpu);
-    buf.put_u64_le(seq);
-    buf.put_u64_le(if complete { RECORD_FLAG_COMPLETE } else { 0 });
+    out[..4].copy_from_slice(&RECORD_MAGIC.to_le_bytes());
+    out[4..8].copy_from_slice(&cpu.to_le_bytes());
+    out[8..16].copy_from_slice(&seq.to_le_bytes());
+    out[16..].copy_from_slice(&flags.to_le_bytes());
     out
+}
+
+/// Splits the next `N` bytes off the front of `bytes`, or leaves it alone
+/// and answers `None` when fewer remain.
+#[inline]
+fn take<const N: usize>(bytes: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = bytes.split_first_chunk::<N>()?;
+    *bytes = rest;
+    Some(*head)
 }
 
 /// One framed record: the decoded fixed prefix and the buffer bytes after it.
@@ -180,15 +191,18 @@ impl FrameError {
 /// hunts for the next frame, the collector abandons the connection.
 #[inline]
 pub fn frame_record(mut bytes: &[u8]) -> Result<RecordFrame<'_>, FrameError> {
-    if bytes.len() < RECORD_HEADER_BYTES {
-        return Err(FrameError::TruncatedHeader);
-    }
-    if bytes.get_u32_le() != RECORD_MAGIC {
+    let mut prefix = || {
+        Some((
+            u32::from_le_bytes(take(&mut bytes)?),
+            u32::from_le_bytes(take(&mut bytes)?),
+            u64::from_le_bytes(take(&mut bytes)?),
+            u64::from_le_bytes(take(&mut bytes)?),
+        ))
+    };
+    let (magic, cpu, seq, flags) = prefix().ok_or(FrameError::TruncatedHeader)?;
+    if magic != RECORD_MAGIC {
         return Err(FrameError::BadMagic);
     }
-    let cpu = bytes.get_u32_le();
-    let seq = bytes.get_u64_le();
-    let flags = bytes.get_u64_le();
     Ok(RecordFrame {
         cpu,
         seq,
@@ -293,6 +307,48 @@ mod tests {
         let frame = frame_record(&enc).unwrap();
         assert_eq!(frame.body.len(), 21);
         assert_eq!(body_words(frame.body).collect::<Vec<u64>>(), vec![7, 9]);
+    }
+
+    /// `FileHeader::encode()` followed by `encode_record_header(3, 7, false)`
+    /// as the last commit that wrote them through the `bytes` cursor traits
+    /// produced them: the file and wire bytes are pinned, not re-derived.
+    #[test]
+    fn header_and_record_prefix_match_the_committed_bytes() {
+        let fixture: &[u8] = include_bytes!("../tests/fixtures/header_and_record.bin");
+        let mut registry = EventRegistry::new();
+        registry.register(
+            MajorId::TEST,
+            1,
+            EventDescriptor::new("TRACE_TEST_E", "64", "v %0[%d]").unwrap(),
+        );
+        let h = FileHeader {
+            registry,
+            ..header()
+        };
+        let mut enc = h.encode();
+        let header_len = enc.len();
+        enc.extend_from_slice(&encode_record_header(3, 7, false));
+        assert_eq!(enc, fixture);
+
+        let (dec, used) = FileHeader::decode(fixture).unwrap();
+        assert_eq!(used, header_len);
+        assert_eq!((dec.ncpus, dec.buffer_words), (4, 1024));
+        let frame = frame_record(&fixture[used..]).unwrap();
+        assert_eq!((frame.cpu, frame.seq, frame.complete), (3, 7, false));
+
+        // Anything shorter than a fixed part is refused, not indexed into.
+        for n in 0..40 {
+            assert!(matches!(
+                FileHeader::decode(&fixture[..n]),
+                Err(IoError::BadHeader("file shorter than fixed header"))
+            ));
+        }
+        for n in 0..RECORD_HEADER_BYTES {
+            assert_eq!(
+                frame_record(&fixture[used..used + n]),
+                Err(FrameError::TruncatedHeader)
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::error::IoError;
 use crate::file::{body_words, frame_record, FileHeader, RecordFrame, RECORD_HEADER_BYTES};
 use crate::merge::{MergedEvents, RecordSource};
 use crate::trace::Trace;
-use ktrace_core::reader::{parse_buffer, GarbleNote, RawEvent};
+use ktrace_core::reader::{parse_buffer, walk_buffer, GarbleNote, RawEvent};
 use ktrace_format::EventHeader;
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom};
@@ -254,7 +254,10 @@ impl<R: Read + Seek> TraceFileReader<R> {
     pub fn anomalies(&mut self) -> Result<Vec<RecordAnomaly>, IoError> {
         let mut out = Vec::new();
         for k in 0..self.record_count {
-            let (rec, _events, notes) = self.parse_record(k)?;
+            let rec = self.read_record(k)?;
+            let mut walk = walk_buffer(&rec.words, None);
+            walk.by_ref().for_each(drop);
+            let notes = walk.into_notes();
             if !rec.complete || !notes.is_empty() {
                 out.push(RecordAnomaly {
                     record: k,

@@ -17,10 +17,9 @@ use crate::tracer::{TraceHandle, Tracer};
 use crate::workload::Workload;
 use ktrace_format::pack::WordPacker;
 use ktrace_format::MajorId;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Result of one machine run.
@@ -91,12 +90,19 @@ impl Shared {
         );
         self.live.fetch_add(1, Ordering::AcqRel);
         self.spawned.fetch_add(1, Ordering::Relaxed);
-        self.queues[cpu].lock().push_back(task);
+        self.queues[cpu]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push_back(task);
     }
 
     /// Pops local work, stealing from the busiest sibling when empty.
     fn next_task(&self, cpu: usize) -> Option<Task> {
-        if let Some(t) = self.queues[cpu].lock().pop_front() {
+        if let Some(t) = self.queues[cpu]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop_front()
+        {
             return Some(t);
         }
         let (victim, _len) = self
@@ -104,9 +110,12 @@ impl Shared {
             .iter()
             .enumerate()
             .filter(|&(i, _)| i != cpu)
-            .map(|(i, q)| (i, q.lock().len()))
+            .map(|(i, q)| (i, q.lock().unwrap_or_else(PoisonError::into_inner).len()))
             .max_by_key(|&(_, len)| len)?;
-        self.queues[victim].lock().pop_back()
+        self.queues[victim]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop_back()
     }
 }
 
@@ -273,7 +282,9 @@ fn cpu_loop<H: TraceHandle>(cpu: usize, shared: Arc<Shared>, h: H) {
                 shared.live.fetch_sub(1, Ordering::AcqRel);
             }
             SliceOutcome::WaitingForChildren => {
-                let mut q = shared.queues[cpu].lock();
+                let mut q = shared.queues[cpu]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 let nothing_else = q.is_empty();
                 q.push_back(task);
                 drop(q);
@@ -283,7 +294,10 @@ fn cpu_loop<H: TraceHandle>(cpu: usize, shared: Arc<Shared>, h: H) {
                 }
             }
             SliceOutcome::SlicedOut => {
-                shared.queues[cpu].lock().push_back(task);
+                shared.queues[cpu]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push_back(task);
             }
         }
     }

@@ -34,7 +34,6 @@
 
 use crate::counter_block;
 use crate::snapshot::TelemetrySnapshot;
-use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Single-writer statistic increment: a relaxed load+store pair instead of a
@@ -128,9 +127,10 @@ impl Default for Histogram {
 
 // ktrace-protocol: exact-counter(events_logged, events_dropped, cas_retries, filler_words, buffer_wraps, flight_overwrites)
 counter_block! {
-    /// One CPU's counter block. Embedded cache-line-padded, one per region,
-    /// so a tally never contends with another CPU's.
+    /// One CPU's counter block, one per region, aligned to two cache lines
+    /// (adjacent-line prefetch) so a tally never contends with another CPU's.
     #[derive(Debug, Default)]
+    #[repr(align(128))]
     pub struct CpuCounters;
     /// Plain-data copy of one CPU's counter block.
     #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -333,13 +333,13 @@ impl SalvageCounters {
     }
 }
 
-/// The whole pipeline's telemetry registry: one padded [`CpuCounters`] block
+/// The whole pipeline's telemetry registry: one aligned [`CpuCounters`] block
 /// per CPU plus the shared sink and salvage blocks. The logger, the drain
 /// session, and the salvage reader all feed the same instance, so one
 /// snapshot describes the full path from reservation to file.
 #[derive(Debug)]
 pub struct Telemetry {
-    per_cpu: Box<[CachePadded<CpuCounters>]>,
+    per_cpu: Box<[CpuCounters]>,
     sink: SinkCounters,
     salvage: SalvageCounters,
 }
@@ -348,9 +348,7 @@ impl Telemetry {
     /// A registry for `ncpus` CPUs (all counters zero).
     pub fn new(ncpus: usize) -> Telemetry {
         Telemetry {
-            per_cpu: (0..ncpus)
-                .map(|_| CachePadded::new(CpuCounters::new()))
-                .collect(),
+            per_cpu: (0..ncpus).map(|_| CpuCounters::new()).collect(),
             sink: SinkCounters::new(),
             salvage: SalvageCounters::new(),
         }

@@ -14,138 +14,98 @@
 //! 2 (usage error) are reserved by every CLI and never assigned to a
 //! violation class.
 
+use ktrace_format::exit;
 use std::fmt;
 
-/// The class of a detected violation. Each class maps to a distinct nonzero
+/// The class of a detected violation. Each class *is* a distinct nonzero
 /// exit code (see [`ViolationKind::exit_code`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(u8)]
 pub enum ViolationKind {
     /// A buffer record is shorter than the declared buffer size, or the file
     /// ends mid-record.
-    TruncatedBuffer,
+    TruncatedBuffer = exit::TRUNCATED_BUFFER,
     /// Commit-count garbling (§3.1): the record was drained before every
     /// reservation in it was committed, or an unwritten (zero-header)
     /// reservation sits mid-buffer.
-    GarbledCommit,
+    GarbledCommit = exit::GARBLED_COMMIT,
     /// A timestamp stepped backwards, within a buffer or across a CPU's
     /// consecutive buffers — impossible for honestly logged events, because
     /// the reservation algorithm re-reads the clock on every CAS retry.
-    NonMonotonicTimestamp,
+    NonMonotonicTimestamp = exit::NON_MONOTONIC_TIMESTAMP,
     /// An event's `(major, minor)` has no descriptor in the registry: the
     /// stream is not self-describing for this event.
-    UndeclaredEvent,
+    UndeclaredEvent = exit::UNDECLARED_EVENT,
     /// Filler events that do not realign the stream exactly to the buffer
     /// boundary, or data events logged after a filler.
-    FillerMisaligned,
+    FillerMisaligned = exit::FILLER_MISALIGNED,
     /// An event's declared length disagrees with what its descriptor's field
     /// spec actually decodes to, or the length runs past the buffer end.
-    LengthMismatch,
+    LengthMismatch = exit::LENGTH_MISMATCH,
     /// A buffer does not begin with a time anchor.
-    MissingAnchor,
+    MissingAnchor = exit::MISSING_ANCHOR,
     /// The embedded event registry itself is inconsistent (a template
     /// referencing undeclared fields, unparseable registry text, …).
-    BadRegistry,
+    BadRegistry = exit::BAD_REGISTRY,
     /// A drain was lossy: the sink died (or the ring overran) and
     /// already-logged events never reached the file. Raised by the recording
     /// CLI when `SessionStats` reports buffer drops or producer-side drops,
     /// so scripted runs can tell "complete trace" from "trace with holes"
     /// without parsing output.
-    LossyDrain,
+    LossyDrain = exit::LOSSY_DRAIN,
     /// A data race found by the lockset / vector-clock detector.
-    DataRace,
+    DataRace = exit::DATA_RACE,
     /// Static (ktrace-lint): an instrumentation call site disagrees with the
     /// registered event schema — unknown minor, wrong payload arity, or a
     /// doc-comment payload annotation that contradicts the field spec.
-    SchemaMismatch,
+    SchemaMismatch = exit::SCHEMA_MISMATCH,
     /// Static (ktrace-lint): the event ID space is inconsistent — duplicate
     /// minor IDs under one major, a major outside the mask's 64 bits, or a
     /// registration in a reserved range (CONTROL, TEST).
-    IdSpaceCollision,
+    IdSpaceCollision = exit::ID_SPACE_COLLISION,
     /// Static (ktrace-lint): the lockless logging hot path reaches heap
     /// allocation, a blocking lock, or I/O — forbidden because `log_event`
     /// must stay safe in any kernel context (paper goal 2).
-    HotPathHazard,
+    HotPathHazard = exit::HOT_PATH_HAZARD,
     /// Static (ktrace-lint): an atomic operation's memory ordering violates
     /// the protocol role declared for that field in `concurrency.toml` — a
     /// Relaxed load on an acquire/release-paired field, mismatched CAS
     /// success/failure orderings, SeqCst in hot-path code, or an atomic
     /// field with no declared role at all.
-    AtomicOrderViolation,
+    AtomicOrderViolation = exit::ATOMIC_ORDER_VIOLATION,
     /// Static (ktrace-lint): the static lock-acquisition graph contains a
     /// cycle — two code paths can take the same pair of lock classes in
     /// opposite orders, so the system can deadlock.
-    LockOrderCycle,
+    LockOrderCycle = exit::LOCK_ORDER_CYCLE,
     /// Static (ktrace-lint): an `unsafe` block or declaration carries no
     /// `// SAFETY:` justification (blocks) or `# Safety` doc section
     /// (functions/impls).
-    UnsafeUnjustified,
+    UnsafeUnjustified = exit::UNSAFE_UNJUSTIFIED,
     /// Trace assertion (ktrace-query): a count/sum/rate/max bound on matching
     /// events does not hold — e.g. "events_lost == 0 on clean runs".
-    AssertCount,
+    AssertCount = exit::ASSERT_COUNT,
     /// Trace assertion (ktrace-query): a REQUEST/RELEASE-style span shape
     /// left unpaired endpoints — an open with no close, or vice versa.
-    AssertPairing,
+    AssertPairing = exit::ASSERT_PAIRING,
     /// Trace assertion (ktrace-query): a closed span exceeded its declared
     /// maximum duration.
-    AssertDuration,
+    AssertDuration = exit::ASSERT_DURATION,
     /// Trace assertion (ktrace-query): the gap between consecutive matching
     /// events exceeded the declared cadence bound — e.g. a missed HEARTBEAT.
-    AssertCadence,
+    AssertCadence = exit::ASSERT_CADENCE,
 }
 
 impl ViolationKind {
-    /// The stable process exit code for this violation class, drawn from the
-    /// canonical table in [`ktrace_format::exit`].
+    /// The stable process exit code for this violation class: its
+    /// discriminant, which the declaration draws from the canonical table in
+    /// [`ktrace_format::exit`].
     pub fn exit_code(self) -> u8 {
-        use ktrace_format::exit;
-        match self {
-            ViolationKind::TruncatedBuffer => exit::TRUNCATED_BUFFER,
-            ViolationKind::GarbledCommit => exit::GARBLED_COMMIT,
-            ViolationKind::NonMonotonicTimestamp => exit::NON_MONOTONIC_TIMESTAMP,
-            ViolationKind::UndeclaredEvent => exit::UNDECLARED_EVENT,
-            ViolationKind::FillerMisaligned => exit::FILLER_MISALIGNED,
-            ViolationKind::LengthMismatch => exit::LENGTH_MISMATCH,
-            ViolationKind::MissingAnchor => exit::MISSING_ANCHOR,
-            ViolationKind::BadRegistry => exit::BAD_REGISTRY,
-            ViolationKind::LossyDrain => exit::LOSSY_DRAIN,
-            ViolationKind::DataRace => exit::DATA_RACE,
-            ViolationKind::SchemaMismatch => exit::SCHEMA_MISMATCH,
-            ViolationKind::IdSpaceCollision => exit::ID_SPACE_COLLISION,
-            ViolationKind::HotPathHazard => exit::HOT_PATH_HAZARD,
-            ViolationKind::AtomicOrderViolation => exit::ATOMIC_ORDER_VIOLATION,
-            ViolationKind::LockOrderCycle => exit::LOCK_ORDER_CYCLE,
-            ViolationKind::UnsafeUnjustified => exit::UNSAFE_UNJUSTIFIED,
-            ViolationKind::AssertCount => exit::ASSERT_COUNT,
-            ViolationKind::AssertPairing => exit::ASSERT_PAIRING,
-            ViolationKind::AssertDuration => exit::ASSERT_DURATION,
-            ViolationKind::AssertCadence => exit::ASSERT_CADENCE,
-        }
+        self as u8
     }
 
-    /// Short machine-greppable label.
+    /// Short machine-greppable label, as that table spells it.
     pub fn label(self) -> &'static str {
-        match self {
-            ViolationKind::TruncatedBuffer => "truncated-buffer",
-            ViolationKind::GarbledCommit => "garbled-commit",
-            ViolationKind::NonMonotonicTimestamp => "non-monotonic-timestamp",
-            ViolationKind::UndeclaredEvent => "undeclared-event",
-            ViolationKind::FillerMisaligned => "filler-misaligned",
-            ViolationKind::LengthMismatch => "length-mismatch",
-            ViolationKind::MissingAnchor => "missing-anchor",
-            ViolationKind::BadRegistry => "bad-registry",
-            ViolationKind::LossyDrain => "lossy-drain",
-            ViolationKind::DataRace => "data-race",
-            ViolationKind::SchemaMismatch => "schema-mismatch",
-            ViolationKind::IdSpaceCollision => "id-space-collision",
-            ViolationKind::HotPathHazard => "hot-path-hazard",
-            ViolationKind::AtomicOrderViolation => "atomic-order-violation",
-            ViolationKind::LockOrderCycle => "lock-order-cycle",
-            ViolationKind::UnsafeUnjustified => "unsafe-unjustified",
-            ViolationKind::AssertCount => "assert-count",
-            ViolationKind::AssertPairing => "assert-pairing",
-            ViolationKind::AssertDuration => "assert-duration",
-            ViolationKind::AssertCadence => "assert-cadence",
-        }
+        exit::label(self as u8).expect("every kind's code is in exit::TABLE")
     }
 
     /// Every violation class, in exit-code order — the full shared table.

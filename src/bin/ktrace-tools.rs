@@ -191,25 +191,17 @@ fn assert_cmd(input: AssertInput<'_>, spec_path: &str) -> ExitCode {
     ExitCode::from(report.exit_code())
 }
 
-/// Builds the live-run plumbing shared by `top` and `record`: a logger with
-/// OS event descriptors, a session draining to `sink` with heartbeats on,
-/// and a background thread running SDET-style ossim workloads until the
-/// deadline passes.
-fn live_run<W: std::io::Write + Send + 'static>(
+/// Starts the live session `top`, `record` and `adapt` share: a logger
+/// with OS event descriptors and a session draining to `sink` with
+/// heartbeats on.
+fn live_session<W: std::io::Write + Send + 'static>(
     sink: W,
-    secs: f64,
     ncpus: usize,
-) -> (
-    ktrace::core::TraceLogger,
-    ktrace::io::TraceSession,
-    std::thread::JoinHandle<u64>,
-) {
+) -> (ktrace::core::TraceLogger, ktrace::io::TraceSession) {
     use ktrace::clock::{ClockSource, SyncClock};
     use ktrace::io::{SessionConfig, TraceSession};
-    use ktrace::ossim::workload::sdet;
-    use ktrace::ossim::{KTracer, Machine, MachineConfig};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     let clock: Arc<dyn ClockSource> = Arc::new(SyncClock::new());
     let logger = ktrace::core::TraceLogger::builder()
@@ -225,27 +217,37 @@ fn live_run<W: std::io::Write + Send + 'static>(
     ktrace::events::register_all(&logger);
     let session = TraceSession::builder()
         .logger(logger.clone())
-        .clock(clock.clone())
+        .clock(clock)
         .drain_policy(SessionConfig {
             heartbeat: Some(Duration::from_millis(250)),
             ..SessionConfig::default()
         })
         .start(sink)
         .expect("session start");
+    (logger, session)
+}
 
-    let worker_logger = logger.clone();
+/// The load `top` and `record` trace: a background thread running
+/// SDET-style ossim workloads flat out until `secs` have passed, answering
+/// how many simulated tasks completed.
+fn spawn_sdet_load(logger: ktrace::core::TraceLogger, secs: f64) -> std::thread::JoinHandle<u64> {
+    use ktrace::ossim::workload::sdet;
+    use ktrace::ossim::{KTracer, Machine, MachineConfig};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
     let deadline = Instant::now() + Duration::from_secs_f64(secs);
-    let worker = std::thread::Builder::new()
+    std::thread::Builder::new()
         .name("ktrace-workload".into())
         .spawn(move || {
             let mut tasks = 0u64;
             while Instant::now() < deadline {
                 let machine = Machine::new(
-                    MachineConfig::fast_test(worker_logger.ncpus()),
-                    Arc::new(KTracer::new(worker_logger.clone())),
+                    MachineConfig::fast_test(logger.ncpus()),
+                    Arc::new(KTracer::new(logger.clone())),
                 );
                 let report = machine.run(sdet::build(sdet::SdetConfig {
-                    scripts: worker_logger.ncpus() * 2,
+                    scripts: logger.ncpus() * 2,
                     commands_per_script: 3,
                     ..Default::default()
                 }));
@@ -253,8 +255,7 @@ fn live_run<W: std::io::Write + Send + 'static>(
             }
             tasks
         })
-        .expect("spawn workload thread");
-    (logger, session, worker)
+        .expect("spawn workload thread")
 }
 
 /// Renders one telemetry refresh: a per-CPU table of ring occupancy,
@@ -326,7 +327,8 @@ fn render_top(
 /// `ktrace-tools top`: live telemetry monitor over an in-process ossim run.
 fn top(secs: f64, ncpus: usize, refresh_ms: u64) -> ExitCode {
     use std::time::Duration;
-    let (logger, session, worker) = live_run(std::io::sink(), secs, ncpus);
+    let (logger, session) = live_session(std::io::sink(), ncpus);
+    let worker = spawn_sdet_load(logger.clone(), secs);
     let interval = Duration::from_millis(refresh_ms.max(50));
     let mut prev = logger.telemetry().snapshot();
     let mut detector = ktrace::adapt::Detector::default();
@@ -436,12 +438,9 @@ fn render_session_summary(stats: &ktrace::io::SessionStats) -> String {
 /// [`FaultySink`]: ktrace::faults::FaultySink
 fn adapt_cmd(out_path: &str, secs: f64, ncpus: usize, fault: bool) -> ExitCode {
     use ktrace::adapt::{Controller, ControllerConfig, Detector, DetectorConfig};
-    use ktrace::clock::{ClockSource, SyncClock};
     use ktrace::faults::{FaultySink, SinkPlan};
     use ktrace::format::MajorId;
-    use ktrace::io::{SessionConfig, TraceSession};
     use std::io::Write;
-    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     let file = match std::fs::File::create(out_path) {
@@ -465,27 +464,7 @@ fn adapt_cmd(out_path: &str, secs: f64, ncpus: usize, fault: bool) -> ExitCode {
         Box::new(std::io::BufWriter::new(file))
     };
 
-    let clock: Arc<dyn ClockSource> = Arc::new(SyncClock::new());
-    let logger = ktrace::core::TraceLogger::builder()
-        .geometry(ktrace::core::TraceConfig {
-            buffer_words: 4096,
-            buffers_per_cpu: 8,
-            ..ktrace::core::TraceConfig::default()
-        })
-        .clock(clock.clone())
-        .ncpus(ncpus)
-        .build()
-        .expect("logger construction");
-    ktrace::events::register_all(&logger);
-    let session = TraceSession::builder()
-        .logger(logger.clone())
-        .clock(clock.clone())
-        .drain_policy(SessionConfig {
-            heartbeat: Some(Duration::from_millis(250)),
-            ..SessionConfig::default()
-        })
-        .start(sink)
-        .expect("session start");
+    let (logger, session) = live_session(sink, ncpus);
 
     // A *paced* workload, unlike `top`/`record`'s flat-out ossim run: a
     // fixed event rate the healthy sink absorbs easily, so the detector's
@@ -585,8 +564,10 @@ fn record(out_path: &str, secs: f64, ncpus: usize) -> ExitCode {
             return ExitCode::from(exit::UNREADABLE);
         }
     };
-    let (_logger, session, worker) = live_run(std::io::BufWriter::new(file), secs, ncpus);
-    let tasks = worker.join().expect("workload thread panicked");
+    let (logger, session) = live_session(std::io::BufWriter::new(file), ncpus);
+    let tasks = spawn_sdet_load(logger, secs)
+        .join()
+        .expect("workload thread panicked");
     let stats = session.finish();
     println!("recorded {out_path}: {tasks} simulated tasks completed");
     print!("{}", render_session_summary(&stats));
