@@ -91,20 +91,24 @@ impl StaleTsSink {
         }
     }
 
-    /// Counts buffer-order/timestamp-order inversions in the ring.
+    /// Counts buffer-order/timestamp-order inversions in the ring. Stamps
+    /// are 32 bits and wrap every 2³² ticks (4.3 s at 1 GHz), so the step
+    /// between neighbours is taken modulo 2³² and read as signed: a wrap is
+    /// a small step forward, as `ktrace_clock::WrapExtender` extends it, and
+    /// only a step back is an inversion.
     pub fn inversions(&self) -> u64 {
         let end = (self.index.load(Ordering::Acquire) as usize).min(self.words.len());
-        let mut last_ts = 0u32;
+        let mut last_ts: Option<u32> = None;
         let mut inversions = 0;
         let mut off = 0;
         while off < end {
             let Ok(h) = EventHeader::decode(self.words[off].load(Ordering::Relaxed)) else {
                 break;
             };
-            if h.timestamp < last_ts {
+            if last_ts.is_some_and(|last| (h.timestamp.wrapping_sub(last) as i32) < 0) {
                 inversions += 1;
             }
-            last_ts = h.timestamp;
+            last_ts = Some(h.timestamp);
             off += h.len_words as usize;
         }
         inversions
@@ -192,6 +196,19 @@ mod tests {
             hammer(&sink, 4, 8_000);
             assert_eq!(sink.inversions(), 0, "paper protocol must stay monotonic");
         }
+    }
+
+    #[test]
+    fn a_stamp_wrap_is_not_an_inversion() {
+        // The clock starts 100 ticks below 2³² and steps one tick per read,
+        // so the stamps cross the 32-bit wrap a hundred-odd events in.
+        let clock = Arc::new(ktrace_clock::ManualClock::new((1 << 32) - 100, 1));
+        let sink = StaleTsSink::new_correct(clock.clone(), 1024);
+        for i in 0..200u64 {
+            assert!(sink.log(0, MajorId::TEST, 0, &[i]));
+        }
+        assert!(clock.now(0) > 1 << 32, "the stamps wrapped");
+        assert_eq!(sink.inversions(), 0);
     }
 
     #[test]

@@ -782,6 +782,42 @@ mod tests {
         assert_eq!(stored, logged);
     }
 
+    /// The bounded queue drops a record only when it is full. With the store
+    /// worker dragged, records pile up in the queue; with fewer records sent
+    /// than it holds, none can find it full, whatever the timing.
+    #[test]
+    fn no_record_is_dropped_while_the_queue_has_room() {
+        const DEPTH: usize = 64;
+        let tmp = TempDir::new("collect-room");
+        let mut config = CollectorConfig::new(tmp.path());
+        config.shards = 1;
+        config.queue_depth = DEPTH;
+        config.store_write_delay = Some(Duration::from_millis(2));
+        let collector = Collector::bind("127.0.0.1:0", config).unwrap();
+
+        let sink = node::connect(collector.local_addr(), "roomy").unwrap();
+        let session = TraceSession::builder()
+            .geometry(TraceConfig::small())
+            .start(sink)
+            .unwrap();
+        let h = session.logger().handle(0).unwrap();
+        for i in 0..1_000u64 {
+            // Wait out a full ring rather than drop: ≈ 24 records in all.
+            while !h.log2(MajorId::TEST, 0, i, i) {
+                std::thread::yield_now();
+            }
+        }
+        let stats = session.finish();
+        assert!(stats.lossless(), "{stats:?}");
+        assert!(stats.records_written <= DEPTH as u64, "{stats:?}");
+
+        let summary = wait_for_drain(&collector, "roomy", stats.records_written);
+        let n = summary.node("roomy").expect("node registered");
+        assert_eq!(n.records_received, stats.records_written);
+        assert_eq!(n.records_dropped, 0, "{n:?}");
+        assert_eq!(n.records_stored, n.records_received);
+    }
+
     /// The reader thread counts in place; every consumer of the stored
     /// record decodes it with `parse_buffer`. The two must agree wherever
     /// the chain breaks, or `events_stored` stops meaning "what a reader of

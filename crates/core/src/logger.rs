@@ -15,13 +15,14 @@
 use crate::config::{Mode, TraceConfig};
 use crate::error::CoreError;
 use crate::reader::{parse_buffer, GarbleNote, RawEvent};
-use crate::region::{CompletedBuffer, CpuRegion, RegionSnapshot};
+use crate::region::{CompletedBuffer, CpuRegion, DrainerWake, RegionSnapshot};
 use crate::sample::SampleGate;
 use ktrace_clock::ClockSource;
 use ktrace_format::ids::control;
 use ktrace_format::{EventDescriptor, EventRegistry, FieldValue, MajorId, MinorId, TraceMask};
 use ktrace_telemetry::{CpuCounters, Telemetry};
 use std::sync::{Arc, PoisonError, RwLock};
+use std::time::Instant;
 
 struct Shared {
     config: TraceConfig,
@@ -30,6 +31,7 @@ struct Shared {
     regions: Box<[CpuRegion]>,
     registry: RwLock<EventRegistry>,
     tel: Arc<Telemetry>,
+    wake: Arc<DrainerWake>,
 }
 
 // Slices of these are indexed by CPU: a reservation CAS or a tally on one
@@ -118,8 +120,11 @@ impl TraceLogger {
             return Err(CoreError::BadConfig("ncpus must be at least 1"));
         }
         let tel = Arc::new(Telemetry::new(ncpus));
+        let wake = Arc::new(DrainerWake::default());
         let regions = (0..ncpus)
-            .map(|cpu| CpuRegion::with_telemetry(config, clock.clone(), cpu, tel.clone(), cpu))
+            .map(|cpu| {
+                CpuRegion::in_logger(config, clock.clone(), cpu, tel.clone(), cpu, wake.clone())
+            })
             .collect();
         Ok(TraceLogger {
             shared: Arc::new(Shared {
@@ -129,6 +134,7 @@ impl TraceLogger {
                 regions,
                 registry: RwLock::new(EventRegistry::with_builtin()),
                 tel,
+                wake,
             }),
         })
     }
@@ -265,6 +271,27 @@ impl TraceLogger {
     /// Takes the oldest completed buffer from `cpu` (stream mode).
     pub fn take_buffer(&self, cpu: usize) -> Option<CompletedBuffer> {
         self.region(cpu).take_buffer()
+    }
+
+    /// Parks the calling thread until a writer closes a buffer on any CPU,
+    /// or until `deadline` (`None`: no deadline) — the consumer half of the
+    /// drainer's wake-up handshake, whose argument that no close is missed
+    /// is on `region::DrainerWake`. The caller becomes the wake target,
+    /// replacing any earlier one. Returns at once if a closed buffer already
+    /// waits, and after any return from the park — a writer's wake-up, the
+    /// deadline, or another thread's `unpark` (how a session stops its
+    /// drainer). Each return from the park tallies one
+    /// `sink.drainer_wakeups`.
+    pub fn wait_for_buffer(&self, deadline: Option<Instant>) {
+        self.shared.wake.announce();
+        if !self.shared.regions.iter().any(CpuRegion::has_closed_buffer) {
+            match deadline {
+                None => std::thread::park(),
+                Some(d) => std::thread::park_timeout(d.saturating_duration_since(Instant::now())),
+            }
+            self.shared.tel.sink().tally_drainer_wakeup();
+        }
+        self.shared.wake.withdraw();
     }
 
     /// Takes every currently completed buffer from `cpu`.

@@ -143,7 +143,7 @@ impl TraceSession {
             writer: &mut TraceFileWriter<W>,
             config: &SessionConfig,
             stats: &mut SessionStats,
-        ) -> bool {
+        ) {
             let tel = logger.telemetry().clone();
             // A dropped buffer loses every data event already committed into
             // it; walk the words we're about to discard so the loss is
@@ -151,10 +151,8 @@ impl TraceSession {
             fn count_lost(words: &[u64]) -> u64 {
                 walk_buffer(words, None).filter(|e| !e.is_control()).count() as u64
             }
-            let mut drained_any = false;
             for cpu in 0..logger.ncpus() {
                 while let Some(buf) = logger.take_buffer(cpu) {
-                    drained_any = true;
                     if stats.sink_error.is_some() {
                         stats.buffers_dropped += 1;
                         let lost = count_lost(&buf.words);
@@ -185,7 +183,6 @@ impl TraceSession {
                     }
                 }
             }
-            drained_any
         }
         let drainer = std::thread::Builder::new()
             .name("ktrace-drainer".into())
@@ -204,7 +201,7 @@ impl TraceSession {
                             beat_all(&logger2);
                         }
                     }
-                    let drained_any = drain(&logger2, &mut writer, &config, &mut stats);
+                    drain(&logger2, &mut writer, &config, &mut stats);
                     if stop2.load(Ordering::Acquire) {
                         // Final beat, then the final sweep: flush partial
                         // buffers and drain.
@@ -220,9 +217,11 @@ impl TraceSession {
                         stats.telemetry = logger2.telemetry().snapshot();
                         return stats;
                     }
-                    if !drained_any {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
+                    // Park until a writer closes a buffer, the next beat is
+                    // due, or `stop_drainer` unparks us. With heartbeats off
+                    // there is no timeout: a lost wake-up fails a test
+                    // instead of hiding as latency.
+                    logger2.wait_for_buffer(config.heartbeat.map(|every| last_beat + every));
                 }
             })
             .expect("spawn drainer thread");
@@ -249,20 +248,25 @@ impl TraceSession {
     /// [`SessionStats::sink_error`] / [`SessionStats::buffers_dropped`],
     /// never as a panic or a hang.
     pub fn finish(mut self) -> SessionStats {
-        self.stop.store(true, Ordering::Release);
-        match self.drainer.take().expect("finish called once").join() {
+        match self.stop_drainer().expect("finish called once") {
             Ok(stats) => stats,
             Err(panic) => std::panic::resume_unwind(panic),
         }
+    }
+
+    /// The one stop path, for `finish` and `Drop`: raise the flag, unpark
+    /// the drainer (the unpark orders the flag before its next check), join.
+    fn stop_drainer(&mut self) -> Option<std::thread::Result<SessionStats>> {
+        self.stop.store(true, Ordering::Release);
+        let handle = self.drainer.take()?;
+        handle.thread().unpark();
+        Some(handle.join())
     }
 }
 
 impl Drop for TraceSession {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.drainer.take() {
-            let _ = handle.join();
-        }
+        let _ = self.stop_drainer();
     }
 }
 

@@ -220,7 +220,7 @@ impl CpuCounters {
     }
 }
 
-// ktrace-protocol: exact-counter(records_written, write_retries, buffers_dropped, events_lost, heartbeats_emitted, grace_waits)
+// ktrace-protocol: exact-counter(records_written, write_retries, buffers_dropped, events_lost, heartbeats_emitted, grace_waits, drainer_wakeups)
 counter_block! {
     /// Drain-side counters, fed by `io::session`'s background drainer. One
     /// block per pipeline (the drainer is a single thread), not per CPU.
@@ -242,6 +242,8 @@ counter_block! {
             => "ktrace_heartbeats_emitted_total";
         grace_waits: AtomicU64 = "Closed buffers the drainer had to wait on for a straggling commit."
             => "ktrace_sink_grace_waits_total";
+        drainer_wakeups: AtomicU64 = "Returns of the drainer from its park: a closed buffer, a heartbeat due, or a stop."
+            => "ktrace_drainer_wakeups_total";
     }
     histograms {
         drain_write: Histogram, drain_write_sum = "Sink write latency, nanoseconds."
@@ -288,6 +290,12 @@ impl SinkCounters {
     #[inline]
     pub fn tally_grace_wait(&self) {
         self.grace_waits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// One return of the drainer from its park (cold: the drainer's thread).
+    #[inline]
+    pub fn tally_drainer_wakeup(&self) {
+        self.drainer_wakeups.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one sink write's latency in nanoseconds.
