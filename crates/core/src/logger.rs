@@ -19,7 +19,9 @@ use crate::region::{CompletedBuffer, CpuRegion, DrainerWake, RegionSnapshot};
 use crate::sample::SampleGate;
 use ktrace_clock::ClockSource;
 use ktrace_format::ids::control;
-use ktrace_format::{EventDescriptor, EventRegistry, FieldValue, MajorId, MinorId, TraceMask};
+use ktrace_format::{
+    Event, EventDescriptor, EventRegistry, FieldValue, MajorId, MinorId, TraceMask,
+};
 use ktrace_telemetry::{CpuCounters, Telemetry};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
@@ -514,6 +516,13 @@ impl CpuHandle {
     pub fn log_slice(&self, major: MajorId, minor: MinorId, payload: &[u64]) -> bool {
         admit(&self.shared, self.cpu as usize, major)
             && self.region().log_raw(major, minor, payload).is_ok()
+    }
+
+    /// Logs an event built by one of `ktrace_events`' generated emitters,
+    /// whose major, minor and arity the declaration fixed at compile time.
+    #[inline]
+    pub fn log_event<P: AsRef<[u64]>>(&self, e: &Event<P>) -> bool {
+        self.log_slice(e.major(), e.minor(), e.payload())
     }
 
     arity_logger!(

@@ -14,7 +14,7 @@
 //! |------|-------|-------|
 //! | process | 0–2 | every CLI: clean / input unreadable / usage error |
 //! | stream verify | 10–20 | `ktrace-verify` (dynamic trace-stream checks) |
-//! | srclint | 30–35 | `ktrace-lint` (static source checks) |
+//! | srclint | 32–35 | `ktrace-lint` (static source checks; 30–31 retired, reserved) |
 //! | trace assertions | 36–39 | `ktrace-query` (`ktrace-tools assert`) |
 //! | collector ops | 40–42 | `ktrace-collectd` (fleet-service operational) |
 //! | adaptive control | 43 | `ktrace-tools adapt` (closed-loop operational) |
@@ -57,12 +57,12 @@ pub const LOSSY_DRAIN: u8 = 18;
 /// A data race found by the lockset / vector-clock detector.
 pub const DATA_RACE: u8 = 20;
 
-// --- Srclint band (30–35): static checks over workspace source. ---
+// --- Srclint band (32–35): static checks over workspace source. ---
 
-/// A call site disagrees with the registered event schema.
-pub const SCHEMA_MISMATCH: u8 = 30;
-/// The event ID space is inconsistent (duplicate minors, reserved range…).
-pub const ID_SPACE_COLLISION: u8 = 31;
+// 30 (schema-mismatch) and 31 (id-space-collision) are retired: event
+// arity, minors and the ID space are compile errors in `ktrace_event!` and
+// its generated emitters. Both stay reserved; never assign them again.
+
 /// The lockless hot path reaches allocation, a blocking lock, or I/O.
 pub const HOT_PATH_HAZARD: u8 = 32;
 /// An atomic's ordering violates its declared `concurrency.toml` role.
@@ -119,8 +119,6 @@ pub const TABLE: &[(u8, &str)] = &[
     (BAD_REGISTRY, "bad-registry"),
     (LOSSY_DRAIN, "lossy-drain"),
     (DATA_RACE, "data-race"),
-    (SCHEMA_MISMATCH, "schema-mismatch"),
-    (ID_SPACE_COLLISION, "id-space-collision"),
     (HOT_PATH_HAZARD, "hot-path-hazard"),
     (ATOMIC_ORDER_VIOLATION, "atomic-order-violation"),
     (LOCK_ORDER_CYCLE, "lock-order-cycle"),
@@ -139,7 +137,7 @@ pub const TABLE: &[(u8, &str)] = &[
 // other; checked at compile time so a renumbering cannot slip through.
 const _: () = {
     assert!(TRUNCATED_BUFFER > USAGE);
-    assert!(DATA_RACE < SCHEMA_MISMATCH);
+    assert!(DATA_RACE < HOT_PATH_HAZARD);
     assert!(UNSAFE_UNJUSTIFIED < ASSERT_COUNT);
     assert!(ASSERT_CADENCE < COLLECT_BIND);
     assert!(COLLECT_LOSSY < ADAPT_ANOMALY);

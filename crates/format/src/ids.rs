@@ -127,6 +127,47 @@ impl fmt::Display for MajorId {
 /// A minor event ID (or other major-class-defined 16-bit datum).
 pub type MinorId = u16;
 
+/// One declared event ready to log: its major, its minor and its payload
+/// words. Only the emitters `ktrace_events::ktrace_event!` generates build
+/// one, so the three always agree with a registered descriptor.
+#[must_use = "an event is recorded only when a handle logs it"]
+#[derive(Debug, Clone)]
+pub struct Event<P> {
+    major: MajorId,
+    minor: MinorId,
+    payload: P,
+}
+
+impl<P: AsRef<[u64]>> Event<P> {
+    #[doc(hidden)]
+    #[inline(always)]
+    pub fn __new(major: MajorId, minor: MinorId, payload: P) -> Event<P> {
+        Event {
+            major,
+            minor,
+            payload,
+        }
+    }
+
+    /// The major class the event is declared under.
+    #[inline(always)]
+    pub fn major(&self) -> MajorId {
+        self.major
+    }
+
+    /// The event's minor ID within its major class.
+    #[inline(always)]
+    pub fn minor(&self) -> MinorId {
+        self.minor
+    }
+
+    /// The payload words, packed as the event's field spec says.
+    #[inline(always)]
+    pub fn payload(&self) -> &[u64] {
+        self.payload.as_ref()
+    }
+}
+
 /// Minor IDs of the `CONTROL` major class.
 pub mod control {
     use super::MinorId;

@@ -37,5 +37,5 @@ pub mod text;
 pub use describe::{EventDescriptor, EventRegistry, FieldSpec, FieldToken, FieldValue};
 pub use error::FormatError;
 pub use header::{EventHeader, MAX_EVENT_WORDS, MAX_PAYLOAD_WORDS};
-pub use ids::{MajorId, MinorId, NUM_MAJOR_IDS};
+pub use ids::{Event, MajorId, MinorId, NUM_MAJOR_IDS};
 pub use mask::TraceMask;

@@ -15,7 +15,7 @@
 
 use crate::tracer::{KTracer, TraceHandle, Tracer};
 use ktrace_core::{CpuHandle, TraceLogger};
-use ktrace_format::{MajorId, MinorId};
+use ktrace_format::{Event, MajorId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -123,7 +123,7 @@ pub struct CrashHandle {
 }
 
 impl TraceHandle for CrashHandle {
-    fn log(&self, major: MajorId, minor: MinorId, payload: &[u64]) {
+    fn log<P: AsRef<[u64]>>(&self, e: Event<P>) {
         if self.victim {
             if self.crashed.load(Ordering::Acquire) {
                 return; // dead CPUs log nothing
@@ -142,7 +142,7 @@ impl TraceHandle for CrashHandle {
                 return;
             }
         }
-        self.inner.log(major, minor, payload)
+        self.inner.log_event(&e);
     }
 
     fn enabled(&self, major: MajorId) -> bool {
@@ -188,13 +188,13 @@ mod tests {
         let tracer = CrashTracer::new(flight_logger(1), CrashPlan::new(0, 5));
         let h = tracer.handle(0);
         for i in 0..20u64 {
-            h.log(MajorId::TEST, 0, &[i]);
+            h.log(crate::events::user::app_tick(i, 0));
         }
         assert!(tracer.crashed());
         let at = tracer.torn_at().expect("tear landed");
         // Exactly 5 events made it out; the rest died with the CPU.
         assert_eq!(tracer.logger().stats().events_logged, 5);
-        assert!(!h.enabled(MajorId::TEST), "dead CPUs are disabled");
+        assert!(!h.enabled(MajorId::USER), "dead CPUs are disabled");
 
         let dump = tracer.logger().dump_last(64, None);
         assert!(!dump.clean(), "the tear must be visible");

@@ -17,7 +17,6 @@ use crate::events::{self, exception, fs, ipc, lock as lockev, mem, syscall as sy
 use crate::lock::FairBLock;
 use crate::task::Task;
 use crate::tracer::TraceHandle;
-use ktrace_format::MajorId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -127,30 +126,24 @@ impl Kernel {
         critical: impl FnOnce(),
     ) -> bool {
         let chain = events::pack_chain(&task.func_stack);
-        h.log(
-            MajorId::LOCK,
-            lockev::REQUEST,
-            &[lock.id(), task.tid, chain],
-        );
+        h.log(lockev::request(lock.id(), task.tid, chain));
         let Some(stats) = lock.acquire(&self.abort) else {
             return false;
         };
-        h.log(
-            MajorId::LOCK,
-            lockev::ACQUIRED,
-            &[lock.id(), task.tid, chain, stats.spins, stats.wait_ns],
-        );
+        h.log(lockev::acquired(
+            lock.id(),
+            task.tid,
+            chain,
+            stats.spins,
+            stats.wait_ns,
+        ));
         let held = Instant::now();
         critical();
         let hold_ns = held.elapsed().as_nanos() as u64;
         // Log RELEASED *before* the lock becomes available: the event's
         // timestamp must precede any successor's ACQUIRED so the trace's
         // release → acquire order matches the real synchronization order.
-        h.log(
-            MajorId::LOCK,
-            lockev::RELEASED,
-            &[lock.id(), task.tid, hold_ns],
-        );
+        h.log(lockev::released(lock.id(), task.tid, hold_ns));
         lock.release();
         true
     }
@@ -167,7 +160,7 @@ impl Kernel {
         let ok = self.locked_section(h, task, lock, || busy(hold));
         if ok {
             let addr = self.next_addr.fetch_add(size.max(8), Ordering::Relaxed);
-            h.log(MajorId::MEM, mem::ALLOC, &[size, addr]);
+            h.log(mem::alloc(size, addr));
         }
         task.func_stack.truncate(task.func_stack.len() - 3);
         ok
@@ -188,20 +181,20 @@ impl Kernel {
         task.func_stack.push(events::func::FCM_MAP_PAGE);
         let addr = self.fresh_addr(bytes);
         let fcm = self.fresh_addr(64);
-        h.log(MajorId::MEM, mem::REG_CREATE, &[addr, bytes]);
+        h.log(mem::reg_create(addr, bytes));
         busy(self.config.scaled(self.config.syscall_cost_ns / 2));
-        h.log(MajorId::MEM, mem::FCM_ATCH_REG, &[addr, fcm]);
+        h.log(mem::fcm_atch_reg(addr, fcm));
         task.func_stack.pop();
     }
 
     /// The page-fault path: PGFLT event, fault handling cost, PGFLT_DONE.
     pub fn page_fault<H: TraceHandle>(&self, h: &H, task: &mut Task, addr: u64) {
-        h.log(MajorId::EXCEPTION, exception::PGFLT, &[task.tid, addr]);
+        h.log(exception::pgflt(task.tid, addr));
         task.func_stack.push(events::func::PGFLT_HANDLER);
         task.func_stack.push(events::func::FCM_MAP_PAGE);
         busy(self.config.scaled(self.config.pagefault_cost_ns));
         task.func_stack.truncate(task.func_stack.len() - 2);
-        h.log(MajorId::EXCEPTION, exception::PGFLT_DONE, &[task.tid, addr]);
+        h.log(exception::pgflt_done(task.tid, addr));
     }
 
     /// System-call bracketing: entry event, dispatch cost, `body`, exit
@@ -213,12 +206,12 @@ impl Kernel {
         no: u64,
         body: impl FnOnce(&Kernel, &H, &mut Task),
     ) {
-        h.log(MajorId::SYSCALL, sysev::ENTRY, &[task.pid, task.tid, no]);
+        h.log(sysev::entry(task.pid, task.tid, no));
         task.func_stack.push(events::func::SYSCALL_DISPATCH);
         busy(self.config.scaled(self.config.syscall_cost_ns));
         body(self, h, task);
         task.func_stack.pop();
-        h.log(MajorId::SYSCALL, sysev::EXIT, &[task.pid, task.tid, no]);
+        h.log(sysev::exit(task.pid, task.tid, no));
     }
 
     /// A PPC-style IPC into the FS server: the caller's context switches to
@@ -226,26 +219,22 @@ impl Kernel {
     /// directory lock for opens/closes), and control returns.
     pub fn fs_call<H: TraceHandle>(&self, h: &H, task: &mut Task, op: FsOp) -> bool {
         let comm = self.next_comm.fetch_add(1, Ordering::Relaxed);
-        h.log(
-            MajorId::IPC,
-            ipc::CALL,
-            &[task.pid, FS_SERVER_PID, op.fn_id()],
-        );
-        h.log(MajorId::EXCEPTION, exception::PPC_CALL, &[comm]);
+        h.log(ipc::call(task.pid, FS_SERVER_PID, op.fn_id()));
+        h.log(exception::ppc_call(comm));
         task.func_stack.push(events::func::IPC_CALLEE_ENTRY);
         let cost = self.config.scaled(self.config.fs_op_cost_ns);
         let ok = match op {
             FsOp::Open { path } | FsOp::Close { path } => {
                 task.func_stack.push(events::func::DIR_LOOKUP);
-                let minor = if matches!(op, FsOp::Open { .. }) {
-                    fs::OPEN
+                // Server-side event, attributed to the server pid.
+                let event = if matches!(op, FsOp::Open { .. }) {
+                    fs::open(FS_SERVER_PID, path)
                 } else {
-                    fs::CLOSE
+                    fs::close(FS_SERVER_PID, path)
                 };
                 let ok = self.locked_section(h, task, &self.dir_lock, || busy(cost));
                 if ok {
-                    // Server-side event, attributed to the server pid.
-                    h.log(MajorId::FS, minor, &[FS_SERVER_PID, path]);
+                    h.log(event);
                 }
                 task.func_stack.pop();
                 ok
@@ -253,26 +242,22 @@ impl Kernel {
             FsOp::Read { bytes } => {
                 task.func_stack.push(events::func::SERVER_FILE_READ);
                 busy(cost + self.config.scaled(bytes / 64));
-                h.log(MajorId::FS, fs::READ, &[FS_SERVER_PID, bytes]);
+                h.log(fs::read(FS_SERVER_PID, bytes));
                 task.func_stack.pop();
                 true
             }
             FsOp::Write { bytes } => {
                 task.func_stack.push(events::func::SERVER_FILE_WRITE);
                 busy(cost + self.config.scaled(bytes / 64));
-                h.log(MajorId::FS, fs::WRITE, &[FS_SERVER_PID, bytes]);
+                h.log(fs::write(FS_SERVER_PID, bytes));
                 task.func_stack.pop();
                 true
             }
         };
         task.func_stack.pop();
         busy(self.config.scaled(self.config.ipc_cost_ns));
-        h.log(MajorId::EXCEPTION, exception::PPC_RETURN, &[comm]);
-        h.log(
-            MajorId::IPC,
-            ipc::RETURN,
-            &[task.pid, FS_SERVER_PID, op.fn_id()],
-        );
+        h.log(exception::ppc_return(comm));
+        h.log(ipc::ret(task.pid, FS_SERVER_PID, op.fn_id()));
         ok
     }
 
@@ -281,19 +266,17 @@ impl Kernel {
     pub fn user_lock<H: TraceHandle>(&self, h: &H, task: &Task, index: usize) -> bool {
         let lock = &self.user_locks[index];
         let chain = events::pack_chain(&task.func_stack);
-        h.log(
-            MajorId::LOCK,
-            lockev::REQUEST,
-            &[lock.id(), task.tid, chain],
-        );
+        h.log(lockev::request(lock.id(), task.tid, chain));
         let Some(stats) = lock.acquire(&self.abort) else {
             return false;
         };
-        h.log(
-            MajorId::LOCK,
-            lockev::ACQUIRED,
-            &[lock.id(), task.tid, chain, stats.spins, stats.wait_ns],
-        );
+        h.log(lockev::acquired(
+            lock.id(),
+            task.tid,
+            chain,
+            stats.spins,
+            stats.wait_ns,
+        ));
         true
     }
 
@@ -301,7 +284,7 @@ impl Kernel {
     /// holding, so its timestamp precedes any successor's ACQUIRED.
     pub fn user_unlock<H: TraceHandle>(&self, h: &H, task: &Task, index: usize) {
         let lock = &self.user_locks[index];
-        h.log(MajorId::LOCK, lockev::RELEASED, &[lock.id(), task.tid, 0]);
+        h.log(lockev::released(lock.id(), task.tid, 0));
         lock.release();
     }
 
@@ -320,11 +303,7 @@ impl Kernel {
     /// (`TRC_MEM_ACCESS_READ [addr, tid]`).
     pub fn shared_read<H: TraceHandle>(&self, h: &H, task: &Task, index: usize) -> u64 {
         let cell = &self.shared_cells[index % SHARED_CELLS];
-        h.log(
-            MajorId::MEM,
-            mem::ACCESS_READ,
-            &[Self::shared_cell_addr(index), task.tid],
-        );
+        h.log(mem::access_read(Self::shared_cell_addr(index), task.tid));
         cell.load(Ordering::Relaxed)
     }
 
@@ -336,11 +315,7 @@ impl Kernel {
     /// the workload leaves the cell unprotected.
     pub fn shared_write<H: TraceHandle>(&self, h: &H, task: &Task, index: usize) {
         let cell = &self.shared_cells[index % SHARED_CELLS];
-        h.log(
-            MajorId::MEM,
-            mem::ACCESS_WRITE,
-            &[Self::shared_cell_addr(index), task.tid],
-        );
+        h.log(mem::access_write(Self::shared_cell_addr(index), task.tid));
         let v = cell.load(Ordering::Relaxed);
         busy(self.config.scaled(200));
         cell.store(v.wrapping_add(1), Ordering::Relaxed);
@@ -395,6 +370,7 @@ mod tests {
     use crate::tracer::{KTracer, Tracer};
     use ktrace_clock::SyncClock;
     use ktrace_core::{TraceConfig, TraceLogger};
+    use ktrace_format::MajorId;
 
     fn fixture() -> (KTracer, Kernel, Task) {
         let logger = TraceLogger::builder()

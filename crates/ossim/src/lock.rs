@@ -168,7 +168,15 @@ mod tests {
         let l2 = l.clone();
         let a2 = abort.clone();
         l.acquire(&abort).unwrap();
-        let waiter = std::thread::spawn(move || l2.acquire(&a2).unwrap());
+        // The 5 ms hold starts when the waiter is about to ask for the lock,
+        // not at spawn: a waiter that starts late on a loaded host must still
+        // wait the full hold.
+        let (arrived, arrival) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            arrived.send(()).unwrap();
+            l2.acquire(&a2).unwrap()
+        });
+        arrival.recv().unwrap();
         std::thread::sleep(std::time::Duration::from_millis(5));
         l.release();
         let stats = waiter.join().unwrap();

@@ -15,8 +15,6 @@ use crate::kernel::{busy, FsOp, Kernel};
 use crate::task::{Op, ProcessSpec, Task};
 use crate::tracer::{TraceHandle, Tracer};
 use crate::workload::Workload;
-use ktrace_format::pack::WordPacker;
-use ktrace_format::MajorId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -67,17 +65,9 @@ impl Shared {
         let cpu = (self.rr.fetch_add(1, Ordering::Relaxed) as usize) % self.queues.len();
         let creator_pid = creator.map_or(crate::kernel::KERNEL_PID, |c| c.pid);
 
-        h.log(
-            MajorId::PROC,
-            procev::CREATE,
-            &name_payload(pid, creator_pid, &spec.name),
-        );
-        h.log(
-            MajorId::USER,
-            user::RUN_UL_LOADER,
-            &name_payload(creator_pid, pid, &spec.name),
-        );
-        h.log(MajorId::SCHED, sched::THREAD_START, &[tid, pid]);
+        h.log(procev::create(pid, creator_pid, &spec.name));
+        h.log(user::run_ul_loader(creator_pid, pid, &spec.name));
+        h.log(sched::thread_start(tid, pid));
         if let Some(c) = creator {
             c.child_spawned();
         }
@@ -117,13 +107,6 @@ impl Shared {
             .unwrap_or_else(PoisonError::into_inner)
             .pop_back()
     }
-}
-
-/// Packs `[a, b, name…]` for the PROC/USER string-carrying events.
-fn name_payload(a: u64, b: u64, name: &str) -> Vec<u64> {
-    let mut p = WordPacker::new();
-    p.push(a, 64).push(b, 64).push_str(name);
-    p.finish()
 }
 
 /// A simulated multiprocessor, generic over the tracing backend.
@@ -240,41 +223,29 @@ fn cpu_loop<H: TraceHandle>(cpu: usize, shared: Arc<Shared>, h: H) {
         }
         let Some(mut task) = shared.next_task(cpu) else {
             if idle_since.is_none() {
-                h.log(MajorId::SCHED, sched::IDLE_START, &[]);
+                h.log(sched::idle_start());
                 idle_since = Some(Instant::now());
             }
             std::thread::sleep(Duration::from_micros(20));
             continue;
         };
         if let Some(t0) = idle_since.take() {
-            h.log(
-                MajorId::SCHED,
-                sched::IDLE_END,
-                &[t0.elapsed().as_nanos() as u64],
-            );
+            h.log(sched::idle_end(t0.elapsed().as_nanos() as u64));
         }
         if task.started && task.last_cpu != cpu {
-            h.log(
-                MajorId::SCHED,
-                sched::MIGRATE,
-                &[task.tid, task.last_cpu as u64, cpu as u64],
-            );
+            h.log(sched::migrate(task.tid, task.last_cpu as u64, cpu as u64));
         }
         task.started = true;
         task.last_cpu = cpu;
-        h.log(
-            MajorId::SCHED,
-            sched::CTX_SWITCH,
-            &[prev_tid, task.tid, task.pid],
-        );
+        h.log(sched::ctx_switch(prev_tid, task.tid, task.pid));
         prev_tid = task.tid;
 
         let outcome = run_slice(&shared, &h, &mut task, &mut last_sample, &mut hw, run_start);
         match outcome {
             SliceOutcome::Finished => {
-                h.log(MajorId::SCHED, sched::THREAD_EXIT, &[task.tid, task.pid]);
-                h.log(MajorId::USER, user::RETURNED_MAIN, &[task.pid]);
-                h.log(MajorId::PROC, procev::EXIT, &[task.pid]);
+                h.log(sched::thread_exit(task.tid, task.pid));
+                h.log(user::returned_main(task.pid));
+                h.log(procev::exit(task.pid));
                 if let Some(parent) = &task.parent_pending {
                     parent.fetch_sub(1, Ordering::AcqRel);
                 }
@@ -332,7 +303,7 @@ impl HwCounters {
         for (id, value, last) in samples {
             let delta = value.saturating_sub(*last);
             if delta > 0 {
-                h.log(MajorId::HWPERF, hwperf::COUNTER_SAMPLE, &[id, value, delta]);
+                h.log(hwperf::counter_sample(id, value, delta));
                 *last = value;
             }
         }
@@ -356,11 +327,11 @@ fn run_slice<H: TraceHandle>(
         if let Some(period) = config.pc_sample_period {
             if last_sample.elapsed() >= period {
                 *last_sample = Instant::now();
-                h.log(
-                    MajorId::PROF,
-                    prof::PC_SAMPLE,
-                    &[task.pid, task.tid, task.current_func() as u64],
-                );
+                h.log(prof::pc_sample(
+                    task.pid,
+                    task.tid,
+                    task.current_func() as u64,
+                ));
                 hw.emit(h, run_start);
             }
         }
@@ -477,6 +448,7 @@ mod tests {
     use crate::tracer::{KTracer, NoTracer};
     use ktrace_clock::SyncClock;
     use ktrace_core::{TraceConfig, TraceLogger};
+    use ktrace_format::MajorId;
 
     fn traced_machine(ncpus: usize) -> Machine<KTracer> {
         let logger = TraceLogger::builder()

@@ -6,12 +6,24 @@
 //! configuration of the paper's goal 6 and the baseline of Fig. 3.
 
 use ktrace_core::{CpuHandle, TraceLogger};
-use ktrace_format::{MajorId, MinorId};
+use ktrace_format::{Event, MajorId};
 
 /// Per-CPU logging handle used inside the simulator's hot loops.
+///
+/// It logs only [`Event`]s, which only the emitters `ktrace_event!`
+/// generates can build, so a raw `(major, minor, payload)` call does not
+/// compile:
+///
+/// ```compile_fail,E0061
+/// use ktrace_format::MajorId;
+/// use ktrace_ossim::events::sched;
+/// use ktrace_ossim::tracer::{NoHandle, TraceHandle};
+/// let (major, minor) = (MajorId::SCHED, sched::CTX_SWITCH);
+/// NoHandle.log(major, minor, &[1, 2, 3]);
+/// ```
 pub trait TraceHandle: Clone + Send + 'static {
-    /// Logs one event from the bound CPU.
-    fn log(&self, major: MajorId, minor: MinorId, payload: &[u64]);
+    /// Logs one declared event from the bound CPU.
+    fn log<P: AsRef<[u64]>>(&self, e: Event<P>);
 
     /// The mask check, exposed so callers can skip argument marshalling.
     fn enabled(&self, major: MajorId) -> bool;
@@ -55,8 +67,8 @@ impl Tracer for KTracer {
 
 impl TraceHandle for CpuHandle {
     #[inline]
-    fn log(&self, major: MajorId, minor: MinorId, payload: &[u64]) {
-        self.log_slice(major, minor, payload);
+    fn log<P: AsRef<[u64]>>(&self, e: Event<P>) {
+        self.log_event(&e);
     }
 
     #[inline]
@@ -82,7 +94,7 @@ impl Tracer for NoTracer {
 
 impl TraceHandle for NoHandle {
     #[inline(always)]
-    fn log(&self, _major: MajorId, _minor: MinorId, _payload: &[u64]) {}
+    fn log<P: AsRef<[u64]>>(&self, _e: Event<P>) {}
 
     #[inline(always)]
     fn enabled(&self, _major: MajorId) -> bool {
@@ -93,6 +105,7 @@ impl TraceHandle for NoHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::sched;
     use ktrace_clock::SyncClock;
     use ktrace_core::TraceConfig;
     use std::sync::Arc;
@@ -108,14 +121,19 @@ mod tests {
         let tracer = KTracer::new(logger);
         let h = tracer.handle(1);
         assert!(h.enabled(MajorId::SCHED));
-        h.log(MajorId::SCHED, 1, &[1, 2]);
+        h.log(sched::ctx_switch(1, 2, 3));
         assert_eq!(tracer.logger().stats().events_logged, 1);
+        let e = &tracer.logger().flight_dump(8, Some(&[MajorId::SCHED]))[0];
+        assert_eq!(
+            (e.minor, &e.payload[..]),
+            (sched::CTX_SWITCH, &[1, 2, 3][..])
+        );
     }
 
     #[test]
     fn notracer_is_inert() {
         let h = NoTracer.handle(0);
         assert!(!h.enabled(MajorId::SCHED));
-        h.log(MajorId::SCHED, 1, &[1, 2]); // must be a no-op
+        h.log(sched::ctx_switch(1, 2, 3)); // must be a no-op
     }
 }

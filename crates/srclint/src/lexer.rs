@@ -1,12 +1,12 @@
 //! A minimal, dependency-free Rust tokenizer.
 //!
 //! `ktrace-lint` does not need full Rust parsing — only enough token
-//! structure to recognize `ktrace_event!` declarations, `MajorId::X`
-//! event-logging call sites, `fn` boundaries, and hazard tokens on the
-//! logging hot path. This lexer produces exactly that: identifiers,
-//! numbers, string/char literals, punctuation (with `::`, `=>`, `->`
-//! joined), doc comments (kept — the schema pass cross-checks payload
-//! annotations), and control comments (kept): `// ktrace-lint:` carries
+//! structure to recognize `fn` boundaries, hazard tokens on the logging
+//! hot path, atomic operations, lock acquisitions and `unsafe` regions.
+//! This lexer produces exactly that: identifiers, numbers, string/char
+//! literals, punctuation (with `::`, `=>`, `->` joined), doc comments
+//! (kept — the unsafe pass reads `# Safety` sections), and control
+//! comments (kept): `// ktrace-lint:` carries
 //! suppressions, `// ktrace-protocol:` declares atomic protocol roles, and
 //! `// SAFETY:` justifies unsafe blocks. Everything else, including
 //! ordinary comments, is dropped.
@@ -47,31 +47,6 @@ impl Tok {
     /// True for an `Ident` token with exactly this text.
     pub fn is_ident(&self, id: &str) -> bool {
         self.kind == TokKind::Ident && self.text == id
-    }
-}
-
-/// Parses a Rust integer literal (underscores, `0x`/`0o`/`0b`, type suffix).
-pub fn parse_int(text: &str) -> Option<u64> {
-    let t: String = text.chars().filter(|&c| c != '_').collect();
-    let t = t
-        .trim_end_matches("usize")
-        .trim_end_matches("u64")
-        .trim_end_matches("u32")
-        .trim_end_matches("u16")
-        .trim_end_matches("u8")
-        .trim_end_matches("isize")
-        .trim_end_matches("i64")
-        .trim_end_matches("i32")
-        .trim_end_matches("i16")
-        .trim_end_matches("i8");
-    if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else if let Some(oct) = t.strip_prefix("0o") {
-        u64::from_str_radix(oct, 8).ok()
-    } else if let Some(bin) = t.strip_prefix("0b") {
-        u64::from_str_radix(bin, 2).ok()
-    } else {
-        t.parse().ok()
     }
 }
 
@@ -508,14 +483,5 @@ mod tests {
         assert_eq!(lints[0].line, 1);
         assert!(lints[1].text.contains("SAFETY"));
         assert_eq!(lints[1].line, 3);
-    }
-
-    #[test]
-    fn parse_int_forms() {
-        assert_eq!(parse_int("42"), Some(42));
-        assert_eq!(parse_int("0x2a"), Some(42));
-        assert_eq!(parse_int("1_000u64"), Some(1000));
-        assert_eq!(parse_int("0b101"), Some(5));
-        assert_eq!(parse_int("abc"), None);
     }
 }

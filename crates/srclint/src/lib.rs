@@ -3,14 +3,11 @@
 //!
 //! The dynamic verifier (`ktrace-verify`) checks what a trace *stream* says
 //! after the fact; this crate checks what the *source* promises before
-//! anything runs. Six passes, each with its own exit code from the shared
+//! anything runs. Four passes, each with its own exit code from the shared
 //! table in `ktrace_verify::ViolationKind`:
 //!
 //! | pass        | exit | checks                                                  |
 //! |-------------|------|---------------------------------------------------------|
-//! | `schema`    | 30   | call-site majors/minors/arity vs the declared schema;   |
-//! |             |      | doc-comment payload annotations vs field specs          |
-//! | `idspace`   | 31   | major/minor collisions, mask-bit range, reserved ranges |
 //! | `hotpath`   | 32   | no allocation/blocking/I-O reachable from the lockless  |
 //! |             |      | logging path                                            |
 //! | `atomics`   | 33   | atomic orderings vs the protocol roles declared in      |
@@ -18,32 +15,31 @@
 //! | `lockorder` | 34   | static lock-acquisition graph is cycle-free             |
 //! | `unsafe`    | 35   | every `unsafe` region carries a SAFETY justification    |
 //!
+//! Whether a logging call agrees with its event's declaration is not a lint:
+//! `ktrace_events::ktrace_event!` generates one typed emitter per event, so
+//! a wrong major, minor or arity fails to compile. Codes 30 and 31, which
+//! the retired `schema` and `idspace` passes used, stay reserved.
+//!
 //! Everything is built on a hand-rolled lexer ([`lexer`]) — no `syn`, no
 //! network — so the linter runs in the same offline sandbox as the rest of
 //! the workspace.
 
-pub mod callsites;
 pub mod hotpath;
 pub mod lexer;
 pub mod lockorder;
 pub mod protocol;
 pub mod report;
-pub mod schema;
 pub mod unsafecheck;
 
 pub use ktrace_verify::exit;
-pub use report::{Finding, LintReport, LintStats, ViolationKind, Warning};
+pub use report::{Finding, LintReport, LintStats, ViolationKind};
 
-use callsites::MinorRef;
-use schema::Schema;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Which passes to run. All on by default.
 #[derive(Debug, Clone, Copy)]
 pub struct PassSet {
-    pub schema: bool,
-    pub idspace: bool,
     pub hotpath: bool,
     pub atomics: bool,
     pub lockorder: bool,
@@ -53,8 +49,6 @@ pub struct PassSet {
 impl Default for PassSet {
     fn default() -> PassSet {
         PassSet {
-            schema: true,
-            idspace: true,
             hotpath: true,
             atomics: true,
             lockorder: true,
@@ -67,8 +61,6 @@ impl PassSet {
     /// Enables exactly one pass by name. Returns `false` for unknown names.
     pub fn enable(&mut self, name: &str) -> bool {
         match name {
-            "schema" => self.schema = true,
-            "idspace" => self.idspace = true,
             "hotpath" => self.hotpath = true,
             "atomics" => self.atomics = true,
             "lockorder" => self.lockorder = true,
@@ -81,8 +73,6 @@ impl PassSet {
     /// All passes disabled; combine with [`PassSet::enable`].
     pub fn none() -> PassSet {
         PassSet {
-            schema: false,
-            idspace: false,
             hotpath: false,
             atomics: false,
             lockorder: false,
@@ -98,40 +88,17 @@ pub struct LintOptions {
     pub root: PathBuf,
     /// Passes to run.
     pub passes: PassSet,
-    /// Promote warnings to errors (affects the exit code, not collection).
-    pub deny_warnings: bool,
 }
 
 impl LintOptions {
-    /// Default options rooted at `root`: all passes, warnings allowed.
+    /// Default options rooted at `root`: all passes.
     pub fn new(root: impl Into<PathBuf>) -> LintOptions {
         LintOptions {
             root: root.into(),
             passes: PassSet::default(),
-            deny_warnings: false,
         }
     }
 }
-
-/// The schema declaration source, relative to the workspace root.
-pub const EVENTS_SOURCE: &str = "crates/events/src/lib.rs";
-/// The major-ID declaration source, relative to the workspace root.
-pub const IDS_SOURCE: &str = "crates/format/src/ids.rs";
-
-/// Directories scanned for event-logging call sites. Integration-test
-/// trees (`tests/`) are deliberately excluded: test code logs ad-hoc
-/// events under `MajorId::TEST`/`USER` to exercise the stream machinery,
-/// not to document real instrumentation.
-const CALLSITE_DIRS: &[&str] = &[
-    "crates/ossim/src",
-    "crates/vsim/src",
-    "crates/baselines/src",
-    "crates/bench/src",
-    "crates/bench/benches",
-    "crates/io/src",
-    "crates/analysis/src",
-    "src",
-];
 
 /// Files whose functions form the hot-path call graph.
 const HOTPATH_FILES: &[&str] = &[
@@ -144,32 +111,11 @@ const HOTPATH_FILES: &[&str] = &[
 
 /// Runs the configured passes over the workspace at `opts.root`.
 ///
-/// Returns `Err` only when a required input (the events or IDs source) is
-/// missing or unreadable — the CLI maps that to exit 1, distinct from any
-/// violation code.
+/// Returns `Err` only when a required input (the atomics pass's
+/// `concurrency.toml`) is missing or unreadable — the CLI maps that to
+/// exit 1, distinct from any violation code.
 pub fn lint_workspace(opts: &LintOptions) -> io::Result<LintReport> {
     let mut report = LintReport::new();
-
-    let ids_src = read_required(&opts.root, IDS_SOURCE)?;
-    let events_src = read_required(&opts.root, EVENTS_SOURCE)?;
-    report.stats.files_scanned = 2;
-
-    let (majors, num_major_ids) = schema::parse_ids_source(&ids_src);
-    let modules = schema::parse_events_source(&events_src);
-    let schema = Schema {
-        majors,
-        num_major_ids,
-        modules,
-    };
-    report.stats.events_declared = schema.events_declared();
-
-    if opts.passes.idspace {
-        idspace_pass(&schema, &mut report);
-    }
-    if opts.passes.schema {
-        declaration_pass(&schema, &mut report);
-        callsite_pass(opts, &schema, &mut report);
-    }
     if opts.passes.hotpath {
         let mut files = Vec::new();
         for rel in HOTPATH_FILES {
@@ -254,343 +200,6 @@ fn read_required(root: &Path, rel: &str) -> io::Result<String> {
         .map_err(|e| io::Error::new(e.kind(), format!("required input {rel} unreadable: {e}")))
 }
 
-/// Pass 2 (`idspace`, exit 31): the ID space itself must be collision-free.
-fn idspace_pass(schema: &Schema, report: &mut LintReport) {
-    use std::collections::BTreeMap;
-    let kind = ViolationKind::IdSpaceCollision;
-
-    // Major raw values: unique and within the trace-mask bit range.
-    let mut by_raw: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
-    for (name, &raw) in &schema.majors {
-        by_raw.entry(raw).or_default().push(name);
-        if raw >= schema.num_major_ids {
-            report.push(
-                kind,
-                IDS_SOURCE,
-                0,
-                format!(
-                    "major `{name}` has raw value {raw}, outside the {}-bit trace mask",
-                    schema.num_major_ids
-                ),
-            );
-        }
-    }
-    for (raw, names) in &by_raw {
-        if names.len() > 1 {
-            report.push(
-                kind,
-                IDS_SOURCE,
-                0,
-                format!(
-                    "majors {} share raw value {raw} (same trace-mask bit)",
-                    names.join(", ")
-                ),
-            );
-        }
-    }
-
-    // Modules: known majors, no reserved majors, one module per major.
-    let mut seen_major: BTreeMap<&str, &str> = BTreeMap::new();
-    let mut ev_names: BTreeMap<&str, (&str, u32)> = BTreeMap::new();
-    for m in &schema.modules {
-        if !schema.majors.contains_key(&m.major_name) {
-            report.push(
-                kind,
-                EVENTS_SOURCE,
-                m.line,
-                format!(
-                    "module `{}` registers under unknown major `{}`",
-                    m.module, m.major_name
-                ),
-            );
-        }
-        if schema::RESERVED_MAJORS.contains(&m.major_name.as_str()) {
-            report.push(
-                kind,
-                EVENTS_SOURCE,
-                m.line,
-                format!(
-                    "module `{}` registers under reserved major `{}` \
-                     (CONTROL carries stream metadata, TEST is harness scratch)",
-                    m.module, m.major_name
-                ),
-            );
-        }
-        if let Some(prev) = seen_major.insert(&m.major_name, &m.module) {
-            report.push(
-                kind,
-                EVENTS_SOURCE,
-                m.line,
-                format!(
-                    "modules `{prev}` and `{}` both register under major `{}`",
-                    m.module, m.major_name
-                ),
-            );
-        }
-
-        // Minors: unique within the module, representable as u16.
-        let mut by_minor: BTreeMap<u64, &str> = BTreeMap::new();
-        for e in &m.entries {
-            if e.minor > u64::from(u16::MAX) {
-                report.push(
-                    kind,
-                    EVENTS_SOURCE,
-                    e.line,
-                    format!("minor `{}` = {} does not fit in u16", e.const_name, e.minor),
-                );
-            }
-            if let Some(prev) = by_minor.insert(e.minor, &e.const_name) {
-                report.push(
-                    kind,
-                    EVENTS_SOURCE,
-                    e.line,
-                    format!(
-                        "minors `{prev}` and `{}` in module `{}` share value {}",
-                        e.const_name, m.module, e.minor
-                    ),
-                );
-            }
-            // Symbolic event names are a global namespace (the postprocessor
-            // resolves them without major context).
-            if let Some((prev_mod, _)) = ev_names.insert(&e.ev_name, (&m.module, e.line)) {
-                report.push(
-                    kind,
-                    EVENTS_SOURCE,
-                    e.line,
-                    format!(
-                        "event name \"{}\" declared in both `{prev_mod}` and `{}`",
-                        e.ev_name, m.module
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Pass 1a (`schema`, exit 30): each declared event must be internally
-/// consistent — valid spec tokens, doc annotation matching the spec, and
-/// template field references within range.
-fn declaration_pass(schema: &Schema, report: &mut LintReport) {
-    let kind = ViolationKind::SchemaMismatch;
-    for m in &schema.modules {
-        for e in &m.entries {
-            let n_fields = schema::spec_field_count(&e.spec);
-            for tok in e.spec.split_whitespace() {
-                if !schema::spec_token_valid(tok) {
-                    report.push(
-                        kind,
-                        EVENTS_SOURCE,
-                        e.line,
-                        format!(
-                            "event `{}` spec \"{}\" has invalid field token \"{tok}\" \
-                             (expected 8|16|32|64|str)",
-                            e.const_name, e.spec
-                        ),
-                    );
-                }
-            }
-            match e.doc_fields {
-                None => report.push(
-                    kind,
-                    EVENTS_SOURCE,
-                    e.line,
-                    format!(
-                        "event `{}` has no `[field, …]` payload annotation in its doc comment",
-                        e.const_name
-                    ),
-                ),
-                Some(ann) => {
-                    let matches = if ann.open_ended {
-                        ann.fields <= n_fields
-                    } else {
-                        ann.fields == n_fields
-                    };
-                    if !matches {
-                        report.push(
-                            kind,
-                            EVENTS_SOURCE,
-                            e.line,
-                            format!(
-                                "event `{}` doc annotation names {} field(s) but spec \"{}\" \
-                                 declares {n_fields}",
-                                e.const_name, ann.fields, e.spec
-                            ),
-                        );
-                    }
-                }
-            }
-            for r in template_refs(&e.template) {
-                if r >= n_fields {
-                    report.push(
-                        kind,
-                        EVENTS_SOURCE,
-                        e.line,
-                        format!(
-                            "event `{}` template references field %{r} but spec \"{}\" \
-                             declares only {n_fields}",
-                            e.const_name, e.spec
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// `%N` field references in a render template (`%x`/`%d` conversions inside
-/// the bracket suffix carry no digits and are ignored).
-fn template_refs(template: &str) -> Vec<usize> {
-    let mut refs = Vec::new();
-    let bytes = template.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let start = i + 1;
-            let mut j = start;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            if j > start {
-                if let Ok(n) = template[start..j].parse() {
-                    refs.push(n);
-                }
-            }
-            i = j.max(i + 1);
-        } else {
-            i += 1;
-        }
-    }
-    refs
-}
-
-/// Pass 1b (`schema`, exit 30): every statically visible call site must
-/// reference a declared event with the right payload arity.
-fn callsite_pass(opts: &LintOptions, schema: &Schema, report: &mut LintReport) {
-    let kind = ViolationKind::SchemaMismatch;
-    let mut files: Vec<PathBuf> = Vec::new();
-    for dir in CALLSITE_DIRS {
-        collect_rs_files(&opts.root.join(dir), &mut files);
-    }
-    files.sort();
-
-    for path in files {
-        let Ok(src) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        report.stats.files_scanned += 1;
-        let rel = path
-            .strip_prefix(&opts.root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        for site in callsites::extract_call_sites(&src, &rel) {
-            report.stats.call_sites_seen += 1;
-            // The harness scratch class is exempt by design: benchmarks and
-            // the baselines log synthetic TEST events with arbitrary
-            // payloads. CONTROL records are emitted by the core internals,
-            // never through the public log API.
-            if site.major == "TEST" || site.major == "CONTROL" {
-                continue;
-            }
-            if !schema.majors.contains_key(&site.major) {
-                report.push(
-                    kind,
-                    &site.file,
-                    site.line,
-                    format!("call logs under unknown major `MajorId::{}`", site.major),
-                );
-                continue;
-            }
-            let Some(module) = schema.module_for_major(&site.major) else {
-                report.push(
-                    kind,
-                    &site.file,
-                    site.line,
-                    format!(
-                        "call logs under `MajorId::{}` but no event module is declared \
-                         for that major",
-                        site.major
-                    ),
-                );
-                continue;
-            };
-            let entry = match &site.minor {
-                MinorRef::Const(name) => {
-                    let found = module.entries.iter().find(|e| &e.const_name == name);
-                    if found.is_none() {
-                        report.push(
-                            kind,
-                            &site.file,
-                            site.line,
-                            format!(
-                                "minor const `{name}` is not declared in event module \
-                                 `{}` (major `{}`)",
-                                module.module, site.major
-                            ),
-                        );
-                        continue;
-                    }
-                    found
-                }
-                MinorRef::Literal(v) => {
-                    let found = module.entries.iter().find(|e| e.minor == *v);
-                    match found {
-                        None => {
-                            report.push(
-                                kind,
-                                &site.file,
-                                site.line,
-                                format!(
-                                    "literal minor {v} has no declared event in module `{}` \
-                                     (major `{}`)",
-                                    module.module, site.major
-                                ),
-                            );
-                            continue;
-                        }
-                        Some(e) => {
-                            report.warn(
-                                "literal-minor",
-                                &site.file,
-                                site.line,
-                                format!(
-                                    "literal minor {v} should be written as `{}::{}`",
-                                    module.module, e.const_name
-                                ),
-                            );
-                            found
-                        }
-                    }
-                }
-                MinorRef::Dynamic => continue,
-            };
-            let Some(entry) = entry else { continue };
-            report.stats.call_sites_checked += 1;
-
-            // Arity: only checkable for fixed-width specs with a statically
-            // countable payload.
-            if schema::spec_has_str(&entry.spec) {
-                continue;
-            }
-            let want = schema::spec_field_count(&entry.spec);
-            if let Some(got) = site.arity {
-                if got != want {
-                    report.push(
-                        kind,
-                        &site.file,
-                        site.line,
-                        format!(
-                            "call passes {got} payload word(s) but `{}` (\"{}\") declares \
-                             spec \"{}\" with {want} field(s)",
-                            entry.const_name, entry.ev_name, entry.spec
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Recursively collects `.rs` files under `dir` (silently skips missing
 /// directories — not every workspace has every scanned crate).
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -612,28 +221,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn template_refs_parse() {
-        assert_eq!(
-            template_refs("switch from %0[%x] to %1[%x] pid %2[%d]"),
-            vec![0, 1, 2]
-        );
-        assert_eq!(template_refs("cpu idle"), Vec::<usize>::new());
-        assert_eq!(template_refs("%10 then %x"), vec![10]);
-    }
-
-    #[test]
     fn pass_set_enables_by_name() {
         let mut p = PassSet::none();
-        assert!(!p.schema && !p.idspace && !p.hotpath);
-        assert!(!p.atomics && !p.lockorder && !p.unsafe_code);
-        assert!(p.enable("schema"));
+        assert!(!p.hotpath && !p.atomics && !p.lockorder && !p.unsafe_code);
         assert!(p.enable("hotpath"));
-        assert!(p.enable("atomics"));
         assert!(p.enable("lockorder"));
         assert!(p.enable("unsafe"));
         assert!(!p.enable("nonsense"));
-        assert!(p.schema && !p.idspace && p.hotpath);
-        assert!(p.atomics && p.lockorder && p.unsafe_code);
+        // The retired passes are unknown names now.
+        assert!(!p.enable("schema"));
+        assert!(!p.enable("idspace"));
+        assert!(p.hotpath && !p.atomics && p.lockorder && p.unsafe_code);
     }
 
     #[test]

@@ -14,84 +14,13 @@ fn fixture(name: &str) -> PathBuf {
 fn one_pass(root: PathBuf, pass: &str) -> LintOptions {
     let mut passes = PassSet::none();
     assert!(passes.enable(pass));
-    LintOptions {
-        root,
-        passes,
-        deny_warnings: false,
-    }
-}
-
-#[test]
-fn schema_drift_fixture_exits_30() {
-    let report = lint_workspace(&one_pass(fixture("schema_drift"), "schema")).unwrap();
-    assert_eq!(report.exit_code(false), 30);
-    assert_eq!(report.kinds(), vec![ViolationKind::SchemaMismatch]);
-
-    let details: Vec<&str> = report.findings.iter().map(|f| f.detail.as_str()).collect();
-    // Declaration-side drift.
-    assert!(details
-        .iter()
-        .any(|d| d.contains("BAD_ANNOTATION") && d.contains("1 field")));
-    assert!(details
-        .iter()
-        .any(|d| d.contains("NO_ANNOTATION") && d.contains("no `[field")));
-    assert!(details
-        .iter()
-        .any(|d| d.contains("invalid field token \"48\"")));
-    assert!(details
-        .iter()
-        .any(|d| d.contains("template references field %1")));
-    // Call-site drift.
-    assert!(details
-        .iter()
-        .any(|d| d.contains("2 payload word(s)") && d.contains("CTX_SWITCH")));
-    assert!(details.iter().any(|d| d.contains("`GONE` is not declared")));
-    assert!(details
-        .iter()
-        .any(|d| d.contains("literal minor 9 has no declared event")));
-    assert!(details
-        .iter()
-        .any(|d| d.contains("1 payload word(s)") && d.contains("FCM_ATCH_REG")));
-    assert_eq!(report.findings.len(), 8, "{details:#?}");
-
-    // The declared-but-literal minor also draws a style warning.
-    assert!(report.warnings.iter().any(|w| w.label == "literal-minor"));
-    // The clean log3 call resolved without complaint.
-    assert!(report.stats.call_sites_checked >= 1);
-}
-
-#[test]
-fn idspace_fixture_exits_31() {
-    let report = lint_workspace(&one_pass(fixture("idspace"), "idspace")).unwrap();
-    assert_eq!(report.exit_code(false), 31);
-    assert_eq!(report.kinds(), vec![ViolationKind::IdSpaceCollision]);
-
-    let details: Vec<&str> = report.findings.iter().map(|f| f.detail.as_str()).collect();
-    assert!(details.iter().any(|d| d.contains("share raw value 4")));
-    assert!(details
-        .iter()
-        .any(|d| d.contains("`HUGE`") && d.contains("outside")));
-    assert!(details
-        .iter()
-        .any(|d| d.contains("minors `START` and `STOP`")));
-    assert!(details
-        .iter()
-        .any(|d| d.contains("both register under major `SCHED`")));
-    assert!(details
-        .iter()
-        .any(|d| d.contains("\"TRACE_SCHED_START\" declared in both")));
-    assert!(details.iter().any(|d| d.contains("reserved major `TEST`")));
-    assert!(details.iter().any(|d| d.contains("unknown major `GHOST`")));
-    assert!(details
-        .iter()
-        .any(|d| d.contains("`BIG` = 70000 does not fit")));
-    assert_eq!(report.findings.len(), 8, "{details:#?}");
+    LintOptions { root, passes }
 }
 
 #[test]
 fn hotpath_fixture_exits_32() {
     let report = lint_workspace(&one_pass(fixture("hotpath"), "hotpath")).unwrap();
-    assert_eq!(report.exit_code(false), 32);
+    assert_eq!(report.exit_code(), 32);
     assert_eq!(report.kinds(), vec![ViolationKind::HotPathHazard]);
 
     let details: Vec<&str> = report.findings.iter().map(|f| f.detail.as_str()).collect();
@@ -124,7 +53,7 @@ fn telemetry_tally_fixture_exits_32() {
     // `crates/telemetry/src/counters.rs`. An allocating counter reachable
     // from `reserve` is a hot-path hazard like any other.
     let report = lint_workspace(&one_pass(fixture("telemetry_hotpath"), "hotpath")).unwrap();
-    assert_eq!(report.exit_code(false), 32);
+    assert_eq!(report.exit_code(), 32);
     assert_eq!(report.kinds(), vec![ViolationKind::HotPathHazard]);
 
     let details: Vec<&str> = report.findings.iter().map(|f| f.detail.as_str()).collect();
@@ -175,18 +104,17 @@ fn real_telemetry_counters_are_walked_and_clean_without_escapes() {
     );
 
     let report = lint_workspace(&one_pass(root, "hotpath")).unwrap();
-    assert!(report.is_clean(true), "{}", report.render(true));
-    // The walk includes the telemetry file: the 2 always-read schema
-    // sources plus all 5 hot-path files (logger, region, mask, sample,
-    // counters).
-    assert_eq!(report.stats.files_scanned, 7);
+    assert!(report.is_clean(), "{}", report.render());
+    // The walk includes the telemetry file: all 5 hot-path files (logger,
+    // region, mask, sample, counters).
+    assert_eq!(report.stats.files_scanned, 5);
     assert!(report.stats.hot_fns_walked > 0);
 }
 
 #[test]
 fn atomics_fixture_exits_33() {
     let report = lint_workspace(&one_pass(fixture("broken_atomics"), "atomics")).unwrap();
-    assert_eq!(report.exit_code(false), 33);
+    assert_eq!(report.exit_code(), 33);
     assert_eq!(report.kinds(), vec![ViolationKind::AtomicOrderViolation]);
 
     let details: Vec<&str> = report.findings.iter().map(|f| f.detail.as_str()).collect();
@@ -215,7 +143,7 @@ fn atomics_fixture_exits_33() {
 #[test]
 fn lockorder_fixture_exits_34() {
     let report = lint_workspace(&one_pass(fixture("broken_lockorder"), "lockorder")).unwrap();
-    assert_eq!(report.exit_code(false), 34);
+    assert_eq!(report.exit_code(), 34);
     assert_eq!(report.kinds(), vec![ViolationKind::LockOrderCycle]);
     assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
     let d = &report.findings[0].detail;
@@ -228,7 +156,7 @@ fn lockorder_fixture_exits_34() {
 #[test]
 fn unsafe_fixture_exits_35() {
     let report = lint_workspace(&one_pass(fixture("broken_unsafe"), "unsafe")).unwrap();
-    assert_eq!(report.exit_code(false), 35);
+    assert_eq!(report.exit_code(), 35);
     assert_eq!(report.kinds(), vec![ViolationKind::UnsafeUnjustified]);
 
     let details: Vec<&str> = report.findings.iter().map(|f| f.detail.as_str()).collect();
@@ -250,13 +178,8 @@ fn several_failing_passes_exit_with_the_most_severe_code() {
     // broken_multi trips lockorder (34) and unsafe (35) together: the exit
     // code is the *lowest* failing code and both passes are listed.
     let root = fixture("broken_multi");
-    let opts = LintOptions {
-        root,
-        passes: PassSet::default(),
-        deny_warnings: false,
-    };
-    let report = lint_workspace(&opts).unwrap();
-    assert_eq!(report.exit_code(false), 34);
+    let report = lint_workspace(&LintOptions::new(root)).unwrap();
+    assert_eq!(report.exit_code(), 34);
     assert_eq!(
         report.kinds(),
         vec![
@@ -264,8 +187,8 @@ fn several_failing_passes_exit_with_the_most_severe_code() {
             ViolationKind::UnsafeUnjustified
         ]
     );
-    assert_eq!(report.failing_passes(false), vec!["lockorder", "unsafe"]);
-    let rendered = report.render(false);
+    assert_eq!(report.failing_passes(), vec!["lockorder", "unsafe"]);
+    let rendered = report.render();
     assert!(
         rendered.contains("failing pass(es): lockorder, unsafe"),
         "{rendered}"
@@ -275,32 +198,14 @@ fn several_failing_passes_exit_with_the_most_severe_code() {
 #[test]
 fn broken_fixtures_stay_isolated_to_their_pass() {
     // Running the OTHER passes over each fixture finds nothing: each tree is
-    // broken in exactly one dimension.
-    let r = lint_workspace(&one_pass(fixture("schema_drift"), "idspace")).unwrap();
-    assert!(r.findings.is_empty(), "{:#?}", r.findings);
-    let r = lint_workspace(&one_pass(fixture("idspace"), "hotpath")).unwrap();
-    assert!(r.findings.is_empty(), "{:#?}", r.findings);
-    let r = lint_workspace(&one_pass(fixture("hotpath"), "schema")).unwrap();
-    assert!(r.findings.is_empty(), "{:#?}", r.findings);
-    let r = lint_workspace(&one_pass(fixture("telemetry_hotpath"), "schema")).unwrap();
-    assert!(r.findings.is_empty(), "{:#?}", r.findings);
-    let r = lint_workspace(&one_pass(fixture("telemetry_hotpath"), "idspace")).unwrap();
-    assert!(r.findings.is_empty(), "{:#?}", r.findings);
-    // The three concurrency fixtures against every OTHER pass, both ways:
-    // old passes find nothing in them, and they find nothing in each other.
+    // broken in exactly one dimension. The three concurrency fixtures are
+    // checked against every other pass, and find nothing in each other.
     for (broken, its_pass) in [
         ("broken_atomics", "atomics"),
         ("broken_lockorder", "lockorder"),
         ("broken_unsafe", "unsafe"),
     ] {
-        for pass in [
-            "schema",
-            "idspace",
-            "hotpath",
-            "atomics",
-            "lockorder",
-            "unsafe",
-        ] {
+        for pass in ["hotpath", "atomics", "lockorder", "unsafe"] {
             if pass == its_pass {
                 continue;
             }
@@ -312,8 +217,8 @@ fn broken_fixtures_stay_isolated_to_their_pass() {
             );
         }
     }
-    // And the old fixtures are clean under the three new passes.
-    for old in ["schema_drift", "idspace", "hotpath", "telemetry_hotpath"] {
+    // And the hot-path fixtures are clean under the three concurrency passes.
+    for old in ["hotpath", "telemetry_hotpath"] {
         for pass in ["atomics", "lockorder", "unsafe"] {
             let r = lint_workspace(&one_pass(fixture(old), pass)).unwrap();
             assert!(r.findings.is_empty(), "{old} vs {pass}: {:#?}", r.findings);
@@ -324,17 +229,9 @@ fn broken_fixtures_stay_isolated_to_their_pass() {
 #[test]
 fn the_workspace_itself_lints_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let opts = LintOptions {
-        root,
-        passes: PassSet::default(),
-        deny_warnings: true,
-    };
-    let report = lint_workspace(&opts).unwrap();
-    assert!(report.is_clean(true), "{}", report.render(true));
-    assert_eq!(report.exit_code(true), 0);
-    // The macro-declared schema is visible to the static parser.
-    assert_eq!(report.stats.events_declared, 34);
-    assert!(report.stats.call_sites_seen > 0);
+    let report = lint_workspace(&LintOptions::new(root)).unwrap();
+    assert!(report.is_clean(), "{}", report.render());
+    assert_eq!(report.exit_code(), 0);
     assert!(report.stats.hot_fns_walked > 0);
     // All three concurrency passes genuinely ran — and clean means clean:
     // every manifest-listed atomic checked, the real lock graph acyclic,
@@ -380,9 +277,9 @@ fn real_atomics_carry_no_blanket_escapes() {
 
 #[test]
 fn json_report_carries_the_shared_labels() {
-    let report = lint_workspace(&one_pass(fixture("idspace"), "idspace")).unwrap();
-    let json = report.to_json(false);
-    assert!(json.contains("\"kind\": \"id-space-collision\""));
-    assert!(json.contains("\"exit_code\": 31"));
-    assert!(json.contains("crates/events/src/lib.rs"));
+    let report = lint_workspace(&one_pass(fixture("broken_unsafe"), "unsafe")).unwrap();
+    let json = report.to_json();
+    assert!(json.contains("\"kind\": \"unsafe-unjustified\""));
+    assert!(json.contains("\"exit_code\": 35"));
+    assert!(json.contains("crates/sync/src/lib.rs"));
 }

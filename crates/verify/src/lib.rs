@@ -21,13 +21,12 @@
 //! use ktrace_verify::{StreamLinter, lint::lint_completed_buffers};
 //! use ktrace_core::{TraceConfig, TraceLogger};
 //! use ktrace_clock::SyncClock;
-//! use ktrace_format::MajorId;
 //! use std::sync::Arc;
 //!
 //! let logger = TraceLogger::builder().geometry(TraceConfig::small()).clock(Arc::new(SyncClock::new())).ncpus(1).build().unwrap();
 //! ktrace_events::register_all(&logger);
 //! let h = logger.handle(0).unwrap();
-//! h.log2(MajorId::SCHED, ktrace_events::sched::THREAD_START, 100, 1);
+//! h.log_event(&ktrace_events::sched::thread_start(100, 1));
 //! logger.flush_all();
 //! let bufs: Vec<_> = logger.drain_all().into_iter().flatten().collect();
 //! let report = lint_completed_buffers(&bufs, &logger.registry(), logger.config().buffer_words);

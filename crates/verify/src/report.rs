@@ -7,7 +7,7 @@
 //!
 //! This is the **shared exit-code table** for every checker: `ktrace-verify`
 //! (dynamic, trace-stream checks; codes 10–20), `ktrace-lint` (static,
-//! source-level checks; codes 30–35), and the trace-assertion engine in
+//! source-level checks; codes 32–35), and the trace-assertion engine in
 //! `ktrace-query` (declarative trace properties; codes 36–39) draw from the
 //! same enum so a CI failure code identifies the broken invariant regardless
 //! of which tool found it. Codes 0 (clean), 1 (input unreadable), and
@@ -55,14 +55,6 @@ pub enum ViolationKind {
     LossyDrain = exit::LOSSY_DRAIN,
     /// A data race found by the lockset / vector-clock detector.
     DataRace = exit::DATA_RACE,
-    /// Static (ktrace-lint): an instrumentation call site disagrees with the
-    /// registered event schema — unknown minor, wrong payload arity, or a
-    /// doc-comment payload annotation that contradicts the field spec.
-    SchemaMismatch = exit::SCHEMA_MISMATCH,
-    /// Static (ktrace-lint): the event ID space is inconsistent — duplicate
-    /// minor IDs under one major, a major outside the mask's 64 bits, or a
-    /// registration in a reserved range (CONTROL, TEST).
-    IdSpaceCollision = exit::ID_SPACE_COLLISION,
     /// Static (ktrace-lint): the lockless logging hot path reaches heap
     /// allocation, a blocking lock, or I/O — forbidden because `log_event`
     /// must stay safe in any kernel context (paper goal 2).
@@ -121,8 +113,6 @@ impl ViolationKind {
             ViolationKind::BadRegistry,
             ViolationKind::LossyDrain,
             ViolationKind::DataRace,
-            ViolationKind::SchemaMismatch,
-            ViolationKind::IdSpaceCollision,
             ViolationKind::HotPathHazard,
             ViolationKind::AtomicOrderViolation,
             ViolationKind::LockOrderCycle,
@@ -295,20 +285,18 @@ mod tests {
 
     #[test]
     fn kinds_live_in_their_own_bands() {
-        // Dynamic (stream) checks: 10–29. Static (source) checks: 30–35.
+        // Dynamic (stream) checks: 10–29. Static (source) checks: 32–35.
         // Trace assertions: 36+.
         for k in ViolationKind::all() {
             let code = k.exit_code();
             let band = if matches!(
                 k,
-                ViolationKind::SchemaMismatch
-                    | ViolationKind::IdSpaceCollision
-                    | ViolationKind::HotPathHazard
+                ViolationKind::HotPathHazard
                     | ViolationKind::AtomicOrderViolation
                     | ViolationKind::LockOrderCycle
                     | ViolationKind::UnsafeUnjustified
             ) {
-                (30..=35).contains(&code)
+                (32..=35).contains(&code)
             } else if matches!(
                 k,
                 ViolationKind::AssertCount

@@ -14,8 +14,7 @@ use ktrace_events::{
     self as events, exception, fs as fsev, ipc, lock as lockev, proc as procev, prof, sched,
     syscall as sysev, user,
 };
-use ktrace_format::pack::WordPacker;
-use ktrace_format::MajorId;
+use ktrace_format::Event;
 use ktrace_ossim::task::{Op, ProcessSpec};
 use ktrace_ossim::workload::Workload;
 use std::cell::Cell;
@@ -290,14 +289,14 @@ struct Sim<'a> {
 
 impl Sim<'_> {
     /// One trace point: emit (optionally) and charge the cost model.
-    fn emit(&mut self, cpu: usize, major: MajorId, minor: u16, payload: &[u64]) {
+    fn emit<P: AsRef<[u64]>>(&mut self, cpu: usize, e: Event<P>) {
         self.attempted += 1;
         let t = self.cpus[cpu].t;
         if let Some(em) = self.emit {
             em.clock.set(t);
-            em.logger.log(cpu, major, minor, payload);
+            em.logger.log(cpu, e.major(), e.minor(), e.payload());
         }
-        let done = self.model.charge(cpu, t, payload.len());
+        let done = self.model.charge(cpu, t, e.payload().len());
         self.cpus[cpu].busy_ns += done - t;
         self.cpus[cpu].t = done;
     }
@@ -319,12 +318,7 @@ impl Sim<'_> {
             let due_until = self.cpus[cpu].t;
             while self.cpus[cpu].next_sample <= due_until {
                 self.cpus[cpu].next_sample += period;
-                self.emit(
-                    cpu,
-                    MajorId::PROF,
-                    prof::PC_SAMPLE,
-                    &[pid, tid, func as u64],
-                );
+                self.emit(cpu, prof::pc_sample(pid, tid, func as u64));
                 // At fine periods counters ride every 8th tick: a sampling
                 // interrupt whose own cost approaches its period would
                 // otherwise inflate virtual time unboundedly (and no real
@@ -352,9 +346,7 @@ impl Sim<'_> {
             if delta > 0 {
                 self.emit(
                     cpu,
-                    MajorId::HWPERF,
-                    events::hwperf::COUNTER_SAMPLE,
-                    &[i as u64 + 1, value, delta],
+                    events::hwperf::counter_sample(i as u64 + 1, value, delta),
                 );
                 self.cpus[cpu].hw.sampled[i] = value;
             }
@@ -383,7 +375,7 @@ impl Sim<'_> {
     fn vlock_acquire(&mut self, cpu: usize, which: LockRef, task: &VTask, chain: u64) {
         let tid = task.tid;
         let (_, id) = self.lock_mut(which);
-        self.emit(cpu, MajorId::LOCK, lockev::REQUEST, &[id, tid, chain]);
+        self.emit(cpu, lockev::request(id, tid, chain));
         let now = self.cpus[cpu].t;
         let (lock, id) = self.lock_mut(which);
         let grant = now.max(lock.free_at);
@@ -400,12 +392,7 @@ impl Sim<'_> {
             self.hw_burst(cpu, wait / 100, 0);
             self.advance(cpu, wait, Some((task, events::func::FAIRBLOCK_ACQUIRE)));
         }
-        self.emit(
-            cpu,
-            MajorId::LOCK,
-            lockev::ACQUIRED,
-            &[id, tid, chain, spins, wait],
-        );
+        self.emit(cpu, lockev::acquired(id, tid, chain, spins, wait));
     }
 
     /// Releases a virtual lock at the CPU's current time.
@@ -413,7 +400,7 @@ impl Sim<'_> {
         let now = self.cpus[cpu].t;
         let (lock, id) = self.lock_mut(which);
         lock.free_at = now;
-        self.emit(cpu, MajorId::LOCK, lockev::RELEASED, &[id, tid, hold_ns]);
+        self.emit(cpu, lockev::released(id, tid, hold_ns));
     }
 
     /// Creates a process and enqueues its main task round-robin.
@@ -425,19 +412,9 @@ impl Sim<'_> {
         let target = self.rr % self.cpus.len();
         self.rr += 1;
         let creator_pid = creator.map_or(0, |c| c.pid);
-        let name_payload = {
-            let mut p = WordPacker::new();
-            p.push(pid, 64).push(creator_pid, 64).push_str(&spec.name);
-            p.finish()
-        };
-        self.emit(on_cpu, MajorId::PROC, procev::CREATE, &name_payload);
-        let loader_payload = {
-            let mut p = WordPacker::new();
-            p.push(creator_pid, 64).push(pid, 64).push_str(&spec.name);
-            p.finish()
-        };
-        self.emit(on_cpu, MajorId::USER, user::RUN_UL_LOADER, &loader_payload);
-        self.emit(on_cpu, MajorId::SCHED, sched::THREAD_START, &[tid, pid]);
+        self.emit(on_cpu, procev::create(pid, creator_pid, &spec.name));
+        self.emit(on_cpu, user::run_ul_loader(creator_pid, pid, &spec.name));
+        self.emit(on_cpu, sched::thread_start(tid, pid));
         if let Some(c) = creator {
             c.pending.set(c.pending.get() + 1);
         }
@@ -472,9 +449,7 @@ impl Sim<'_> {
                     } else if let Some(stolen) = self.steal(cpu) {
                         self.emit(
                             cpu,
-                            MajorId::SCHED,
-                            sched::MIGRATE,
-                            &[stolen.tid, stolen.home_cpu as u64, cpu as u64],
+                            sched::migrate(stolen.tid, stolen.home_cpu as u64, cpu as u64),
                         );
                         let mut stolen = stolen;
                         stolen.home_cpu = cpu;
@@ -487,12 +462,7 @@ impl Sim<'_> {
                 }
             };
             let prev = self.cpus[cpu].prev_tid;
-            self.emit(
-                cpu,
-                MajorId::SCHED,
-                sched::CTX_SWITCH,
-                &[prev, task.tid, task.pid],
-            );
+            self.emit(cpu, sched::ctx_switch(prev, task.tid, task.pid));
             self.cpus[cpu].prev_tid = task.tid;
             let slice_end = self.cpus[cpu].t + self.cfg.time_slice_ns;
             self.cpus[cpu].current = Some((task, slice_end));
@@ -525,56 +495,36 @@ impl Sim<'_> {
                     task.ip += 1;
                 }
                 Op::Syscall { no } => {
-                    self.emit(
-                        cpu,
-                        MajorId::SYSCALL,
-                        sysev::ENTRY,
-                        &[task.pid, task.tid, no],
-                    );
+                    self.emit(cpu, sysev::entry(task.pid, task.tid, no));
                     self.advance(
                         cpu,
                         self.cfg.syscall_cost_ns,
                         Some((&task, events::func::SYSCALL_DISPATCH)),
                     );
-                    self.emit(
-                        cpu,
-                        MajorId::SYSCALL,
-                        sysev::EXIT,
-                        &[task.pid, task.tid, no],
-                    );
+                    self.emit(cpu, sysev::exit(task.pid, task.tid, no));
                     task.ip += 1;
                 }
                 Op::MapRegion { bytes } => {
                     self.hw_burst(cpu, 10, 2);
                     let addr = 0x2000_0000 + task.pid * 0x10_0000;
-                    self.emit(cpu, MajorId::MEM, events::mem::REG_CREATE, &[addr, bytes]);
+                    self.emit(cpu, events::mem::reg_create(addr, bytes));
                     self.advance(
                         cpu,
                         self.cfg.syscall_cost_ns / 2,
                         Some((&task, events::func::FCM_MAP_PAGE)),
                     );
-                    self.emit(
-                        cpu,
-                        MajorId::MEM,
-                        events::mem::FCM_ATCH_REG,
-                        &[addr, addr ^ 0xf0f0],
-                    );
+                    self.emit(cpu, events::mem::fcm_atch_reg(addr, addr ^ 0xf0f0));
                     task.ip += 1;
                 }
                 Op::PageFault { addr } => {
                     self.hw_burst(cpu, 80, 20);
-                    self.emit(cpu, MajorId::EXCEPTION, exception::PGFLT, &[task.tid, addr]);
+                    self.emit(cpu, exception::pgflt(task.tid, addr));
                     self.advance(
                         cpu,
                         self.cfg.pagefault_cost_ns,
                         Some((&task, events::func::PGFLT_HANDLER)),
                     );
-                    self.emit(
-                        cpu,
-                        MajorId::EXCEPTION,
-                        exception::PGFLT_DONE,
-                        &[task.tid, addr],
-                    );
+                    self.emit(cpu, exception::pgflt_done(task.tid, addr));
                     task.ip += 1;
                 }
                 Op::Malloc { size } => {
@@ -591,12 +541,7 @@ impl Sim<'_> {
                         Some((&task, events::func::ALLOC_REGION_ALLOC)),
                     );
                     self.vlock_release(cpu, which, task.tid, self.cfg.alloc_hold_ns);
-                    self.emit(
-                        cpu,
-                        MajorId::MEM,
-                        events::mem::ALLOC,
-                        &[size, 0x1000_0000 + size],
-                    );
+                    self.emit(cpu, events::mem::alloc(size, 0x1000_0000 + size));
                     task.func_stack.truncate(task.func_stack.len() - 3);
                     task.ip += 1;
                 }
@@ -612,32 +557,27 @@ impl Sim<'_> {
                     task.ip += 1;
                 }
                 Op::FsOpen { path } | Op::FsClose { path } => {
-                    let minor = if matches!(op, Op::FsOpen { .. }) {
-                        fsev::OPEN
+                    let event = if matches!(op, Op::FsOpen { .. }) {
+                        fsev::open(1, path)
                     } else {
-                        fsev::CLOSE
+                        fsev::close(1, path)
                     };
-                    self.fs_call(cpu, &mut task, minor, path, self.cfg.fs_op_cost_ns, true);
+                    self.fs_call(cpu, &mut task, event, self.cfg.fs_op_cost_ns, true);
                     task.ip += 1;
                 }
                 Op::FsRead { bytes } => {
                     let cost = self.cfg.fs_op_cost_ns + bytes / 64;
-                    self.fs_call(cpu, &mut task, fsev::READ, bytes, cost, false);
+                    self.fs_call(cpu, &mut task, fsev::read(1, bytes), cost, false);
                     task.ip += 1;
                 }
                 Op::FsWrite { bytes } => {
                     let cost = self.cfg.fs_op_cost_ns + bytes / 64;
-                    self.fs_call(cpu, &mut task, fsev::WRITE, bytes, cost, false);
+                    self.fs_call(cpu, &mut task, fsev::write(1, bytes), cost, false);
                     task.ip += 1;
                 }
                 Op::SharedRead { cell } => {
                     let addr = ktrace_ossim::kernel::Kernel::shared_cell_addr(cell);
-                    self.emit(
-                        cpu,
-                        MajorId::MEM,
-                        events::mem::ACCESS_READ,
-                        &[addr, task.tid],
-                    );
+                    self.emit(cpu, events::mem::access_read(addr, task.tid));
                     task.ip += 1;
                 }
                 Op::SharedWrite { cell } => {
@@ -645,12 +585,7 @@ impl Sim<'_> {
                     // annotation, then the ~200ns compute between load and
                     // store that widens the race window.
                     let addr = ktrace_ossim::kernel::Kernel::shared_cell_addr(cell);
-                    self.emit(
-                        cpu,
-                        MajorId::MEM,
-                        events::mem::ACCESS_WRITE,
-                        &[addr, task.tid],
-                    );
+                    self.emit(cpu, events::mem::access_write(addr, task.tid));
                     self.advance(cpu, 200, Some((&task, events::func::USER_COMPUTE)));
                     task.ip += 1;
                 }
@@ -686,18 +621,19 @@ impl Sim<'_> {
         }
     }
 
-    /// The PPC-style FS server call in virtual time.
+    /// The PPC-style FS server call in virtual time: the server logs
+    /// `event`, and the IPC pair names its minor as the called function.
     fn fs_call(
         &mut self,
         cpu: usize,
         task: &mut VTask,
-        minor: u16,
-        arg: u64,
+        event: Event<[u64; 2]>,
         cost: u64,
         dir_locked: bool,
     ) {
-        self.emit(cpu, MajorId::IPC, ipc::CALL, &[task.pid, 1, minor as u64]);
-        self.emit(cpu, MajorId::EXCEPTION, exception::PPC_CALL, &[task.tid]);
+        let fn_id = u64::from(event.minor());
+        self.emit(cpu, ipc::call(task.pid, 1, fn_id));
+        self.emit(cpu, exception::ppc_call(task.tid));
         task.func_stack.push(events::func::IPC_CALLEE_ENTRY);
         if dir_locked {
             // The directory lock covers only the name lookup; the rest of
@@ -719,22 +655,17 @@ impl Sim<'_> {
         } else {
             self.advance(cpu, cost, Some((&*task, events::func::SERVER_FILE_READ)));
         }
-        self.emit(cpu, MajorId::FS, minor, &[1, arg]);
+        self.emit(cpu, event);
         task.func_stack.pop();
         self.advance(cpu, self.cfg.ipc_cost_ns, None);
-        self.emit(cpu, MajorId::EXCEPTION, exception::PPC_RETURN, &[task.tid]);
-        self.emit(cpu, MajorId::IPC, ipc::RETURN, &[task.pid, 1, minor as u64]);
+        self.emit(cpu, exception::ppc_return(task.tid));
+        self.emit(cpu, ipc::ret(task.pid, 1, fn_id));
     }
 
     fn finish(&mut self, cpu: usize, task: VTask) {
-        self.emit(
-            cpu,
-            MajorId::SCHED,
-            sched::THREAD_EXIT,
-            &[task.tid, task.pid],
-        );
-        self.emit(cpu, MajorId::USER, user::RETURNED_MAIN, &[task.pid]);
-        self.emit(cpu, MajorId::PROC, procev::EXIT, &[task.pid]);
+        self.emit(cpu, sched::thread_exit(task.tid, task.pid));
+        self.emit(cpu, user::returned_main(task.pid));
+        self.emit(cpu, procev::exit(task.pid));
         if let Some(parent) = &task.parent {
             parent.set(parent.get().saturating_sub(1));
         }

@@ -9,6 +9,7 @@
 //! cargo run --example flight_recorder
 //! ```
 
+use ktrace::events::{exception, mem, sched};
 use ktrace::prelude::*;
 use std::sync::Arc;
 
@@ -24,29 +25,13 @@ fn main() {
 
     // A long-running "system": far more activity than the buffers hold.
     for i in 0..100_000u64 {
-        h.log2(
-            MajorId::MEM,
-            ktrace::events::mem::ALLOC,
-            64 + i % 512,
-            0x1000_0000 + i,
-        );
+        h.log_event(&mem::alloc(64 + i % 512, 0x1000_0000 + i));
         if i % 7 == 0 {
-            h.log3(
-                MajorId::SCHED,
-                ktrace::events::sched::CTX_SWITCH,
-                i,
-                i + 1,
-                i % 5,
-            );
+            h.log_event(&sched::ctx_switch(i, i + 1, i % 5));
         }
         if i == 99_997 {
             // The smoking gun right before the "crash".
-            h.log2(
-                MajorId::EXCEPTION,
-                ktrace::events::exception::PGFLT,
-                0xdead,
-                0xbad_add,
-            );
+            h.log_event(&exception::pgflt(0xdead, 0xbad_add));
         }
     }
     println!(

@@ -10,6 +10,7 @@
 //! ```
 
 use ktrace::analysis::{EventStats, Trace};
+use ktrace::events::{mem, syscall, sysno};
 use ktrace::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,15 +34,9 @@ fn main() {
             std::thread::spawn(move || {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    h.log2(MajorId::MEM, ktrace::events::mem::ALLOC, 64 + i % 256, i);
+                    h.log_event(&mem::alloc(64 + i % 256, i));
                     if i.is_multiple_of(3) {
-                        h.log3(
-                            MajorId::SYSCALL,
-                            ktrace::events::syscall::ENTRY,
-                            cpu as u64,
-                            i,
-                            ktrace::events::sysno::READ,
-                        );
+                        h.log_event(&syscall::entry(cpu as u64, i, sysno::READ));
                     }
                     i += 1;
                     if i.is_multiple_of(1000) {

@@ -1,22 +1,21 @@
 //! `ktrace-lint` — source-level instrumentation linting.
 //!
 //! ```text
-//! ktrace-lint [--root DIR] [--json] [--deny-warnings] [--pass NAME]...
+//! ktrace-lint [--root DIR] [--json] [--pass NAME]...
 //! ```
 //!
 //! Runs the static passes over the workspace at `--root` (default: the
-//! current directory). `--pass schema|idspace|hotpath|atomics|lockorder|unsafe`
-//! restricts the run to the named pass(es); repeat the flag to combine.
+//! current directory). `--pass hotpath|atomics|lockorder|unsafe` restricts
+//! the run to the named pass(es); repeat the flag to combine.
 //!
 //! Exit codes: 0 clean, 1 unreadable required input, 2 usage; otherwise the
 //! distinct code of the most severe violation class found — the *lowest*
 //! code when several passes fail, with every failing pass listed in the
 //! report — drawn from the same table as `ktrace-verify`
-//! (`ktrace_verify::ViolationKind::exit_code`): 30 schema mismatch, 31
-//! ID-space collision, 32 hot-path hazard, 33 atomic-order violation, 34
-//! lock-order cycle, 35 unjustified unsafe. With `--deny-warnings` (the CI
-//! configuration), style warnings also fail the run with the
-//! schema-mismatch code.
+//! (`ktrace_verify::ViolationKind::exit_code`): 32 hot-path hazard, 33
+//! atomic-order violation, 34 lock-order cycle, 35 unjustified unsafe.
+//! Event schema agreement is checked by the compiler, through the typed
+//! emitters `ktrace_event!` generates; 30 and 31 stay reserved.
 
 use ktrace::exit;
 use ktrace::srclint::{lint_workspace, LintOptions, PassSet};
@@ -25,8 +24,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ktrace-lint [--root DIR] [--json] [--deny-warnings] \
-         [--pass <schema|idspace|hotpath|atomics|lockorder|unsafe>]..."
+        "usage: ktrace-lint [--root DIR] [--json] [--pass <hotpath|atomics|lockorder|unsafe>]..."
     );
     ExitCode::from(exit::USAGE)
 }
@@ -34,7 +32,6 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut json = false;
-    let mut deny_warnings = false;
     let mut passes: Option<PassSet> = None;
 
     let mut args = std::env::args().skip(1);
@@ -47,7 +44,6 @@ fn main() -> ExitCode {
                 root = PathBuf::from(dir);
             }
             "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
             "--pass" => {
                 let Some(name) = args.next() else {
                     return usage();
@@ -64,7 +60,6 @@ fn main() -> ExitCode {
     let opts = LintOptions {
         root,
         passes: passes.unwrap_or_default(),
-        deny_warnings,
     };
     let report = match lint_workspace(&opts) {
         Ok(r) => r,
@@ -74,9 +69,9 @@ fn main() -> ExitCode {
         }
     };
     if json {
-        print!("{}", report.to_json(deny_warnings));
+        print!("{}", report.to_json());
     } else {
-        print!("{}", report.render(deny_warnings));
+        print!("{}", report.render());
     }
-    ExitCode::from(report.exit_code(deny_warnings))
+    ExitCode::from(report.exit_code())
 }

@@ -439,7 +439,6 @@ fn render_session_summary(stats: &ktrace::io::SessionStats) -> String {
 fn adapt_cmd(out_path: &str, secs: f64, ncpus: usize, fault: bool) -> ExitCode {
     use ktrace::adapt::{Controller, ControllerConfig, Detector, DetectorConfig};
     use ktrace::faults::{FaultySink, SinkPlan};
-    use ktrace::format::MajorId;
     use std::io::Write;
     use std::time::{Duration, Instant};
 
@@ -482,7 +481,7 @@ fn adapt_cmd(out_path: &str, secs: f64, ncpus: usize, fault: bool) -> ExitCode {
                 for _ in 0..800 {
                     let cpu = (seq as usize) % ncpus;
                     if let Ok(h) = worker_logger.handle(cpu) {
-                        h.log2(MajorId::USER, ktrace::events::user::APP_TICK, seq, bursts);
+                        h.log_event(&ktrace::events::user::app_tick(seq, bursts));
                     }
                     seq += 1;
                 }

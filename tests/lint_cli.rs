@@ -19,11 +19,11 @@ fn fixture(name: &str) -> String {
 }
 
 #[test]
-fn clean_workspace_exits_zero_even_denying_warnings() {
-    let out = lint(&["--root", env!("CARGO_MANIFEST_DIR"), "--deny-warnings"]);
+fn clean_workspace_exits_zero() {
+    let out = lint(&["--root", env!("CARGO_MANIFEST_DIR")]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
-    assert!(stdout.contains("0 violation(s), 0 warning(s)"), "{stdout}");
+    assert!(stdout.contains("0 violation(s) -> exit 0"), "{stdout}");
 }
 
 #[test]
@@ -31,6 +31,10 @@ fn usage_errors_exit_two() {
     assert_eq!(lint(&["--frobnicate"]).status.code(), Some(2));
     assert_eq!(lint(&["--pass", "nonsense"]).status.code(), Some(2));
     assert_eq!(lint(&["--root"]).status.code(), Some(2));
+    // The retired schema checks are compile errors now, not lint options.
+    assert_eq!(lint(&["--deny-warnings"]).status.code(), Some(2));
+    assert_eq!(lint(&["--pass", "schema"]).status.code(), Some(2));
+    assert_eq!(lint(&["--pass", "idspace"]).status.code(), Some(2));
 }
 
 #[test]
@@ -42,14 +46,6 @@ fn missing_inputs_exit_one() {
 
 #[test]
 fn each_pass_fails_with_its_distinct_code() {
-    let out = lint(&["--root", &fixture("schema_drift"), "--pass", "schema"]);
-    assert_eq!(out.status.code(), Some(30));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("error[schema-mismatch]"));
-
-    let out = lint(&["--root", &fixture("idspace"), "--pass", "idspace"]);
-    assert_eq!(out.status.code(), Some(31));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("error[id-space-collision]"));
-
     let out = lint(&["--root", &fixture("hotpath"), "--pass", "hotpath"]);
     assert_eq!(out.status.code(), Some(32));
     assert!(String::from_utf8_lossy(&out.stdout).contains("error[hot-path-hazard]"));
@@ -90,19 +86,19 @@ fn several_failing_passes_exit_lowest_and_are_all_listed() {
 
 #[test]
 fn full_run_reports_the_most_severe_code() {
-    // All passes on the schema fixture: schema mismatch (30) outranks any
-    // other class present, matching ktrace-verify's min-code convention.
-    let out = lint(&["--root", &fixture("schema_drift")]);
-    assert_eq!(out.status.code(), Some(30));
+    // All passes on the hot-path fixture: the hot-path hazard (32) is the
+    // code, matching ktrace-verify's min-code convention.
+    let out = lint(&["--root", &fixture("hotpath")]);
+    assert_eq!(out.status.code(), Some(32));
 }
 
 #[test]
 fn json_output_is_structured() {
-    let out = lint(&["--root", &fixture("idspace"), "--json"]);
-    assert_eq!(out.status.code(), Some(31));
+    let out = lint(&["--root", &fixture("broken_lockorder"), "--json"]);
+    assert_eq!(out.status.code(), Some(34));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"violations\""));
-    assert!(stdout.contains("\"kind\": \"id-space-collision\""));
-    assert!(stdout.contains("\"exit_code\": 31"));
+    assert!(stdout.contains("\"kind\": \"lock-order-cycle\""));
+    assert!(stdout.contains("\"exit_code\": 34"));
     assert!(stdout.trim_start().starts_with('{') && stdout.trim_end().ends_with('}'));
 }
