@@ -20,7 +20,7 @@ use ktrace_clock::SyncClock;
 use ktrace_core::TraceConfig;
 use ktrace_format::MajorId;
 use ktrace_ossim::workload::sdet::{build, SdetConfig};
-use ktrace_vsim::{Scheme, VirtualMachine, VmConfig};
+use ktrace_vsim::{CostParams, Scheme, VirtualMachine, VmConfig};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -47,9 +47,10 @@ pub fn measure_sinks(fast: bool) -> Vec<(&'static str, f64)> {
         .collect()
 }
 
-/// Modelled total tracing overhead for one scheme at `ncpus` under SDET.
-fn modelled_overhead(scheme: Scheme, ncpus: usize, fast: bool) -> (u64, u64) {
-    let params = calibrated_params(fast);
+/// Modelled total tracing overhead for one scheme at `ncpus` under SDET,
+/// priced with `params` — one calibration per report, so every point of a
+/// curve is priced alike.
+fn modelled_overhead(scheme: Scheme, ncpus: usize, params: CostParams) -> (u64, u64) {
     let mut cfg = VmConfig::new(ncpus);
     cfg.alloc_regions = 64;
     let w = build(SdetConfig {
@@ -83,10 +84,11 @@ pub fn report_lockless_vs_locking(fast: bool) -> String {
     } else {
         &[1, 2, 4, 8, 16, 24]
     };
+    let params = calibrated_params(fast);
     let mut last_ratio = 0.0;
     for &p in cpus {
-        let (lockless, ev1) = modelled_overhead(Scheme::LocklessPerCpu, p, fast);
-        let (locking, ev2) = modelled_overhead(Scheme::LockingGlobal, p, fast);
+        let (lockless, ev1) = modelled_overhead(Scheme::LocklessPerCpu, p, params);
+        let (locking, ev2) = modelled_overhead(Scheme::LockingGlobal, p, params);
         let a = lockless as f64 / ev1.max(1) as f64;
         let b = locking as f64 / ev2.max(1) as f64;
         last_ratio = b / a;
@@ -120,9 +122,10 @@ pub fn report_percpu_vs_global(fast: bool) -> String {
     } else {
         &[1, 2, 4, 8, 16, 24]
     };
+    let params = calibrated_params(fast);
     for &p in cpus {
-        let (percpu, ev1) = modelled_overhead(Scheme::LocklessPerCpu, p, fast);
-        let (shared, ev2) = modelled_overhead(Scheme::LocklessGlobal, p, fast);
+        let (percpu, ev1) = modelled_overhead(Scheme::LocklessPerCpu, p, params);
+        let (shared, ev2) = modelled_overhead(Scheme::LocklessGlobal, p, params);
         let a = percpu as f64 / ev1.max(1) as f64;
         let b = shared as f64 / ev2.max(1) as f64;
         t.row(vec![
@@ -207,14 +210,23 @@ mod tests {
 
     #[test]
     fn modelled_locking_degrades_with_cpus() {
-        let (l1, e1) = modelled_overhead(Scheme::LockingGlobal, 1, true);
-        let (l8, e8) = modelled_overhead(Scheme::LockingGlobal, 8, true);
+        // The paper-calibrated costs, as `sdet_fig3`'s shape tests use: a
+        // host calibration per point would price the 1- and 8-CPU runs
+        // differently, and the model would then compare two hosts.
+        let params = CostParams::default();
+        assert_eq!(
+            modelled_overhead(Scheme::LockingGlobal, 8, params),
+            modelled_overhead(Scheme::LockingGlobal, 8, params),
+            "the model is deterministic in its params"
+        );
+        let (l1, e1) = modelled_overhead(Scheme::LockingGlobal, 1, params);
+        let (l8, e8) = modelled_overhead(Scheme::LockingGlobal, 8, params);
         let per1 = l1 as f64 / e1 as f64;
         let per8 = l8 as f64 / e8 as f64;
         assert!(per8 > 2.0 * per1, "locking per-event {per1} -> {per8}");
         // Per-CPU stays flat.
-        let (p1, pe1) = modelled_overhead(Scheme::LocklessPerCpu, 1, true);
-        let (p8, pe8) = modelled_overhead(Scheme::LocklessPerCpu, 8, true);
+        let (p1, pe1) = modelled_overhead(Scheme::LocklessPerCpu, 1, params);
+        let (p8, pe8) = modelled_overhead(Scheme::LocklessPerCpu, 8, params);
         let a = p1 as f64 / pe1 as f64;
         let b = p8 as f64 / pe8 as f64;
         assert!((b / a) < 1.2, "per-cpu per-event {a} -> {b}");

@@ -20,6 +20,7 @@ use crate::store::NodeStore;
 use ktrace_adapt::{Anomaly, Detector};
 use ktrace_core::walk_buffer;
 use ktrace_format::ids::control;
+use ktrace_format::protocol::ExactCounter;
 use ktrace_io::file::{body_words, frame_record};
 use ktrace_io::FileHeader;
 use ktrace_telemetry::{counter_block, TelemetrySnapshot};
@@ -116,23 +117,23 @@ counter_block! {
         pub name: String,
     }
     counters {
-        records_received: AtomicU64 = "Well-formed records read off the wire.";
-        records_stored: AtomicU64 = "Records written into the store.";
-        records_dropped: AtomicU64 =
+        records_received: ExactCounter = "Well-formed records read off the wire.";
+        records_stored: ExactCounter = "Records written into the store.";
+        records_dropped: ExactCounter =
             "Records dropped — queue overflow or store failure — instead of blocking the stream.";
-        records_garbled: AtomicU64 =
+        records_garbled: ExactCounter =
             "Records abandoned because the stream desynced (bad record magic).";
-        events_received: AtomicU64 = "Data events inside received records.";
-        events_stored: AtomicU64 = "Data events inside stored records.";
-        events_dropped: AtomicU64 = "Data events inside dropped records.";
-        bytes_received: AtomicU64 = "Record bytes received per node."
+        events_received: ExactCounter = "Data events inside received records.";
+        events_stored: ExactCounter = "Data events inside stored records.";
+        events_dropped: ExactCounter = "Data events inside dropped records.";
+        bytes_received: ExactCounter = "Record bytes received per node."
             => "ktrace_collectd_bytes_received_total";
-        torn_tail_bytes: AtomicU64 = "Bytes of partial final records cut off by dead connections."
+        torn_tail_bytes: ExactCounter = "Bytes of partial final records cut off by dead connections."
             => "ktrace_collectd_torn_tail_bytes_total";
-        connects: AtomicU64 = "Connections this node has opened.";
-        live_connections: AtomicU64 = "Connections currently open per node."
+        connects: ExactCounter = "Connections this node has opened.";
+        live_connections: ExactCounter = "Connections currently open per node."
             => "ktrace_collectd_live_connections";
-        heartbeats_seen: AtomicU64 = "HEARTBEAT events observed in each node's stream."
+        heartbeats_seen: ExactCounter = "HEARTBEAT events observed in each node's stream."
             => "ktrace_collectd_heartbeats_seen_total";
     }
     histograms {}
@@ -143,22 +144,22 @@ impl NodeCounters {
     /// One well-formed record of `bytes` bytes read off the wire, with the
     /// data events inside it.
     fn tally_received(&self, events: u64, bytes: u64) {
-        self.records_received.fetch_add(1, Ordering::Relaxed);
-        self.events_received.fetch_add(events, Ordering::Relaxed);
-        self.bytes_received.fetch_add(bytes, Ordering::Relaxed);
+        self.records_received.add(1);
+        self.events_received.add(events);
+        self.bytes_received.add(bytes);
     }
 
     /// One record, and the data events inside it, written into the store.
     fn tally_stored(&self, events: u64) {
-        self.records_stored.fetch_add(1, Ordering::Relaxed);
-        self.events_stored.fetch_add(events, Ordering::Relaxed);
+        self.records_stored.add(1);
+        self.events_stored.add(events);
     }
 
     /// One record, and the data events inside it, dropped and counted
     /// instead of blocking the stream.
     fn tally_dropped(&self, events: u64) {
-        self.records_dropped.fetch_add(1, Ordering::Relaxed);
-        self.events_dropped.fetch_add(events, Ordering::Relaxed);
+        self.records_dropped.add(1);
+        self.events_dropped.add(events);
     }
 }
 
@@ -230,9 +231,7 @@ impl NodeState {
         let Ok(words) = <[u64; control::HEARTBEAT_WORDS]>::try_from(payload) else {
             return;
         };
-        self.counters
-            .heartbeats_seen
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.heartbeats_seen.add(1);
         self.health.lock().expect("health lock").note_beat(words);
     }
 
@@ -463,10 +462,8 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
     };
     let record_size = header.record_size();
     let node = shared.node_entry(&name);
-    node.counters.connects.fetch_add(1, Ordering::Relaxed);
-    node.counters
-        .live_connections
-        .fetch_add(1, Ordering::Relaxed);
+    node.counters.connects.add(1);
+    node.counters.live_connections.add(1);
     let tx = &senders[shard_of(&name, senders.len())];
     let header_bytes = Arc::new(header_bytes);
 
@@ -477,17 +474,13 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
             break; // clean EOF (or shutdown)
         }
         if got < record_size {
-            node.counters
-                .torn_tail_bytes
-                .fetch_add(got as u64, Ordering::Relaxed);
+            node.counters.torn_tail_bytes.add(got as u64);
             break;
         }
         let Ok(frame) = frame_record(&buf) else {
             // Desynced: without record alignment nothing downstream is
             // trustworthy. Abandon the connection, visibly.
-            node.counters
-                .records_garbled
-                .fetch_add(1, Ordering::Relaxed);
+            node.counters.records_garbled.add(1);
             break;
         };
         // Walk once, here: exact event accounting for the drop path and
@@ -512,9 +505,7 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
             Err(TrySendError::Disconnected(_)) => break,
         }
     }
-    node.counters
-        .live_connections
-        .fetch_sub(1, Ordering::Relaxed);
+    node.counters.live_connections.sub(1);
 }
 
 /// One store worker: owns the `NodeStore`s of every node hashed to it.

@@ -33,7 +33,7 @@
 //! costs nothing and means a non-zero header word implies its payload words
 //! were written by the same logger; buffers are zeroed when consumed, so an
 //! all-zero header marks an unfinished event. Word-level tearing is
-//! impossible (all words are `AtomicU64`); event-level garbling remains
+//! impossible (all words are atomic); event-level garbling remains
 //! possible and is what the commit counts and reader checks catch.
 
 use crate::config::{Mode, TraceConfig, ANCHOR_WORDS, DROPPED_WORDS};
@@ -41,9 +41,11 @@ use crate::error::CoreError;
 use ktrace_clock::ClockSource;
 use ktrace_format::header::filler_chain;
 use ktrace_format::ids::control;
+use ktrace_format::protocol::{
+    AcquireRelease, CommitWord, ExactCounter, MessageWord, ReservationTail, WakeFlag,
+};
 use ktrace_format::{EventHeader, MajorId, MinorId};
 use ktrace_telemetry::{CpuCounters, Telemetry};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
@@ -86,8 +88,7 @@ const STRAGGLER_GRACE: Duration = Duration::from_millis(100);
 /// over from a previous session's.
 #[derive(Debug, Default)]
 pub(crate) struct DrainerWake {
-    // ktrace-protocol: wake-flag(parked)
-    parked: AtomicBool,
+    parked: WakeFlag,
     target: RwLock<Option<Thread>>,
 }
 
@@ -97,7 +98,7 @@ impl DrainerWake {
     /// the consumer announced.
     #[inline]
     fn notify(&self) {
-        if self.parked.swap(false, Ordering::AcqRel) {
+        if self.parked.swap(false) {
             if let Ok(Some(target)) = self.target.try_read().as_deref() {
                 target.unpark();
             }
@@ -108,13 +109,13 @@ impl DrainerWake {
     /// wake target and announces that it is about to park.
     pub(crate) fn announce(&self) {
         *self.target.write().unwrap_or_else(PoisonError::into_inner) = Some(std::thread::current());
-        self.parked.swap(true, Ordering::AcqRel);
+        self.parked.swap(true);
     }
 
     /// Consumer half, after the re-check or the park. A swap, not a store: it
     /// must read from the last closing writer's swap (see above).
     pub(crate) fn withdraw(&self) {
-        self.parked.swap(false, Ordering::AcqRel);
+        self.parked.swap(false);
     }
 }
 
@@ -191,30 +192,19 @@ pub struct CpuRegion {
     cpu: usize,
     config: TraceConfig,
     clock: Arc<dyn ClockSource>,
-    /// The buffer memory; `AtomicU64` so concurrent flight-recorder reads of
+    /// The buffer memory; atomic so concurrent flight-recorder reads of
     /// live buffers are defined behaviour (possibly stale, never torn words).
-    /// Payload words go down relaxed; header words carry the release that
-    /// publishes the payload (`w` is the per-word iteration alias).
-    // ktrace-protocol: message-word(words, w)
-    words: Box<[AtomicU64]>,
-    /// Unwrapped reservation index (Fig. 2's `trcCtlPtr->index`). Advanced
-    /// only by the winning CAS; reads may be relaxed (the CAS re-validates).
-    // ktrace-protocol: reservation-tail(index)
-    index: AtomicU64,
-    /// Cumulative committed words per buffer slot. The committer's
-    /// `fetch_add(Release)` pairs with the consumer's `load(Acquire)`.
-    // ktrace-protocol: commit-word(committed)
-    committed: Box<[AtomicU64]>,
-    /// Buffers released by the consumer (stream mode). The consumer's
-    /// `store(Release)` after zeroing a slot pairs with the producers'
-    /// `load(Acquire)` before writing into a recycled slot.
-    // ktrace-protocol: acquire-release(consumed)
-    consumed: AtomicU64,
+    words: Box<[MessageWord]>,
+    /// Unwrapped reservation index (Fig. 2's `trcCtlPtr->index`).
+    index: ReservationTail,
+    /// Cumulative committed words per buffer slot.
+    committed: Box<[CommitWord]>,
+    /// Buffers released by the consumer (stream mode).
+    consumed: AcquireRelease,
     /// Events dropped because the consumer fell behind, *pending* an
     /// in-stream DROPPED marker (cumulative drops live in the telemetry
     /// block).
-    // ktrace-protocol: exact-counter(dropped)
-    dropped: AtomicU64,
+    dropped: ExactCounter,
     /// The shared self-observability registry this region tallies into.
     tel: Arc<Telemetry>,
     /// This region's slot in `tel` (the logger maps it to the CPU index; a
@@ -250,13 +240,13 @@ impl CpuRegion {
             cpu,
             config,
             clock,
-            words: (0..total).map(|_| AtomicU64::new(0)).collect(),
-            index: AtomicU64::new(0),
+            words: (0..total).map(|_| MessageWord::new(0)).collect(),
+            index: ReservationTail::new(0),
             committed: (0..config.buffers_per_cpu)
-                .map(|_| AtomicU64::new(0))
+                .map(|_| CommitWord::new(0))
                 .collect(),
-            consumed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            consumed: AcquireRelease::new(0),
+            dropped: ExactCounter::new(0),
             tel,
             tslot,
             take_lock: Mutex::new(()),
@@ -333,7 +323,7 @@ impl CpuRegion {
         let bw = self.config.buffer_words as u64;
         let mut first_ts: Option<u64> = None;
         loop {
-            let old = self.index.load(Ordering::Relaxed);
+            let old = self.index.load();
             let pos = (old % bw) as usize;
             // Re-determine the timestamp on every attempt: "processes must
             // re-determine the timestamp during each attempt to atomically
@@ -344,16 +334,7 @@ impl CpuRegion {
             let t0 = *first_ts.get_or_insert(ts);
             if pos != 0 && pos + total_words <= bw as usize {
                 // Fast path: fits in the current buffer.
-                if self
-                    .index
-                    .compare_exchange_weak(
-                        old,
-                        old + total_words as u64,
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
+                if self.index.advance_weak(old, old + total_words as u64) {
                     self.tally().observe_reserve_wait(ts.saturating_sub(t0));
                     return Some((old, ts, pos + total_words == bw as usize));
                 }
@@ -370,23 +351,19 @@ impl CpuRegion {
                 // `Acquire` pairs with the consumer's `Release` store after it
                 // zeroes the slot, so writes into a recycled slot can't race
                 // with the zeroing.
-                let consumed = self.consumed.load(Ordering::Acquire);
+                let consumed = self.consumed.load();
                 if next_seq >= consumed + self.config.buffers_per_cpu as u64 {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
+                    self.dropped.add(1);
                     self.tally().tally_dropped();
                     return None;
                 }
             }
 
-            let drop_pending = self.dropped.load(Ordering::Relaxed) > 0;
+            let drop_pending = self.dropped.load() > 0;
             let extra = if drop_pending { DROPPED_WORDS } else { 0 };
             let claimed = ANCHOR_WORDS + extra + total_words;
             let new = next_seq * bw + claimed as u64;
-            if self
-                .index
-                .compare_exchange_weak(old, new, Ordering::AcqRel, Ordering::Relaxed)
-                .is_err()
-            {
+            if !self.index.advance_weak(old, new) {
                 self.tally().tally_cas_retry();
                 continue;
             }
@@ -409,7 +386,7 @@ impl CpuRegion {
             self.write_event(base, anchor, &[ts, self.cpu as u64]);
             // …and record how many events were dropped while overrun.
             if drop_pending {
-                let count = self.dropped.swap(0, Ordering::Relaxed);
+                let count = self.dropped.take();
                 let marker = EventHeader::new(ts as u32, 1, MajorId::CONTROL, control::DROPPED)
                     .expect("marker payload fits");
                 self.write_event(base + ANCHOR_WORDS as u64, marker, &[count]);
@@ -430,7 +407,7 @@ impl CpuRegion {
         for seg in filler_chain(remainder) {
             let h = EventHeader::filler(ts32, seg).expect("segment bounded");
             let pos = (off % self.words.len() as u64) as usize;
-            self.words[pos].store(h.encode(), Ordering::Release);
+            self.words[pos].publish(h.encode());
             off += seg as u64;
         }
         self.tally().tally_filler_words(remainder as u64);
@@ -443,9 +420,9 @@ impl CpuRegion {
         let region = self.words.len() as u64;
         let pos = (at % region) as usize;
         for (i, &w) in payload.iter().enumerate() {
-            self.words[pos + 1 + i].store(w, Ordering::Relaxed);
+            self.words[pos + 1 + i].store(w);
         }
-        self.words[pos].store(header.encode(), Ordering::Release);
+        self.words[pos].publish(header.encode());
         self.commit(at, header.len_words as usize);
     }
 
@@ -454,7 +431,7 @@ impl CpuRegion {
     fn commit(&self, at: u64, len: usize) {
         let slot =
             ((at / self.config.buffer_words as u64) % self.config.buffers_per_cpu as u64) as usize;
-        self.committed[slot].fetch_add(len as u64, Ordering::Release);
+        self.committed[slot].commit(len as u64);
     }
 
     /// Force-closes the current partially filled buffer with filler so the
@@ -463,18 +440,14 @@ impl CpuRegion {
     pub fn flush(&self) -> bool {
         let bw = self.config.buffer_words as u64;
         loop {
-            let old = self.index.load(Ordering::Relaxed);
+            let old = self.index.load();
             let pos = (old % bw) as usize;
             if pos == 0 {
                 return false;
             }
             let ts = self.clock.now(self.cpu);
             let new = (old / bw + 1) * bw;
-            if self
-                .index
-                .compare_exchange(old, new, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
+            if self.index.advance(old, new) {
                 self.write_fillers(old, bw as usize - pos, ts as u32);
                 return true;
             }
@@ -486,8 +459,7 @@ impl CpuRegion {
     pub(crate) fn has_closed_buffer(&self) -> bool {
         let bw = self.config.buffer_words as u64;
         self.config.mode == Mode::Stream
-            && self.index.load(Ordering::Acquire)
-                >= (self.consumed.load(Ordering::Acquire) + 1) * bw
+            && self.index.load_acquire() >= (self.consumed.load() + 1) * bw
     }
 
     /// Takes the oldest completed buffer, if the producer has moved past it
@@ -503,11 +475,11 @@ impl CpuRegion {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let bw = self.config.buffer_words as u64;
-        // Acquire pairs with the Release store below: a consumer taking over
-        // (e.g. after the take lock changes hands) must see the predecessor's
-        // zeroing, not just its count.
-        let seq = self.consumed.load(Ordering::Acquire);
-        let idx = self.index.load(Ordering::Acquire);
+        // A consumer taking over (e.g. after the take lock changes hands)
+        // must see the predecessor's zeroing, not just its count: the
+        // consumed count is an acquire/release pair.
+        let seq = self.consumed.load();
+        let idx = self.index.load_acquire();
         if idx < (seq + 1) * bw {
             return None;
         }
@@ -521,26 +493,26 @@ impl CpuRegion {
         // killed (the §3.1 scenario) never commits and is still caught. The
         // bound is elapsed time, not a yield count: on an oversubscribed host
         // a thousand yields can pass while the writer is still descheduled.
-        let mut committed = self.committed[slot].load(Ordering::Acquire);
+        let mut committed = self.committed[slot].load();
         if committed < expected {
             self.tel.sink().tally_grace_wait();
             let deadline = Instant::now() + STRAGGLER_GRACE;
             while committed < expected && Instant::now() < deadline {
                 std::thread::yield_now();
-                committed = self.committed[slot].load(Ordering::Acquire);
+                committed = self.committed[slot].load();
             }
         }
         let base = slot * bw as usize;
         let words: Vec<u64> = self.words[base..base + bw as usize]
             .iter()
-            .map(|w| w.load(Ordering::Relaxed))
+            .map(MessageWord::load)
             .collect();
         // Zero the slot so the next generation starts clean: an unwritten
         // header then reads as zero, which decoders treat as garble.
         for w in &self.words[base..base + bw as usize] {
-            w.store(0, Ordering::Relaxed);
+            w.store(0);
         }
-        self.consumed.store(seq + 1, Ordering::Release);
+        self.consumed.store(seq + 1);
         Some(CompletedBuffer {
             cpu: self.cpu,
             seq,
@@ -570,9 +542,7 @@ impl CpuRegion {
     /// a stray store. Atomic, so concurrent readers still see untorn words.
     pub fn corrupt_word(&self, at: u64, mask: u64) {
         let pos = (at % self.words.len() as u64) as usize;
-        // ktrace-lint: allow(atomic-order) — fault injection violates the
-        // message-word protocol on purpose (an RMW no real logger performs).
-        self.words[pos].fetch_xor(mask, Ordering::AcqRel);
+        self.words[pos].fault_xor(mask);
     }
 
     /// Fault injection: skews buffer slot `slot`'s cumulative commit count by
@@ -580,15 +550,7 @@ impl CpuRegion {
     /// after its buffer was recycled ("too much data"); a negative one, a
     /// commit that never landed ("not enough data") — the two §3.1 anomalies.
     pub fn desync_commit(&self, slot: usize, delta: i64) {
-        let slot = slot % self.config.buffers_per_cpu;
-        if delta >= 0 {
-            // ktrace-lint: allow(atomic-order) — fault injection skews the
-            // commit word outside the commit-word protocol on purpose.
-            self.committed[slot].fetch_add(delta as u64, Ordering::AcqRel);
-        } else {
-            // ktrace-lint: allow(atomic-order) — as above, negative skew.
-            self.committed[slot].fetch_sub(delta.unsigned_abs(), Ordering::AcqRel);
-        }
+        self.committed[slot % self.config.buffers_per_cpu].fault_skew(delta);
     }
 
     /// Copies the whole region for flight-recorder inspection (§4.2). Safe to
@@ -596,14 +558,10 @@ impl CpuRegion {
     pub fn snapshot(&self) -> RegionSnapshot {
         RegionSnapshot {
             cpu: self.cpu,
-            index: self.index.load(Ordering::Acquire),
+            index: self.index.load_acquire(),
             buffer_words: self.config.buffer_words,
             buffers_per_cpu: self.config.buffers_per_cpu,
-            words: self
-                .words
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect(),
+            words: self.words.iter().map(MessageWord::load).collect(),
         }
     }
 
@@ -619,18 +577,18 @@ impl CpuRegion {
 
     /// Number of events dropped to consumer overrun (not yet marked).
     pub fn dropped_pending(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.load()
     }
 
     /// The current unwrapped word index.
     pub fn index(&self) -> u64 {
-        self.index.load(Ordering::Relaxed)
+        self.index.load()
     }
 
-    /// Buffers released by the consumer so far. Acquire, so an observer that
-    /// sees `n` buffers consumed also sees those slots zeroed.
+    /// Buffers released by the consumer so far. An observer that sees `n`
+    /// buffers consumed also sees those slots zeroed.
     pub fn buffers_consumed(&self) -> u64 {
-        self.consumed.load(Ordering::Acquire)
+        self.consumed.load()
     }
 }
 
@@ -648,6 +606,7 @@ impl std::fmt::Debug for CpuRegion {
 mod tests {
     use super::*;
     use ktrace_clock::ManualClock;
+    use ktrace_format::protocol::SignalFlag;
 
     fn region(cfg: TraceConfig) -> (Arc<ManualClock>, CpuRegion) {
         let clock = Arc::new(ManualClock::new(1000, 1));
@@ -984,7 +943,7 @@ mod tests {
         let r = Arc::new(CpuRegion::new(cfg, clock, 0));
         let nthreads = 8;
         let per_thread = 3000u64;
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(SignalFlag::new());
 
         // Consumer thread drains and validates.
         let rc = r.clone();
@@ -994,7 +953,7 @@ mod tests {
             loop {
                 match rc.take_buffer() {
                     Some(b) => taken.push(b),
-                    None if stop_c.load(Ordering::Acquire) => {
+                    None if stop_c.is_raised() => {
                         rc.flush();
                         while let Some(b) = rc.take_buffer() {
                             taken.push(b);
@@ -1026,7 +985,7 @@ mod tests {
             .collect();
 
         let logged: u64 = producers.into_iter().map(|p| p.join().unwrap()).sum();
-        stop.store(true, Ordering::Release);
+        stop.raise();
         let buffers = consumer.join().unwrap();
 
         let mut events = 0u64;

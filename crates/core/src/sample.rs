@@ -20,8 +20,8 @@
 //! CONTROL bit.
 
 use ktrace_format::ids::NUM_MAJOR_IDS;
+use ktrace_format::protocol::{ExactCounter, StatisticCounter};
 use ktrace_format::MajorId;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The per-major sampling rates consulted by every `log*` fast path.
 ///
@@ -30,19 +30,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct SampleGate {
     /// Sampling rate per major: 1 = keep everything, `n` = keep 1-in-`n`.
     /// Written only by the (single) controller, read by every logger.
-    // ktrace-protocol: statistic-counter(rates)
-    rates: [AtomicU64; NUM_MAJOR_IDS],
+    rates: [StatisticCounter; NUM_MAJOR_IDS],
     /// Decimation tick per major, advanced only while its rate exceeds 1.
-    // ktrace-protocol: exact-counter(ticks)
-    ticks: [AtomicU64; NUM_MAJOR_IDS],
+    ticks: [ExactCounter; NUM_MAJOR_IDS],
 }
 
 impl SampleGate {
     /// A gate admitting everything (every rate 1).
     pub fn new() -> SampleGate {
         SampleGate {
-            rates: std::array::from_fn(|_| AtomicU64::new(1)),
-            ticks: std::array::from_fn(|_| AtomicU64::new(0)),
+            rates: std::array::from_fn(|_| StatisticCounter::new(1)),
+            ticks: std::array::from_fn(|_| ExactCounter::new(0)),
         }
     }
 
@@ -52,13 +50,11 @@ impl SampleGate {
     #[inline]
     pub fn admit(&self, major: MajorId) -> bool {
         let slot = major.raw() as usize;
-        let rate = self.rates[slot].load(Ordering::Relaxed);
+        let rate = self.rates[slot].load();
         if rate <= 1 {
             return true;
         }
-        self.ticks[slot]
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(rate)
+        self.ticks[slot].add(1).is_multiple_of(rate)
     }
 
     /// Sets `major`'s sampling rate, returning the previous one. Rates are
@@ -71,14 +67,14 @@ impl SampleGate {
             rate.max(1)
         };
         let slot = &self.rates[major.raw() as usize];
-        let old = slot.load(Ordering::Relaxed);
-        slot.store(rate, Ordering::Relaxed);
+        let old = slot.load();
+        slot.store(rate);
         old
     }
 
     /// The current sampling rate for `major`.
     pub fn rate(&self, major: MajorId) -> u64 {
-        self.rates[major.raw() as usize].load(Ordering::Relaxed)
+        self.rates[major.raw() as usize].load()
     }
 
     /// True if any major is currently decimated (rate above 1).

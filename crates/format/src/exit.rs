@@ -14,7 +14,7 @@
 //! |------|-------|-------|
 //! | process | 0–2 | every CLI: clean / input unreadable / usage error |
 //! | stream verify | 10–20 | `ktrace-verify` (dynamic trace-stream checks) |
-//! | srclint | 32–35 | `ktrace-lint` (static source checks; 30–31 retired, reserved) |
+//! | srclint | 32–35 | `ktrace-lint` (static source checks; 30, 31, 33 retired, reserved) |
 //! | trace assertions | 36–39 | `ktrace-query` (`ktrace-tools assert`) |
 //! | collector ops | 40–42 | `ktrace-collectd` (fleet-service operational) |
 //! | adaptive control | 43 | `ktrace-tools adapt` (closed-loop operational) |
@@ -65,8 +65,9 @@ pub const DATA_RACE: u8 = 20;
 
 /// The lockless hot path reaches allocation, a blocking lock, or I/O.
 pub const HOT_PATH_HAZARD: u8 = 32;
-/// An atomic's ordering violates its declared `concurrency.toml` role.
-pub const ATOMIC_ORDER_VIOLATION: u8 = 33;
+// 33 (atomic-order-violation) is retired: each atomic is a
+// `crate::protocol` role type whose methods fix its orderings, so a
+// forbidden ordering is a compile error. Reserved; never assign it again.
 /// The static lock-acquisition graph contains a cycle.
 pub const LOCK_ORDER_CYCLE: u8 = 34;
 /// An `unsafe` block or declaration carries no safety justification.
@@ -120,7 +121,6 @@ pub const TABLE: &[(u8, &str)] = &[
     (LOSSY_DRAIN, "lossy-drain"),
     (DATA_RACE, "data-race"),
     (HOT_PATH_HAZARD, "hot-path-hazard"),
-    (ATOMIC_ORDER_VIOLATION, "atomic-order-violation"),
     (LOCK_ORDER_CYCLE, "lock-order-cycle"),
     (UNSAFE_UNJUSTIFIED, "unsafe-unjustified"),
     (ASSERT_COUNT, "assert-count"),

@@ -20,6 +20,8 @@
 //!   display events "without any special knowledge of the events themselves".
 //! * [`text`] — text encodings every report writer shares (JSON string
 //!   escaping).
+//! * [`protocol`] — the memory-ordering roles: one atomic type per way an
+//!   atomic is used, each allowing only its role's orderings.
 //!
 //! The layout constants here are shared by the lockless logger, every baseline
 //! logger, the file format, and all analysis tools — the paper's "unified"
@@ -32,6 +34,7 @@ pub mod header;
 pub mod ids;
 pub mod mask;
 pub mod pack;
+pub mod protocol;
 pub mod text;
 
 pub use describe::{EventDescriptor, EventRegistry, FieldSpec, FieldToken, FieldValue};

@@ -6,13 +6,13 @@
 //! mask variable is frequently referenced it remains hot and no cache misses
 //! are incurred."
 //!
-//! [`TraceMask`] is a single `AtomicU64` read with `Relaxed` ordering on every
+//! [`TraceMask`] is a single [`MaskWord`] read with `Relaxed` ordering on every
 //! log attempt; mask updates take effect on other CPUs "eventually", which
 //! matches the dynamic-enablement semantics of the paper (there is no
 //! synchronization point when tracing is toggled).
 
 use crate::ids::MajorId;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::protocol::MaskWord;
 
 /// One hot word deciding, per major ID, whether events are logged.
 ///
@@ -20,15 +20,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// time-anchor events are part of the stream encoding, not optional data.
 #[derive(Debug)]
 pub struct TraceMask {
-    // ktrace-protocol: mask-word(bits)
-    bits: AtomicU64,
+    bits: MaskWord,
 }
 
 impl TraceMask {
     /// A mask with every major ID enabled.
     pub fn all_enabled() -> TraceMask {
         TraceMask {
-            bits: AtomicU64::new(u64::MAX),
+            bits: MaskWord::new(u64::MAX),
         }
     }
 
@@ -36,7 +35,7 @@ impl TraceMask {
     /// effectively off, at the cost of one relaxed load per log attempt.
     pub fn all_disabled() -> TraceMask {
         TraceMask {
-            bits: AtomicU64::new(MajorId::CONTROL.bit()),
+            bits: MaskWord::new(MajorId::CONTROL.bit()),
         }
     }
 
@@ -47,7 +46,7 @@ impl TraceMask {
             bits |= m.bit();
         }
         TraceMask {
-            bits: AtomicU64::new(bits),
+            bits: MaskWord::new(bits),
         }
     }
 
@@ -57,30 +56,29 @@ impl TraceMask {
     /// the Rust analogue of the paper's "4 machine instructions".
     #[inline(always)]
     pub fn is_enabled(&self, major: MajorId) -> bool {
-        self.bits.load(Ordering::Relaxed) & major.bit() != 0
+        self.bits.load() & major.bit() != 0
     }
 
     /// Enables one major ID.
     pub fn enable(&self, major: MajorId) {
-        self.bits.fetch_or(major.bit(), Ordering::Relaxed);
+        self.bits.or(major.bit());
     }
 
     /// Disables one major ID. Disabling `CONTROL` is ignored.
     pub fn disable(&self, major: MajorId) {
         if major != MajorId::CONTROL {
-            self.bits.fetch_and(!major.bit(), Ordering::Relaxed);
+            self.bits.and(!major.bit());
         }
     }
 
     /// Replaces the whole mask (forcing `CONTROL` on).
     pub fn set(&self, bits: u64) {
-        self.bits
-            .store(bits | MajorId::CONTROL.bit(), Ordering::Relaxed);
+        self.bits.store(bits | MajorId::CONTROL.bit());
     }
 
     /// Reads the whole mask word.
     pub fn get(&self) -> u64 {
-        self.bits.load(Ordering::Relaxed)
+        self.bits.load()
     }
 }
 
@@ -93,7 +91,7 @@ impl Default for TraceMask {
 impl Clone for TraceMask {
     fn clone(&self) -> TraceMask {
         TraceMask {
-            bits: AtomicU64::new(self.get()),
+            bits: MaskWord::new(self.get()),
         }
     }
 }

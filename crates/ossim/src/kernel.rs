@@ -17,7 +17,8 @@ use crate::events::{self, exception, fs, ipc, lock as lockev, mem, syscall as sy
 use crate::lock::FairBLock;
 use crate::task::Task;
 use crate::tracer::TraceHandle;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use ktrace_format::protocol::SignalFlag;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,7 +45,7 @@ pub fn busy(ns: u64) {
 pub struct Kernel {
     config: MachineConfig,
     /// Global abort flag (watchdog / deadlock recovery).
-    pub abort: Arc<AtomicBool>,
+    pub abort: Arc<SignalFlag>,
     /// The allocator region locks. One lock (the default) reproduces the
     /// heavily contended allocator of the paper's tuning story; more locks
     /// model the fix ("fixed it, and then ran the tool again").
@@ -89,7 +90,7 @@ impl Kernel {
     pub fn new(config: MachineConfig, alloc_regions: usize, user_locks: usize) -> Kernel {
         Kernel {
             config,
-            abort: Arc::new(AtomicBool::new(false)),
+            abort: Arc::new(SignalFlag::new()),
             alloc_locks: (0..alloc_regions.max(1))
                 .map(|i| Arc::new(FairBLock::new(ALLOC_LOCK_BASE + i as u64)))
                 .collect(),
@@ -496,7 +497,7 @@ mod tests {
         kernel.user_unlock(&h, &task, 0);
         // Hold lock 1 and abort a second acquisition attempt.
         assert!(kernel.user_lock(&h, &task, 1));
-        kernel.abort.store(true, Ordering::Relaxed);
+        kernel.abort.raise();
         assert!(!kernel.user_lock(&h, &task, 1), "abort must break the wait");
     }
 

@@ -12,7 +12,7 @@
 //! abandoned ticket would wedge the queue. Contention *statistics*, which are
 //! what the analysis consumes, are unaffected.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use ktrace_format::protocol::{ExactCounter, LockFlag, SignalFlag};
 use std::time::Instant;
 
 /// How a lock acquisition went.
@@ -34,13 +34,10 @@ pub struct AcquireStats {
 #[derive(Debug)]
 pub struct FairBLock {
     id: u64,
-    /// The test-and-test-and-set word: CAS-acquire to take, store-release
-    /// to free, relaxed spin reads in between.
-    // ktrace-protocol: lock-flag(locked)
-    locked: AtomicBool,
+    /// The test-and-test-and-set word.
+    locked: LockFlag,
     /// Lifetime acquisition count (cheap sanity statistic).
-    // ktrace-protocol: exact-counter(acquisitions)
-    acquisitions: AtomicU64,
+    acquisitions: ExactCounter,
 }
 
 impl FairBLock {
@@ -48,8 +45,8 @@ impl FairBLock {
     pub fn new(id: u64) -> FairBLock {
         FairBLock {
             id,
-            locked: AtomicBool::new(false),
-            acquisitions: AtomicU64::new(0),
+            locked: LockFlag::new(),
+            acquisitions: ExactCounter::new(0),
         }
     }
 
@@ -60,20 +57,15 @@ impl FairBLock {
 
     /// Total successful acquisitions so far.
     pub fn acquisitions(&self) -> u64 {
-        self.acquisitions.load(Ordering::Relaxed)
+        self.acquisitions.load()
     }
 
     /// Acquires the lock, spinning (yielding periodically — the "block" of a
-    /// spin-then-block lock) until taken or `abort` becomes true.
+    /// spin-then-block lock) until taken or `abort` is raised.
     /// Returns `None` only on abort, in which case the lock is *not* held.
-    // ktrace-protocol: signal-flag(abort)
-    pub fn acquire(&self, abort: &AtomicBool) -> Option<AcquireStats> {
-        if self
-            .locked
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.acquisitions.fetch_add(1, Ordering::Relaxed);
+    pub fn acquire(&self, abort: &SignalFlag) -> Option<AcquireStats> {
+        if self.locked.try_lock() {
+            self.acquisitions.add(1);
             return Some(AcquireStats {
                 spins: 0,
                 wait_ns: 0,
@@ -84,22 +76,18 @@ impl FairBLock {
         let mut spins = 0u64;
         loop {
             // Test before test-and-set: spin on a shared read, not a CAS.
-            while self.locked.load(Ordering::Relaxed) {
+            while self.locked.is_locked() {
                 spins += 1;
                 if spins.is_multiple_of(1024) {
                     std::thread::yield_now();
-                    if abort.load(Ordering::Relaxed) {
+                    if abort.is_raised() {
                         return None;
                     }
                 }
                 std::hint::spin_loop();
             }
-            if self
-                .locked
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                self.acquisitions.fetch_add(1, Ordering::Relaxed);
+            if self.locked.try_lock() {
+                self.acquisitions.add(1);
                 return Some(AcquireStats {
                     spins,
                     wait_ns: start.elapsed().as_nanos() as u64,
@@ -112,19 +100,20 @@ impl FairBLock {
 
     /// Releases the lock (caller must hold it).
     pub fn release(&self) {
-        self.locked.store(false, Ordering::Release);
+        self.locked.unlock();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ktrace_format::protocol::StatisticCounter;
     use std::sync::Arc;
 
     #[test]
     fn uncontended_acquire_is_free() {
         let l = FairBLock::new(7);
-        let abort = AtomicBool::new(false);
+        let abort = SignalFlag::new();
         let s = l.acquire(&abort).unwrap();
         assert!(!s.contended);
         assert_eq!(s.spins, 0);
@@ -136,8 +125,8 @@ mod tests {
     #[test]
     fn mutual_exclusion_holds() {
         let l = Arc::new(FairBLock::new(1));
-        let counter = Arc::new(AtomicU64::new(0));
-        let abort = Arc::new(AtomicBool::new(false));
+        let counter = Arc::new(StatisticCounter::new(0));
+        let abort = Arc::new(SignalFlag::new());
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let l = l.clone();
@@ -146,9 +135,8 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
                         l.acquire(&a).unwrap();
-                        // Non-atomic-looking increment under the lock.
-                        let v = c.load(Ordering::Relaxed);
-                        c.store(v + 1, Ordering::Relaxed);
+                        // A load+store increment: exact only under the lock.
+                        c.bump(1);
                         l.release();
                     }
                 })
@@ -157,14 +145,14 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(counter.load(Ordering::Relaxed), 80_000);
+        assert_eq!(counter.load(), 80_000);
         assert_eq!(l.acquisitions(), 80_000);
     }
 
     #[test]
     fn contention_is_reported() {
         let l = Arc::new(FairBLock::new(2));
-        let abort = Arc::new(AtomicBool::new(false));
+        let abort = Arc::new(SignalFlag::new());
         let l2 = l.clone();
         let a2 = abort.clone();
         l.acquire(&abort).unwrap();
@@ -188,13 +176,13 @@ mod tests {
     #[test]
     fn abort_breaks_the_wait_without_taking_the_lock() {
         let l = Arc::new(FairBLock::new(3));
-        let abort = Arc::new(AtomicBool::new(false));
+        let abort = Arc::new(SignalFlag::new());
         l.acquire(&abort).unwrap(); // never released: simulated deadlock
         let l2 = l.clone();
         let a2 = abort.clone();
         let waiter = std::thread::spawn(move || l2.acquire(&a2));
         std::thread::sleep(std::time::Duration::from_millis(3));
-        abort.store(true, Ordering::Relaxed);
+        abort.raise();
         assert_eq!(waiter.join().unwrap(), None);
         assert_eq!(l.acquisitions(), 1, "aborted waiter must not have acquired");
     }

@@ -183,7 +183,7 @@ impl<T: Tracer> Machine<T> {
             if done != last_progress.0 {
                 last_progress = (done, Instant::now());
             } else if last_progress.1.elapsed() > self.config.watchdog {
-                shared.kernel.abort.store(true, Ordering::Relaxed);
+                shared.kernel.abort.raise();
                 aborted = true;
                 break;
             }
@@ -215,7 +215,7 @@ fn cpu_loop<H: TraceHandle>(cpu: usize, shared: Arc<Shared>, h: H) {
     let mut hw = HwCounters::default();
     let run_start = Instant::now();
     loop {
-        if shared.live.load(Ordering::Acquire) == 0 || shared.kernel.abort.load(Ordering::Relaxed) {
+        if shared.live.load(Ordering::Acquire) == 0 || shared.kernel.abort.is_raised() {
             // Final counter flush: activity between the last sampler tick and
             // shutdown must still reach the stream.
             hw.emit(&h, run_start);
@@ -431,7 +431,7 @@ fn run_slice<H: TraceHandle>(
                 task.advance();
             }
         }
-        if kernel.abort.load(Ordering::Relaxed) {
+        if kernel.abort.is_raised() {
             return SliceOutcome::Finished;
         }
         if Instant::now() >= slice_end {

@@ -2,13 +2,12 @@
 //!
 //! `ktrace-lint` does not need full Rust parsing — only enough token
 //! structure to recognize `fn` boundaries, hazard tokens on the logging
-//! hot path, atomic operations, lock acquisitions and `unsafe` regions.
+//! hot path, lock acquisitions and `unsafe` regions.
 //! This lexer produces exactly that: identifiers, numbers, string/char
 //! literals, punctuation (with `::`, `=>`, `->` joined), doc comments
 //! (kept — the unsafe pass reads `# Safety` sections), and control
 //! comments (kept): `// ktrace-lint:` carries
-//! suppressions, `// ktrace-protocol:` declares atomic protocol roles, and
-//! `// SAFETY:` justifies unsafe blocks. Everything else, including
+//! suppressions, and `// SAFETY:` justifies unsafe blocks. Everything else, including
 //! ordinary comments, is dropped.
 
 /// Token classification.
@@ -88,10 +87,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     text: body.trim_start_matches('/').trim().to_string(),
                     line,
                 });
-            } else if body.contains("ktrace-lint:")
-                || body.contains("ktrace-protocol:")
-                || body.contains("SAFETY")
-            {
+            } else if body.contains("ktrace-lint:") || body.contains("SAFETY") {
                 toks.push(Tok {
                     kind: TokKind::LintComment,
                     text: body.trim().to_string(),
@@ -470,16 +466,16 @@ mod tests {
     }
 
     #[test]
-    fn protocol_and_safety_comments_are_kept() {
+    fn lint_and_safety_comments_are_kept() {
         let toks = tokenize(
-            "// ktrace-protocol: commit-word(committed)\nlet a = 1;\n// SAFETY: bounds checked above.\nlet b = 2;\n// plain comment\nlet c = 3;",
+            "// ktrace-lint: allow(hot-path)\nlet a = 1;\n// SAFETY: bounds checked above.\nlet b = 2;\n// plain comment\nlet c = 3;",
         );
         let lints: Vec<&Tok> = toks
             .iter()
             .filter(|t| t.kind == TokKind::LintComment)
             .collect();
         assert_eq!(lints.len(), 2);
-        assert!(lints[0].text.contains("ktrace-protocol:"));
+        assert!(lints[0].text.contains("ktrace-lint:"));
         assert_eq!(lints[0].line, 1);
         assert!(lints[1].text.contains("SAFETY"));
         assert_eq!(lints[1].line, 3);

@@ -3,22 +3,24 @@
 //!
 //! The dynamic verifier (`ktrace-verify`) checks what a trace *stream* says
 //! after the fact; this crate checks what the *source* promises before
-//! anything runs. Four passes, each with its own exit code from the shared
+//! anything runs. Three passes, each with its own exit code from the shared
 //! table in `ktrace_verify::ViolationKind`:
 //!
 //! | pass        | exit | checks                                                  |
 //! |-------------|------|---------------------------------------------------------|
 //! | `hotpath`   | 32   | no allocation/blocking/I-O reachable from the lockless  |
 //! |             |      | logging path                                            |
-//! | `atomics`   | 33   | atomic orderings vs the protocol roles declared in      |
-//! |             |      | `concurrency.toml` and `// ktrace-protocol:` bindings   |
 //! | `lockorder` | 34   | static lock-acquisition graph is cycle-free             |
 //! | `unsafe`    | 35   | every `unsafe` region carries a SAFETY justification    |
 //!
-//! Whether a logging call agrees with its event's declaration is not a lint:
-//! `ktrace_events::ktrace_event!` generates one typed emitter per event, so
-//! a wrong major, minor or arity fails to compile. Codes 30 and 31, which
-//! the retired `schema` and `idspace` passes used, stay reserved.
+//! Two contracts are not lints but types. Whether a logging call agrees with
+//! its event's declaration: `ktrace_events::ktrace_event!` generates one
+//! typed emitter per event, so a wrong major, minor or arity fails to
+//! compile. Whether an atomic keeps its memory-ordering protocol: each
+//! atomic is a `ktrace_format::protocol` role type whose methods fix the
+//! orderings, so a forbidden one fails to compile. Codes 30, 31 and 33,
+//! which the retired `schema`, `idspace` and `atomics` passes used, stay
+//! reserved.
 //!
 //! Everything is built on a hand-rolled lexer ([`lexer`]) — no `syn`, no
 //! network — so the linter runs in the same offline sandbox as the rest of
@@ -27,7 +29,6 @@
 pub mod hotpath;
 pub mod lexer;
 pub mod lockorder;
-pub mod protocol;
 pub mod report;
 pub mod unsafecheck;
 
@@ -41,7 +42,6 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone, Copy)]
 pub struct PassSet {
     pub hotpath: bool,
-    pub atomics: bool,
     pub lockorder: bool,
     pub unsafe_code: bool,
 }
@@ -50,7 +50,6 @@ impl Default for PassSet {
     fn default() -> PassSet {
         PassSet {
             hotpath: true,
-            atomics: true,
             lockorder: true,
             unsafe_code: true,
         }
@@ -62,7 +61,6 @@ impl PassSet {
     pub fn enable(&mut self, name: &str) -> bool {
         match name {
             "hotpath" => self.hotpath = true,
-            "atomics" => self.atomics = true,
             "lockorder" => self.lockorder = true,
             "unsafe" => self.unsafe_code = true,
             _ => return false,
@@ -74,7 +72,6 @@ impl PassSet {
     pub fn none() -> PassSet {
         PassSet {
             hotpath: false,
-            atomics: false,
             lockorder: false,
             unsafe_code: false,
         }
@@ -106,15 +103,23 @@ const HOTPATH_FILES: &[&str] = &[
     "crates/core/src/region.rs",
     "crates/core/src/sample.rs",
     "crates/format/src/mask.rs",
+    "crates/format/src/protocol.rs",
     "crates/telemetry/src/counters.rs",
 ];
 
 /// Runs the configured passes over the workspace at `opts.root`.
 ///
-/// Returns `Err` only when a required input (the atomics pass's
-/// `concurrency.toml`) is missing or unreadable — the CLI maps that to
-/// exit 1, distinct from any violation code.
+/// Returns `Err` only when `opts.root` is not a workspace (it has no
+/// readable `crates/` directory) — the CLI maps that to exit 1, distinct
+/// from any violation code, rather than linting nothing and passing.
 pub fn lint_workspace(opts: &LintOptions) -> io::Result<LintReport> {
+    let crates = opts.root.join("crates");
+    std::fs::read_dir(&crates).map_err(|e| {
+        io::Error::new(
+            e.kind(),
+            format!("not a workspace: {} unreadable: {e}", crates.display()),
+        )
+    })?;
     let mut report = LintReport::new();
     if opts.passes.hotpath {
         let mut files = Vec::new();
@@ -129,27 +134,6 @@ pub fn lint_workspace(opts: &LintOptions) -> io::Result<LintReport> {
         for f in findings {
             report.push(ViolationKind::HotPathHazard, &f.file, f.line, f.detail);
         }
-    }
-    if opts.passes.atomics {
-        let manifest_src = read_required(&opts.root, protocol::PROTOCOL_MANIFEST)?;
-        report.stats.files_scanned += 1;
-        let manifest = protocol::parse_manifest(&manifest_src, &mut report);
-        let mut files = Vec::new();
-        for rel in &manifest.files {
-            match std::fs::read_to_string(opts.root.join(rel)) {
-                Ok(src) => {
-                    report.stats.files_scanned += 1;
-                    files.push((rel.clone(), src));
-                }
-                Err(_) => report.push(
-                    ViolationKind::AtomicOrderViolation,
-                    protocol::PROTOCOL_MANIFEST,
-                    manifest.files_line,
-                    format!("manifest lists `{rel}` but it is unreadable"),
-                ),
-            }
-        }
-        protocol::atomics_pass(&manifest, &files, HOTPATH_FILES, &mut report);
     }
     if opts.passes.lockorder || opts.passes.unsafe_code {
         let mut files = Vec::new();
@@ -195,11 +179,6 @@ pub fn workspace_source_files(root: &Path) -> Vec<String> {
     rels
 }
 
-fn read_required(root: &Path, rel: &str) -> io::Result<String> {
-    std::fs::read_to_string(root.join(rel))
-        .map_err(|e| io::Error::new(e.kind(), format!("required input {rel} unreadable: {e}")))
-}
-
 /// Recursively collects `.rs` files under `dir` (silently skips missing
 /// directories — not every workspace has every scanned crate).
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -223,7 +202,7 @@ mod tests {
     #[test]
     fn pass_set_enables_by_name() {
         let mut p = PassSet::none();
-        assert!(!p.hotpath && !p.atomics && !p.lockorder && !p.unsafe_code);
+        assert!(!p.hotpath && !p.lockorder && !p.unsafe_code);
         assert!(p.enable("hotpath"));
         assert!(p.enable("lockorder"));
         assert!(p.enable("unsafe"));
@@ -231,13 +210,19 @@ mod tests {
         // The retired passes are unknown names now.
         assert!(!p.enable("schema"));
         assert!(!p.enable("idspace"));
-        assert!(p.hotpath && !p.atomics && p.lockorder && p.unsafe_code);
+        assert!(!p.enable("atomics"));
+        assert!(p.hotpath && p.lockorder && p.unsafe_code);
     }
 
     #[test]
     fn missing_inputs_error_out() {
         let opts = LintOptions::new("/nonexistent/workspace");
         let err = lint_workspace(&opts).unwrap_err();
-        assert!(err.to_string().contains("required input"));
+        assert!(err.to_string().contains("not a workspace"), "{err}");
+        // Every pass set refuses, not only the default one.
+        let mut hot = LintOptions::new("/nonexistent/workspace");
+        hot.passes = PassSet::none();
+        assert!(hot.passes.enable("hotpath"));
+        assert!(lint_workspace(&hot).is_err());
     }
 }

@@ -4,9 +4,9 @@
 //! [`ViolationKind`] enum as the dynamic stream verifier (`ktrace-verify`),
 //! so a CI exit code identifies the broken invariant regardless of which
 //! tool found it: dynamic stream checks exit 10–20, static source checks
-//! exit 32 (`hot-path-hazard`), 33 (`atomic-order-violation`), 34
-//! (`lock-order-cycle`), or 35 (`unsafe-unjustified`); 0/1/2 stay reserved
-//! for clean/unreadable/usage, and 30/31 for the retired schema passes.
+//! exit 32 (`hot-path-hazard`), 34 (`lock-order-cycle`), or 35
+//! (`unsafe-unjustified`); 0/1/2 stay reserved for clean/unreadable/usage,
+//! and 30/31/33 for the retired schema and atomics passes.
 //! When several passes fail, the exit code is the **lowest** (most severe)
 //! code present and the report lists every failing pass.
 
@@ -35,10 +35,6 @@ pub struct LintStats {
     pub files_scanned: usize,
     /// Functions walked by the hot-path pass.
     pub hot_fns_walked: usize,
-    /// Atomic operations whose orderings the atomics pass checked.
-    pub atomic_ops_checked: usize,
-    /// Atomic fields with a declared protocol role.
-    pub atomic_fields_declared: usize,
     /// Lock classes discovered by the lock-order pass.
     pub lock_classes: usize,
     /// Static lock-acquisition edges discovered.
@@ -114,14 +110,8 @@ impl LintReport {
         );
         let _ = writeln!(
             out,
-            "concurrency: {} atomic op(s) checked against {} declared field(s), \
-             {} lock class(es) / {} edge(s), {} unsafe block(s) ({} hot)",
-            s.atomic_ops_checked,
-            s.atomic_fields_declared,
-            s.lock_classes,
-            s.lock_edges,
-            s.unsafe_blocks,
-            s.unsafe_hot,
+            "concurrency: {} lock class(es) / {} edge(s), {} unsafe block(s) ({} hot)",
+            s.lock_classes, s.lock_edges, s.unsafe_blocks, s.unsafe_hot,
         );
         for f in &self.findings {
             let _ = writeln!(
@@ -172,15 +162,12 @@ impl LintReport {
         let _ = write!(
             out,
             "\n  ],\n  \"stats\": {{\"files_scanned\": {}, \"hot_fns_walked\": {}, \
-             \"atomic_ops_checked\": {}, \"atomic_fields_declared\": {}, \
              \"lock_classes\": {}, \"lock_edges\": {}, \
              \"unsafe_blocks\": {}, \"unsafe_hot\": {}}},\n  \
              \"failing_passes\": [{}],\n  \
              \"exit_code\": {}\n}}\n",
             s.files_scanned,
             s.hot_fns_walked,
-            s.atomic_ops_checked,
-            s.atomic_fields_declared,
             s.lock_classes,
             s.lock_edges,
             s.unsafe_blocks,
@@ -197,7 +184,6 @@ impl LintReport {
 pub fn pass_name(kind: ViolationKind) -> &'static str {
     match kind {
         ViolationKind::HotPathHazard => "hotpath",
-        ViolationKind::AtomicOrderViolation => "atomics",
         ViolationKind::LockOrderCycle => "lockorder",
         ViolationKind::UnsafeUnjustified => "unsafe",
         other => other.label(),
@@ -214,15 +200,15 @@ mod tests {
         assert_eq!(r.exit_code(), 0);
         r.push(ViolationKind::UnsafeUnjustified, "a.rs", 1, "x");
         assert_eq!(r.exit_code(), 35);
-        r.push(ViolationKind::AtomicOrderViolation, "a.rs", 2, "y");
-        assert_eq!(r.exit_code(), 33);
+        r.push(ViolationKind::LockOrderCycle, "a.rs", 2, "y");
+        assert_eq!(r.exit_code(), 34);
         r.push(ViolationKind::HotPathHazard, "a.rs", 3, "z");
         assert_eq!(r.exit_code(), 32);
         assert_eq!(
             r.kinds(),
             vec![
                 ViolationKind::HotPathHazard,
-                ViolationKind::AtomicOrderViolation,
+                ViolationKind::LockOrderCycle,
                 ViolationKind::UnsafeUnjustified
             ]
         );
@@ -236,13 +222,13 @@ mod tests {
         assert_eq!(r.exit_code(), 34);
         assert_eq!(r.failing_passes(), vec!["lockorder"]);
         r.push(ViolationKind::UnsafeUnjustified, "c.rs", 3, "no SAFETY");
-        r.push(ViolationKind::AtomicOrderViolation, "d.rs", 4, "Relaxed");
-        assert_eq!(r.exit_code(), 33);
-        assert_eq!(r.failing_passes(), vec!["atomics", "lockorder", "unsafe"]);
+        r.push(ViolationKind::HotPathHazard, "d.rs", 4, "Vec::new");
+        assert_eq!(r.exit_code(), 32);
+        assert_eq!(r.failing_passes(), vec!["hotpath", "lockorder", "unsafe"]);
         let text = r.render();
-        assert!(text.contains("failing pass(es): atomics, lockorder, unsafe"));
+        assert!(text.contains("failing pass(es): hotpath, lockorder, unsafe"));
         let json = r.to_json();
-        assert!(json.contains("\"failing_passes\": [\"atomics\", \"lockorder\", \"unsafe\"]"));
+        assert!(json.contains("\"failing_passes\": [\"hotpath\", \"lockorder\", \"unsafe\"]"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! distinct exit code from the shared `ViolationKind` table — and the real
 //! workspace must lint clean.
 
-use ktrace_srclint::{lint_workspace, LintOptions, PassSet, ViolationKind};
+use ktrace_srclint::{lint_workspace, workspace_source_files, LintOptions, PassSet, ViolationKind};
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> PathBuf {
@@ -105,39 +105,10 @@ fn real_telemetry_counters_are_walked_and_clean_without_escapes() {
 
     let report = lint_workspace(&one_pass(root, "hotpath")).unwrap();
     assert!(report.is_clean(), "{}", report.render());
-    // The walk includes the telemetry file: all 5 hot-path files (logger,
-    // region, mask, sample, counters).
-    assert_eq!(report.stats.files_scanned, 5);
+    // The walk includes the telemetry file: all 6 hot-path files (logger,
+    // region, mask, protocol roles, sample, counters).
+    assert_eq!(report.stats.files_scanned, 6);
     assert!(report.stats.hot_fns_walked > 0);
-}
-
-#[test]
-fn atomics_fixture_exits_33() {
-    let report = lint_workspace(&one_pass(fixture("broken_atomics"), "atomics")).unwrap();
-    assert_eq!(report.exit_code(), 33);
-    assert_eq!(report.kinds(), vec![ViolationKind::AtomicOrderViolation]);
-
-    let details: Vec<&str> = report.findings.iter().map(|f| f.detail.as_str()).collect();
-    // Relaxed load on a paired acquire/release field.
-    assert!(details
-        .iter()
-        .any(|d| d.contains("published.load") && d.contains("[Acquire]")));
-    // Both CAS orderings outside the reservation-tail contract.
-    assert!(details
-        .iter()
-        .any(|d| d.contains("cas-success") && d.contains("[AcqRel]")));
-    assert!(details
-        .iter()
-        .any(|d| d.contains("cas-failure") && d.contains("[Relaxed]")));
-    // A class the role forbids outright.
-    assert!(details.iter().any(|d| d.contains("forbids store")));
-    // Coverage: the unannotated atomic is caught.
-    assert!(details
-        .iter()
-        .any(|d| d.contains("`forgotten`") && d.contains("ktrace-protocol")));
-    assert_eq!(report.findings.len(), 5, "{details:#?}");
-    assert!(report.stats.atomic_ops_checked >= 7);
-    assert_eq!(report.stats.atomic_fields_declared, 2);
 }
 
 #[test]
@@ -198,14 +169,13 @@ fn several_failing_passes_exit_with_the_most_severe_code() {
 #[test]
 fn broken_fixtures_stay_isolated_to_their_pass() {
     // Running the OTHER passes over each fixture finds nothing: each tree is
-    // broken in exactly one dimension. The three concurrency fixtures are
+    // broken in exactly one dimension. The two concurrency fixtures are
     // checked against every other pass, and find nothing in each other.
     for (broken, its_pass) in [
-        ("broken_atomics", "atomics"),
         ("broken_lockorder", "lockorder"),
         ("broken_unsafe", "unsafe"),
     ] {
-        for pass in ["hotpath", "atomics", "lockorder", "unsafe"] {
+        for pass in ["hotpath", "lockorder", "unsafe"] {
             if pass == its_pass {
                 continue;
             }
@@ -217,9 +187,9 @@ fn broken_fixtures_stay_isolated_to_their_pass() {
             );
         }
     }
-    // And the hot-path fixtures are clean under the three concurrency passes.
+    // And the hot-path fixtures are clean under the two concurrency passes.
     for old in ["hotpath", "telemetry_hotpath"] {
-        for pass in ["atomics", "lockorder", "unsafe"] {
+        for pass in ["lockorder", "unsafe"] {
             let r = lint_workspace(&one_pass(fixture(old), pass)).unwrap();
             assert!(r.findings.is_empty(), "{old} vs {pass}: {:#?}", r.findings);
         }
@@ -233,17 +203,8 @@ fn the_workspace_itself_lints_clean() {
     assert!(report.is_clean(), "{}", report.render());
     assert_eq!(report.exit_code(), 0);
     assert!(report.stats.hot_fns_walked > 0);
-    // All three concurrency passes genuinely ran — and clean means clean:
-    // every manifest-listed atomic checked, the real lock graph acyclic,
-    // and the core still free of unsafe code. (The telemetry getters' 17
-    // relaxed loads are one line of `counter_block!` now, outside the
-    // manifest; every hand-written tally is still counted here.)
-    assert!(report.stats.atomic_ops_checked >= 70, "{:?}", report.stats);
-    assert!(
-        report.stats.atomic_fields_declared >= 30,
-        "{:?}",
-        report.stats
-    );
+    // Both concurrency passes genuinely ran — and clean means clean: the
+    // real lock graph acyclic, and the core still free of unsafe code.
     assert!(report.stats.lock_classes >= 8, "{:?}", report.stats);
     assert!(report.stats.lock_edges >= 3, "{:?}", report.stats);
     assert_eq!(report.stats.unsafe_blocks, 0, "{:?}", report.stats);
@@ -251,28 +212,34 @@ fn the_workspace_itself_lints_clean() {
 
 #[test]
 fn real_atomics_carry_no_blanket_escapes() {
-    // The shipped concurrency annotations must hold on their own merits:
-    // `allow(atomic-order)` appears only at the three deliberate
-    // fault-injection sites in the region code, nowhere else.
+    // Every atomic on the capture path and in the simulated kernel's lock is
+    // a `ktrace_format::protocol` role: no other file there names
+    // `std::sync::atomic`, whose every operation takes an `Ordering`, so no
+    // atomic can sidestep its role's contract.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    for file in [
-        "crates/core/src/logger.rs",
-        "crates/format/src/mask.rs",
-        "crates/telemetry/src/counters.rs",
-        "crates/ossim/src/lock.rs",
-    ] {
-        let src = std::fs::read_to_string(root.join(file)).unwrap();
-        assert!(
-            !src.contains("allow(atomic-order)"),
-            "{file} must pass the atomics contract without escapes"
-        );
+    let guarded: Vec<String> = workspace_source_files(&root)
+        .into_iter()
+        .filter(|f| {
+            [
+                "crates/core/src/",
+                "crates/format/src/",
+                "crates/telemetry/src/",
+            ]
+            .iter()
+            .any(|dir| f.starts_with(dir))
+                || f == "crates/ossim/src/lock.rs"
+        })
+        .collect();
+    assert!(guarded.len() > 10, "{guarded:?}");
+    for file in guarded {
+        let src = std::fs::read_to_string(root.join(&file)).unwrap();
+        if file != "crates/format/src/protocol.rs" {
+            assert!(
+                !src.contains("sync::atomic") && !src.contains("atomic::"),
+                "{file} bypasses the protocol roles"
+            );
+        }
     }
-    let region = std::fs::read_to_string(root.join("crates/core/src/region.rs")).unwrap();
-    assert_eq!(
-        region.matches("allow(atomic-order)").count(),
-        3,
-        "region.rs escapes are reserved for the fault-injection sites"
-    );
 }
 
 #[test]

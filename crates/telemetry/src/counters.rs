@@ -7,45 +7,35 @@
 //! Relaxed atomic arithmetic on the owning CPU's padded cache line is the
 //! entire instruction budget.
 //!
-//! Counters come in two tiers:
+//! Counters come in two tiers, each a protocol role, so a tally can only do
+//! what its tier allows:
 //!
-//! * **exact** — `fetch_add`, for counts that back accounting invariants
-//!   (`events_logged` must equal the data events a lossless drain writes;
-//!   `events_lost` must make the difference exact) or that only rare paths
-//!   touch (wraps, drops, retries, fillers — a locked RMW there is noise);
-//! * **statistic** — [`bump`], a relaxed load+store pair. The owning CPU is
-//!   the only hot-path writer, so the pair is exact in the common case, and
-//!   a same-CPU multi-writer interleaving can at worst lose a count — which
-//!   a latency histogram or mask tally tolerates. On the host this replaces
-//!   a ~20-cycle locked RMW with two plain moves, which is what keeps the
-//!   E20 telemetry gate under 1%. (Promoting the histogram buckets to the
-//!   exact tier was tried and measured: the extra locked RMW per event
-//!   pushed the gate past 2%, so multi-writer runs accept undercounted
-//!   wait observations instead — `tests/telemetry_e2e.rs` asserts the
-//!   tolerant direction.)
+//! * **exact** — [`ExactCounter`], a relaxed `fetch_add`, for counts that
+//!   back accounting invariants (`events_logged` must equal the data events
+//!   a lossless drain writes; `events_lost` must make the difference exact)
+//!   or that only rare paths touch (wraps, drops, retries, fillers — a
+//!   locked RMW there is noise);
+//! * **statistic** — [`StatisticCounter`], a relaxed load+store pair. The
+//!   owning CPU is the only hot-path writer, so the pair is exact in the
+//!   common case, and a same-CPU multi-writer interleaving can at worst lose
+//!   a count — which a latency histogram or mask tally tolerates. On the
+//!   host this replaces a ~20-cycle locked RMW with two plain moves, which
+//!   is what keeps the E20 telemetry gate under 1%. (Promoting the histogram
+//!   buckets to the exact tier was tried and measured: the extra locked RMW
+//!   per event pushed the gate past 2%, so multi-writer runs accept
+//!   undercounted wait observations instead — `tests/telemetry_e2e.rs`
+//!   asserts the tolerant direction.)
 //!
-//! Each block is declared once, as a [`counter_block!`] table: the atomic
+//! Each block is declared once, as a [`counter_block!`] table: the counter
 //! struct, its `new()` and getters, the snapshot struct and everything that
 //! reads one are generated from the rows (see [`crate::schema`]). What is
-//! hand-written here is the hot half — the `tally_*` / `observe_*` functions
-//! and the protocol-role comment binding every atomic they touch. **Adding a
-//! counter** is one row (plus its name in that comment), one `tally_*`, and
-//! the call site.
+//! hand-written here is the hot half — the `tally_*` / `observe_*`
+//! functions. **Adding a counter** is one row, which names its tier, one
+//! `tally_*`, and the call site.
 
 use crate::counter_block;
 use crate::snapshot::TelemetrySnapshot;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Single-writer statistic increment: a relaxed load+store pair instead of a
-/// locked RMW. See the module docs for when this tier applies.
-// ktrace-protocol: statistic-counter(c, buckets, sum, events_masked)
-#[inline]
-fn bump(c: &AtomicU64, by: u64) {
-    c.store(
-        c.load(Ordering::Relaxed).wrapping_add(by),
-        Ordering::Relaxed,
-    );
-}
+use ktrace_format::protocol::{ExactCounter, StatisticCounter};
 
 /// Number of histogram buckets. Bucket 0 holds zero-valued observations;
 /// bucket `i` (for `i >= 1`) holds values in `[2^(i-1), 2^i)`; the last
@@ -75,19 +65,19 @@ pub const fn bucket_floor(i: usize) -> u64 {
 }
 
 /// A fixed-array, log2-bucketed latency histogram. `observe` is one or two
-/// statistic [`bump`]s (single-writer discipline); memory never grows.
+/// statistic bumps (single-writer discipline); memory never grows.
 #[derive(Debug)]
 pub struct Histogram {
-    pub(crate) buckets: [AtomicU64; HIST_BUCKETS],
-    pub(crate) sum: AtomicU64,
+    buckets: [StatisticCounter; HIST_BUCKETS],
+    sum: StatisticCounter,
 }
 
 impl Histogram {
     /// An empty histogram.
     pub const fn new() -> Histogram {
         Histogram {
-            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            sum: AtomicU64::new(0),
+            buckets: [const { StatisticCounter::new(0) }; HIST_BUCKETS],
+            sum: StatisticCounter::new(0),
         }
     }
 
@@ -95,9 +85,9 @@ impl Histogram {
     /// a first-try reservation — touches only bucket 0.
     #[inline]
     pub fn observe(&self, value: u64) {
-        bump(&self.buckets[bucket_index(value)], 1);
+        self.buckets[bucket_index(value)].bump(1);
         if value != 0 {
-            bump(&self.sum, value);
+            self.sum.bump(value);
         }
     }
 
@@ -106,7 +96,7 @@ impl Histogram {
         let mut out = [0u64; HIST_BUCKETS];
         let mut i = 0;
         while i < HIST_BUCKETS {
-            out[i] = self.buckets[i].load(Ordering::Relaxed);
+            out[i] = self.buckets[i].load();
             i += 1;
         }
         out
@@ -115,7 +105,7 @@ impl Histogram {
     /// Sum of all observed values (relaxed; may trail the bucket counts by
     /// an in-flight observation).
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.sum.load()
     }
 }
 
@@ -125,7 +115,6 @@ impl Default for Histogram {
     }
 }
 
-// ktrace-protocol: exact-counter(events_logged, events_dropped, cas_retries, filler_words, buffer_wraps, flight_overwrites)
 counter_block! {
     /// One CPU's counter block, one per region, aligned to two cache lines
     /// (adjacent-line prefetch) so a tally never contends with another CPU's.
@@ -139,19 +128,19 @@ counter_block! {
         pub cpu: usize,
     }
     counters {
-        events_logged: AtomicU64 = "Data events successfully logged."
+        events_logged: ExactCounter = "Data events successfully logged."
             => "ktrace_events_logged_total", wire "events_logged";
-        events_masked: AtomicU64 = "Log calls rejected by the trace mask."
+        events_masked: StatisticCounter = "Log calls rejected by the trace mask."
             => "ktrace_events_masked_total", wire "events_masked";
-        events_dropped: AtomicU64 = "Events dropped to stream-mode consumer overrun."
+        events_dropped: ExactCounter = "Events dropped to stream-mode consumer overrun."
             => "ktrace_events_dropped_total", wire "events_dropped";
-        cas_retries: AtomicU64 = "Failed reservation compare-and-swaps."
+        cas_retries: ExactCounter = "Failed reservation compare-and-swaps."
             => "ktrace_cas_retries_total", wire "cas_retries";
-        filler_words: AtomicU64 = "Filler words written at buffer boundaries."
+        filler_words: ExactCounter = "Filler words written at buffer boundaries."
             => "ktrace_filler_words_total", wire "filler_words";
-        buffer_wraps: AtomicU64 = "Buffer-boundary crossings (reservation slow path)."
+        buffer_wraps: ExactCounter = "Buffer-boundary crossings (reservation slow path)."
             => "ktrace_buffer_wraps_total", wire "buffer_wraps";
-        flight_overwrites: AtomicU64 = "Unconsumed buffers overwritten in flight-recorder mode."
+        flight_overwrites: ExactCounter = "Unconsumed buffers overwritten in flight-recorder mode."
             => "ktrace_flight_overwrites_total", wire "flight_overwrites";
     }
     histograms {
@@ -169,45 +158,45 @@ impl CpuCounters {
     /// count the region kept before telemetry existed.
     #[inline]
     pub fn tally_event(&self) {
-        self.events_logged.fetch_add(1, Ordering::Relaxed);
+        self.events_logged.add(1);
     }
 
     /// One log call rejected by the trace-mask fast path. A statistic
-    /// [`bump`]: the masked-off check is the paper's "4 instructions" path
+    /// bump: the masked-off check is the paper's "4 instructions" path
     /// and must stay near-free.
     #[inline]
     pub fn tally_masked(&self) {
-        bump(&self.events_masked, 1);
+        self.events_masked.bump(1);
     }
 
     /// One event dropped because the stream-mode consumer fell behind.
     #[inline]
     pub fn tally_dropped(&self) {
-        self.events_dropped.fetch_add(1, Ordering::Relaxed);
+        self.events_dropped.add(1);
     }
 
     /// One failed reservation CAS (the loop will retry).
     #[inline]
     pub fn tally_cas_retry(&self) {
-        self.cas_retries.fetch_add(1, Ordering::Relaxed);
+        self.cas_retries.add(1);
     }
 
     /// `words` of filler written to realign a buffer boundary.
     #[inline]
     pub fn tally_filler_words(&self, words: u64) {
-        self.filler_words.fetch_add(words, Ordering::Relaxed);
+        self.filler_words.add(words);
     }
 
     /// One buffer-boundary crossing (the reservation slow path won).
     #[inline]
     pub fn tally_wrap(&self) {
-        self.buffer_wraps.fetch_add(1, Ordering::Relaxed);
+        self.buffer_wraps.add(1);
     }
 
     /// One unconsumed buffer overwritten in flight-recorder mode.
     #[inline]
     pub fn tally_overwrite(&self) {
-        self.flight_overwrites.fetch_add(1, Ordering::Relaxed);
+        self.flight_overwrites.add(1);
     }
 
     /// Records how long a reservation waited, in clock ticks: the winning
@@ -220,7 +209,6 @@ impl CpuCounters {
     }
 }
 
-// ktrace-protocol: exact-counter(records_written, write_retries, buffers_dropped, events_lost, heartbeats_emitted, grace_waits, drainer_wakeups)
 counter_block! {
     /// Drain-side counters, fed by `io::session`'s background drainer. One
     /// block per pipeline (the drainer is a single thread), not per CPU.
@@ -230,19 +218,19 @@ counter_block! {
     #[derive(Debug, Clone, PartialEq, Eq, Default)]
     pub struct SinkTelemetry {}
     counters {
-        records_written: AtomicU64 = "Buffer records written to the sink."
+        records_written: ExactCounter = "Buffer records written to the sink."
             => "ktrace_sink_records_written_total", wire "sink_records_written";
-        write_retries: AtomicU64 = "Sink writes retried after transient errors."
+        write_retries: ExactCounter = "Sink writes retried after transient errors."
             => "ktrace_sink_write_retries_total";
-        buffers_dropped: AtomicU64 = "Drained buffers abandoned after the retry budget ran out."
+        buffers_dropped: ExactCounter = "Drained buffers abandoned after the retry budget ran out."
             => "ktrace_sink_buffers_dropped_total", wire "sink_buffers_dropped";
-        events_lost: AtomicU64 = "Already-logged events lost in dropped buffers."
+        events_lost: ExactCounter = "Already-logged events lost in dropped buffers."
             => "ktrace_sink_events_lost_total";
-        heartbeats_emitted: AtomicU64 = "Heartbeat events emitted into the trace."
+        heartbeats_emitted: ExactCounter = "Heartbeat events emitted into the trace."
             => "ktrace_heartbeats_emitted_total";
-        grace_waits: AtomicU64 = "Closed buffers the drainer had to wait on for a straggling commit."
+        grace_waits: ExactCounter = "Closed buffers the drainer had to wait on for a straggling commit."
             => "ktrace_sink_grace_waits_total";
-        drainer_wakeups: AtomicU64 = "Returns of the drainer from its park: a closed buffer, a heartbeat due, or a stop."
+        drainer_wakeups: ExactCounter = "Returns of the drainer from its park: a closed buffer, a heartbeat due, or a stop."
             => "ktrace_drainer_wakeups_total";
     }
     histograms {
@@ -256,46 +244,46 @@ impl SinkCounters {
     /// One buffer record written to the sink.
     #[inline]
     pub fn tally_record_written(&self) {
-        self.records_written.fetch_add(1, Ordering::Relaxed);
+        self.records_written.add(1);
     }
 
     /// One sink write retried after a transient error.
     #[inline]
     pub fn tally_write_retry(&self) {
-        self.write_retries.fetch_add(1, Ordering::Relaxed);
+        self.write_retries.add(1);
     }
 
     /// `n` retries from one record write, tallied at once.
     #[inline]
     pub fn tally_write_retries(&self, n: u64) {
-        self.write_retries.fetch_add(n, Ordering::Relaxed);
+        self.write_retries.add(n);
     }
 
     /// One drained buffer abandoned after the retry budget ran out, losing
     /// `events` already-logged data events.
     #[inline]
     pub fn tally_buffer_dropped(&self, events: u64) {
-        self.buffers_dropped.fetch_add(1, Ordering::Relaxed);
-        self.events_lost.fetch_add(events, Ordering::Relaxed);
+        self.buffers_dropped.add(1);
+        self.events_lost.add(events);
     }
 
     /// One heartbeat event emitted into the trace.
     #[inline]
     pub fn tally_heartbeat(&self) {
-        self.heartbeats_emitted.fetch_add(1, Ordering::Relaxed);
+        self.heartbeats_emitted.add(1);
     }
 
     /// One `take_buffer` that found a closed buffer not yet fully committed
     /// and entered the straggler grace wait (cold: the drainer's branch).
     #[inline]
     pub fn tally_grace_wait(&self) {
-        self.grace_waits.fetch_add(1, Ordering::Relaxed);
+        self.grace_waits.add(1);
     }
 
     /// One return of the drainer from its park (cold: the drainer's thread).
     #[inline]
     pub fn tally_drainer_wakeup(&self) {
-        self.drainer_wakeups.fetch_add(1, Ordering::Relaxed);
+        self.drainer_wakeups.add(1);
     }
 
     /// Records one sink write's latency in nanoseconds.
@@ -305,7 +293,6 @@ impl SinkCounters {
     }
 }
 
-// ktrace-protocol: exact-counter(runs, records_recovered, events_recovered, records_damaged, bytes_skipped)
 counter_block! {
     /// Recovery counters, fed by `io::salvage` when a damaged file is read.
     #[derive(Debug, Default)]
@@ -314,15 +301,15 @@ counter_block! {
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct SalvageTelemetry {}
     counters {
-        runs: AtomicU64 = "Salvage passes run."
+        runs: ExactCounter = "Salvage passes run."
             => "ktrace_salvage_runs_total";
-        records_recovered: AtomicU64 = "Clean records recovered by salvage."
+        records_recovered: ExactCounter = "Clean records recovered by salvage."
             => "ktrace_salvage_records_recovered_total";
-        events_recovered: AtomicU64 = "Events recovered by salvage."
+        events_recovered: ExactCounter = "Events recovered by salvage."
             => "ktrace_salvage_events_recovered_total";
-        records_damaged: AtomicU64 = "Records found damaged by salvage."
+        records_damaged: ExactCounter = "Records found damaged by salvage."
             => "ktrace_salvage_records_damaged_total";
-        bytes_skipped: AtomicU64 = "Bytes skipped as unrecoverable by salvage."
+        bytes_skipped: ExactCounter = "Bytes skipped as unrecoverable by salvage."
             => "ktrace_salvage_bytes_skipped_total";
     }
     histograms {}
@@ -332,12 +319,11 @@ counter_block! {
 impl SalvageCounters {
     /// Accounts one salvage pass.
     pub fn tally_run(&self, records: u64, events: u64, damaged: u64, bytes_skipped: u64) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        self.records_recovered.fetch_add(records, Ordering::Relaxed);
-        self.events_recovered.fetch_add(events, Ordering::Relaxed);
-        self.records_damaged.fetch_add(damaged, Ordering::Relaxed);
-        self.bytes_skipped
-            .fetch_add(bytes_skipped, Ordering::Relaxed);
+        self.runs.add(1);
+        self.records_recovered.add(records);
+        self.events_recovered.add(events);
+        self.records_damaged.add(damaged);
+        self.bytes_skipped.add(bytes_skipped);
     }
 }
 

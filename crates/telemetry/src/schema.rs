@@ -9,7 +9,7 @@
 //! a counter its field name, its meaning, its Prometheus family and whether
 //! it rides the `HEARTBEAT` event; from the rows the macro generates
 //!
-//! * the atomic block — struct, `const fn new`, one relaxed-load getter per
+//! * the counter block — struct, `const fn new`, one relaxed-load getter per
 //!   counter, and `snapshot()`;
 //! * the plain-data snapshot struct (same field names, all `pub`), its
 //!   [`CounterDesc`] table `COUNTERS`, `rows()` / `rows_mut()` pairing each
@@ -19,9 +19,10 @@
 //! ([`crate::snapshot`]) and the fleet collector's `/metrics` and `/nodes`
 //! are loops over `rows()`. The **hot half is not generated**: each block's
 //! `tally_*` / `observe_*` functions stay hand-written next to the table,
-//! where the `ktrace-lint` hot-path and atomics passes read them. The only
-//! atomic operations this file generates are `AtomicU64::new(0)` and
-//! `load(Relaxed)`, which every counter role in `concurrency.toml` permits.
+//! where the `ktrace-lint` hot-path pass reads them. Each row names its
+//! counter's protocol role (`ExactCounter` or `StatisticCounter` from
+//! `ktrace_format::protocol`), which fixes what a tally may do to it; the
+//! macro itself generates only `new(0)` and `load()`, which both allow.
 
 /// What one counter row declares. The generated structs carry the values;
 /// this is everything a reader needs to label one.
@@ -60,8 +61,8 @@ pub struct HistDesc {
 /// Attributes on the two `struct` lines pass through (docs, derives). The
 /// snapshot struct's braces hold its plain, non-counter fields (a CPU index,
 /// a node name), which the generated `snapshot()` takes as arguments. A
-/// counter row spells its type so that it reads — to `ktrace-lint` too — as
-/// the field declaration it is. `totals { Type.field }` additionally gives
+/// counter row spells its role type, in scope at the invocation, so that it
+/// reads as the field declaration it is. `totals { Type.field }` additionally gives
 /// `Type` one summing accessor per counter over its `field: Vec<Snapshot>`.
 #[macro_export]
 macro_rules! counter_block {
@@ -89,7 +90,7 @@ macro_rules! counter_block {
         }
         counters {
             $(
-                $field:ident : AtomicU64 = $help:literal
+                $field:ident : $role:ty = $help:literal
                     $(=> $prom:literal)? $(, wire $wire:literal)? ;
             )*
         }
@@ -103,7 +104,7 @@ macro_rules! counter_block {
     ) => {
         $(#[$ameta])*
         $avis struct $Atomic {
-            $( $field: ::std::sync::atomic::AtomicU64, )*
+            $( $field: $role, )*
             $( $hist: $crate::Histogram, )*
         }
 
@@ -111,7 +112,7 @@ macro_rules! counter_block {
             /// A zeroed block.
             pub const fn new() -> $Atomic {
                 $Atomic {
-                    $( $field: ::std::sync::atomic::AtomicU64::new(0), )*
+                    $( $field: <$role>::new(0), )*
                     $( $hist: $crate::Histogram::new(), )*
                 }
             }
@@ -119,7 +120,7 @@ macro_rules! counter_block {
             $(
                 #[doc = $help]
                 pub fn $field(&self) -> u64 {
-                    self.$field.load(::std::sync::atomic::Ordering::Relaxed)
+                    self.$field.load()
                 }
             )*
 

@@ -7,7 +7,7 @@
 //!
 //! This is the **shared exit-code table** for every checker: `ktrace-verify`
 //! (dynamic, trace-stream checks; codes 10–20), `ktrace-lint` (static,
-//! source-level checks; codes 32–35), and the trace-assertion engine in
+//! source-level checks; codes 32, 34, 35), and the trace-assertion engine in
 //! `ktrace-query` (declarative trace properties; codes 36–39) draw from the
 //! same enum so a CI failure code identifies the broken invariant regardless
 //! of which tool found it. Codes 0 (clean), 1 (input unreadable), and
@@ -59,12 +59,6 @@ pub enum ViolationKind {
     /// allocation, a blocking lock, or I/O — forbidden because `log_event`
     /// must stay safe in any kernel context (paper goal 2).
     HotPathHazard = exit::HOT_PATH_HAZARD,
-    /// Static (ktrace-lint): an atomic operation's memory ordering violates
-    /// the protocol role declared for that field in `concurrency.toml` — a
-    /// Relaxed load on an acquire/release-paired field, mismatched CAS
-    /// success/failure orderings, SeqCst in hot-path code, or an atomic
-    /// field with no declared role at all.
-    AtomicOrderViolation = exit::ATOMIC_ORDER_VIOLATION,
     /// Static (ktrace-lint): the static lock-acquisition graph contains a
     /// cycle — two code paths can take the same pair of lock classes in
     /// opposite orders, so the system can deadlock.
@@ -114,7 +108,6 @@ impl ViolationKind {
             ViolationKind::LossyDrain,
             ViolationKind::DataRace,
             ViolationKind::HotPathHazard,
-            ViolationKind::AtomicOrderViolation,
             ViolationKind::LockOrderCycle,
             ViolationKind::UnsafeUnjustified,
             ViolationKind::AssertCount,
@@ -292,7 +285,6 @@ mod tests {
             let band = if matches!(
                 k,
                 ViolationKind::HotPathHazard
-                    | ViolationKind::AtomicOrderViolation
                     | ViolationKind::LockOrderCycle
                     | ViolationKind::UnsafeUnjustified
             ) {

@@ -5,17 +5,18 @@
 //! ```
 //!
 //! Runs the static passes over the workspace at `--root` (default: the
-//! current directory). `--pass hotpath|atomics|lockorder|unsafe` restricts
-//! the run to the named pass(es); repeat the flag to combine.
+//! current directory). `--pass hotpath|lockorder|unsafe` restricts the run
+//! to the named pass(es); repeat the flag to combine.
 //!
-//! Exit codes: 0 clean, 1 unreadable required input, 2 usage; otherwise the
-//! distinct code of the most severe violation class found — the *lowest*
-//! code when several passes fail, with every failing pass listed in the
-//! report — drawn from the same table as `ktrace-verify`
-//! (`ktrace_verify::ViolationKind::exit_code`): 32 hot-path hazard, 33
-//! atomic-order violation, 34 lock-order cycle, 35 unjustified unsafe.
-//! Event schema agreement is checked by the compiler, through the typed
-//! emitters `ktrace_event!` generates; 30 and 31 stay reserved.
+//! Exit codes: 0 clean, 1 `--root` is not a workspace (no readable
+//! `crates/`), 2 usage; otherwise the distinct code of the most severe
+//! violation class found — the *lowest* code when several passes fail, with
+//! every failing pass listed in the report — drawn from the same table as
+//! `ktrace-verify` (`ktrace_verify::ViolationKind::exit_code`): 32 hot-path
+//! hazard, 34 lock-order cycle, 35 unjustified unsafe. Event schema
+//! agreement and atomic memory orderings are checked by the compiler,
+//! through the typed emitters `ktrace_event!` generates and the
+//! `ktrace_format::protocol` role types; 30, 31 and 33 stay reserved.
 
 use ktrace::exit;
 use ktrace::srclint::{lint_workspace, LintOptions, PassSet};
@@ -23,9 +24,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: ktrace-lint [--root DIR] [--json] [--pass <hotpath|atomics|lockorder|unsafe>]..."
-    );
+    eprintln!("usage: ktrace-lint [--root DIR] [--json] [--pass <hotpath|lockorder|unsafe>]...");
     ExitCode::from(exit::USAGE)
 }
 
