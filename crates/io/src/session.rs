@@ -203,8 +203,11 @@ impl TraceSession {
                     }
                     drain(&logger2, &mut writer, &config, &mut stats);
                     if stop2.load(Ordering::Acquire) {
-                        // Final beat, then the final sweep: flush partial
-                        // buffers and drain.
+                        // Drain first: producers may have filled a region
+                        // while the sweep above was writing, and a full
+                        // region would refuse the final beat. Then the
+                        // beat, then flush partial buffers and drain.
+                        drain(&logger2, &mut writer, &config, &mut stats);
                         if config.heartbeat.is_some() {
                             beat_all(&logger2);
                         }
@@ -716,6 +719,104 @@ mod tests {
         // Heartbeats are not data events: the data count still matches.
         let data = events.iter().filter(|e| !e.is_control()).count() as u64;
         assert_eq!(data, stats.logger.events_logged);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A file sink whose writes wait while its gate is shut.
+    struct GatedSink {
+        file: std::fs::File,
+        gate: Arc<Gate>,
+    }
+
+    #[derive(Default)]
+    struct Gate {
+        /// `(shut, a write has waited at the gate)`.
+        state: std::sync::Mutex<(bool, bool)>,
+        changed: std::sync::Condvar,
+    }
+
+    impl Gate {
+        fn set_shut(&self, shut: bool) {
+            self.state.lock().unwrap().0 = shut;
+            self.changed.notify_all();
+        }
+
+        fn wait_for_a_blocked_write(&self) {
+            let mut state = self.state.lock().unwrap();
+            while !state.1 {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+    }
+
+    impl Write for GatedSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let mut state = self.gate.state.lock().unwrap();
+            while state.0 {
+                state.1 = true;
+                self.gate.changed.notify_all();
+                state = self.gate.changed.wait(state).unwrap();
+            }
+            drop(state);
+            self.file.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    #[test]
+    fn the_final_heartbeat_lands_on_a_cpu_whose_region_was_full() {
+        let dir = std::env::temp_dir().join(format!("ktrace-fullbeat-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fullbeat.ktrace");
+        let gate = Arc::new(Gate::default());
+        let session = TraceSession::builder()
+            .geometry(TraceConfig::small())
+            .ncpus(2)
+            // Only the final beat is ever due.
+            .heartbeat(Duration::from_secs(3600))
+            .start(GatedSink {
+                file: std::fs::File::create(&path).unwrap(),
+                gate: gate.clone(),
+            })
+            .unwrap();
+        // The header is out; shut the gate and close a buffer on CPU 1, so
+        // the drainer is stuck writing it, already past CPU 0.
+        gate.set_shut(true);
+        let cpu1 = session.logger().handle(1).unwrap();
+        for i in 0..100u64 {
+            cpu1.log1(MajorId::TEST, 1, i);
+        }
+        gate.wait_for_a_blocked_write();
+        // Fill CPU 0 until its region refuses a log.
+        let cpu0 = session.logger().handle(0).unwrap();
+        let refused = (0..10_000u64).any(|i| !cpu0.log1(MajorId::TEST, 0, i));
+        assert!(refused, "CPU 0's region never filled");
+        // Open the gate only once `finish` has raised the stop flag, so the
+        // drainer's next look at the flag is its stop branch.
+        let stop = session.stop.clone();
+        let opener = std::thread::spawn(move || {
+            while !stop.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            gate.set_shut(false);
+        });
+        let stats = session.finish();
+        opener.join().unwrap();
+        assert!(stats.sink_alive(), "{stats:?}");
+        let mut r = TraceFileReader::open(&path).unwrap();
+        let beat_cpus: std::collections::BTreeSet<usize> = r
+            .events()
+            .unwrap()
+            .filter(|e| e.is_control() && e.minor == ktrace_format::ids::control::HEARTBEAT)
+            .map(|e| e.cpu)
+            .collect();
+        assert_eq!(
+            beat_cpus,
+            [0, 1].into(),
+            "every CPU's final heartbeat is in the file"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

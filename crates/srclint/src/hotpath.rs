@@ -274,7 +274,7 @@ pub fn hazards(body: &[Tok]) -> Vec<Hazard> {
                         what: "blocking thread call",
                     });
                 }
-                ("File", _) | ("io", Some("stdout" | "stderr" | "stdin")) => {
+                ("File", _) | ("fs", _) | ("io", Some("stdout" | "stderr" | "stdin")) => {
                     out.push(Hazard {
                         line: t.line,
                         what: "file/console I/O",
@@ -411,6 +411,19 @@ mod tests {
         assert!(details.iter().any(|d| d.contains("blocking lock")));
         assert!(details.iter().any(|d| d.contains("blocking thread call")));
         assert!(!details.iter().any(|d| d.contains("unrelated")));
+    }
+
+    #[test]
+    fn filesystem_paths_are_io() {
+        let src = r#"
+            fn log_raw(&self) -> u64 { scale() }
+            fn scale() -> u64 {
+                std::fs::read_to_string("/sys/x").map_or(0, |s| s.len() as u64)
+            }
+        "#;
+        let (findings, _) = hotpath_pass(&[("c.rs".into(), src.into())]);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].detail.contains("file/console I/O in `scale`"));
     }
 
     #[test]

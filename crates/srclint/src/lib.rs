@@ -99,6 +99,7 @@ impl LintOptions {
 
 /// Files whose functions form the hot-path call graph.
 const HOTPATH_FILES: &[&str] = &[
+    "crates/clock/src/source.rs",
     "crates/core/src/logger.rs",
     "crates/core/src/region.rs",
     "crates/core/src/sample.rs",
