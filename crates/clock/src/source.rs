@@ -147,8 +147,12 @@ fn tsc_is_the_timebase() -> bool {
 /// Linux's `rdtsc_ordered`: the `lfence` keeps the read from executing
 /// before the loads that precede it (the reservation index), or a stamp
 /// could be older than the slot it claims.
+///
+/// The workspace's one `unsafe` block: every other crate inherits
+/// `forbid(unsafe_code)`, and this crate denies it everywhere but here.
 #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
 #[inline(always)]
+#[allow(unsafe_code)]
 fn rdtsc_ordered() -> u64 {
     use std::arch::x86_64::{_mm_lfence, _rdtsc};
     // SAFETY: unprivileged x86-64 baseline instructions (`lfence` is SSE2)

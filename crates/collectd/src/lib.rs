@@ -54,7 +54,6 @@
 //! assert!(summary.reconciled());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collector;

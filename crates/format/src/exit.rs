@@ -14,7 +14,7 @@
 //! |------|-------|-------|
 //! | process | 0–2 | every CLI: clean / input unreadable / usage error |
 //! | stream verify | 10–20 | `ktrace-verify` (dynamic trace-stream checks) |
-//! | srclint | 32–35 | `ktrace-lint` (static source checks; 30, 31, 33 retired, reserved) |
+//! | srclint | 32–34 | `ktrace-lint` (static source checks; 30, 31, 33, 35 retired, reserved) |
 //! | trace assertions | 36–39 | `ktrace-query` (`ktrace-tools assert`) |
 //! | collector ops | 40–42 | `ktrace-collectd` (fleet-service operational) |
 //! | adaptive control | 43 | `ktrace-tools adapt` (closed-loop operational) |
@@ -70,8 +70,10 @@ pub const HOT_PATH_HAZARD: u8 = 32;
 // forbidden ordering is a compile error. Reserved; never assign it again.
 /// The static lock-acquisition graph contains a cycle.
 pub const LOCK_ORDER_CYCLE: u8 = 34;
-/// An `unsafe` block or declaration carries no safety justification.
-pub const UNSAFE_UNJUSTIFIED: u8 = 35;
+// 35 (unsafe-unjustified) is retired: the workspace forbids `unsafe_code`
+// outside the clock's one ordered TSC read, and clippy's
+// `undocumented_unsafe_blocks` wants that block's `// SAFETY:` comment, so
+// both are build errors. Reserved; never assign it again.
 
 // --- Trace-assertion band (36–39): declarative properties over a trace. ---
 
@@ -122,7 +124,6 @@ pub const TABLE: &[(u8, &str)] = &[
     (DATA_RACE, "data-race"),
     (HOT_PATH_HAZARD, "hot-path-hazard"),
     (LOCK_ORDER_CYCLE, "lock-order-cycle"),
-    (UNSAFE_UNJUSTIFIED, "unsafe-unjustified"),
     (ASSERT_COUNT, "assert-count"),
     (ASSERT_PAIRING, "assert-pairing"),
     (ASSERT_DURATION, "assert-duration"),
@@ -138,7 +139,7 @@ pub const TABLE: &[(u8, &str)] = &[
 const _: () = {
     assert!(TRUNCATED_BUFFER > USAGE);
     assert!(DATA_RACE < HOT_PATH_HAZARD);
-    assert!(UNSAFE_UNJUSTIFIED < ASSERT_COUNT);
+    assert!(LOCK_ORDER_CYCLE < ASSERT_COUNT);
     assert!(ASSERT_CADENCE < COLLECT_BIND);
     assert!(COLLECT_LOSSY < ADAPT_ANOMALY);
 };

@@ -5,6 +5,7 @@ use crate::file::{encode_record_header, FileHeader};
 use ktrace_core::CompletedBuffer;
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::time::Duration;
 
 /// Writes a trace file: header first, then fixed-size buffer records in
 /// completion order. Any `Write` sink works ("written out to disk, or
@@ -35,7 +36,7 @@ fn write_retrying<W: Write>(
     sink: &mut W,
     bytes: &[u8],
     retries: u32,
-    backoff: std::time::Duration,
+    backoff: Duration,
 ) -> Result<u32, IoError> {
     let mut off = 0usize;
     let mut attempts = 0u32;
@@ -71,14 +72,10 @@ fn write_retrying<W: Write>(
 }
 
 impl<W: Write> TraceFileWriter<W> {
-    /// Wraps any sink, writing the header immediately.
-    pub fn new(mut sink: W, header: &FileHeader) -> Result<TraceFileWriter<W>, IoError> {
-        sink.write_all(&header.encode())?;
-        Ok(TraceFileWriter {
-            sink,
-            buffer_words: header.buffer_words as usize,
-            records: 0,
-        })
+    /// Wraps any sink, writing the header immediately. With no retries the
+    /// write behaves like `write_all`.
+    pub fn new(sink: W, header: &FileHeader) -> Result<TraceFileWriter<W>, IoError> {
+        TraceFileWriter::new_retrying(sink, header, 0, Duration::ZERO)
     }
 
     /// Wraps any sink like [`new`](TraceFileWriter::new), but writes the
@@ -88,7 +85,7 @@ impl<W: Write> TraceFileWriter<W> {
         mut sink: W,
         header: &FileHeader,
         retries: u32,
-        backoff: std::time::Duration,
+        backoff: Duration,
     ) -> Result<TraceFileWriter<W>, IoError> {
         write_retrying(&mut sink, &header.encode(), retries, backoff)?;
         Ok(TraceFileWriter {
@@ -114,27 +111,26 @@ impl<W: Write> TraceFileWriter<W> {
         bytes
     }
 
-    /// Appends one completed buffer as a record.
+    /// Appends one completed buffer as a record, with no retries.
     pub fn write_buffer(&mut self, buf: &CompletedBuffer) -> Result<(), IoError> {
-        let bytes = self.encode_record(buf);
-        self.sink.write_all(&bytes)?;
-        self.records += 1;
+        self.write_buffer_retrying(buf, 0, Duration::ZERO)?;
         Ok(())
     }
 
     /// Appends one completed buffer, riding out a flaky sink: short writes
-    /// resume mid-record (no byte duplicated), and transient errors
-    /// (`WouldBlock`, `Interrupted`, `TimedOut`) are retried up to `retries`
-    /// consecutive times with linearly growing `backoff` between attempts.
-    /// Anything else — or a retry budget exhausted — is returned, and the
-    /// sink should be considered dead (a partial record may be in flight;
-    /// the salvage reader re-anchors past it). On success, returns how many
-    /// transient-error retries the record took (telemetry fodder).
+    /// resume mid-record (no byte duplicated), `Interrupted` is always
+    /// retried, and transient errors (`WouldBlock`, `TimedOut`) are retried
+    /// up to `retries` consecutive times with linearly growing `backoff`
+    /// between attempts. Anything else — or a retry budget exhausted — is
+    /// returned, and the sink should be considered dead (a partial record
+    /// may be in flight; the salvage reader re-anchors past it). On success,
+    /// returns how many transient-error retries the record took (telemetry
+    /// fodder).
     pub fn write_buffer_retrying(
         &mut self,
         buf: &CompletedBuffer,
         retries: u32,
-        backoff: std::time::Duration,
+        backoff: Duration,
     ) -> Result<u32, IoError> {
         let bytes = self.encode_record(buf);
         let retried = write_retrying(&mut self.sink, &bytes, retries, backoff)?;

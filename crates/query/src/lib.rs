@@ -30,7 +30,6 @@
 //! assert_eq!(q.check(&a), (0, true));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod eval;

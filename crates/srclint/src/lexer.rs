@@ -2,13 +2,11 @@
 //!
 //! `ktrace-lint` does not need full Rust parsing — only enough token
 //! structure to recognize `fn` boundaries, hazard tokens on the logging
-//! hot path, lock acquisitions and `unsafe` regions.
+//! hot path and lock acquisitions.
 //! This lexer produces exactly that: identifiers, numbers, string/char
-//! literals, punctuation (with `::`, `=>`, `->` joined), doc comments
-//! (kept — the unsafe pass reads `# Safety` sections), and control
-//! comments (kept): `// ktrace-lint:` carries
-//! suppressions, and `// SAFETY:` justifies unsafe blocks. Everything else, including
-//! ordinary comments, is dropped.
+//! literals, punctuation (with `::`, `=>`, `->` joined), and the
+//! `// ktrace-lint:` control comments that carry suppressions. Everything
+//! else, including doc and ordinary comments, is dropped.
 
 /// Token classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,8 +21,6 @@ pub enum TokKind {
     Char,
     /// Punctuation; `::`, `=>`, `->` are single tokens, all else one char.
     Punct,
-    /// `///` outer doc comment; `text` is the comment body.
-    DocComment,
     /// `// ktrace-lint: …` control comment; `text` is the full body.
     LintComment,
 }
@@ -80,14 +76,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                 j += 1;
             }
             let body: String = chars[start..j].iter().collect();
-            if body.starts_with('/') {
-                // `///` outer doc comment (also treats `////…` as doc; harmless).
-                toks.push(Tok {
-                    kind: TokKind::DocComment,
-                    text: body.trim_start_matches('/').trim().to_string(),
-                    line,
-                });
-            } else if body.contains("ktrace-lint:") || body.contains("SAFETY") {
+            if body.contains("ktrace-lint:") {
                 toks.push(Tok {
                     kind: TokKind::LintComment,
                     text: body.trim().to_string(),
@@ -408,8 +397,9 @@ mod tests {
         let toks = tokenize(
             "/// Doc: `[a, b]`.\nh.log(MajorId::SCHED, sched::X, &[a, b]); // ktrace-lint: allow(hot-path)\nlet s = \"str \\\" lit\";",
         );
-        assert_eq!(toks[0].kind, TokKind::DocComment);
-        assert_eq!(toks[0].text, "Doc: `[a, b]`.");
+        // The doc comment is dropped: the first token is the receiver.
+        assert!(toks[0].is_ident("h"));
+        assert_eq!(toks[0].line, 2);
         assert!(toks.iter().any(|t| t.is_ident("MajorId")));
         assert!(toks.iter().any(|t| t.is_punct("::")));
         assert!(toks.iter().any(|t| t.kind == TokKind::LintComment));
@@ -466,7 +456,7 @@ mod tests {
     }
 
     #[test]
-    fn lint_and_safety_comments_are_kept() {
+    fn only_lint_comments_are_kept() {
         let toks = tokenize(
             "// ktrace-lint: allow(hot-path)\nlet a = 1;\n// SAFETY: bounds checked above.\nlet b = 2;\n// plain comment\nlet c = 3;",
         );
@@ -474,10 +464,8 @@ mod tests {
             .iter()
             .filter(|t| t.kind == TokKind::LintComment)
             .collect();
-        assert_eq!(lints.len(), 2);
+        assert_eq!(lints.len(), 1);
         assert!(lints[0].text.contains("ktrace-lint:"));
         assert_eq!(lints[0].line, 1);
-        assert!(lints[1].text.contains("SAFETY"));
-        assert_eq!(lints[1].line, 3);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The dynamic verifier (`ktrace-verify`) checks what a trace *stream* says
 //! after the fact; this crate checks what the *source* promises before
-//! anything runs. Three passes, each with its own exit code from the shared
+//! anything runs. Two passes, each with its own exit code from the shared
 //! table in `ktrace_verify::ViolationKind`:
 //!
 //! | pass        | exit | checks                                                  |
@@ -11,16 +11,18 @@
 //! | `hotpath`   | 32   | no allocation/blocking/I-O reachable from the lockless  |
 //! |             |      | logging path                                            |
 //! | `lockorder` | 34   | static lock-acquisition graph is cycle-free             |
-//! | `unsafe`    | 35   | every `unsafe` region carries a SAFETY justification    |
 //!
-//! Two contracts are not lints but types. Whether a logging call agrees with
-//! its event's declaration: `ktrace_events::ktrace_event!` generates one
-//! typed emitter per event, so a wrong major, minor or arity fails to
-//! compile. Whether an atomic keeps its memory-ordering protocol: each
+//! Three contracts are not lints but build errors. Whether a logging call
+//! agrees with its event's declaration: `ktrace_events::ktrace_event!`
+//! generates one typed emitter per event, so a wrong major, minor or arity
+//! fails to compile. Whether an atomic keeps its memory-ordering protocol: each
 //! atomic is a `ktrace_format::protocol` role type whose methods fix the
-//! orderings, so a forbidden one fails to compile. Codes 30, 31 and 33,
-//! which the retired `schema`, `idspace` and `atomics` passes used, stay
-//! reserved.
+//! orderings, so a forbidden one fails to compile. Whether `unsafe` is
+//! used at all: the workspace forbids `unsafe_code`, the clock's one
+//! ordered TSC read is the only `#[allow]`, and clippy's
+//! `undocumented_unsafe_blocks` wants its `// SAFETY:` comment. Codes 30,
+//! 31, 33 and 35, which the retired `schema`, `idspace`, `atomics` and
+//! `unsafe` passes used, stay reserved.
 //!
 //! Everything is built on a hand-rolled lexer ([`lexer`]) — no `syn`, no
 //! network — so the linter runs in the same offline sandbox as the rest of
@@ -30,7 +32,6 @@ pub mod hotpath;
 pub mod lexer;
 pub mod lockorder;
 pub mod report;
-pub mod unsafecheck;
 
 pub use ktrace_verify::exit;
 pub use report::{Finding, LintReport, LintStats, ViolationKind};
@@ -43,7 +44,6 @@ use std::path::{Path, PathBuf};
 pub struct PassSet {
     pub hotpath: bool,
     pub lockorder: bool,
-    pub unsafe_code: bool,
 }
 
 impl Default for PassSet {
@@ -51,7 +51,6 @@ impl Default for PassSet {
         PassSet {
             hotpath: true,
             lockorder: true,
-            unsafe_code: true,
         }
     }
 }
@@ -62,7 +61,6 @@ impl PassSet {
         match name {
             "hotpath" => self.hotpath = true,
             "lockorder" => self.lockorder = true,
-            "unsafe" => self.unsafe_code = true,
             _ => return false,
         }
         true
@@ -73,7 +71,6 @@ impl PassSet {
         PassSet {
             hotpath: false,
             lockorder: false,
-            unsafe_code: false,
         }
     }
 }
@@ -136,29 +133,23 @@ pub fn lint_workspace(opts: &LintOptions) -> io::Result<LintReport> {
             report.push(ViolationKind::HotPathHazard, &f.file, f.line, f.detail);
         }
     }
-    if opts.passes.lockorder || opts.passes.unsafe_code {
+    if opts.passes.lockorder {
         let mut files = Vec::new();
         for rel in workspace_source_files(&opts.root) {
             if let Ok(src) = std::fs::read_to_string(opts.root.join(&rel)) {
                 files.push((rel, src));
             }
         }
-        if opts.passes.lockorder {
-            lockorder::lockorder_pass(&files, &mut report);
-        }
-        if opts.passes.unsafe_code {
-            unsafecheck::unsafe_pass(&files, HOTPATH_FILES, &mut report);
-        }
+        lockorder::lockorder_pass(&files, &mut report);
     }
 
     Ok(report)
 }
 
 /// Every `.rs` file under `crates/*/src` and `src/` in the workspace at
-/// `root`, as sorted root-relative forward-slash paths. The lock-order and
-/// unsafe passes walk the whole workspace rather than a curated file list:
-/// a lock acquired anywhere can deadlock, and unsafe anywhere needs a
-/// justification.
+/// `root`, as sorted root-relative forward-slash paths. The lock-order
+/// pass walks the whole workspace rather than a curated file list: a lock
+/// acquired anywhere can deadlock.
 pub fn workspace_source_files(root: &Path) -> Vec<String> {
     let mut paths: Vec<PathBuf> = Vec::new();
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
@@ -203,16 +194,16 @@ mod tests {
     #[test]
     fn pass_set_enables_by_name() {
         let mut p = PassSet::none();
-        assert!(!p.hotpath && !p.lockorder && !p.unsafe_code);
+        assert!(!p.hotpath && !p.lockorder);
         assert!(p.enable("hotpath"));
         assert!(p.enable("lockorder"));
-        assert!(p.enable("unsafe"));
         assert!(!p.enable("nonsense"));
         // The retired passes are unknown names now.
         assert!(!p.enable("schema"));
         assert!(!p.enable("idspace"));
         assert!(!p.enable("atomics"));
-        assert!(p.hotpath && p.lockorder && p.unsafe_code);
+        assert!(!p.enable("unsafe"));
+        assert!(p.hotpath && p.lockorder);
     }
 
     #[test]

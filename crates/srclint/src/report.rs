@@ -4,9 +4,9 @@
 //! [`ViolationKind`] enum as the dynamic stream verifier (`ktrace-verify`),
 //! so a CI exit code identifies the broken invariant regardless of which
 //! tool found it: dynamic stream checks exit 10–20, static source checks
-//! exit 32 (`hot-path-hazard`), 34 (`lock-order-cycle`), or 35
-//! (`unsafe-unjustified`); 0/1/2 stay reserved for clean/unreadable/usage,
-//! and 30/31/33 for the retired schema and atomics passes.
+//! exit 32 (`hot-path-hazard`) or 34 (`lock-order-cycle`); 0/1/2 stay
+//! reserved for clean/unreadable/usage, and 30/31/33/35 for the retired
+//! schema, atomics and unsafe passes.
 //! When several passes fail, the exit code is the **lowest** (most severe)
 //! code present and the report lists every failing pass.
 
@@ -39,10 +39,6 @@ pub struct LintStats {
     pub lock_classes: usize,
     /// Static lock-acquisition edges discovered.
     pub lock_edges: usize,
-    /// `unsafe` blocks/declarations found by the unsafe pass.
-    pub unsafe_blocks: usize,
-    /// `unsafe` blocks found in hot-path files (the unsafe census).
-    pub unsafe_hot: usize,
 }
 
 /// The complete lint outcome.
@@ -110,8 +106,8 @@ impl LintReport {
         );
         let _ = writeln!(
             out,
-            "concurrency: {} lock class(es) / {} edge(s), {} unsafe block(s) ({} hot)",
-            s.lock_classes, s.lock_edges, s.unsafe_blocks, s.unsafe_hot,
+            "concurrency: {} lock class(es) / {} edge(s)",
+            s.lock_classes, s.lock_edges,
         );
         for f in &self.findings {
             let _ = writeln!(
@@ -162,16 +158,13 @@ impl LintReport {
         let _ = write!(
             out,
             "\n  ],\n  \"stats\": {{\"files_scanned\": {}, \"hot_fns_walked\": {}, \
-             \"lock_classes\": {}, \"lock_edges\": {}, \
-             \"unsafe_blocks\": {}, \"unsafe_hot\": {}}},\n  \
+             \"lock_classes\": {}, \"lock_edges\": {}}},\n  \
              \"failing_passes\": [{}],\n  \
              \"exit_code\": {}\n}}\n",
             s.files_scanned,
             s.hot_fns_walked,
             s.lock_classes,
             s.lock_edges,
-            s.unsafe_blocks,
-            s.unsafe_hot,
             failing.join(", "),
             self.exit_code()
         );
@@ -185,7 +178,6 @@ pub fn pass_name(kind: ViolationKind) -> &'static str {
     match kind {
         ViolationKind::HotPathHazard => "hotpath",
         ViolationKind::LockOrderCycle => "lockorder",
-        ViolationKind::UnsafeUnjustified => "unsafe",
         other => other.label(),
     }
 }
@@ -198,37 +190,31 @@ mod tests {
     fn exit_codes_follow_the_shared_table() {
         let mut r = LintReport::new();
         assert_eq!(r.exit_code(), 0);
-        r.push(ViolationKind::UnsafeUnjustified, "a.rs", 1, "x");
-        assert_eq!(r.exit_code(), 35);
         r.push(ViolationKind::LockOrderCycle, "a.rs", 2, "y");
         assert_eq!(r.exit_code(), 34);
         r.push(ViolationKind::HotPathHazard, "a.rs", 3, "z");
         assert_eq!(r.exit_code(), 32);
         assert_eq!(
             r.kinds(),
-            vec![
-                ViolationKind::HotPathHazard,
-                ViolationKind::LockOrderCycle,
-                ViolationKind::UnsafeUnjustified
-            ]
+            vec![ViolationKind::HotPathHazard, ViolationKind::LockOrderCycle]
         );
     }
 
     #[test]
     fn multi_pass_failures_exit_with_the_lowest_code() {
-        // Three failing passes: lowest code wins, all three are listed.
+        // Both passes failing: lowest code wins, both are listed.
         let mut r = LintReport::new();
         r.push(ViolationKind::LockOrderCycle, "a.rs", 1, "cycle");
         assert_eq!(r.exit_code(), 34);
         assert_eq!(r.failing_passes(), vec!["lockorder"]);
-        r.push(ViolationKind::UnsafeUnjustified, "c.rs", 3, "no SAFETY");
         r.push(ViolationKind::HotPathHazard, "d.rs", 4, "Vec::new");
+        r.push(ViolationKind::LockOrderCycle, "c.rs", 3, "cycle");
         assert_eq!(r.exit_code(), 32);
-        assert_eq!(r.failing_passes(), vec!["hotpath", "lockorder", "unsafe"]);
+        assert_eq!(r.failing_passes(), vec!["hotpath", "lockorder"]);
         let text = r.render();
-        assert!(text.contains("failing pass(es): hotpath, lockorder, unsafe"));
+        assert!(text.contains("failing pass(es): hotpath, lockorder"));
         let json = r.to_json();
-        assert!(json.contains("\"failing_passes\": [\"hotpath\", \"lockorder\", \"unsafe\"]"));
+        assert!(json.contains("\"failing_passes\": [\"hotpath\", \"lockorder\"]"));
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Broken fixture tripping TWO passes at once: an AB-BA lock cycle (exit
-//! 34) and an unjustified unsafe block (exit 35). The report must list both
-//! failing passes and exit with the lower — more severe — code, 34.
+//! Broken fixture tripping TWO passes at once: an AB-BA lock cycle here
+//! (exit 34) and an allocating logger in `crates/core` (exit 32). The report
+//! must list both failing passes and exit with the lower — more severe —
+//! code, 32.
 
 use std::sync::Mutex;
 
@@ -24,10 +25,5 @@ impl Pair {
         let l = self.left.lock().unwrap();
         drop(l);
         drop(r);
-    }
-
-    /// VIOLATION: bare unsafe block, no justification comment.
-    pub fn poke(&self, p: *mut u64) {
-        unsafe { *p = 1 };
     }
 }

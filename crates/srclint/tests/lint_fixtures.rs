@@ -125,74 +125,33 @@ fn lockorder_fixture_exits_34() {
 }
 
 #[test]
-fn unsafe_fixture_exits_35() {
-    let report = lint_workspace(&one_pass(fixture("broken_unsafe"), "unsafe")).unwrap();
-    assert_eq!(report.exit_code(), 35);
-    assert_eq!(report.kinds(), vec![ViolationKind::UnsafeUnjustified]);
-
-    let details: Vec<&str> = report.findings.iter().map(|f| f.detail.as_str()).collect();
-    assert!(details
-        .iter()
-        .any(|d| d.contains("unsafe block") && d.contains("SAFETY")));
-    assert!(details
-        .iter()
-        .any(|d| d.contains("unsafe fn") && d.contains("# Safety")));
-    // The justified twins draw nothing: exactly the two bare sites.
-    assert_eq!(report.findings.len(), 2, "{details:#?}");
-    // Census counts all four unsafe regions, justified or not.
-    assert_eq!(report.stats.unsafe_blocks, 4);
-    assert_eq!(report.stats.unsafe_hot, 0);
-}
-
-#[test]
 fn several_failing_passes_exit_with_the_most_severe_code() {
-    // broken_multi trips lockorder (34) and unsafe (35) together: the exit
+    // broken_multi trips hotpath (32) and lockorder (34) together: the exit
     // code is the *lowest* failing code and both passes are listed.
     let root = fixture("broken_multi");
     let report = lint_workspace(&LintOptions::new(root)).unwrap();
-    assert_eq!(report.exit_code(), 34);
+    assert_eq!(report.exit_code(), 32);
     assert_eq!(
         report.kinds(),
-        vec![
-            ViolationKind::LockOrderCycle,
-            ViolationKind::UnsafeUnjustified
-        ]
+        vec![ViolationKind::HotPathHazard, ViolationKind::LockOrderCycle]
     );
-    assert_eq!(report.failing_passes(), vec!["lockorder", "unsafe"]);
+    assert_eq!(report.failing_passes(), vec!["hotpath", "lockorder"]);
     let rendered = report.render();
     assert!(
-        rendered.contains("failing pass(es): lockorder, unsafe"),
+        rendered.contains("failing pass(es): hotpath, lockorder"),
         "{rendered}"
     );
 }
 
 #[test]
 fn broken_fixtures_stay_isolated_to_their_pass() {
-    // Running the OTHER passes over each fixture finds nothing: each tree is
-    // broken in exactly one dimension. The two concurrency fixtures are
-    // checked against every other pass, and find nothing in each other.
-    for (broken, its_pass) in [
-        ("broken_lockorder", "lockorder"),
-        ("broken_unsafe", "unsafe"),
-    ] {
-        for pass in ["hotpath", "lockorder", "unsafe"] {
-            if pass == its_pass {
-                continue;
-            }
-            let r = lint_workspace(&one_pass(fixture(broken), pass)).unwrap();
-            assert!(
-                r.findings.is_empty(),
-                "{broken} vs {pass}: {:#?}",
-                r.findings
-            );
-        }
-    }
-    // And the hot-path fixtures are clean under the two concurrency passes.
+    // Running the OTHER pass over each fixture finds nothing: each tree is
+    // broken in exactly one dimension.
+    let r = lint_workspace(&one_pass(fixture("broken_lockorder"), "hotpath")).unwrap();
+    assert!(r.findings.is_empty(), "broken_lockorder: {:#?}", r.findings);
     for old in ["hotpath", "telemetry_hotpath"] {
-        for pass in ["lockorder", "unsafe"] {
-            let r = lint_workspace(&one_pass(fixture(old), pass)).unwrap();
-            assert!(r.findings.is_empty(), "{old} vs {pass}: {:#?}", r.findings);
-        }
+        let r = lint_workspace(&one_pass(fixture(old), "lockorder")).unwrap();
+        assert!(r.findings.is_empty(), "{old}: {:#?}", r.findings);
     }
 }
 
@@ -203,14 +162,10 @@ fn the_workspace_itself_lints_clean() {
     assert!(report.is_clean(), "{}", report.render());
     assert_eq!(report.exit_code(), 0);
     assert!(report.stats.hot_fns_walked > 0);
-    // Both concurrency passes genuinely ran — and clean means clean: the
-    // real lock graph acyclic, and one unsafe block in the workspace:
-    // `SyncClock`'s ordered TSC read (`rdtsc_ordered` in
-    // `crates/clock/src/source.rs`), on the hot path.
+    // The lock-order pass genuinely ran — and clean means clean: the real
+    // lock graph is acyclic.
     assert!(report.stats.lock_classes >= 8, "{:?}", report.stats);
     assert!(report.stats.lock_edges >= 3, "{:?}", report.stats);
-    assert_eq!(report.stats.unsafe_blocks, 1, "{:?}", report.stats);
-    assert_eq!(report.stats.unsafe_hot, 1, "{:?}", report.stats);
 }
 
 #[test]
@@ -245,11 +200,104 @@ fn real_atomics_carry_no_blanket_escapes() {
     }
 }
 
+/// The lines of `manifest`'s `[name]` table, up to the next table header.
+fn toml_table<'a>(manifest: &'a str, name: &str) -> Vec<&'a str> {
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != name)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .collect()
+}
+
+/// Every `.rs` file under `dir`, skipping build output.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            if !path.ends_with("target") {
+                rust_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn unsafe_code_is_a_build_error_outside_the_clock_read() {
+    // The compiler owns `unsafe`: the workspace forbids it, every member but
+    // the clock inherits that, and the clock denies it everywhere except one
+    // `#[allow]` on its ordered TSC read, which clippy holds to a
+    // `// SAFETY:` comment.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |p: &Path| std::fs::read_to_string(p).unwrap();
+    let inherits = |m: &str| toml_table(m, "[lints]").contains(&"workspace = true");
+
+    let workspace = read(&root.join("Cargo.toml"));
+    assert!(toml_table(&workspace, "[workspace.lints.rust]").contains(&"unsafe_code = \"forbid\""));
+    assert!(
+        inherits(&workspace),
+        "the root package must inherit the workspace lints"
+    );
+
+    let mut members = 0;
+    for entry in std::fs::read_dir(root.join("crates")).unwrap().flatten() {
+        let manifest = read(&entry.path().join("Cargo.toml"));
+        if entry.file_name() == "clock" {
+            assert!(!inherits(&manifest));
+            assert!(toml_table(&manifest, "[lints.rust]").contains(&"unsafe_code = \"deny\""));
+            assert!(toml_table(&manifest, "[lints.clippy]")
+                .contains(&"undocumented_unsafe_blocks = \"deny\""));
+        } else {
+            assert!(
+                inherits(&manifest),
+                "{:?} must inherit the workspace lints",
+                entry.path()
+            );
+            members += 1;
+        }
+    }
+    assert!(members >= 16, "{members}");
+
+    // Spelled in two halves so this file does not count itself.
+    let allow = concat!("allow(", "unsafe_code)");
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut sites = Vec::new();
+    for file in files {
+        let src = read(&file);
+        for (at, _) in src.match_indices(allow) {
+            let next_fn = src[at..].split("fn ").nth(1).unwrap_or("");
+            let name: String = next_fn
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            let rel = file
+                .strip_prefix(&root)
+                .unwrap()
+                .to_string_lossy()
+                .into_owned();
+            sites.push((rel, name));
+        }
+    }
+    assert_eq!(
+        sites,
+        vec![(
+            "crates/clock/src/source.rs".to_string(),
+            "rdtsc_ordered".to_string()
+        )]
+    );
+}
+
 #[test]
 fn json_report_carries_the_shared_labels() {
-    let report = lint_workspace(&one_pass(fixture("broken_unsafe"), "unsafe")).unwrap();
+    let report = lint_workspace(&one_pass(fixture("broken_lockorder"), "lockorder")).unwrap();
     let json = report.to_json();
-    assert!(json.contains("\"kind\": \"unsafe-unjustified\""));
-    assert!(json.contains("\"exit_code\": 35"));
+    assert!(json.contains("\"kind\": \"lock-order-cycle\""));
+    assert!(json.contains("\"exit_code\": 34"));
     assert!(json.contains("crates/sync/src/lib.rs"));
 }

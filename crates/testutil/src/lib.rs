@@ -11,7 +11,6 @@
 //! This crate is test support: it never appears in a non-dev dependency
 //! edge, and nothing here is tuned for performance.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use ktrace_core::reader::RawEvent;

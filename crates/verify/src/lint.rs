@@ -21,7 +21,7 @@
 
 use crate::report::{Report, Violation, ViolationKind};
 use ktrace_core::reader::walk_buffer;
-use ktrace_core::{CompletedBuffer, GarbleNote, RegionSnapshot};
+use ktrace_core::{CompletedBuffer, RegionSnapshot};
 use ktrace_format::pack::WordUnpacker;
 use ktrace_format::{EventDescriptor, EventRegistry, FieldToken};
 use ktrace_io::{IoError, TraceFileReader};
@@ -191,37 +191,10 @@ impl StreamLinter {
             }
         }
 
-        let noted = walk.notes().iter().map(|note| {
-            let (kind, offset, detail) = match note {
-                GarbleNote::ZeroHeader { offset } => (
-                    ViolationKind::GarbledCommit,
-                    *offset,
-                    "zero header: a reservation that was never written".to_string(),
-                ),
-                GarbleNote::Overrun { offset, len_words } => (
-                    ViolationKind::LengthMismatch,
-                    *offset,
-                    format!("declared length {len_words} words runs past the buffer end"),
-                ),
-                GarbleNote::MissingAnchor => (
-                    ViolationKind::MissingAnchor,
-                    0,
-                    "buffer does not begin with a time anchor".to_string(),
-                ),
-                GarbleNote::NonMonotonic { offset } => (
-                    ViolationKind::NonMonotonicTimestamp,
-                    *offset,
-                    "timestamp stepped backwards within the buffer".to_string(),
-                ),
-            };
-            Violation {
-                kind,
-                cpu: Some(cpu),
-                seq: Some(seq),
-                offset: Some(offset),
-                detail,
-            }
-        });
+        let noted = walk
+            .notes()
+            .iter()
+            .map(|note| Violation::from_note(note, cpu, seq));
         self.report.violations.splice(notes_at..notes_at, noted);
 
         // Fillers realign the stream to the buffer boundary: the filler chain

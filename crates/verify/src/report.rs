@@ -7,13 +7,14 @@
 //!
 //! This is the **shared exit-code table** for every checker: `ktrace-verify`
 //! (dynamic, trace-stream checks; codes 10–20), `ktrace-lint` (static,
-//! source-level checks; codes 32, 34, 35), and the trace-assertion engine in
+//! source-level checks; codes 32, 34), and the trace-assertion engine in
 //! `ktrace-query` (declarative trace properties; codes 36–39) draw from the
 //! same enum so a CI failure code identifies the broken invariant regardless
 //! of which tool found it. Codes 0 (clean), 1 (input unreadable), and
 //! 2 (usage error) are reserved by every CLI and never assigned to a
 //! violation class.
 
+use ktrace_core::reader::GarbleNote;
 use ktrace_format::exit;
 use std::fmt;
 
@@ -63,10 +64,6 @@ pub enum ViolationKind {
     /// cycle — two code paths can take the same pair of lock classes in
     /// opposite orders, so the system can deadlock.
     LockOrderCycle = exit::LOCK_ORDER_CYCLE,
-    /// Static (ktrace-lint): an `unsafe` block or declaration carries no
-    /// `// SAFETY:` justification (blocks) or `# Safety` doc section
-    /// (functions/impls).
-    UnsafeUnjustified = exit::UNSAFE_UNJUSTIFIED,
     /// Trace assertion (ktrace-query): a count/sum/rate/max bound on matching
     /// events does not hold — e.g. "events_lost == 0 on clean runs".
     AssertCount = exit::ASSERT_COUNT,
@@ -109,7 +106,6 @@ impl ViolationKind {
             ViolationKind::DataRace,
             ViolationKind::HotPathHazard,
             ViolationKind::LockOrderCycle,
-            ViolationKind::UnsafeUnjustified,
             ViolationKind::AssertCount,
             ViolationKind::AssertPairing,
             ViolationKind::AssertDuration,
@@ -152,6 +148,42 @@ impl fmt::Display for Violation {
             write!(f, " @word {off}")?;
         }
         write!(f, ": {}", self.detail)
+    }
+}
+
+impl Violation {
+    /// The violation a buffer walker's [`GarbleNote`] stands for, in buffer
+    /// `seq` of `cpu`. The lint and the salvage report both map notes here.
+    pub fn from_note(note: &GarbleNote, cpu: usize, seq: u64) -> Violation {
+        let (kind, offset, detail) = match note {
+            GarbleNote::ZeroHeader { offset } => (
+                ViolationKind::GarbledCommit,
+                *offset,
+                "zero header: a reservation that was never written".to_string(),
+            ),
+            GarbleNote::Overrun { offset, len_words } => (
+                ViolationKind::LengthMismatch,
+                *offset,
+                format!("declared length {len_words} words runs past the buffer end"),
+            ),
+            GarbleNote::MissingAnchor => (
+                ViolationKind::MissingAnchor,
+                0,
+                "buffer does not begin with a time anchor".to_string(),
+            ),
+            GarbleNote::NonMonotonic { offset } => (
+                ViolationKind::NonMonotonicTimestamp,
+                *offset,
+                "timestamp stepped backwards within the buffer".to_string(),
+            ),
+        };
+        Violation {
+            kind,
+            cpu: Some(cpu),
+            seq: Some(seq),
+            offset: Some(offset),
+            detail,
+        }
     }
 }
 
@@ -284,9 +316,7 @@ mod tests {
             let code = k.exit_code();
             let band = if matches!(
                 k,
-                ViolationKind::HotPathHazard
-                    | ViolationKind::LockOrderCycle
-                    | ViolationKind::UnsafeUnjustified
+                ViolationKind::HotPathHazard | ViolationKind::LockOrderCycle
             ) {
                 (32..=35).contains(&code)
             } else if matches!(

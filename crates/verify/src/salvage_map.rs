@@ -7,8 +7,7 @@
 //! the same stable codes as `ktrace-verify` — code 10 for structural file
 //! damage, 11 for commit garbling, and so on — and a clean salvage exits 0.
 
-use crate::report::{Report, ViolationKind};
-use ktrace_core::reader::GarbleNote;
+use crate::report::{Report, Violation, ViolationKind};
 use ktrace_io::SalvageReport;
 
 /// Translates salvage findings into the shared violation vocabulary.
@@ -85,38 +84,11 @@ pub fn salvage_to_report(salvage: &SalvageReport) -> Report {
                 "commit count short of the expected total (drained mid-reservation)",
             );
         }
-        for note in &rec.notes {
-            match note {
-                GarbleNote::ZeroHeader { offset } => report.push(
-                    ViolationKind::GarbledCommit,
-                    cpu,
-                    seq,
-                    Some(*offset),
-                    "unwritten (zero-header) reservation mid-buffer",
-                ),
-                GarbleNote::Overrun { offset, len_words } => report.push(
-                    ViolationKind::LengthMismatch,
-                    cpu,
-                    seq,
-                    Some(*offset),
-                    format!("event of {len_words} word(s) runs past the buffer end"),
-                ),
-                GarbleNote::MissingAnchor => report.push(
-                    ViolationKind::MissingAnchor,
-                    cpu,
-                    seq,
-                    Some(0),
-                    "buffer does not begin with a time anchor",
-                ),
-                GarbleNote::NonMonotonic { offset } => report.push(
-                    ViolationKind::NonMonotonicTimestamp,
-                    cpu,
-                    seq,
-                    Some(*offset),
-                    "timestamp stepped backwards",
-                ),
-            }
-        }
+        report.violations.extend(
+            rec.notes
+                .iter()
+                .map(|note| Violation::from_note(note, rec.cpu as usize, rec.seq)),
+        );
     }
     report
 }

@@ -15,43 +15,29 @@ use ktrace_events::{
     syscall as sysev, user,
 };
 use ktrace_format::Event;
+use ktrace_ossim::kernel::{ALLOC_LOCK_BASE, DIR_LOCK_ID, PAGE_LOCK_ID, USER_LOCK_BASE};
 use ktrace_ossim::task::{Op, ProcessSpec};
 use ktrace_ossim::workload::Workload;
+use ktrace_ossim::MachineConfig;
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Virtual machine configuration (costs in virtual nanoseconds; defaults
-/// mirror `ktrace_ossim::MachineConfig`).
+/// Virtual machine configuration. The per-operation costs are the real
+/// kernel's (`ktrace_ossim::MachineConfig::new`), read as virtual
+/// nanoseconds.
 #[derive(Debug, Clone, Copy)]
 pub struct VmConfig {
     /// Simulated CPU count — unconstrained by the host.
     pub ncpus: usize,
-    /// Scheduler time slice.
-    pub time_slice_ns: u64,
     /// How far an idle CPU's clock jumps per scheduling round.
     pub idle_quantum_ns: u64,
-    /// Page-fault handling cost.
-    pub pagefault_cost_ns: u64,
-    /// System-call dispatch cost.
-    pub syscall_cost_ns: u64,
-    /// PPC/IPC crossing cost.
-    pub ipc_cost_ns: u64,
-    /// Allocator critical-section length.
-    pub alloc_hold_ns: u64,
-    /// File-system server operation cost.
-    pub fs_op_cost_ns: u64,
-    /// Process-creation cost.
-    pub spawn_cost_ns: u64,
     /// Statistical PC-sample period (`None` disables).
     pub pc_sample_period_ns: Option<u64>,
     /// Allocator region locks (1 = the paper's contended starting point).
     pub alloc_regions: usize,
-    /// Approximate virtual cost of one spin iteration (converts lock wait
-    /// time to the spin counts the Fig. 7 tool reports).
-    pub spin_iter_ns: u64,
 }
 
 impl VmConfig {
@@ -59,20 +45,18 @@ impl VmConfig {
     pub fn new(ncpus: usize) -> VmConfig {
         VmConfig {
             ncpus,
-            time_slice_ns: 200_000,
             idle_quantum_ns: 20_000,
-            pagefault_cost_ns: 1_500,
-            syscall_cost_ns: 800,
-            ipc_cost_ns: 1_200,
-            alloc_hold_ns: 600,
-            fs_op_cost_ns: 2_000,
-            spawn_cost_ns: 3_000,
             pc_sample_period_ns: Some(50_000),
             alloc_regions: 1,
-            spin_iter_ns: 100,
         }
     }
 }
+
+/// Process-creation cost; `MachineConfig` has no counterpart.
+const SPAWN_COST_NS: u64 = 3_000;
+/// Virtual cost of one spin iteration: converts lock wait time to the spin
+/// counts the Fig. 7 tool reports.
+const SPIN_ITER_NS: u64 = 100;
 
 /// Result of a virtual run.
 #[derive(Debug, Clone)]
@@ -104,13 +88,6 @@ impl VReport {
         self.completions as f64 / (self.virtual_ns as f64 / 3.6e12)
     }
 }
-
-/// Lock identity bases (mirrors the real kernel's convention so the same
-/// analysis tools read both kinds of trace).
-const ALLOC_LOCK_BASE: u64 = 0x100;
-const PAGE_LOCK_ID: u64 = 0x200;
-const DIR_LOCK_ID: u64 = 0x300;
-const USER_LOCK_BASE: u64 = 0x400;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct VLock {
@@ -212,6 +189,7 @@ impl VirtualMachine {
     pub fn run(&mut self, workload: &Workload) -> VReport {
         let mut sim = Sim {
             cfg: self.config,
+            costs: MachineConfig::new(self.config.ncpus),
             model: &mut self.model,
             emit: self.emit.as_ref(),
             cpus: (0..self.config.ncpus)
@@ -269,6 +247,8 @@ impl VirtualMachine {
 
 struct Sim<'a> {
     cfg: VmConfig,
+    /// The real kernel's operation costs, as virtual ns.
+    costs: MachineConfig,
     model: &'a mut TraceCostModel,
     emit: Option<&'a Emitter>,
     cpus: Vec<VCpu>,
@@ -383,7 +363,7 @@ impl Sim<'_> {
         // Reserve pessimistically; release() moves free_at to the real
         // release time, which is always ≥ grant.
         lock.free_at = grant;
-        let spins = wait / self.cfg.spin_iter_ns.max(1);
+        let spins = wait / SPIN_ITER_NS;
         if wait > 0 {
             // Spinning burns the CPU, bounces the lock's cache line
             // (coherence misses), and PC samples taken during the spin land
@@ -464,7 +444,7 @@ impl Sim<'_> {
             let prev = self.cpus[cpu].prev_tid;
             self.emit(cpu, sched::ctx_switch(prev, task.tid, task.pid));
             self.cpus[cpu].prev_tid = task.tid;
-            let slice_end = self.cpus[cpu].t + self.cfg.time_slice_ns;
+            let slice_end = self.cpus[cpu].t + self.costs.time_slice.as_nanos() as u64;
             self.cpus[cpu].current = Some((task, slice_end));
             return;
         }
@@ -498,7 +478,7 @@ impl Sim<'_> {
                     self.emit(cpu, sysev::entry(task.pid, task.tid, no));
                     self.advance(
                         cpu,
-                        self.cfg.syscall_cost_ns,
+                        self.costs.syscall_cost_ns,
                         Some((&task, events::func::SYSCALL_DISPATCH)),
                     );
                     self.emit(cpu, sysev::exit(task.pid, task.tid, no));
@@ -510,7 +490,7 @@ impl Sim<'_> {
                     self.emit(cpu, events::mem::reg_create(addr, bytes));
                     self.advance(
                         cpu,
-                        self.cfg.syscall_cost_ns / 2,
+                        self.costs.syscall_cost_ns / 2,
                         Some((&task, events::func::FCM_MAP_PAGE)),
                     );
                     self.emit(cpu, events::mem::fcm_atch_reg(addr, addr ^ 0xf0f0));
@@ -521,7 +501,7 @@ impl Sim<'_> {
                     self.emit(cpu, exception::pgflt(task.tid, addr));
                     self.advance(
                         cpu,
-                        self.cfg.pagefault_cost_ns,
+                        self.costs.pagefault_cost_ns,
                         Some((&task, events::func::PGFLT_HANDLER)),
                     );
                     self.emit(cpu, exception::pgflt_done(task.tid, addr));
@@ -537,10 +517,10 @@ impl Sim<'_> {
                     self.vlock_acquire(cpu, which, &task, chain);
                     self.advance(
                         cpu,
-                        self.cfg.alloc_hold_ns,
+                        self.costs.alloc_hold_ns,
                         Some((&task, events::func::ALLOC_REGION_ALLOC)),
                     );
-                    self.vlock_release(cpu, which, task.tid, self.cfg.alloc_hold_ns);
+                    self.vlock_release(cpu, which, task.tid, self.costs.alloc_hold_ns);
                     self.emit(cpu, events::mem::alloc(size, 0x1000_0000 + size));
                     task.func_stack.truncate(task.func_stack.len() - 3);
                     task.ip += 1;
@@ -549,7 +529,7 @@ impl Sim<'_> {
                     task.func_stack.push(events::func::PAGEALLOC_USER_DEALLOC);
                     task.func_stack.push(events::func::PAGEALLOC_DEALLOC);
                     let chain = events::pack_chain(&task.func_stack);
-                    let hold = self.cfg.alloc_hold_ns / 2;
+                    let hold = self.costs.alloc_hold_ns / 2;
                     self.vlock_acquire(cpu, LockRef::Page, &task, chain);
                     self.advance(cpu, hold, Some((&task, events::func::PAGEALLOC_DEALLOC)));
                     self.vlock_release(cpu, LockRef::Page, task.tid, hold);
@@ -562,16 +542,16 @@ impl Sim<'_> {
                     } else {
                         fsev::close(1, path)
                     };
-                    self.fs_call(cpu, &mut task, event, self.cfg.fs_op_cost_ns, true);
+                    self.fs_call(cpu, &mut task, event, self.costs.fs_op_cost_ns, true);
                     task.ip += 1;
                 }
                 Op::FsRead { bytes } => {
-                    let cost = self.cfg.fs_op_cost_ns + bytes / 64;
+                    let cost = self.costs.fs_op_cost_ns + bytes / 64;
                     self.fs_call(cpu, &mut task, fsev::read(1, bytes), cost, false);
                     task.ip += 1;
                 }
                 Op::FsWrite { bytes } => {
-                    let cost = self.cfg.fs_op_cost_ns + bytes / 64;
+                    let cost = self.costs.fs_op_cost_ns + bytes / 64;
                     self.fs_call(cpu, &mut task, fsev::write(1, bytes), cost, false);
                     task.ip += 1;
                 }
@@ -601,7 +581,7 @@ impl Sim<'_> {
                 Op::Spawn { child } => {
                     self.advance(
                         cpu,
-                        self.cfg.spawn_cost_ns,
+                        SPAWN_COST_NS,
                         Some((&task, events::func::PROCESS_FORK)),
                     );
                     self.spawn(cpu, &child, Some(&task));
@@ -657,7 +637,7 @@ impl Sim<'_> {
         }
         self.emit(cpu, event);
         task.func_stack.pop();
-        self.advance(cpu, self.cfg.ipc_cost_ns, None);
+        self.advance(cpu, self.costs.ipc_cost_ns, None);
         self.emit(cpu, exception::ppc_return(task.tid));
         self.emit(cpu, ipc::ret(task.pid, 1, fn_id));
     }

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Runs the static passes over the workspace at `--root` (default: the
-//! current directory). `--pass hotpath|lockorder|unsafe` restricts the run
+//! current directory). `--pass hotpath|lockorder` restricts the run
 //! to the named pass(es); repeat the flag to combine.
 //!
 //! Exit codes: 0 clean, 1 `--root` is not a workspace (no readable
@@ -13,10 +13,11 @@
 //! violation class found — the *lowest* code when several passes fail, with
 //! every failing pass listed in the report — drawn from the same table as
 //! `ktrace-verify` (`ktrace_verify::ViolationKind::exit_code`): 32 hot-path
-//! hazard, 34 lock-order cycle, 35 unjustified unsafe. Event schema
-//! agreement and atomic memory orderings are checked by the compiler,
-//! through the typed emitters `ktrace_event!` generates and the
-//! `ktrace_format::protocol` role types; 30, 31 and 33 stay reserved.
+//! hazard, 34 lock-order cycle. Event schema agreement, atomic memory
+//! orderings and `unsafe` are checked by the compiler, through the typed
+//! emitters `ktrace_event!` generates, the `ktrace_format::protocol` role
+//! types and the workspace's `unsafe_code = "forbid"`; 30, 31, 33 and 35
+//! stay reserved.
 
 use ktrace::exit;
 use ktrace::srclint::{lint_workspace, LintOptions, PassSet};
@@ -24,7 +25,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: ktrace-lint [--root DIR] [--json] [--pass <hotpath|lockorder|unsafe>]...");
+    eprintln!("usage: ktrace-lint [--root DIR] [--json] [--pass <hotpath|lockorder>]...");
     ExitCode::from(exit::USAGE)
 }
 

@@ -37,6 +37,8 @@ fn usage_errors_exit_two() {
     assert_eq!(lint(&["--pass", "idspace"]).status.code(), Some(2));
     // So are atomic orderings: the protocol roles are types.
     assert_eq!(lint(&["--pass", "atomics"]).status.code(), Some(2));
+    // And so is `unsafe`: the workspace forbids `unsafe_code`.
+    assert_eq!(lint(&["--pass", "unsafe"]).status.code(), Some(2));
 }
 
 #[test]
@@ -68,21 +70,17 @@ fn concurrency_passes_fail_with_their_distinct_codes() {
     ]);
     assert_eq!(out.status.code(), Some(34));
     assert!(String::from_utf8_lossy(&out.stdout).contains("error[lock-order-cycle]"));
-
-    let out = lint(&["--root", &fixture("broken_unsafe"), "--pass", "unsafe"]);
-    assert_eq!(out.status.code(), Some(35));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("error[unsafe-unjustified]"));
 }
 
 #[test]
 fn several_failing_passes_exit_lowest_and_are_all_listed() {
-    // broken_multi trips lockorder (34) and unsafe (35): exit is the lower
+    // broken_multi trips hotpath (32) and lockorder (34): exit is the lower
     // code, and the report names both failing passes.
     let out = lint(&["--root", &fixture("broken_multi")]);
-    assert_eq!(out.status.code(), Some(34));
+    assert_eq!(out.status.code(), Some(32));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("failing pass(es): lockorder, unsafe"),
+        stdout.contains("failing pass(es): hotpath, lockorder"),
         "{stdout}"
     );
 }
