@@ -59,10 +59,10 @@ pub fn measure(fast: bool) -> EventCosts {
 
     logger.mask().disable(MajorId::EXCEPTION);
     let disabled_ns = time_per_call(iters * 4, || {
-        std::hint::black_box(handle.log1(
+        std::hint::black_box(handle.log_slice(
             MajorId::EXCEPTION,
             exception::PPC_CALL,
-            std::hint::black_box(7),
+            &[std::hint::black_box(7)],
         ));
     });
     let floor_ns = time_per_call(iters * 4, || {

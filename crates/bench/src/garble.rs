@@ -45,7 +45,7 @@ pub fn overrun_accounting(attempts: u64) -> (u64, u64, u64) {
         }
     };
     for i in 0..attempts {
-        if handle.log2(MajorId::TEST, 1, i, i) {
+        if handle.log_slice(MajorId::TEST, 1, &[i, i]) {
             logged += 1;
         }
         // A slow consumer: takes one buffer only every 48 attempts.

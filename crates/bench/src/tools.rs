@@ -126,7 +126,6 @@ pub fn report_fig5(fast: bool) -> String {
     let path = dir.join("fig5.ktrace");
 
     // A real run: the real-threaded machine streaming through a session.
-    let clock: Arc<ktrace_clock::SyncClock> = Arc::new(ktrace_clock::SyncClock::new());
     // Small buffers so even a short run spans many records and the
     // random-access window demonstrably touches only a few of them.
     let logger = ktrace_core::TraceLogger::builder()
@@ -135,14 +134,12 @@ pub fn report_fig5(fast: bool) -> String {
             buffers_per_cpu: 16,
             ..TraceConfig::default()
         })
-        .clock(clock.clone() as Arc<dyn ktrace_clock::ClockSource>)
         .ncpus(2)
         .build()
         .expect("logger");
     ktrace_events::register_all(&logger);
     let session = TraceSession::builder()
         .logger(logger.clone())
-        .clock(clock.clone())
         .create(&path)
         .expect("session");
     let machine = Machine::new(MachineConfig::fast_test(2), Arc::new(KTracer::new(logger)));

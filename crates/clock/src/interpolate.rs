@@ -119,15 +119,6 @@ impl TscSynchronizer {
         }
         Some(self.maps[&cpu].map(tsc))
     }
-
-    /// The fitted map for `cpu`, if any anchors exist.
-    pub fn map_for(&mut self, cpu: usize) -> Option<CpuTimeMap> {
-        if !self.maps.contains_key(&cpu) {
-            let fit = CpuTimeMap::fit(self.anchors.get(&cpu)?)?;
-            self.maps.insert(cpu, fit);
-        }
-        self.maps.get(&cpu).copied()
-    }
 }
 
 #[cfg(test)]

@@ -66,12 +66,6 @@ impl TscClock {
     pub fn params(&self, cpu: usize) -> TscParams {
         self.params.get(cpu).copied().unwrap_or(TscParams::IDEAL)
     }
-
-    /// Reads the *true* (undistorted) time — the simulation oracle; real
-    /// hardware has no such call, which is why interpolation exists.
-    pub fn true_now(&self) -> u64 {
-        self.inner.now(0)
-    }
 }
 
 impl std::fmt::Debug for TscClock {

@@ -738,12 +738,11 @@ mod tests {
         let mut logged = 0u64;
         for i in 0..2_000u64 {
             for cpu in 0..2 {
-                if session
-                    .logger()
-                    .handle(cpu)
-                    .unwrap()
-                    .log2(MajorId::TEST, cpu as u16, i, i)
-                {
+                if session.logger().handle(cpu).unwrap().log_slice(
+                    MajorId::TEST,
+                    cpu as u16,
+                    &[i, i],
+                ) {
                     logged += 1;
                 }
             }
@@ -794,7 +793,7 @@ mod tests {
         let h = session.logger().handle(0).unwrap();
         for i in 0..1_000u64 {
             // Wait out a full ring rather than drop: ≈ 24 records in all.
-            while !h.log2(MajorId::TEST, 0, i, i) {
+            while !h.log_slice(MajorId::TEST, 0, &[i, i]) {
                 std::thread::yield_now();
             }
         }

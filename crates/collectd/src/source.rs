@@ -139,7 +139,7 @@ mod tests {
                 .logger()
                 .handle(0)
                 .unwrap()
-                .log1(MajorId::TEST, 1, t));
+                .log_slice(MajorId::TEST, 1, &[t]));
         }
         let stats = session.finish();
         assert!(stats.lossless());

@@ -21,7 +21,7 @@ pub enum Mode {
     /// old buffers are silently overwritten and [`dump`] recovers the most
     /// recent activity after a crash.
     ///
-    /// [`dump`]: crate::logger::TraceLogger::flight_dump
+    /// [`dump`]: crate::logger::TraceLogger::dump_last
     FlightRecorder,
 }
 

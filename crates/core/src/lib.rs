@@ -17,7 +17,7 @@
 //!
 //! let logger = TraceLogger::builder().geometry(TraceConfig::small()).clock(Arc::new(SyncClock::new())).ncpus(2).build().unwrap();
 //! let h = logger.handle(0).unwrap(); // bind this thread to "CPU 0"'s buffer
-//! h.log2(MajorId::TEST, 7, 0xdead, 0xbeef);
+//! h.log_slice(MajorId::TEST, 7, &[0xdead, 0xbeef]);
 //! logger.flush_cpu(0);
 //! let buf = logger.take_buffer(0).unwrap();
 //! let parsed = ktrace_core::reader::parse_buffer(0, buf.seq, &buf.words, None);
@@ -54,7 +54,7 @@ pub mod sample;
 pub use builder::LoggerBuilder;
 pub use config::{Mode, TraceConfig, ANCHOR_WORDS, DROPPED_WORDS};
 pub use error::CoreError;
-pub use logger::{CpuHandle, FlightDump, LoggerStats, RestrictedHandle, TraceLogger};
+pub use logger::{CpuHandle, FlightDump, LoggerStats, TraceLogger};
 pub use reader::{
     parse_buffer, walk_buffer, BufferWalker, EventView, GarbleNote, ParsedBuffer, Payload,
     RawEvent, WalkState,

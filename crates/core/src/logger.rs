@@ -8,9 +8,14 @@
 //! binding of one thread to one CPU's buffers, through which events are
 //! logged with no syscall and no lock.
 //!
-//! The `log*` fast paths check the mask first and are `#[inline]`, so a
-//! disabled major costs a relaxed load, an AND, and a branch — the Rust
-//! rendering of the paper's "4 machine instructions" (measured in E3).
+//! An event is appended through [`CpuHandle::log_event`] (a generated
+//! emitter's typed event), [`CpuHandle::log_slice`] (major, minor, payload
+//! words), [`CpuHandle::log_fields`] (field values encoded by the registered
+//! descriptor, for string-bearing events), or [`TraceLogger::log`] (the same
+//! as `log_slice` on a CPU named per call). The fast paths check the mask
+//! first and are `#[inline]`, so a disabled major costs a relaxed load, an
+//! AND, and a branch — the Rust rendering of the paper's "4 machine
+//! instructions" (measured in E3).
 
 use crate::config::{Mode, TraceConfig};
 use crate::error::CoreError;
@@ -34,6 +39,7 @@ struct Shared {
     registry: RwLock<EventRegistry>,
     tel: Arc<Telemetry>,
     wake: Arc<DrainerWake>,
+    clock: Arc<dyn ClockSource>,
 }
 
 // Slices of these are indexed by CPU: a reservation CAS or a tally on one
@@ -137,6 +143,7 @@ impl TraceLogger {
                 registry: RwLock::new(EventRegistry::with_builtin()),
                 tel,
                 wake,
+                clock,
             }),
         })
     }
@@ -149,6 +156,12 @@ impl TraceLogger {
     /// The buffer geometry.
     pub fn config(&self) -> TraceConfig {
         self.shared.config
+    }
+
+    /// The clock every CPU region timestamps with — the one a trace file's
+    /// header describes (tick rate, synchronized or per-CPU).
+    pub fn clock(&self) -> &Arc<dyn ClockSource> {
+        &self.shared.clock
     }
 
     /// The trace mask gating all majors (shared by every handle).
@@ -183,7 +196,12 @@ impl TraceLogger {
 
     /// A handle binding the calling thread to `cpu`'s buffers.
     pub fn handle(&self, cpu: usize) -> Result<CpuHandle, CoreError> {
-        self.region_checked(cpu)?;
+        if cpu >= self.ncpus() {
+            return Err(CoreError::BadCpu {
+                cpu,
+                ncpus: self.ncpus(),
+            });
+        }
         Ok(CpuHandle {
             shared: self.shared.clone(),
             cpu: cpu as u32,
@@ -194,68 +212,11 @@ impl TraceLogger {
         &self.shared.regions[cpu]
     }
 
-    fn region_checked(&self, cpu: usize) -> Result<&CpuRegion, CoreError> {
-        self.shared.regions.get(cpu).ok_or(CoreError::BadCpu {
-            cpu,
-            ncpus: self.ncpus(),
-        })
-    }
-
     /// Logs an event on `cpu` if its major is enabled. Returns true if
     /// logged. Errors (overrun, oversized) read as "not logged".
     #[inline]
     pub fn log(&self, cpu: usize, major: MajorId, minor: MinorId, payload: &[u64]) -> bool {
         admit(&self.shared, cpu, major) && self.region(cpu).log_raw(major, minor, payload).is_ok()
-    }
-
-    /// Like [`log`](TraceLogger::log) but surfacing the error cause.
-    /// A disabled major is `Ok(false)`; a logged event is `Ok(true)`.
-    pub fn try_log(
-        &self,
-        cpu: usize,
-        major: MajorId,
-        minor: MinorId,
-        payload: &[u64],
-    ) -> Result<bool, CoreError> {
-        let region = self.region_checked(cpu)?;
-        if !admit(&self.shared, cpu, major) {
-            return Ok(false);
-        }
-        region.log_raw(major, minor, payload).map(|()| true)
-    }
-
-    /// Encodes `values` according to the registered descriptor's field spec
-    /// and logs the event. Events with string fields go through here; hot
-    /// fixed-arity events should use the `logN` fast paths.
-    pub fn log_fields(
-        &self,
-        cpu: usize,
-        major: MajorId,
-        minor: MinorId,
-        values: &[FieldValue],
-    ) -> Result<bool, CoreError> {
-        // ktrace-lint: allow(hot-path) — the registry lookup under RwLock is
-        // the documented slow path for string-bearing events.
-        if !admit(&self.shared, cpu, major) {
-            return Ok(false);
-        }
-        let words = {
-            let registry = self
-                .shared
-                .registry
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            match registry.lookup(major, minor) {
-                Some(desc) => desc
-                    .spec
-                    .encode(values)
-                    .map_err(|_| CoreError::BadConfig("field values do not match spec"))?,
-                None => values.iter().map(FieldValue::as_int).collect(),
-            }
-        };
-        self.region_checked(cpu)?
-            .log_raw(major, minor, &words)
-            .map(|()| true)
     }
 
     /// Force-closes `cpu`'s current partial buffer so it can be drained.
@@ -296,15 +257,12 @@ impl TraceLogger {
         self.shared.wake.withdraw();
     }
 
-    /// Takes every currently completed buffer from `cpu`.
-    pub fn drain_cpu(&self, cpu: usize) -> Vec<CompletedBuffer> {
-        std::iter::from_fn(|| self.take_buffer(cpu)).collect()
-    }
-
     /// Flushes and drains every CPU, returning buffers grouped by CPU.
     pub fn drain_all(&self) -> Vec<Vec<CompletedBuffer>> {
         self.flush_all();
-        (0..self.ncpus()).map(|cpu| self.drain_cpu(cpu)).collect()
+        (0..self.ncpus())
+            .map(|cpu| std::iter::from_fn(|| self.take_buffer(cpu)).collect())
+            .collect()
     }
 
     /// Snapshots `cpu`'s region (flight-recorder inspection).
@@ -317,18 +275,13 @@ impl TraceLogger {
     /// the debugger hook that "has features to show only certain type of
     /// events and has control as to how many events it displays".
     ///
-    /// Works in either mode; in stream mode it sees only undrained data.
-    pub fn flight_dump(&self, last_n: usize, majors: Option<&[MajorId]>) -> Vec<RawEvent> {
-        self.dump_last(last_n, majors).events
-    }
-
-    /// The crash-resilient flight dump: like
-    /// [`flight_dump`](TraceLogger::flight_dump) but also reporting what was
-    /// *lost* — garbled buffers (a CPU killed mid-reservation leaves a torn,
-    /// uncommitted extent) are decoded up to the tear and the anomalies are
-    /// returned alongside the surviving events, instead of being dropped
-    /// silently. This is the dump a debugger takes after a crash (§4.2),
-    /// where the tail of the stream is garbled by construction.
+    /// It also reports what was *lost*: garbled buffers (a CPU killed
+    /// mid-reservation leaves a torn, uncommitted extent) are decoded up to
+    /// the tear and the anomalies are returned alongside the surviving
+    /// events, instead of being dropped silently. This is the dump a
+    /// debugger takes after a crash (§4.2), where the tail of the stream is
+    /// garbled by construction. Works in either mode; in stream mode it sees
+    /// only undrained data.
     pub fn dump_last(&self, last_n: usize, majors: Option<&[MajorId]>) -> FlightDump {
         let mut dump = FlightDump {
             events: Vec::new(),
@@ -362,13 +315,6 @@ impl TraceLogger {
             dump.events.drain(..dump.events.len() - last_n);
         }
         dump
-    }
-
-    /// Fault injection: abandons a reservation of `total_words` on `cpu` —
-    /// the killed-logger scenario of §3.1. See
-    /// [`CpuRegion::abandon_reservation`](crate::region::CpuRegion::abandon_reservation).
-    pub fn fault_abandon_reservation(&self, cpu: usize, total_words: usize) -> Option<u64> {
-        self.region(cpu).abandon_reservation(total_words)
     }
 
     /// Fault injection: XORs `mask` into `cpu`'s region word at unwrapped
@@ -482,18 +428,6 @@ pub struct CpuHandle {
     cpu: u32,
 }
 
-macro_rules! arity_logger {
-    ($(#[$doc:meta])* $name:ident($($arg:ident),*)) => {
-        $(#[$doc])*
-        #[inline]
-        #[allow(clippy::too_many_arguments)]
-        pub fn $name(&self, major: MajorId, minor: MinorId $(, $arg: u64)*) -> bool {
-            admit(&self.shared, self.cpu as usize, major)
-                && self.region().log_raw(major, minor, &[$($arg),*]).is_ok()
-        }
-    };
-}
-
 impl CpuHandle {
     #[inline]
     fn region(&self) -> &CpuRegion {
@@ -525,130 +459,43 @@ impl CpuHandle {
         self.log_slice(e.major(), e.minor(), e.payload())
     }
 
-    arity_logger!(
-        /// Logs a payload-less event (the cheapest kind).
-        log0()
-    );
-    arity_logger!(
-        /// Logs a 1-word event — the paper's 91-cycle case.
-        log1(a)
-    );
-    arity_logger!(
-        /// Logs a 2-word event.
-        log2(a, b)
-    );
-    arity_logger!(
-        /// Logs a 3-word event.
-        log3(a, b, c)
-    );
-    arity_logger!(
-        /// Logs a 4-word event.
-        log4(a, b, c, d)
-    );
-    arity_logger!(
-        /// Logs a 5-word event.
-        log5(a, b, c, d, e)
-    );
-    arity_logger!(
-        /// Logs a 6-word event.
-        log6(a, b, c, d, e, g)
-    );
-
     /// Fault injection: abandons a reservation of `total_words` on this
     /// handle's CPU — the §3.1 killed-logger scenario, used by crash
     /// injection to tear the stream exactly where a dying CPU would.
     pub fn fault_abandon_reservation(&self, total_words: usize) -> Option<u64> {
-        self.shared.regions[self.cpu as usize].abandon_reservation(total_words)
+        self.region().abandon_reservation(total_words)
     }
 
-    /// Logs an event whose payload is built from descriptor field values
-    /// (convenient for events with strings).
+    /// Encodes `values` according to the registered descriptor's field spec
+    /// and logs the event. Events with string fields go through here; hot
+    /// fixed-arity events use [`log_event`](CpuHandle::log_event) or
+    /// [`log_slice`](CpuHandle::log_slice).
     pub fn log_fields(
         &self,
         major: MajorId,
         minor: MinorId,
         values: &[FieldValue],
     ) -> Result<bool, CoreError> {
-        // ktrace-lint: allow(hot-path) — delegates to the slow path above.
-        TraceLogger {
-            shared: self.shared.clone(),
+        // ktrace-lint: allow(hot-path) — the registry lookup under RwLock is
+        // the documented slow path for string-bearing events.
+        if !admit(&self.shared, self.cpu as usize, major) {
+            return Ok(false);
         }
-        .log_fields(self.cpu(), major, minor, values)
-    }
-}
-
-impl CpuHandle {
-    /// Derives a handle that may only log the given major classes.
-    ///
-    /// The paper's §5 future work scopes tracing per application ("different
-    /// users may not desire to have information about their behavior
-    /// available to other users… we intend to map in different buffers to
-    /// user applications that do not have sufficient privileges"). In a
-    /// single address space the writer-side half of that is a capability:
-    /// hand an untrusted component a [`RestrictedHandle`] and it can emit
-    /// only into its allowed classes — reader-side filtering (the mask, the
-    /// major filters on dumps and listings) covers the rest.
-    pub fn restricted(&self, majors: &[MajorId]) -> RestrictedHandle {
-        let mut allowed = 0u64;
-        for m in majors {
-            allowed |= m.bit();
-        }
-        RestrictedHandle {
-            inner: self.clone(),
-            allowed,
-        }
-    }
-}
-
-/// A [`CpuHandle`] limited to a fixed set of major classes (see
-/// [`CpuHandle::restricted`]). Logging outside the set returns `false`
-/// without touching the buffers.
-#[derive(Clone)]
-pub struct RestrictedHandle {
-    inner: CpuHandle,
-    allowed: u64,
-}
-
-impl RestrictedHandle {
-    /// The CPU this handle is bound to.
-    pub fn cpu(&self) -> usize {
-        self.inner.cpu()
-    }
-
-    /// True if this handle may log `major` (the trace mask still applies on
-    /// top).
-    pub fn allows(&self, major: MajorId) -> bool {
-        self.allowed & major.bit() != 0
-    }
-
-    /// Logs an event if the major is within this handle's grant.
-    #[inline]
-    pub fn log_slice(&self, major: MajorId, minor: MinorId, payload: &[u64]) -> bool {
-        if !self.allows(major) {
-            return false;
-        }
-        self.inner.log_slice(major, minor, payload)
-    }
-
-    /// Logs a 1-word event if permitted.
-    #[inline]
-    pub fn log1(&self, major: MajorId, minor: MinorId, a: u64) -> bool {
-        self.log_slice(major, minor, &[a])
-    }
-
-    /// Logs a 2-word event if permitted.
-    #[inline]
-    pub fn log2(&self, major: MajorId, minor: MinorId, a: u64, b: u64) -> bool {
-        self.log_slice(major, minor, &[a, b])
-    }
-}
-
-impl std::fmt::Debug for RestrictedHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RestrictedHandle")
-            .field("cpu", &self.inner.cpu)
-            .field("allowed", &format_args!("{:#018x}", self.allowed))
-            .finish()
+        let words = {
+            let registry = self
+                .shared
+                .registry
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
+            match registry.lookup(major, minor) {
+                Some(desc) => desc
+                    .spec
+                    .encode(values)
+                    .map_err(|_| CoreError::BadConfig("field values do not match spec"))?,
+                None => values.iter().map(FieldValue::as_int).collect(),
+            }
+        };
+        self.region().log_raw(major, minor, &words).map(|()| true)
     }
 }
 
@@ -670,24 +517,6 @@ mod tests {
             .ncpus(ncpus)
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn restricted_handles_scope_majors() {
-        let l = logger(1);
-        let h = l.handle(0).unwrap();
-        let r = h.restricted(&[MajorId::USER, MajorId::LIB]);
-        assert!(r.allows(MajorId::USER));
-        assert!(!r.allows(MajorId::SCHED));
-        assert!(r.log1(MajorId::USER, 1, 42));
-        assert!(r.log2(MajorId::LIB, 2, 1, 2));
-        assert!(!r.log_slice(MajorId::SCHED, 1, &[9]), "outside the grant");
-        assert!(!r.log1(MajorId::CONTROL, 0, 0), "even control is denied");
-        assert_eq!(l.stats().events_logged, 2);
-        assert_eq!(r.cpu(), 0);
-        // The trace mask still applies on top of the grant.
-        l.mask().disable(MajorId::USER);
-        assert!(!r.log1(MajorId::USER, 1, 43));
     }
 
     #[test]
@@ -715,10 +544,10 @@ mod tests {
         let l = logger(1);
         let h = l.handle(0).unwrap();
         l.mask().disable(MajorId::MEM);
-        assert!(!h.log1(MajorId::MEM, 1, 42));
-        assert!(h.log1(MajorId::PROC, 1, 42));
+        assert!(!h.log_slice(MajorId::MEM, 1, &[42]));
+        assert!(h.log_slice(MajorId::PROC, 1, &[42]));
         l.mask().enable(MajorId::MEM);
-        assert!(h.log1(MajorId::MEM, 1, 42));
+        assert!(h.log_slice(MajorId::MEM, 1, &[42]));
         assert_eq!(l.stats().events_logged, 2);
     }
 
@@ -726,25 +555,19 @@ mod tests {
     fn arity_helpers_log_expected_payloads() {
         let l = logger(1);
         let h = l.handle(0).unwrap();
-        h.log0(MajorId::TEST, 0);
-        h.log1(MajorId::TEST, 1, 1);
-        h.log2(MajorId::TEST, 2, 1, 2);
-        h.log3(MajorId::TEST, 3, 1, 2, 3);
-        h.log4(MajorId::TEST, 4, 1, 2, 3, 4);
-        h.log5(MajorId::TEST, 5, 1, 2, 3, 4, 5);
-        h.log6(MajorId::TEST, 6, 1, 2, 3, 4, 5, 6);
-        l.flush_all();
-        let bufs = l.drain_cpu(0);
-        let events: Vec<RawEvent> = bufs
+        let payloads: Vec<Vec<u64>> = (0..=6u64).map(|n| (1..=n).collect()).collect();
+        for (minor, payload) in payloads.iter().enumerate() {
+            assert!(h.log_slice(MajorId::TEST, minor as u16, payload));
+        }
+        let events: Vec<RawEvent> = l.drain_all()[0]
             .iter()
             .flat_map(|b| parse_buffer(0, b.seq, &b.words, None).events)
             .filter(|e| e.major == MajorId::TEST)
             .collect();
-        assert_eq!(events.len(), 7);
-        for (i, e) in events.iter().enumerate() {
-            assert_eq!(e.minor as usize, i);
-            assert_eq!(e.payload.len(), i);
-            assert_eq!(e.payload, (1..=i as u64).collect::<Vec<_>>());
+        assert_eq!(events.len(), payloads.len());
+        for (e, payload) in events.iter().zip(&payloads) {
+            assert_eq!(e.minor as usize, payload.len());
+            assert_eq!(e.payload, *payload);
         }
     }
 
@@ -763,9 +586,7 @@ mod tests {
             &[FieldValue::Int(6), FieldValue::Str("/shellServer".into())],
         )
         .unwrap();
-        l.flush_all();
-        let bufs = l.drain_cpu(0);
-        let ev = bufs
+        let ev = l.drain_all()[0]
             .iter()
             .flat_map(|b| parse_buffer(0, b.seq, &b.words, None).events)
             .find(|e| e.major == MajorId::PROC)
@@ -784,7 +605,7 @@ mod tests {
         for cpu in 0..3 {
             let h = l.handle(cpu).unwrap();
             for i in 0..40 {
-                h.log2(MajorId::TEST, cpu as u16, i, i * 2);
+                h.log_slice(MajorId::TEST, cpu as u16, &[i, i * 2]);
             }
         }
         let drained = l.drain_all();
@@ -813,16 +634,16 @@ mod tests {
         let h0 = l.handle(0).unwrap();
         let h1 = l.handle(1).unwrap();
         for i in 0..2000u64 {
-            h0.log1(MajorId::MEM, 1, i);
-            h1.log1(MajorId::SCHED, 2, i);
+            h0.log_slice(MajorId::MEM, 1, &[i]);
+            h1.log_slice(MajorId::SCHED, 2, &[i]);
         }
-        let dump = l.flight_dump(50, None);
+        let dump = l.dump_last(50, None).events;
         assert_eq!(dump.len(), 50);
         assert!(dump.windows(2).all(|w| w[0].time <= w[1].time));
         // The dump holds the *most recent* events: high payload indices.
         assert!(dump.iter().all(|e| e.payload[0] > 1500));
 
-        let mem_only = l.flight_dump(10, Some(&[MajorId::MEM]));
+        let mem_only = l.dump_last(10, Some(&[MajorId::MEM])).events;
         assert!(mem_only.iter().all(|e| e.major == MajorId::MEM));
         assert_eq!(mem_only.len(), 10);
     }
@@ -838,12 +659,12 @@ mod tests {
             .unwrap();
         let h = l.handle(0).unwrap();
         for i in 0..10u64 {
-            h.log1(MajorId::TEST, 0, i);
+            h.log_slice(MajorId::TEST, 0, &[i]);
         }
         // A CPU dies mid-reservation: the extent is claimed, never written.
-        let at = l.fault_abandon_reservation(0, 5).expect("reserve");
+        let at = h.fault_abandon_reservation(5).expect("reserve");
         for i in 0..10u64 {
-            h.log1(MajorId::TEST, 1, i);
+            h.log_slice(MajorId::TEST, 1, &[i]);
         }
         let dump = l.dump_last(64, None);
         assert!(!dump.clean());
@@ -855,23 +676,6 @@ mod tests {
             .events
             .iter()
             .any(|e| e.major == MajorId::TEST && e.minor == 0));
-        assert_eq!(dump.events, l.flight_dump(64, None));
-    }
-
-    #[test]
-    fn try_log_reports_causes() {
-        let l = logger(1);
-        assert!(matches!(
-            l.try_log(9, MajorId::TEST, 0, &[]),
-            Err(CoreError::BadCpu { cpu: 9, ncpus: 1 })
-        ));
-        l.mask().disable(MajorId::MEM);
-        assert_eq!(l.try_log(0, MajorId::MEM, 0, &[]), Ok(false));
-        let huge = vec![0u64; 4096];
-        assert!(matches!(
-            l.try_log(0, MajorId::TEST, 0, &huge),
-            Err(CoreError::EventTooLarge { .. })
-        ));
     }
 
     #[test]
@@ -880,11 +684,11 @@ mod tests {
         let h0 = l.handle(0).unwrap();
         let h1 = l.handle(1).unwrap();
         for i in 0..10 {
-            h0.log1(MajorId::TEST, 0, i);
+            h0.log_slice(MajorId::TEST, 0, &[i]);
         }
         l.mask().disable(MajorId::MEM);
         for _ in 0..3 {
-            h1.log1(MajorId::MEM, 0, 7);
+            h1.log_slice(MajorId::MEM, 0, &[7]);
         }
         assert!(!l.log(1, MajorId::MEM, 0, &[1]));
         let snap = l.telemetry().snapshot();
@@ -906,7 +710,7 @@ mod tests {
         let h = l.handle(0).unwrap();
         l.sampling().set_rate(MajorId::TEST, 4);
         for i in 0..100 {
-            h.log1(MajorId::TEST, 0, i);
+            h.log_slice(MajorId::TEST, 0, &[i]);
         }
         assert_eq!(l.stats().events_logged, 25, "1-in-4 kept");
         // Sampled-out events tally as masked: the telemetry invariant
@@ -914,7 +718,7 @@ mod tests {
         let snap = l.telemetry().snapshot();
         assert_eq!(snap.per_cpu[0].events_masked, 75);
         l.sampling().clear();
-        assert!(h.log1(MajorId::TEST, 0, 0));
+        assert!(h.log_slice(MajorId::TEST, 0, &[0]));
         // The slice/logger paths consult the gate too.
         l.sampling().set_rate(MajorId::MEM, 2);
         let kept = (0..10).filter(|_| l.log(0, MajorId::MEM, 0, &[1])).count();
@@ -927,9 +731,7 @@ mod tests {
         assert!(l.log_control_event(0, control::ANOMALY, &[0, 0, 3500, 42]));
         assert!(!l.log_control_event(9, control::ANOMALY, &[]), "bad cpu");
         assert_eq!(l.stats().events_logged, 0, "audit traffic is uncounted");
-        l.flush_all();
-        let ev: Vec<RawEvent> = l
-            .drain_cpu(0)
+        let ev: Vec<RawEvent> = l.drain_all()[0]
             .iter()
             .flat_map(|b| parse_buffer(0, b.seq, &b.words, None).events)
             .filter(|e| e.major == MajorId::CONTROL && e.minor == control::ANOMALY)
@@ -943,15 +745,13 @@ mod tests {
         let l = logger(1);
         let h = l.handle(0).unwrap();
         for i in 0..5 {
-            h.log1(MajorId::TEST, 0, i);
+            h.log_slice(MajorId::TEST, 0, &[i]);
         }
         assert!(l.log_heartbeat(0));
         // Heartbeats are control traffic: not a data event.
         assert_eq!(l.stats().events_logged, 5);
         assert_eq!(l.telemetry().snapshot().sink.heartbeats_emitted, 1);
-        l.flush_all();
-        let hb: Vec<RawEvent> = l
-            .drain_cpu(0)
+        let hb: Vec<RawEvent> = l.drain_all()[0]
             .iter()
             .flat_map(|b| parse_buffer(0, b.seq, &b.words, None).events)
             .filter(|e| e.major == MajorId::CONTROL && e.minor == control::HEARTBEAT)
@@ -967,13 +767,13 @@ mod tests {
         let l = logger(1);
         let h = l.handle(0).unwrap();
         for i in 0..100 {
-            h.log1(MajorId::TEST, 0, i);
+            h.log_slice(MajorId::TEST, 0, &[i]);
         }
         l.flush_all();
         let before = l.stats();
         assert_eq!(before.events_logged, 100);
         assert!(before.words_reserved >= 200);
-        let n = l.drain_cpu(0).len() as u64;
+        let n = l.drain_all()[0].len() as u64;
         assert_eq!(l.stats().buffers_consumed, n);
     }
 }

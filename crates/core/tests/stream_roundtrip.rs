@@ -107,7 +107,7 @@ proptest! {
         }
         // Whatever survives the circular overwrite must be a *suffix* of
         // what was logged, in order, undamaged.
-        let dump = logger.flight_dump(usize::MAX, None);
+        let dump = logger.dump_last(usize::MAX, None).events;
         prop_assert!(!dump.is_empty());
         prop_assert!(dump.len() <= accepted.len());
         let offset = accepted.len() - dump.len();

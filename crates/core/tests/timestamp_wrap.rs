@@ -38,7 +38,7 @@ fn full_times_survive_multiple_wraps() {
     let mut times = Vec::new();
     for i in 0..200u64 {
         clock.set(t);
-        assert!(handle.log1(MajorId::TEST, 1, i));
+        assert!(handle.log_slice(MajorId::TEST, 1, &[i]));
         expected.push(t);
         t += 1_400_000_000;
         if i % 30 == 29 {
@@ -65,11 +65,11 @@ fn anchor_reseeds_after_long_idle_gap() {
         .unwrap();
     let handle = logger.handle(0).unwrap();
 
-    assert!(handle.log1(MajorId::TEST, 1, 1));
+    assert!(handle.log_slice(MajorId::TEST, 1, &[1]));
     logger.flush_all(); // close buffer 0
     let big_jump = 1_000 + 10 * (1u64 << 32) + 77;
     clock.set(big_jump);
-    assert!(handle.log1(MajorId::TEST, 2, 2)); // opens buffer 1, new anchor
+    assert!(handle.log_slice(MajorId::TEST, 2, &[2])); // opens buffer 1, new anchor
 
     let times = collect_times(&logger);
     assert_eq!(times, vec![1_000, big_jump]);

@@ -22,7 +22,8 @@ impl RegionCorruptor {
 
     /// Claims a random-sized reservation on `cpu` and abandons it — the
     /// killed-mid-log scenario (§3.1). Returns the torn extent's start index
-    /// and word count, or `None` if the region refused the reservation.
+    /// and word count, or `None` if `cpu` has no region or the region
+    /// refused the reservation.
     pub fn abandon_reservation(
         &mut self,
         logger: &TraceLogger,
@@ -31,7 +32,9 @@ impl RegionCorruptor {
         let max = logger.config().max_event_words();
         let words = self.rng.gen_range(1..=max.min(16));
         logger
-            .fault_abandon_reservation(cpu, words)
+            .handle(cpu)
+            .ok()?
+            .fault_abandon_reservation(words)
             .map(|at| (at, words))
     }
 
@@ -181,7 +184,7 @@ mod tests {
     fn abandon_leaves_detectable_hole() {
         let l = logger();
         let h = l.handle(0).unwrap();
-        h.log1(MajorId::TEST, 0, 1);
+        h.log_slice(MajorId::TEST, 0, &[1]);
         let mut c = RegionCorruptor::new(11);
         let (at, words) = c.abandon_reservation(&l, 0).expect("reserved");
         assert!(words >= 1);
@@ -201,7 +204,7 @@ mod tests {
         let l = logger();
         let h = l.handle(0).unwrap();
         for i in 0..8 {
-            h.log1(MajorId::TEST, 0, i);
+            h.log_slice(MajorId::TEST, 0, &[i]);
         }
         let before = l.snapshot(0).words;
         let mut c = RegionCorruptor::new(21);
@@ -218,7 +221,7 @@ mod tests {
     fn desync_flags_current_buffer() {
         let l = logger();
         let h = l.handle(0).unwrap();
-        h.log1(MajorId::TEST, 0, 1);
+        h.log_slice(MajorId::TEST, 0, &[1]);
         let mut c = RegionCorruptor::new(31);
         let (_slot, delta) = c.desync_commit(&l, 0);
         assert_ne!(delta, 0);

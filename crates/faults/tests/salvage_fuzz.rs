@@ -34,11 +34,10 @@ fn valid_trace(events_per_cpu: u64) -> Vec<u8> {
     let mut w = TraceFileWriter::new(Vec::new(), &header).unwrap();
     for i in 0..events_per_cpu {
         for cpu in 0..2 {
-            assert!(logger.handle(cpu).unwrap().log2(
+            assert!(logger.handle(cpu).unwrap().log_slice(
                 MajorId::TEST,
                 cpu as u16,
-                i,
-                i.wrapping_mul(31)
+                &[i, i.wrapping_mul(31)]
             ));
             if let Some(b) = logger.take_buffer(cpu) {
                 w.write_buffer(&b).unwrap();

@@ -40,9 +40,7 @@ pub use error::IoError;
 pub use file::{FileHeader, FILE_MAGIC, FILE_VERSION};
 pub use merge::MergedEvents;
 pub use reader::{BufferRecord, RecordAnomaly, TraceFileReader};
-pub use salvage::{
-    salvage_bytes, salvage_file, salvage_trace, CpuSalvage, SalvageReport, SalvagedRecord,
-};
+pub use salvage::{salvage_bytes, salvage_trace, CpuSalvage, SalvageReport, SalvagedRecord};
 pub use session::{SessionBuilder, SessionConfig, SessionError, SessionStats, TraceSession};
 pub use trace::Trace;
 pub use writer::TraceFileWriter;

@@ -320,7 +320,7 @@ mod tests {
                 assert!(logger
                     .handle(cpu)
                     .unwrap()
-                    .log2(MajorId::TEST, cpu as u16, i, i));
+                    .log_slice(MajorId::TEST, cpu as u16, &[i, i]));
                 if let Some(b) = logger.take_buffer(cpu) {
                     w.write_buffer(&b).unwrap();
                 }

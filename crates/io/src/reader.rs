@@ -320,10 +320,10 @@ mod tests {
         let mut w = TraceFileWriter::new(Vec::new(), &header).unwrap();
         let mut logged = 0u64;
         for i in 0..300u64 {
-            assert!(h0.log2(MajorId::TEST, 1, i, i * 3));
+            assert!(h0.log_slice(MajorId::TEST, 1, &[i, i * 3]));
             logged += 1;
             if i % 2 == 0 {
-                assert!(h1.log1(MajorId::MEM, 2, i));
+                assert!(h1.log_slice(MajorId::MEM, 2, &[i]));
                 logged += 1;
             }
             for cpu in 0..2 {

@@ -11,7 +11,6 @@
 //! what was lost where. It never returns `Err` on corrupt *content* and
 //! never panics: any byte image in, a report out.
 
-use crate::error::IoError;
 use crate::file::{body_words, frame_record, FileHeader, RecordFrame, RECORD_HEADER_BYTES};
 use crate::merge::{LazyMerge, RecordSource};
 use crate::trace::Trace;
@@ -20,7 +19,6 @@ use ktrace_format::EventRegistry;
 use std::collections::{BTreeMap, VecDeque};
 use std::convert::Infallible;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// What the salvager found at one record slot.
 #[derive(Debug, Clone)]
@@ -352,13 +350,6 @@ pub fn salvage_trace(bytes: &[u8]) -> Trace {
     Trace::from_ordered(report.events, registry, ticks_per_sec)
 }
 
-/// Salvages a trace file from disk. Errs only if the file cannot be *read*;
-/// its contents may be arbitrarily damaged.
-pub fn salvage_file(path: impl AsRef<Path>) -> Result<SalvageReport, IoError> {
-    let bytes = std::fs::read(path)?;
-    Ok(salvage_bytes(&bytes))
-}
-
 /// Rebuilds a strict-reader-loadable file from the clean records of a
 /// salvaged image: the header re-encoded, every [`SalvagedRecord::clean`]
 /// record copied verbatim, everything torn dropped. Returns `None` when the
@@ -406,7 +397,7 @@ mod tests {
                 assert!(logger
                     .handle(cpu)
                     .unwrap()
-                    .log2(MajorId::TEST, cpu as u16, i, i));
+                    .log_slice(MajorId::TEST, cpu as u16, &[i, i]));
                 if let Some(b) = logger.take_buffer(cpu) {
                     w.write_buffer(&b).unwrap();
                 }

@@ -9,8 +9,7 @@
 use crate::error::IoError;
 use crate::file::FileHeader;
 use crate::writer::TraceFileWriter;
-use ktrace_clock::ClockSource;
-use ktrace_core::{walk_buffer, CoreError, LoggerStats, TraceConfig, TraceLogger};
+use ktrace_core::{walk_buffer, CoreError, LoggerBuilder, LoggerStats, TraceConfig, TraceLogger};
 use ktrace_telemetry::TelemetrySnapshot;
 use std::io::Write;
 use std::path::Path;
@@ -92,7 +91,9 @@ impl SessionStats {
 ///
 /// Register event descriptors on the logger *before* constructing the
 /// session: the registry snapshot is embedded in the file header, which is
-/// written first.
+/// written first. The header's tick rate and clock kind come from the
+/// logger's own clock ([`TraceLogger::clock`]), so they describe the
+/// timestamps the file actually holds.
 ///
 /// The drainer degrades rather than wedges: transient sink errors are
 /// retried with backoff ([`SessionConfig`]), and a sink that fails for good
@@ -116,9 +117,9 @@ impl TraceSession {
     fn start_session<W: Write + Send + 'static>(
         sink: W,
         logger: TraceLogger,
-        clock: &dyn ClockSource,
         config: SessionConfig,
     ) -> Result<TraceSession, IoError> {
+        let clock = logger.clock();
         let header = FileHeader {
             ncpus: logger.ncpus() as u32,
             buffer_words: logger.config().buffer_words as u32,
@@ -273,18 +274,22 @@ impl Drop for TraceSession {
     }
 }
 
-/// Fluent construction of a [`TraceSession`], with the sink, clock, mask,
-/// drain policy, and telemetry handle as named steps.
+/// Fluent construction of a [`TraceSession`]: the logger, the drain policy
+/// and descriptor registration as named steps, then a sink.
 ///
-/// Replaces the positional constructors (`new(sink, logger, clock)` /
-/// `with_config(…)` / `start(path, config, clock, ncpus)`), whose argument
-/// roles were invisible at call sites. Either adopt an existing logger with
-/// [`logger`](SessionBuilder::logger), or let the builder construct one from
-/// [`geometry`](SessionBuilder::geometry) / [`clock`](SessionBuilder::clock)
-/// / [`ncpus`](SessionBuilder::ncpus). Descriptor registration passed via
-/// [`register`](SessionBuilder::register) runs *before* the header snapshot,
-/// so the registry lands in the file — the ordering footgun the positional
-/// API left to the caller.
+/// A session drains one logger, which it either adopts or builds:
+/// - [`logger`](SessionBuilder::logger) adopts an existing logger as it is
+///   (geometry, CPUs, clock and mask already chosen; descriptors possibly
+///   registered, handles possibly handed out);
+/// - otherwise the builder builds one through a [`LoggerBuilder`], to which
+///   [`geometry`](SessionBuilder::geometry), [`ncpus`](SessionBuilder::ncpus)
+///   and [`enable_only`](SessionBuilder::enable_only) forward. It timestamps
+///   with the default [`SyncClock`](ktrace_clock::SyncClock); a caller that
+///   needs another clock builds the logger with it and adopts it.
+///
+/// There is no clock step: the file header describes the logger's own clock.
+/// Descriptor registration passed via [`register`](SessionBuilder::register)
+/// runs *before* the header snapshot, so the registry lands in the file.
 ///
 /// ```no_run
 /// use ktrace_io::TraceSession;
@@ -304,75 +309,42 @@ impl Drop for TraceSession {
 /// let stats = session.finish();
 /// assert!(stats.lossless());
 /// ```
-/// A deferred descriptor-registration hook ([`SessionBuilder::register`]).
-type RegisterFn = Box<dyn FnOnce(&TraceLogger)>;
-/// A deferred telemetry hook ([`SessionBuilder::telemetry`]).
-type TelemetryFn = Box<dyn FnOnce(&Arc<ktrace_telemetry::Telemetry>)>;
-
 #[derive(Default)]
 pub struct SessionBuilder {
     logger: Option<TraceLogger>,
-    geometry: Option<TraceConfig>,
-    ncpus: Option<usize>,
-    clock: Option<Arc<dyn ClockSource>>,
+    build: LoggerBuilder,
     config: SessionConfig,
-    enable_only: Option<Vec<ktrace_format::MajorId>>,
-    disable: Vec<ktrace_format::MajorId>,
     register: Vec<RegisterFn>,
-    telemetry_hook: Option<TelemetryFn>,
 }
 
+/// A deferred descriptor-registration hook ([`SessionBuilder::register`]).
+type RegisterFn = Box<dyn FnOnce(&TraceLogger)>;
+
 impl SessionBuilder {
-    /// Adopt an existing logger (descriptors already registered, handles
-    /// possibly already handed out). Overrides
-    /// [`geometry`](SessionBuilder::geometry)/[`ncpus`](SessionBuilder::ncpus).
+    /// Adopt an existing logger, used as it is: the geometry, CPU and mask
+    /// steps do not apply to it.
     pub fn logger(mut self, logger: TraceLogger) -> SessionBuilder {
         self.logger = Some(logger);
         self
     }
 
-    /// Buffer geometry for the internally built logger. Defaults to
-    /// [`TraceConfig::default`].
+    /// Buffer geometry for the built logger ([`LoggerBuilder::geometry`]).
+    /// Defaults to [`TraceConfig::default`].
     pub fn geometry(mut self, config: TraceConfig) -> SessionBuilder {
-        self.geometry = Some(config);
+        self.build = self.build.geometry(config);
         self
     }
 
-    /// CPUs for the internally built logger. Defaults to 1.
+    /// CPUs for the built logger ([`LoggerBuilder::ncpus`]). Defaults to 1.
     pub fn ncpus(mut self, ncpus: usize) -> SessionBuilder {
-        self.ncpus = Some(ncpus);
+        self.build = self.build.ncpus(ncpus);
         self
     }
 
-    /// The clock: timestamps events (when the builder constructs the
-    /// logger) and stamps the header's tick rate. Defaults to a
-    /// [`SyncClock`](ktrace_clock::SyncClock).
-    pub fn clock(mut self, clock: Arc<dyn ClockSource>) -> SessionBuilder {
-        self.clock = Some(clock);
-        self
-    }
-
-    /// Mask step: start with only these majors enabled.
+    /// Mask step for the built logger: start with only these majors enabled
+    /// ([`LoggerBuilder::enable_only`]).
     pub fn enable_only(mut self, majors: &[ktrace_format::MajorId]) -> SessionBuilder {
-        self.enable_only = Some(majors.to_vec());
-        self
-    }
-
-    /// Mask step: start with these majors disabled.
-    pub fn disable(mut self, majors: &[ktrace_format::MajorId]) -> SessionBuilder {
-        self.disable.extend_from_slice(majors);
-        self
-    }
-
-    /// Drain policy: consecutive transient-error retries per record.
-    pub fn write_retries(mut self, retries: u32) -> SessionBuilder {
-        self.config.write_retries = retries;
-        self
-    }
-
-    /// Drain policy: base backoff between retries.
-    pub fn retry_backoff(mut self, backoff: Duration) -> SessionBuilder {
-        self.config.retry_backoff = backoff;
+        self.build = self.build.enable_only(majors);
         self
     }
 
@@ -383,8 +355,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Drain policy: adopt a whole [`SessionConfig`] at once (the escape
-    /// hatch for policy built elsewhere).
+    /// Drain policy: adopt a whole [`SessionConfig`] at once — write
+    /// retries, their backoff, and the heartbeat.
     pub fn drain_policy(mut self, config: SessionConfig) -> SessionBuilder {
         self.config = config;
         self
@@ -397,65 +369,16 @@ impl SessionBuilder {
         self
     }
 
-    /// Telemetry step: called with the session's live telemetry handle once
-    /// the session is up, so a monitor can keep snapshotting while the
-    /// session runs (also available later via [`TraceSession::telemetry`]).
-    pub fn telemetry(
-        mut self,
-        f: impl FnOnce(&Arc<ktrace_telemetry::Telemetry>) + 'static,
-    ) -> SessionBuilder {
-        self.telemetry_hook = Some(Box::new(f));
-        self
-    }
-
-    /// Resolve the logger (adopted or built), apply mask steps, run
-    /// registration hooks.
-    fn prepare(&mut self, clock: &Arc<dyn ClockSource>) -> Result<TraceLogger, SessionError> {
-        let logger = match self.logger.take() {
+    /// Terminal: start the session draining into any sink.
+    pub fn start<W: Write + Send + 'static>(self, sink: W) -> Result<TraceSession, SessionError> {
+        let logger = match self.logger {
             Some(logger) => logger,
-            None => {
-                let mut b = TraceLogger::builder().clock(clock.clone());
-                if let Some(geometry) = self.geometry.take() {
-                    b = b.geometry(geometry);
-                }
-                if let Some(ncpus) = self.ncpus.take() {
-                    b = b.ncpus(ncpus);
-                }
-                b.build().map_err(SessionError::Core)?
-            }
+            None => self.build.build().map_err(SessionError::Core)?,
         };
-        if let Some(only) = self.enable_only.take() {
-            logger.mask().set(0);
-            for m in only {
-                logger.mask().enable(m);
-            }
-        }
-        for m in self.disable.drain(..) {
-            logger.mask().disable(m);
-        }
-        for f in self.register.drain(..) {
+        for f in self.register {
             f(&logger);
         }
-        Ok(logger)
-    }
-
-    /// Terminal: start the session draining into any sink.
-    pub fn start<W: Write + Send + 'static>(
-        mut self,
-        sink: W,
-    ) -> Result<TraceSession, SessionError> {
-        let clock = self
-            .clock
-            .take()
-            .unwrap_or_else(|| Arc::new(ktrace_clock::SyncClock::new()));
-        let logger = self.prepare(&clock)?;
-        let session =
-            TraceSession::start_session(sink, logger, clock.as_ref(), self.config.clone())
-                .map_err(SessionError::Io)?;
-        if let Some(hook) = self.telemetry_hook.take() {
-            hook(session.logger().telemetry());
-        }
-        Ok(session)
+        TraceSession::start_session(sink, logger, self.config).map_err(SessionError::Io)
     }
 
     /// Terminal: start the session writing a trace file at `path`.
@@ -489,7 +412,7 @@ impl std::error::Error for SessionError {}
 mod tests {
     use super::*;
     use crate::reader::TraceFileReader;
-    use ktrace_clock::SyncClock;
+    use ktrace_clock::{SyncClock, TscClock, TscParams};
     use ktrace_format::MajorId;
 
     #[test]
@@ -498,11 +421,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("session.ktrace");
 
-        let clock: Arc<dyn ClockSource> = Arc::new(SyncClock::new());
         let ncpus = 4;
         let session = TraceSession::builder()
             .geometry(TraceConfig::small())
-            .clock(clock)
             .ncpus(ncpus)
             .create(&path)
             .unwrap();
@@ -513,7 +434,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut logged = 0u64;
                     for i in 0..per_thread {
-                        if h.log2(MajorId::TEST, cpu as u16, i, i * 2) {
+                        if h.log_slice(MajorId::TEST, cpu as u16, &[i, i * 2]) {
                             logged += 1;
                         }
                     }
@@ -560,7 +481,6 @@ mod tests {
 
     #[test]
     fn dead_sink_never_wedges_the_fast_path() {
-        let clock: Arc<dyn ClockSource> = Arc::new(SyncClock::new());
         let logger = TraceLogger::builder()
             .geometry(TraceConfig::small())
             .clock(Arc::new(SyncClock::new()))
@@ -573,7 +493,6 @@ mod tests {
         };
         let session = TraceSession::builder()
             .logger(logger)
-            .clock(clock.clone())
             .drain_policy(SessionConfig {
                 write_retries: 2,
                 retry_backoff: Duration::from_micros(10),
@@ -585,7 +504,7 @@ mod tests {
         // Log far more than the sink will ever accept. The fast path must
         // keep returning promptly: the drainer discards, producers proceed.
         for i in 0..200_000u64 {
-            h.log2(MajorId::TEST, 1, i, i);
+            h.log_slice(MajorId::TEST, 1, &[i, i]);
         }
         let stats = session.finish();
         assert!(!stats.sink_alive(), "the sink must have died");
@@ -619,7 +538,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ktrace-blink-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("blink.ktrace");
-        let clock: Arc<dyn ClockSource> = Arc::new(SyncClock::new());
         let logger = TraceLogger::builder()
             .geometry(TraceConfig::small())
             .clock(Arc::new(SyncClock::new()))
@@ -636,7 +554,6 @@ mod tests {
         // verify by re-reading through the strict reader via a temp file.
         let session = TraceSession::builder()
             .logger(logger)
-            .clock(clock.clone())
             .drain_policy(SessionConfig::default())
             .start(BlinkTee {
                 sink,
@@ -645,7 +562,7 @@ mod tests {
             .unwrap();
         let h = session.logger().handle(0).unwrap();
         for i in 0..2_000u64 {
-            h.log2(MajorId::TEST, 1, i, i);
+            h.log_slice(MajorId::TEST, 1, &[i, i]);
         }
         let stats = session.finish();
         assert!(stats.lossless(), "{stats:?}");
@@ -679,7 +596,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ktrace-beat-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("beat.ktrace");
-        let clock: Arc<dyn ClockSource> = Arc::new(SyncClock::new());
         let logger = TraceLogger::builder()
             .geometry(TraceConfig::small())
             .clock(Arc::new(SyncClock::new()))
@@ -688,7 +604,6 @@ mod tests {
             .unwrap();
         let session = TraceSession::builder()
             .logger(logger)
-            .clock(clock.clone())
             .drain_policy(SessionConfig {
                 heartbeat: Some(Duration::from_millis(1)),
                 ..SessionConfig::default()
@@ -699,7 +614,7 @@ mod tests {
             .unwrap();
         let h = session.logger().handle(0).unwrap();
         for i in 0..500u64 {
-            h.log1(MajorId::TEST, 0, i);
+            h.log_slice(MajorId::TEST, 0, &[i]);
             if i.is_multiple_of(100) {
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -786,12 +701,12 @@ mod tests {
         gate.set_shut(true);
         let cpu1 = session.logger().handle(1).unwrap();
         for i in 0..100u64 {
-            cpu1.log1(MajorId::TEST, 1, i);
+            cpu1.log_slice(MajorId::TEST, 1, &[i]);
         }
         gate.wait_for_a_blocked_write();
         // Fill CPU 0 until its region refuses a log.
         let cpu0 = session.logger().handle(0).unwrap();
-        let refused = (0..10_000u64).any(|i| !cpu0.log1(MajorId::TEST, 0, i));
+        let refused = (0..10_000u64).any(|i| !cpu0.log_slice(MajorId::TEST, 0, &[i]));
         assert!(refused, "CPU 0's region never filled");
         // Open the gate only once `finish` has raised the stop flag, so the
         // drainer's next look at the flag is its stop branch.
@@ -825,18 +740,65 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ktrace-drop-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dropped.ktrace");
-        let clock: Arc<dyn ClockSource> = Arc::new(SyncClock::new());
         {
             let session = TraceSession::builder()
                 .geometry(TraceConfig::small())
-                .clock(clock)
                 .ncpus(1)
                 .create(&path)
                 .unwrap();
-            session.logger().handle(0).unwrap().log0(MajorId::TEST, 1);
+            session
+                .logger()
+                .handle(0)
+                .unwrap()
+                .log_slice(MajorId::TEST, 1, &[]);
             // dropped here
         }
         assert!(TraceFileReader::open(&path).is_ok());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A sink whose bytes the test can read back after the session ends.
+    #[derive(Clone, Default)]
+    struct SharedSink(Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl Write for SharedSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_header_describes_the_adopted_loggers_clock() {
+        let tsc = TscClock::new(Arc::new(SyncClock::new()), vec![TscParams::IDEAL; 2]);
+        let logger = TraceLogger::builder()
+            .geometry(TraceConfig::small())
+            .clock(Arc::new(tsc))
+            .ncpus(2)
+            .build()
+            .unwrap();
+        let sink = SharedSink::default();
+        let session = TraceSession::builder()
+            .logger(logger.clone())
+            .start(sink.clone())
+            .unwrap();
+        assert!(session.finish().sink_alive());
+        let bytes = sink.0.lock().unwrap();
+        let (header, _) = FileHeader::decode(&bytes).unwrap();
+        assert_eq!(
+            header.clock_synchronized,
+            logger.clock().synchronized(),
+            "header says synchronized={} but the logger's clock says {}",
+            header.clock_synchronized,
+            logger.clock().synchronized()
+        );
+        assert!(
+            !header.clock_synchronized,
+            "a per-CPU TSC is unsynchronized"
+        );
+        assert_eq!(header.ticks_per_sec, logger.clock().ticks_per_sec());
     }
 }

@@ -65,11 +65,11 @@ impl Trace {
 
     /// Snapshots a live logger (flight-recorder view): whatever is in the
     /// per-CPU rings right now, undrained. The dump is control-free by
-    /// construction (`flight_dump` strips fillers, anchors and heartbeats
-    /// as debugger noise).
+    /// construction (`dump_last` strips fillers, anchors and heartbeats as
+    /// debugger noise).
     pub fn from_logger(logger: &TraceLogger, ticks_per_sec: u64) -> Trace {
         Trace::new(
-            logger.flight_dump(usize::MAX, None),
+            logger.dump_last(usize::MAX, None).events,
             logger.registry(),
             ticks_per_sec,
         )

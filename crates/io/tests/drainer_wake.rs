@@ -60,7 +60,7 @@ fn log_until(logger: &TraceLogger, words: u64) {
     let h = logger.handle(0).unwrap();
     let mut i = 0;
     while logger.stats().words_reserved < words {
-        h.log3(MajorId::TEST, 1, i, i, i);
+        h.log_slice(MajorId::TEST, 1, &[i, i, i]);
         i += 1;
     }
 }
@@ -96,7 +96,7 @@ fn an_exact_fill_close_is_drained_before_finish() {
 fn an_explicit_flush_is_drained_before_finish() {
     let logger = logger();
     let session = start(&logger);
-    logger.handle(0).unwrap().log1(MajorId::TEST, 0, 1);
+    logger.handle(0).unwrap().log_slice(MajorId::TEST, 0, &[1]);
     let_the_drainer_park();
     assert!(logger.flush_cpu(0));
     wait_for_records(logger.telemetry(), 1);

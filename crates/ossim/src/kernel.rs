@@ -110,11 +110,6 @@ impl Kernel {
         &self.config
     }
 
-    /// The id of user lock `index` as it appears in trace events.
-    pub fn user_lock_id(index: usize) -> u64 {
-        USER_LOCK_BASE + index as u64
-    }
-
     /// Acquires a traced lock: logs REQUEST (only when contention is
     /// possible to observe — always, cheaply), ACQUIRED with spin/wait stats
     /// and the task's call chain, runs `critical`, then logs RELEASED with
@@ -321,11 +316,6 @@ impl Kernel {
         busy(self.config.scaled(200));
         cell.store(v.wrapping_add(1), Ordering::Relaxed);
     }
-
-    /// Final value of shared cell `index` (workload assertions).
-    pub fn shared_cell(&self, index: usize) -> u64 {
-        self.shared_cells[index % SHARED_CELLS].load(Ordering::Relaxed)
-    }
 }
 
 /// File-system operations servable by the FS server.
@@ -391,7 +381,8 @@ mod tests {
     fn events_of(tracer: &KTracer, major: MajorId) -> Vec<(u16, Vec<u64>)> {
         tracer
             .logger()
-            .flight_dump(10_000, Some(&[major]))
+            .dump_last(10_000, Some(&[major]))
+            .events
             .into_iter()
             .map(|e| (e.minor, e.payload.to_vec()))
             .collect()

@@ -113,25 +113,13 @@ impl Shared {
 pub struct Machine<T: Tracer> {
     config: MachineConfig,
     tracer: Arc<T>,
-    alloc_regions: usize,
 }
 
 impl<T: Tracer> Machine<T> {
     /// Builds a machine with one allocator region lock (the contended
     /// default of the paper's tuning story).
     pub fn new(config: MachineConfig, tracer: Arc<T>) -> Machine<T> {
-        Machine {
-            config,
-            tracer,
-            alloc_regions: 1,
-        }
-    }
-
-    /// Sets the number of allocator region locks (modelling the scalability
-    /// fix found via the lock-analysis tool).
-    pub fn with_alloc_regions(mut self, regions: usize) -> Machine<T> {
-        self.alloc_regions = regions;
-        self
+        Machine { config, tracer }
     }
 
     /// The tracing backend.
@@ -143,7 +131,7 @@ impl<T: Tracer> Machine<T> {
     pub fn run(&self, workload: Workload) -> RunReport {
         let shared = Arc::new(Shared {
             config: self.config,
-            kernel: Kernel::new(self.config, self.alloc_regions, workload.user_locks),
+            kernel: Kernel::new(self.config, 1, workload.user_locks),
             queues: (0..self.config.ncpus)
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
@@ -501,7 +489,7 @@ mod tests {
         assert!(report.throughput_per_hour() > 0.0);
         // The trace contains scheduling, syscall, lock, and fault events.
         let logger = m.tracer().logger();
-        let dump = logger.flight_dump(100_000, None);
+        let dump = logger.dump_last(100_000, None).events;
         for major in [
             MajorId::SCHED,
             MajorId::SYSCALL,
@@ -527,7 +515,8 @@ mod tests {
         let dump = m
             .tracer()
             .logger()
-            .flight_dump(100_000, Some(&[MajorId::HWPERF]));
+            .dump_last(100_000, Some(&[MajorId::HWPERF]))
+            .events;
         assert!(!dump.is_empty(), "HWPERF samples expected");
         for e in &dump {
             assert_eq!(e.minor, crate::events::hwperf::COUNTER_SAMPLE);
@@ -578,7 +567,7 @@ mod tests {
         assert_eq!(report.completions, 3);
         // PROC_CREATE events carry the parent/child relationship.
         let logger = m.tracer().logger();
-        let creates = logger.flight_dump(100_000, Some(&[MajorId::PROC]));
+        let creates = logger.dump_last(100_000, Some(&[MajorId::PROC])).events;
         let create_events: Vec<_> = creates
             .iter()
             .filter(|e| e.minor == procev::CREATE)
@@ -629,7 +618,8 @@ mod tests {
         let dump = m
             .tracer()
             .logger()
-            .flight_dump(10_000, Some(&[MajorId::LOCK]));
+            .dump_last(10_000, Some(&[MajorId::LOCK]))
+            .events;
         assert!(dump.iter().any(|e| e.minor == crate::events::lock::REQUEST));
     }
 

@@ -123,7 +123,7 @@ mod tests {
         assert!(h.enabled(MajorId::SCHED));
         h.log(sched::ctx_switch(1, 2, 3));
         assert_eq!(tracer.logger().stats().events_logged, 1);
-        let e = &tracer.logger().flight_dump(8, Some(&[MajorId::SCHED]))[0];
+        let e = &tracer.logger().dump_last(8, Some(&[MajorId::SCHED])).events[0];
         assert_eq!(
             (e.minor, &e.payload[..]),
             (sched::CTX_SWITCH, &[1, 2, 3][..])

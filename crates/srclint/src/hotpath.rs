@@ -7,9 +7,9 @@
 //! `TraceLogger::log` / `CpuHandle::log*` → `CpuRegion::log_raw` →
 //! `reserve`/`write_event`/`commit` in `crates/core`. This pass builds a
 //! function-level call graph over the given files, roots it at every
-//! `log*`/`reserve*`/`commit*`/`try_log*` function (plus `macro_rules!`
-//! bodies, which generate the `logN` family), and flags heap allocation,
-//! blocking locks, panicking asserts, sleeps, and I/O anywhere reachable.
+//! `log*`/`reserve*`/`commit*` function (plus any `macro_rules!` body, whose
+//! expansion could land on the path), and flags heap allocation, blocking
+//! locks, panicking asserts, sleeps, and I/O anywhere reachable.
 //!
 //! Deliberate slow paths (e.g. `log_fields`, which consults the registry
 //! under an `RwLock`) opt out with a `// ktrace-lint: allow(hot-path)`
@@ -35,8 +35,8 @@ pub struct FnInfo {
     pub sig: Vec<Tok>,
     /// True when the body carries a `ktrace-lint: allow(hot-path)` comment.
     pub allowed: bool,
-    /// True for `macro_rules!` bodies (always treated as roots — the
-    /// logging macros generate the `logN` fast paths).
+    /// True for `macro_rules!` bodies (always treated as roots — a macro
+    /// in a hot-path file may expand into the fast path).
     pub is_macro: bool,
     /// The `impl` block's type name, for associated functions; `None` for
     /// free functions and macro bodies. Lets `Type::name(…)` calls resolve
@@ -180,7 +180,6 @@ pub fn is_root(f: &FnInfo) -> bool {
         || f.name.starts_with("log")
         || f.name.starts_with("reserve")
         || f.name.starts_with("commit")
-        || f.name.starts_with("try_log")
 }
 
 /// Scans a body for hazard tokens.

@@ -247,12 +247,6 @@ impl SinkCounters {
         self.records_written.add(1);
     }
 
-    /// One sink write retried after a transient error.
-    #[inline]
-    pub fn tally_write_retry(&self) {
-        self.write_retries.add(1);
-    }
-
     /// `n` retries from one record write, tallied at once.
     #[inline]
     pub fn tally_write_retries(&self, n: u64) {
@@ -446,7 +440,7 @@ mod tests {
         assert_eq!(t.cpu(3).events_logged(), 1);
         assert_eq!(t.cpu(0).events_logged(), 0);
         t.sink().tally_record_written();
-        t.sink().tally_write_retry();
+        t.sink().tally_write_retries(1);
         t.sink().tally_buffer_dropped(12);
         t.sink().observe_drain_write(1000);
         assert_eq!(t.sink().records_written(), 1);

@@ -580,7 +580,7 @@ mod tests {
         );
         let h = logger.handle(0).unwrap();
         for i in 0..40u64 {
-            assert!(h.log1(MajorId::TEST, 2, i));
+            assert!(h.log_slice(MajorId::TEST, 2, &[i]));
         }
         let snap = logger.snapshot(0);
         let r = lint_snapshot(&snap, &logger.registry());
@@ -610,7 +610,7 @@ mod tests {
         for cpu in 0..2 {
             let h = logger.handle(cpu).unwrap();
             for i in 0..50u64 {
-                assert!(h.log2(MajorId::TEST, 1, i, i * 2));
+                assert!(h.log_slice(MajorId::TEST, 1, &[i, i * 2]));
             }
         }
         let mut bufs = Vec::new();

@@ -66,11 +66,6 @@ impl LocksetTracker {
         }
     }
 
-    /// The locks `tid` currently holds.
-    pub fn held_by(&self, tid: u64) -> BTreeSet<u64> {
-        self.held.get(&tid).cloned().unwrap_or_default()
-    }
-
     /// The candidate lockset for `addr`, if the address has been accessed.
     pub fn candidates(&self, addr: u64) -> Option<&BTreeSet<u64>> {
         self.addrs.get(&addr).and_then(|i| i.candidates.as_ref())

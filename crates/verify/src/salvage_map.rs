@@ -121,7 +121,7 @@ mod tests {
         let mut w = TraceFileWriter::new(Vec::new(), &header).unwrap();
         let h = logger.handle(0).unwrap();
         for i in 0..events {
-            assert!(h.log2(MajorId::TEST, 0, i, i * 3));
+            assert!(h.log_slice(MajorId::TEST, 0, &[i, i * 3]));
             if let Some(b) = logger.take_buffer(0) {
                 w.write_buffer(&b).unwrap();
             }
@@ -180,7 +180,7 @@ mod tests {
         // Fill past one buffer, then desync its commit count before drain.
         let mut i = 0u64;
         while logger.snapshot(0).index < cfg.buffer_words as u64 {
-            assert!(h.log2(MajorId::TEST, 0, i, i));
+            assert!(h.log_slice(MajorId::TEST, 0, &[i, i]));
             i += 1;
         }
         logger.fault_desync_commit(0, 0, -3);

@@ -58,9 +58,9 @@ fn sample_trace(declare: bool) -> Vec<u8> {
     let h1 = logger.handle(1).unwrap();
     let mut w = TraceFileWriter::new(Vec::new(), &header).unwrap();
     for i in 0..400u64 {
-        assert!(h0.log2(MajorId::TEST, 1, i, i * 3));
+        assert!(h0.log_slice(MajorId::TEST, 1, &[i, i * 3]));
         if i % 2 == 0 {
-            assert!(h1.log1(MajorId::TEST, 2, i));
+            assert!(h1.log_slice(MajorId::TEST, 2, &[i]));
         }
         for cpu in 0..2 {
             if let Some(b) = logger.take_buffer(cpu) {

@@ -42,7 +42,7 @@ fn main() {
     // The debugger hook: last N events, newest data still there.
     let registry = logger.registry();
     println!("--- flight recorder: last 8 events ---");
-    for e in logger.flight_dump(8, None) {
+    for e in logger.dump_last(8, None).events {
         let line = registry
             .lookup(e.major, e.minor)
             .and_then(|d| d.describe(&e.payload).ok())
@@ -51,7 +51,7 @@ fn main() {
     }
 
     println!("\n--- same dump, EXCEPTION class only ---");
-    for e in logger.flight_dump(4, Some(&[MajorId::EXCEPTION])) {
+    for e in logger.dump_last(4, Some(&[MajorId::EXCEPTION])).events {
         println!("t={} faultAddr {:#x}", e.time, e.payload[1]);
     }
 }

@@ -20,7 +20,7 @@ fn main() {
     let clock: Arc<SyncClock> = Arc::new(SyncClock::new());
     let logger = TraceLogger::builder()
         .geometry(TraceConfig::default())
-        .clock(clock.clone() as Arc<dyn ClockSource>)
+        .clock(clock)
         .ncpus(2)
         .build()
         .expect("logger");
@@ -47,7 +47,6 @@ fn main() {
     //    while the application keeps logging.
     let session = TraceSession::builder()
         .logger(logger.clone())
-        .clock(clock.clone())
         .create(&path)
         .expect("session");
 
@@ -65,7 +64,7 @@ fn main() {
                     .expect("spec matches");
                 for i in 0..10_000u64 {
                     // The hot path: a CAS in a per-CPU buffer, nothing else.
-                    handle.log2(MajorId::USER, 1, i, 100 + i % 900);
+                    handle.log_slice(MajorId::USER, 1, &[i, 100 + i % 900]);
                 }
             })
         })

@@ -198,26 +198,21 @@ fn live_session<W: std::io::Write + Send + 'static>(
     sink: W,
     ncpus: usize,
 ) -> (ktrace::core::TraceLogger, ktrace::io::TraceSession) {
-    use ktrace::clock::{ClockSource, SyncClock};
     use ktrace::io::{SessionConfig, TraceSession};
-    use std::sync::Arc;
     use std::time::Duration;
 
-    let clock: Arc<dyn ClockSource> = Arc::new(SyncClock::new());
     let logger = ktrace::core::TraceLogger::builder()
         .geometry(ktrace::core::TraceConfig {
             buffer_words: 4096,
             buffers_per_cpu: 8,
             ..ktrace::core::TraceConfig::default()
         })
-        .clock(clock.clone())
         .ncpus(ncpus)
         .build()
         .expect("logger construction");
     ktrace::events::register_all(&logger);
     let session = TraceSession::builder()
         .logger(logger.clone())
-        .clock(clock)
         .drain_policy(SessionConfig {
             heartbeat: Some(Duration::from_millis(250)),
             ..SessionConfig::default()

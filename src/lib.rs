@@ -51,7 +51,7 @@
 //!
 //! // Bind a thread to a CPU's buffers and log (no locks, no syscalls).
 //! let h = logger.handle(0).unwrap();
-//! h.log2(MajorId::USER, 1, 42, 1_337);
+//! h.log_slice(MajorId::USER, 1, &[42, 1_337]);
 //!
 //! // Drain and decode.
 //! logger.flush_all();
@@ -112,7 +112,7 @@ mod tests {
             .build()
             .unwrap();
         let h = logger.handle(0).unwrap();
-        assert!(h.log1(MajorId::TEST, 1, 99));
+        assert!(h.log_slice(MajorId::TEST, 1, &[99]));
         logger.flush_all();
         assert_eq!(logger.stats().events_logged, 1);
     }

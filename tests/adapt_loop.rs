@@ -22,7 +22,11 @@ const TICKS_PER_SEC: u64 = 1_000_000_000;
 fn burst(logger: &TraceLogger, seq: &mut u64, n: u64, phase: u64) {
     let h = logger.handle(0).expect("cpu 0 handle");
     for _ in 0..n {
-        h.log2(MajorId::USER, ktrace::events::user::APP_TICK, *seq, phase);
+        h.log_slice(
+            MajorId::USER,
+            ktrace::events::user::APP_TICK,
+            &[*seq, phase],
+        );
         *seq += 1;
     }
 }

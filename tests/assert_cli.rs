@@ -83,9 +83,9 @@ fn each_property_fires_with_its_own_exit_code() {
     let clean = write_trace(&dir, "clean", |l, c| {
         let h = l.handle(0).unwrap();
         for beat in 0..4u64 {
-            h.log1(MajorId::CONTROL, CTRL_HEARTBEAT, beat);
-            h.log2(MajorId::LOCK, LOCK_ACQUIRED, 0x10, 7);
-            h.log2(MajorId::LOCK, LOCK_RELEASED, 0x10, 7);
+            h.log_slice(MajorId::CONTROL, CTRL_HEARTBEAT, &[beat]);
+            h.log_slice(MajorId::LOCK, LOCK_ACQUIRED, &[0x10, 7]);
+            h.log_slice(MajorId::LOCK, LOCK_RELEASED, &[0x10, 7]);
             c.advance(1_000_000_000); // one second between beats
         }
     });
@@ -98,7 +98,7 @@ fn each_property_fires_with_its_own_exit_code() {
     // 36: a drop marker in the stream violates the count bound.
     let dropped = write_trace(&dir, "dropped", |l, _| {
         let h = l.handle(0).unwrap();
-        h.log1(MajorId::CONTROL, CTRL_DROPPED, 5);
+        h.log_slice(MajorId::CONTROL, CTRL_DROPPED, &[5]);
     });
     let (code, stdout, _) = run_assert(&dropped, &["--spec", spec]);
     assert_eq!(code, 36, "{stdout}");
@@ -107,7 +107,7 @@ fn each_property_fires_with_its_own_exit_code() {
     // 37: an acquire with no matching release leaves an unpaired span.
     let unpaired = write_trace(&dir, "unpaired", |l, _| {
         let h = l.handle(0).unwrap();
-        h.log2(MajorId::LOCK, LOCK_ACQUIRED, 0x10, 7);
+        h.log_slice(MajorId::LOCK, LOCK_ACQUIRED, &[0x10, 7]);
     });
     let (code, stdout, _) = run_assert(&unpaired, &["--spec", spec]);
     assert_eq!(code, 37, "{stdout}");
@@ -120,9 +120,9 @@ fn each_property_fires_with_its_own_exit_code() {
     // bound, while the span itself pairs cleanly.
     let held = write_trace(&dir, "held", |l, c| {
         let h = l.handle(0).unwrap();
-        h.log2(MajorId::LOCK, LOCK_ACQUIRED, 0x10, 7);
+        h.log_slice(MajorId::LOCK, LOCK_ACQUIRED, &[0x10, 7]);
         c.advance(2_000_000_000);
-        h.log2(MajorId::LOCK, LOCK_RELEASED, 0x10, 7);
+        h.log_slice(MajorId::LOCK, LOCK_RELEASED, &[0x10, 7]);
     });
     let (code, stdout, _) = run_assert(&held, &["--spec", spec]);
     assert_eq!(code, 38, "{stdout}");
@@ -135,9 +135,9 @@ fn each_property_fires_with_its_own_exit_code() {
     // 39: three seconds between heartbeats breaks the cadence bound.
     let stalled = write_trace(&dir, "stalled", |l, c| {
         let h = l.handle(0).unwrap();
-        h.log1(MajorId::CONTROL, CTRL_HEARTBEAT, 0);
+        h.log_slice(MajorId::CONTROL, CTRL_HEARTBEAT, &[0]);
         c.advance(3_000_000_000);
-        h.log1(MajorId::CONTROL, CTRL_HEARTBEAT, 1);
+        h.log_slice(MajorId::CONTROL, CTRL_HEARTBEAT, &[1]);
     });
     let (code, stdout, _) = run_assert(&stalled, &["--spec", spec]);
     assert_eq!(code, 39, "{stdout}");
@@ -159,7 +159,7 @@ fn operational_errors_stay_off_the_assertion_band() {
     std::fs::create_dir_all(&dir).unwrap();
     let clean = write_trace(&dir, "ok", |l, _| {
         let h = l.handle(0).unwrap();
-        h.log1(MajorId::TEST, 0, 1);
+        h.log_slice(MajorId::TEST, 0, &[1]);
     });
 
     // No --spec at all: usage error.

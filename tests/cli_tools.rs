@@ -7,17 +7,14 @@ use std::process::Command;
 use std::sync::Arc;
 
 fn make_trace(path: &std::path::Path) {
-    let clock: Arc<SyncClock> = Arc::new(SyncClock::new());
     let logger = TraceLogger::builder()
         .geometry(TraceConfig::default())
-        .clock(clock.clone() as Arc<dyn ClockSource>)
         .ncpus(2)
         .build()
         .unwrap();
     ktrace::events::register_all(&logger);
     let session = TraceSession::builder()
         .logger(logger.clone())
-        .clock(clock.clone())
         .create(path)
         .unwrap();
     let machine = Machine::new(MachineConfig::fast_test(2), Arc::new(KTracer::new(logger)));

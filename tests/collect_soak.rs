@@ -39,7 +39,7 @@ fn sixty_four_lossy_streams_never_wedge_and_always_reconcile() {
                 let h = session.logger().handle(0).expect("cpu 0");
                 let mut logged = 0u64;
                 for n in 0..EVENTS_PER_STREAM {
-                    if h.log2(MajorId::TEST, 1, n, n ^ 0x5A) {
+                    if h.log_slice(MajorId::TEST, 1, &[n, n ^ 0x5A]) {
                         logged += 1;
                     }
                 }

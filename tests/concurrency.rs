@@ -123,7 +123,7 @@ fn mask_toggling_under_load_is_safe() {
     };
     let mut logged = 0u64;
     for i in 0..200_000u64 {
-        if h.log1(MajorId::TEST, 0, i) {
+        if h.log_slice(MajorId::TEST, 0, &[i]) {
             logged += 1;
         }
     }

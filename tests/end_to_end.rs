@@ -12,17 +12,14 @@ use ktrace::query::parse_agg;
 use std::sync::Arc;
 
 fn run_sdet_to_file(path: &std::path::Path) -> u64 {
-    let clock: Arc<SyncClock> = Arc::new(SyncClock::new());
     let logger = TraceLogger::builder()
         .geometry(TraceConfig::default())
-        .clock(clock.clone() as Arc<dyn ClockSource>)
         .ncpus(2)
         .build()
         .expect("logger");
     ktrace::events::register_all(&logger);
     let session = TraceSession::builder()
         .logger(logger.clone())
-        .clock(clock.clone())
         .create(path)
         .expect("session");
     let machine = Machine::new(MachineConfig::fast_test(2), Arc::new(KTracer::new(logger)));

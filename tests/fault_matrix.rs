@@ -94,10 +94,11 @@ fn build_clean_trace(seed: u64) -> CleanTrace {
     let mut w = TraceFileWriter::new(Vec::new(), &header).unwrap();
     for i in 0..EVENTS_PER_CPU {
         for cpu in 0..NCPUS {
-            assert!(logger
-                .handle(cpu)
-                .unwrap()
-                .log2(MajorId::TEST, cpu as u16, i, i ^ seed));
+            assert!(logger.handle(cpu).unwrap().log_slice(
+                MajorId::TEST,
+                cpu as u16,
+                &[i, i ^ seed]
+            ));
             if let Some(b) = logger.take_buffer(cpu) {
                 w.write_buffer(&b).unwrap();
             }
@@ -202,10 +203,8 @@ impl Write for SharedBuf {
 /// mid-record, so the stream arrives byte-perfect.
 fn run_partial_write(seed: u64) {
     let out = SharedBuf::default();
-    let clock: Arc<SyncClock> = Arc::new(SyncClock::new());
     let logger = TraceLogger::builder()
         .geometry(TraceConfig::small())
-        .clock(clock.clone() as Arc<dyn ClockSource>)
         .ncpus(NCPUS)
         .build()
         .unwrap();
@@ -214,7 +213,6 @@ fn run_partial_write(seed: u64) {
     let sink_stats = sink.stats();
     let session = TraceSession::builder()
         .logger(logger.clone())
-        .clock(clock.clone())
         .start(sink)
         .unwrap();
     let mut logged = 0u64;
@@ -224,7 +222,7 @@ fn run_partial_write(seed: u64) {
                 .logger()
                 .handle(cpu)
                 .unwrap()
-                .log2(MajorId::TEST, cpu as u16, i, i)
+                .log_slice(MajorId::TEST, cpu as u16, &[i, i])
             {
                 logged += 1;
             }
@@ -303,7 +301,7 @@ fn run_commit_desync(seed: u64) {
             assert!(logger
                 .handle(cpu)
                 .unwrap()
-                .log2(MajorId::TEST, cpu as u16, i, i));
+                .log_slice(MajorId::TEST, cpu as u16, &[i, i]));
             logged += 1;
         }
     }
@@ -347,7 +345,7 @@ fn run_cpu_crash(seed: u64) {
             assert!(logger
                 .handle(cpu)
                 .unwrap()
-                .log2(MajorId::TEST, cpu as u16, i, i));
+                .log_slice(MajorId::TEST, cpu as u16, &[i, i]));
             if cpu == victim {
                 victim_logged += 1;
             } else {
@@ -361,7 +359,10 @@ fn run_cpu_crash(seed: u64) {
         .expect("reservation");
     // The victim is dead; the rest of the machine keeps logging.
     for i in 0..30u64 {
-        assert!(logger.handle(0).unwrap().log2(MajorId::TEST, 0, i, i + 7));
+        assert!(logger
+            .handle(0)
+            .unwrap()
+            .log_slice(MajorId::TEST, 0, &[i, i + 7]));
         survivor_logged += 1;
     }
 

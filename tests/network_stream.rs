@@ -26,29 +26,25 @@ where
     let receiver = ByteReceiver::spawn();
 
     // Sender: a live session whose sink is the TCP connection.
-    let clock: Arc<SyncClock> = Arc::new(SyncClock::new());
     let logger = TraceLogger::builder()
         .geometry(TraceConfig::small())
-        .clock(clock.clone() as Arc<dyn ClockSource>)
         .ncpus(2)
         .build()
         .expect("logger");
     let conn = TcpStream::connect(receiver.addr()).expect("connect");
     let session = TraceSession::builder()
         .logger(logger.clone())
-        .clock(clock.clone())
         .start(wrap(conn))
         .expect("session");
 
     let mut logged = 0u64;
     for i in 0..5_000u64 {
         for cpu in 0..2 {
-            if session
-                .logger()
-                .handle(cpu)
-                .expect("cpu")
-                .log2(MajorId::TEST, cpu as u16, i, i * 2)
-            {
+            if session.logger().handle(cpu).expect("cpu").log_slice(
+                MajorId::TEST,
+                cpu as u16,
+                &[i, i * 2],
+            ) {
                 logged += 1;
             }
         }

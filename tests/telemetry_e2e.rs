@@ -113,7 +113,6 @@ fn multi_writer_run_reconciles_with_the_lint() {
     const EVENTS_PER_WRITER: u64 = 10_000;
 
     let out = SharedBuf::default();
-    let clock: Arc<SyncClock> = Arc::new(SyncClock::new());
     // Enough ring headroom that reservations go through the CAS instead of
     // bouncing off a full ring: contention (not overrun) is what this run
     // exercises.
@@ -124,14 +123,12 @@ fn multi_writer_run_reconciles_with_the_lint() {
     };
     let logger = TraceLogger::builder()
         .geometry(cfg)
-        .clock(clock.clone() as Arc<dyn ClockSource>)
         .ncpus(NCPUS)
         .build()
         .unwrap();
     register(&logger);
     let session = TraceSession::builder()
         .logger(logger.clone())
-        .clock(clock.clone())
         .drain_policy(SessionConfig {
             heartbeat: Some(Duration::from_millis(1)),
             ..SessionConfig::default()
@@ -147,7 +144,7 @@ fn multi_writer_run_reconciles_with_the_lint() {
                     for i in 0..EVENTS_PER_WRITER {
                         // Overrun is allowed: a rejected log is counted as
                         // dropped by the producer, not logged.
-                        h.log2(MajorId::TEST, 1, i, i * 2);
+                        h.log_slice(MajorId::TEST, 1, &[i, i * 2]);
                     }
                 });
             }
@@ -198,10 +195,8 @@ fn faults_matrix_sinks_reconcile_with_the_lint() {
         (0xB0Bu64, SinkPlan::partial_writes(0xB0B), "partial"),
     ] {
         let out = SharedBuf::default();
-        let clock: Arc<SyncClock> = Arc::new(SyncClock::new());
         let logger = TraceLogger::builder()
             .geometry(TraceConfig::small())
-            .clock(clock.clone() as Arc<dyn ClockSource>)
             .ncpus(1)
             .build()
             .unwrap();
@@ -209,7 +204,6 @@ fn faults_matrix_sinks_reconcile_with_the_lint() {
         let sink = FaultySink::new(out.clone(), plan);
         let session = TraceSession::builder()
             .logger(logger.clone())
-            .clock(clock.clone())
             .start(sink)
             .unwrap();
         for i in 0..2_000u64 {
@@ -217,7 +211,7 @@ fn faults_matrix_sinks_reconcile_with_the_lint() {
                 .logger()
                 .handle(0)
                 .unwrap()
-                .log2(MajorId::TEST, 1, i, i ^ seed);
+                .log_slice(MajorId::TEST, 1, &[i, i ^ seed]);
         }
         let stats = session.finish();
         assert!(stats.lossless(), "{tag}: {stats:?}");
@@ -230,10 +224,8 @@ fn faults_matrix_sinks_reconcile_with_the_lint() {
 #[test]
 fn dying_sink_losses_reconcile_with_the_lint() {
     let out = SharedBuf::default();
-    let clock: Arc<SyncClock> = Arc::new(SyncClock::new());
     let logger = TraceLogger::builder()
         .geometry(TraceConfig::small())
-        .clock(clock.clone() as Arc<dyn ClockSource>)
         .ncpus(1)
         .build()
         .unwrap();
@@ -248,7 +240,6 @@ fn dying_sink_losses_reconcile_with_the_lint() {
     };
     let session = TraceSession::builder()
         .logger(logger.clone())
-        .clock(clock.clone())
         .drain_policy(SessionConfig {
             write_retries: 2,
             retry_backoff: Duration::from_micros(10),
@@ -261,7 +252,7 @@ fn dying_sink_losses_reconcile_with_the_lint() {
             .logger()
             .handle(0)
             .unwrap()
-            .log2(MajorId::TEST, 1, i, i);
+            .log_slice(MajorId::TEST, 1, &[i, i]);
     }
     let stats = session.finish();
 

@@ -38,7 +38,7 @@ fn multi_writer_trace_lints_clean() {
                 s.spawn(move || {
                     let h = logger.handle(cpu).unwrap();
                     for i in 0..EVENTS_PER_CPU {
-                        h.log2(MajorId::TEST, 1, i, i * 2);
+                        h.log_slice(MajorId::TEST, 1, &[i, i * 2]);
                     }
                 })
             })
