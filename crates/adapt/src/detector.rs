@@ -240,6 +240,7 @@ fn clamp_milli(z: f64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ktrace_telemetry::ReserveTally;
 
     fn quiet_then_spike(d: &mut Detector, track_idx: usize, spike: u64) -> Vec<Anomaly> {
         for _ in 0..16 {

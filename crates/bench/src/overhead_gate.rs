@@ -32,7 +32,7 @@ use crate::util::time_per_call;
 use ktrace_analysis::table::{Align, TextTable};
 use ktrace_core::SampleGate;
 use ktrace_format::MajorId;
-use ktrace_telemetry::Telemetry;
+use ktrace_telemetry::{ReserveTally, Telemetry};
 use ktrace_vsim::{CostParams, Scheme};
 use std::fmt::Write as _;
 

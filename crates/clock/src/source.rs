@@ -1,26 +1,10 @@
-//! The [`ClockSource`] trait and the synchronized / manual implementations.
+//! The synchronized and manual [`ClockSource`] implementations. The trait
+//! itself is on the logging path, so it lives in `ktrace-lockless`.
 
+pub use ktrace_lockless::ClockSource;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-/// A timestamp source consulted inside the lockless reservation loop.
-///
-/// `now(cpu)` must be cheap (it runs on every CAS retry — the paper requires
-/// the timestamp to be re-read on each attempt so buffer order equals
-/// timestamp order) and must be monotonic **per CPU**. It need not be
-/// synchronized across CPUs; [`ClockSource::synchronized`] reports which.
-pub trait ClockSource: Send + Sync {
-    /// Current timestamp in ticks, as read from logical CPU `cpu`.
-    fn now(&self, cpu: usize) -> u64;
-
-    /// Nominal tick rate (ticks per second) for converting to wall time.
-    fn ticks_per_sec(&self) -> u64;
-
-    /// True if `now` returns globally comparable values on all CPUs
-    /// (PowerPC-timebase-like); false for TSC-like per-CPU counters.
-    fn synchronized(&self) -> bool;
-}
 
 /// A globally synchronized nanosecond clock (PowerPC timebase model).
 ///

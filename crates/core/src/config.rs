@@ -2,28 +2,7 @@
 
 use crate::error::CoreError;
 use ktrace_format::MAX_EVENT_WORDS;
-
-/// Words claimed for the time-anchor event at the start of every buffer:
-/// header + full 64-bit timestamp + CPU id.
-pub const ANCHOR_WORDS: usize = 3;
-
-/// Words claimed for a dropped-buffer marker event: header + count.
-pub const DROPPED_WORDS: usize = 2;
-
-/// What happens when the producer laps the region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// A consumer drains completed buffers ("written out to disk or streamed
-    /// over the network"). If it falls behind, new events are *dropped* and a
-    /// dropped-count marker is logged when space reappears.
-    Stream,
-    /// No consumer: the region is a circular flight recorder (paper §4.2);
-    /// old buffers are silently overwritten and [`dump`] recovers the most
-    /// recent activity after a crash.
-    ///
-    /// [`dump`]: crate::logger::TraceLogger::dump_last
-    FlightRecorder,
-}
+pub use ktrace_lockless::{Mode, ANCHOR_WORDS, DROPPED_WORDS};
 
 /// Geometry and mode of a per-CPU trace region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

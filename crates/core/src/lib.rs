@@ -27,13 +27,16 @@
 //! # Structure
 //!
 //! * [`config`] — buffer geometry and operating mode.
-//! * [`region`] — one CPU's buffer region: the reservation CAS loop (the
-//!   paper's Figure 2), the boundary slow path, commit counts, the consumer
-//!   protocol, and flight-recorder snapshots.
+//! * [`region`] — one CPU's buffer region: the memory, the consumer
+//!   protocol, the drainer wake-up and flight-recorder snapshots around the
+//!   reservation CAS loop (the paper's Figure 2), which runs in the `no_std`
+//!   crate `ktrace-lockless` over the region's borrowed words.
 //! * [`logger`] — the user-facing [`TraceLogger`] / [`CpuHandle`] API with the
 //!   mask-gated fast paths.
 //! * [`sample`] — the per-major sampling gate (counter decimation) the
-//!   adaptive control plane drives when shedding detail.
+//!   adaptive control plane drives when shedding detail; re-exported from
+//!   `ktrace-lockless`, as are [`Mode`], [`ANCHOR_WORDS`] and
+//!   [`DROPPED_WORDS`].
 //! * [`reader`] — turning raw buffer words back into events, with garble
 //!   detection and 64-bit timestamp reconstruction.
 //!
@@ -49,7 +52,7 @@ pub mod error;
 pub mod logger;
 pub mod reader;
 pub mod region;
-pub mod sample;
+pub use ktrace_lockless::sample;
 
 pub use builder::LoggerBuilder;
 pub use config::{Mode, TraceConfig, ANCHOR_WORDS, DROPPED_WORDS};

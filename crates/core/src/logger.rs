@@ -476,8 +476,6 @@ impl CpuHandle {
         minor: MinorId,
         values: &[FieldValue],
     ) -> Result<bool, CoreError> {
-        // ktrace-lint: allow(hot-path) — the registry lookup under RwLock is
-        // the documented slow path for string-bearing events.
         if !admit(&self.shared, self.cpu as usize, major) {
             return Ok(false);
         }

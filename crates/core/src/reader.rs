@@ -584,7 +584,7 @@ mod tests {
     fn filler_words_counted_and_filtered() {
         let mut words = anchor(10, 0);
         words.extend(event(11, MajorId::TEST, 1, &[1]));
-        let f = EventHeader::filler(12, 5).unwrap();
+        let f = EventHeader::control(12, ktrace_format::ids::control::FILLER, 5);
         words.push(f.encode());
         words.extend([0u64; 4]); // filler body (uninitialized is fine)
         let p = parse_buffer(0, 0, &words, None);

@@ -1,8 +1,11 @@
 //! One CPU's trace region: the lockless reservation algorithm (paper Fig. 2).
 //!
-//! A region is `buffers_per_cpu` buffers of `buffer_words` 64-bit words. A
-//! single *unwrapped* atomic word index advances monotonically; the physical
-//! position is `index mod region_words`. To log an event a thread:
+//! The loop itself — reserve, write, commit, fillers — is
+//! [`ktrace_lockless::Ring`], run over this region's borrowed words and
+//! counts; this module owns the memory, the consumer side and the drainer
+//! wake-up. A region is `buffers_per_cpu` buffers of `buffer_words` 64-bit
+//! words. A single *unwrapped* atomic word index advances monotonically; the
+//! physical position is `index mod region_words`. To log an event a thread:
 //!
 //! 1. reads the index, **reads the timestamp** (re-read on every retry so a
 //!    later buffer position can never carry an earlier timestamp — the
@@ -36,15 +39,14 @@
 //! impossible (all words are atomic); event-level garbling remains
 //! possible and is what the commit counts and reader checks catch.
 
-use crate::config::{Mode, TraceConfig, ANCHOR_WORDS, DROPPED_WORDS};
+use crate::config::{Mode, TraceConfig};
 use crate::error::CoreError;
 use ktrace_clock::ClockSource;
-use ktrace_format::header::filler_chain;
-use ktrace_format::ids::control;
 use ktrace_format::protocol::{
     AcquireRelease, CommitWord, ExactCounter, MessageWord, ReservationTail, WakeFlag,
 };
-use ktrace_format::{EventHeader, MajorId, MinorId};
+use ktrace_format::{MajorId, MinorId};
+use ktrace_lockless::Ring;
 use ktrace_telemetry::{CpuCounters, Telemetry};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::Thread;
@@ -64,10 +66,13 @@ const STRAGGLER_GRACE: Duration = Duration::from_millis(100);
 /// never missed.** Every access to `parked` is a `swap`, so all of them sit
 /// in one modification order and each reads the one before it. A closing
 /// writer makes its last commit into the buffer and then swaps `false` in
-/// (call that swap `W`). The consumer registers its thread and swaps `true`
-/// in (the *announce*, `A`), re-checks every region for a closed buffer,
-/// parks only if there is none, and swaps `false` in (the *withdraw*) before
-/// it sweeps again. For any close:
+/// (call that swap `W`): the loop returns that it closed a buffer — by an
+/// event that ends on the boundary, or by the filler that pads one out — and
+/// the writer notifies after writing its event, so `W` follows every commit
+/// the writer makes into the closed buffer. The consumer registers its
+/// thread and swaps `true` in (the *announce*, `A`), re-checks every region
+/// for a closed buffer, parks only if there is none, and swaps `false` in
+/// (the *withdraw*) before it sweeps again. For any close:
 ///
 /// - `W` before `A`: only swaps ever write `parked`, so `A` reads from `W`'s
 ///   release sequence; the close happens-before the re-check, which sees the
@@ -97,7 +102,7 @@ impl DrainerWake {
     /// last commit into it. Never blocks: one swap, and an unpark only when
     /// the consumer announced.
     #[inline]
-    fn notify(&self) {
+    pub(crate) fn notify(&self) {
         if self.parked.swap(false) {
             if let Ok(Some(target)) = self.target.try_read().as_deref() {
                 target.unpark();
@@ -260,6 +265,24 @@ impl CpuRegion {
         self.tel.cpu(self.tslot)
     }
 
+    /// The reservation loop's view of this region.
+    #[inline(always)]
+    fn ring(&self) -> Ring<'_, CpuCounters> {
+        Ring {
+            cpu: self.cpu,
+            buffer_words: self.config.buffer_words,
+            buffers_per_cpu: self.config.buffers_per_cpu,
+            mode: self.config.mode,
+            words: &self.words,
+            index: &self.index,
+            committed: &self.committed,
+            consumed: &self.consumed,
+            dropped: &self.dropped,
+            clock: &*self.clock,
+            tally: self.tally(),
+        }
+    }
+
     /// The region's configuration.
     pub fn config(&self) -> &TraceConfig {
         &self.config
@@ -285,153 +308,36 @@ impl CpuRegion {
         self.append(MajorId::CONTROL, minor, payload)
     }
 
-    /// Reserve, write data, write header, commit — and wake the drainer if
-    /// this event filled its buffer exactly, since its commit is the one that
-    /// closes it. Always inlined: as its own call it cost the log path a
-    /// frame (≈ 1.5 ns an event, measured in-process against the parent).
+    /// Bounds the length, then runs the lockless loop — and wakes the
+    /// drainer if the event or its filler closed a buffer, after the event's
+    /// commit. Always inlined: as its own call it cost the log path a frame
+    /// (≈ 1.5 ns an event, measured in-process).
     #[inline(always)]
     fn append(&self, major: MajorId, minor: MinorId, payload: &[u64]) -> Result<(), CoreError> {
-        let total = payload.len() + 1;
-        if total > self.config.max_event_words() {
+        if payload.len() + 1 > self.config.max_event_words() {
             return Err(CoreError::EventTooLarge {
                 payload_words: payload.len(),
                 max: self.config.max_payload_words(),
             });
         }
-        let (start, ts, closes) = self.reserve_extent(total).ok_or(CoreError::Overrun)?;
-        let header = EventHeader::new(ts as u32, payload.len(), major, minor)
-            .expect("payload bounded by max_event_words");
-        self.write_event(start, header, payload);
+        let closes = self
+            .ring()
+            .append(major, minor, payload)
+            .ok_or(CoreError::Overrun)?;
         if closes {
             self.wake.notify();
         }
         Ok(())
     }
 
-    /// [`reserve_extent`](CpuRegion::reserve_extent) for a writer that will
-    /// not commit (fault injection).
+    /// Reserves `total_words` for a writer that will not commit (fault
+    /// injection): the start index and the timestamp read under the CAS.
     fn reserve(&self, total_words: usize) -> Option<(u64, u64)> {
-        self.reserve_extent(total_words)
-            .map(|(start, ts, _)| (start, ts))
-    }
-
-    /// The reservation loop (`traceReserve` + `traceReserveSlow`, Fig. 2).
-    /// Returns the claimed start index, the timestamp read under the winning
-    /// CAS, and whether the extent ends exactly at a buffer boundary — or
-    /// `None` if the event must be dropped (stream overrun).
-    fn reserve_extent(&self, total_words: usize) -> Option<(u64, u64, bool)> {
-        let bw = self.config.buffer_words as u64;
-        let mut first_ts: Option<u64> = None;
-        loop {
-            let old = self.index.load();
-            let pos = (old % bw) as usize;
-            // Re-determine the timestamp on every attempt: "processes must
-            // re-determine the timestamp during each attempt to atomically
-            // increment the index" (§3.1).
-            let ts = self.clock.now(self.cpu);
-            // The wait tally reuses these per-attempt reads: winning ts minus
-            // first-attempt ts, no extra clock query.
-            let t0 = *first_ts.get_or_insert(ts);
-            if pos != 0 && pos + total_words <= bw as usize {
-                // Fast path: fits in the current buffer.
-                if self.index.advance_weak(old, old + total_words as u64) {
-                    self.tally().observe_reserve_wait(ts.saturating_sub(t0));
-                    return Some((old, ts, pos + total_words == bw as usize));
-                }
-                self.tally().tally_cas_retry();
-                continue;
-            }
-
-            // Slow path: `pos == 0` means a fresh buffer that still needs its
-            // anchor (including the very first event); otherwise the event
-            // would cross the alignment boundary.
-            let next_seq = if pos == 0 { old / bw } else { old / bw + 1 };
-
-            if self.config.mode == Mode::Stream {
-                // `Acquire` pairs with the consumer's `Release` store after it
-                // zeroes the slot, so writes into a recycled slot can't race
-                // with the zeroing.
-                let consumed = self.consumed.load();
-                if next_seq >= consumed + self.config.buffers_per_cpu as u64 {
-                    self.dropped.add(1);
-                    self.tally().tally_dropped();
-                    return None;
-                }
-            }
-
-            let drop_pending = self.dropped.load() > 0;
-            let extra = if drop_pending { DROPPED_WORDS } else { 0 };
-            let claimed = ANCHOR_WORDS + extra + total_words;
-            let new = next_seq * bw + claimed as u64;
-            if !self.index.advance_weak(old, new) {
-                self.tally().tally_cas_retry();
-                continue;
-            }
-            self.tally().tally_wrap();
-            if self.config.mode == Mode::FlightRecorder
-                && next_seq >= self.config.buffers_per_cpu as u64
-            {
-                // Wrapping past capacity overwrites the oldest unread buffer.
-                self.tally().tally_overwrite();
-            }
-
-            // Won the buffer switch: fill the remainder with filler event(s)…
-            if pos != 0 {
-                self.write_fillers(old, bw as usize - pos, ts as u32);
-            }
-            // …anchor the new buffer with the full 64-bit time…
-            let base = next_seq * bw;
-            let anchor = EventHeader::new(ts as u32, 2, MajorId::CONTROL, control::TIME_ANCHOR)
-                .expect("anchor payload fits");
-            self.write_event(base, anchor, &[ts, self.cpu as u64]);
-            // …and record how many events were dropped while overrun.
-            if drop_pending {
-                let count = self.dropped.take();
-                let marker = EventHeader::new(ts as u32, 1, MajorId::CONTROL, control::DROPPED)
-                    .expect("marker payload fits");
-                self.write_event(base + ANCHOR_WORDS as u64, marker, &[count]);
-            }
-            self.tally().observe_reserve_wait(ts.saturating_sub(t0));
-            return Some((
-                base + (ANCHOR_WORDS + extra) as u64,
-                ts,
-                claimed as u64 == bw,
-            ));
+        let extent = self.ring().reserve_extent(total_words)?;
+        if extent.closes {
+            self.wake.notify();
         }
-    }
-
-    /// Writes a chain of filler headers covering the last `remainder` words
-    /// of the buffer at `at`, whose commit closes it, and wakes the drainer.
-    fn write_fillers(&self, at: u64, remainder: usize, ts32: u32) {
-        let mut off = at;
-        for seg in filler_chain(remainder) {
-            let h = EventHeader::filler(ts32, seg).expect("segment bounded");
-            let pos = (off % self.words.len() as u64) as usize;
-            self.words[pos].publish(h.encode());
-            off += seg as u64;
-        }
-        self.tally().tally_filler_words(remainder as u64);
-        self.commit(at, remainder);
-        self.wake.notify();
-    }
-
-    /// Writes payload then header (release) then commits.
-    fn write_event(&self, at: u64, header: EventHeader, payload: &[u64]) {
-        let region = self.words.len() as u64;
-        let pos = (at % region) as usize;
-        for (i, &w) in payload.iter().enumerate() {
-            self.words[pos + 1 + i].store(w);
-        }
-        self.words[pos].publish(header.encode());
-        self.commit(at, header.len_words as usize);
-    }
-
-    /// `traceCommit`: adds `len` words to the commit count of the buffer
-    /// containing index `at`.
-    fn commit(&self, at: u64, len: usize) {
-        let slot =
-            ((at / self.config.buffer_words as u64) % self.config.buffers_per_cpu as u64) as usize;
-        self.committed[slot].commit(len as u64);
+        Some((extent.start, extent.ts))
     }
 
     /// Force-closes the current partially filled buffer with filler so the
@@ -448,7 +354,8 @@ impl CpuRegion {
             let ts = self.clock.now(self.cpu);
             let new = (old / bw + 1) * bw;
             if self.index.advance(old, new) {
-                self.write_fillers(old, bw as usize - pos, ts as u32);
+                self.ring().write_fillers(old, bw as usize - pos, ts as u32);
+                self.wake.notify();
                 return true;
             }
         }
@@ -605,8 +512,11 @@ impl std::fmt::Debug for CpuRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ANCHOR_WORDS;
     use ktrace_clock::ManualClock;
+    use ktrace_format::ids::control;
     use ktrace_format::protocol::SignalFlag;
+    use ktrace_format::EventHeader;
 
     fn region(cfg: TraceConfig) -> (Arc<ManualClock>, CpuRegion) {
         let clock = Arc::new(ManualClock::new(1000, 1));
@@ -795,7 +705,7 @@ mod tests {
                 reserved_tx.send(()).unwrap();
                 std::thread::sleep(STRAGGLER_GRACE / 5);
                 let header = EventHeader::new(ts as u32, 2, MajorId::TEST, 1).unwrap();
-                r.write_event(at, header, &[7, 8]);
+                r.ring().write_event(at, header, &[7, 8]);
             })
         };
         reserved_rx.recv().unwrap();

@@ -1,24 +1,14 @@
 //! Error type for event encoding, decoding, and descriptor parsing.
 
+use ktrace_lockless::LayoutError;
 use std::fmt;
 
 /// Errors produced while encoding or decoding trace events and descriptors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FormatError {
-    /// An event length field was zero or larger than the containing buffer
-    /// allows. A zero length word is what an unwritten (garbled) header looks
-    /// like, so decoders surface it distinctly.
-    InvalidLength {
-        /// The raw length field value, in 64-bit words.
-        words: u16,
-    },
-    /// A major ID outside `0..64` was requested.
-    InvalidMajor(u16),
-    /// An event payload was too large to express in the 10-bit length field.
-    PayloadTooLarge {
-        /// Payload length in 64-bit words (excluding the header).
-        words: usize,
-    },
+    /// A value the event-word layout cannot hold, raised by the header and
+    /// ID constructors.
+    Layout(LayoutError),
     /// A field-spec token was not one of `8`, `16`, `32`, `64`, `str`.
     BadSpecToken(String),
     /// A display template referenced a field index that the spec does not have.
@@ -62,16 +52,7 @@ pub enum FormatError {
 impl fmt::Display for FormatError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FormatError::InvalidLength { words } => {
-                write!(f, "invalid event length field: {words} words")
-            }
-            FormatError::InvalidMajor(m) => write!(f, "major ID {m} out of range (max 63)"),
-            FormatError::PayloadTooLarge { words } => {
-                write!(
-                    f,
-                    "payload of {words} words exceeds the 10-bit length field"
-                )
-            }
+            FormatError::Layout(e) => e.fmt(f),
             FormatError::BadSpecToken(t) => write!(f, "bad field-spec token {t:?}"),
             FormatError::BadTemplateIndex { index, fields } => {
                 write!(
@@ -102,3 +83,9 @@ impl fmt::Display for FormatError {
 }
 
 impl std::error::Error for FormatError {}
+
+impl From<LayoutError> for FormatError {
+    fn from(e: LayoutError) -> FormatError {
+        FormatError::Layout(e)
+    }
+}

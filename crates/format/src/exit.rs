@@ -2,10 +2,10 @@
 //! binary and checker.
 //!
 //! Historically each crate kept its own copy of its band (verify's stream
-//! codes, srclint's 30–35, query's 36–39) as numeric literals scattered
-//! through match arms and CLI `process::exit` calls. This module owns every
-//! code; the other crates re-export it (`ktrace_verify::exit`,
-//! `ktrace_srclint::exit`, `ktrace_query::exit`, `ktrace_collectd::exit`,
+//! codes, the retired source linter's 30–35, query's 36–39) as numeric
+//! literals scattered through match arms and CLI `process::exit` calls. This
+//! module owns every code; the other crates re-export it
+//! (`ktrace_verify::exit`, `ktrace_query::exit`, `ktrace_collectd::exit`,
 //! and the facade's `ktrace::exit`) so a grep for any code lands here.
 //!
 //! Bands:
@@ -14,12 +14,12 @@
 //! |------|-------|-------|
 //! | process | 0–2 | every CLI: clean / input unreadable / usage error |
 //! | stream verify | 10–20 | `ktrace-verify` (dynamic trace-stream checks) |
-//! | srclint | 32–34 | `ktrace-lint` (static source checks; 30, 31, 33, 35 retired, reserved) |
+//! | lock order | 34 | `ktrace-verify lockorder` (30–33 and 35 retired, reserved) |
 //! | trace assertions | 36–39 | `ktrace-query` (`ktrace-tools assert`) |
 //! | collector ops | 40–42 | `ktrace-collectd` (fleet-service operational) |
 //! | adaptive control | 43 | `ktrace-tools adapt` (closed-loop operational) |
 //!
-//! The verify/srclint/assert bands are mirrored by
+//! The verify and assert bands are mirrored by
 //! `ktrace_verify::ViolationKind::exit_code`, which maps each violation
 //! class onto these constants; a report's exit code is the *smallest* code
 //! among the violated classes, so distinct failures stay distinguishable in
@@ -57,18 +57,19 @@ pub const LOSSY_DRAIN: u8 = 18;
 /// A data race found by the lockset / vector-clock detector.
 pub const DATA_RACE: u8 = 20;
 
-// --- Srclint band (32–35): static checks over workspace source. ---
+// --- Retired static band (30–35): once source-lint codes. ---
 
 // 30 (schema-mismatch) and 31 (id-space-collision) are retired: event
 // arity, minors and the ID space are compile errors in `ktrace_event!` and
 // its generated emitters. Both stay reserved; never assign them again.
-
-/// The lockless hot path reaches allocation, a blocking lock, or I/O.
-pub const HOT_PATH_HAZARD: u8 = 32;
+// 32 (hot-path-hazard) is retired: the logging path is the `no_std` crate
+// `ktrace-lockless`, which has no `alloc`, so allocating, locking or doing
+// I/O there fails to build. Reserved; never assign it again.
 // 33 (atomic-order-violation) is retired: each atomic is a
 // `crate::protocol` role type whose methods fix its orderings, so a
 // forbidden ordering is a compile error. Reserved; never assign it again.
-/// The static lock-acquisition graph contains a cycle.
+/// The trace's lock-order graph has a cycle from distinct threads with no
+/// common gate lock (`ktrace-verify lockorder`).
 pub const LOCK_ORDER_CYCLE: u8 = 34;
 // 35 (unsafe-unjustified) is retired: the workspace forbids `unsafe_code`
 // outside the clock's one ordered TSC read, and clippy's
@@ -122,7 +123,6 @@ pub const TABLE: &[(u8, &str)] = &[
     (BAD_REGISTRY, "bad-registry"),
     (LOSSY_DRAIN, "lossy-drain"),
     (DATA_RACE, "data-race"),
-    (HOT_PATH_HAZARD, "hot-path-hazard"),
     (LOCK_ORDER_CYCLE, "lock-order-cycle"),
     (ASSERT_COUNT, "assert-count"),
     (ASSERT_PAIRING, "assert-pairing"),
@@ -138,7 +138,7 @@ pub const TABLE: &[(u8, &str)] = &[
 // other; checked at compile time so a renumbering cannot slip through.
 const _: () = {
     assert!(TRUNCATED_BUFFER > USAGE);
-    assert!(DATA_RACE < HOT_PATH_HAZARD);
+    assert!(DATA_RACE < LOCK_ORDER_CYCLE);
     assert!(LOCK_ORDER_CYCLE < ASSERT_COUNT);
     assert!(ASSERT_CADENCE < COLLECT_BIND);
     assert!(COLLECT_LOSSY < ADAPT_ANOMALY);

@@ -11,6 +11,11 @@
 //!   single 64-bit mask test decides whether an event is logged.
 //! * [`mask`] — the [`TraceMask`](mask::TraceMask): one hot word consulted by
 //!   every (inlined) log statement.
+//! * [`protocol`] — the memory-ordering roles: one atomic type per way an
+//!   atomic is used, each allowing only its role's orderings.
+//!
+//!   These four run on the logging path, so they live in the `no_std`
+//!   crate `ktrace-lockless` and are re-exported here under their old paths.
 //! * [`pack`] — helpers that pack multiple sub-64-bit quantities and strings
 //!   into 64-bit words, mirroring the macros the paper describes ("we chose to
 //!   log only 64-bit words").
@@ -20,8 +25,6 @@
 //!   display events "without any special knowledge of the events themselves".
 //! * [`text`] — text encodings every report writer shares (JSON string
 //!   escaping).
-//! * [`protocol`] — the memory-ordering roles: one atomic type per way an
-//!   atomic is used, each allowing only its role's orderings.
 //!
 //! The layout constants here are shared by the lockless logger, every baseline
 //! logger, the file format, and all analysis tools — the paper's "unified"
@@ -30,15 +33,13 @@
 pub mod describe;
 pub mod error;
 pub mod exit;
-pub mod header;
-pub mod ids;
-pub mod mask;
 pub mod pack;
-pub mod protocol;
 pub mod text;
 
 pub use describe::{EventDescriptor, EventRegistry, FieldSpec, FieldToken, FieldValue};
 pub use error::FormatError;
-pub use header::{EventHeader, MAX_EVENT_WORDS, MAX_PAYLOAD_WORDS};
-pub use ids::{Event, MajorId, MinorId, NUM_MAJOR_IDS};
-pub use mask::TraceMask;
+pub use ktrace_lockless::{header, ids, mask, protocol};
+pub use ktrace_lockless::{
+    Event, EventHeader, LayoutError, MajorId, MinorId, TraceMask, MAX_EVENT_WORDS,
+    MAX_PAYLOAD_WORDS, NUM_MAJOR_IDS,
+};

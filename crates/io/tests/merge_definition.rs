@@ -71,7 +71,7 @@ fn buffer(cpu: u32, anchor: Option<u64>, events: &[(u64, usize)], shape: Shape) 
         words.extend((0..len as u64).map(|w| t ^ w));
         last = t;
     }
-    let filler = EventHeader::filler(last as u32, WORDS - words.len()).unwrap();
+    let filler = EventHeader::control(last as u32, control::FILLER, WORDS - words.len());
     words.push(filler.encode());
     words.resize(WORDS, 0);
     words

@@ -1,0 +1,235 @@
+//! The reservation loop of Fig. 2 over one CPU's borrowed region.
+//!
+//! [`Ring`] borrows what the loop touches — the region's buffer words, its
+//! reservation index, its per-buffer commit counts, the consumed and dropped
+//! counts — plus the clock and the counter block, and runs
+//! reserve → write payload → publish header → commit over them. The region
+//! that owns that memory, the length check, and the drainer wake-up stay on
+//! the std side (`ktrace_core::region::CpuRegion`): the loop *returns*
+//! whether it closed a buffer and the caller wakes the drainer after the
+//! event is written.
+
+use crate::header::{filler_chain, EventHeader, MAX_EVENT_WORDS};
+use crate::ids::{control, MajorId, MinorId};
+use crate::protocol::{AcquireRelease, CommitWord, ExactCounter, MessageWord, ReservationTail};
+use crate::ClockSource;
+
+/// Words claimed for the time-anchor event at the start of every buffer:
+/// header + full 64-bit timestamp + CPU id.
+pub const ANCHOR_WORDS: usize = 3;
+
+/// Words claimed for a dropped-buffer marker event: header + count.
+pub const DROPPED_WORDS: usize = 2;
+
+/// What happens when the producer laps the region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// A consumer drains completed buffers ("written out to disk or streamed
+    /// over the network"). If it falls behind, new events are *dropped* and a
+    /// dropped-count marker is logged when space reappears.
+    Stream,
+    /// No consumer: the region is a circular flight recorder (paper §4.2);
+    /// old buffers are silently overwritten and the logger's `dump_last`
+    /// recovers the most recent activity after a crash.
+    FlightRecorder,
+}
+
+/// The counts the loop reports as it runs. `ktrace_telemetry::CpuCounters`
+/// implements it with relaxed tallies on the CPU's own cache line.
+pub trait ReserveTally {
+    /// One failed reservation CAS (the loop will retry).
+    fn tally_cas_retry(&self);
+    /// One event dropped because the stream-mode consumer fell behind.
+    fn tally_dropped(&self);
+    /// One buffer-boundary crossing (the reservation slow path won).
+    fn tally_wrap(&self);
+    /// One unconsumed buffer overwritten in flight-recorder mode.
+    fn tally_overwrite(&self);
+    /// `words` of filler written to realign a buffer boundary.
+    fn tally_filler_words(&self, words: u64);
+    /// How long a reservation waited, in clock ticks: the winning attempt's
+    /// timestamp minus the first attempt's.
+    fn observe_reserve_wait(&self, ticks: u64);
+}
+
+/// A won reservation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Extent {
+    /// Unwrapped index of the extent's first word.
+    pub start: u64,
+    /// The timestamp read under the winning CAS.
+    pub ts: u64,
+    /// True if a buffer closed: the extent ends exactly at a buffer boundary,
+    /// or its filler closed the previous buffer. The caller wakes the
+    /// drainer after it has committed the extent.
+    pub closes: bool,
+}
+
+/// One CPU's region, borrowed for one log call.
+pub struct Ring<'a, T: ReserveTally> {
+    /// The CPU the region belongs to (anchor payload, clock argument).
+    pub cpu: usize,
+    /// Words per buffer (a power of two).
+    pub buffer_words: usize,
+    /// Buffers per region (a power of two).
+    pub buffers_per_cpu: usize,
+    /// Stream or flight-recorder operation.
+    pub mode: Mode,
+    /// The region's `buffer_words · buffers_per_cpu` words.
+    pub words: &'a [MessageWord],
+    /// Unwrapped reservation index (Fig. 2's `trcCtlPtr->index`).
+    pub index: &'a ReservationTail,
+    /// Cumulative committed words per buffer slot.
+    pub committed: &'a [CommitWord],
+    /// Buffers released by the consumer (stream mode).
+    pub consumed: &'a AcquireRelease,
+    /// Events dropped to overrun, pending an in-stream DROPPED marker.
+    pub dropped: &'a ExactCounter,
+    /// The timestamp source, re-read on every attempt.
+    pub clock: &'a dyn ClockSource,
+    /// Where the loop's counts go.
+    pub tally: &'a T,
+}
+
+impl<T: ReserveTally> Ring<'_, T> {
+    /// Reserve, write data, write header, commit — `traceLog` of Fig. 2.
+    /// `payload.len() + 1` must not exceed the geometry's largest event
+    /// (the caller checks it). Returns whether a buffer closed, or `None` if
+    /// the event was dropped (stream overrun).
+    #[inline(always)]
+    pub fn append(&self, major: MajorId, minor: MinorId, payload: &[u64]) -> Option<bool> {
+        let total = payload.len() + 1;
+        debug_assert!(total <= MAX_EVENT_WORDS);
+        let extent = self.reserve_extent(total)?;
+        let header = EventHeader {
+            timestamp: extent.ts as u32,
+            len_words: total as u16,
+            major,
+            minor,
+        };
+        self.write_event(extent.start, header, payload);
+        Some(extent.closes)
+    }
+
+    /// The reservation loop (`traceReserve` + `traceReserveSlow`, Fig. 2):
+    /// the won extent, or `None` if the event must be dropped (stream
+    /// overrun). Always inlined, as is [`write_event`](Ring::write_event):
+    /// an out-of-line call takes the borrowed view through memory, which
+    /// cost the log path ≈ 2 ns an event (2-vCPU Xeon VM, measured
+    /// in-process against a loop over the owning region); inlined, its
+    /// fields stay in registers.
+    #[inline(always)]
+    pub fn reserve_extent(&self, total_words: usize) -> Option<Extent> {
+        let bw = self.buffer_words as u64;
+        let mut first_ts: Option<u64> = None;
+        loop {
+            let old = self.index.load();
+            let pos = (old % bw) as usize;
+            // Re-determine the timestamp on every attempt: "processes must
+            // re-determine the timestamp during each attempt to atomically
+            // increment the index" (§3.1).
+            let ts = self.clock.now(self.cpu);
+            // The wait tally reuses these per-attempt reads: winning ts minus
+            // first-attempt ts, no extra clock query.
+            let t0 = *first_ts.get_or_insert(ts);
+            if pos != 0 && pos + total_words <= bw as usize {
+                // Fast path: fits in the current buffer.
+                if self.index.advance_weak(old, old + total_words as u64) {
+                    self.tally.observe_reserve_wait(ts.saturating_sub(t0));
+                    return Some(Extent {
+                        start: old,
+                        ts,
+                        closes: pos + total_words == bw as usize,
+                    });
+                }
+                self.tally.tally_cas_retry();
+                continue;
+            }
+
+            // Slow path: `pos == 0` means a fresh buffer that still needs its
+            // anchor (including the very first event); otherwise the event
+            // would cross the alignment boundary.
+            let next_seq = if pos == 0 { old / bw } else { old / bw + 1 };
+
+            if self.mode == Mode::Stream {
+                // `Acquire` pairs with the consumer's `Release` store after it
+                // zeroes the slot, so writes into a recycled slot can't race
+                // with the zeroing.
+                let consumed = self.consumed.load();
+                if next_seq >= consumed + self.buffers_per_cpu as u64 {
+                    self.dropped.add(1);
+                    self.tally.tally_dropped();
+                    return None;
+                }
+            }
+
+            let drop_pending = self.dropped.load() > 0;
+            let extra = if drop_pending { DROPPED_WORDS } else { 0 };
+            let claimed = ANCHOR_WORDS + extra + total_words;
+            let new = next_seq * bw + claimed as u64;
+            if !self.index.advance_weak(old, new) {
+                self.tally.tally_cas_retry();
+                continue;
+            }
+            self.tally.tally_wrap();
+            if self.mode == Mode::FlightRecorder && next_seq >= self.buffers_per_cpu as u64 {
+                // Wrapping past capacity overwrites the oldest unread buffer.
+                self.tally.tally_overwrite();
+            }
+
+            // Won the buffer switch: fill the remainder with filler event(s)…
+            if pos != 0 {
+                self.write_fillers(old, bw as usize - pos, ts as u32);
+            }
+            // …anchor the new buffer with the full 64-bit time…
+            let base = next_seq * bw;
+            let anchor = EventHeader::control(ts as u32, control::TIME_ANCHOR, ANCHOR_WORDS);
+            self.write_event(base, anchor, &[ts, self.cpu as u64]);
+            // …and record how many events were dropped while overrun.
+            if drop_pending {
+                let count = self.dropped.take();
+                let marker = EventHeader::control(ts as u32, control::DROPPED, DROPPED_WORDS);
+                self.write_event(base + ANCHOR_WORDS as u64, marker, &[count]);
+            }
+            self.tally.observe_reserve_wait(ts.saturating_sub(t0));
+            return Some(Extent {
+                start: base + (ANCHOR_WORDS + extra) as u64,
+                ts,
+                closes: pos != 0 || claimed as u64 == bw,
+            });
+        }
+    }
+
+    /// Writes a chain of filler headers covering the last `remainder` words
+    /// of the buffer at `at` and commits them, which closes that buffer.
+    pub fn write_fillers(&self, at: u64, remainder: usize, ts32: u32) {
+        let mut off = at;
+        for seg in filler_chain(remainder) {
+            let h = EventHeader::control(ts32, control::FILLER, seg);
+            let pos = (off % self.words.len() as u64) as usize;
+            self.words[pos].publish(h.encode());
+            off += seg as u64;
+        }
+        self.tally.tally_filler_words(remainder as u64);
+        self.commit(at, remainder);
+    }
+
+    /// Writes payload then header (release) then commits.
+    #[inline(always)]
+    pub fn write_event(&self, at: u64, header: EventHeader, payload: &[u64]) {
+        let region = self.words.len() as u64;
+        let pos = (at % region) as usize;
+        for (i, &w) in payload.iter().enumerate() {
+            self.words[pos + 1 + i].store(w);
+        }
+        self.words[pos].publish(header.encode());
+        self.commit(at, header.len_words as usize);
+    }
+
+    /// `traceCommit`: adds `len` words to the commit count of the buffer
+    /// containing index `at`.
+    fn commit(&self, at: u64, len: usize) {
+        let slot = ((at / self.buffer_words as u64) % self.buffers_per_cpu as u64) as usize;
+        self.committed[slot].commit(len as u64);
+    }
+}

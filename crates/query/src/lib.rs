@@ -15,7 +15,7 @@
 //! * [`eval`] — [`Query`]: indexed evaluation, property-tested against the
 //!   naive reference interpreter in `tests/expr_props.rs`.
 //! * [`spec`] — named assertion specs (`props/ktrace.toml`) evaluated into
-//!   the shared verify/srclint exit-code [`Report`](ktrace_verify::Report)
+//!   the shared verify exit-code [`Report`](ktrace_verify::Report)
 //!   (assertion band: codes 36–39).
 //!
 //! # Example

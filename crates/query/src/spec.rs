@@ -9,7 +9,7 @@
 //! ```
 //!
 //! [`Spec::check`] evaluates every property in one walk of a [`Query`]'s
-//! trace and returns a [`Report`] on the shared verify/srclint exit-code
+//! trace and returns a [`Report`] on the shared verify exit-code
 //! table: each violated property maps to the assertion band (codes 36–39)
 //! by its aggregation class, so CI can tell *which kind* of property broke
 //! from the exit code alone.

@@ -1,11 +1,12 @@
 //! Lock-free counter blocks and log2 histograms — the hot half of the crate.
 //!
-//! **This file is on the `ktrace-lint` hot-path allowlist**: every function
-//! here that is reachable from the logger's `log*`/`reserve*` roots must be
-//! free of heap allocation, blocking locks, I/O, and panicking asserts,
-//! because the tally calls run inside the lockless reservation loop itself.
-//! Relaxed atomic arithmetic on the owning CPU's padded cache line is the
-//! entire instruction budget.
+//! **The tallies run inside the lockless reservation loop itself**: the
+//! loop in `ktrace-lockless` calls the [`ReserveTally`] impl below, and the
+//! logger calls `tally_event`/`tally_masked`. Those bodies are the std-side
+//! edge of the logging path — the crate they run in can allocate — so each
+//! must stay free of heap allocation, blocking locks, I/O and panics by
+//! review. Relaxed atomic arithmetic on the owning CPU's padded cache line
+//! is the entire instruction budget.
 //!
 //! Counters come in two tiers, each a protocol role, so a tally can only do
 //! what its tier allows:
@@ -30,12 +31,13 @@
 //! struct, its `new()` and getters, the snapshot struct and everything that
 //! reads one are generated from the rows (see [`crate::schema`]). What is
 //! hand-written here is the hot half — the `tally_*` / `observe_*`
-//! functions. **Adding a counter** is one row, which names its tier, one
+//! functions, the loop's among them in the `ReserveTally` impl. **Adding a counter** is one row, which names its tier, one
 //! `tally_*`, and the call site.
 
 use crate::counter_block;
 use crate::snapshot::TelemetrySnapshot;
 use ktrace_format::protocol::{ExactCounter, StatisticCounter};
+use ktrace_lockless::ReserveTally;
 
 /// Number of histogram buckets. Bucket 0 holds zero-valued observations;
 /// bucket `i` (for `i >= 1`) holds values in `[2^(i-1), 2^i)`; the last
@@ -168,43 +170,40 @@ impl CpuCounters {
     pub fn tally_masked(&self) {
         self.events_masked.bump(1);
     }
+}
 
-    /// One event dropped because the stream-mode consumer fell behind.
+/// The counts the reservation loop in `ktrace-lockless` reports, each on
+/// this CPU's block.
+impl ReserveTally for CpuCounters {
     #[inline]
-    pub fn tally_dropped(&self) {
+    fn tally_dropped(&self) {
         self.events_dropped.add(1);
     }
 
-    /// One failed reservation CAS (the loop will retry).
     #[inline]
-    pub fn tally_cas_retry(&self) {
+    fn tally_cas_retry(&self) {
         self.cas_retries.add(1);
     }
 
-    /// `words` of filler written to realign a buffer boundary.
     #[inline]
-    pub fn tally_filler_words(&self, words: u64) {
+    fn tally_filler_words(&self, words: u64) {
         self.filler_words.add(words);
     }
 
-    /// One buffer-boundary crossing (the reservation slow path won).
     #[inline]
-    pub fn tally_wrap(&self) {
+    fn tally_wrap(&self) {
         self.buffer_wraps.add(1);
     }
 
-    /// One unconsumed buffer overwritten in flight-recorder mode.
     #[inline]
-    pub fn tally_overwrite(&self) {
+    fn tally_overwrite(&self) {
         self.flight_overwrites.add(1);
     }
 
-    /// Records how long a reservation waited, in clock ticks: the winning
-    /// attempt's timestamp minus the first attempt's (0 when the first CAS
-    /// won — the clock is already read per attempt, so this costs no extra
-    /// clock query).
+    /// The wait is 0 when the first CAS won; the clock is already read per
+    /// attempt, so this costs no extra clock query.
     #[inline]
-    pub fn observe_reserve_wait(&self, ticks: u64) {
+    fn observe_reserve_wait(&self, ticks: u64) {
         self.reserve_wait.observe(ticks);
     }
 }

@@ -212,6 +212,7 @@ pub fn to_json(snap: &TelemetrySnapshot) -> String {
 mod tests {
     use super::*;
     use crate::counters::Telemetry;
+    use crate::ReserveTally;
 
     fn snap() -> TelemetrySnapshot {
         let t = Telemetry::new(2);

@@ -9,8 +9,11 @@
 //! drain-write latency, and the drain/salvage side feeds sink retry/drop and
 //! recovery counters into the same [`Telemetry`] registry.
 //!
-//! Design rules, enforced by the `ktrace-lint` hot-path pass over
-//! [`counters`]:
+//! Design rules for [`counters`]. The reservation loop in the `no_std`
+//! crate `ktrace-lockless` tallies through the [`ReserveTally`] impl on
+//! [`CpuCounters`]; that impl and the logger's `tally_event`/`tally_masked`
+//! sit on the std side of the logging path, which no build property checks,
+//! so they keep to these rules by review:
 //!
 //! * **Lock-free and allocation-free on the hot path.** Every `tally_*` /
 //!   `observe_*` call touches only the calling CPU's own padded cache line —
@@ -41,6 +44,7 @@ pub use counters::{
     HIST_BUCKETS,
 };
 pub use expo::{to_json, to_prometheus, to_prometheus_labeled};
+pub use ktrace_lockless::ReserveTally;
 pub use schema::{CounterDesc, HistDesc};
 pub use snapshot::{
     hist_count, hist_mean, hist_quantile, CpuTelemetry, SalvageTelemetry, SinkTelemetry,

@@ -19,9 +19,9 @@
 //! ([`crate::snapshot`]) and the fleet collector's `/metrics` and `/nodes`
 //! are loops over `rows()`. The **hot half is not generated**: each block's
 //! `tally_*` / `observe_*` functions stay hand-written next to the table,
-//! where the `ktrace-lint` hot-path pass reads them. Each row names its
-//! counter's protocol role (`ExactCounter` or `StatisticCounter` from
-//! `ktrace_format::protocol`), which fixes what a tally may do to it; the
+//! where an audit of the logging path's std-side edge reads them. Each row
+//! names its counter's protocol role (`ExactCounter` or `StatisticCounter`
+//! from `ktrace_format::protocol`), which fixes what a tally may do to it; the
 //! macro itself generates only `new(0)` and `load()`, which both allow.
 
 /// What one counter row declares. The generated structs carry the values;

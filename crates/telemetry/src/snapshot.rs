@@ -185,6 +185,7 @@ pub fn hist_mean(buckets: &[u64; HIST_BUCKETS], sum: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::counters::bucket_index;
+    use crate::ReserveTally;
 
     fn loaded() -> Telemetry {
         let t = Telemetry::new(2);

@@ -13,6 +13,9 @@
 //! * [`race`] — [`detect_races`]: an Eraser-style lockset detector refined
 //!   with vector-clock happens-before, driven by the stream's LOCK, SCHED,
 //!   and MEM access-annotation events.
+//! * [`lockorder`] — [`lock_order`]: a Goodlock graph over the stream's lock
+//!   instances, reporting each potential deadlock (a cycle of lock orders
+//!   from distinct threads with no common gate lock).
 //! * [`report`] — the shared violation vocabulary and exit-code mapping.
 //!
 //! # Example
@@ -34,6 +37,7 @@
 //! ```
 
 pub mod lint;
+pub mod lockorder;
 pub mod lockset;
 pub mod race;
 pub mod report;
@@ -42,6 +46,7 @@ pub mod vclock;
 
 pub use ktrace_format::exit;
 pub use lint::{lint_file, lint_registry, lint_snapshot, StreamLinter};
+pub use lockorder::{lock_order, lock_order_in_file, LockOrderAnalysis};
 pub use lockset::{AddrState, LocksetTracker, LocksetVerdict};
 pub use race::{detect_races, races_in_file, AccessSite, RaceAnalysis, RaceFinding};
 pub use report::{Report, Violation, ViolationKind};

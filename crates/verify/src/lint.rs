@@ -413,7 +413,7 @@ mod tests {
     fn pad_with_filler(words: &mut Vec<u64>, total: usize) {
         let remaining = total - words.len();
         if remaining > 0 {
-            let f = EventHeader::filler(0, remaining).unwrap();
+            let f = EventHeader::control(0, control::FILLER, remaining);
             words.push(f.encode());
             words.extend(std::iter::repeat_n(0u64, remaining - 1));
         }
@@ -526,7 +526,7 @@ mod tests {
     fn data_event_after_filler_flagged() {
         let mut words = anchor(1_000, 0);
         words.extend(event(1_010, MajorId::TEST, 2, &[9]));
-        let f = EventHeader::filler(0, 3).unwrap();
+        let f = EventHeader::control(0, control::FILLER, 3);
         words.push(f.encode());
         words.extend([0u64, 0]);
         words.extend(event(1_020, MajorId::TEST, 2, &[10])); // after filler!

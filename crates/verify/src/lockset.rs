@@ -66,6 +66,11 @@ impl LocksetTracker {
         }
     }
 
+    /// The locks `tid` holds now.
+    pub fn held(&self, tid: u64) -> Option<&BTreeSet<u64>> {
+        self.held.get(&tid)
+    }
+
     /// The candidate lockset for `addr`, if the address has been accessed.
     pub fn candidates(&self, addr: u64) -> Option<&BTreeSet<u64>> {
         self.addrs.get(&addr).and_then(|i| i.candidates.as_ref())

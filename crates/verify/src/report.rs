@@ -6,10 +6,10 @@
 //! prose.
 //!
 //! This is the **shared exit-code table** for every checker: `ktrace-verify`
-//! (dynamic, trace-stream checks; codes 10–20), `ktrace-lint` (static,
-//! source-level checks; codes 32, 34), and the trace-assertion engine in
-//! `ktrace-query` (declarative trace properties; codes 36–39) draw from the
-//! same enum so a CI failure code identifies the broken invariant regardless
+//! (trace-stream checks, codes 10–20, and the lock-order fold, code 34 — the
+//! one live code of the retired static band 30–35) and the trace-assertion
+//! engine in `ktrace-query` (declarative trace properties; codes 36–39) draw
+//! from the same enum so a CI failure code identifies the broken invariant regardless
 //! of which tool found it. Codes 0 (clean), 1 (input unreadable), and
 //! 2 (usage error) are reserved by every CLI and never assigned to a
 //! violation class.
@@ -56,13 +56,9 @@ pub enum ViolationKind {
     LossyDrain = exit::LOSSY_DRAIN,
     /// A data race found by the lockset / vector-clock detector.
     DataRace = exit::DATA_RACE,
-    /// Static (ktrace-lint): the lockless logging hot path reaches heap
-    /// allocation, a blocking lock, or I/O — forbidden because `log_event`
-    /// must stay safe in any kernel context (paper goal 2).
-    HotPathHazard = exit::HOT_PATH_HAZARD,
-    /// Static (ktrace-lint): the static lock-acquisition graph contains a
-    /// cycle — two code paths can take the same pair of lock classes in
-    /// opposite orders, so the system can deadlock.
+    /// `ktrace-verify lockorder`: the trace's lock-order graph has a cycle
+    /// from distinct threads with no common gate lock — the run could have
+    /// deadlocked, whether or not it did.
     LockOrderCycle = exit::LOCK_ORDER_CYCLE,
     /// Trace assertion (ktrace-query): a count/sum/rate/max bound on matching
     /// events does not hold — e.g. "events_lost == 0 on clean runs".
@@ -104,7 +100,6 @@ impl ViolationKind {
             ViolationKind::BadRegistry,
             ViolationKind::LossyDrain,
             ViolationKind::DataRace,
-            ViolationKind::HotPathHazard,
             ViolationKind::LockOrderCycle,
             ViolationKind::AssertCount,
             ViolationKind::AssertPairing,
@@ -310,15 +305,12 @@ mod tests {
 
     #[test]
     fn kinds_live_in_their_own_bands() {
-        // Dynamic (stream) checks: 10–29. Static (source) checks: 32–35.
-        // Trace assertions: 36+.
+        // Stream checks: 10–29. Lock order keeps 34, the one live code of
+        // the retired static band 30–35. Trace assertions: 36+.
         for k in ViolationKind::all() {
             let code = k.exit_code();
-            let band = if matches!(
-                k,
-                ViolationKind::HotPathHazard | ViolationKind::LockOrderCycle
-            ) {
-                (32..=35).contains(&code)
+            let band = if *k == ViolationKind::LockOrderCycle {
+                code == 34
             } else if matches!(
                 k,
                 ViolationKind::AssertCount

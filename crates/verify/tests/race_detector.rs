@@ -110,7 +110,7 @@ fn buffer(
         words.extend_from_slice(payload);
         last = *t;
     }
-    let filler = EventHeader::filler(last as u32, WORDS - words.len()).unwrap();
+    let filler = EventHeader::control(last as u32, control::FILLER, WORDS - words.len());
     words.push(filler.encode());
     words.resize(WORDS, 0);
     CompletedBuffer {

@@ -75,7 +75,6 @@ pub use ktrace_format as format;
 pub use ktrace_io as io;
 pub use ktrace_ossim as ossim;
 pub use ktrace_query as query;
-pub use ktrace_srclint as srclint;
 pub use ktrace_telemetry as telemetry;
 pub use ktrace_verify as verify;
 pub use ktrace_vsim as vsim;

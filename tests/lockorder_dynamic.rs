@@ -1,26 +1,21 @@
-//! Dynamic ⊆ static lock-order cross-check.
+//! Lock order from a real machine trace.
 //!
-//! The static lock graph (`ktrace-lint --pass lockorder`) claims to cover
-//! every acquisition order the kernel can exhibit. This test holds it to
-//! that: run a workload that nests real lock acquisitions on the simulated
-//! machine, reconstruct the *observed* lock orders from the trace's
-//! `LOCK` events, and require every observed edge to be present in the
-//! graph the linter builds from source. A dynamic edge the static analysis
-//! misses means the linter under-approximates and its cycle verdicts
-//! cannot be trusted.
+//! Run a workload that nests real lock acquisitions on the simulated
+//! machine and fold its `LOCK` events with `verify::lockorder`: the nesting
+//! is consistent, so there is no cycle, and mapped to the kernel's lock
+//! classes the instance edges are exactly the three orders the kernel's
+//! source takes (the user lock held across malloc, the FS directory calls,
+//! and page free).
 
-use ktrace::analysis::Trace;
 use ktrace::ossim::kernel::{ALLOC_LOCK_BASE, DIR_LOCK_ID, PAGE_LOCK_ID, USER_LOCK_BASE};
 use ktrace::ossim::{KTracer, Machine, MachineConfig, Op, ProcessSpec, Program, Workload};
 use ktrace::prelude::*;
-use ktrace::srclint::{lockorder, workspace_source_files};
-use std::collections::{BTreeSet, HashMap};
-use std::path::Path;
+use ktrace::verify::lock_order;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Maps a traced lock ID to its source-level lock class (the struct field
-/// the static graph names). The ID bases are the kernel's, re-exported so
-/// this mapping cannot silently drift.
+/// Maps a traced lock ID to the kernel field it belongs to. The ID bases
+/// are the kernel's, re-exported so this mapping cannot silently drift.
 fn lock_class(id: u64) -> Option<&'static str> {
     if id >= USER_LOCK_BASE {
         Some("user_locks")
@@ -36,10 +31,7 @@ fn lock_class(id: u64) -> Option<&'static str> {
 }
 
 #[test]
-fn trace_observed_lock_orders_are_covered_by_the_static_graph() {
-    // Drive the real-threaded machine through nested acquisitions: the
-    // user lock is held across malloc (alloc_locks), the FS directory
-    // calls (dir_lock), and page free (page_lock).
+fn the_nested_workload_has_no_lock_order_cycle_and_three_class_edges() {
     let clock: Arc<SyncClock> = Arc::new(SyncClock::new());
     let logger = TraceLogger::builder()
         .geometry(TraceConfig::small().flight_recorder())
@@ -65,58 +57,24 @@ fn trace_observed_lock_orders_are_covered_by_the_static_graph() {
     let report = machine.run(workload);
     assert!(!report.aborted, "nested workload must not deadlock");
 
-    // Reconstruct observed acquisition orders: per-thread held stack from
-    // ACQUIRED/RELEASED (payload: [lock_id, tid, …]), one class-level edge
-    // per (held, newly-acquired) pair. Same-class pairs are skipped — the
-    // static graph models class-level order, not per-instance order.
     let trace = Trace::from_logger(machine.tracer().logger(), 1_000_000_000);
-    let mut held: HashMap<u64, Vec<u64>> = HashMap::new();
-    let mut dynamic: BTreeSet<(String, String)> = BTreeSet::new();
-    for e in trace.of_major(MajorId::LOCK) {
-        match e.minor {
-            ktrace::events::lock::ACQUIRED if e.payload.len() >= 2 => {
-                let (lock, tid) = (e.payload[0], e.payload[1]);
-                let stack = held.entry(tid).or_default();
-                for &h in stack.iter() {
-                    if let (Some(a), Some(b)) = (lock_class(h), lock_class(lock)) {
-                        if a != b {
-                            dynamic.insert((a.to_string(), b.to_string()));
-                        }
-                    }
-                }
-                stack.push(lock);
-            }
-            ktrace::events::lock::RELEASED if e.payload.len() >= 2 => {
-                if let Some(stack) = held.get_mut(&e.payload[1]) {
-                    if let Some(pos) = stack.iter().rposition(|&l| l == e.payload[0]) {
-                        stack.remove(pos);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    assert!(
-        dynamic.contains(&("user_locks".to_string(), "alloc_locks".to_string())),
-        "workload must have nested malloc under the user lock; saw {dynamic:?}"
+    let analysis = lock_order(&trace.events);
+    assert!(analysis.is_clean(), "{}", analysis.render());
+
+    let classes: BTreeSet<(&str, &str)> = analysis
+        .edges
+        .keys()
+        .filter_map(|&(from, to)| Some((lock_class(from)?, lock_class(to)?)))
+        .filter(|(a, b)| a != b)
+        .collect();
+    assert_eq!(
+        classes,
+        BTreeSet::from([
+            ("user_locks", "alloc_locks"),
+            ("user_locks", "dir_lock"),
+            ("user_locks", "page_lock"),
+        ]),
+        "{}",
+        analysis.render()
     );
-
-    // The static graph over the real workspace sources.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for rel in workspace_source_files(root) {
-        if let Ok(src) = std::fs::read_to_string(root.join(&rel)) {
-            files.push((rel, src));
-        }
-    }
-    let graph = lockorder::build_lock_graph(&files);
-    assert!(graph.cycles().is_empty(), "workspace graph must be acyclic");
-
-    for (from, to) in &dynamic {
-        assert!(
-            graph.edges.contains_key(&(from.clone(), to.clone())),
-            "trace-observed lock order {from} -> {to} is missing from the \
-             static graph — the lockorder pass under-approximates"
-        );
-    }
 }

@@ -1,9 +1,11 @@
 //! Integration: the `ktrace-verify` CLI over real trace files — zero exit on
-//! a clean simulator trace, distinct nonzero exits per corruption, and the
-//! race detector's verdicts on the racy / lock-disciplined counter twins.
+//! a clean simulator trace, distinct nonzero exits per corruption, the
+//! race detector's verdicts on the racy / lock-disciplined counter twins,
+//! and the lock-order pass on opposite orders and on consistent nesting.
 
+use ktrace::events::lock;
 use ktrace::ossim::workload::micro;
-use ktrace::ossim::{KTracer, Machine, MachineConfig};
+use ktrace::ossim::{KTracer, Machine, MachineConfig, Op, ProcessSpec, Program, Workload};
 use ktrace::prelude::*;
 use ktrace::verify::ViolationKind;
 use std::path::{Path, PathBuf};
@@ -103,6 +105,65 @@ fn race_detector_flags_racy_and_passes_locked_traces() {
     let (out, code) = verify(&["races", locked.to_str().unwrap()]);
     assert_eq!(code, Some(0), "lock-disciplined counter must pass:\n{out}");
     assert!(out.contains("0 race"), "{out}");
+}
+
+#[test]
+fn lockorder_flags_opposite_orders_and_passes_consistent_nesting() {
+    let dir = temp_dir();
+    // Two threads take A then B, and later B then A, never overlapping:
+    // the run did not hang, but it could have.
+    let (a, b) = (0xa0, 0xb0);
+    let inverted = dir.join("inverted.ktrace");
+    let logger = TraceLogger::builder()
+        .geometry(TraceConfig::small())
+        .ncpus(1)
+        .build()
+        .unwrap();
+    ktrace::events::register_all(&logger);
+    let session = TraceSession::builder()
+        .logger(logger.clone())
+        .create(&inverted)
+        .unwrap();
+    let h = logger.handle(0).unwrap();
+    for (tid, first, second) in [(1, a, b), (2, b, a)] {
+        h.log_event(&lock::acquired(first, tid, 0, 0, 0));
+        h.log_event(&lock::acquired(second, tid, 0, 0, 0));
+        h.log_event(&lock::released(second, tid, 0));
+        h.log_event(&lock::released(first, tid, 0));
+    }
+    assert!(session.finish().lossless());
+    let (out, code) = verify(&["lockorder", inverted.to_str().unwrap()]);
+    assert_eq!(
+        code,
+        Some(ViolationKind::LockOrderCycle.exit_code() as i32),
+        "{out}"
+    );
+    assert!(
+        out.contains("[lock-order-cycle] lock 0xa0 -> 0xb0 (tid 0x1) -> 0xa0 (tid 0x2)"),
+        "{out}"
+    );
+    let (_, code) = verify(&["all", inverted.to_str().unwrap()]);
+    assert_eq!(code, Some(34), "`all` runs the lock-order pass");
+
+    // The user lock held across malloc, FS calls and page free: nested,
+    // but always in one order.
+    let nested = Program::new()
+        .op(Op::UserLock { lock: 0 })
+        .op(Op::Malloc { size: 4096 })
+        .op(Op::FsOpen { path: 7 })
+        .op(Op::FsClose { path: 7 })
+        .op(Op::FreePages { pages: 2 })
+        .op(Op::UserUnlock { lock: 0 });
+    let mut workload = Workload::new(vec![
+        ProcessSpec::new("nested-a", nested.clone()),
+        ProcessSpec::new("nested-b", nested),
+    ]);
+    workload.user_locks = 1;
+    let clean = dir.join("nested.ktrace");
+    make_trace(&clean, workload);
+    let (out, code) = verify(&["lockorder", clean.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{out}");
+    assert!(out.contains("0 cycle(s)"), "{out}");
 }
 
 #[test]
