@@ -17,8 +17,8 @@
 //! * [`deadlock`] — wait-for-graph cycle detection from lock events (the
 //!   file-system deadlock story of §4.2).
 //! * [`stats`] — event frequency accounting ("relative frequency of
-//!   different paths taken through code", §4.2).
-//! * [`anomaly`] — garbled-buffer reporting (§3.1).
+//!   different paths taken through code", §4.2), with the drops the
+//!   stream's DROPPED markers record (§3.1).
 //! * [`export`] — CSV/JSONL export for foreign toolkits (§5's future-work
 //!   item of feeding LTT's visualizer).
 //! * [`hwperf`] — hardware-counter samples logged through the unified
@@ -26,7 +26,6 @@
 //! * [`utilization`] — per-CPU busy/idle accounting and idle-gap flagging
 //!   (the §4 "large idle periods at benchmark start" discovery).
 
-pub mod anomaly;
 pub mod breakdown;
 pub mod deadlock;
 pub mod export;
@@ -40,7 +39,6 @@ pub mod table;
 pub mod timeline;
 pub mod utilization;
 
-pub use anomaly::garble_report;
 pub use breakdown::{Breakdown, ProcessBreakdown};
 pub use deadlock::{find_deadlock, DeadlockReport};
 pub use export::{to_chrome_json, to_csv, to_jsonl};

@@ -7,6 +7,7 @@
 
 use crate::model::Trace;
 use crate::table::{Align, TextTable};
+use ktrace_format::ids::control;
 use ktrace_format::{MajorId, MinorId};
 use std::collections::HashMap;
 
@@ -17,6 +18,9 @@ pub struct EventStats {
     pub counts: HashMap<(MajorId, MinorId), u64>,
     /// Total events (control events excluded).
     pub total: u64,
+    /// Events dropped to consumer overrun, summed from the in-stream
+    /// DROPPED markers (§3.1).
+    pub dropped: u64,
     /// Trace duration in ticks.
     pub span_ticks: u64,
     /// Ticks per second, for rate computation.
@@ -24,7 +28,7 @@ pub struct EventStats {
 }
 
 impl EventStats {
-    /// Counts events per type.
+    /// Counts events per type, and the drops the stream's markers record.
     pub fn compute(trace: &Trace) -> EventStats {
         let mut s = EventStats {
             ticks_per_sec: trace.ticks_per_sec,
@@ -33,6 +37,9 @@ impl EventStats {
         };
         for e in &trace.events {
             if e.is_control() {
+                if e.minor == control::DROPPED {
+                    s.dropped += e.payload.first().copied().unwrap_or(0);
+                }
                 continue;
             }
             *s.counts.entry((e.major, e.minor)).or_default() += 1;
@@ -77,9 +84,10 @@ impl EventStats {
             t.row(vec![count.to_string(), share, name]);
         }
         format!(
-            "{} events, {:.0} events/sec\n{}",
+            "{} events, {:.0} events/sec, {} event(s) dropped to overrun\n{}",
             self.total,
             self.events_per_sec(),
+            self.dropped,
             t.render()
         )
     }
@@ -90,7 +98,6 @@ mod tests {
     use super::*;
     use crate::model::testutil::{ev, trace};
     use ktrace_events::sched;
-    use ktrace_format::ids::control;
 
     fn sample() -> Trace {
         let mut events = Vec::new();
@@ -136,6 +143,18 @@ mod tests {
         assert!(s.contains("TRACE_SCHED_CTX_SWITCH"), "{s}");
         assert!(s.contains("TEST/7"));
         assert!(s.contains("76.9%"));
+    }
+
+    #[test]
+    fn sums_dropped_markers() {
+        let t = trace(vec![
+            ev(0, 1, MajorId::CONTROL, control::DROPPED, &[5]),
+            ev(0, 2, MajorId::CONTROL, control::DROPPED, &[3]),
+            ev(0, 3, MajorId::TEST, 1, &[]),
+        ]);
+        let s = EventStats::compute(&t);
+        assert_eq!((s.total, s.dropped), (1, 8));
+        assert!(s.render(&t).contains(", 8 event(s) dropped to overrun\n"));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! | band | codes | owner |
 //! |------|-------|-------|
 //! | process | 0–2 | every CLI: clean / input unreadable / usage error |
-//! | stream verify | 10–20 | `ktrace-verify` (dynamic trace-stream checks) |
-//! | lock order | 34 | `ktrace-verify lockorder` (30–33 and 35 retired, reserved) |
+//! | stream verify | 10–20 | `ktrace-tools verify` (dynamic trace-stream checks) |
+//! | lock order | 34 | `ktrace-tools verify lockorder` (30–33 and 35 retired, reserved) |
 //! | trace assertions | 36–39 | `ktrace-query` (`ktrace-tools assert`) |
 //! | collector ops | 40–42 | `ktrace-collectd` (fleet-service operational) |
 //! | adaptive control | 43 | `ktrace-tools adapt` (closed-loop operational) |
@@ -69,7 +69,7 @@ pub const DATA_RACE: u8 = 20;
 // `crate::protocol` role type whose methods fix its orderings, so a
 // forbidden ordering is a compile error. Reserved; never assign it again.
 /// The trace's lock-order graph has a cycle from distinct threads with no
-/// common gate lock (`ktrace-verify lockorder`).
+/// common gate lock (`ktrace-tools verify lockorder`).
 pub const LOCK_ORDER_CYCLE: u8 = 34;
 // 35 (unsafe-unjustified) is retired: the workspace forbids `unsafe_code`
 // outside the clock's one ordered TSC read, and clippy's

@@ -13,12 +13,6 @@ pub const fn words_for_bytes(len: usize) -> usize {
     len.div_ceil(8)
 }
 
-/// Number of words a string field of `len` bytes occupies (length word + data).
-#[inline]
-pub const fn str_field_words(len: usize) -> usize {
-    1 + words_for_bytes(len)
-}
-
 /// Packs two 32-bit values into one word (`hi` in the upper half).
 #[inline]
 pub const fn pack2x32(hi: u32, lo: u32) -> u64 {

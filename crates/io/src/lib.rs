@@ -14,8 +14,8 @@
 //!   realization of the paper's alignment-boundary random access.
 //! * [`writer`] — a streaming [`TraceFileWriter`] fed by the core consumer.
 //! * [`reader`] — [`TraceFileReader`]: random record access, a cheap
-//!   time index built from each buffer's anchor, time-windowed reads, and
-//!   per-record garble reporting.
+//!   time index built from each buffer's anchor, and time-windowed reads
+//!   (garble reporting is `ktrace-verify`'s lint).
 //! * [`merge`] — a k-way, timestamp-ordered merge of per-CPU event streams.
 //! * [`trace`] — [`Trace`]: the in-memory model every read path loads into
 //!   ([`TraceFileReader::load`]) and every tool consumes.
@@ -39,7 +39,7 @@ pub mod writer;
 pub use error::IoError;
 pub use file::{FileHeader, FILE_MAGIC, FILE_VERSION};
 pub use merge::MergedEvents;
-pub use reader::{BufferRecord, RecordAnomaly, TraceFileReader};
+pub use reader::{BufferRecord, TraceFileReader};
 pub use salvage::{salvage_bytes, salvage_trace, CpuSalvage, SalvageReport, SalvagedRecord};
 pub use session::{SessionBuilder, SessionConfig, SessionError, SessionStats, TraceSession};
 pub use trace::Trace;

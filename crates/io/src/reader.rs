@@ -10,7 +10,7 @@ use crate::error::IoError;
 use crate::file::{body_words, frame_record, FileHeader, RecordFrame, RECORD_HEADER_BYTES};
 use crate::merge::{MergedEvents, RecordSource};
 use crate::trace::Trace;
-use ktrace_core::reader::{parse_buffer, walk_buffer, GarbleNote, RawEvent};
+use ktrace_core::reader::RawEvent;
 use ktrace_format::EventHeader;
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom};
@@ -29,21 +29,6 @@ pub struct BufferRecord {
     pub complete: bool,
     /// The buffer words.
     pub words: Vec<u64>,
-}
-
-/// A garbling report for one record (§3.1's anomaly reporting).
-#[derive(Debug, Clone)]
-pub struct RecordAnomaly {
-    /// Record index in the file.
-    pub record: usize,
-    /// CPU that produced the buffer.
-    pub cpu: u32,
-    /// Buffer sequence number.
-    pub seq: u64,
-    /// False if the commit count mismatched at drain time.
-    pub complete: bool,
-    /// Structural problems found while decoding the event chain.
-    pub notes: Vec<GarbleNote>,
 }
 
 /// Reader over any seekable source (usually a file).
@@ -171,16 +156,6 @@ impl<R: Read + Seek> TraceFileReader<R> {
         Ok((frame.cpu, frame.seq, frame.complete, anchor))
     }
 
-    /// Decodes record `index` into events.
-    pub fn parse_record(
-        &mut self,
-        index: usize,
-    ) -> Result<(BufferRecord, Vec<RawEvent>, Vec<GarbleNote>), IoError> {
-        let rec = self.record(index)?;
-        let parsed = parse_buffer(rec.cpu as usize, rec.seq, &rec.words, None);
-        Ok((rec, parsed.events, parsed.notes))
-    }
-
     /// A timestamp-merged iterator over every event in the file.
     pub fn events(&mut self) -> Result<MergedEvents<'_, R>, IoError> {
         let all: Vec<usize> = (0..self.record_count).collect();
@@ -248,28 +223,6 @@ impl<R: Read + Seek> TraceFileReader<R> {
             self.header.ticks_per_sec,
         ))
     }
-
-    /// Scans every record for garbling: drain-time commit mismatches and
-    /// structural decode anomalies.
-    pub fn anomalies(&mut self) -> Result<Vec<RecordAnomaly>, IoError> {
-        let mut out = Vec::new();
-        for k in 0..self.record_count {
-            let rec = self.read_record(k)?;
-            let mut walk = walk_buffer(&rec.words, None);
-            walk.by_ref().for_each(drop);
-            let notes = walk.into_notes();
-            if !rec.complete || !notes.is_empty() {
-                out.push(RecordAnomaly {
-                    record: k,
-                    cpu: rec.cpu,
-                    seq: rec.seq,
-                    complete: rec.complete,
-                    notes,
-                });
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// A record read in full is one seek, one read, one bytes→words pass.
@@ -294,6 +247,7 @@ mod tests {
     use super::*;
     use crate::writer::TraceFileWriter;
     use ktrace_clock::ManualClock;
+    use ktrace_core::reader::parse_buffer;
     use ktrace_core::{TraceConfig, TraceLogger};
     use ktrace_format::{EventRegistry, MajorId};
     use std::io::Cursor;
@@ -370,11 +324,15 @@ mod tests {
         assert!(r.record(last + 1).is_err());
         // Every complete record decodes cleanly on its own (random access).
         for k in [last, 0, last / 2] {
-            let (rec, events, notes) = r.parse_record(k).unwrap();
+            let rec = r.record(k).unwrap();
+            let parsed = parse_buffer(rec.cpu as usize, rec.seq, &rec.words, None);
             assert!(rec.complete);
-            assert!(notes.is_empty());
-            assert!(!events.is_empty());
-            assert!(events[0].is_control(), "records start with an anchor");
+            assert!(parsed.clean());
+            assert!(!parsed.events.is_empty());
+            assert!(
+                parsed.events[0].is_control(),
+                "records start with an anchor"
+            );
         }
     }
 
@@ -386,7 +344,8 @@ mod tests {
         assert!(cpu < 2);
         assert_eq!(seq, 0);
         assert!(complete);
-        let full = r.parse_record(0).unwrap().1;
+        let rec = r.record(0).unwrap();
+        let full = parse_buffer(rec.cpu as usize, rec.seq, &rec.words, None).events;
         assert_eq!(anchor, Some(full[0].payload[0]));
     }
 
@@ -409,33 +368,6 @@ mod tests {
             got_data.last().map(|e| e.time),
             expect.last().map(|e| e.time)
         );
-    }
-
-    #[test]
-    fn clean_trace_has_no_anomalies() {
-        let (bytes, _) = sample_trace();
-        let mut r = TraceFileReader::new(Cursor::new(bytes)).unwrap();
-        assert!(r.anomalies().unwrap().is_empty());
-    }
-
-    #[test]
-    fn corrupted_record_reports_anomaly() {
-        let (mut bytes, _) = sample_trace();
-        // Zero the last record's first event header (its time anchor) to
-        // simulate an unfinished log at the start of the buffer.
-        let (hdr, hdr_len) = FileHeader::decode(&bytes).unwrap();
-        let records = (bytes.len() - hdr_len) / hdr.record_size();
-        let word0 = hdr_len + (records - 1) * hdr.record_size() + RECORD_HEADER_BYTES;
-        for b in &mut bytes[word0..word0 + 8] {
-            *b = 0;
-        }
-        let mut r = TraceFileReader::new(Cursor::new(bytes)).unwrap();
-        let anomalies = r.anomalies().unwrap();
-        assert!(!anomalies.is_empty(), "zeroed header must be detected");
-        assert!(anomalies.iter().any(|a| a
-            .notes
-            .iter()
-            .any(|n| matches!(n, GarbleNote::ZeroHeader { .. }))));
     }
 
     /// A good image whose `fail_on`-th read of a whole record errors: a disk

@@ -15,8 +15,8 @@
 //! * [`eval`] — [`Query`]: indexed evaluation, property-tested against the
 //!   naive reference interpreter in `tests/expr_props.rs`.
 //! * [`spec`] — named assertion specs (`props/ktrace.toml`) evaluated into
-//!   the shared verify exit-code [`Report`](ktrace_verify::Report)
-//!   (assertion band: codes 36–39).
+//!   a [`Report`](ktrace_verify::Report) on the exit-code table
+//!   `ktrace-tools verify` also exits on (assertion band: codes 36–39).
 //!
 //! # Example
 //!

@@ -9,10 +9,10 @@
 //! ```
 //!
 //! [`Spec::check`] evaluates every property in one walk of a [`Query`]'s
-//! trace and returns a [`Report`] on the shared verify exit-code
-//! table: each violated property maps to the assertion band (codes 36–39)
-//! by its aggregation class, so CI can tell *which kind* of property broke
-//! from the exit code alone.
+//! trace and returns a [`Report`] on the exit-code table `ktrace-tools
+//! verify` also exits on: each violated property maps to the assertion
+//! band (codes 36–39) by its aggregation class, so CI can tell *which kind*
+//! of property broke from the exit code alone.
 
 use crate::eval::{Fold, Query};
 use crate::expr::{parse_assertion, Agg, Assertion};

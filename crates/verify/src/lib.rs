@@ -9,7 +9,9 @@
 //!
 //! * [`lint`] — the [`StreamLinter`]: replays a trace file, a live
 //!   [`RegionSnapshot`](ktrace_core::RegionSnapshot), or drained buffers and
-//!   reports every invariant violation with a distinct exit code.
+//!   reports every invariant violation with a distinct exit code. It is the
+//!   one garble report: a short commit count and every decode note of a
+//!   buffer walk (§3.1) are violations here, and nowhere else.
 //! * [`race`] — [`detect_races`]: an Eraser-style lockset detector refined
 //!   with vector-clock happens-before, driven by the stream's LOCK, SCHED,
 //!   and MEM access-annotation events.
@@ -17,6 +19,9 @@
 //!   instances, reporting each potential deadlock (a cycle of lock orders
 //!   from distinct threads with no common gate lock).
 //! * [`report`] — the shared violation vocabulary and exit-code mapping.
+//!
+//! `ktrace-tools verify <lint|races|lockorder|all> <file>` runs the passes
+//! over a trace file and exits with the report's code.
 //!
 //! # Example
 //!

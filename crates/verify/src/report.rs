@@ -5,9 +5,9 @@
 //! scripted experiment runs can tell *which* invariant broke without parsing
 //! prose.
 //!
-//! This is the **shared exit-code table** for every checker: `ktrace-verify`
-//! (trace-stream checks, codes 10–20, and the lock-order fold, code 34 — the
-//! one live code of the retired static band 30–35) and the trace-assertion
+//! This is the **shared exit-code table** for every checker: `ktrace-tools
+//! verify` (trace-stream checks, codes 10–20, and the lock-order fold, code
+//! 34 — the one live code of the retired static band 30–35) and the trace-assertion
 //! engine in `ktrace-query` (declarative trace properties; codes 36–39) draw
 //! from the same enum so a CI failure code identifies the broken invariant regardless
 //! of which tool found it. Codes 0 (clean), 1 (input unreadable), and
@@ -56,7 +56,7 @@ pub enum ViolationKind {
     LossyDrain = exit::LOSSY_DRAIN,
     /// A data race found by the lockset / vector-clock detector.
     DataRace = exit::DATA_RACE,
-    /// `ktrace-verify lockorder`: the trace's lock-order graph has a cycle
+    /// `ktrace-tools verify lockorder`: the trace's lock-order graph has a cycle
     /// from distinct threads with no common gate lock — the run could have
     /// deadlocked, whether or not it did.
     LockOrderCycle = exit::LOCK_ORDER_CYCLE,

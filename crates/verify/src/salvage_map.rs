@@ -4,7 +4,7 @@
 //! what it can and describes the damage. CI and scripted runs, however,
 //! speak the exit-code table of [`ViolationKind`]: this module translates a
 //! [`SalvageReport`] into a [`Report`] so `ktrace-tools salvage` exits with
-//! the same stable codes as `ktrace-verify` — code 10 for structural file
+//! the same stable codes as `ktrace-tools verify` — code 10 for structural file
 //! damage, 11 for commit garbling, and so on — and a clean salvage exits 0.
 
 use crate::report::{Report, Violation, ViolationKind};

@@ -9,12 +9,13 @@
 //! ktrace-tools profile <file>             Fig. 6 PC-sample histograms
 //! ktrace-tools breakdown <file> <pid>     Fig. 8 per-process breakdown
 //! ktrace-tools timeline <file> [width]    Fig. 4 ASCII timeline
-//! ktrace-tools stats <file>               event-frequency table
-//! ktrace-tools anomalies <file>           garble / drop report
+//! ktrace-tools stats <file>               event-frequency table and drops
 //! ktrace-tools export-csv <file>          CSV to stdout
 //! ktrace-tools export-chrome <file>       Chrome/Perfetto trace JSON to stdout
 //! ktrace-tools deadlock <file>            wait-for-graph cycle search
 //! ktrace-tools salvage <file> [out]       forgiving read of a damaged file
+//! ktrace-tools verify <lint|races|lockorder|all> <file>
+//!                                         check the stream (ktrace-verify)
 //! ktrace-tools assert <file> --spec <props.toml> [--salvage]
 //! ktrace-tools assert <store> --spec <props.toml> --store [--node <name>]
 //!                                         evaluate named trace assertions
@@ -24,6 +25,18 @@
 //! ktrace-tools collect <store> [listen] [secs]  run a fleet collector
 //! ktrace-tools fleet <store> [nodes] [secs]     collector + N local ossim nodes
 //! ```
+//!
+//! `verify` runs `ktrace-verify`'s passes over a file: `lint` checks the
+//! stream invariants (monotonicity, filler alignment, lengths, commit
+//! counts, registry consistency) and is the one garble report; `races` is
+//! lockset + happens-before race detection over the MEM access
+//! annotations; `lockorder` finds lock-order cycles (potential deadlocks)
+//! over the LOCK events; `all` runs the three in turn. It exits 0 when
+//! clean, otherwise with the distinct code of the most severe violation
+//! class found (e.g. 10 truncated buffer, 11 garbled commit, 12
+//! non-monotonic timestamp, 13 undeclared event, 20 data race, 34
+//! lock-order cycle), so scripted runs can tell *which* invariant broke
+//! without parsing output.
 //!
 //! `salvage` never refuses a file: it recovers every event outside the
 //! damaged extents, prints the salvage report, and exits with the shared
@@ -70,12 +83,13 @@ use ktrace::analysis::{
     TimelineOptions, Trace,
 };
 use ktrace::exit;
-use ktrace::io::TraceFileReader;
+use ktrace::io::IoError;
+use ktrace::verify::{lint_file, lock_order_in_file, races_in_file, Report};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ktrace-tools <list|lockstat|profile|breakdown|timeline|stats|anomalies|export-csv|export-chrome|deadlock|salvage> <trace-file> [arg]\n       ktrace-tools assert <trace-file> --spec <props.toml> [--salvage]\n       ktrace-tools assert <store-dir> --spec <props.toml> --store [--node <name>]\n       ktrace-tools top [secs] [ncpus]\n       ktrace-tools record <out-file> [secs] [ncpus]\n       ktrace-tools adapt <out-file> [secs] [ncpus] [--fault]\n       ktrace-tools collect <store-dir> [listen-addr] [secs]\n       ktrace-tools fleet <store-dir> [nodes] [secs]"
+        "usage: ktrace-tools <list|lockstat|profile|breakdown|timeline|stats|export-csv|export-chrome|deadlock|salvage> <trace-file> [arg]\n       ktrace-tools verify <lint|races|lockorder|all> <trace-file>\n       ktrace-tools assert <trace-file> --spec <props.toml> [--salvage]\n       ktrace-tools assert <store-dir> --spec <props.toml> --store [--node <name>]\n       ktrace-tools top [secs] [ncpus]\n       ktrace-tools record <out-file> [secs] [ncpus]\n       ktrace-tools adapt <out-file> [secs] [ncpus] [--fault]\n       ktrace-tools collect <store-dir> [listen-addr] [secs]\n       ktrace-tools fleet <store-dir> [nodes] [secs]"
     );
     ExitCode::from(exit::USAGE)
 }
@@ -112,6 +126,44 @@ fn salvage(path: &str, repair_out: Option<&str>) -> ExitCode {
         }
     }
     ExitCode::from(lint.exit_code())
+}
+
+/// `ktrace-tools verify`: runs the named pass, or with `all` each pass in
+/// turn, printing each one's report and exiting with the most severe
+/// violation's code.
+fn verify(pass: &str, path: &str) -> ExitCode {
+    type Pass = fn(&str) -> Result<(String, Report), IoError>;
+    let passes: [(&str, Pass); 3] = [
+        ("lint", |p| lint_file(p).map(|r| (r.render(), r))),
+        ("races", |p| {
+            races_in_file(p).map(|a| (a.render(), a.to_report()))
+        }),
+        ("lockorder", |p| {
+            lock_order_in_file(p).map(|a| (a.render(), a.to_report()))
+        }),
+    ];
+    let selected: Vec<Pass> = passes
+        .into_iter()
+        .filter(|&(name, _)| pass == "all" || pass == name)
+        .map(|(_, run)| run)
+        .collect();
+    if selected.is_empty() {
+        return usage();
+    }
+    let mut report = Report::new();
+    for run in selected {
+        match run(path) {
+            Ok((text, found)) => {
+                print!("{text}");
+                report.merge(found);
+            }
+            Err(e) => {
+                eprintln!("cannot read {path}: {e}");
+                return ExitCode::from(exit::UNREADABLE);
+            }
+        }
+    }
+    ExitCode::from(report.exit_code())
 }
 
 /// Where `assert` reads its events from.
@@ -689,6 +741,12 @@ fn main() -> ExitCode {
         let ncpus = positional.next().and_then(|s| s.parse().ok()).unwrap_or(2);
         return adapt_cmd(out, secs, ncpus, fault);
     }
+    if args.first().map(String::as_str) == Some("verify") {
+        return match &args[1..] {
+            [pass, path] => verify(pass, path),
+            _ => usage(),
+        };
+    }
     if args.first().map(String::as_str) == Some("collect") {
         let Some(store) = args.get(1) else {
             return usage();
@@ -802,22 +860,6 @@ fn main() -> ExitCode {
         }
         "stats" => {
             print!("{}", EventStats::compute(&trace).render(&trace));
-        }
-        "anomalies" => {
-            let mut reader = match TraceFileReader::open(path) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("cannot open {path}: {e}");
-                    return ExitCode::from(exit::UNREADABLE);
-                }
-            };
-            match reader.anomalies() {
-                Ok(list) => print!("{}", analysis::garble_report(&trace, &list)),
-                Err(e) => {
-                    eprintln!("scan failed: {e}");
-                    return ExitCode::from(exit::UNREADABLE);
-                }
-            }
         }
         "export-csv" => {
             print!("{}", analysis::to_csv(&trace, false));

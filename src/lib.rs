@@ -18,13 +18,17 @@
 //! * filler events that realign the stream at buffer boundaries, so the
 //!   variable-length stream remains **randomly accessible** ([`io`]);
 //! * per-buffer commit counts that detect garbled buffers from killed or
-//!   blocked loggers ([`core`], §3.1 of the paper);
+//!   blocked loggers ([`core`], §3.1 of the paper), reported with every
+//!   other stream invariant by one lint ([`verify`]);
 //! * self-describing events — field specs and printf-like templates
 //!   embedded in every trace file — so tools need no compiled-in event
 //!   knowledge ([`format::describe`]);
 //! * the analysis suite the paper builds on top: event listing, lock
 //!   contention, statistical PC profiling, per-process time breakdown,
-//!   timelines, deadlock detection ([`analysis`]).
+//!   timelines, deadlock detection ([`analysis`]);
+//! * trace checks over the same stream — the integrity lint, race
+//!   detection and lock order ([`verify`]) — behind the same front door as
+//!   the analyses: `ktrace-tools verify <lint|races|lockorder|all> <file>`.
 //!
 //! Since the paper's substrate is an operating system on a large
 //! multiprocessor, the workspace also ships the substitutes described in

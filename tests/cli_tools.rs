@@ -64,15 +64,19 @@ fn cli_subcommands_work_on_a_real_file() {
     let (stats, ok) = tool(&["stats", p]);
     assert!(ok);
     assert!(stats.contains("events/sec"));
+    assert!(
+        stats.contains(", 0 event(s) dropped to overrun\n"),
+        "{stats}"
+    );
 
     let (tl, ok) = tool(&["timeline", p, "40"]);
     assert!(ok);
     assert!(tl.contains("cpu0"));
     assert!(tl.contains("legend:"));
 
-    let (anomalies, ok) = tool(&["anomalies", p]);
-    assert!(ok);
-    assert!(anomalies.contains("0 record(s) anomalous"), "{anomalies}");
+    let (lint, code) = tool_code(&["verify", "lint", p]);
+    assert_eq!(code, 0, "{lint}");
+    assert!(lint.contains(": 0 violation(s)"), "{lint}");
 
     let (csv, ok) = tool(&["export-csv", p]);
     assert!(ok);

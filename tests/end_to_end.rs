@@ -87,9 +87,10 @@ fn full_pipeline_from_simulator_to_tools() {
     let stats = EventStats::compute(&trace);
     assert!(stats.total > 100);
 
-    // No garbling in a clean run.
+    // A clean run lints clean: no garbling, every stream invariant holds.
     let mut reader = TraceFileReader::open(&path).expect("open");
-    assert!(reader.anomalies().expect("scan").is_empty());
+    let lint = ktrace::verify::lint::lint_open_reader(&mut reader);
+    assert!(lint.is_clean(), "{}", lint.render());
 
     // The standing trace properties hold on any clean run: the assertion
     // engine over the same file reports nothing on the 36+ band.

@@ -31,6 +31,14 @@ where
         .ncpus(2)
         .build()
         .expect("logger");
+    // Declared, so the receiver's lint holds the stream to its registry.
+    for cpu in 0..2 {
+        logger.register_event(
+            MajorId::TEST,
+            cpu,
+            EventDescriptor::new("TRACE_TEST_PAIR", "64 64", "i %0[%d] 2i %1[%d]").unwrap(),
+        );
+    }
     let conn = TcpStream::connect(receiver.addr()).expect("connect");
     let session = TraceSession::builder()
         .logger(logger.clone())
@@ -71,7 +79,8 @@ fn trace_streams_over_tcp() {
         .filter(|e| !e.is_control())
         .count() as u64;
     assert_eq!(data, logged, "every event crossed the wire intact");
-    assert!(reader.anomalies().expect("scan").is_empty());
+    let lint = ktrace::verify::lint::lint_open_reader(&mut reader);
+    assert!(lint.is_clean(), "{}", lint.render());
 }
 
 #[test]

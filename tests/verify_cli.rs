@@ -1,4 +1,4 @@
-//! Integration: the `ktrace-verify` CLI over real trace files — zero exit on
+//! Integration: `ktrace-tools verify` over real trace files — zero exit on
 //! a clean simulator trace, distinct nonzero exits per corruption, the
 //! race detector's verdicts on the racy / lock-disciplined counter twins,
 //! and the lock-order pass on opposite orders and on consistent nesting.
@@ -29,11 +29,12 @@ fn make_trace(path: &Path, workload: ktrace::ossim::Workload) {
 }
 
 fn verify(args: &[&str]) -> (String, Option<i32>) {
-    let exe = env!("CARGO_BIN_EXE_ktrace-verify");
+    let exe = env!("CARGO_BIN_EXE_ktrace-tools");
     let out = Command::new(exe)
+        .arg("verify")
         .args(args)
         .output()
-        .expect("run ktrace-verify");
+        .expect("run ktrace-tools verify");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         out.status.code(),

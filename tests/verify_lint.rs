@@ -1,23 +1,36 @@
 //! Integration: the stream linter over a live multi-writer logger.
 //!
-//! Several threads log concurrently through the lockless reservation path
-//! while a consumer drains buffers; everything drained must satisfy every
-//! stream invariant the linter checks.
+//! Two threads per CPU log concurrently through the lockless reservation
+//! path (`ktrace_lockless::Ring`, the paper's Fig. 2 loop), so each
+//! region's reservation CAS has two writers, while a consumer drains
+//! buffers; everything drained must satisfy every stream invariant the
+//! linter checks. A clean report pins
+//! the loop's promises on the production code: claimed extents are
+//! disjoint (no zero-header or overrun note), each buffer begins with one
+//! anchor (no `missing-anchor`), fillers end exactly at the boundary, and
+//! each CPU's events are in time order within and across buffers.
 
 use ktrace::core::CompletedBuffer;
 use ktrace::prelude::*;
 use ktrace::verify::lint::lint_completed_buffers;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 #[test]
 fn multi_writer_trace_lints_clean() {
     const NCPUS: usize = 4;
-    const EVENTS_PER_CPU: u64 = 2_000;
+    const WRITERS_PER_CPU: usize = 2;
+    const EVENTS_PER_WRITER: u64 = 20_000;
 
     let clock: Arc<SyncClock> = Arc::new(SyncClock::new());
     let logger = TraceLogger::builder()
-        .geometry(TraceConfig::small())
+        // Small buffers, so reservations keep crossing boundaries, and
+        // enough of them to hold every event: a full ring would turn the
+        // writers' reservations into drops.
+        .geometry(TraceConfig {
+            buffers_per_cpu: 1024,
+            ..TraceConfig::small()
+        })
         .clock(clock)
         .ncpus(NCPUS)
         .build()
@@ -28,16 +41,20 @@ fn multi_writer_trace_lints_clean() {
         EventDescriptor::new("TRACE_TEST_PAIR", "64 64", "a %0[%d] b %1[%d]").unwrap(),
     );
 
+    // Every writer starts at once, so two share each region's reservation
+    // index while both are logging.
+    let start = Barrier::new(NCPUS * WRITERS_PER_CPU);
     let done = AtomicBool::new(false);
     let collected: Mutex<Vec<CompletedBuffer>> = Mutex::new(Vec::new());
 
     std::thread::scope(|s| {
-        let writers: Vec<_> = (0..NCPUS)
-            .map(|cpu| {
-                let logger = &logger;
+        let writers: Vec<_> = (0..NCPUS * WRITERS_PER_CPU)
+            .map(|w| {
+                let (logger, start) = (&logger, &start);
                 s.spawn(move || {
-                    let h = logger.handle(cpu).unwrap();
-                    for i in 0..EVENTS_PER_CPU {
+                    let h = logger.handle(w % NCPUS).unwrap();
+                    start.wait();
+                    for i in 0..EVENTS_PER_WRITER {
                         h.log_slice(MajorId::TEST, 1, &[i, i * 2]);
                     }
                 })
