@@ -2,22 +2,19 @@
 //!
 //! "An immediate area of future work is converting the output stream
 //! produced by K42's trace facility so that it can be read by LTT's visual
-//! display toolkit." This module provides two lossless, line-oriented export
-//! formats external tools can ingest:
+//! display toolkit." This module provides two export formats external tools
+//! can ingest, each behind a `ktrace-tools` subcommand:
 //!
 //! * [`to_csv`] — one event per row: time, cpu, major, minor, name,
-//!   rendered description, raw payload words;
-//! * [`to_jsonl`] — one JSON object per line (hand-encoded; the values are
-//!   numbers and strings only, so no JSON library is needed);
+//!   rendered description, raw payload words (`export-csv`);
 //! * [`to_chrome_json`] — the Chrome trace-event format, loadable in
 //!   Perfetto / `chrome://tracing`: context switches become thread slices,
 //!   lock contention becomes async spans, telemetry heartbeats become
-//!   counter tracks.
+//!   counter tracks (`export-chrome`).
 
 use crate::model::Trace;
 use ktrace_events::decode::{lock_event, sched_event, LockEv, SchedEv};
 use ktrace_format::ids::control;
-use ktrace_format::text::json_escape;
 use ktrace_format::MajorId;
 use std::fmt::Write as _;
 
@@ -55,33 +52,6 @@ pub fn to_csv(trace: &Trace, include_control: bool) -> String {
             csv_escape(&name),
             csv_escape(&desc),
             csv_escape(&payload.join(" "))
-        );
-    }
-    out
-}
-
-/// Renders the trace as JSON Lines.
-pub fn to_jsonl(trace: &Trace, include_control: bool) -> String {
-    let mut out = String::new();
-    for e in &trace.events {
-        if e.is_control() && !include_control {
-            continue;
-        }
-        let name = trace
-            .registry
-            .lookup(e.major, e.minor)
-            .map(|d| d.name.clone())
-            .unwrap_or_else(|| format!("{}_{}", e.major, e.minor));
-        let payload: Vec<String> = e.payload.iter().map(|w| w.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "{{\"time_ns\":{},\"cpu\":{},\"major\":\"{}\",\"minor\":{},\"name\":\"{}\",\"payload\":[{}]}}",
-            e.time,
-            e.cpu,
-            json_escape(&e.major.to_string()),
-            e.minor,
-            json_escape(&name),
-            payload.join(",")
         );
     }
     out
@@ -282,18 +252,6 @@ mod tests {
         assert_eq!(csv_escape("a,b"), "\"a,b\"");
         assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
         assert_eq!(csv_escape("plain"), "plain");
-    }
-
-    #[test]
-    fn jsonl_lines_are_wellformed() {
-        let s = to_jsonl(&sample(), false);
-        for line in s.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(line.contains("\"time_ns\":"));
-            // Balanced quotes: crude but effective well-formedness check.
-            assert_eq!(line.matches('"').count() % 2, 0);
-        }
-        assert!(s.contains("\"payload\":[7,8]"));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * [`stats`] — event frequency accounting ("relative frequency of
 //!   different paths taken through code", §4.2), with the drops the
 //!   stream's DROPPED markers record (§3.1).
-//! * [`export`] — CSV/JSONL export for foreign toolkits (§5's future-work
-//!   item of feeding LTT's visualizer).
+//! * [`export`] — CSV and Chrome trace-event export for foreign toolkits
+//!   (§5's future-work item of feeding LTT's visualizer).
 //! * [`hwperf`] — hardware-counter samples logged through the unified
 //!   stream (§2's integration of counters and tracing).
 //! * [`utilization`] — per-CPU busy/idle accounting and idle-gap flagging
@@ -41,7 +41,7 @@ pub mod utilization;
 
 pub use breakdown::{Breakdown, ProcessBreakdown};
 pub use deadlock::{find_deadlock, DeadlockReport};
-pub use export::{to_chrome_json, to_csv, to_jsonl};
+pub use export::{to_chrome_json, to_csv};
 pub use hwperf::CounterReport;
 pub use listing::{render_listing, ListingOptions};
 pub use lockstat::{LockSortKey, LockStats};

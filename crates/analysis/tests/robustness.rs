@@ -4,8 +4,8 @@
 //! damage, so crashing on weird input is a bug.
 
 use ktrace_analysis::{
-    find_deadlock, render_listing, to_csv, to_jsonl, Breakdown, CounterReport, EventStats,
-    ListingOptions, LockStats, PcProfile, Timeline, TimelineOptions, Trace, Utilization,
+    find_deadlock, render_listing, to_csv, Breakdown, CounterReport, EventStats, ListingOptions,
+    LockStats, PcProfile, Timeline, TimelineOptions, Trace, Utilization,
 };
 use ktrace_core::reader::RawEvent;
 use ktrace_format::{EventRegistry, MajorId};
@@ -59,7 +59,6 @@ proptest! {
         let util = Utilization::compute(&trace);
         let _ = util.render(&trace, 1_000);
         let _ = to_csv(&trace, true);
-        let _ = to_jsonl(&trace, true);
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl TscSynchronizer {
         self.maps.remove(&cpu); // invalidate fit
     }
 
-    /// Number of anchors recorded for `cpu`.
-    pub fn anchor_count(&self, cpu: usize) -> usize {
-        self.anchors.get(&cpu).map_or(0, Vec::len)
-    }
-
     /// Maps a TSC reading from `cpu` to global time. Returns `None` if the
     /// CPU has no anchors.
     pub fn to_global(&mut self, cpu: usize, tsc: u64) -> Option<u64> {
@@ -248,6 +243,5 @@ mod tests {
             },
         );
         assert_eq!(s.to_global(0, 100), Some(200));
-        assert_eq!(s.anchor_count(0), 2);
     }
 }

@@ -87,11 +87,6 @@ impl FieldSpec {
         Ok(FieldSpec { tokens })
     }
 
-    /// Builds a spec from tokens.
-    pub fn from_tokens(tokens: Vec<FieldToken>) -> FieldSpec {
-        FieldSpec { tokens }
-    }
-
     /// The tokens of this spec.
     pub fn tokens(&self) -> &[FieldToken] {
         &self.tokens
@@ -824,7 +819,7 @@ mod tests {
 
         #[test]
         fn encode_decode_roundtrip_int_fields(vals in prop::collection::vec(0u64..=u64::MAX, 0..16)) {
-            let spec = FieldSpec::from_tokens(vec![FieldToken::U64; vals.len()]);
+            let spec = FieldSpec::parse(&vec!["64"; vals.len()].join(" ")).unwrap();
             let fv: Vec<FieldValue> = vals.iter().copied().map(FieldValue::Int).collect();
             let words = spec.encode(&fv).unwrap();
             prop_assert_eq!(spec.decode(&words).unwrap(), fv);

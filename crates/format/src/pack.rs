@@ -13,35 +13,6 @@ pub const fn words_for_bytes(len: usize) -> usize {
     len.div_ceil(8)
 }
 
-/// Packs two 32-bit values into one word (`hi` in the upper half).
-#[inline]
-pub const fn pack2x32(hi: u32, lo: u32) -> u64 {
-    ((hi as u64) << 32) | lo as u64
-}
-
-/// Inverse of [`pack2x32`].
-#[inline]
-pub const fn unpack2x32(word: u64) -> (u32, u32) {
-    ((word >> 32) as u32, word as u32)
-}
-
-/// Packs four 16-bit values into one word (`a` highest).
-#[inline]
-pub const fn pack4x16(a: u16, b: u16, c: u16, d: u16) -> u64 {
-    ((a as u64) << 48) | ((b as u64) << 32) | ((c as u64) << 16) | d as u64
-}
-
-/// Inverse of [`pack4x16`].
-#[inline]
-pub const fn unpack4x16(word: u64) -> (u16, u16, u16, u16) {
-    (
-        (word >> 48) as u16,
-        (word >> 32) as u16,
-        (word >> 16) as u16,
-        word as u16,
-    )
-}
-
 /// Incrementally packs fields of 8/16/32/64 bits (and strings) into words.
 ///
 /// Sub-word fields are packed greedily from the low bits of the current word;
@@ -186,15 +157,6 @@ impl<'a> WordUnpacker<'a> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn fixed_packers_roundtrip() {
-        assert_eq!(
-            unpack2x32(pack2x32(0xaabbccdd, 0x11223344)),
-            (0xaabbccdd, 0x11223344)
-        );
-        assert_eq!(unpack4x16(pack4x16(1, 2, 3, 4)), (1, 2, 3, 4));
-    }
 
     #[test]
     fn greedy_packing_shares_words() {

@@ -13,7 +13,6 @@ use std::time::Duration;
 pub struct TraceFileWriter<W: Write> {
     sink: W,
     buffer_words: usize,
-    records: u64,
 }
 
 impl TraceFileWriter<BufWriter<std::fs::File>> {
@@ -91,7 +90,6 @@ impl<W: Write> TraceFileWriter<W> {
         Ok(TraceFileWriter {
             sink,
             buffer_words: header.buffer_words as usize,
-            records: 0,
         })
     }
 
@@ -133,14 +131,7 @@ impl<W: Write> TraceFileWriter<W> {
         backoff: Duration,
     ) -> Result<u32, IoError> {
         let bytes = self.encode_record(buf);
-        let retried = write_retrying(&mut self.sink, &bytes, retries, backoff)?;
-        self.records += 1;
-        Ok(retried)
-    }
-
-    /// Number of records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.records
+        write_retrying(&mut self.sink, &bytes, retries, backoff)
     }
 
     /// Flushes and returns the sink.
@@ -183,7 +174,6 @@ mod tests {
         let mut w = TraceFileWriter::new(Vec::new(), &h).unwrap();
         w.write_buffer(&buf(0, 0, vec![1; 16], true)).unwrap();
         w.write_buffer(&buf(0, 1, vec![2; 16], false)).unwrap();
-        assert_eq!(w.records_written(), 2);
         let bytes = w.finish().unwrap();
         let (_, hdr_len) = FileHeader::decode(&bytes).unwrap();
         assert_eq!(bytes.len(), hdr_len + 2 * h.record_size());

@@ -2,11 +2,13 @@
 //!
 //! Events reach an analyst four different ways: a strict trace file, a live
 //! flight-recorder snapshot, a salvaged byte image, and a drained network
-//! stream. Before this crate, every analysis and every test hand-rolled its
-//! own walk over whichever one it happened to have. This crate unifies them:
+//! stream. Each becomes one canonically ordered [`Trace`] — the snapshot
+//! through [`Trace::from_logger`], the stream through the strict reader over
+//! its bytes — and this crate queries that one model:
 //!
-//! * [`source`] — the [`TraceSource`] trait and the four implementations;
-//!   every source yields one canonically ordered [`Trace`].
+//! * [`source`] — the [`TraceSource`] trait over stored traces: the strict
+//!   file and the salvaged image here, a collector's shards in
+//!   `ktrace-collectd`.
 //! * [`index`] — per-CPU and time-range random access over a loaded set
 //!   (the in-memory analogue of the §3.2 alignment-point seeks the file
 //!   reader does on disk).
@@ -46,7 +48,5 @@ pub use expr::{
 pub use index::{Bounds, EventIndex};
 pub use ktrace_format::exit;
 pub use ktrace_io::Trace;
-pub use source::{
-    FileSource, QueryError, SalvageSource, SnapshotSource, StreamSource, TraceSource,
-};
+pub use source::{FileSource, QueryError, SalvageSource, TraceSource};
 pub use spec::{violation_kind, Property, Spec, SpecError};

@@ -1,12 +1,14 @@
-//! The [`TraceSource`] abstraction: one contract over the four ways events
-//! are read today.
+//! The [`TraceSource`] abstraction: one contract over the ways a stored
+//! trace is read.
 //!
 //! * [`FileSource`] — the strict on-disk reader ([`TraceFileReader`]).
-//! * [`SnapshotSource`] — a live logger's flight-recorder snapshot.
 //! * [`SalvageSource`] — the forgiving reader over a (possibly damaged)
 //!   byte image ([`ktrace_io::salvage_trace`]).
-//! * [`StreamSource`] — a drained network stream: the byte-identical trace
-//!   file a receiver accumulated from a socket.
+//! * `ktrace_collectd::CollectSource` — a collector's per-node shard files.
+//!
+//! A live logger's snapshot is [`Trace::from_logger`], and a drained network
+//! stream is the strict reader over the received bytes (the wire format *is*
+//! the file format); neither needs a source of its own.
 //!
 //! Every source yields a [`Trace`]: events in canonical
 //! [`order_key`](ktrace_core::reader::RawEvent::order_key) order plus the
@@ -18,10 +20,8 @@
 //! sources should filter `major == CONTROL` out (the parity matrix test pins
 //! exactly this).
 
-use ktrace_core::TraceLogger;
 use ktrace_io::{salvage_trace, IoError, Trace, TraceFileReader};
 use std::fmt;
-use std::io::Cursor;
 use std::path::{Path, PathBuf};
 
 /// Why a source could not be read.
@@ -98,35 +98,6 @@ impl TraceSource for FileSource {
     }
 }
 
-/// A live logger's region snapshot ([`Trace::from_logger`]). The dump is
-/// control-free, so this source only ever yields data events — the half of
-/// the cross-source contract every source must agree on.
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotSource<'a> {
-    logger: &'a TraceLogger,
-    ticks_per_sec: u64,
-}
-
-impl<'a> SnapshotSource<'a> {
-    /// A source snapshotting `logger` on every load.
-    pub fn new(logger: &'a TraceLogger, ticks_per_sec: u64) -> SnapshotSource<'a> {
-        SnapshotSource {
-            logger,
-            ticks_per_sec,
-        }
-    }
-}
-
-impl TraceSource for SnapshotSource<'_> {
-    fn describe(&self) -> String {
-        format!("snapshot:{}cpus", self.logger.ncpus())
-    }
-
-    fn load(&mut self) -> Result<Trace, QueryError> {
-        Ok(Trace::from_logger(self.logger, self.ticks_per_sec))
-    }
-}
-
 /// The forgiving reader over a byte image: never refuses, recovers every
 /// event outside damaged extents.
 #[derive(Debug, Clone)]
@@ -163,30 +134,6 @@ impl TraceSource for SalvageSource {
 
     fn load(&mut self) -> Result<Trace, QueryError> {
         Ok(salvage_trace(&self.bytes))
-    }
-}
-
-/// A drained network stream: the receiver-side byte accumulation of a
-/// streamed trace, parsed strictly (the wire format *is* the file format).
-#[derive(Debug, Clone)]
-pub struct StreamSource {
-    bytes: Vec<u8>,
-}
-
-impl StreamSource {
-    /// A source over the received bytes.
-    pub fn new(bytes: Vec<u8>) -> StreamSource {
-        StreamSource { bytes }
-    }
-}
-
-impl TraceSource for StreamSource {
-    fn describe(&self) -> String {
-        format!("stream:{}B", self.bytes.len())
-    }
-
-    fn load(&mut self) -> Result<Trace, QueryError> {
-        Ok(TraceFileReader::new(Cursor::new(&self.bytes[..]))?.load(None)?)
     }
 }
 

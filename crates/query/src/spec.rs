@@ -156,6 +156,12 @@ impl Spec {
     /// Evaluates every property against `query` in one walk of its trace,
     /// reporting each violated one on the shared exit-code table.
     pub fn check(&self, query: &Query) -> Report {
+        self.measure(query).1
+    }
+
+    /// [`check`](Spec::check), also returning each property's actual value
+    /// in spec order.
+    pub fn measure(&self, query: &Query) -> (Vec<u64>, Report) {
         let trace = query.trace();
         let mut folds: Vec<Fold<'_>> = self
             .properties
@@ -186,6 +192,7 @@ impl Spec {
                 folds[i].offer(e);
             }
         }
+        let mut actuals = Vec::with_capacity(folds.len());
         for (p, fold) in self.properties.iter().zip(folds) {
             let actual = fold.finish(trace);
             if !p.assertion.holds(actual) {
@@ -197,8 +204,9 @@ impl Spec {
                     format!("property '{}': {} (actual {actual})", p.name, p.assertion),
                 );
             }
+            actuals.push(actual);
         }
-        report
+        (actuals, report)
     }
 }
 

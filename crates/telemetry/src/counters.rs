@@ -148,7 +148,7 @@ counter_block! {
     histograms {
         reserve_wait: Histogram, reserve_wait_sum =
             "Reservation wait from first to winning CAS attempt, clock ticks."
-            => "ktrace_reserve_wait_ticks", json "reserve_wait_ticks";
+            => "ktrace_reserve_wait_ticks";
     }
     totals { TelemetrySnapshot.per_cpu }
 }
@@ -234,7 +234,7 @@ counter_block! {
     }
     histograms {
         drain_write: Histogram, drain_write_sum = "Sink write latency, nanoseconds."
-            => "ktrace_drain_write_ns", json "drain_write_ns";
+            => "ktrace_drain_write_ns";
     }
     totals {}
 }

@@ -1,8 +1,8 @@
-//! Exposition: Prometheus text format and JSON, hand-rolled (the workspace
-//! vendors no serialization crates). Both render a [`TelemetrySnapshot`], so
-//! scrapes and dumps never touch the hot counters beyond relaxed loads.
+//! Exposition: the Prometheus text format, hand-rolled (the workspace
+//! vendors no serialization crates). It renders a [`TelemetrySnapshot`], so
+//! scrapes never touch the hot counters beyond relaxed loads.
 //!
-//! Nothing here names a counter: metric names, help texts and JSON keys are
+//! Nothing here names a counter: metric names and help texts are
 //! data in the [`counter_block!`](crate::counter_block) tables, and the
 //! renderers loop over `rows()`. The fleet collector renders its own blocks
 //! through the same [`prom_counters`] / [`prom_family`] / [`label`], so the
@@ -156,58 +156,6 @@ pub fn to_prometheus_labeled(snap: &TelemetrySnapshot, extra: &[(&str, &str)]) -
     out
 }
 
-/// Writes one block's members — `"name":value` per counter, then
-/// `"key":{"buckets":[…],"sum":n}` per histogram — comma-separated, without
-/// the enclosing braces.
-fn json_block(
-    out: &mut String,
-    rows: &[(&CounterDesc, u64)],
-    histograms: &[(&HistDesc, &[u64; HIST_BUCKETS], u64)],
-) {
-    let mut sep = "";
-    for (desc, v) in rows {
-        let _ = write!(out, "{sep}\"{}\":{v}", desc.name);
-        sep = ",";
-    }
-    for (desc, buckets, sum) in histograms {
-        let _ = write!(out, "{sep}\"{}\":{{\"buckets\":[", desc.json);
-        for (i, n) in buckets.iter().enumerate() {
-            let _ = write!(out, "{}{n}", if i > 0 { "," } else { "" });
-        }
-        let _ = write!(out, "],\"sum\":{sum}}}");
-        sep = ",";
-    }
-}
-
-/// Renders the snapshot as a stable JSON document mirroring the snapshot
-/// structure (`per_cpu`, `sink`, `salvage`).
-pub fn to_json(snap: &TelemetrySnapshot) -> String {
-    let mut out = String::from("{\"per_cpu\":[");
-    for (i, c) in snap.per_cpu.iter().enumerate() {
-        let _ = write!(out, "{}{{\"cpu\":{},", if i > 0 { "," } else { "" }, c.cpu);
-        json_block(
-            &mut out,
-            &c.rows().collect::<Vec<_>>(),
-            &c.histograms().collect::<Vec<_>>(),
-        );
-        out.push('}');
-    }
-    out.push_str("],\"sink\":{");
-    json_block(
-        &mut out,
-        &snap.sink.rows().collect::<Vec<_>>(),
-        &snap.sink.histograms().collect::<Vec<_>>(),
-    );
-    out.push_str("},\"salvage\":{");
-    json_block(
-        &mut out,
-        &snap.salvage.rows().collect::<Vec<_>>(),
-        &snap.salvage.histograms().collect::<Vec<_>>(),
-    );
-    out.push_str("}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,20 +241,5 @@ mod tests {
         // All three at once, in the escaping order the code applies.
         let all = to_prometheus_labeled(&snap(), &[("node", "\\\"\n")]);
         assert!(all.contains("node=\"\\\\\\\"\\n\""));
-    }
-
-    #[test]
-    fn json_shape() {
-        let j = to_json(&snap());
-        assert!(j.starts_with("{\"per_cpu\":[{\"cpu\":0,"));
-        assert!(j.contains("\"events_logged\":2"));
-        assert!(j.contains("\"sink\":{\"records_written\":1"));
-        assert!(j.contains("\"salvage\":{\"runs\":1"));
-        assert!(j.ends_with("}"));
-        // Balanced braces/brackets (cheap well-formedness check; the full
-        // JSON parser lives in the chrome-export golden test).
-        let opens = j.matches('{').count() + j.matches('[').count();
-        let closes = j.matches('}').count() + j.matches(']').count();
-        assert_eq!(opens, closes);
     }
 }

@@ -27,12 +27,11 @@
 //!   relaxed loads; [`TelemetrySnapshot::delta`] turns two snapshots into
 //!   interval rates for live monitors (`ktrace-tools top`).
 //!
-//! Exposition: [`to_prometheus`] renders the classic text format,
-//! [`to_json`] a stable JSON document (both hand-rolled — no external
-//! dependencies), and the logger emits a periodic `CONTROL`/`HEARTBEAT`
-//! event carrying the counter block *into the trace itself* (schema shared
-//! via [`ktrace_format::ids::control`]), so post-processing can plot tracer
-//! health over trace time.
+//! Exposition: [`to_prometheus`] renders the classic text format
+//! (hand-rolled — no external dependencies), and the logger emits a
+//! periodic `CONTROL`/`HEARTBEAT` event carrying the counter block *into the
+//! trace itself* (schema shared via [`ktrace_format::ids::control`]), so
+//! post-processing can plot tracer health over trace time.
 
 pub mod counters;
 pub mod expo;
@@ -43,7 +42,7 @@ pub use counters::{
     bucket_floor, bucket_index, CpuCounters, Histogram, SalvageCounters, SinkCounters, Telemetry,
     HIST_BUCKETS,
 };
-pub use expo::{to_json, to_prometheus, to_prometheus_labeled};
+pub use expo::{to_prometheus, to_prometheus_labeled};
 pub use ktrace_lockless::ReserveTally;
 pub use schema::{CounterDesc, HistDesc};
 pub use snapshot::{

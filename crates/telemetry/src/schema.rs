@@ -28,7 +28,8 @@
 /// this is everything a reader needs to label one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterDesc {
-    /// The field name in both generated structs, and the JSON key.
+    /// The field name in both generated structs, and the collector's
+    /// `/nodes` JSON key.
     pub name: &'static str,
     /// One-line meaning: the Prometheus `# HELP` text and the doc comment
     /// of the generated field and getter.
@@ -50,8 +51,6 @@ pub struct HistDesc {
     pub help: &'static str,
     /// The Prometheus histogram family.
     pub prom: &'static str,
-    /// The JSON key (names the unit, unlike the field).
-    pub json: &'static str,
 }
 
 /// Declares one counter block. See the [module docs](crate::schema) for what
@@ -97,7 +96,7 @@ macro_rules! counter_block {
         histograms {
             $(
                 $hist:ident : Histogram, $hsum:ident = $hhelp:literal
-                    => $hprom:literal, json $hjson:literal ;
+                    => $hprom:literal ;
             )*
         }
         totals { $($totals:tt)* }
@@ -168,7 +167,7 @@ macro_rules! counter_block {
 
             /// The block's histogram rows, in declaration order.
             pub const HISTOGRAMS: &'static [$crate::HistDesc] = &[
-                $($crate::HistDesc { help: $hhelp, prom: $hprom, json: $hjson }),*
+                $($crate::HistDesc { help: $hhelp, prom: $hprom }),*
             ];
 
             /// Every counter with its descriptor, in declaration order.

@@ -1,16 +1,15 @@
-//! The three expositions of one fully populated snapshot, byte for byte.
+//! The two Prometheus expositions of one fully populated snapshot, byte for
+//! byte.
 //!
 //! The fixtures under `tests/fixtures/` were rendered by the hand-written,
 //! field-by-field exposition code that preceded the counter tables; the
 //! table-driven renderers must reproduce them exactly — metric order,
 //! `# HELP` strings, label order, the irregular names. Adding a counter row
-//! changes them by that counter's family / key and nothing else; after an
+//! changes them by that counter's family and nothing else; after an
 //! intentional change regenerate with
 //! `KTRACE_BLESS=1 cargo test -p ktrace-telemetry --test expo_fixtures`.
 
-use ktrace_telemetry::{
-    to_json, to_prometheus, to_prometheus_labeled, CpuTelemetry, TelemetrySnapshot,
-};
+use ktrace_telemetry::{to_prometheus, to_prometheus_labeled, CpuTelemetry, TelemetrySnapshot};
 use std::path::PathBuf;
 
 /// Two CPUs, every counter a distinct non-zero value (row `i` of a block is
@@ -74,9 +73,4 @@ fn labeled_prometheus_matches_the_committed_fixture() {
         "snapshot_labeled.prom",
         &to_prometheus_labeled(&populated(), &hostile),
     );
-}
-
-#[test]
-fn json_matches_the_committed_fixture() {
-    assert_matches_fixture("snapshot.json", &to_json(&populated()));
 }

@@ -7,11 +7,11 @@
 //! the embedded registry makes the stream self-describing. This crate checks
 //! those promises after the fact:
 //!
-//! * [`lint`] — the [`StreamLinter`]: replays a trace file, a live
-//!   [`RegionSnapshot`](ktrace_core::RegionSnapshot), or drained buffers and
-//!   reports every invariant violation with a distinct exit code. It is the
-//!   one garble report: a short commit count and every decode note of a
-//!   buffer walk (§3.1) are violations here, and nowhere else.
+//! * [`lint`] — the [`StreamLinter`]: replays a trace file or drained
+//!   buffers and reports every invariant violation with a distinct exit
+//!   code. It is the one garble report: a short commit count and every
+//!   decode note of a buffer walk (§3.1) are violations here, and nowhere
+//!   else.
 //! * [`race`] — [`detect_races`]: an Eraser-style lockset detector refined
 //!   with vector-clock happens-before, driven by the stream's LOCK, SCHED,
 //!   and MEM access-annotation events.
@@ -50,7 +50,7 @@ pub mod salvage_map;
 pub mod vclock;
 
 pub use ktrace_format::exit;
-pub use lint::{lint_file, lint_registry, lint_snapshot, StreamLinter};
+pub use lint::{lint_file, lint_registry, StreamLinter};
 pub use lockorder::{lock_order, lock_order_in_file, LockOrderAnalysis};
 pub use lockset::{AddrState, LocksetTracker, LocksetVerdict};
 pub use race::{detect_races, races_in_file, AccessSite, RaceAnalysis, RaceFinding};

@@ -1,8 +1,8 @@
 //! The stream-integrity linter.
 //!
-//! Replays a trace — a file, a live [`RegionSnapshot`], or drained
-//! [`CompletedBuffer`]s — and checks every invariant the paper's lockless
-//! design guarantees for honestly produced streams:
+//! Replays a trace — a file or drained [`CompletedBuffer`]s — and checks
+//! every invariant the paper's lockless design guarantees for honestly
+//! produced streams:
 //!
 //! - **Per-CPU timestamp monotonicity** (§3.2): the reservation CAS re-reads
 //!   the clock on every retry, so buffer order *is* timestamp order. A
@@ -21,7 +21,7 @@
 
 use crate::report::{Report, Violation, ViolationKind};
 use ktrace_core::reader::walk_buffer;
-use ktrace_core::{CompletedBuffer, RegionSnapshot};
+use ktrace_core::CompletedBuffer;
 use ktrace_format::pack::WordUnpacker;
 use ktrace_format::{EventDescriptor, EventRegistry, FieldToken};
 use ktrace_io::{IoError, TraceFileReader};
@@ -72,24 +72,21 @@ impl StreamLinter {
                 buf.committed_words, buf.expected_words
             )
         };
-        self.lint_buffer(buf.cpu, buf.seq, buf.complete, false, &buf.words, &detail);
+        self.lint_buffer(buf.cpu, buf.seq, buf.complete, &buf.words, &detail);
     }
 
     /// Lints one buffer's raw words. `complete` is the drain-time commit
-    /// verdict (pass `true` when unknown); `partial` marks a still-open
-    /// buffer (a snapshot's current buffer), which is exempt from the
-    /// full-size and filler-boundary checks.
+    /// verdict (pass `true` when unknown).
     pub fn lint_buffer(
         &mut self,
         cpu: usize,
         seq: u64,
         complete: bool,
-        partial: bool,
         words: &[u64],
         detail: &str,
     ) {
         self.report.buffers_checked += 1;
-        if !partial && words.len() != self.buffer_words {
+        if words.len() != self.buffer_words {
             self.report.push(
                 ViolationKind::TruncatedBuffer,
                 Some(cpu),
@@ -199,7 +196,7 @@ impl StreamLinter {
 
         // Fillers realign the stream to the buffer boundary: the filler chain
         // must run exactly to the end of a closed buffer.
-        if filler_seen && !partial && walk.notes().is_empty() && end != Some(words.len()) {
+        if filler_seen && walk.notes().is_empty() && end != Some(words.len()) {
             self.report.push(
                 ViolationKind::FillerMisaligned,
                 Some(cpu),
@@ -213,9 +210,10 @@ impl StreamLinter {
             );
         }
 
+        // Each buffer is judged against its predecessor alone, so one bad
+        // time costs one finding, not one per later buffer of the CPU.
         if let Some(t) = walk.end_time() {
-            let slot = self.last_time.entry(cpu).or_insert(t);
-            *slot = (*slot).max(t);
+            self.last_time.insert(cpu, t);
         }
     }
 
@@ -319,14 +317,7 @@ pub fn lint_open_reader<R: Read + Seek>(reader: &mut TraceFileReader<R>) -> Repo
     for k in 0..reader.record_count() {
         match reader.read_record(k) {
             Ok(rec) => {
-                linter.lint_buffer(
-                    rec.cpu as usize,
-                    rec.seq,
-                    rec.complete,
-                    false,
-                    &rec.words,
-                    "",
-                );
+                linter.lint_buffer(rec.cpu as usize, rec.seq, rec.complete, &rec.words, "");
             }
             Err(e) => {
                 report.push(
@@ -341,19 +332,6 @@ pub fn lint_open_reader<R: Read + Seek>(reader: &mut TraceFileReader<R>) -> Repo
     }
     report.merge(linter.finish());
     report
-}
-
-/// Lints a live region snapshot (§4.3-style monitoring without stopping the
-/// system). The still-open current buffer is linted in `partial` mode.
-pub fn lint_snapshot(snap: &RegionSnapshot, registry: &EventRegistry) -> Report {
-    let mut linter = StreamLinter::new(registry.clone(), snap.buffer_words);
-    let current = snap.current_seq();
-    for seq in snap.oldest_seq()..=current {
-        if let Some(words) = snap.buffer(seq) {
-            linter.lint_buffer(snap.cpu, seq, true, seq == current, words, "");
-        }
-    }
-    linter.finish()
 }
 
 /// Lints a batch of drained buffers (e.g. collected by a drainer thread).
@@ -430,7 +408,7 @@ mod tests {
     #[test]
     fn clean_buffer_lints_clean() {
         let mut l = StreamLinter::new(test_registry(), 32);
-        l.lint_buffer(0, 0, true, false, &clean_buffer(32), "");
+        l.lint_buffer(0, 0, true, &clean_buffer(32), "");
         let r = l.finish();
         assert!(r.is_clean(), "{}", r.render());
         assert_eq!(r.buffers_checked, 1);
@@ -442,7 +420,7 @@ mod tests {
         let mut l = StreamLinter::new(test_registry(), 32);
         let mut words = clean_buffer(32);
         words.truncate(20);
-        l.lint_buffer(0, 0, true, false, &words, "");
+        l.lint_buffer(0, 0, true, &words, "");
         let r = l.finish();
         assert_eq!(r.exit_code(), ViolationKind::TruncatedBuffer.exit_code());
     }
@@ -450,7 +428,7 @@ mod tests {
     #[test]
     fn incomplete_commit_flagged() {
         let mut l = StreamLinter::new(test_registry(), 32);
-        l.lint_buffer(0, 0, false, false, &clean_buffer(32), "");
+        l.lint_buffer(0, 0, false, &clean_buffer(32), "");
         let r = l.finish();
         assert_eq!(r.kinds(), vec![ViolationKind::GarbledCommit]);
     }
@@ -461,7 +439,7 @@ mod tests {
         words.extend(event(1_010, MajorId::TEST, 2, &[9]));
         words.extend(std::iter::repeat_n(0u64, 27)); // unwritten reservation
         let mut l = StreamLinter::new(test_registry(), 32);
-        l.lint_buffer(0, 0, true, false, &words, "");
+        l.lint_buffer(0, 0, true, &words, "");
         let r = l.finish();
         assert!(
             r.kinds().contains(&ViolationKind::GarbledCommit),
@@ -480,8 +458,8 @@ mod tests {
         let mut second = anchor(4_000, 0);
         second.extend(event(4_010, MajorId::TEST, 2, &[2]));
         pad_with_filler(&mut second, 32);
-        l.lint_buffer(0, 0, true, false, &first, "");
-        l.lint_buffer(0, 1, true, false, &second, "");
+        l.lint_buffer(0, 0, true, &first, "");
+        l.lint_buffer(0, 1, true, &second, "");
         let r = l.finish();
         assert!(
             r.kinds().contains(&ViolationKind::NonMonotonicTimestamp),
@@ -496,7 +474,7 @@ mod tests {
         words.extend(event(1_010, MajorId::TEST, 99, &[1])); // not registered
         pad_with_filler(&mut words, 32);
         let mut l = StreamLinter::new(test_registry(), 32);
-        l.lint_buffer(0, 0, true, false, &words, "");
+        l.lint_buffer(0, 0, true, &words, "");
         let r = l.finish();
         assert_eq!(r.kinds(), vec![ViolationKind::UndeclaredEvent]);
         assert_eq!(r.exit_code(), ViolationKind::UndeclaredEvent.exit_code());
@@ -509,7 +487,7 @@ mod tests {
         words.extend(event(1_010, MajorId::TEST, 1, &[7, 8, 9]));
         pad_with_filler(&mut words, 32);
         let mut l = StreamLinter::new(test_registry(), 32);
-        l.lint_buffer(0, 0, true, false, &words, "");
+        l.lint_buffer(0, 0, true, &words, "");
         let r = l.finish();
         assert_eq!(r.kinds(), vec![ViolationKind::LengthMismatch]);
 
@@ -518,7 +496,7 @@ mod tests {
         words.extend(event(1_010, MajorId::TEST, 1, &[7]));
         pad_with_filler(&mut words, 32);
         let mut l = StreamLinter::new(test_registry(), 32);
-        l.lint_buffer(0, 0, true, false, &words, "");
+        l.lint_buffer(0, 0, true, &words, "");
         assert_eq!(l.finish().kinds(), vec![ViolationKind::LengthMismatch]);
     }
 
@@ -532,7 +510,7 @@ mod tests {
         words.extend(event(1_020, MajorId::TEST, 2, &[10])); // after filler!
         pad_with_filler(&mut words, 32);
         let mut l = StreamLinter::new(test_registry(), 32);
-        l.lint_buffer(0, 0, true, false, &words, "");
+        l.lint_buffer(0, 0, true, &words, "");
         let r = l.finish();
         assert!(
             r.kinds().contains(&ViolationKind::FillerMisaligned),
@@ -557,35 +535,6 @@ mod tests {
         );
         let r = lint_registry(&registry);
         assert_eq!(r.kinds(), vec![ViolationKind::BadRegistry]);
-    }
-
-    #[test]
-    fn snapshot_of_live_logger_lints_clean() {
-        let clock = Arc::new(ManualClock::new(1_000, 7));
-        let config = TraceConfig {
-            buffer_words: 64,
-            buffers_per_cpu: 4,
-            mode: Mode::Stream,
-        };
-        let logger = TraceLogger::builder()
-            .geometry(config)
-            .clock(clock)
-            .ncpus(1)
-            .build()
-            .unwrap();
-        logger.register_event(
-            MajorId::TEST,
-            2,
-            EventDescriptor::new("TRACE_TEST_ONE", "64", "v %0[%d]").unwrap(),
-        );
-        let h = logger.handle(0).unwrap();
-        for i in 0..40u64 {
-            assert!(h.log_slice(MajorId::TEST, 2, &[i]));
-        }
-        let snap = logger.snapshot(0);
-        let r = lint_snapshot(&snap, &logger.registry());
-        assert!(r.is_clean(), "{}", r.render());
-        assert!(r.buffers_checked >= 1);
     }
 
     #[test]

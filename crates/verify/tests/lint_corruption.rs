@@ -194,7 +194,7 @@ fn rewound_timestamp_reports_non_monotonic() {
     let mut bytes = sample_trace(true);
     // Rewind the 32-bit stamp of the first data event in cpu0's first
     // buffer. The wrap extender reads the regression as a wrap and inflates
-    // that buffer's reconstructed times by 2^32, so every later cpu0 buffer
+    // that buffer's reconstructed times by 2^32, so the next cpu0 buffer
     // steps backwards relative to it.
     let k = record_of(&bytes, 0, 0);
     let hdr_at = record_offset(&bytes, k) + RECORD_HEADER_BYTES + 3 * 8;
@@ -217,6 +217,57 @@ fn rewound_timestamp_reports_non_monotonic() {
         "{}",
         report.render()
     );
+}
+
+#[test]
+fn one_future_anchor_costs_one_finding() {
+    // One CPU, nine buffers. Buffer 3's anchor is moved 2^40 ticks ahead,
+    // so that buffer's times all run ahead: buffer 4 steps back from it,
+    // and every later buffer is judged against its own predecessor.
+    let header = FileHeader {
+        ncpus: 1,
+        buffer_words: TraceConfig::small().buffer_words as u32,
+        ticks_per_sec: 1_000_000_000,
+        clock_synchronized: true,
+        registry: test_registry(),
+    };
+    let logger = TraceLogger::builder()
+        .geometry(TraceConfig::small())
+        .clock(Arc::new(ManualClock::new(1000, 10)))
+        .ncpus(1)
+        .build()
+        .unwrap();
+    let h = logger.handle(0).unwrap();
+    let mut w = TraceFileWriter::new(Vec::new(), &header).unwrap();
+    for i in 0..500u64 {
+        assert!(h.log_slice(MajorId::TEST, 2, &[i]));
+        if let Some(b) = logger.take_buffer(0) {
+            w.write_buffer(&b).unwrap();
+        }
+    }
+    for b in logger.drain_all().into_iter().flatten() {
+        w.write_buffer(&b).unwrap();
+    }
+    let mut bytes = w.finish().unwrap();
+    let k = 3;
+    let buffers = TraceFileReader::new(Cursor::new(bytes.clone()))
+        .unwrap()
+        .record_count();
+    assert!(buffers >= 6, "{buffers} buffers");
+
+    // Word 1 of a buffer is its anchor's full 64-bit time.
+    let at = record_offset(&bytes, record_of(&bytes, 0, k)) + RECORD_HEADER_BYTES + 8;
+    let anchor = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    bytes[at..at + 8].copy_from_slice(&(anchor + (1 << 40)).to_le_bytes());
+    let path = write_temp("future-anchor.ktrace", &bytes);
+    let report = lint_file(&path).unwrap();
+    let regressions: Vec<_> = report
+        .violations
+        .iter()
+        .filter(|v| v.kind == ViolationKind::NonMonotonicTimestamp)
+        .collect();
+    assert_eq!(regressions.len(), 1, "{}", report.render());
+    assert_eq!(regressions[0].seq, Some(k + 1), "{}", report.render());
 }
 
 #[test]

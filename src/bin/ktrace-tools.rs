@@ -222,21 +222,22 @@ fn assert_cmd(input: AssertInput<'_>, spec_path: &str) -> ExitCode {
             }
         }
     };
-    let mut checked = 0usize;
-    for p in &spec.properties {
-        let (actual, holds) = query.check(&p.assertion);
-        checked += 1;
+    let (actuals, report) = spec.measure(&query);
+    for (p, actual) in spec.properties.iter().zip(&actuals) {
         println!(
             "{} {}: {} (actual {actual})",
-            if holds { "PASS" } else { "FAIL" },
+            if p.assertion.holds(*actual) {
+                "PASS"
+            } else {
+                "FAIL"
+            },
             p.name,
             p.assertion
         );
     }
-    let report = spec.check(&query);
     println!(
         "{} assertion(s) checked over {} event(s): {} violation(s)",
-        checked,
+        spec.properties.len(),
         query.trace().events.len(),
         report.violations.len()
     );

@@ -2,15 +2,17 @@
 //! results.
 //!
 //! A single deterministic ossim run (the golden-trace recipe) is read
-//! through every [`TraceSource`]:
+//! four ways:
 //!
-//! * **snapshot** — the live logger's flight-recorder dump, taken before
-//!   anything is drained;
-//! * **file** — the strict on-disk reader over the drained trace file;
-//! * **stream** — the byte stream a network receiver would accumulate, the
-//!   sender's sink wrapped in a latency-injecting [`FaultySink`]
-//!   (latency is not loss: the bytes arrive intact);
-//! * **salvage** — the forgiving reader over those same streamed bytes.
+//! * **snapshot** — the live logger's flight-recorder dump
+//!   (`Trace::from_logger`), taken before anything is drained;
+//! * **file** — the strict on-disk reader over the drained trace file
+//!   (`FileSource`);
+//! * **stream** — the strict reader over the byte stream a network receiver
+//!   would accumulate, the sender's sink wrapped in a latency-injecting
+//!   [`FaultySink`] (latency is not loss: the bytes arrive intact);
+//! * **salvage** — the forgiving reader over those same streamed bytes
+//!   (`SalvageSource`).
 //!
 //! The contract under test (see `ktrace_query::source`): the **data
 //! events** of one trace are identical through every source, and therefore
@@ -24,7 +26,8 @@ use ktrace::faults::{FaultySink, SinkPlan};
 use ktrace::ossim::workload::Workload;
 use ktrace::ossim::{KTracer, Machine, MachineConfig, Op, ProcessSpec, Program};
 use ktrace::prelude::*;
-use ktrace::query::{parse_agg, SalvageSource, SnapshotSource, StreamSource};
+use ktrace::query::{parse_agg, SalvageSource};
+use std::io::Cursor;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -68,9 +71,7 @@ fn all_four_sources_agree_on_one_trace() {
     assert_eq!(logger.stats().dropped_pending, 0, "lossless run required");
 
     // -- Source 1: live snapshot, before anything is drained -------------
-    let snapshot_set = SnapshotSource::new(logger, 1_000_000_000)
-        .load()
-        .expect("snapshot load");
+    let snapshot_set = Trace::from_logger(logger, 1_000_000_000);
 
     // -- Drain once; write the same buffers to disk and "over the wire" --
     let header = ktrace::io::FileHeader {
@@ -99,8 +100,8 @@ fn all_four_sources_agree_on_one_trace() {
 
     // -- Sources 2-4: file, drained stream, salvage over the same bytes --
     let file_set = FileSource::new(&path).load().expect("file load");
-    let stream_set = StreamSource::new(streamed.clone())
-        .load()
+    let stream_set = TraceFileReader::new(Cursor::new(&streamed[..]))
+        .and_then(|mut r| r.load(None))
         .expect("stream load");
     let salvage_set = SalvageSource::from_bytes(streamed)
         .load()

@@ -17,9 +17,9 @@
 use ktrace::faults::{FaultySink, SinkPlan};
 use ktrace::io::SessionConfig;
 use ktrace::prelude::*;
-use ktrace::query::{parse_agg, StreamSource};
+use ktrace::query::parse_agg;
 use ktrace::verify::{lint_file, Report};
-use std::io::Write;
+use std::io::{Cursor, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -90,8 +90,10 @@ fn reconcile(report: &Report, stats: &ktrace::io::SessionStats, bytes: &[u8], ta
     );
     // Third book: the query engine over the captured stream agrees with
     // both the lint's walk and the telemetry snapshot.
-    let query = Query::over(&mut StreamSource::new(bytes.to_vec()))
+    let trace = TraceFileReader::new(Cursor::new(bytes))
+        .and_then(|mut r| r.load(None))
         .unwrap_or_else(|e| panic!("{tag}: captured stream must load: {e}"));
+    let query = Query::new(trace);
     let data = query.eval(&parse_agg("count(!(major == CONTROL))").unwrap());
     assert_eq!(
         data,
@@ -180,7 +182,10 @@ fn multi_writer_run_reconciles_with_the_lint() {
     // Heartbeats are in the file but not in the data count; the query
     // engine sees every beat that reached the stream.
     assert!(report.events_checked > report.data_events_checked);
-    let query = Query::over(&mut StreamSource::new(bytes)).unwrap();
+    let trace = TraceFileReader::new(Cursor::new(&bytes[..]))
+        .and_then(|mut r| r.load(None))
+        .unwrap();
+    let query = Query::new(trace);
     let beats_in_file = query.eval(&parse_agg("count(major == CONTROL & minor == 3)").unwrap());
     assert!(beats_in_file >= NCPUS as u64, "{beats_in_file}");
 }
