@@ -44,7 +44,7 @@ impl EventSink for LocklessSink {
     }
 
     fn events_logged(&self) -> u64 {
-        self.logger.stats().events_logged
+        self.logger.telemetry().snapshot().events_logged()
     }
 
     fn name(&self) -> &'static str {

@@ -14,7 +14,7 @@
 use ktrace_analysis::table::{Align, TextTable};
 use ktrace_baselines::{EventSink, FixedSlotSink};
 use ktrace_clock::SyncClock;
-use ktrace_core::{parse_buffer, Mode, TraceConfig, TraceLogger};
+use ktrace_core::{walk_buffer, Mode, TraceConfig, TraceLogger};
 use ktrace_format::MajorId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,17 +77,16 @@ pub fn measure_filler(buffer_words: usize, events: usize, seed: u64) -> FillerSt
         let words = payload_mix(&mut rng);
         assert!(handle.log_slice(MajorId::TEST, 1, &payload[..words]));
         while let Some(buf) = logger.take_buffer(0) {
-            let parsed = parse_buffer(0, buf.seq, &buf.words, None);
-            buffers += 1;
-            total_words += buf.words.len();
-            filler_words += parsed.filler_words;
-            anchor_words += parsed
-                .events
-                .iter()
+            let mut walk = walk_buffer(&buf.words, None);
+            anchor_words += walk
+                .by_ref()
                 .filter(|e| e.is_control() && !e.is_filler())
                 .map(|e| e.len_words())
                 .sum::<usize>();
-            if parsed.filler_words == 0 {
+            buffers += 1;
+            total_words += buf.words.len();
+            filler_words += walk.filler_words();
+            if walk.filler_words() == 0 {
                 exact += 1;
             }
         }

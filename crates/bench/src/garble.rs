@@ -38,7 +38,7 @@ pub fn overrun_accounting(attempts: u64) -> (u64, u64, u64) {
     let mut logged = 0u64;
     let mut marked = 0u64;
     let mut count_markers = |b: &ktrace_core::CompletedBuffer| {
-        for e in ktrace_core::parse_buffer(0, b.seq, &b.words, None).events {
+        for e in walk_buffer(&b.words, None) {
             if e.major == MajorId::CONTROL && e.minor == control::DROPPED {
                 marked += e.payload.first().copied().unwrap_or(0);
             }
@@ -61,7 +61,7 @@ pub fn overrun_accounting(attempts: u64) -> (u64, u64, u64) {
             count_markers(&b);
         }
     }
-    (logged, marked, logger.stats().dropped_pending)
+    (logged, marked, logger.dropped_pending())
 }
 
 /// Part 2: corruption-detection rate. Returns (records corrupted, records

@@ -20,7 +20,7 @@ use crate::store::NodeStore;
 use ktrace_adapt::{Anomaly, Detector};
 use ktrace_core::walk_buffer;
 use ktrace_format::ids::control;
-use ktrace_format::protocol::ExactCounter;
+use ktrace_format::protocol::{ExactCounter, SignalFlag};
 use ktrace_io::file::{body_words, frame_record};
 use ktrace_io::FileHeader;
 use ktrace_telemetry::{counter_block, TelemetrySnapshot};
@@ -28,7 +28,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -240,29 +239,46 @@ impl NodeState {
     }
 }
 
-/// The collector's own self-metrics.
-#[derive(Default)]
-pub(crate) struct SelfStats {
-    pub(crate) connections_accepted: AtomicU64,
-    pub(crate) connections_rejected: AtomicU64,
-    pub(crate) scrapes_served: AtomicU64,
+counter_block! {
+    /// The collector's own self-metrics.
+    pub(crate) struct SelfCounters;
+    /// Plain-data copy of the collector's self-metrics.
+    #[derive(Clone)]
+    pub(crate) struct SelfStats {}
+    counters {
+        connections_accepted: ExactCounter = "Connections accepted by the collector."
+            => "ktrace_collectd_connections_accepted_total";
+        connections_rejected: ExactCounter = "Connections dropped before a valid hello and header."
+            => "ktrace_collectd_connections_rejected_total";
+        scrapes_served: ExactCounter = "Scrape requests served."
+            => "ktrace_collectd_scrapes_served_total";
+    }
+    histograms {}
+    totals {}
+}
+
+impl SelfCounters {
+    /// One `/metrics` request served.
+    pub(crate) fn tally_scrape(&self) {
+        self.scrapes_served.add(1);
+    }
 }
 
 /// State shared by every collector thread.
 pub(crate) struct Shared {
     pub(crate) config: CollectorConfig,
-    pub(crate) stop: AtomicBool,
+    pub(crate) stop: SignalFlag,
     pub(crate) nodes: Mutex<BTreeMap<String, Arc<NodeState>>>,
-    pub(crate) stats: SelfStats,
+    pub(crate) stats: SelfCounters,
 }
 
 impl Shared {
     pub(crate) fn new(config: CollectorConfig) -> Shared {
         Shared {
             config,
-            stop: AtomicBool::new(false),
+            stop: SignalFlag::new(),
             nodes: Mutex::new(BTreeMap::new()),
-            stats: SelfStats::default(),
+            stats: SelfCounters::new(),
         }
     }
 
@@ -372,7 +388,7 @@ struct StoreJob {
 /// has a bounded wait and a stop check.
 struct PatientReader<'a> {
     conn: &'a TcpStream,
-    stop: &'a AtomicBool,
+    stop: &'a SignalFlag,
 }
 
 impl Read for PatientReader<'_> {
@@ -388,7 +404,7 @@ impl Read for PatientReader<'_> {
                             | std::io::ErrorKind::Interrupted
                     ) =>
                 {
-                    if self.stop.load(Ordering::Acquire) {
+                    if self.stop.is_raised() {
                         return Ok(0);
                     }
                 }
@@ -446,18 +462,12 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
     {
         Ok(v) => v,
         Err(_) => {
-            shared
-                .stats
-                .connections_rejected
-                .fetch_add(1, Ordering::Relaxed);
+            shared.stats.connections_rejected.add(1);
             return;
         }
     };
     let Ok((header, _)) = FileHeader::decode(&header_bytes) else {
-        shared
-            .stats
-            .connections_rejected
-            .fetch_add(1, Ordering::Relaxed);
+        shared.stats.connections_rejected.add(1);
         return;
     };
     let record_size = header.record_size();
@@ -614,13 +624,10 @@ impl Collector {
             std::thread::Builder::new()
                 .name("collectd-accept".into())
                 .spawn(move || {
-                    while !shared2.stop.load(Ordering::Acquire) {
+                    while !shared2.stop.is_raised() {
                         match listener.accept() {
                             Ok((conn, _peer)) => {
-                                shared2
-                                    .stats
-                                    .connections_accepted
-                                    .fetch_add(1, Ordering::Relaxed);
+                                shared2.stats.connections_accepted.add(1);
                                 let _ = conn.set_nonblocking(false);
                                 let _ = conn.set_read_timeout(Some(shared2.config.read_timeout));
                                 let shared3 = shared2.clone();
@@ -686,7 +693,7 @@ impl Collector {
     }
 
     fn stop_threads(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.stop.raise();
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
@@ -894,25 +901,12 @@ mod tests {
             conn.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
         }
         for _ in 0..500 {
-            if collector
-                .shared
-                .stats
-                .connections_rejected
-                .load(Ordering::Relaxed)
-                > 0
-            {
+            if collector.shared.stats.connections_rejected() > 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(
-            collector
-                .shared
-                .stats
-                .connections_rejected
-                .load(Ordering::Relaxed),
-            1
-        );
+        assert_eq!(collector.shared.stats.connections_rejected(), 1);
         let summary = collector.shutdown();
         assert!(summary.nodes.is_empty());
     }
@@ -931,16 +925,16 @@ mod tests {
         let collector = Collector::bind("127.0.0.1:0", CollectorConfig::new(tmp.path())).unwrap();
         let node = collector.shared.node_entry("web-1");
         let addr = collector.scrape_addr();
-        let scrapes = AtomicU64::new(0);
-        let done = AtomicBool::new(false);
+        let scrapes = ExactCounter::new(0);
+        let done = SignalFlag::new();
 
         std::thread::scope(|s| {
             for path in ["/metrics", "/anomalies"] {
                 let (scrapes, done) = (&scrapes, &done);
                 s.spawn(move || {
-                    while !done.load(Ordering::Acquire) {
+                    while !done.is_raised() {
                         crate::scrape::fetch(addr, path).expect("scrape");
-                        scrapes.fetch_add(1, Ordering::Release);
+                        scrapes.add(1);
                     }
                 });
             }
@@ -951,16 +945,16 @@ mod tests {
                     let logged = 1000 * (round + 1);
                     node.note_heartbeat(&[cpu, logged, 0, dropped, 0, 0, 0, 0, round + 1, 0]);
                 }
-                let seen = scrapes.load(Ordering::Acquire);
+                let seen = scrapes.load();
                 let deadline = std::time::Instant::now() + Duration::from_secs(10);
-                while scrapes.load(Ordering::Acquire) == seen {
+                while scrapes.load() == seen {
                     assert!(std::time::Instant::now() < deadline, "scrapers stalled");
                     std::thread::yield_now();
                 }
             }
-            done.store(true, Ordering::Release);
+            done.raise();
         });
-        assert!(scrapes.load(Ordering::Relaxed) >= ROUNDS);
+        assert!(scrapes.load() >= ROUNDS);
 
         // N rounds close N − 1 of them; the last stays open. And the answer
         // is the same however many more times anyone asks.

@@ -15,40 +15,23 @@
 //! changes nothing. The collector's own families go through telemetry's one
 //! Prometheus writer and label escaper: node names are wire data.
 
-use crate::collector::{NodeSummary, Shared, Verdicts};
+use crate::collector::{NodeSummary, SelfStats, Shared, Verdicts};
 use ktrace_format::ids::control;
 use ktrace_format::text::json_escape;
 use ktrace_telemetry::expo::{label, prom_counters, prom_family};
 use ktrace_telemetry::{to_prometheus_labeled, TelemetrySnapshot};
 use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
 
 /// Renders the whole scrape body: collector self-metrics, per-node ingest
 /// accounting, per-node detector state, then each node's heartbeat-derived
 /// telemetry under a `node` label.
 pub(crate) fn render_fleet_metrics(shared: &Shared) -> String {
     let mut out = String::new();
+    let own = shared.stats.snapshot();
+    let own = [(String::new(), own.rows().map(|(_, v)| v).collect())];
+    prom_counters(&mut out, SelfStats::COUNTERS, &own);
+
     let unlabeled = |v: u64| [(String::new(), v)];
-    for (name, help, v) in [
-        (
-            "ktrace_collectd_connections_accepted_total",
-            "Connections accepted by the collector.",
-            &shared.stats.connections_accepted,
-        ),
-        (
-            "ktrace_collectd_connections_rejected_total",
-            "Connections dropped before a valid hello and header.",
-            &shared.stats.connections_rejected,
-        ),
-        (
-            "ktrace_collectd_scrapes_served_total",
-            "Scrape requests served.",
-            &shared.stats.scrapes_served,
-        ),
-    ] {
-        let v = unlabeled(v.load(Ordering::Relaxed));
-        prom_family(&mut out, name, help, "counter", &v);
-    }
 
     let nodes = shared.node_states();
     prom_family(

@@ -13,7 +13,6 @@ use crate::collector::Shared;
 use crate::health;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 fn respond(conn: &mut TcpStream, status: &str, content_type: &str, body: &str) {
@@ -44,7 +43,7 @@ fn serve_one(mut conn: TcpStream, shared: &Shared) {
     }
     match path {
         "/metrics" => {
-            shared.stats.scrapes_served.fetch_add(1, Ordering::Relaxed);
+            shared.stats.tally_scrape();
             let body = health::render_fleet_metrics(shared);
             respond(&mut conn, "200 OK", "text/plain; version=0.0.4", &body);
         }
@@ -69,7 +68,7 @@ fn serve_one(mut conn: TcpStream, shared: &Shared) {
 /// nonblocking so shutdown is prompt.
 pub(crate) fn scrape_loop(listener: TcpListener, shared: &Shared) {
     let _ = listener.set_nonblocking(true);
-    while !shared.stop.load(Ordering::Acquire) {
+    while !shared.stop.is_raised() {
         match listener.accept() {
             Ok((conn, _peer)) => {
                 let _ = conn.set_nonblocking(false);

@@ -57,7 +57,7 @@ pub use ktrace_lockless::sample;
 pub use builder::LoggerBuilder;
 pub use config::{Mode, TraceConfig, ANCHOR_WORDS, DROPPED_WORDS};
 pub use error::CoreError;
-pub use logger::{CpuHandle, FlightDump, LoggerStats, TraceLogger};
+pub use logger::{CpuHandle, FlightDump, TraceLogger};
 pub use reader::{
     parse_buffer, walk_buffer, BufferWalker, EventView, GarbleNote, ParsedBuffer, Payload,
     RawEvent, WalkState,

@@ -75,19 +75,6 @@ pub struct TraceLogger {
     shared: Arc<Shared>,
 }
 
-/// Aggregate logger statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LoggerStats {
-    /// Events successfully logged across all CPUs.
-    pub events_logged: u64,
-    /// Events dropped to consumer overrun and not yet marked in-stream.
-    pub dropped_pending: u64,
-    /// Total words reserved across all CPUs (fillers and anchors included).
-    pub words_reserved: u64,
-    /// Buffers released by consumers.
-    pub buffers_consumed: u64,
-}
-
 /// The result of a crash-resilient flight-recorder dump
 /// ([`TraceLogger::dump_last`]): the surviving events plus an account of what
 /// the tear cost.
@@ -388,16 +375,15 @@ impl TraceLogger {
         (outstanding.min(cap), cap)
     }
 
-    /// Aggregate statistics across all CPUs.
-    pub fn stats(&self) -> LoggerStats {
-        let mut s = LoggerStats::default();
-        for r in self.shared.regions.iter() {
-            s.events_logged += r.events_logged();
-            s.dropped_pending += r.dropped_pending();
-            s.words_reserved += r.index();
-            s.buffers_consumed += r.buffers_consumed();
-        }
-        s
+    /// Events dropped to ring overrun whose in-stream `DROPPED` marker is
+    /// not yet written, across all CPUs. Every other count lives in
+    /// [`telemetry`](TraceLogger::telemetry).
+    pub fn dropped_pending(&self) -> u64 {
+        self.shared
+            .regions
+            .iter()
+            .map(|r| r.dropped_pending())
+            .sum()
     }
 
     /// Whether this logger streams to a consumer or runs as a flight
@@ -412,7 +398,6 @@ impl std::fmt::Debug for TraceLogger {
         f.debug_struct("TraceLogger")
             .field("ncpus", &self.ncpus())
             .field("config", &self.shared.config)
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -546,7 +531,7 @@ mod tests {
         assert!(h.log_slice(MajorId::PROC, 1, &[42]));
         l.mask().enable(MajorId::MEM);
         assert!(h.log_slice(MajorId::MEM, 1, &[42]));
-        assert_eq!(l.stats().events_logged, 2);
+        assert_eq!(l.telemetry().snapshot().events_logged(), 2);
     }
 
     #[test]
@@ -694,7 +679,7 @@ mod tests {
         assert_eq!(snap.per_cpu[0].events_masked, 0);
         assert_eq!(snap.per_cpu[1].events_logged, 0);
         assert_eq!(snap.per_cpu[1].events_masked, 4);
-        assert_eq!(snap.events_logged(), l.stats().events_logged);
+        assert_eq!(snap.events_logged(), 10);
         // Reservation wait histogram saw every logged event.
         assert_eq!(
             ktrace_telemetry::hist_count(&snap.per_cpu[0].reserve_wait),
@@ -710,7 +695,7 @@ mod tests {
         for i in 0..100 {
             h.log_slice(MajorId::TEST, 0, &[i]);
         }
-        assert_eq!(l.stats().events_logged, 25, "1-in-4 kept");
+        assert_eq!(l.telemetry().snapshot().events_logged(), 25, "1-in-4 kept");
         // Sampled-out events tally as masked: the telemetry invariant
         // `logged + masked == attempts` stays exact.
         let snap = l.telemetry().snapshot();
@@ -728,7 +713,11 @@ mod tests {
         let l = logger(1);
         assert!(l.log_control_event(0, control::ANOMALY, &[0, 0, 3500, 42]));
         assert!(!l.log_control_event(9, control::ANOMALY, &[]), "bad cpu");
-        assert_eq!(l.stats().events_logged, 0, "audit traffic is uncounted");
+        assert_eq!(
+            l.telemetry().snapshot().events_logged(),
+            0,
+            "audit traffic is uncounted"
+        );
         let ev: Vec<RawEvent> = l.drain_all()[0]
             .iter()
             .flat_map(|b| parse_buffer(0, b.seq, &b.words, None).events)
@@ -747,7 +736,7 @@ mod tests {
         }
         assert!(l.log_heartbeat(0));
         // Heartbeats are control traffic: not a data event.
-        assert_eq!(l.stats().events_logged, 5);
+        assert_eq!(l.telemetry().snapshot().events_logged(), 5);
         assert_eq!(l.telemetry().snapshot().sink.heartbeats_emitted, 1);
         let hb: Vec<RawEvent> = l.drain_all()[0]
             .iter()
@@ -768,10 +757,10 @@ mod tests {
             h.log_slice(MajorId::TEST, 0, &[i]);
         }
         l.flush_all();
-        let before = l.stats();
-        assert_eq!(before.events_logged, 100);
-        assert!(before.words_reserved >= 200);
-        let n = l.drain_all()[0].len() as u64;
-        assert_eq!(l.stats().buffers_consumed, n);
+        assert_eq!(l.telemetry().snapshot().events_logged(), 100);
+        assert!(l.snapshot(0).index >= 200);
+        assert!(l.occupancy(0).0 > 0);
+        assert!(!l.drain_all()[0].is_empty());
+        assert_eq!(l.occupancy(0).0, 0, "every closed buffer consumed");
     }
 }

@@ -733,6 +733,8 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(r.dropped_pending(), 0);
+        assert_eq!(r.events_logged(), 5000, "an overwrite is not a drop");
+        assert!(r.tally().flight_overwrites() > 0);
         assert!(
             r.index() > cfg.region_words() as u64,
             "wrapped at least once"

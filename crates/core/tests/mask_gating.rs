@@ -25,12 +25,12 @@ proptest! {
             logger.mask().disable(id);
             prop_assert!(!h.log_slice(id, 1, &payload), "major {raw} logged while disabled");
         }
-        prop_assert_eq!(logger.stats().events_logged, 0);
+        prop_assert_eq!(logger.telemetry().snapshot().events_logged(), 0);
 
         // Dynamic re-enablement (paper goal 4): the same call logs again.
         let id = MajorId::new(raws[0]).unwrap();
         logger.mask().enable(id);
         prop_assert!(h.log_slice(id, 1, &payload));
-        prop_assert_eq!(logger.stats().events_logged, 1);
+        prop_assert_eq!(logger.telemetry().snapshot().events_logged(), 1);
     }
 }

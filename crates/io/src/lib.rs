@@ -41,6 +41,6 @@ pub use file::{FileHeader, FILE_MAGIC, FILE_VERSION};
 pub use merge::MergedEvents;
 pub use reader::{BufferRecord, TraceFileReader};
 pub use salvage::{salvage_bytes, salvage_trace, CpuSalvage, SalvageReport, SalvagedRecord};
-pub use session::{SessionBuilder, SessionConfig, SessionError, SessionStats, TraceSession};
+pub use session::{SessionBuilder, SessionError, SessionStats, TraceSession};
 pub use trace::Trace;
 pub use writer::TraceFileWriter;

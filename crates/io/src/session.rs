@@ -9,45 +9,30 @@
 use crate::error::IoError;
 use crate::file::FileHeader;
 use crate::writer::TraceFileWriter;
-use ktrace_core::{walk_buffer, CoreError, LoggerBuilder, LoggerStats, TraceConfig, TraceLogger};
+use ktrace_core::{walk_buffer, CoreError, LoggerBuilder, TraceConfig, TraceLogger};
+use ktrace_format::protocol::SignalFlag;
 use ktrace_telemetry::TelemetrySnapshot;
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Drainer-side resilience policy: how hard to try before declaring the
-/// sink dead.
-#[derive(Debug, Clone)]
-pub struct SessionConfig {
-    /// Consecutive transient-error retries per record before giving up.
-    pub write_retries: u32,
-    /// Base backoff between retries (grows linearly with the attempt).
-    pub retry_backoff: Duration,
-    /// If set, the drainer logs a `CONTROL`/`HEARTBEAT` event per CPU into
-    /// the trace on this cadence (plus one final beat at finish), carrying
-    /// the telemetry counter block. `None` (the default) keeps traces
-    /// byte-deterministic for golden tests.
-    pub heartbeat: Option<Duration>,
-}
-
-impl Default for SessionConfig {
-    fn default() -> SessionConfig {
-        SessionConfig {
-            write_retries: 8,
-            retry_backoff: Duration::from_micros(50),
-            heartbeat: None,
-        }
-    }
-}
+/// Consecutive transient-error retries per record before the sink is
+/// declared dead.
+const WRITE_RETRIES: u32 = 8;
+/// Base backoff between retries (grows linearly with the attempt).
+const RETRY_BACKOFF: Duration = Duration::from_micros(50);
 
 /// What a session accomplished, returned by [`TraceSession::finish`].
 ///
 /// A failing sink never propagates back into the logging fast path: the
 /// drainer keeps consuming buffers (so producers never wedge) and accounts
 /// for what it had to throw away here instead.
+///
+/// The three counts are this session's share of the logger's sink
+/// telemetry block — its delta over the session — so a logger adopted by
+/// several sessions in turn still reports each one's own.
 #[derive(Debug, Clone, Default)]
 pub struct SessionStats {
     /// Records successfully written to the sink.
@@ -58,10 +43,6 @@ pub struct SessionStats {
     pub events_lost: u64,
     /// The error that killed the sink, if one did.
     pub sink_error: Option<String>,
-    /// Logger-side statistics at finish time (includes events dropped on
-    /// the producer side from ring overrun — the bounded-buffer
-    /// backpressure).
-    pub logger: LoggerStats,
     /// Full telemetry counter snapshot at finish time (per-CPU logger
     /// counters, sink counters, histograms).
     pub telemetry: TelemetrySnapshot,
@@ -83,7 +64,9 @@ impl SessionStats {
     /// telemetry/verify cross-check tests hold this equal to what a lint
     /// pass over the file actually counts.
     pub fn events_expected_in_file(&self) -> u64 {
-        self.logger.events_logged.saturating_sub(self.events_lost)
+        self.telemetry
+            .events_logged()
+            .saturating_sub(self.events_lost)
     }
 }
 
@@ -96,13 +79,13 @@ impl SessionStats {
 /// timestamps the file actually holds.
 ///
 /// The drainer degrades rather than wedges: transient sink errors are
-/// retried with backoff ([`SessionConfig`]), and a sink that fails for good
-/// stops receiving data while the drainer keeps emptying buffers — whole
-/// buffers are dropped and counted in [`SessionStats`], and the logging
-/// fast path never blocks or sees an error.
+/// retried with backoff, and a sink that fails for good stops receiving
+/// data while the drainer keeps emptying buffers — whole buffers are
+/// dropped and counted in [`SessionStats`], and the logging fast path never
+/// blocks or sees an error.
 pub struct TraceSession {
     logger: TraceLogger,
-    stop: Arc<AtomicBool>,
+    stop: Arc<SignalFlag>,
     drainer: Option<JoinHandle<SessionStats>>,
 }
 
@@ -117,7 +100,7 @@ impl TraceSession {
     fn start_session<W: Write + Send + 'static>(
         sink: W,
         logger: TraceLogger,
-        config: SessionConfig,
+        heartbeat: Option<Duration>,
     ) -> Result<TraceSession, IoError> {
         let clock = logger.clock();
         let header = FileHeader {
@@ -127,25 +110,20 @@ impl TraceSession {
             clock_synchronized: clock.synchronized(),
             registry: logger.registry(),
         };
-        let mut writer = TraceFileWriter::new_retrying(
-            sink,
-            &header,
-            config.write_retries,
-            config.retry_backoff,
-        )?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let mut writer =
+            TraceFileWriter::new_retrying(sink, &header, WRITE_RETRIES, RETRY_BACKOFF)?;
+        let stop = Arc::new(SignalFlag::new());
         let stop2 = stop.clone();
         let logger2 = logger.clone();
         /// One sweep over every CPU. Buffers always leave the ring — a dead
         /// sink turns writes into counted drops, never into backpressure on
-        /// the producers.
+        /// the producers. Every count goes to the sink telemetry block.
         fn drain<W: Write>(
             logger: &TraceLogger,
             writer: &mut TraceFileWriter<W>,
-            config: &SessionConfig,
-            stats: &mut SessionStats,
+            sink_error: &mut Option<String>,
         ) {
-            let tel = logger.telemetry().clone();
+            let sink = logger.telemetry().sink();
             // A dropped buffer loses every data event already committed into
             // it; walk the words we're about to discard so the loss is
             // accounted exactly (control events don't count).
@@ -154,41 +132,32 @@ impl TraceSession {
             }
             for cpu in 0..logger.ncpus() {
                 while let Some(buf) = logger.take_buffer(cpu) {
-                    if stats.sink_error.is_some() {
-                        stats.buffers_dropped += 1;
-                        let lost = count_lost(&buf.words);
-                        stats.events_lost += lost;
-                        tel.sink().tally_buffer_dropped(lost);
+                    if sink_error.is_some() {
+                        sink.tally_buffer_dropped(count_lost(&buf.words));
                         continue;
                     }
                     let started = Instant::now();
-                    match writer.write_buffer_retrying(
-                        &buf,
-                        config.write_retries,
-                        config.retry_backoff,
-                    ) {
+                    match writer.write_buffer_retrying(&buf, WRITE_RETRIES, RETRY_BACKOFF) {
                         Ok(retried) => {
-                            stats.records_written += 1;
-                            tel.sink().tally_record_written();
-                            tel.sink().tally_write_retries(u64::from(retried));
-                            tel.sink()
-                                .observe_drain_write(started.elapsed().as_nanos() as u64);
+                            sink.tally_record_written();
+                            sink.tally_write_retries(u64::from(retried));
+                            sink.observe_drain_write(started.elapsed().as_nanos() as u64);
                         }
                         Err(e) => {
-                            stats.sink_error = Some(e.to_string());
-                            stats.buffers_dropped += 1;
-                            let lost = count_lost(&buf.words);
-                            stats.events_lost += lost;
-                            tel.sink().tally_buffer_dropped(lost);
+                            *sink_error = Some(e.to_string());
+                            sink.tally_buffer_dropped(count_lost(&buf.words));
                         }
                     }
                 }
             }
         }
+        // What the sink block held before this session drained anything:
+        // the session's counts are the block's growth past it.
+        let base = logger.telemetry().sink().snapshot();
         let drainer = std::thread::Builder::new()
             .name("ktrace-drainer".into())
             .spawn(move || -> SessionStats {
-                let mut stats = SessionStats::default();
+                let mut sink_error = None;
                 let mut last_beat = Instant::now();
                 fn beat_all(logger: &TraceLogger) {
                     for cpu in 0..logger.ncpus() {
@@ -196,36 +165,42 @@ impl TraceSession {
                     }
                 }
                 loop {
-                    if let Some(interval) = config.heartbeat {
+                    if let Some(interval) = heartbeat {
                         if last_beat.elapsed() >= interval {
                             last_beat = Instant::now();
                             beat_all(&logger2);
                         }
                     }
-                    drain(&logger2, &mut writer, &config, &mut stats);
-                    if stop2.load(Ordering::Acquire) {
+                    drain(&logger2, &mut writer, &mut sink_error);
+                    if stop2.is_raised() {
                         // Drain first: producers may have filled a region
                         // while the sweep above was writing, and a full
                         // region would refuse the final beat. Then the
                         // beat, then flush partial buffers and drain.
-                        drain(&logger2, &mut writer, &config, &mut stats);
-                        if config.heartbeat.is_some() {
+                        drain(&logger2, &mut writer, &mut sink_error);
+                        if heartbeat.is_some() {
                             beat_all(&logger2);
                         }
                         logger2.flush_all();
-                        drain(&logger2, &mut writer, &config, &mut stats);
-                        if stats.sink_error.is_none() {
-                            stats.sink_error = writer.finish().err().map(|e| e.to_string());
+                        drain(&logger2, &mut writer, &mut sink_error);
+                        if sink_error.is_none() {
+                            sink_error = writer.finish().err().map(|e| e.to_string());
                         }
-                        stats.logger = logger2.stats();
-                        stats.telemetry = logger2.telemetry().snapshot();
-                        return stats;
+                        let telemetry = logger2.telemetry().snapshot();
+                        let own = telemetry.sink.delta(&base);
+                        return SessionStats {
+                            records_written: own.records_written,
+                            buffers_dropped: own.buffers_dropped,
+                            events_lost: own.events_lost,
+                            sink_error,
+                            telemetry,
+                        };
                     }
                     // Park until a writer closes a buffer, the next beat is
                     // due, or `stop_drainer` unparks us. With heartbeats off
                     // there is no timeout: a lost wake-up fails a test
                     // instead of hiding as latency.
-                    logger2.wait_for_buffer(config.heartbeat.map(|every| last_beat + every));
+                    logger2.wait_for_buffer(heartbeat.map(|every| last_beat + every));
                 }
             })
             .expect("spawn drainer thread");
@@ -261,7 +236,7 @@ impl TraceSession {
     /// The one stop path, for `finish` and `Drop`: raise the flag, unpark
     /// the drainer (the unpark orders the flag before its next check), join.
     fn stop_drainer(&mut self) -> Option<std::thread::Result<SessionStats>> {
-        self.stop.store(true, Ordering::Release);
+        self.stop.raise();
         let handle = self.drainer.take()?;
         handle.thread().unpark();
         Some(handle.join())
@@ -274,7 +249,7 @@ impl Drop for TraceSession {
     }
 }
 
-/// Fluent construction of a [`TraceSession`]: the logger, the drain policy
+/// Fluent construction of a [`TraceSession`]: the logger, the heartbeat
 /// and descriptor registration as named steps, then a sink.
 ///
 /// A session drains one logger, which it either adopts or builds:
@@ -313,7 +288,7 @@ impl Drop for TraceSession {
 pub struct SessionBuilder {
     logger: Option<TraceLogger>,
     build: LoggerBuilder,
-    config: SessionConfig,
+    heartbeat: Option<Duration>,
     register: Vec<RegisterFn>,
 }
 
@@ -348,17 +323,12 @@ impl SessionBuilder {
         self
     }
 
-    /// Drain policy: emit per-CPU `CONTROL`/`HEARTBEAT` telemetry events on
-    /// this cadence (plus a final beat at finish).
+    /// Emit per-CPU `CONTROL`/`HEARTBEAT` telemetry events on this cadence
+    /// (plus a final beat at finish), carrying the telemetry counter block.
+    /// Off by default, which keeps traces byte-deterministic for golden
+    /// tests.
     pub fn heartbeat(mut self, interval: Duration) -> SessionBuilder {
-        self.config.heartbeat = Some(interval);
-        self
-    }
-
-    /// Drain policy: adopt a whole [`SessionConfig`] at once — write
-    /// retries, their backoff, and the heartbeat.
-    pub fn drain_policy(mut self, config: SessionConfig) -> SessionBuilder {
-        self.config = config;
+        self.heartbeat = Some(interval);
         self
     }
 
@@ -378,7 +348,7 @@ impl SessionBuilder {
         for f in self.register {
             f(&logger);
         }
-        TraceSession::start_session(sink, logger, self.config).map_err(SessionError::Io)
+        TraceSession::start_session(sink, logger, self.heartbeat).map_err(SessionError::Io)
     }
 
     /// Terminal: start the session writing a trace file at `path`.
@@ -491,15 +461,7 @@ mod tests {
             budget: 4096,
             accepted: 0,
         };
-        let session = TraceSession::builder()
-            .logger(logger)
-            .drain_policy(SessionConfig {
-                write_retries: 2,
-                retry_backoff: Duration::from_micros(10),
-                ..SessionConfig::default()
-            })
-            .start(sink)
-            .unwrap();
+        let session = TraceSession::builder().logger(logger).start(sink).unwrap();
         let h = session.logger().handle(0).unwrap();
         // Log far more than the sink will ever accept. The fast path must
         // keep returning promptly: the drainer discards, producers proceed.
@@ -509,7 +471,7 @@ mod tests {
         let stats = session.finish();
         assert!(!stats.sink_alive(), "the sink must have died");
         assert!(stats.buffers_dropped > 0, "drops are counted: {stats:?}");
-        assert!(stats.logger.events_logged > 0);
+        assert!(stats.telemetry.events_logged() > 0);
     }
 
     /// A sink that injects a retryable `WouldBlock` on a fixed cadence.
@@ -554,7 +516,6 @@ mod tests {
         // verify by re-reading through the strict reader via a temp file.
         let session = TraceSession::builder()
             .logger(logger)
-            .drain_policy(SessionConfig::default())
             .start(BlinkTee {
                 sink,
                 copy: std::fs::File::create(&path).unwrap(),
@@ -569,7 +530,7 @@ mod tests {
         assert!(stats.records_written > 0);
         let mut r = TraceFileReader::open(&path).unwrap();
         let data = r.events().unwrap().filter(|e| !e.is_control()).count() as u64;
-        assert_eq!(data, stats.logger.events_logged);
+        assert_eq!(data, stats.telemetry.events_logged());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -604,10 +565,7 @@ mod tests {
             .unwrap();
         let session = TraceSession::builder()
             .logger(logger)
-            .drain_policy(SessionConfig {
-                heartbeat: Some(Duration::from_millis(1)),
-                ..SessionConfig::default()
-            })
+            .heartbeat(Duration::from_millis(1))
             .start(std::io::BufWriter::new(
                 std::fs::File::create(&path).unwrap(),
             ))
@@ -623,7 +581,10 @@ mod tests {
         assert!(stats.lossless(), "{stats:?}");
         // The final beat alone guarantees at least one per CPU.
         assert!(stats.telemetry.sink.heartbeats_emitted >= 2);
-        assert_eq!(stats.events_expected_in_file(), stats.logger.events_logged);
+        assert_eq!(
+            stats.events_expected_in_file(),
+            stats.telemetry.events_logged()
+        );
         let mut r = TraceFileReader::open(&path).unwrap();
         let events: Vec<_> = r.events().unwrap().collect();
         let beats = events
@@ -633,7 +594,7 @@ mod tests {
         assert_eq!(beats, stats.telemetry.sink.heartbeats_emitted);
         // Heartbeats are not data events: the data count still matches.
         let data = events.iter().filter(|e| !e.is_control()).count() as u64;
-        assert_eq!(data, stats.logger.events_logged);
+        assert_eq!(data, stats.telemetry.events_logged());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -712,7 +673,7 @@ mod tests {
         // drainer's next look at the flag is its stop branch.
         let stop = session.stop.clone();
         let opener = std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
+            while !stop.is_raised() {
                 std::thread::yield_now();
             }
             gate.set_shut(false);

@@ -53,13 +53,18 @@ fn let_the_drainer_park() {
     std::thread::sleep(Duration::from_millis(20));
 }
 
+/// CPU 0's unwrapped word index: every word reserved so far.
+fn words_reserved(logger: &TraceLogger) -> u64 {
+    logger.snapshot(0).index
+}
+
 /// Logs 4-word events on CPU 0 until the index reaches `words`: the event
 /// that crosses a boundary takes the reservation slow path, whose filler
 /// commit closes the buffer behind it.
 fn log_until(logger: &TraceLogger, words: u64) {
     let h = logger.handle(0).unwrap();
     let mut i = 0;
-    while logger.stats().words_reserved < words {
+    while words_reserved(logger) < words {
         h.log_slice(MajorId::TEST, 1, &[i, i, i]);
         i += 1;
     }
@@ -86,7 +91,7 @@ fn an_exact_fill_close_is_drained_before_finish() {
     // reservation ends on the boundary, and its commit closes the buffer.
     assert!(h.log_slice(MajorId::TEST, 0, &[7; 62]));
     assert!(h.log_slice(MajorId::TEST, 0, &[8; 61]));
-    assert_eq!(logger.stats().words_reserved, BUFFER_WORDS);
+    assert_eq!(words_reserved(&logger), BUFFER_WORDS);
     assert_eq!(logger.telemetry().cpu(0).filler_words(), 0, "no slow path");
     wait_for_records(logger.telemetry(), 1);
     assert!(session.finish().lossless());
@@ -133,14 +138,21 @@ fn two_sessions_on_one_adopted_logger_each_drain_without_finish() {
     log_until(&logger, BUFFER_WORDS);
     wait_for_records(logger.telemetry(), 1);
     let after_first = first.finish().records_written;
+    assert_eq!(after_first, logger.telemetry().sink().records_written());
 
     // The second drainer must take the wake-ups over from the first, whose
     // thread has exited.
     let second = start(&logger);
     let_the_drainer_park();
-    log_until(&logger, logger.stats().words_reserved + BUFFER_WORDS);
+    log_until(&logger, words_reserved(&logger) + BUFFER_WORDS);
     wait_for_records(logger.telemetry(), after_first + 1);
-    assert!(second.finish().lossless());
+    let stats = second.finish();
+    assert!(stats.lossless());
+    // Each session reports its own records, not the logger's running total.
+    assert_eq!(
+        stats.records_written,
+        logger.telemetry().sink().records_written() - after_first
+    );
 }
 
 #[test]

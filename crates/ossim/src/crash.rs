@@ -193,7 +193,7 @@ mod tests {
         assert!(tracer.crashed());
         let at = tracer.torn_at().expect("tear landed");
         // Exactly 5 events made it out; the rest died with the CPU.
-        assert_eq!(tracer.logger().stats().events_logged, 5);
+        assert_eq!(tracer.logger().telemetry().snapshot().events_logged(), 5);
         assert!(!h.enabled(MajorId::USER), "dead CPUs are disabled");
 
         let dump = tracer.logger().dump_last(64, None);

@@ -122,7 +122,7 @@ mod tests {
         let h = tracer.handle(1);
         assert!(h.enabled(MajorId::SCHED));
         h.log(sched::ctx_switch(1, 2, 3));
-        assert_eq!(tracer.logger().stats().events_logged, 1);
+        assert_eq!(tracer.logger().telemetry().snapshot().events_logged(), 1);
         let e = &tracer.logger().dump_last(8, Some(&[MajorId::SCHED])).events[0];
         assert_eq!(
             (e.minor, &e.payload[..]),

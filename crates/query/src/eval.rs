@@ -10,7 +10,7 @@
 //! with `Fold` but [`pred_matches`] and [`field_value`]: the suite generates
 //! random expressions and random streams and asserts the two always agree.
 
-use crate::expr::{Agg, Assertion, CmpOp, Field, Pred};
+use crate::expr::{Agg, CmpOp, Field, Pred};
 use crate::index::{Bounds, EventIndex};
 use crate::source::{QueryError, TraceSource};
 use ktrace_core::reader::RawEvent;
@@ -273,13 +273,6 @@ impl Query {
         }
         fold.finish(&self.trace)
     }
-
-    /// Evaluates the assertion (indexed), returning the measured value and
-    /// whether the bound holds.
-    pub fn check(&self, assertion: &Assertion) -> (u64, bool) {
-        let actual = self.eval(&assertion.agg);
-        (actual, assertion.holds(actual))
-    }
 }
 
 #[cfg(test)]
@@ -365,8 +358,10 @@ mod tests {
         let q = lock_trace();
         let a = crate::expr::parse_assertion("unpaired(span(LOCK, 2 -> 3, key = payload[0])) == 0")
             .unwrap();
-        assert_eq!(q.check(&a), (1, false));
+        assert_eq!(q.eval(&a.agg), 1);
+        assert!(!a.holds(1));
         let a = crate::expr::parse_assertion("count(major == SCHED) == 1").unwrap();
-        assert_eq!(q.check(&a), (1, true));
+        assert_eq!(q.eval(&a.agg), 1);
+        assert!(a.holds(1));
     }
 }

@@ -29,7 +29,9 @@
 //! let trace = Trace::new(vec![], EventRegistry::with_builtin(), 1_000_000_000);
 //! let q = Query::new(trace);
 //! let a = parse_assertion("count(major == CONTROL & minor == 2) == 0").unwrap();
-//! assert_eq!(q.check(&a), (0, true));
+//! let actual = q.eval(&a.agg);
+//! assert_eq!(actual, 0);
+//! assert!(a.holds(actual));
 //! ```
 
 #![warn(missing_docs)]

@@ -287,7 +287,8 @@ impl SinkCounters {
 }
 
 counter_block! {
-    /// Recovery counters, fed by `io::salvage` when a damaged file is read.
+    /// Recovery counters for salvage passes, tallied by whoever runs one
+    /// ([`SalvageCounters::tally_run`]); nothing in `io::salvage` feeds them.
     #[derive(Debug, Default)]
     pub struct SalvageCounters;
     /// Plain-data copy of the salvage block.
@@ -321,9 +322,11 @@ impl SalvageCounters {
 }
 
 /// The whole pipeline's telemetry registry: one aligned [`CpuCounters`] block
-/// per CPU plus the shared sink and salvage blocks. The logger, the drain
-/// session, and the salvage reader all feed the same instance, so one
-/// snapshot describes the full path from reservation to file.
+/// per CPU plus the shared sink and salvage blocks. The logger and the drain
+/// session feed the same instance, so one snapshot describes the full path
+/// from reservation to file; the salvage block counts only the passes a
+/// caller tallies into it with [`SalvageCounters::tally_run`] (the salvage
+/// reader itself does not).
 #[derive(Debug)]
 pub struct Telemetry {
     per_cpu: Box<[CpuCounters]>,

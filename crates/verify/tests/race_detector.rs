@@ -31,7 +31,7 @@ fn run_and_collect(workload: Workload) -> Vec<RawEvent> {
     machine.run(workload);
     logger.flush_all();
     assert_eq!(
-        logger.stats().dropped_pending,
+        logger.telemetry().snapshot().events_dropped(),
         0,
         "trace capacity too small: dropped events would skew the verdict"
     );

@@ -71,9 +71,10 @@ fn main() {
     for w in workers {
         w.join().expect("worker");
     }
-    let s = logger.stats();
+    let s = logger.telemetry().snapshot();
     println!(
         "\nfinal: {} events logged, {} dropped",
-        s.events_logged, s.dropped_pending
+        s.events_logged(),
+        s.events_dropped()
     );
 }

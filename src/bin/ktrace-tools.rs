@@ -251,7 +251,7 @@ fn live_session<W: std::io::Write + Send + 'static>(
     sink: W,
     ncpus: usize,
 ) -> (ktrace::core::TraceLogger, ktrace::io::TraceSession) {
-    use ktrace::io::{SessionConfig, TraceSession};
+    use ktrace::io::TraceSession;
     use std::time::Duration;
 
     let logger = ktrace::core::TraceLogger::builder()
@@ -266,10 +266,7 @@ fn live_session<W: std::io::Write + Send + 'static>(
     ktrace::events::register_all(&logger);
     let session = TraceSession::builder()
         .logger(logger.clone())
-        .drain_policy(SessionConfig {
-            heartbeat: Some(Duration::from_millis(250)),
-            ..SessionConfig::default()
-        })
+        .heartbeat(Duration::from_millis(250))
         .start(sink)
         .expect("session start");
     (logger, session)
@@ -400,7 +397,10 @@ fn top(secs: f64, ncpus: usize, refresh_ms: u64) -> ExitCode {
     let tasks = worker.join().expect("workload thread panicked");
     let stats = session.finish();
     println!("\nworkload finished: {tasks} simulated tasks completed");
-    print!("{}", render_session_summary(&stats));
+    print!(
+        "{}",
+        render_session_summary(&stats, logger.dropped_pending())
+    );
     if lossy(&stats) {
         return ExitCode::from(ktrace::verify::ViolationKind::LossyDrain.exit_code());
     }
@@ -409,15 +409,13 @@ fn top(secs: f64, ncpus: usize, refresh_ms: u64) -> ExitCode {
 
 /// True if any already-logged event failed to reach the file.
 fn lossy(stats: &ktrace::io::SessionStats) -> bool {
-    !stats.sink_alive()
-        || stats.buffers_dropped > 0
-        || stats.logger.dropped_pending > 0
-        || stats.telemetry.events_dropped() > 0
+    !stats.sink_alive() || stats.buffers_dropped > 0 || stats.telemetry.events_dropped() > 0
 }
 
-/// Renders the end-of-session accounting: `SessionStats`, `LoggerStats`,
-/// and the telemetry counters (drop/garble counts included).
-fn render_session_summary(stats: &ktrace::io::SessionStats) -> String {
+/// Renders the end-of-session accounting: `SessionStats`, the telemetry
+/// counters (drop/garble counts included) and the drops still waiting for
+/// their in-stream marker.
+fn render_session_summary(stats: &ktrace::io::SessionStats, dropped_pending: u64) -> String {
     use ktrace::telemetry::{hist_count, hist_mean, hist_quantile};
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -437,10 +435,10 @@ fn render_session_summary(stats: &ktrace::io::SessionStats) -> String {
     let _ = writeln!(
         out,
         "logger:  {} events logged, {} masked, {} dropped (ring overrun), {} pending markers",
-        stats.logger.events_logged,
+        t.events_logged(),
         t.events_masked(),
         t.events_dropped(),
-        stats.logger.dropped_pending,
+        dropped_pending,
     );
     let _ = writeln!(
         out,
@@ -584,7 +582,10 @@ fn adapt_cmd(out_path: &str, secs: f64, ncpus: usize, fault: bool) -> ExitCode {
     }
     let stats = session.finish();
     println!("\nworkload finished: {offered} events offered at a paced rate");
-    print!("{}", render_session_summary(&stats));
+    print!(
+        "{}",
+        render_session_summary(&stats, logger.dropped_pending())
+    );
     println!(
         "adapt: anomalies {}fired, final shed level {}{}",
         if controller.ever_fired() {
@@ -612,12 +613,15 @@ fn record(out_path: &str, secs: f64, ncpus: usize) -> ExitCode {
         }
     };
     let (logger, session) = live_session(std::io::BufWriter::new(file), ncpus);
-    let tasks = spawn_sdet_load(logger, secs)
+    let tasks = spawn_sdet_load(logger.clone(), secs)
         .join()
         .expect("workload thread panicked");
     let stats = session.finish();
     println!("recorded {out_path}: {tasks} simulated tasks completed");
-    print!("{}", render_session_summary(&stats));
+    print!(
+        "{}",
+        render_session_summary(&stats, logger.dropped_pending())
+    );
     if lossy(&stats) {
         eprintln!("warning: lossy drain — the trace has holes");
         return ExitCode::from(ktrace::verify::ViolationKind::LossyDrain.exit_code());

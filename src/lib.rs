@@ -117,6 +117,6 @@ mod tests {
         let h = logger.handle(0).unwrap();
         assert!(h.log_slice(MajorId::TEST, 1, &[99]));
         logger.flush_all();
-        assert_eq!(logger.stats().events_logged, 1);
+        assert_eq!(logger.telemetry().snapshot().events_logged(), 1);
     }
 }

@@ -33,7 +33,11 @@ fn write_trace(dir: &Path, name: &str, build: impl FnOnce(&TraceLogger, &ManualC
         .build()
         .unwrap();
     build(&logger, &clock);
-    assert_eq!(logger.stats().dropped_pending, 0, "fixture {name} overran");
+    assert_eq!(
+        logger.telemetry().snapshot().events_dropped(),
+        0,
+        "fixture {name} overran"
+    );
 
     let path = dir.join(format!("{name}.ktrace"));
     let header = ktrace::io::FileHeader {

@@ -120,13 +120,15 @@ fn unsafe_code_is_a_build_error_outside_the_clock_read() {
 
 #[test]
 fn real_atomics_carry_no_blanket_escapes() {
-    // Every atomic on the capture path and in the simulated kernel's lock is
-    // a `ktrace_lockless::protocol` role: no other file there names
-    // `sync::atomic`, whose every operation takes an `Ordering`, so no
-    // atomic can sidestep its role's contract.
+    // Every atomic on the capture path, the drain session, the collector
+    // and the simulated kernel's lock is a `ktrace_lockless::protocol`
+    // role: no other file there names `sync::atomic`, whose every operation
+    // takes an `Ordering`, so no atomic can sidestep its role's contract.
     let mut guarded: Vec<String> = [
+        "crates/collectd/src",
         "crates/core/src",
         "crates/format/src",
+        "crates/io/src",
         "crates/lockless/src",
         "crates/telemetry/src",
     ]

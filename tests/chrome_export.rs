@@ -56,7 +56,11 @@ fn golden_chrome() -> String {
     assert_eq!(report.tasks_completed, 3);
 
     let logger = machine.tracer().logger();
-    assert_eq!(logger.stats().dropped_pending, 0, "ring must be big enough");
+    assert_eq!(
+        logger.telemetry().snapshot().events_dropped(),
+        0,
+        "ring must be big enough"
+    );
     // One heartbeat at the end: its payload is the telemetry counter block,
     // fully determined by the run above, so the fixture stays byte-stable
     // and the export's counter-track mapping is exercised on a real beat.

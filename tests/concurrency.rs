@@ -96,7 +96,7 @@ fn many_threads_one_region_no_lost_or_corrupt_events() {
     }
     assert_eq!(seen, logged, "every logged event read back exactly once");
     assert_eq!(
-        logged + dropped_marked + logger.stats().dropped_pending,
+        logged + dropped_marked + logger.dropped_pending(),
         nthreads as u64 * per_thread
     );
 }
@@ -129,7 +129,7 @@ fn mask_toggling_under_load_is_safe() {
     }
     toggler.join().unwrap();
     assert!(logged > 0);
-    assert_eq!(logger.stats().events_logged, logged);
+    assert_eq!(logger.telemetry().snapshot().events_logged(), logged);
     // The stream still parses cleanly.
     let snap = logger.snapshot(0);
     for seq in snap.oldest_seq()..snap.current_seq() {

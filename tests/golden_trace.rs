@@ -56,8 +56,11 @@ fn golden_listing() -> String {
     assert_eq!(report.tasks_completed, 3);
 
     let logger = machine.tracer().logger();
-    let stats = logger.stats();
-    assert_eq!(stats.dropped_pending, 0, "the ring must be big enough");
+    assert_eq!(
+        logger.telemetry().snapshot().events_dropped(),
+        0,
+        "the ring must be big enough"
+    );
 
     // Write the trace out and read it back through the standard pipeline.
     let dir = std::env::temp_dir().join(format!("ktrace-golden-{}", std::process::id()));

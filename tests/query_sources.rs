@@ -68,7 +68,11 @@ fn all_four_sources_agree_on_one_trace() {
     assert!(!report.aborted);
 
     let logger = machine.tracer().logger();
-    assert_eq!(logger.stats().dropped_pending, 0, "lossless run required");
+    assert_eq!(
+        logger.telemetry().snapshot().events_dropped(),
+        0,
+        "lossless run required"
+    );
 
     // -- Source 1: live snapshot, before anything is drained -------------
     let snapshot_set = Trace::from_logger(logger, 1_000_000_000);
