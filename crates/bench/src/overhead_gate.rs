@@ -5,8 +5,10 @@
 //! the Fig. 3-style SDET cost:
 //!
 //! * **E20, telemetry.** Every logged event pays one histogram observation
-//!   of the reservation wait (`observe_reserve_wait`; `tally_event` replaces
-//!   the per-event counter the region already kept and so adds nothing).
+//!   of the reservation wait (`observe_reserve_wait`). It pays no event
+//!   counter: the commit add of Fig. 2 counts the event in its buffer
+//!   slot's commit word, and `events_logged` is tallied once per retired
+//!   buffer.
 //! * **E23, adaptive sampling.** After the mask check every admitted event
 //!   asks [`SampleGate::admit`]. At the default rate of 1 — the state every
 //!   tracer sits in until a detector actually fires — that must be one

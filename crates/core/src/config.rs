@@ -4,6 +4,11 @@ use crate::error::CoreError;
 use ktrace_format::MAX_EVENT_WORDS;
 pub use ktrace_lockless::{Mode, ANCHOR_WORDS, DROPPED_WORDS};
 
+/// The largest `buffer_words` [`TraceConfig::validate`] accepts: half the
+/// range of a commit word's word half, so one generation plus straggling
+/// commits never carries into its event half.
+pub const MAX_BUFFER_WORDS: u64 = 1 << 31;
+
 /// Geometry and mode of a per-CPU trace region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
@@ -65,6 +70,11 @@ impl TraceConfig {
                 "buffer_words must be a power of two >= 16",
             ));
         }
+        if self.buffer_words as u64 > MAX_BUFFER_WORDS {
+            // A generation plus a straggler must fit a commit word's 32-bit
+            // word half, or it carries into the event count above it.
+            return Err(CoreError::BadConfig("buffer_words must be at most 2^31"));
+        }
         if !self.buffers_per_cpu.is_power_of_two() || self.buffers_per_cpu < 2 {
             return Err(CoreError::BadConfig(
                 "buffers_per_cpu must be a power of two >= 2",
@@ -113,6 +123,11 @@ mod tests {
         assert!(c.validate().is_err());
         c.buffers_per_cpu = 3;
         assert!(c.validate().is_err());
+        c = TraceConfig::small();
+        c.buffer_words = 2 * MAX_BUFFER_WORDS as usize; // carries into the event half
+        assert!(c.validate().is_err());
+        c.buffer_words = MAX_BUFFER_WORDS as usize;
+        c.validate().unwrap();
     }
 
     #[test]

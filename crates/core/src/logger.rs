@@ -114,7 +114,7 @@ impl TraceLogger {
         if ncpus == 0 {
             return Err(CoreError::BadConfig("ncpus must be at least 1"));
         }
-        let tel = Arc::new(Telemetry::new(ncpus));
+        let tel = Arc::new(Telemetry::with_slots(ncpus, config.buffers_per_cpu));
         let wake = Arc::new(DrainerWake::default());
         let regions = (0..ncpus)
             .map(|cpu| {

@@ -12,7 +12,8 @@
 //!    paper's monotonicity requirement),
 //! 2. attempts `CAS(index, old → old + len)`; the winner owns the extent,
 //! 3. writes payload words, then the header word (`Release`), then adds the
-//!    event length to the buffer's commit count (`Release`).
+//!    event length, and one event unless it is a `CONTROL` event, to the
+//!    buffer's commit word (`Release`).
 //!
 //! If the reservation would cross a buffer boundary, the thread instead
 //! attempts one CAS that claims *the remainder of the current buffer plus a
@@ -23,14 +24,20 @@
 //! need no lock either, and every buffer starts with a full 64-bit time
 //! anchor.
 //!
-//! **Commit counts** are cumulative per buffer *slot* and never reset by
-//! producers (resetting would race with concurrent committers): slot `s`
-//! hosts buffer sequences `s, s+n, s+2n, …`, so sequence `q` is complete
-//! exactly when `committed[s] == buffer_words · (q/n + 1)`. A killed or
-//! long-blocked logger leaves the count short ("not enough data"), and one
-//! that wakes after its buffer was recycled pushes it over ("too much") —
+//! **Commit words** count one generation of a buffer *slot* each: slot `s`
+//! hosts buffer sequences `s, s+n, s+2n, …`, the low half of its word counts
+//! the words committed to the current one and the high half the data events
+//! among them. Producers only add; the consumer that takes sequence `q`
+//! compares the word half against `buffer_words`, then *retires* the slot by
+//! subtracting exactly the value it read and moves the event half into the
+//! telemetry block's `events_logged` — before it releases the slot to
+//! producers, so the next generation starts from zero. A killed or
+//! long-blocked logger leaves the count short ("not enough data") for its
+//! own buffer only, and one that wakes after its buffer was retired lands
+//! its commit in the next generation and pushes that over ("too much") —
 //! precisely the two anomalies §3.1 describes detecting with per-buffer
-//! counts.
+//! counts. The commit words live in the telemetry registry, which adds the
+//! event halves still live in them to every snapshot.
 //!
 //! Payload-before-header write order (the reverse of the paper's pseudo-code)
 //! costs nothing and means a non-zero header word implies its payload words
@@ -46,7 +53,7 @@ use ktrace_format::protocol::{
     AcquireRelease, CommitWord, ExactCounter, MessageWord, ReservationTail, WakeFlag,
 };
 use ktrace_format::{MajorId, MinorId};
-use ktrace_lockless::Ring;
+use ktrace_lockless::{ReserveTally, Ring};
 use ktrace_telemetry::{CpuCounters, Telemetry};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::Thread;
@@ -135,10 +142,14 @@ pub struct CompletedBuffer {
     pub words: Vec<u64>,
     /// True if the commit count matched exactly — no garbling (§3.1).
     pub complete: bool,
-    /// The cumulative commit count observed for the slot.
+    /// The words committed to this buffer's generation of its slot.
     pub committed_words: u64,
-    /// The cumulative count a fully committed slot would show.
+    /// The count a fully committed buffer shows: `buffer_words`.
     pub expected_words: u64,
+    /// The data events committed to this buffer's generation, as the commit
+    /// word counted them; a writer that tore the buffer does not hide the
+    /// events committed after it.
+    pub events: u64,
 }
 
 /// A point-in-time copy of a whole region, for flight-recorder dumps.
@@ -202,15 +213,14 @@ pub struct CpuRegion {
     words: Box<[MessageWord]>,
     /// Unwrapped reservation index (Fig. 2's `trcCtlPtr->index`).
     index: ReservationTail,
-    /// Cumulative committed words per buffer slot.
-    committed: Box<[CommitWord]>,
     /// Buffers released by the consumer (stream mode).
     consumed: AcquireRelease,
     /// Events dropped because the consumer fell behind, *pending* an
     /// in-stream DROPPED marker (cumulative drops live in the telemetry
     /// block).
     dropped: ExactCounter,
-    /// The shared self-observability registry this region tallies into.
+    /// The shared self-observability registry this region tallies into; it
+    /// owns the region's commit words.
     tel: Arc<Telemetry>,
     /// This region's slot in `tel` (the logger maps it to the CPU index; a
     /// standalone region owns a single-slot registry).
@@ -226,12 +236,13 @@ impl CpuRegion {
     /// Creates an empty region for `cpu`, with its own private telemetry
     /// registry and wake-up handshake. A logger's regions share both.
     pub fn new(config: TraceConfig, clock: Arc<dyn ClockSource>, cpu: usize) -> CpuRegion {
-        let tel = Arc::new(Telemetry::new(1));
+        let tel = Arc::new(Telemetry::with_slots(1, config.buffers_per_cpu));
         CpuRegion::in_logger(config, clock, cpu, tel, 0, Arc::default())
     }
 
     /// Creates an empty region for `cpu` tallying into slot `tslot` of the
-    /// shared telemetry registry `tel` and waking `wake`'s consumer.
+    /// shared telemetry registry `tel` (which holds `buffers_per_cpu` commit
+    /// words per slot) and waking `wake`'s consumer.
     pub(crate) fn in_logger(
         config: TraceConfig,
         clock: Arc<dyn ClockSource>,
@@ -241,15 +252,13 @@ impl CpuRegion {
         wake: Arc<DrainerWake>,
     ) -> CpuRegion {
         let total = config.region_words();
+        debug_assert_eq!(tel.commits(tslot).len(), config.buffers_per_cpu);
         CpuRegion {
             cpu,
             config,
             clock,
             words: (0..total).map(|_| MessageWord::new(0)).collect(),
             index: ReservationTail::new(0),
-            committed: (0..config.buffers_per_cpu)
-                .map(|_| CommitWord::new(0))
-                .collect(),
             consumed: AcquireRelease::new(0),
             dropped: ExactCounter::new(0),
             tel,
@@ -265,6 +274,12 @@ impl CpuRegion {
         self.tel.cpu(self.tslot)
     }
 
+    /// This region's buffer-slot commit words in the shared registry.
+    #[inline]
+    fn committed(&self) -> &[CommitWord] {
+        self.tel.commits(self.tslot)
+    }
+
     /// The reservation loop's view of this region.
     #[inline(always)]
     fn ring(&self) -> Ring<'_, CpuCounters> {
@@ -275,7 +290,7 @@ impl CpuRegion {
             mode: self.config.mode,
             words: &self.words,
             index: &self.index,
-            committed: &self.committed,
+            committed: self.committed(),
             consumed: &self.consumed,
             dropped: &self.dropped,
             clock: &*self.clock,
@@ -296,13 +311,11 @@ impl CpuRegion {
         minor: MinorId,
         payload: &[u64],
     ) -> Result<(), CoreError> {
-        self.append(major, minor, payload)?;
-        self.tally().tally_event();
-        Ok(())
+        self.append(major, minor, payload)
     }
 
     /// Logs a `CONTROL` event (heartbeats): same lockless path as
-    /// [`log_raw`](CpuRegion::log_raw), but not counted as a data event, so
+    /// [`log_raw`](CpuRegion::log_raw), but its commit counts no event, so
     /// `events_logged` keeps matching the data events a drained file holds.
     pub fn log_control(&self, minor: MinorId, payload: &[u64]) -> Result<(), CoreError> {
         self.append(MajorId::CONTROL, minor, payload)
@@ -390,9 +403,8 @@ impl CpuRegion {
         if idx < (seq + 1) * bw {
             return None;
         }
-        let nbuf = self.config.buffers_per_cpu as u64;
-        let slot = (seq % nbuf) as usize;
-        let expected = bw * (seq / nbuf + 1);
+        let slot = (seq % self.config.buffers_per_cpu as u64) as usize;
+        let commit = &self.committed()[slot];
         // A writer commits shortly *after* the CAS that pushed the index past
         // this buffer (its filler/header writes follow the reservation), so a
         // just-closed buffer can look transiently incomplete. Give stragglers
@@ -400,13 +412,13 @@ impl CpuRegion {
         // killed (the §3.1 scenario) never commits and is still caught. The
         // bound is elapsed time, not a yield count: on an oversubscribed host
         // a thousand yields can pass while the writer is still descheduled.
-        let mut committed = self.committed[slot].load();
-        if committed < expected {
+        let mut seen = commit.load();
+        if CommitWord::words(seen) < bw {
             self.tel.sink().tally_grace_wait();
             let deadline = Instant::now() + STRAGGLER_GRACE;
-            while committed < expected && Instant::now() < deadline {
+            while CommitWord::words(seen) < bw && Instant::now() < deadline {
                 std::thread::yield_now();
-                committed = self.committed[slot].load();
+                seen = commit.load();
             }
         }
         let base = slot * bw as usize;
@@ -419,14 +431,24 @@ impl CpuRegion {
         for w in &self.words[base..base + bw as usize] {
             w.store(0);
         }
+        // Retire the generation before the release below hands the slot to
+        // producers: out of the slot first, then into the retired count, so
+        // a snapshot (retired count first, slots second) never counts these
+        // events twice. A straggler that commits after the read stays in
+        // the slot and shows on the next generation.
+        commit.retire(seen);
+        let events = CommitWord::events(seen);
+        self.tally().tally_retired(events);
         self.consumed.store(seq + 1);
+        let committed = CommitWord::words(seen);
         Some(CompletedBuffer {
             cpu: self.cpu,
             seq,
             words,
-            complete: committed == expected,
+            complete: committed == bw,
             committed_words: committed,
-            expected_words: expected,
+            expected_words: bw,
+            events,
         })
     }
 
@@ -452,12 +474,13 @@ impl CpuRegion {
         self.words[pos].fault_xor(mask);
     }
 
-    /// Fault injection: skews buffer slot `slot`'s cumulative commit count by
-    /// `delta` words (wrapping). A positive skew simulates a logger that woke
-    /// after its buffer was recycled ("too much data"); a negative one, a
-    /// commit that never landed ("not enough data") — the two §3.1 anomalies.
+    /// Fault injection: skews the word half of buffer slot `slot`'s commit
+    /// word by `delta` (wrapping within the half). A positive skew simulates
+    /// a logger that woke after its buffer was recycled ("too much data"); a
+    /// negative one, a commit that never landed ("not enough data") — the
+    /// two §3.1 anomalies.
     pub fn desync_commit(&self, slot: usize, delta: i64) {
-        self.committed[slot % self.config.buffers_per_cpu].fault_skew(delta);
+        self.committed()[slot % self.config.buffers_per_cpu].fault_skew(delta);
     }
 
     /// Copies the whole region for flight-recorder inspection (§4.2). Safe to
@@ -472,9 +495,10 @@ impl CpuRegion {
         }
     }
 
-    /// Number of events successfully logged.
+    /// Number of data events successfully logged: retired plus live in the
+    /// commit words.
     pub fn events_logged(&self) -> u64 {
-        self.tally().events_logged()
+        self.tel.events_logged(self.tslot)
     }
 
     /// The telemetry registry this region reports into.
@@ -804,6 +828,35 @@ mod tests {
     }
 
     #[test]
+    fn a_killed_writer_flags_only_its_own_buffer() {
+        // One writer dies mid-reservation in the first buffer; the slot's
+        // later generations are committed in full and must drain complete,
+        // without a straggler wait each.
+        let cfg = TraceConfig::small();
+        let (_c, r) = region(cfg);
+        for i in 0..10u64 {
+            r.log_raw(MajorId::TEST, 0, &[i]).unwrap();
+        }
+        r.abandon_reservation(4).expect("room in the first buffer");
+        let mut buffers = Vec::new();
+        for i in 0..4_000u64 {
+            r.log_raw(MajorId::TEST, 0, &[i]).unwrap();
+            buffers.extend(std::iter::from_fn(|| r.take_buffer()));
+        }
+        assert!(
+            buffers.len() > 2 * cfg.buffers_per_cpu,
+            "the slots recycled"
+        );
+        let torn: Vec<u64> = buffers
+            .iter()
+            .filter(|b| !b.complete)
+            .map(|b| b.seq)
+            .collect();
+        assert_eq!(torn, [0], "only the torn buffer is flagged");
+        assert_eq!(r.telemetry().sink().grace_waits(), 1);
+    }
+
+    #[test]
     fn desync_commit_flags_buffer_incomplete() {
         let cfg = TraceConfig::small();
         let (_c, r) = region(cfg);
@@ -941,6 +994,11 @@ mod tests {
         // every attempt. Drops live either in the pending counter or in
         // already-written DROPPED markers.
         assert_eq!(events, logged, "every logged event appears exactly once");
+        assert_eq!(
+            r.events_logged(),
+            logged,
+            "the commit words counted each one"
+        );
         assert_eq!(
             logged + marked_dropped + r.dropped_pending(),
             nthreads as u64 * per_thread,

@@ -9,7 +9,7 @@
 use crate::error::IoError;
 use crate::file::FileHeader;
 use crate::writer::TraceFileWriter;
-use ktrace_core::{walk_buffer, CoreError, LoggerBuilder, TraceConfig, TraceLogger};
+use ktrace_core::{CoreError, LoggerBuilder, TraceConfig, TraceLogger};
 use ktrace_format::protocol::SignalFlag;
 use ktrace_telemetry::TelemetrySnapshot;
 use std::io::Write;
@@ -124,16 +124,13 @@ impl TraceSession {
             sink_error: &mut Option<String>,
         ) {
             let sink = logger.telemetry().sink();
-            // A dropped buffer loses every data event already committed into
-            // it; walk the words we're about to discard so the loss is
-            // accounted exactly (control events don't count).
-            fn count_lost(words: &[u64]) -> u64 {
-                walk_buffer(words, None).filter(|e| !e.is_control()).count() as u64
-            }
+            // A dropped buffer loses every data event committed into it: the
+            // count its commit word carried (`buf.events`), which a torn
+            // buffer's words could not give by walking them.
             for cpu in 0..logger.ncpus() {
                 while let Some(buf) = logger.take_buffer(cpu) {
                     if sink_error.is_some() {
-                        sink.tally_buffer_dropped(count_lost(&buf.words));
+                        sink.tally_buffer_dropped(buf.events);
                         continue;
                     }
                     let started = Instant::now();
@@ -145,7 +142,7 @@ impl TraceSession {
                         }
                         Err(e) => {
                             *sink_error = Some(e.to_string());
-                            sink.tally_buffer_dropped(count_lost(&buf.words));
+                            sink.tally_buffer_dropped(buf.events);
                         }
                     }
                 }

@@ -165,6 +165,7 @@ mod tests {
             complete,
             committed_words: if complete { expected } else { expected - 1 },
             expected_words: expected,
+            events: 0,
         }
     }
 

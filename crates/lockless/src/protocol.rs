@@ -64,9 +64,12 @@
 //! let (index, committed, consumed) = (ReservationTail::new(0), CommitWord::new(0), AcquireRelease::new(0));
 //! let old = index.load();
 //! assert!(index.advance(old, old + 4));
-//! committed.commit(4);
+//! committed.commit(4, 1);
+//! let seen = committed.load();
+//! assert_eq!((CommitWord::words(seen), CommitWord::events(seen)), (4, 1));
+//! committed.retire(seen);
 //! consumed.store(1);
-//! assert_eq!((index.load_acquire(), committed.load(), consumed.load()), (4, 4, 1));
+//! assert_eq!((index.load_acquire(), committed.load(), consumed.load()), (4, 0, 1));
 //! let slot = StatisticCounter::new(1);
 //! slot.store(4);
 //! slot.bump(1);
@@ -157,17 +160,43 @@ impl ReservationTail {
     }
 }
 
-/// A buffer slot's cumulative commit count. The committer's release add
-/// pairs with the consumer's acquire load, so the committed words are
-/// visible with the count.
+/// A buffer slot's commit word: the words committed to the slot's current
+/// generation in the low 32 bits, the data events among them in the high
+/// 32. One add commits both, so an event costs the two atomics of Fig. 2 —
+/// the reservation CAS and this add — and the per-buffer count is the only
+/// event accounting on the logging path. The committer's release add pairs
+/// with the consumer's acquire load, so the committed words are visible with
+/// the count.
+///
+/// Whoever retires the slot (the consumer after it takes the buffer, the
+/// flight-recorder writer that overwrites it) removes the value it read and
+/// moves its event half into a [`RetiredCount`]. The word half therefore
+/// counts one generation, at most `buffer_words` plus stragglers, and never
+/// carries into the event half for a geometry of at most 2³¹ words per
+/// buffer.
 #[derive(Debug, Default)]
 #[repr(transparent)]
 pub struct CommitWord(AtomicU64);
 
 impl CommitWord {
-    /// A count at `v`.
+    /// The low half: words committed.
+    pub const WORDS_MASK: u64 = (1 << 32) - 1;
+
+    /// A word holding `v`.
     pub const fn new(v: u64) -> CommitWord {
         CommitWord(AtomicU64::new(v))
+    }
+
+    /// The word half of a value read from a commit word.
+    #[inline(always)]
+    pub const fn words(v: u64) -> u64 {
+        v & Self::WORDS_MASK
+    }
+
+    /// The event half of a value read from a commit word.
+    #[inline(always)]
+    pub const fn events(v: u64) -> u64 {
+        v >> 32
     }
 
     /// Acquire read.
@@ -176,17 +205,70 @@ impl CommitWord {
         self.0.load(Acquire)
     }
 
-    /// Release add of `words` just written.
+    /// Release add of `words` just written, `events` of them data events.
     #[inline(always)]
-    pub fn commit(&self, words: u64) {
-        self.0.fetch_add(words, Release);
+    pub fn commit(&self, words: u64, events: u64) {
+        self.0.fetch_add(words | events << 32, Release);
     }
 
-    /// Fault injection: skews the count by `delta`, wrapping — a commit that
-    /// never landed (negative) or one from a logger that woke after its
-    /// buffer was recycled (positive).
+    /// Retires the generation read as `seen`: subtracts exactly that, so a
+    /// commit that lands after the read stays and counts toward the next
+    /// generation — a straggler shows there as "too much" (§3.1). Relaxed:
+    /// the retirer's next release (the consumed count, the retired count)
+    /// publishes it.
+    #[inline(always)]
+    pub fn retire(&self, seen: u64) {
+        self.0.fetch_sub(seen, Relaxed);
+    }
+
+    /// Swaps in zero; returns the value taken (the flight recorder's retire,
+    /// which has no reader to compare against).
+    #[inline(always)]
+    pub fn take(&self) -> u64 {
+        self.0.swap(0, Relaxed)
+    }
+
+    /// Fault injection: skews the word half by `delta`, wrapping within it
+    /// and never borrowing from or carrying into the event half — a commit
+    /// that never landed (negative) or one from a logger that woke after
+    /// its buffer was recycled (positive). A negative skew below zero
+    /// leaves the word half near 2³², so later commits to the same
+    /// generation carry into the event half: skew a slot after its commits.
     pub fn fault_skew(&self, delta: i64) {
-        self.0.fetch_add(delta as u64, AcqRel);
+        let skew = |v: u64| {
+            let words = Self::words(v).wrapping_add(delta as u64) & Self::WORDS_MASK;
+            Some(v & !Self::WORDS_MASK | words)
+        };
+        let _ = self.0.fetch_update(AcqRel, Acquire, skew);
+    }
+}
+
+/// The count a retirer moves a [`CommitWord`]'s event half into. The
+/// release add follows the retirer's removal from the commit word, and a
+/// reader's acquire load comes before its reads of the live commit words,
+/// so a reader that sees the add also sees the removal: a read racing a
+/// retire can miss the retiring generation's events, never count them
+/// twice.
+#[derive(Debug, Default)]
+#[repr(transparent)]
+pub struct RetiredCount(AtomicU64);
+
+impl RetiredCount {
+    /// A count at `v`.
+    pub const fn new(v: u64) -> RetiredCount {
+        RetiredCount(AtomicU64::new(v))
+    }
+
+    /// Acquire read, before the reader's loads of the live commit words.
+    #[inline(always)]
+    pub fn load(&self) -> u64 {
+        self.0.load(Acquire)
+    }
+
+    /// Release add of `n`, after their removal from a commit word.
+    #[inline(always)]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Release);
     }
 }
 
@@ -400,5 +482,53 @@ impl SignalFlag {
     #[inline(always)]
     pub fn raise(&self) {
         self.0.store(true, Release);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::CommitWord;
+
+    #[test]
+    fn one_add_packs_words_and_events() {
+        let c = CommitWord::new(0);
+        c.commit(5, 1);
+        c.commit(3, 0);
+        c.commit(4, 1);
+        let seen = c.load();
+        assert_eq!(seen, 12 | 2 << 32);
+        assert_eq!((CommitWord::words(seen), CommitWord::events(seen)), (12, 2));
+        c.retire(seen);
+        assert_eq!(c.load(), 0, "retiring what was read empties the word");
+        c.commit(7, 1);
+        assert_eq!(c.take(), 7 | 1 << 32);
+        assert_eq!(c.load(), 0);
+    }
+
+    #[test]
+    fn a_late_commit_survives_the_retire() {
+        let c = CommitWord::new(0);
+        c.commit(16, 4);
+        let seen = c.load();
+        c.commit(2, 1); // a straggler, after the consumer's read
+        c.retire(seen);
+        let next = c.load();
+        assert_eq!((CommitWord::words(next), CommitWord::events(next)), (2, 1));
+    }
+
+    #[test]
+    fn a_skew_moves_only_the_word_half() {
+        let c = CommitWord::new(0);
+        c.fault_skew(-3);
+        let v = c.load();
+        assert_eq!(CommitWord::events(v), 0, "no borrow from the event half");
+        assert_eq!(CommitWord::words(v), CommitWord::WORDS_MASK - 2);
+        c.fault_skew(3);
+        assert_eq!(c.load(), 0);
+        c.commit(10, 2);
+        c.fault_skew(5);
+        c.fault_skew(-8);
+        let v = c.load();
+        assert_eq!((CommitWord::words(v), CommitWord::events(v)), (7, 2));
     }
 }

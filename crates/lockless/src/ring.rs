@@ -1,9 +1,12 @@
 //! The reservation loop of Fig. 2 over one CPU's borrowed region.
 //!
 //! [`Ring`] borrows what the loop touches — the region's buffer words, its
-//! reservation index, its per-buffer commit counts, the consumed and dropped
+//! reservation index, its per-buffer commit words, the consumed and dropped
 //! counts — plus the clock and the counter block, and runs
-//! reserve → write payload → publish header → commit over them. The region
+//! reserve → write payload → publish header → commit over them. The commit
+//! is one add that counts the event's words and, for a data event, the event
+//! itself (see [`CommitWord`]), so the loop pays the two atomics of Fig. 2
+//! and keeps no per-event tally of its own. The region
 //! that owns that memory, the length check, and the drainer wake-up stay on
 //! the std side (`ktrace_core::region::CpuRegion`): the loop *returns*
 //! whether it closed a buffer and the caller wakes the drainer after the
@@ -50,6 +53,9 @@ pub trait ReserveTally {
     /// How long a reservation waited, in clock ticks: the winning attempt's
     /// timestamp minus the first attempt's.
     fn observe_reserve_wait(&self, ticks: u64);
+    /// `events` data events moved out of a retired buffer slot's commit
+    /// word, after their removal from it.
+    fn tally_retired(&self, events: u64);
 }
 
 /// A won reservation.
@@ -79,7 +85,8 @@ pub struct Ring<'a, T: ReserveTally> {
     pub words: &'a [MessageWord],
     /// Unwrapped reservation index (Fig. 2's `trcCtlPtr->index`).
     pub index: &'a ReservationTail,
-    /// Cumulative committed words per buffer slot.
+    /// Per buffer slot, the words and data events committed to its current
+    /// generation.
     pub committed: &'a [CommitWord],
     /// Buffers released by the consumer (stream mode).
     pub consumed: &'a AcquireRelease,
@@ -173,8 +180,15 @@ impl<T: ReserveTally> Ring<'_, T> {
             }
             self.tally.tally_wrap();
             if self.mode == Mode::FlightRecorder && next_seq >= self.buffers_per_cpu as u64 {
-                // Wrapping past capacity overwrites the oldest unread buffer.
+                // Wrapping past capacity overwrites the oldest unread buffer:
+                // retire its slot before the anchor commits into it. A commit
+                // of the new generation that lands first is retired early,
+                // one of the old generation that lands later is retired with
+                // the next wrap; either way it is counted once.
                 self.tally.tally_overwrite();
+                let slot = (next_seq % self.buffers_per_cpu as u64) as usize;
+                let taken = self.committed[slot].take();
+                self.tally.tally_retired(CommitWord::events(taken));
             }
 
             // Won the buffer switch: fill the remainder with filler event(s)…
@@ -211,10 +225,12 @@ impl<T: ReserveTally> Ring<'_, T> {
             off += seg as u64;
         }
         self.tally.tally_filler_words(remainder as u64);
-        self.commit(at, remainder);
+        self.commit(at, remainder, 0);
     }
 
-    /// Writes payload then header (release) then commits.
+    /// Writes payload then header (release) then commits, counting the
+    /// event unless it is a `CONTROL` event (anchor, marker, heartbeat) —
+    /// the reader's definition of a data event.
     #[inline(always)]
     pub fn write_event(&self, at: u64, header: EventHeader, payload: &[u64]) {
         let region = self.words.len() as u64;
@@ -223,13 +239,133 @@ impl<T: ReserveTally> Ring<'_, T> {
             self.words[pos + 1 + i].store(w);
         }
         self.words[pos].publish(header.encode());
-        self.commit(at, header.len_words as usize);
+        let events = u64::from(header.major != MajorId::CONTROL);
+        self.commit(at, header.len_words as usize, events);
     }
 
-    /// `traceCommit`: adds `len` words to the commit count of the buffer
-    /// containing index `at`.
-    fn commit(&self, at: u64, len: usize) {
+    /// `traceCommit`: adds `len` words and `events` data events to the
+    /// commit word of the buffer containing index `at`.
+    fn commit(&self, at: u64, len: usize, events: u64) {
         let slot = ((at / self.buffer_words as u64) % self.buffers_per_cpu as u64) as usize;
-        self.committed[slot].commit(len as u64);
+        self.committed[slot].commit(len as u64, events);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use core::cell::Cell;
+    use std::vec::Vec;
+
+    /// Counts what the loop reports; single-threaded, so plain cells.
+    #[derive(Default)]
+    struct Tally {
+        overwrites: Cell<u64>,
+        retired: Cell<u64>,
+    }
+
+    impl ReserveTally for Tally {
+        fn tally_cas_retry(&self) {}
+        fn tally_dropped(&self) {}
+        fn tally_wrap(&self) {}
+        fn tally_overwrite(&self) {
+            self.overwrites.set(self.overwrites.get() + 1);
+        }
+        fn tally_filler_words(&self, _words: u64) {}
+        fn observe_reserve_wait(&self, _ticks: u64) {}
+        fn tally_retired(&self, events: u64) {
+            self.retired.set(self.retired.get() + events);
+        }
+    }
+
+    struct Zero;
+
+    impl ClockSource for Zero {
+        fn now(&self, _cpu: usize) -> u64 {
+            0
+        }
+        fn ticks_per_sec(&self) -> u64 {
+            1
+        }
+        fn synchronized(&self) -> bool {
+            true
+        }
+    }
+
+    /// A region's memory: `BUFFERS` buffers of `BUFFER_WORDS` words.
+    struct Memory {
+        words: Vec<MessageWord>,
+        index: ReservationTail,
+        committed: Vec<CommitWord>,
+        consumed: AcquireRelease,
+        dropped: ExactCounter,
+    }
+
+    const BUFFER_WORDS: usize = 32;
+    const BUFFERS: usize = 2;
+
+    impl Memory {
+        fn new() -> Memory {
+            Memory {
+                words: (0..BUFFER_WORDS * BUFFERS)
+                    .map(|_| MessageWord::new(0))
+                    .collect(),
+                index: ReservationTail::new(0),
+                committed: (0..BUFFERS).map(|_| CommitWord::new(0)).collect(),
+                consumed: AcquireRelease::new(0),
+                dropped: ExactCounter::new(0),
+            }
+        }
+
+        fn ring<'a>(&'a self, mode: Mode, tally: &'a Tally) -> Ring<'a, Tally> {
+            Ring {
+                cpu: 0,
+                buffer_words: BUFFER_WORDS,
+                buffers_per_cpu: BUFFERS,
+                mode,
+                words: &self.words,
+                index: &self.index,
+                committed: &self.committed,
+                consumed: &self.consumed,
+                dropped: &self.dropped,
+                clock: &Zero,
+                tally,
+            }
+        }
+
+        fn live(&self) -> (u64, u64) {
+            let values = self.committed.iter().map(CommitWord::load);
+            values.fold((0, 0), |(w, e), v| {
+                (w + CommitWord::words(v), e + CommitWord::events(v))
+            })
+        }
+    }
+
+    #[test]
+    fn the_commit_counts_data_events_only() {
+        let (m, tally) = (Memory::new(), Tally::default());
+        let ring = m.ring(Mode::Stream, &tally);
+        for i in 0..5 {
+            assert!(ring.append(MajorId::TEST, 0, &[i, i]).is_some());
+        }
+        assert!(ring
+            .append(MajorId::CONTROL, control::HEARTBEAT, &[1])
+            .is_some());
+        // Anchor 3 + five 3-word events + the 2-word control event.
+        assert_eq!(m.live(), (3 + 5 * 3 + 2, 5));
+        assert_eq!(m.index.load(), 20);
+    }
+
+    #[test]
+    fn a_flight_wrap_retires_the_overwritten_slot() {
+        let (m, tally) = (Memory::new(), Tally::default());
+        let ring = m.ring(Mode::FlightRecorder, &tally);
+        let logged = 40u64;
+        for i in 0..logged {
+            assert!(ring.append(MajorId::TEST, 0, &[i, i, i]).is_some());
+        }
+        assert!(tally.overwrites.get() > 0, "the region wrapped");
+        assert!(tally.retired.get() > 0, "each wrap retired its slot");
+        assert_eq!(tally.retired.get() + m.live().1, logged, "counted once");
     }
 }

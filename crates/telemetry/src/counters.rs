@@ -2,20 +2,29 @@
 //!
 //! **The tallies run inside the lockless reservation loop itself**: the
 //! loop in `ktrace-lockless` calls the [`ReserveTally`] impl below, and the
-//! logger calls `tally_event`/`tally_masked`. Those bodies are the std-side
-//! edge of the logging path — the crate they run in can allocate — so each
-//! must stay free of heap allocation, blocking locks, I/O and panics by
-//! review. Relaxed atomic arithmetic on the owning CPU's padded cache line
-//! is the entire instruction budget.
+//! logger calls `tally_masked`. Those bodies are the std-side edge of the
+//! logging path — the crate they run in can allocate — so each must stay
+//! free of heap allocation, blocking locks, I/O and panics by review.
+//! Relaxed atomic arithmetic on the owning CPU's padded cache line is the
+//! entire instruction budget.
+//!
+//! A data event itself is tallied nowhere on that path: its commit add
+//! counts it in the high half of its buffer slot's [`CommitWord`], which
+//! this registry owns, and whoever retires the slot moves that half into
+//! `events_logged` (`tally_retired`, once per buffer). A snapshot adds the
+//! halves still live in the slots, so it is exact at rest, and one that
+//! races a retire can only miss that buffer's events.
 //!
 //! Counters come in two tiers, each a protocol role, so a tally can only do
 //! what its tier allows:
 //!
 //! * **exact** — [`ExactCounter`], a relaxed `fetch_add`, for counts that
-//!   back accounting invariants (`events_logged` must equal the data events
-//!   a lossless drain writes; `events_lost` must make the difference exact)
-//!   or that only rare paths touch (wraps, drops, retries, fillers — a
-//!   locked RMW there is noise);
+//!   back accounting invariants (`events_lost` must make the difference
+//!   between `events_logged` and a drained file exact) or that only rare
+//!   paths touch (wraps, drops, retries, fillers — a locked RMW there is
+//!   noise). `events_logged` is a [`RetiredCount`], the exact tier's
+//!   release/acquire variant, so a reader never counts an event both
+//!   retired and live;
 //! * **statistic** — [`StatisticCounter`], a relaxed load+store pair. The
 //!   owning CPU is the only hot-path writer, so the pair is exact in the
 //!   common case, and a same-CPU multi-writer interleaving can at worst lose
@@ -36,7 +45,7 @@
 
 use crate::counter_block;
 use crate::snapshot::TelemetrySnapshot;
-use ktrace_format::protocol::{ExactCounter, StatisticCounter};
+use ktrace_format::protocol::{CommitWord, ExactCounter, RetiredCount, StatisticCounter};
 use ktrace_lockless::ReserveTally;
 
 /// Number of histogram buckets. Bucket 0 holds zero-valued observations;
@@ -130,7 +139,7 @@ counter_block! {
         pub cpu: usize,
     }
     counters {
-        events_logged: ExactCounter = "Data events successfully logged."
+        events_logged: RetiredCount = "Data events successfully logged."
             => "ktrace_events_logged_total", wire "events_logged";
         events_masked: StatisticCounter = "Log calls rejected by the trace mask."
             => "ktrace_events_masked_total", wire "events_masked";
@@ -154,15 +163,6 @@ counter_block! {
 }
 
 impl CpuCounters {
-    /// One data event successfully reserved, written, and committed. Exact
-    /// (`fetch_add`): this backs the `file events == events_logged −
-    /// events_lost` invariant, and it replaces — not adds to — the per-event
-    /// count the region kept before telemetry existed.
-    #[inline]
-    pub fn tally_event(&self) {
-        self.events_logged.add(1);
-    }
-
     /// One log call rejected by the trace-mask fast path. A statistic
     /// bump: the masked-off check is the paper's "4 instructions" path
     /// and must stay near-free.
@@ -205,6 +205,13 @@ impl ReserveTally for CpuCounters {
     #[inline]
     fn observe_reserve_wait(&self, ticks: u64) {
         self.reserve_wait.observe(ticks);
+    }
+
+    /// Once per retired buffer, not per event: this backs the `file events
+    /// == events_logged − events_lost` invariant.
+    #[inline]
+    fn tally_retired(&self, events: u64) {
+        self.events_logged.add(events);
     }
 }
 
@@ -322,23 +329,36 @@ impl SalvageCounters {
 }
 
 /// The whole pipeline's telemetry registry: one aligned [`CpuCounters`] block
-/// per CPU plus the shared sink and salvage blocks. The logger and the drain
-/// session feed the same instance, so one snapshot describes the full path
-/// from reservation to file; the salvage block counts only the passes a
-/// caller tallies into it with [`SalvageCounters::tally_run`] (the salvage
-/// reader itself does not).
+/// per CPU, each CPU's buffer-slot commit words, and the shared sink and
+/// salvage blocks. The logger and the drain session feed the same instance,
+/// so one snapshot describes the full path from reservation to file; the
+/// salvage block counts only the passes a caller tallies into it with
+/// [`SalvageCounters::tally_run`] (the salvage reader itself does not).
 #[derive(Debug)]
 pub struct Telemetry {
     per_cpu: Box<[CpuCounters]>,
+    /// `slots` commit words per CPU, CPU-major; the logger's regions borrow
+    /// them for their reservation loops.
+    commits: Box<[CommitWord]>,
+    slots: usize,
     sink: SinkCounters,
     salvage: SalvageCounters,
 }
 
 impl Telemetry {
-    /// A registry for `ncpus` CPUs (all counters zero).
+    /// A registry for `ncpus` CPUs (all counters zero) with no commit words,
+    /// for counters fed by hand.
     pub fn new(ncpus: usize) -> Telemetry {
+        Telemetry::with_slots(ncpus, 0)
+    }
+
+    /// A registry for `ncpus` CPUs that owns `slots` commit words per CPU,
+    /// one per buffer slot of a region with that many buffers.
+    pub fn with_slots(ncpus: usize, slots: usize) -> Telemetry {
         Telemetry {
             per_cpu: (0..ncpus).map(|_| CpuCounters::new()).collect(),
+            commits: (0..ncpus * slots).map(|_| CommitWord::new(0)).collect(),
+            slots,
             sink: SinkCounters::new(),
             salvage: SalvageCounters::new(),
         }
@@ -348,6 +368,28 @@ impl Telemetry {
     #[inline]
     pub fn cpu(&self, cpu: usize) -> &CpuCounters {
         &self.per_cpu[cpu]
+    }
+
+    /// CPU `cpu`'s buffer-slot commit words. Hot: a bounds-checked slice.
+    #[inline]
+    pub fn commits(&self, cpu: usize) -> &[CommitWord] {
+        &self.commits[cpu * self.slots..][..self.slots]
+    }
+
+    /// Data events logged on `cpu`: the retired count, then the event
+    /// halves still live in its commit words. Exact at rest; a read racing
+    /// a retire can miss the retiring buffer's events, never count them
+    /// twice (see [`RetiredCount`]).
+    pub fn events_logged(&self, cpu: usize) -> u64 {
+        let retired = self.cpu(cpu).events_logged();
+        retired + self.live_events(cpu)
+    }
+
+    /// The event halves of `cpu`'s commit words: data events committed to
+    /// buffers not yet retired.
+    pub(crate) fn live_events(&self, cpu: usize) -> u64 {
+        let halves = self.commits(cpu).iter().map(|c| c.load());
+        halves.map(CommitWord::events).sum()
     }
 
     /// Number of per-CPU blocks.
@@ -415,8 +457,7 @@ mod tests {
     #[test]
     fn cpu_counters_tally() {
         let c = CpuCounters::new();
-        c.tally_event();
-        c.tally_event();
+        c.tally_retired(2);
         c.tally_masked();
         c.tally_dropped();
         c.tally_cas_retry();
@@ -436,11 +477,18 @@ mod tests {
 
     #[test]
     fn registry_shape() {
-        let t = Telemetry::new(4);
+        let t = Telemetry::with_slots(4, 2);
         assert_eq!(t.ncpus(), 4);
-        t.cpu(3).tally_event();
-        assert_eq!(t.cpu(3).events_logged(), 1);
-        assert_eq!(t.cpu(0).events_logged(), 0);
+        assert_eq!(t.commits(3).len(), 2);
+        t.cpu(3).tally_retired(1);
+        t.commits(3)[1].commit(7, 2);
+        assert_eq!(
+            t.cpu(3).events_logged(),
+            1,
+            "the block holds the retired count"
+        );
+        assert_eq!(t.events_logged(3), 3, "the registry adds the live halves");
+        assert_eq!(t.events_logged(0), 0);
         t.sink().tally_record_written();
         t.sink().tally_write_retries(1);
         t.sink().tally_buffer_dropped(12);
@@ -460,16 +508,75 @@ mod tests {
 
     #[test]
     fn event_counts_stay_exact_under_same_slot_contention() {
-        // `tally_event` is in the exact tier: even when several writer
-        // threads share one CPU slot (the CAS-loop multi-writer case), the
-        // count backing the events-in-file invariant must not lose updates.
-        let t = std::sync::Arc::new(Telemetry::new(2));
+        // Several writer threads share each CPU's region (the CAS-loop
+        // multi-writer case) and log through the reservation loop, which
+        // counts each event in its commit word. In flight-recorder mode the
+        // writers themselves retire slots as they wrap, racing each other's
+        // commits into them, and the count backing the events-in-file
+        // invariant must still lose no update.
+        use ktrace_format::protocol::{AcquireRelease, MessageWord, ReservationTail};
+        use ktrace_format::MajorId;
+        use ktrace_lockless::{ClockSource, Mode, Ring};
+
+        struct Zero;
+        impl ClockSource for Zero {
+            fn now(&self, _cpu: usize) -> u64 {
+                0
+            }
+            fn ticks_per_sec(&self) -> u64 {
+                1
+            }
+            fn synchronized(&self) -> bool {
+                true
+            }
+        }
+        struct Region {
+            words: Vec<MessageWord>,
+            index: ReservationTail,
+            consumed: AcquireRelease,
+            dropped: ExactCounter,
+        }
+        const BUFFER_WORDS: usize = 64;
+        const BUFFERS: usize = 4;
+
+        let t = std::sync::Arc::new(Telemetry::with_slots(2, BUFFERS));
+        let regions: std::sync::Arc<Vec<Region>> = std::sync::Arc::new(
+            (0..2)
+                .map(|_| Region {
+                    words: (0..BUFFER_WORDS * BUFFERS)
+                        .map(|_| MessageWord::new(0))
+                        .collect(),
+                    index: ReservationTail::new(0),
+                    consumed: AcquireRelease::new(0),
+                    dropped: ExactCounter::new(0),
+                })
+                .collect(),
+        );
         let threads: Vec<_> = (0..4)
             .map(|i| {
-                let t = t.clone();
+                let (t, regions) = (t.clone(), regions.clone());
                 std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        t.cpu(i % 2).tally_event();
+                    let (cpu, r) = (i % 2, &regions[i % 2]);
+                    let ring = Ring {
+                        cpu,
+                        buffer_words: BUFFER_WORDS,
+                        buffers_per_cpu: BUFFERS,
+                        mode: Mode::FlightRecorder,
+                        words: &r.words,
+                        index: &r.index,
+                        committed: t.commits(cpu),
+                        consumed: &r.consumed,
+                        dropped: &r.dropped,
+                        clock: &Zero,
+                        tally: t.cpu(cpu),
+                    };
+                    for n in 0..10_000u64 {
+                        let payload = [n; 3];
+                        assert_eq!(
+                            ring.append(MajorId::TEST, 0, &payload[..(n % 4) as usize])
+                                .map(|_| ()),
+                            Some(())
+                        );
                     }
                 })
             })
@@ -477,7 +584,8 @@ mod tests {
         for th in threads {
             th.join().unwrap();
         }
-        assert_eq!(t.cpu(0).events_logged() + t.cpu(1).events_logged(), 40_000);
+        assert!(t.cpu(0).flight_overwrites() > 0, "the writers wrapped");
+        assert_eq!(t.events_logged(0) + t.events_logged(1), 40_000);
     }
 
     #[test]

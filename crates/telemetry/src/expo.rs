@@ -164,8 +164,7 @@ mod tests {
 
     fn snap() -> TelemetrySnapshot {
         let t = Telemetry::new(2);
-        t.cpu(0).tally_event();
-        t.cpu(0).tally_event();
+        t.cpu(0).tally_retired(2);
         t.cpu(0).observe_reserve_wait(5);
         t.cpu(1).tally_cas_retry();
         t.sink().tally_record_written();

@@ -11,9 +11,10 @@
 //!
 //! Design rules for [`counters`]. The reservation loop in the `no_std`
 //! crate `ktrace-lockless` tallies through the [`ReserveTally`] impl on
-//! [`CpuCounters`]; that impl and the logger's `tally_event`/`tally_masked`
-//! sit on the std side of the logging path, which no build property checks,
-//! so they keep to these rules by review:
+//! [`CpuCounters`] and counts each data event in its buffer slot's commit
+//! word, which the [`Telemetry`] registry owns; that impl and the logger's
+//! `tally_masked` sit on the std side of the logging path, which no build
+//! property checks, so they keep to these rules by review:
 //!
 //! * **Lock-free and allocation-free on the hot path.** Every `tally_*` /
 //!   `observe_*` call touches only the calling CPU's own padded cache line —

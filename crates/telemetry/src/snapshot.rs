@@ -24,11 +24,13 @@ pub struct TelemetrySnapshot {
 
 impl Telemetry {
     /// Copies every counter with relaxed loads. Concurrent tallies may land
-    /// on either side of the snapshot; each lands in exactly one.
+    /// on either side of the snapshot; each lands in exactly one. A CPU's
+    /// `events_logged` is [`Telemetry::events_logged`]: the retired count
+    /// plus the events live in its commit words.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             per_cpu: (0..self.ncpus())
-                .map(|cpu| self.cpu(cpu).snapshot(cpu))
+                .map(|cpu| self.cpu_snapshot(cpu))
                 .collect(),
             sink: self.sink().snapshot(),
             salvage: self.salvage().snapshot(),
@@ -43,7 +45,15 @@ impl Telemetry {
     /// counter tracks, and [`TelemetrySnapshot::from_heartbeats`] inverts
     /// it.
     pub fn heartbeat_payload(&self, cpu: usize) -> [u64; control::HEARTBEAT_WORDS] {
-        heartbeat_words(&self.cpu(cpu).snapshot(cpu), &self.sink().snapshot())
+        heartbeat_words(&self.cpu_snapshot(cpu), &self.sink().snapshot())
+    }
+
+    /// CPU `cpu`'s block with the live commit-word events added: the block
+    /// is copied first, its retired count read before the commit words.
+    fn cpu_snapshot(&self, cpu: usize) -> CpuTelemetry {
+        let mut block = self.cpu(cpu).snapshot(cpu);
+        block.events_logged += self.live_events(cpu);
+        block
     }
 }
 
@@ -188,10 +198,10 @@ mod tests {
     use crate::ReserveTally;
 
     fn loaded() -> Telemetry {
-        let t = Telemetry::new(2);
-        for _ in 0..10 {
-            t.cpu(0).tally_event();
-        }
+        // Ten events on CPU 0: six retired, four live in a commit word.
+        let t = Telemetry::with_slots(2, 4);
+        t.cpu(0).tally_retired(6);
+        t.commits(0)[1].commit(12, 4);
         t.cpu(0).tally_cas_retry();
         t.cpu(0).observe_reserve_wait(4);
         t.cpu(1).tally_dropped();
@@ -223,9 +233,7 @@ mod tests {
     fn delta_subtracts_and_saturates() {
         let t = loaded();
         let s1 = t.snapshot();
-        for _ in 0..5 {
-            t.cpu(0).tally_event();
-        }
+        t.commits(0)[2].commit(5, 5);
         t.sink().tally_record_written();
         let s2 = t.snapshot();
         let d = s2.delta(&s1);

@@ -120,6 +120,7 @@ fn buffer(
         complete: true,
         committed_words: WORDS as u64,
         expected_words: WORDS as u64,
+        events: events.len() as u64,
     }
 }
 

@@ -264,3 +264,50 @@ fn dying_sink_losses_reconcile_with_the_lint() {
     let report = lint_bytes(&bytes, "dying");
     reconcile(&report, &stats, &bytes, "dying");
 }
+
+#[test]
+fn a_torn_buffer_lost_to_a_dead_sink_is_counted_whole() {
+    // The sink takes the file header and nothing after it, and the CPU's
+    // first buffer is torn by a writer killed mid-reservation (§3.1). Every
+    // logged event is lost, the ones committed beyond the tear included: the
+    // loss is the count the buffer's commit word carried, where a walk of
+    // the torn words stops at the tear.
+    let logger = TraceLogger::builder()
+        .geometry(TraceConfig::small())
+        .ncpus(1)
+        .build()
+        .unwrap();
+    register(&logger);
+    let clock = logger.clock();
+    let header = ktrace::io::FileHeader {
+        ncpus: 1,
+        buffer_words: logger.config().buffer_words as u32,
+        ticks_per_sec: clock.ticks_per_sec(),
+        clock_synchronized: clock.synchronized(),
+        registry: logger.registry(),
+    }
+    .encode();
+    let out = SharedBuf::default();
+    let plan = SinkPlan::permanent_failure(0xDEAD, header.len() as u64);
+    let session = TraceSession::builder()
+        .logger(logger.clone())
+        .start(FaultySink::new(out.clone(), plan))
+        .unwrap();
+    let h = session.logger().handle(0).unwrap();
+    for i in 0..10u64 {
+        assert!(h.log_slice(MajorId::TEST, 1, &[i, i]));
+    }
+    assert!(h.fault_abandon_reservation(4).is_some());
+    // Two buffers' worth: the region holds them while the drainer waits
+    // out the torn one.
+    for i in 10..70u64 {
+        assert!(h.log_slice(MajorId::TEST, 1, &[i, i]));
+    }
+    let stats = session.finish();
+
+    assert!(!stats.sink_alive(), "the sink must have died: {stats:?}");
+    assert_eq!(*out.0.lock().unwrap(), header, "only the header landed");
+    assert_eq!(stats.telemetry.events_logged(), 70);
+    assert_eq!(stats.events_lost, 70, "{stats:?}");
+    assert_eq!(stats.events_expected_in_file(), 0, "{stats:?}");
+}
