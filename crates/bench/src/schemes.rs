@@ -20,7 +20,8 @@ use ktrace_clock::SyncClock;
 use ktrace_core::TraceConfig;
 use ktrace_format::MajorId;
 use ktrace_ossim::workload::sdet::{build, SdetConfig};
-use ktrace_vsim::{CostParams, Scheme, VirtualMachine, VmConfig};
+use ktrace_ossim::MachineConfig;
+use ktrace_vsim::{CostParams, Scheme, VirtualMachine};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -51,7 +52,7 @@ pub fn measure_sinks(fast: bool) -> Vec<(&'static str, f64)> {
 /// priced with `params` — one calibration per report, so every point of a
 /// curve is priced alike.
 fn modelled_overhead(scheme: Scheme, ncpus: usize, params: CostParams) -> (u64, u64) {
-    let mut cfg = VmConfig::new(ncpus);
+    let mut cfg = MachineConfig::new(ncpus);
     cfg.alloc_regions = 64;
     let w = build(SdetConfig {
         scripts: 4 * ncpus,

@@ -5,15 +5,17 @@
 //! tuned system and (b) that leaving the (masked-off) trace statements in
 //! costs under 1 %.
 //!
-//! Host note: one physical core, so the curve is produced on the virtual-
-//! time multiprocessor with cost models calibrated from the E2 measurement;
-//! see DESIGN.md's substitution table.
+//! Host note: 2 vCPUs, so the curve is produced by running ossim's kernel on
+//! the virtual-time executor with cost models calibrated from the E2
+//! measurement; see DESIGN.md's substitution table.
 
 use crate::event_cost;
 use ktrace_analysis::table::{Align, TextTable};
 use ktrace_ossim::workload::sdet::{build, SdetConfig};
-use ktrace_vsim::{CostParams, Scheme, VirtualMachine, VmConfig};
+use ktrace_ossim::MachineConfig;
+use ktrace_vsim::{CostParams, Scheme, VirtualMachine};
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// One row of the Fig. 3 data.
 #[derive(Debug, Clone)]
@@ -52,12 +54,12 @@ pub(crate) fn run_point(
     params: CostParams,
     scripts_per_cpu: usize,
 ) -> ktrace_vsim::VReport {
-    let mut cfg = VmConfig::new(ncpus);
+    let mut cfg = MachineConfig::new(ncpus);
     // The tuned system: allocator contention fixed (the §4 story).
     cfg.alloc_regions = 64;
     // Fine-grained wait polling: the makespan is otherwise quantized by the
     // poll period, which would swamp the sub-1% masked-off cost under test.
-    cfg.idle_quantum_ns = 1_000;
+    cfg.idle_quantum = Duration::from_micros(1);
     let w = build(SdetConfig {
         scripts: scripts_per_cpu * ncpus,
         commands_per_script: 5,

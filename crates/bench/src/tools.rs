@@ -13,9 +13,10 @@ use ktrace_core::TraceConfig;
 use ktrace_io::{TraceFileReader, TraceSession};
 use ktrace_ossim::workload::{micro, sdet};
 use ktrace_ossim::{KTracer, Machine, MachineConfig};
-use ktrace_vsim::{CostParams, Scheme, VirtualMachine, VmConfig};
+use ktrace_vsim::{CostParams, Scheme, VirtualMachine};
 use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn emission_geometry() -> TraceConfig {
     TraceConfig {
@@ -28,7 +29,7 @@ fn emission_geometry() -> TraceConfig {
 /// Runs an SDET-like workload on the virtual `ncpus`-way machine and returns
 /// the emitted trace.
 pub fn sdet_trace(ncpus: usize, fast: bool) -> Trace {
-    let mut cfg = VmConfig::new(ncpus);
+    let mut cfg = MachineConfig::new(ncpus);
     cfg.alloc_regions = 1; // leave the allocator contended: Fig. 7 needs it
     let scripts = if fast { 2 * ncpus } else { 6 * ncpus };
     let w = sdet::build(sdet::SdetConfig {
@@ -49,7 +50,7 @@ pub fn sdet_trace(ncpus: usize, fast: bool) -> Trace {
 pub fn report_fig7(fast: bool) -> String {
     // A contended allocator plus SDET background: the paper's situation
     // before the allocator fix.
-    let mut cfg = VmConfig::new(8);
+    let mut cfg = MachineConfig::new(8);
     cfg.alloc_regions = 1;
     let n = if fast { 30 } else { 150 };
     let w = micro::alloc_contention(16, n);
@@ -75,14 +76,14 @@ pub fn report_fig7(fast: bool) -> String {
 /// equivalent situation here: allocator hammering with fine-grained
 /// sampling, where spin time lands in the acquire routine.
 pub fn report_fig6(fast: bool) -> String {
-    let mut cfg = VmConfig::new(8);
+    let mut cfg = MachineConfig::new(8);
     cfg.alloc_regions = 1;
     // Fine sampling resolves the spin loops; fast mode trades resolution for
     // runtime (the allocator queue grows over the run, so late waits are
     // sampled thousands of times at 0.5µs).
     // The sampling period must stay well above the per-tick emission cost
     // (see vmachine's coalescing note), so 2µs is the fine-grained setting.
-    cfg.pc_sample_period_ns = Some(if fast { 4_000 } else { 2_000 });
+    cfg.pc_sample_period = Some(Duration::from_micros(if fast { 4 } else { 2 }));
     let n = if fast { 40 } else { 150 };
     let mut machine = VirtualMachine::new(cfg, Scheme::LocklessPerCpu, CostParams::default())
         .with_emission(emission_geometry());

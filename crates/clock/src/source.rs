@@ -160,8 +160,8 @@ fn rdtsc_ordered() -> u64 {
 /// All CPUs observe the same atomic counter; tests advance it explicitly.
 /// `now` also auto-increments by `auto_step` per read so that two reads from
 /// a CAS retry loop are never forced to be identical (set `auto_step = 0` to
-/// disable).
-#[derive(Debug)]
+/// disable). The default clock stands at 0 and moves only when set.
+#[derive(Debug, Default)]
 pub struct ManualClock {
     ticks: AtomicU64,
     auto_step: u64,

@@ -2,14 +2,14 @@
 
 use std::time::Duration;
 
-/// Tunables of the simulated machine.
+/// Tunables of the simulated machine, read by both executors.
 ///
-/// Costs are busy-wait nanoseconds of *real* time: the simulator's virtual
-/// time is wall time, so trace timestamps, lock wait times, and throughput
-/// numbers are all directly comparable.
+/// Costs and durations are nanoseconds of the executor's own time: wall
+/// time on the real-thread [`Machine`](crate::Machine), virtual time on
+/// `ktrace-vsim`'s `VirtualMachine`.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
-    /// Number of simulated CPUs (each a real OS thread).
+    /// Number of simulated CPUs.
     pub ncpus: usize,
     /// Scheduler time slice.
     pub time_slice: Duration,
@@ -25,9 +25,15 @@ pub struct MachineConfig {
     pub fs_op_cost_ns: u64,
     /// Statistical PC-sampling period; `None` disables sampling.
     pub pc_sample_period: Option<Duration>,
+    /// Allocator region locks: 1 is the paper's contended starting point,
+    /// more model the fix ("fixed it, and then ran the tool again").
+    pub alloc_regions: usize,
+    /// How long a CPU with nothing runnable waits before looking again.
+    pub idle_quantum: Duration,
     /// Watchdog: abort the run if no task completes for this long
     /// (catches simulated deadlocks; the flight recorder then holds the
-    /// evidence, as in §4.2).
+    /// evidence, as in §4.2). The virtual executor also aborts at once when
+    /// every live task waits on a lock another task holds.
     pub watchdog: Duration,
     /// Multiplies every cost above (quick tests use < 1.0).
     pub time_scale: f64,
@@ -45,6 +51,8 @@ impl MachineConfig {
             alloc_hold_ns: 600,
             fs_op_cost_ns: 2_000,
             pc_sample_period: Some(Duration::from_micros(50)),
+            alloc_regions: 1,
+            idle_quantum: Duration::from_micros(20),
             watchdog: Duration::from_secs(5),
             time_scale: 1.0,
         }

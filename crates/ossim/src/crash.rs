@@ -156,10 +156,6 @@ impl TraceHandle for CrashHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MachineConfig;
-    use crate::machine::Machine;
-    use crate::task::{Op, ProcessSpec, Program};
-    use crate::workload::Workload;
     use ktrace_clock::SyncClock;
     use ktrace_core::reader::GarbleNote;
     use ktrace_core::TraceConfig;
@@ -212,50 +208,5 @@ mod tests {
             offsets.contains(&rel),
             "tear at {rel}, notes at {offsets:?}"
         );
-    }
-
-    #[test]
-    fn crash_during_machine_run_is_reported_by_dump_last() {
-        let plan = CrashPlan {
-            cpu: 1,
-            after_events: 200,
-            torn_words: 6,
-        };
-        let tracer = Arc::new(CrashTracer::new(flight_logger(2), plan));
-        let machine = Machine::new(MachineConfig::fast_test(2), tracer.clone());
-        // Ops must cost enough real time that the second CPU's thread joins
-        // in before CPU 0 steals and finishes the whole workload; with these
-        // costs the victim reliably logs >1000 events before the run ends.
-        let mut program = Program::new();
-        for _ in 0..50 {
-            program = program
-                .compute(100_000, crate::events::func::USER_COMPUTE)
-                .syscall(crate::events::sysno::GETPID)
-                .malloc(256)
-                .page_fault(0x4000);
-        }
-        let program = program.op(Op::CountCompletion);
-        let report = machine.run(Workload {
-            processes: (0..6)
-                .map(|i| ProcessSpec::new(format!("proc{i}"), program.clone()))
-                .collect(),
-            user_locks: 0,
-        });
-        // The machine itself survives the dead CPU's silence.
-        assert!(!report.aborted);
-        assert!(tracer.crashed(), "the victim logged enough to die");
-
-        // The flight recorder holds the evidence: a garbled buffer on the
-        // victim CPU, and surviving events from the healthy CPU.
-        let dump = tracer.logger().dump_last(100_000, None);
-        assert!(!dump.clean(), "the abandoned reservation must surface");
-        assert!(dump.garbled_buffers >= 1);
-        assert!(dump.events.iter().any(|e| e.cpu == 0));
-        if let Some(at) = tracer.torn_at() {
-            let rel = (at % tracer.logger().config().buffer_words as u64) as usize;
-            assert!(dump.notes.iter().any(|(cpu, _, n)| {
-                *cpu == plan.cpu && matches!(n, GarbleNote::ZeroHeader { offset } if *offset == rel)
-            }));
-        }
     }
 }

@@ -1,10 +1,18 @@
-//! The simulated kernel: allocator chain, page allocator, fault path, and
-//! the file-system server reached by PPC-style IPC.
+//! The simulated kernel: every op's semantics and every event the machine
+//! emits, written once for both executors.
 //!
-//! Every service brackets its work with the same trace events K42 logs, and
-//! the allocator/page/directory locks are real [`FairBLock`]s that tasks on
-//! different CPUs genuinely fight over — the raw material of the paper's
-//! Fig. 7 lock-contention analysis and the SDET tuning story in §4.
+//! It holds an allocator chain, a page allocator, a page-fault path, and a
+//! file-system server reached by PPC-style IPC. Every service brackets its
+//! work with the same trace events K42 logs, and the allocator/page/
+//! directory locks are the ones tasks on different CPUs fight over: the raw
+//! material of the paper's Fig. 7 lock-contention analysis and the SDET
+//! tuning story in §4.
+//!
+//! The kernel owns no clock, run queue or lock word. It runs on an
+//! [`Exec`], the per-CPU context of an executor (real threads in
+//! [`crate::machine`], virtual time in `ktrace-vsim`), and keeps only what
+//! both share: the lock-ID space, fresh addresses and IPC comm IDs, pids and
+//! tids, the shared cells, and the run's task counts.
 //!
 //! The FS server is modelled K42-style: a PPC call *switches the caller's
 //! context to the server's process* on the same CPU (no thread handoff),
@@ -13,14 +21,13 @@
 //! needs.
 
 use crate::config::MachineConfig;
-use crate::events::{self, exception, fs, ipc, lock as lockev, mem, syscall as sysev};
-use crate::lock::FairBLock;
-use crate::task::Task;
-use crate::tracer::TraceHandle;
+use crate::events::{
+    self, exception, fs, ipc, lock as lockev, mem, proc as procev, sched, syscall as sysev, user,
+};
+use crate::exec::{Acquire, Exec, Step};
+use crate::task::{Op, ProcessSpec, Task};
 use ktrace_format::protocol::SignalFlag;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// The kernel's well-known pid (K42 convention: pid 0 is the kernel).
 pub const KERNEL_PID: u64 = 0;
@@ -28,43 +35,6 @@ pub const KERNEL_PID: u64 = 0;
 /// The base-servers process pid (K42 convention: pid 1 is baseServers,
 /// hosting the file system).
 pub const FS_SERVER_PID: u64 = 1;
-
-/// Busy-waits for `ns` nanoseconds of real time.
-#[inline]
-pub fn busy(ns: u64) {
-    if ns == 0 {
-        return;
-    }
-    let start = Instant::now();
-    while (start.elapsed().as_nanos() as u64) < ns {
-        std::hint::spin_loop();
-    }
-}
-
-/// Shared kernel state for one machine run.
-pub struct Kernel {
-    config: MachineConfig,
-    /// Global abort flag (watchdog / deadlock recovery).
-    pub abort: Arc<SignalFlag>,
-    /// The allocator region locks. One lock (the default) reproduces the
-    /// heavily contended allocator of the paper's tuning story; more locks
-    /// model the fix ("fixed it, and then ran the tool again").
-    alloc_locks: Vec<Arc<FairBLock>>,
-    /// The page-allocator lock (Fig. 7's `PageAllocatorDefault` entries).
-    page_lock: Arc<FairBLock>,
-    /// The FS server's directory lock.
-    dir_lock: Arc<FairBLock>,
-    /// Workload-defined locks (deadlock scenarios).
-    user_locks: Vec<Arc<FairBLock>>,
-    /// Bump allocator for fake addresses.
-    next_addr: AtomicU64,
-    /// Monotonic IPC communication IDs.
-    next_comm: AtomicU64,
-    /// Shared-memory cells touched by `Op::SharedRead`/`Op::SharedWrite`.
-    /// Accesses emit `MEM` access annotations; whether they race is up to
-    /// the workload (wrap them in user locks or don't).
-    shared_cells: Vec<AtomicU64>,
-}
 
 /// Lock identity space: region locks are 0x100+, page lock 0x200,
 /// directory lock 0x300, user locks 0x400+. Public so trace consumers (the
@@ -84,204 +54,372 @@ const SHARED_CELL_BASE: u64 = 0x5000_0000;
 /// Number of shared-memory cells every kernel exposes.
 pub const SHARED_CELLS: usize = 16;
 
+/// Cost of creating a process (fork + exec).
+const SPAWN_COST_NS: u64 = 3_000;
+
+/// Shared kernel state for one machine run.
+pub struct Kernel {
+    config: MachineConfig,
+    /// Global abort flag (watchdog / deadlock recovery).
+    pub abort: SignalFlag,
+    /// Workload-defined locks (deadlock scenarios).
+    user_locks: usize,
+    /// Bump allocator for fake addresses.
+    next_addr: AtomicU64,
+    /// Monotonic IPC communication IDs.
+    next_comm: AtomicU64,
+    next_pid: AtomicU64,
+    next_tid: AtomicU64,
+    /// Shared-memory cells touched by `Op::SharedRead`/`Op::SharedWrite`.
+    /// Accesses emit `MEM` access annotations; whether they race is up to
+    /// the workload (wrap them in user locks or don't).
+    shared_cells: Vec<AtomicU64>,
+    live: AtomicU64,
+    completed: AtomicU64,
+    completions: AtomicU64,
+    spawned: AtomicU64,
+}
+
 impl Kernel {
-    /// Builds kernel state with `alloc_regions` allocator locks and
+    /// Builds kernel state with `config.alloc_regions` allocator locks and
     /// `user_locks` workload locks.
-    pub fn new(config: MachineConfig, alloc_regions: usize, user_locks: usize) -> Kernel {
+    pub fn new(config: MachineConfig, user_locks: usize) -> Kernel {
         Kernel {
             config,
-            abort: Arc::new(SignalFlag::new()),
-            alloc_locks: (0..alloc_regions.max(1))
-                .map(|i| Arc::new(FairBLock::new(ALLOC_LOCK_BASE + i as u64)))
-                .collect(),
-            page_lock: Arc::new(FairBLock::new(PAGE_LOCK_ID)),
-            dir_lock: Arc::new(FairBLock::new(DIR_LOCK_ID)),
-            user_locks: (0..user_locks)
-                .map(|i| Arc::new(FairBLock::new(USER_LOCK_BASE + i as u64)))
-                .collect(),
+            abort: SignalFlag::new(),
+            user_locks,
             next_addr: AtomicU64::new(0x1000_0000),
             next_comm: AtomicU64::new(1),
+            next_pid: AtomicU64::new(2), // 0 = kernel, 1 = baseServers
+            next_tid: AtomicU64::new(0x8000_0000),
             shared_cells: (0..SHARED_CELLS).map(|_| AtomicU64::new(0)).collect(),
+            live: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            completions: AtomicU64::new(0),
+            spawned: AtomicU64::new(0),
         }
     }
 
-    /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
+    /// Every lock ID this kernel names: the rows of an executor's lock
+    /// table.
+    pub(crate) fn lock_ids(&self) -> impl Iterator<Item = u64> {
+        let regions = self.config.alloc_regions.max(1) as u64;
+        (ALLOC_LOCK_BASE..ALLOC_LOCK_BASE + regions)
+            .chain([PAGE_LOCK_ID, DIR_LOCK_ID])
+            .chain(USER_LOCK_BASE..USER_LOCK_BASE + self.user_locks as u64)
     }
 
-    /// Acquires a traced lock: logs REQUEST (only when contention is
-    /// possible to observe — always, cheaply), ACQUIRED with spin/wait stats
-    /// and the task's call chain, runs `critical`, then logs RELEASED with
-    /// the hold time. Returns false if aborted while waiting.
-    fn locked_section<H: TraceHandle>(
-        &self,
-        h: &H,
-        task: &Task,
-        lock: &FairBLock,
-        critical: impl FnOnce(),
-    ) -> bool {
-        let chain = events::pack_chain(&task.func_stack);
-        h.log(lockev::request(lock.id(), task.tid, chain));
-        let Some(stats) = lock.acquire(&self.abort) else {
-            return false;
+    /// Tasks created and not yet exited.
+    pub fn live(&self) -> u64 {
+        self.live.load(Ordering::Acquire)
+    }
+
+    /// Tasks run to completion.
+    pub fn completed(&self) -> u64 {
+        self.completed.load(Ordering::Relaxed)
+    }
+
+    /// `CountCompletion` marks hit.
+    pub fn completions(&self) -> u64 {
+        self.completions.load(Ordering::Relaxed)
+    }
+
+    /// Tasks created in total.
+    pub fn spawned(&self) -> u64 {
+        self.spawned.load(Ordering::Relaxed)
+    }
+
+    fn scaled(&self, ns: u64) -> u64 {
+        self.config.scaled(ns)
+    }
+
+    /// Creates a process: allocates its ids and logs PROC CREATE,
+    /// RUN_UL_LOADER and THREAD_START. The executor queues the returned
+    /// main task.
+    pub fn spawn<X: Exec>(&self, x: &mut X, spec: &ProcessSpec, creator: Option<&Task>) -> Task {
+        let pid = self.next_pid.fetch_add(1, Ordering::Relaxed);
+        let tid = self.next_tid.fetch_add(1, Ordering::Relaxed);
+        let creator_pid = creator.map_or(KERNEL_PID, |c| c.pid);
+        x.log(procev::create(pid, creator_pid, &spec.name));
+        x.log(user::run_ul_loader(creator_pid, pid, &spec.name));
+        x.log(sched::thread_start(tid, pid));
+        if let Some(c) = creator {
+            c.child_spawned();
+        }
+        self.live.fetch_add(1, Ordering::AcqRel);
+        self.spawned.fetch_add(1, Ordering::Relaxed);
+        let parent = creator.map(|c| c.pending_children.clone());
+        Task::from_spec(spec, pid, tid, parent)
+    }
+
+    /// Ends a task: THREAD_EXIT, RETURNED_MAIN and PROC EXIT, and its
+    /// parent's child count drops.
+    pub fn exit<X: Exec>(&self, x: &mut X, task: &Task) {
+        x.log(sched::thread_exit(task.tid, task.pid));
+        x.log(user::returned_main(task.pid));
+        x.log(procev::exit(task.pid));
+        if let Some(parent) = &task.parent_pending {
+            parent.fetch_sub(1, Ordering::AcqRel);
+        }
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.live.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Runs the op at `task`'s instruction pointer, advancing past it
+    /// unless the op must wait or ended the task.
+    pub fn run_op<X: Exec>(&self, x: &mut X, task: &mut Task) -> Step {
+        let Some(op) = task.current_op().cloned() else {
+            return Step::Exit;
         };
-        h.log(lockev::acquired(
-            lock.id(),
-            task.tid,
-            chain,
-            stats.spins,
-            stats.wait_ns,
-        ));
-        let held = Instant::now();
-        critical();
-        let hold_ns = held.elapsed().as_nanos() as u64;
-        // Log RELEASED *before* the lock becomes available: the event's
-        // timestamp must precede any successor's ACQUIRED so the trace's
-        // release → acquire order matches the real synchronization order.
-        h.log(lockev::released(lock.id(), task.tid, hold_ns));
-        lock.release();
+        let step = match op {
+            Op::Exit => return Step::Exit,
+            Op::WaitChildren if task.live_children() > 0 => return Step::Wait,
+            Op::WaitChildren => Step::Next,
+            Op::Compute { ns, func } => {
+                task.func_stack.push(func);
+                x.busy(self.scaled(ns), func);
+                task.func_stack.pop();
+                Step::Next
+            }
+            Op::Syscall { no } => {
+                self.syscall(x, task, no, |_, _, _| {});
+                Step::Next
+            }
+            Op::PageFault { addr } => {
+                self.page_fault(x, task, addr);
+                Step::Next
+            }
+            Op::MapRegion { bytes } => {
+                self.map_region(x, task, bytes);
+                Step::Next
+            }
+            Op::Malloc { size } => ok_or_exit(self.malloc(x, task, size)),
+            Op::FreePages { .. } => ok_or_exit(self.free_pages(x, task)),
+            Op::FsOpen { path } => ok_or_exit(self.fs_call(x, task, FsOp::Open { path })),
+            Op::FsRead { bytes } => ok_or_exit(self.fs_call(x, task, FsOp::Read { bytes })),
+            Op::FsWrite { bytes } => ok_or_exit(self.fs_call(x, task, FsOp::Write { bytes })),
+            Op::FsClose { path } => ok_or_exit(self.fs_call(x, task, FsOp::Close { path })),
+            Op::SharedRead { cell } => {
+                self.shared_read(x, task, cell);
+                Step::Next
+            }
+            Op::SharedWrite { cell } => {
+                self.shared_write(x, task, cell);
+                Step::Next
+            }
+            Op::UserLock { lock } => self.user_lock(x, task, lock),
+            Op::UserUnlock { lock } => {
+                self.user_unlock(x, task, lock);
+                Step::Next
+            }
+            Op::Spawn { child } => {
+                x.busy(self.scaled(SPAWN_COST_NS), events::func::PROCESS_FORK);
+                Step::Spawned(self.spawn(x, &child, Some(task)))
+            }
+            Op::CountCompletion => {
+                self.completions.fetch_add(1, Ordering::Relaxed);
+                Step::Next
+            }
+        };
+        if matches!(step, Step::Next | Step::Spawned(_)) {
+            task.advance();
+        }
+        step
+    }
+
+    /// Requests lock `id` for `task`: REQUEST, then ACQUIRED with the
+    /// executor's spin and wait figures. An op retried after `Blocked`
+    /// does not log its REQUEST again.
+    fn lock<X: Exec>(&self, x: &mut X, task: &mut Task, id: u64) -> Step {
+        let chain = events::pack_chain(&task.func_stack);
+        if !task.requested {
+            x.log(lockev::request(id, task.tid, chain));
+            task.requested = true;
+        }
+        match x.acquire(id, task.tid) {
+            Acquire::Granted(stats) => {
+                task.requested = false;
+                x.log(lockev::acquired(
+                    id,
+                    task.tid,
+                    chain,
+                    stats.spins,
+                    stats.wait_ns,
+                ));
+                Step::Next
+            }
+            Acquire::Blocked => Step::Wait,
+            Acquire::Aborted => Step::Exit,
+        }
+    }
+
+    /// Frees lock `id`. RELEASED is logged while still holding, so its
+    /// timestamp precedes any successor's ACQUIRED and the trace's
+    /// release → acquire order matches the real synchronization order.
+    fn unlock<X: Exec>(&self, x: &mut X, task: &Task, id: u64, hold_ns: u64) {
+        x.log(lockev::released(id, task.tid, hold_ns));
+        x.release(id);
+    }
+
+    /// A kernel critical section: the lock triple around `hold_ns` of work
+    /// in the task's current function. False if the wait was aborted. A
+    /// kernel lock is taken and freed within one op, so no executor finds
+    /// it held across ops.
+    fn locked_section<X: Exec>(&self, x: &mut X, task: &mut Task, id: u64, hold_ns: u64) -> bool {
+        if !matches!(self.lock(x, task, id), Step::Next) {
+            return false;
+        }
+        let held = x.busy(hold_ns, task.current_func());
+        self.unlock(x, task, id, held);
         true
     }
 
     /// A heap allocation through the `GMalloc → PMallocDefault →
     /// AllocRegionManager` chain (the exact call chain of Fig. 7's hottest
-    /// lock).
-    pub fn malloc<H: TraceHandle>(&self, h: &H, task: &mut Task, size: u64) -> bool {
-        task.func_stack.push(events::func::GMALLOC);
-        task.func_stack.push(events::func::PMALLOC);
-        task.func_stack.push(events::func::ALLOC_REGION_ALLOC);
-        let lock = &self.alloc_locks[(task.pid as usize) % self.alloc_locks.len()];
-        let hold = self.config.scaled(self.config.alloc_hold_ns);
-        let ok = self.locked_section(h, task, lock, || busy(hold));
+    /// lock), on the region lock of the task's pid.
+    pub fn malloc<X: Exec>(&self, x: &mut X, task: &mut Task, size: u64) -> bool {
+        x.counters().cache_misses += 15;
+        task.func_stack.extend([
+            events::func::GMALLOC,
+            events::func::PMALLOC,
+            events::func::ALLOC_REGION_ALLOC,
+        ]);
+        let region = task.pid % self.config.alloc_regions.max(1) as u64;
+        let hold = self.scaled(self.config.alloc_hold_ns);
+        let ok = self.locked_section(x, task, ALLOC_LOCK_BASE + region, hold);
         if ok {
-            let addr = self.next_addr.fetch_add(size.max(8), Ordering::Relaxed);
-            h.log(mem::alloc(size, addr));
+            x.log(mem::alloc(size, self.fresh_addr(size)));
         }
         task.func_stack.truncate(task.func_stack.len() - 3);
         ok
     }
 
     /// Page deallocation through the page-allocator lock (Fig. 7 rows 3–4).
-    pub fn free_pages<H: TraceHandle>(&self, h: &H, task: &mut Task, _pages: u64) -> bool {
+    pub fn free_pages<X: Exec>(&self, x: &mut X, task: &mut Task) -> bool {
         task.func_stack.push(events::func::PAGEALLOC_USER_DEALLOC);
         task.func_stack.push(events::func::PAGEALLOC_DEALLOC);
-        let hold = self.config.scaled(self.config.alloc_hold_ns / 2);
-        let ok = self.locked_section(h, task, &self.page_lock, || busy(hold));
+        let hold = self.scaled(self.config.alloc_hold_ns / 2);
+        let ok = self.locked_section(x, task, PAGE_LOCK_ID, hold);
         task.func_stack.truncate(task.func_stack.len() - 2);
         ok
     }
 
     /// Region creation + FCM attach (the exec/mmap path, §4's Fig. 5 events).
-    pub fn map_region<H: TraceHandle>(&self, h: &H, task: &mut Task, bytes: u64) {
+    pub fn map_region<X: Exec>(&self, x: &mut X, task: &mut Task, bytes: u64) {
+        x.counters().cache_misses += 10;
         task.func_stack.push(events::func::FCM_MAP_PAGE);
         let addr = self.fresh_addr(bytes);
         let fcm = self.fresh_addr(64);
-        h.log(mem::reg_create(addr, bytes));
-        busy(self.config.scaled(self.config.syscall_cost_ns / 2));
-        h.log(mem::fcm_atch_reg(addr, fcm));
+        x.log(mem::reg_create(addr, bytes));
+        x.busy(
+            self.scaled(self.config.syscall_cost_ns / 2),
+            events::func::FCM_MAP_PAGE,
+        );
+        x.log(mem::fcm_atch_reg(addr, fcm));
         task.func_stack.pop();
     }
 
     /// The page-fault path: PGFLT event, fault handling cost, PGFLT_DONE.
-    pub fn page_fault<H: TraceHandle>(&self, h: &H, task: &mut Task, addr: u64) {
-        h.log(exception::pgflt(task.tid, addr));
+    pub fn page_fault<X: Exec>(&self, x: &mut X, task: &mut Task, addr: u64) {
+        let hw = x.counters();
+        hw.cache_misses += 80;
+        hw.tlb_misses += 20;
+        x.log(exception::pgflt(task.tid, addr));
         task.func_stack.push(events::func::PGFLT_HANDLER);
         task.func_stack.push(events::func::FCM_MAP_PAGE);
-        busy(self.config.scaled(self.config.pagefault_cost_ns));
+        x.busy(
+            self.scaled(self.config.pagefault_cost_ns),
+            events::func::PGFLT_HANDLER,
+        );
         task.func_stack.truncate(task.func_stack.len() - 2);
-        h.log(exception::pgflt_done(task.tid, addr));
+        x.log(exception::pgflt_done(task.tid, addr));
     }
 
     /// System-call bracketing: entry event, dispatch cost, `body`, exit
     /// event. The body runs with `SysCallDispatch` on the call stack.
-    pub fn syscall<H: TraceHandle>(
+    pub fn syscall<X: Exec>(
         &self,
-        h: &H,
+        x: &mut X,
         task: &mut Task,
         no: u64,
-        body: impl FnOnce(&Kernel, &H, &mut Task),
+        body: impl FnOnce(&Kernel, &mut X, &mut Task),
     ) {
-        h.log(sysev::entry(task.pid, task.tid, no));
+        x.log(sysev::entry(task.pid, task.tid, no));
         task.func_stack.push(events::func::SYSCALL_DISPATCH);
-        busy(self.config.scaled(self.config.syscall_cost_ns));
-        body(self, h, task);
+        x.busy(
+            self.scaled(self.config.syscall_cost_ns),
+            events::func::SYSCALL_DISPATCH,
+        );
+        body(self, x, task);
         task.func_stack.pop();
-        h.log(sysev::exit(task.pid, task.tid, no));
+        x.log(sysev::exit(task.pid, task.tid, no));
     }
 
     /// A PPC-style IPC into the FS server: the caller's context switches to
-    /// the server pid on the same CPU, the service routine runs (under the
-    /// directory lock for opens/closes), and control returns.
-    pub fn fs_call<H: TraceHandle>(&self, h: &H, task: &mut Task, op: FsOp) -> bool {
+    /// the server pid on the same CPU, the service routine runs, and
+    /// control returns.
+    pub fn fs_call<X: Exec>(&self, x: &mut X, task: &mut Task, op: FsOp) -> bool {
         let comm = self.next_comm.fetch_add(1, Ordering::Relaxed);
-        h.log(ipc::call(task.pid, FS_SERVER_PID, op.fn_id()));
-        h.log(exception::ppc_call(comm));
+        x.log(ipc::call(task.pid, FS_SERVER_PID, op.fn_id()));
+        x.log(exception::ppc_call(comm));
         task.func_stack.push(events::func::IPC_CALLEE_ENTRY);
-        let cost = self.config.scaled(self.config.fs_op_cost_ns);
+        let cost = self.scaled(self.config.fs_op_cost_ns);
+        // Server-side events are attributed to the server pid.
         let ok = match op {
             FsOp::Open { path } | FsOp::Close { path } => {
+                // The directory lock covers only the name lookup; the rest
+                // of the operation runs unlocked (otherwise the FS server
+                // would serialise every caller, which is exactly the kind
+                // of bottleneck the paper's lock tool exists to find).
                 task.func_stack.push(events::func::DIR_LOOKUP);
-                // Server-side event, attributed to the server pid.
-                let event = if matches!(op, FsOp::Open { .. }) {
-                    fs::open(FS_SERVER_PID, path)
-                } else {
-                    fs::close(FS_SERVER_PID, path)
-                };
-                let ok = self.locked_section(h, task, &self.dir_lock, || busy(cost));
-                if ok {
-                    h.log(event);
-                }
+                let lookup = cost / 5;
+                let ok = self.locked_section(x, task, DIR_LOCK_ID, lookup);
                 task.func_stack.pop();
+                if ok {
+                    x.busy(cost - lookup, events::func::DENTRY_LOOKUP);
+                    x.log(if matches!(op, FsOp::Open { .. }) {
+                        fs::open(FS_SERVER_PID, path)
+                    } else {
+                        fs::close(FS_SERVER_PID, path)
+                    });
+                }
                 ok
             }
-            FsOp::Read { bytes } => {
-                task.func_stack.push(events::func::SERVER_FILE_READ);
-                busy(cost + self.config.scaled(bytes / 64));
-                h.log(fs::read(FS_SERVER_PID, bytes));
-                task.func_stack.pop();
-                true
-            }
-            FsOp::Write { bytes } => {
-                task.func_stack.push(events::func::SERVER_FILE_WRITE);
-                busy(cost + self.config.scaled(bytes / 64));
-                h.log(fs::write(FS_SERVER_PID, bytes));
+            FsOp::Read { bytes } | FsOp::Write { bytes } => {
+                let (func, event) = if matches!(op, FsOp::Read { .. }) {
+                    (
+                        events::func::SERVER_FILE_READ,
+                        fs::read(FS_SERVER_PID, bytes),
+                    )
+                } else {
+                    (
+                        events::func::SERVER_FILE_WRITE,
+                        fs::write(FS_SERVER_PID, bytes),
+                    )
+                };
+                task.func_stack.push(func);
+                x.busy(cost + self.scaled(bytes / 64), func);
+                x.log(event);
                 task.func_stack.pop();
                 true
             }
         };
         task.func_stack.pop();
-        busy(self.config.scaled(self.config.ipc_cost_ns));
-        h.log(exception::ppc_return(comm));
-        h.log(ipc::ret(task.pid, FS_SERVER_PID, op.fn_id()));
+        x.busy(self.scaled(self.config.ipc_cost_ns), task.current_func());
+        x.log(exception::ppc_return(comm));
+        x.log(ipc::ret(task.pid, FS_SERVER_PID, op.fn_id()));
         ok
     }
 
-    /// Acquire a workload-defined lock (explicit section, paired with
-    /// [`Kernel::user_unlock`]). Returns false on abort.
-    pub fn user_lock<H: TraceHandle>(&self, h: &H, task: &Task, index: usize) -> bool {
-        let lock = &self.user_locks[index];
-        let chain = events::pack_chain(&task.func_stack);
-        h.log(lockev::request(lock.id(), task.tid, chain));
-        let Some(stats) = lock.acquire(&self.abort) else {
-            return false;
-        };
-        h.log(lockev::acquired(
-            lock.id(),
-            task.tid,
-            chain,
-            stats.spins,
-            stats.wait_ns,
-        ));
-        true
+    /// Takes workload-defined lock `index` until the task's matching
+    /// [`Kernel::user_unlock`].
+    pub fn user_lock<X: Exec>(&self, x: &mut X, task: &mut Task, index: usize) -> Step {
+        self.lock(x, task, USER_LOCK_BASE + index as u64)
     }
 
-    /// Release a workload-defined lock. RELEASED is logged while still
-    /// holding, so its timestamp precedes any successor's ACQUIRED.
-    pub fn user_unlock<H: TraceHandle>(&self, h: &H, task: &Task, index: usize) {
-        let lock = &self.user_locks[index];
-        h.log(lockev::released(lock.id(), task.tid, 0));
-        lock.release();
+    /// Frees workload-defined lock `index`.
+    pub fn user_unlock<X: Exec>(&self, x: &mut X, task: &Task, index: usize) {
+        self.unlock(x, task, USER_LOCK_BASE + index as u64, 0);
     }
 
     /// A fresh fake address (regions, fault addresses…).
@@ -297,9 +435,9 @@ impl Kernel {
 
     /// Reads shared cell `index`, annotating the access in the trace stream
     /// (`TRC_MEM_ACCESS_READ [addr, tid]`).
-    pub fn shared_read<H: TraceHandle>(&self, h: &H, task: &Task, index: usize) -> u64 {
+    pub fn shared_read<X: Exec>(&self, x: &mut X, task: &Task, index: usize) -> u64 {
         let cell = &self.shared_cells[index % SHARED_CELLS];
-        h.log(mem::access_read(Self::shared_cell_addr(index), task.tid));
+        x.log(mem::access_read(Self::shared_cell_addr(index), task.tid));
         cell.load(Ordering::Relaxed)
     }
 
@@ -309,12 +447,21 @@ impl Kernel {
     /// the *process* stays well-defined; the lost-update race belongs to the
     /// simulated program and is what trace-driven detectors should flag when
     /// the workload leaves the cell unprotected.
-    pub fn shared_write<H: TraceHandle>(&self, h: &H, task: &Task, index: usize) {
+    pub fn shared_write<X: Exec>(&self, x: &mut X, task: &Task, index: usize) {
         let cell = &self.shared_cells[index % SHARED_CELLS];
-        h.log(mem::access_write(Self::shared_cell_addr(index), task.tid));
+        x.log(mem::access_write(Self::shared_cell_addr(index), task.tid));
         let v = cell.load(Ordering::Relaxed);
-        busy(self.config.scaled(200));
+        x.busy(self.scaled(200), task.current_func());
         cell.store(v.wrapping_add(1), Ordering::Relaxed);
+    }
+}
+
+/// The step of an op that completes unless its lock wait was aborted.
+fn ok_or_exit(ok: bool) -> Step {
+    if ok {
+        Step::Next
+    } else {
+        Step::Exit
     }
 }
 
@@ -357,11 +504,13 @@ impl FsOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::{lock_table, ThreadCpu};
     use crate::task::{ProcessSpec, Program};
     use crate::tracer::{KTracer, Tracer};
     use ktrace_clock::SyncClock;
     use ktrace_core::{TraceConfig, TraceLogger};
     use ktrace_format::MajorId;
+    use std::sync::Arc;
 
     fn fixture() -> (KTracer, Kernel, Task) {
         let logger = TraceLogger::builder()
@@ -373,8 +522,8 @@ mod tests {
         let tracer = KTracer::new(logger);
         let mut cfg = MachineConfig::fast_test(1);
         cfg.time_scale = 0.05;
-        let kernel = Kernel::new(cfg, 1, 2);
-        let task = Task::from_spec(&ProcessSpec::new("t", Program::new()), 5, 50, 0, None);
+        let kernel = Kernel::new(cfg, 2);
+        let task = Task::from_spec(&ProcessSpec::new("t", Program::new()), 5, 50, None);
         (tracer, kernel, task)
     }
 
@@ -391,8 +540,9 @@ mod tests {
     #[test]
     fn malloc_logs_lock_triple_and_alloc() {
         let (tracer, kernel, mut task) = fixture();
-        let h = tracer.handle(0);
-        assert!(kernel.malloc(&h, &mut task, 4096));
+        let locks = lock_table(&kernel);
+        let mut x = ThreadCpu::new(tracer.handle(0), &locks, &kernel.abort);
+        assert!(kernel.malloc(&mut x, &mut task, 4096));
         let locks = events_of(&tracer, MajorId::LOCK);
         assert_eq!(locks.len(), 3);
         assert_eq!(locks[0].0, lockev::REQUEST);
@@ -413,8 +563,9 @@ mod tests {
     #[test]
     fn page_fault_brackets_with_events() {
         let (tracer, kernel, mut task) = fixture();
-        let h = tracer.handle(0);
-        kernel.page_fault(&h, &mut task, 0x405e628);
+        let locks = lock_table(&kernel);
+        let mut x = ThreadCpu::new(tracer.handle(0), &locks, &kernel.abort);
+        kernel.page_fault(&mut x, &mut task, 0x405e628);
         let evs = events_of(&tracer, MajorId::EXCEPTION);
         assert_eq!(evs[0].0, exception::PGFLT);
         assert_eq!(evs[0].1, vec![50, 0x405e628]);
@@ -424,9 +575,10 @@ mod tests {
     #[test]
     fn syscall_brackets_body() {
         let (tracer, kernel, mut task) = fixture();
-        let h = tracer.handle(0);
-        kernel.syscall(&h, &mut task, events::sysno::BRK, |k, h, t| {
-            k.malloc(h, t, 64);
+        let locks = lock_table(&kernel);
+        let mut x = ThreadCpu::new(tracer.handle(0), &locks, &kernel.abort);
+        kernel.syscall(&mut x, &mut task, events::sysno::BRK, |k, x, t| {
+            k.malloc(x, t, 64);
         });
         let sys = events_of(&tracer, MajorId::SYSCALL);
         assert_eq!(sys.len(), 2);
@@ -439,9 +591,10 @@ mod tests {
     #[test]
     fn fs_call_switches_to_server_pid() {
         let (tracer, kernel, mut task) = fixture();
-        let h = tracer.handle(0);
-        assert!(kernel.fs_call(&h, &mut task, FsOp::Open { path: 0xabc }));
-        assert!(kernel.fs_call(&h, &mut task, FsOp::Read { bytes: 512 }));
+        let locks = lock_table(&kernel);
+        let mut x = ThreadCpu::new(tracer.handle(0), &locks, &kernel.abort);
+        assert!(kernel.fs_call(&mut x, &mut task, FsOp::Open { path: 0xabc }));
+        assert!(kernel.fs_call(&mut x, &mut task, FsOp::Read { bytes: 512 }));
         let ipc_evs = events_of(&tracer, MajorId::IPC);
         assert_eq!(ipc_evs.len(), 4); // 2 calls, 2 returns
         assert_eq!(ipc_evs[0].1, vec![5, FS_SERVER_PID, 1]);
@@ -467,10 +620,11 @@ mod tests {
     #[test]
     fn shared_access_emits_mem_annotations() {
         let (tracer, kernel, task) = fixture();
-        let h = tracer.handle(0);
-        kernel.shared_write(&h, &task, 3);
-        kernel.shared_write(&h, &task, 3);
-        assert_eq!(kernel.shared_read(&h, &task, 3), 2);
+        let locks = lock_table(&kernel);
+        let mut x = ThreadCpu::new(tracer.handle(0), &locks, &kernel.abort);
+        kernel.shared_write(&mut x, &task, 3);
+        kernel.shared_write(&mut x, &task, 3);
+        assert_eq!(kernel.shared_read(&mut x, &task, 3), 2);
         let mems = events_of(&tracer, MajorId::MEM);
         let addr = Kernel::shared_cell_addr(3);
         assert_eq!(
@@ -482,14 +636,18 @@ mod tests {
 
     #[test]
     fn user_locks_pair_and_abort_works() {
-        let (tracer, kernel, task) = fixture();
-        let h = tracer.handle(0);
-        assert!(kernel.user_lock(&h, &task, 0));
-        kernel.user_unlock(&h, &task, 0);
+        let (tracer, kernel, mut task) = fixture();
+        let locks = lock_table(&kernel);
+        let mut x = ThreadCpu::new(tracer.handle(0), &locks, &kernel.abort);
+        assert!(matches!(kernel.user_lock(&mut x, &mut task, 0), Step::Next));
+        kernel.user_unlock(&mut x, &task, 0);
         // Hold lock 1 and abort a second acquisition attempt.
-        assert!(kernel.user_lock(&h, &task, 1));
+        assert!(matches!(kernel.user_lock(&mut x, &mut task, 1), Step::Next));
         kernel.abort.raise();
-        assert!(!kernel.user_lock(&h, &task, 1), "abort must break the wait");
+        assert!(
+            matches!(kernel.user_lock(&mut x, &mut task, 1), Step::Exit),
+            "abort must break the wait"
+        );
     }
 
     #[test]
@@ -513,23 +671,21 @@ mod tests {
         let mut cfg = MachineConfig::fast_test(1);
         cfg.time_scale = 1.0;
         cfg.alloc_hold_ns = 200_000;
-        let kernel = Arc::new(Kernel::new(cfg, 1, 0));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let h = tracer.handle(0);
-                let k = kernel.clone();
-                std::thread::spawn(move || {
+        let kernel = Kernel::new(cfg, 0);
+        let locks = lock_table(&kernel);
+        std::thread::scope(|scope| {
+            for i in 0..4 {
+                let (kernel, locks) = (&kernel, &locks);
+                let mut x = ThreadCpu::new(tracer.handle(0), locks, &kernel.abort);
+                scope.spawn(move || {
                     let spec = ProcessSpec::new("w", Program::new());
-                    let mut t = Task::from_spec(&spec, 10 + i, 100 + i, 0, None);
+                    let mut t = Task::from_spec(&spec, 10 + i, 100 + i, None);
                     for _ in 0..100 {
-                        assert!(k.malloc(&h, &mut t, 128));
+                        assert!(kernel.malloc(&mut x, &mut t, 128));
                     }
-                })
-            })
-            .collect();
-        for th in handles {
-            th.join().unwrap();
-        }
+                });
+            }
+        });
         let locks = events_of(&tracer, MajorId::LOCK);
         let contended: Vec<&(u16, Vec<u64>)> = locks
             .iter()

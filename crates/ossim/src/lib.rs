@@ -4,19 +4,20 @@
 //! OS; its evaluation (Figs. 3–8) traces real OS activity — context switches,
 //! page faults, PPC-style IPC, contended kernel locks, fork/exec storms —
 //! under the SPEC SDET workload. We obviously cannot ship K42, so this crate
-//! simulates the relevant machinery with real concurrency:
+//! simulates the relevant machinery as **one kernel and two executors**:
 //!
-//! * one **real OS thread per simulated CPU**, running a time-sliced
-//!   scheduler over simulated tasks ([`machine`]);
-//! * a kernel substrate ([`kernel`]) with a lock-protected allocator chain
-//!   (`GMalloc → PMallocDefault → AllocRegionManager`, the very call chains
-//!   in the paper's Fig. 7), a page allocator, a page-fault path, and an
-//!   in-memory file-system *server* reached by K42-style PPC calls;
-//! * instrumented ticket locks ([`lock::FairBLock`]) whose request/acquire/
-//!   release events carry spin counts, wait times, and call chains —
-//!   feeding the Fig. 7 lock-contention analysis;
-//! * a statistical PC sampler attributing time to simulated function names
-//!   (Fig. 6);
+//! * the kernel ([`kernel`]) writes every op's semantics and every event
+//!   once: a lock-protected allocator chain (`GMalloc → PMallocDefault →
+//!   AllocRegionManager`, the very call chains in the paper's Fig. 7), a page
+//!   allocator, a page-fault path, an in-memory file-system *server* reached
+//!   by K42-style PPC calls, process lifecycle, dispatch and idle markers,
+//!   and the statistical PC and hardware-counter samples (Fig. 6);
+//! * an executor owns time, run queues and the lock primitive, and hands the
+//!   kernel a per-CPU [`exec::Exec`] context. [`machine`] is the real-thread
+//!   executor — one OS thread per simulated CPU, instrumented ticket locks
+//!   ([`lock::FairBLock`]) that threads genuinely fight over. `ktrace-vsim`
+//!   runs the same kernel in virtual time, for the CPU counts the host
+//!   cannot show;
 //! * workloads ([`workload`]), foremost an SDET-like script mix (Fig. 3);
 //! * crash injection ([`crash`]) — a tracer that kills one simulated CPU
 //!   mid-reservation, the §3.1 killed-logger scenario that the §4.2 flight
@@ -33,6 +34,7 @@ pub mod config;
 /// The event vocabulary (re-exported from `ktrace-events`).
 pub use ktrace_events as events;
 pub mod crash;
+pub mod exec;
 pub mod kernel;
 pub mod lock;
 pub mod machine;
@@ -43,6 +45,7 @@ pub mod workload;
 
 pub use config::MachineConfig;
 pub use crash::{CrashHandle, CrashPlan, CrashTracer};
+pub use exec::{Acquire, Exec, HwCounters, Step};
 pub use kernel::Kernel;
 pub use lock::FairBLock;
 pub use machine::{Machine, RunReport};

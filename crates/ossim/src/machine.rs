@@ -1,21 +1,25 @@
-//! The simulated multiprocessor: per-CPU schedulers over real threads.
+//! The real-thread executor: per-CPU schedulers over real threads.
 //!
 //! [`Machine::run`] spawns one OS thread per simulated CPU. Each CPU time-
-//! slices the tasks in its run queue, stealing from siblings when idle
-//! (logging MIGRATE events), and executes task ops through the [`Kernel`].
-//! Every scheduling action emits the trace events an OS kernel would: context
-//! switches, idle transitions, thread starts/exits, process lifecycle — plus
-//! statistical PC samples (§4.5). A watchdog aborts runs that stop making
-//! progress (simulated deadlocks), leaving the evidence in the trace for the
+//! slices the tasks in its run queue, stealing from siblings when idle, and
+//! runs task ops through the [`Kernel`], which emits every event an OS
+//! kernel would. This executor owns only wall time, the run queues and the
+//! lock words ([`FairBLock`]s that tasks on different threads genuinely
+//! fight over). Statistical PC samples (§4.5) are taken between ops on the
+//! sampling period. A watchdog aborts runs that stop making progress
+//! (simulated deadlocks), leaving the evidence in the trace for the
 //! deadlock-analysis tool (§4.2).
 
 use crate::config::MachineConfig;
-use crate::events::{hwperf, proc as procev, prof, sched, user};
-use crate::kernel::{busy, FsOp, Kernel};
-use crate::task::{Op, ProcessSpec, Task};
+use crate::exec::{Acquire, Exec, HwCounters, Step};
+use crate::kernel::Kernel;
+use crate::lock::FairBLock;
+use crate::task::Task;
 use crate::tracer::{TraceHandle, Tracer};
 use crate::workload::Workload;
-use std::collections::VecDeque;
+use ktrace_format::protocol::SignalFlag;
+use ktrace_format::Event;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -43,81 +47,116 @@ impl RunReport {
     }
 }
 
+/// Busy-waits for `ns` nanoseconds of real time; returns the time taken.
+fn spin(ns: u64) -> u64 {
+    let start = Instant::now();
+    if ns > 0 {
+        while (start.elapsed().as_nanos() as u64) < ns {
+            std::hint::spin_loop();
+        }
+    }
+    start.elapsed().as_nanos() as u64
+}
+
+/// The lock table of a real-thread run: one [`FairBLock`] per kernel lock.
+pub(crate) fn lock_table(kernel: &Kernel) -> HashMap<u64, FairBLock> {
+    kernel
+        .lock_ids()
+        .map(|id| (id, FairBLock::new(id)))
+        .collect()
+}
+
+/// The per-CPU context of a real-thread run.
+pub(crate) struct ThreadCpu<'a, H> {
+    h: H,
+    locks: &'a HashMap<u64, FairBLock>,
+    abort: &'a SignalFlag,
+    hw: HwCounters,
+}
+
+impl<'a, H: TraceHandle> ThreadCpu<'a, H> {
+    pub(crate) fn new(
+        h: H,
+        locks: &'a HashMap<u64, FairBLock>,
+        abort: &'a SignalFlag,
+    ) -> ThreadCpu<'a, H> {
+        ThreadCpu {
+            h,
+            locks,
+            abort,
+            hw: HwCounters::default(),
+        }
+    }
+}
+
+impl<H: TraceHandle> Exec for ThreadCpu<'_, H> {
+    fn log<P: AsRef<[u64]>>(&mut self, e: Event<P>) {
+        self.h.log(e);
+    }
+
+    fn busy(&mut self, ns: u64, _func: u16) -> u64 {
+        spin(ns)
+    }
+
+    fn acquire(&mut self, lock: u64, _tid: u64) -> Acquire {
+        match self.locks[&lock].acquire(self.abort) {
+            Some(stats) => Acquire::Granted(stats),
+            None => Acquire::Aborted,
+        }
+    }
+
+    fn release(&mut self, lock: u64) {
+        self.locks[&lock].release();
+    }
+
+    fn counters(&mut self) -> &mut HwCounters {
+        &mut self.hw
+    }
+}
+
 struct Shared {
     config: MachineConfig,
     kernel: Kernel,
+    locks: HashMap<u64, FairBLock>,
     queues: Vec<Mutex<VecDeque<Task>>>,
-    live: AtomicU64,
-    completed: AtomicU64,
-    completions: AtomicU64,
-    spawned: AtomicU64,
-    next_pid: AtomicU64,
-    next_tid: AtomicU64,
     rr: AtomicU64,
 }
 
 impl Shared {
-    /// Creates a process: allocates ids, logs the lifecycle events through
-    /// `h`, and enqueues the main task on a round-robin CPU.
-    fn spawn<H: TraceHandle>(&self, h: &H, spec: &ProcessSpec, creator: Option<&Task>) {
-        let pid = self.next_pid.fetch_add(1, Ordering::Relaxed);
-        let tid = self.next_tid.fetch_add(1, Ordering::Relaxed);
-        let cpu = (self.rr.fetch_add(1, Ordering::Relaxed) as usize) % self.queues.len();
-        let creator_pid = creator.map_or(crate::kernel::KERNEL_PID, |c| c.pid);
-
-        h.log(procev::create(pid, creator_pid, &spec.name));
-        h.log(user::run_ul_loader(creator_pid, pid, &spec.name));
-        h.log(sched::thread_start(tid, pid));
-        if let Some(c) = creator {
-            c.child_spawned();
-        }
-        let task = Task::from_spec(
-            spec,
-            pid,
-            tid,
-            cpu,
-            creator.map(|c| c.pending_children.clone()),
-        );
-        self.live.fetch_add(1, Ordering::AcqRel);
-        self.spawned.fetch_add(1, Ordering::Relaxed);
+    fn queue(&self, cpu: usize) -> std::sync::MutexGuard<'_, VecDeque<Task>> {
         self.queues[cpu]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push_back(task);
+    }
+
+    /// Queues a new task on a round-robin CPU.
+    fn enqueue(&self, task: Task) {
+        let cpu = (self.rr.fetch_add(1, Ordering::Relaxed) as usize) % self.queues.len();
+        self.queue(cpu).push_back(task);
     }
 
     /// Pops local work, stealing from the busiest sibling when empty.
     fn next_task(&self, cpu: usize) -> Option<Task> {
-        if let Some(t) = self.queues[cpu]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-        {
+        if let Some(t) = self.queue(cpu).pop_front() {
             return Some(t);
         }
-        let (victim, _len) = self
-            .queues
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != cpu)
-            .map(|(i, q)| (i, q.lock().unwrap_or_else(PoisonError::into_inner).len()))
+        let (victim, _len) = (0..self.queues.len())
+            .filter(|&i| i != cpu)
+            .map(|i| (i, self.queue(i).len()))
             .max_by_key(|&(_, len)| len)?;
-        self.queues[victim]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_back()
+        self.queue(victim).pop_back()
     }
 }
 
-/// A simulated multiprocessor, generic over the tracing backend.
+/// A simulated multiprocessor on real threads, generic over the tracing
+/// backend.
 pub struct Machine<T: Tracer> {
     config: MachineConfig,
     tracer: Arc<T>,
 }
 
 impl<T: Tracer> Machine<T> {
-    /// Builds a machine with one allocator region lock (the contended
-    /// default of the paper's tuning story).
+    /// Builds a machine.
     pub fn new(config: MachineConfig, tracer: Arc<T>) -> Machine<T> {
         Machine { config, tracer }
     }
@@ -129,61 +168,52 @@ impl<T: Tracer> Machine<T> {
 
     /// Runs `workload` to completion (or watchdog abort) and reports.
     pub fn run(&self, workload: Workload) -> RunReport {
-        let shared = Arc::new(Shared {
+        let kernel = Kernel::new(self.config, workload.user_locks);
+        let shared = Shared {
             config: self.config,
-            kernel: Kernel::new(self.config, 1, workload.user_locks),
+            locks: lock_table(&kernel),
+            kernel,
             queues: (0..self.config.ncpus)
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
-            live: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            completions: AtomicU64::new(0),
-            spawned: AtomicU64::new(0),
-            next_pid: AtomicU64::new(2), // 0 = kernel, 1 = baseServers
-            next_tid: AtomicU64::new(0x8000_0000),
             rr: AtomicU64::new(0),
-        });
+        };
+        let kernel = &shared.kernel;
 
-        let boot_handle = self.tracer.handle(0);
+        let mut boot = ThreadCpu::new(self.tracer.handle(0), &shared.locks, &kernel.abort);
         for spec in &workload.processes {
-            shared.spawn(&boot_handle, spec, None);
+            shared.enqueue(kernel.spawn(&mut boot, spec, None));
         }
 
         let start = Instant::now();
-        let cpus: Vec<_> = (0..self.config.ncpus)
-            .map(|cpu| {
-                let shared = shared.clone();
-                let handle = self.tracer.handle(cpu);
+        let mut aborted = false;
+        std::thread::scope(|scope| {
+            for cpu in 0..self.config.ncpus {
+                let (shared, handle) = (&shared, self.tracer.handle(cpu));
                 std::thread::Builder::new()
                     .name(format!("ossim-cpu{cpu}"))
-                    .spawn(move || cpu_loop(cpu, shared, handle))
-                    .expect("spawn cpu thread")
-            })
-            .collect();
-
-        // Watchdog: abort when no task completes for the configured window.
-        let mut last_progress = (0u64, Instant::now());
-        let mut aborted = false;
-        while shared.live.load(Ordering::Acquire) > 0 {
-            std::thread::sleep(Duration::from_millis(5));
-            let done = shared.completed.load(Ordering::Relaxed)
-                + shared.completions.load(Ordering::Relaxed);
-            if done != last_progress.0 {
-                last_progress = (done, Instant::now());
-            } else if last_progress.1.elapsed() > self.config.watchdog {
-                shared.kernel.abort.raise();
-                aborted = true;
-                break;
+                    .spawn_scoped(scope, move || cpu_loop(cpu, shared, handle))
+                    .expect("spawn cpu thread");
             }
-        }
-        for c in cpus {
-            c.join().expect("cpu thread panicked");
-        }
+            // Watchdog: abort when no task completes for the configured window.
+            let mut last_progress = (0u64, Instant::now());
+            while kernel.live() > 0 {
+                std::thread::sleep(Duration::from_millis(5));
+                let done = kernel.completed() + kernel.completions();
+                if done != last_progress.0 {
+                    last_progress = (done, Instant::now());
+                } else if last_progress.1.elapsed() > self.config.watchdog {
+                    kernel.abort.raise();
+                    aborted = true;
+                    break;
+                }
+            }
+        });
         RunReport {
             elapsed: start.elapsed(),
-            tasks_completed: shared.completed.load(Ordering::Relaxed),
-            tasks_spawned: shared.spawned.load(Ordering::Relaxed),
-            completions: shared.completions.load(Ordering::Relaxed),
+            tasks_completed: kernel.completed(),
+            tasks_spawned: kernel.spawned(),
+            completions: kernel.completions(),
             aborted,
         }
     }
@@ -192,232 +222,79 @@ impl<T: Tracer> Machine<T> {
 /// What happened to a task during its time slice.
 enum SliceOutcome {
     Finished,
-    WaitingForChildren,
+    Waiting,
     SlicedOut,
 }
 
-fn cpu_loop<H: TraceHandle>(cpu: usize, shared: Arc<Shared>, h: H) {
+fn cpu_loop<H: TraceHandle>(cpu: usize, shared: &Shared, h: H) {
+    let kernel = &shared.kernel;
+    let mut x = ThreadCpu::new(h, &shared.locks, &kernel.abort);
     let mut prev_tid = 0u64;
     let mut idle_since: Option<Instant> = None;
     let mut last_sample = Instant::now();
-    let mut hw = HwCounters::default();
     let run_start = Instant::now();
     loop {
-        if shared.live.load(Ordering::Acquire) == 0 || shared.kernel.abort.is_raised() {
+        if kernel.live() == 0 || kernel.abort.is_raised() {
             // Final counter flush: activity between the last sampler tick and
             // shutdown must still reach the stream.
-            hw.emit(&h, run_start);
+            x.counter_samples(run_start.elapsed().as_nanos() as u64);
             return;
         }
         let Some(mut task) = shared.next_task(cpu) else {
             if idle_since.is_none() {
-                h.log(sched::idle_start());
+                x.idle_start();
                 idle_since = Some(Instant::now());
             }
-            std::thread::sleep(Duration::from_micros(20));
+            std::thread::sleep(shared.config.idle_quantum);
             continue;
         };
         if let Some(t0) = idle_since.take() {
-            h.log(sched::idle_end(t0.elapsed().as_nanos() as u64));
+            x.idle_end(t0.elapsed().as_nanos() as u64);
         }
-        if task.started && task.last_cpu != cpu {
-            h.log(sched::migrate(task.tid, task.last_cpu as u64, cpu as u64));
-        }
-        task.started = true;
-        task.last_cpu = cpu;
-        h.log(sched::ctx_switch(prev_tid, task.tid, task.pid));
+        x.dispatch(cpu, prev_tid, &mut task);
         prev_tid = task.tid;
 
-        let outcome = run_slice(&shared, &h, &mut task, &mut last_sample, &mut hw, run_start);
-        match outcome {
-            SliceOutcome::Finished => {
-                h.log(sched::thread_exit(task.tid, task.pid));
-                h.log(user::returned_main(task.pid));
-                h.log(procev::exit(task.pid));
-                if let Some(parent) = &task.parent_pending {
-                    parent.fetch_sub(1, Ordering::AcqRel);
-                }
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-                shared.live.fetch_sub(1, Ordering::AcqRel);
-            }
-            SliceOutcome::WaitingForChildren => {
-                let mut q = shared.queues[cpu]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
+        match run_slice(shared, &mut x, &mut task, &mut last_sample, run_start) {
+            SliceOutcome::Finished => kernel.exit(&mut x, &task),
+            SliceOutcome::Waiting => {
+                let mut q = shared.queue(cpu);
                 let nothing_else = q.is_empty();
                 q.push_back(task);
                 drop(q);
                 if nothing_else {
                     // Don't spin on a lone waiting task.
-                    std::thread::sleep(Duration::from_micros(20));
+                    std::thread::sleep(shared.config.idle_quantum);
                 }
             }
-            SliceOutcome::SlicedOut => {
-                shared.queues[cpu]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push_back(task);
-            }
+            SliceOutcome::SlicedOut => shared.queue(cpu).push_back(task),
         }
     }
 }
 
-/// Per-CPU synthetic hardware counters (§2): sampled through the unified
-/// stream alongside the PC samples.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct HwCounters {
-    pub cache_misses: u64,
-    pub tlb_misses: u64,
-    last_cycles: u64,
-    last_cache: u64,
-    last_tlb: u64,
-}
-
-impl HwCounters {
-    /// Emits one `HWPERF` sample per counter whose value moved since the
-    /// previous sample. Cycles use a 1-cycle-per-ns wall-time model.
-    fn emit<H: TraceHandle>(&mut self, h: &H, run_start: Instant) {
-        use crate::events::counter;
-        let cycles = run_start.elapsed().as_nanos() as u64;
-        let samples = [
-            (counter::CYCLES, cycles, &mut self.last_cycles),
-            (
-                counter::CACHE_MISSES,
-                self.cache_misses,
-                &mut self.last_cache,
-            ),
-            (counter::TLB_MISSES, self.tlb_misses, &mut self.last_tlb),
-        ];
-        for (id, value, last) in samples {
-            let delta = value.saturating_sub(*last);
-            if delta > 0 {
-                h.log(hwperf::counter_sample(id, value, delta));
-                *last = value;
-            }
-        }
-    }
-}
-
-/// Executes ops until the task finishes, blocks on children, or the slice
-/// expires. Emits PC samples on the configured period.
+/// Runs ops until the task finishes, must wait, or the slice expires.
+/// Emits PC and counter samples on the configured period.
 fn run_slice<H: TraceHandle>(
     shared: &Shared,
-    h: &H,
+    x: &mut ThreadCpu<'_, H>,
     task: &mut Task,
     last_sample: &mut Instant,
-    hw: &mut HwCounters,
     run_start: Instant,
 ) -> SliceOutcome {
-    let config = &shared.config;
     let kernel = &shared.kernel;
-    let slice_end = Instant::now() + config.time_slice;
+    let slice_end = Instant::now() + shared.config.time_slice;
     loop {
-        if let Some(period) = config.pc_sample_period {
+        if let Some(period) = shared.config.pc_sample_period {
             if last_sample.elapsed() >= period {
                 *last_sample = Instant::now();
-                h.log(prof::pc_sample(
-                    task.pid,
-                    task.tid,
-                    task.current_func() as u64,
-                ));
-                hw.emit(h, run_start);
+                x.pc_sample(task.pid, task.tid, task.current_func());
+                x.counter_samples(run_start.elapsed().as_nanos() as u64);
             }
         }
-        let Some(op) = task.current_op().cloned() else {
-            return SliceOutcome::Finished;
-        };
-        match op {
-            Op::Exit => return SliceOutcome::Finished,
-            Op::WaitChildren => {
-                if task.live_children() > 0 {
-                    return SliceOutcome::WaitingForChildren;
-                }
-                task.advance();
-            }
-            Op::Compute { ns, func } => {
-                task.func_stack.push(func);
-                busy(config.scaled(ns));
-                task.func_stack.pop();
-                task.advance();
-            }
-            Op::Syscall { no } => {
-                kernel.syscall(h, task, no, |_, _, _| {});
-                task.advance();
-            }
-            Op::PageFault { addr } => {
-                hw.cache_misses += 80;
-                hw.tlb_misses += 20;
-                kernel.page_fault(h, task, addr);
-                task.advance();
-            }
-            Op::MapRegion { bytes } => {
-                hw.cache_misses += 10;
-                kernel.map_region(h, task, bytes);
-                task.advance();
-            }
-            Op::Malloc { size } => {
-                hw.cache_misses += 15;
-                if !kernel.malloc(h, task, size) {
-                    return SliceOutcome::Finished; // aborted mid-wait
-                }
-                task.advance();
-            }
-            Op::FreePages { pages } => {
-                if !kernel.free_pages(h, task, pages) {
-                    return SliceOutcome::Finished;
-                }
-                task.advance();
-            }
-            Op::FsOpen { path } => {
-                if !kernel.fs_call(h, task, FsOp::Open { path }) {
-                    return SliceOutcome::Finished;
-                }
-                task.advance();
-            }
-            Op::FsRead { bytes } => {
-                if !kernel.fs_call(h, task, FsOp::Read { bytes }) {
-                    return SliceOutcome::Finished;
-                }
-                task.advance();
-            }
-            Op::FsWrite { bytes } => {
-                if !kernel.fs_call(h, task, FsOp::Write { bytes }) {
-                    return SliceOutcome::Finished;
-                }
-                task.advance();
-            }
-            Op::FsClose { path } => {
-                if !kernel.fs_call(h, task, FsOp::Close { path }) {
-                    return SliceOutcome::Finished;
-                }
-                task.advance();
-            }
-            Op::SharedRead { cell } => {
-                kernel.shared_read(h, task, cell);
-                task.advance();
-            }
-            Op::SharedWrite { cell } => {
-                kernel.shared_write(h, task, cell);
-                task.advance();
-            }
-            Op::UserLock { lock } => {
-                if !kernel.user_lock(h, task, lock) {
-                    return SliceOutcome::Finished;
-                }
-                task.advance();
-            }
-            Op::UserUnlock { lock } => {
-                kernel.user_unlock(h, task, lock);
-                task.advance();
-            }
-            Op::Spawn { child } => {
-                shared.spawn(h, &child, Some(task));
-                task.advance();
-            }
-            Op::CountCompletion => {
-                shared.completions.fetch_add(1, Ordering::Relaxed);
-                task.advance();
-            }
+        match kernel.run_op(x, task) {
+            Step::Next => {}
+            Step::Spawned(child) => shared.enqueue(child),
+            Step::Wait => return SliceOutcome::Waiting,
+            Step::Exit => return SliceOutcome::Finished,
         }
         if kernel.abort.is_raised() {
             return SliceOutcome::Finished;
@@ -431,8 +308,9 @@ fn run_slice<H: TraceHandle>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{func, sysno};
-    use crate::task::Program;
+    use crate::events::{func, lock as lockev, proc as procev, sysno};
+    use crate::kernel::ALLOC_LOCK_BASE;
+    use crate::task::{Op, ProcessSpec, Program};
     use crate::tracer::{KTracer, NoTracer};
     use ktrace_clock::SyncClock;
     use ktrace_core::{TraceConfig, TraceLogger};
@@ -573,6 +451,33 @@ mod tests {
             .filter(|e| e.minor == procev::CREATE)
             .collect();
         assert_eq!(create_events.len(), 3);
+    }
+
+    #[test]
+    fn allocator_regions_split_the_lock() {
+        let logger = TraceLogger::builder()
+            .geometry(TraceConfig::small().flight_recorder())
+            .clock(Arc::new(SyncClock::new()))
+            .ncpus(1)
+            .build()
+            .unwrap();
+        let mut cfg = MachineConfig::fast_test(1);
+        cfg.alloc_regions = 2;
+        let m = Machine::new(cfg, Arc::new(KTracer::new(logger)));
+        // Pids 2 and 3 hash to regions 0 and 1.
+        assert!(!m.run(simple_workload(2)).aborted);
+        let mut locks: Vec<u64> = m
+            .tracer()
+            .logger()
+            .dump_last(10_000, Some(&[MajorId::LOCK]))
+            .events
+            .iter()
+            .filter(|e| e.minor == lockev::ACQUIRED)
+            .map(|e| e.payload[0])
+            .collect();
+        locks.sort_unstable();
+        locks.dedup();
+        assert_eq!(locks, [ALLOC_LOCK_BASE, ALLOC_LOCK_BASE + 1]);
     }
 
     #[test]

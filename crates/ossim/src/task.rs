@@ -182,6 +182,9 @@ pub struct Task {
     pub last_cpu: usize,
     /// Whether the task has run at least once.
     pub started: bool,
+    /// The current op's lock REQUEST is logged: the op is being retried
+    /// after the lock was found held.
+    pub requested: bool,
     ops: Arc<[Op]>,
     ip: usize,
     /// Simulated call stack of function IDs (PC sampling, lock chains).
@@ -198,15 +201,15 @@ impl Task {
         spec: &ProcessSpec,
         pid: u64,
         tid: u64,
-        home_cpu: usize,
         parent_pending: Option<Arc<AtomicU64>>,
     ) -> Task {
         Task {
             pid,
             tid,
             name: spec.name.as_str().into(),
-            last_cpu: home_cpu,
+            last_cpu: 0,
             started: false,
+            requested: false,
             ops: spec.program.ops.clone().into(),
             ip: 0,
             func_stack: vec![crate::events::func::USER_COMPUTE],
@@ -264,7 +267,7 @@ mod tests {
     #[test]
     fn task_walks_its_program() {
         let spec = ProcessSpec::new("grep", Program::new().compute(1, 16).syscall(2));
-        let mut t = Task::from_spec(&spec, 5, 100, 0, None);
+        let mut t = Task::from_spec(&spec, 5, 100, None);
         assert_eq!(&*t.name, "grep");
         assert!(matches!(t.current_op(), Some(Op::Compute { .. })));
         t.advance();
@@ -276,11 +279,11 @@ mod tests {
     #[test]
     fn child_accounting() {
         let spec = ProcessSpec::new("sh", Program::new());
-        let parent = Task::from_spec(&spec, 1, 1, 0, None);
+        let parent = Task::from_spec(&spec, 1, 1, None);
         parent.child_spawned();
         parent.child_spawned();
         assert_eq!(parent.live_children(), 2);
-        let child = Task::from_spec(&spec, 2, 2, 0, Some(parent.pending_children.clone()));
+        let child = Task::from_spec(&spec, 2, 2, Some(parent.pending_children.clone()));
         child
             .parent_pending
             .as_ref()
@@ -292,7 +295,7 @@ mod tests {
     #[test]
     fn func_stack_tracks_innermost() {
         let spec = ProcessSpec::new("x", Program::new());
-        let mut t = Task::from_spec(&spec, 1, 1, 0, None);
+        let mut t = Task::from_spec(&spec, 1, 1, None);
         assert_eq!(t.current_func(), func::USER_COMPUTE);
         t.func_stack.push(func::GMALLOC);
         t.func_stack.push(func::PMALLOC);

@@ -1,31 +1,31 @@
-//! A discrete-event **virtual-time** multiprocessor.
+//! The **virtual-time executor** of ossim's kernel.
 //!
 //! The paper's scalability results (Fig. 3, the LTT order-of-magnitude
 //! claim, the per-CPU-buffer design point) were measured on a large PowerPC
-//! multiprocessor. The machine building this reproduction has **one physical
-//! core**, so those curves cannot be observed in wall time; per the
-//! substitution methodology (DESIGN.md), this crate *simulates* the
-//! multiprocessor instead:
+//! multiprocessor. The machine building this reproduction has 2 vCPUs, so
+//! those curves cannot be observed in wall time; per the substitution
+//! methodology (DESIGN.md), this crate runs the *same* simulated OS —
+//! `ktrace-ossim`'s `Kernel`, which writes every op and every event — on
+//! simulated time instead of real threads:
 //!
 //! * every simulated CPU has its own virtual clock, advanced by the cost of
-//!   the work it executes;
-//! * kernel locks are virtual resources — an acquisition at time `t` of a
-//!   lock free at `free_at` waits `max(0, free_at − t)`, which is exactly
-//!   the FIFO queueing behaviour a contended spin lock exhibits;
+//!   the work it executes, and the CPU with the smallest clock takes the
+//!   next step;
+//! * locks are virtual resources — an acquisition at time `t` of a lock
+//!   free at `free_at` waits `max(0, free_at − t)`, which is exactly the
+//!   FIFO queueing behaviour a contended spin lock exhibits, and a lock held
+//!   by another task across ops blocks the requester until it is freed;
 //! * each tracing scheme is a **cost model** ([`cost::TraceCostModel`]):
 //!   per-CPU schemes charge a constant per event, shared-structure schemes
 //!   serialize on a single resource (the global buffer index or the global
 //!   lock) whose queueing delay grows with CPU count — reproducing the
 //!   *shape* of the paper's comparisons from first principles;
-//! * optionally, every simulated event is also written through the **real**
-//!   lockless logger with virtual timestamps ([`VirtualMachine::with_emission`]),
+//! * every event goes through ossim's `Tracer` seam with virtual timestamps
+//!   ([`VirtualMachine::with_emission`], [`VirtualMachine::with_tracer`]),
 //!   so the analysis tools and timeline can be exercised on "24-way" traces.
-//!
-//! Workload types are shared with the real-threaded simulator
-//! (`ktrace-ossim`), so the same SDET scripts drive both.
 
 pub mod cost;
 pub mod vmachine;
 
 pub use cost::{CostParams, Scheme, TraceCostModel};
-pub use vmachine::{VReport, VirtualMachine, VmConfig};
+pub use vmachine::{VReport, VirtualMachine};

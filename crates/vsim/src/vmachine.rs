@@ -1,59 +1,31 @@
-//! The virtual-time machine.
+//! The virtual-time executor of ossim's kernel.
 //!
 //! Single-threaded discrete-event simulation: CPUs are advanced in global
-//! virtual-time order; the CPU with the smallest clock executes the next
-//! slice of its current task. Ops cost virtual nanoseconds; kernel locks are
-//! queueing resources; every trace point charges the configured
-//! [`TraceCostModel`](crate::cost::TraceCostModel) and (optionally) emits a
-//! real event with a virtual timestamp through the lockless logger.
+//! virtual-time order, and the CPU with the smallest clock (the lower CPU on
+//! a tie) takes the next step of its current task through
+//! [`Kernel::run_op`], so every event and payload is the kernel's own. This
+//! executor owns only time: per-CPU clocks advanced by the cost of each op,
+//! run queues with stealing, and a lock table of `{free_at, owner}` entries.
+//! Every trace point charges the configured
+//! [`TraceCostModel`](crate::cost::TraceCostModel) and goes out through
+//! ossim's [`Tracer`] seam with the [`ManualClock`] set to the CPU's virtual
+//! time.
 
 use crate::cost::{CostParams, Scheme, TraceCostModel};
 use ktrace_clock::ManualClock;
 use ktrace_core::{TraceConfig, TraceLogger};
-use ktrace_events::{
-    self as events, exception, fs as fsev, ipc, lock as lockev, proc as procev, prof, sched,
-    syscall as sysev, user,
-};
 use ktrace_format::Event;
-use ktrace_ossim::kernel::{ALLOC_LOCK_BASE, DIR_LOCK_ID, PAGE_LOCK_ID, USER_LOCK_BASE};
-use ktrace_ossim::task::{Op, ProcessSpec};
+use ktrace_ossim::events::{self, func};
+use ktrace_ossim::lock::AcquireStats;
+use ktrace_ossim::task::Task;
 use ktrace_ossim::workload::Workload;
-use ktrace_ossim::MachineConfig;
-use std::cell::Cell;
+use ktrace_ossim::{
+    Acquire, Exec, HwCounters, KTracer, Kernel, MachineConfig, NoTracer, Step, TraceHandle, Tracer,
+};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::rc::Rc;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Virtual machine configuration. The per-operation costs are the real
-/// kernel's (`ktrace_ossim::MachineConfig::new`), read as virtual
-/// nanoseconds.
-#[derive(Debug, Clone, Copy)]
-pub struct VmConfig {
-    /// Simulated CPU count — unconstrained by the host.
-    pub ncpus: usize,
-    /// How far an idle CPU's clock jumps per scheduling round.
-    pub idle_quantum_ns: u64,
-    /// Statistical PC-sample period (`None` disables).
-    pub pc_sample_period_ns: Option<u64>,
-    /// Allocator region locks (1 = the paper's contended starting point).
-    pub alloc_regions: usize,
-}
-
-impl VmConfig {
-    /// Defaults for `ncpus` CPUs.
-    pub fn new(ncpus: usize) -> VmConfig {
-        VmConfig {
-            ncpus,
-            idle_quantum_ns: 20_000,
-            pc_sample_period_ns: Some(50_000),
-            alloc_regions: 1,
-        }
-    }
-}
-
-/// Process-creation cost; `MachineConfig` has no counterpart.
-const SPAWN_COST_NS: u64 = 3_000;
 /// Virtual cost of one spin iteration: converts lock wait time to the spin
 /// counts the Fig. 7 tool reports.
 const SPIN_ITER_NS: u64 = 100;
@@ -77,6 +49,10 @@ pub struct VReport {
     pub trace_overhead_ns: u64,
     /// Busy virtual time per CPU (lock waits count as busy).
     pub cpu_busy_ns: Vec<u64>,
+    /// True if the watchdog aborted the run: no progress for
+    /// `MachineConfig::watchdog` of virtual time, or every live task
+    /// waiting on a lock another task holds.
+    pub aborted: bool,
 }
 
 impl VReport {
@@ -89,86 +65,48 @@ impl VReport {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct VLock {
-    free_at: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum LockRef {
-    Alloc(usize),
-    Page,
-    Dir,
-    User(usize),
-}
-
-struct VTask {
-    pid: u64,
-    tid: u64,
-    name: Rc<str>,
-    ops: Rc<[Op]>,
-    ip: usize,
-    func_stack: Vec<u16>,
-    pending: Rc<Cell<u64>>,
-    parent: Option<Rc<Cell<u64>>>,
-    ready_at: u64,
-    home_cpu: usize,
-}
-
-/// Synthetic per-CPU hardware counters (§2: sampled through the unified
-/// trace stream via `HWPERF` events).
-#[derive(Debug, Clone, Copy, Default)]
-struct HwCounters {
-    cycles: u64,
-    cache_misses: u64,
-    tlb_misses: u64,
-    sampled: [u64; 3],
-}
-
-struct VCpu {
-    t: u64,
-    busy_ns: u64,
-    hw: HwCounters,
-    /// PC-sample ticks since the last (stride-N) counter sample.
-    ticks_since_counters: u32,
-    runq: VecDeque<VTask>,
-    /// The dispatched task and its slice deadline. Exactly **one op** of the
-    /// current task runs per scheduling step, so the global min-clock order
-    /// keeps cross-CPU lock interactions causal (executing whole slices
-    /// atomically would serialize lock requests in step order, not time
-    /// order, and fabricate waits).
-    current: Option<(VTask, u64)>,
-    prev_tid: u64,
-    next_sample: u64,
-}
-
-struct Emitter {
-    logger: TraceLogger,
+/// The virtual-time multiprocessor, generic over the tracing backend.
+pub struct VirtualMachine<T: Tracer = NoTracer> {
+    config: MachineConfig,
+    model: TraceCostModel,
+    tracer: Arc<T>,
     clock: Arc<ManualClock>,
 }
 
-/// The virtual-time multiprocessor.
-pub struct VirtualMachine {
-    config: VmConfig,
-    model: TraceCostModel,
-    emit: Option<Emitter>,
-}
-
 impl VirtualMachine {
-    /// A machine modelling `scheme` with the given cost parameters.
-    pub fn new(config: VmConfig, scheme: Scheme, params: CostParams) -> VirtualMachine {
+    /// A machine modelling `scheme` with the given cost parameters; the
+    /// per-operation costs are `config`'s, read as virtual nanoseconds.
+    pub fn new(config: MachineConfig, scheme: Scheme, params: CostParams) -> VirtualMachine {
         VirtualMachine {
             config,
             model: TraceCostModel::new(scheme, params),
-            emit: None,
+            tracer: Arc::new(NoTracer),
+            clock: Arc::default(),
+        }
+    }
+}
+
+impl<T: Tracer> VirtualMachine<T> {
+    /// Logs through `tracer`, whose logger must read `clock`: the machine
+    /// sets it to the CPU's virtual time before each event.
+    pub fn with_tracer<U: Tracer>(
+        self,
+        tracer: Arc<U>,
+        clock: Arc<ManualClock>,
+    ) -> VirtualMachine<U> {
+        VirtualMachine {
+            config: self.config,
+            model: self.model,
+            tracer,
+            clock,
         }
     }
 
-    /// Additionally emits every simulated event through a real lockless
-    /// logger (flight-recorder mode) with virtual timestamps, so the
-    /// analysis tools can consume a "P-way" trace.
-    pub fn with_emission(mut self, trace_config: TraceConfig) -> VirtualMachine {
-        let clock = Arc::new(ManualClock::new(0, 0));
+    /// Emits every simulated event through a real lockless logger
+    /// (flight-recorder mode) with virtual timestamps, so the analysis tools
+    /// can consume a "P-way" trace.
+    pub fn with_emission(self, trace_config: TraceConfig) -> VirtualMachine<KTracer> {
+        let clock = self.clock.clone();
         let logger = TraceLogger::builder()
             .geometry(trace_config.flight_recorder())
             .clock(clock.clone() as Arc<dyn ktrace_clock::ClockSource>)
@@ -176,499 +114,362 @@ impl VirtualMachine {
             .build()
             .expect("valid trace config");
         events::register_all(&logger);
-        self.emit = Some(Emitter { logger, clock });
-        self
+        self.with_tracer(Arc::new(KTracer::new(logger)), clock)
     }
 
-    /// The emission logger, if enabled.
-    pub fn emitted_logger(&self) -> Option<&TraceLogger> {
-        self.emit.as_ref().map(|e| &e.logger)
+    /// The tracing backend.
+    pub fn tracer(&self) -> &Arc<T> {
+        &self.tracer
     }
 
-    /// Runs `workload` to completion in virtual time.
+    /// Runs `workload` to completion (or watchdog abort) in virtual time.
     pub fn run(&mut self, workload: &Workload) -> VReport {
+        let config = self.config;
+        let kernel = Kernel::new(config, workload.user_locks);
         let mut sim = Sim {
-            cfg: self.config,
-            costs: MachineConfig::new(self.config.ncpus),
-            model: &mut self.model,
-            emit: self.emit.as_ref(),
-            cpus: (0..self.config.ncpus)
-                .map(|_| VCpu {
-                    t: 0,
-                    busy_ns: 0,
-                    hw: HwCounters::default(),
-                    ticks_since_counters: 0,
-                    runq: VecDeque::new(),
-                    current: None,
-                    prev_tid: 0,
-                    next_sample: self.config.pc_sample_period_ns.unwrap_or(0),
-                })
+            kernel: &kernel,
+            shared: Shared {
+                model: &mut self.model,
+                clock: &self.clock,
+                period: config.pc_sample_period.map(|p| p.as_nanos() as u64),
+                locks: HashMap::new(),
+                waiting: HashMap::new(),
+                attempted: 0,
+            },
+            cpus: (0..config.ncpus)
+                .map(|id| VCpu::new(id, self.tracer.handle(id), config))
                 .collect(),
-            alloc_locks: vec![VLock::default(); self.config.alloc_regions.max(1)],
-            page_lock: VLock::default(),
-            dir_lock: VLock::default(),
-            user_locks: vec![VLock::default(); workload.user_locks],
-            live: 0,
-            completed: 0,
-            completions: 0,
-            spawned: 0,
-            attempted: 0,
-            next_pid: 2,
-            next_tid: 0x8000_0000,
+            slice: config.time_slice.as_nanos() as u64,
+            quantum: config.idle_quantum.as_nanos() as u64,
             rr: 0,
             makespan: 0,
         };
         for spec in &workload.processes {
-            sim.spawn(0, spec, None);
+            let task = kernel.spawn(&mut sim.ctx(0), spec, None);
+            let ready_at = sim.cpus[0].t;
+            sim.enqueue(task, ready_at);
         }
 
+        let watchdog = config.watchdog.as_nanos() as u64;
+        let mut progress = (0u64, 0u64); // (tasks done, virtual time it moved)
+        let mut aborted = false;
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
             (0..sim.cpus.len()).map(|c| Reverse((0, c))).collect();
-        while let Some(Reverse((_, cpu))) = heap.pop() {
-            if sim.live == 0 {
+        while let Some(Reverse((t, cpu))) = heap.pop() {
+            if kernel.live() == 0 {
                 continue; // drain the heap; nothing left to run
             }
+            if t > progress.1.saturating_add(watchdog) || sim.deadlocked() {
+                kernel.abort.raise();
+                aborted = true;
+                break;
+            }
             sim.step(cpu);
+            let done = kernel.completed() + kernel.completions();
+            if done != progress.0 {
+                progress = (done, sim.cpus[cpu].t);
+            }
             heap.push(Reverse((sim.cpus[cpu].t, cpu)));
+        }
+        // Final counter flush: activity since the last sample must still
+        // reach the stream.
+        for cpu in 0..sim.cpus.len() {
+            let mut x = sim.ctx(cpu);
+            let cycles = x.c.t;
+            x.counter_samples(cycles);
         }
 
         VReport {
             virtual_ns: sim.makespan,
-            completions: sim.completions,
-            tasks_completed: sim.completed,
-            tasks_spawned: sim.spawned,
-            events_attempted: sim.attempted,
-            events_logged: sim.model.events_logged,
-            trace_overhead_ns: sim.model.overhead_ns,
+            completions: kernel.completions(),
+            tasks_completed: kernel.completed(),
+            tasks_spawned: kernel.spawned(),
+            events_attempted: sim.shared.attempted,
+            events_logged: sim.shared.model.events_logged,
+            trace_overhead_ns: sim.shared.model.overhead_ns,
             cpu_busy_ns: sim.cpus.iter().map(|c| c.busy_ns).collect(),
+            aborted,
         }
     }
 }
 
-struct Sim<'a> {
-    cfg: VmConfig,
-    /// The real kernel's operation costs, as virtual ns.
-    costs: MachineConfig,
+impl VirtualMachine<KTracer> {
+    /// The emission logger.
+    pub fn emitted_logger(&self) -> Option<&TraceLogger> {
+        Some(self.tracer.logger())
+    }
+}
+
+/// A virtual lock: free from `free_at`, unless a task holds it across ops.
+#[derive(Debug, Clone, Copy, Default)]
+struct VLock {
+    free_at: u64,
+    owner: Option<u64>,
+}
+
+/// What every CPU's context touches.
+struct Shared<'a> {
     model: &'a mut TraceCostModel,
-    emit: Option<&'a Emitter>,
-    cpus: Vec<VCpu>,
-    alloc_locks: Vec<VLock>,
-    page_lock: VLock,
-    dir_lock: VLock,
-    user_locks: Vec<VLock>,
-    live: u64,
-    completed: u64,
-    completions: u64,
-    spawned: u64,
+    clock: &'a ManualClock,
+    period: Option<u64>,
+    locks: HashMap<u64, VLock>,
+    /// Tasks whose lock request found the lock held: tid → (lock, virtual
+    /// time of the first request).
+    waiting: HashMap<u64, (u64, u64)>,
     attempted: u64,
-    next_pid: u64,
-    next_tid: u64,
-    rr: usize,
-    makespan: u64,
 }
 
-impl Sim<'_> {
-    /// One trace point: emit (optionally) and charge the cost model.
-    fn emit<P: AsRef<[u64]>>(&mut self, cpu: usize, e: Event<P>) {
-        self.attempted += 1;
-        let t = self.cpus[cpu].t;
-        if let Some(em) = self.emit {
-            em.clock.set(t);
-            em.logger.log(cpu, e.major(), e.minor(), e.payload());
-        }
-        let done = self.model.charge(cpu, t, e.payload().len());
-        self.cpus[cpu].busy_ns += done - t;
-        self.cpus[cpu].t = done;
-    }
+struct VCpu<H> {
+    id: usize,
+    h: H,
+    t: u64,
+    busy_ns: u64,
+    hw: HwCounters,
+    /// (pid, tid) of the dispatched task: whose time `busy` samples.
+    running: (u64, u64),
+    next_sample: u64,
+    /// PC-sample ticks since the last (stride-N) counter sample.
+    ticks_since_counters: u32,
+    /// Queued tasks and the virtual time each becomes ready.
+    runq: VecDeque<(Task, u64)>,
+    /// The dispatched task and its slice deadline. Exactly **one op** of the
+    /// current task runs per scheduling step, so the global min-clock order
+    /// keeps cross-CPU lock interactions causal (executing whole slices
+    /// atomically would serialize lock requests in step order, not time
+    /// order, and fabricate waits).
+    current: Option<(Task, u64)>,
+    prev_tid: u64,
+    idle_since: Option<u64>,
+}
 
-    /// Advances `cpu` by busy work, emitting PC samples (and hardware-counter
-    /// samples, §2) on the sampling period.
-    fn advance(&mut self, cpu: usize, ns: u64, task: Option<(&VTask, u16)>) {
-        self.cpus[cpu].t += ns;
-        self.cpus[cpu].busy_ns += ns;
-        // The synthetic counters: 1 cycle/ns, plus background cache traffic.
-        self.cpus[cpu].hw.cycles += ns;
-        self.cpus[cpu].hw.cache_misses += ns / 500;
-        if let (Some(period), Some((task, func))) = (self.cfg.pc_sample_period_ns, task) {
-            let (pid, tid) = (task.pid, task.tid);
-            // Samples are due against the clock *before* the emissions below
-            // advance it, and missed ticks are coalesced — otherwise a
-            // period shorter than the sampling cost would re-arm itself
-            // forever (a real PMU interrupt coalesces the same way).
-            let due_until = self.cpus[cpu].t;
-            while self.cpus[cpu].next_sample <= due_until {
-                self.cpus[cpu].next_sample += period;
-                self.emit(cpu, prof::pc_sample(pid, tid, func as u64));
-                // At fine periods counters ride every 8th tick: a sampling
-                // interrupt whose own cost approaches its period would
-                // otherwise inflate virtual time unboundedly (and no real
-                // PMU samples that fast either). Coarse periods sample
-                // counters on every tick.
-                let stride = if period < 10_000 { 8 } else { 1 };
-                self.cpus[cpu].ticks_since_counters += 1;
-                if self.cpus[cpu].ticks_since_counters >= stride {
-                    self.cpus[cpu].ticks_since_counters = 0;
-                    self.emit_counters(cpu);
-                }
-            }
-            if self.cpus[cpu].next_sample <= self.cpus[cpu].t {
-                self.cpus[cpu].next_sample = self.cpus[cpu].t + period;
-            }
+impl<H> VCpu<H> {
+    fn new(id: usize, h: H, config: MachineConfig) -> VCpu<H> {
+        VCpu {
+            id,
+            h,
+            t: 0,
+            busy_ns: 0,
+            hw: HwCounters::default(),
+            running: (0, 0),
+            next_sample: config.pc_sample_period.map_or(0, |p| p.as_nanos() as u64),
+            ticks_since_counters: 0,
+            runq: VecDeque::new(),
+            current: None,
+            prev_tid: 0,
+            idle_since: None,
         }
     }
+}
 
-    /// Emits one `HWPERF` sample per counter whose value moved.
-    fn emit_counters(&mut self, cpu: usize) {
-        let hw = self.cpus[cpu].hw;
-        let values = [hw.cycles, hw.cache_misses, hw.tlb_misses];
-        for (i, &value) in values.iter().enumerate() {
-            let delta = value - hw.sampled[i];
-            if delta > 0 {
-                self.emit(
-                    cpu,
-                    events::hwperf::counter_sample(i as u64 + 1, value, delta),
-                );
-                self.cpus[cpu].hw.sampled[i] = value;
+/// One CPU's [`Exec`] context for one step.
+struct Ctx<'c, 'a, H> {
+    s: &'c mut Shared<'a>,
+    c: &'c mut VCpu<H>,
+}
+
+impl<H: TraceHandle> Ctx<'_, '_, H> {
+    /// Advances the CPU by `ns` of work in `func`, taking the PC samples
+    /// (and hardware-counter samples, §2) that fall due.
+    fn advance(&mut self, ns: u64, func: u16) {
+        self.c.t += ns;
+        self.c.busy_ns += ns;
+        let Some(period) = self.s.period else {
+            return;
+        };
+        let (pid, tid) = self.c.running;
+        // Samples are due against the clock *before* the emissions below
+        // advance it, and missed ticks are coalesced — otherwise a period
+        // shorter than the sampling cost would re-arm itself forever (a
+        // real PMU interrupt coalesces the same way).
+        let due_until = self.c.t;
+        while self.c.next_sample <= due_until {
+            self.c.next_sample += period;
+            self.pc_sample(pid, tid, func);
+            // At fine periods counters ride every 8th tick: a sampling
+            // interrupt whose own cost approaches its period would otherwise
+            // inflate virtual time unboundedly (and no real PMU samples that
+            // fast either). Coarse periods sample counters on every tick.
+            let stride = if period < 10_000 { 8 } else { 1 };
+            self.c.ticks_since_counters += 1;
+            if self.c.ticks_since_counters >= stride {
+                self.c.ticks_since_counters = 0;
+                let cycles = self.c.t;
+                self.counter_samples(cycles);
             }
         }
-    }
-
-    /// Charges counter bursts for discrete kernel activity.
-    fn hw_burst(&mut self, cpu: usize, cache: u64, tlb: u64) {
-        self.cpus[cpu].hw.cache_misses += cache;
-        self.cpus[cpu].hw.tlb_misses += tlb;
-    }
-
-    fn lock_mut(&mut self, which: LockRef) -> (&mut VLock, u64) {
-        match which {
-            LockRef::Alloc(i) => {
-                let id = ALLOC_LOCK_BASE + i as u64;
-                (&mut self.alloc_locks[i], id)
-            }
-            LockRef::Page => (&mut self.page_lock, PAGE_LOCK_ID),
-            LockRef::Dir => (&mut self.dir_lock, DIR_LOCK_ID),
-            LockRef::User(i) => (&mut self.user_locks[i], USER_LOCK_BASE + i as u64),
+        if self.c.next_sample <= self.c.t {
+            self.c.next_sample = self.c.t + period;
         }
     }
+}
 
-    /// Virtual lock acquisition with full LOCK-event instrumentation.
-    fn vlock_acquire(&mut self, cpu: usize, which: LockRef, task: &VTask, chain: u64) {
-        let tid = task.tid;
-        let (_, id) = self.lock_mut(which);
-        self.emit(cpu, lockev::request(id, tid, chain));
-        let now = self.cpus[cpu].t;
-        let (lock, id) = self.lock_mut(which);
-        let grant = now.max(lock.free_at);
-        let wait = grant - now;
-        // Reserve pessimistically; release() moves free_at to the real
-        // release time, which is always ≥ grant.
-        lock.free_at = grant;
-        let spins = wait / SPIN_ITER_NS;
-        if wait > 0 {
+impl<H: TraceHandle> Exec for Ctx<'_, '_, H> {
+    /// One trace point: emit at the CPU's virtual time and charge the cost
+    /// model.
+    fn log<P: AsRef<[u64]>>(&mut self, e: Event<P>) {
+        self.s.attempted += 1;
+        let (t, words) = (self.c.t, e.payload().len());
+        self.s.clock.set(t);
+        self.c.h.log(e);
+        let done = self.s.model.charge(self.c.id, t, words);
+        self.c.busy_ns += done - t;
+        self.c.t = done;
+    }
+
+    fn busy(&mut self, ns: u64, func: u16) -> u64 {
+        self.advance(ns, func);
+        ns
+    }
+
+    /// A lock free at `free_at` is granted at `max(now, free_at)`, the FIFO
+    /// queueing a contended spin lock shows. A lock held across ops (a user
+    /// lock) is `Blocked` until its owner frees it.
+    fn acquire(&mut self, lock: u64, tid: u64) -> Acquire {
+        let now = self.c.t;
+        let entry = self.s.locks.entry(lock).or_default();
+        if entry.owner.is_some() {
+            self.s.waiting.entry(tid).or_insert((lock, now));
+            return Acquire::Blocked;
+        }
+        let grant = now.max(entry.free_at);
+        entry.owner = Some(tid);
+        let since = self.s.waiting.remove(&tid).map_or(now, |(_, since)| since);
+        let wait_ns = grant - since;
+        if grant > now {
             // Spinning burns the CPU, bounces the lock's cache line
             // (coherence misses), and PC samples taken during the spin land
             // in the acquire routine — which is exactly how the lock shows
             // up at the top of the paper's Fig. 6 histogram.
-            self.hw_burst(cpu, wait / 100, 0);
-            self.advance(cpu, wait, Some((task, events::func::FAIRBLOCK_ACQUIRE)));
+            self.c.hw.cache_misses += (grant - now) / 100;
+            self.advance(grant - now, func::FAIRBLOCK_ACQUIRE);
         }
-        self.emit(cpu, lockev::acquired(id, tid, chain, spins, wait));
+        Acquire::Granted(AcquireStats {
+            spins: wait_ns / SPIN_ITER_NS,
+            wait_ns,
+            contended: wait_ns > 0,
+        })
     }
 
-    /// Releases a virtual lock at the CPU's current time.
-    fn vlock_release(&mut self, cpu: usize, which: LockRef, tid: u64, hold_ns: u64) {
-        let now = self.cpus[cpu].t;
-        let (lock, id) = self.lock_mut(which);
-        lock.free_at = now;
-        self.emit(cpu, lockev::released(id, tid, hold_ns));
+    fn release(&mut self, lock: u64) {
+        let entry = self.s.locks.entry(lock).or_default();
+        entry.owner = None;
+        entry.free_at = self.c.t;
     }
 
-    /// Creates a process and enqueues its main task round-robin.
-    fn spawn(&mut self, on_cpu: usize, spec: &ProcessSpec, creator: Option<&VTask>) {
-        let pid = self.next_pid;
-        self.next_pid += 1;
-        let tid = self.next_tid;
-        self.next_tid += 1;
+    fn counters(&mut self) -> &mut HwCounters {
+        &mut self.c.hw
+    }
+}
+
+struct Sim<'a, H> {
+    kernel: &'a Kernel,
+    shared: Shared<'a>,
+    cpus: Vec<VCpu<H>>,
+    slice: u64,
+    quantum: u64,
+    rr: usize,
+    makespan: u64,
+}
+
+impl<'a, H: TraceHandle> Sim<'a, H> {
+    fn ctx(&mut self, cpu: usize) -> Ctx<'_, 'a, H> {
+        Ctx {
+            s: &mut self.shared,
+            c: &mut self.cpus[cpu],
+        }
+    }
+
+    /// Queues a new task round-robin, ready at `ready_at`.
+    fn enqueue(&mut self, task: Task, ready_at: u64) {
         let target = self.rr % self.cpus.len();
         self.rr += 1;
-        let creator_pid = creator.map_or(0, |c| c.pid);
-        self.emit(on_cpu, procev::create(pid, creator_pid, &spec.name));
-        self.emit(on_cpu, user::run_ul_loader(creator_pid, pid, &spec.name));
-        self.emit(on_cpu, sched::thread_start(tid, pid));
-        if let Some(c) = creator {
-            c.pending.set(c.pending.get() + 1);
-        }
-        let ready_at = self.cpus[on_cpu].t;
-        self.cpus[target].runq.push_back(VTask {
-            pid,
-            tid,
-            name: spec.name.as_str().into(),
-            ops: spec.program.ops.clone().into(),
-            ip: 0,
-            func_stack: vec![events::func::USER_COMPUTE],
-            pending: Rc::new(Cell::new(0)),
-            parent: creator.map(|c| c.pending.clone()),
-            ready_at,
-            home_cpu: target,
-        });
-        self.live += 1;
-        self.spawned += 1;
+        self.cpus[target].runq.push_back((task, ready_at));
     }
 
-    /// One scheduling round on `cpu`: dispatch if nothing is current, then
-    /// execute exactly one op of the current task.
-    fn step(&mut self, cpu: usize) {
-        if self.cpus[cpu].current.is_none() {
-            let now = self.cpus[cpu].t;
-            // Pick the first ready task; if none are ready yet, idle forward.
-            let task = match self.cpus[cpu].runq.iter().position(|t| t.ready_at <= now) {
-                Some(i) => self.cpus[cpu].runq.remove(i).expect("index valid"),
-                None => {
-                    if let Some(min_ready) = self.cpus[cpu].runq.iter().map(|t| t.ready_at).min() {
-                        self.cpus[cpu].t = min_ready;
-                    } else if let Some(stolen) = self.steal(cpu) {
-                        self.emit(
-                            cpu,
-                            sched::migrate(stolen.tid, stolen.home_cpu as u64, cpu as u64),
-                        );
-                        let mut stolen = stolen;
-                        stolen.home_cpu = cpu;
-                        stolen.ready_at = stolen.ready_at.max(now);
-                        self.cpus[cpu].runq.push_back(stolen);
-                    } else {
-                        self.cpus[cpu].t += self.cfg.idle_quantum_ns;
-                    }
-                    return;
-                }
-            };
-            let prev = self.cpus[cpu].prev_tid;
-            self.emit(cpu, sched::ctx_switch(prev, task.tid, task.pid));
-            self.cpus[cpu].prev_tid = task.tid;
-            let slice_end = self.cpus[cpu].t + self.costs.time_slice.as_nanos() as u64;
-            self.cpus[cpu].current = Some((task, slice_end));
-            return;
-        }
+    /// Every live task waits on a lock another task holds: no step can
+    /// make progress.
+    fn deadlocked(&self) -> bool {
+        let s = &self.shared;
+        !s.waiting.is_empty()
+            && s.waiting.len() as u64 == self.kernel.live()
+            && s.waiting
+                .values()
+                .all(|(lock, _)| s.locks.get(lock).is_some_and(|l| l.owner.is_some()))
+    }
 
-        let (mut task, slice_end) = self.cpus[cpu].current.take().expect("checked above");
-        {
-            let Some(op) = task.ops.get(task.ip).cloned() else {
-                self.finish(cpu, task);
+    /// One step on `cpu`: dispatch if nothing is current, else run exactly
+    /// one op of the current task.
+    fn step(&mut self, cpu: usize) {
+        let Some((mut task, slice_end)) = self.cpus[cpu].current.take() else {
+            self.schedule(cpu);
+            return;
+        };
+        let kernel = self.kernel;
+        let step = kernel.run_op(&mut self.ctx(cpu), &mut task);
+        let now = self.cpus[cpu].t;
+        match step {
+            Step::Next => {}
+            Step::Spawned(child) => self.enqueue(child, now),
+            Step::Wait => {
+                self.cpus[cpu].runq.push_back((task, now + self.quantum));
                 return;
-            };
-            match op {
-                Op::Exit => {
-                    self.finish(cpu, task);
-                    return;
-                }
-                Op::WaitChildren => {
-                    if task.pending.get() > 0 {
-                        task.ready_at = self.cpus[cpu].t + self.cfg.idle_quantum_ns;
-                        self.cpus[cpu].runq.push_back(task);
-                        return;
-                    }
-                    task.ip += 1;
-                }
-                Op::Compute { ns, func } => {
-                    task.func_stack.push(func);
-                    self.advance(cpu, ns, Some((&task, func)));
-                    task.func_stack.pop();
-                    task.ip += 1;
-                }
-                Op::Syscall { no } => {
-                    self.emit(cpu, sysev::entry(task.pid, task.tid, no));
-                    self.advance(
-                        cpu,
-                        self.costs.syscall_cost_ns,
-                        Some((&task, events::func::SYSCALL_DISPATCH)),
-                    );
-                    self.emit(cpu, sysev::exit(task.pid, task.tid, no));
-                    task.ip += 1;
-                }
-                Op::MapRegion { bytes } => {
-                    self.hw_burst(cpu, 10, 2);
-                    let addr = 0x2000_0000 + task.pid * 0x10_0000;
-                    self.emit(cpu, events::mem::reg_create(addr, bytes));
-                    self.advance(
-                        cpu,
-                        self.costs.syscall_cost_ns / 2,
-                        Some((&task, events::func::FCM_MAP_PAGE)),
-                    );
-                    self.emit(cpu, events::mem::fcm_atch_reg(addr, addr ^ 0xf0f0));
-                    task.ip += 1;
-                }
-                Op::PageFault { addr } => {
-                    self.hw_burst(cpu, 80, 20);
-                    self.emit(cpu, exception::pgflt(task.tid, addr));
-                    self.advance(
-                        cpu,
-                        self.costs.pagefault_cost_ns,
-                        Some((&task, events::func::PGFLT_HANDLER)),
-                    );
-                    self.emit(cpu, exception::pgflt_done(task.tid, addr));
-                    task.ip += 1;
-                }
-                Op::Malloc { size } => {
-                    self.hw_burst(cpu, 15, 0);
-                    task.func_stack.push(events::func::GMALLOC);
-                    task.func_stack.push(events::func::PMALLOC);
-                    task.func_stack.push(events::func::ALLOC_REGION_ALLOC);
-                    let chain = events::pack_chain(&task.func_stack);
-                    let which = LockRef::Alloc(task.pid as usize % self.alloc_locks.len());
-                    self.vlock_acquire(cpu, which, &task, chain);
-                    self.advance(
-                        cpu,
-                        self.costs.alloc_hold_ns,
-                        Some((&task, events::func::ALLOC_REGION_ALLOC)),
-                    );
-                    self.vlock_release(cpu, which, task.tid, self.costs.alloc_hold_ns);
-                    self.emit(cpu, events::mem::alloc(size, 0x1000_0000 + size));
-                    task.func_stack.truncate(task.func_stack.len() - 3);
-                    task.ip += 1;
-                }
-                Op::FreePages { .. } => {
-                    task.func_stack.push(events::func::PAGEALLOC_USER_DEALLOC);
-                    task.func_stack.push(events::func::PAGEALLOC_DEALLOC);
-                    let chain = events::pack_chain(&task.func_stack);
-                    let hold = self.costs.alloc_hold_ns / 2;
-                    self.vlock_acquire(cpu, LockRef::Page, &task, chain);
-                    self.advance(cpu, hold, Some((&task, events::func::PAGEALLOC_DEALLOC)));
-                    self.vlock_release(cpu, LockRef::Page, task.tid, hold);
-                    task.func_stack.truncate(task.func_stack.len() - 2);
-                    task.ip += 1;
-                }
-                Op::FsOpen { path } | Op::FsClose { path } => {
-                    let event = if matches!(op, Op::FsOpen { .. }) {
-                        fsev::open(1, path)
-                    } else {
-                        fsev::close(1, path)
-                    };
-                    self.fs_call(cpu, &mut task, event, self.costs.fs_op_cost_ns, true);
-                    task.ip += 1;
-                }
-                Op::FsRead { bytes } => {
-                    let cost = self.costs.fs_op_cost_ns + bytes / 64;
-                    self.fs_call(cpu, &mut task, fsev::read(1, bytes), cost, false);
-                    task.ip += 1;
-                }
-                Op::FsWrite { bytes } => {
-                    let cost = self.costs.fs_op_cost_ns + bytes / 64;
-                    self.fs_call(cpu, &mut task, fsev::write(1, bytes), cost, false);
-                    task.ip += 1;
-                }
-                Op::SharedRead { cell } => {
-                    let addr = ktrace_ossim::kernel::Kernel::shared_cell_addr(cell);
-                    self.emit(cpu, events::mem::access_read(addr, task.tid));
-                    task.ip += 1;
-                }
-                Op::SharedWrite { cell } => {
-                    // Mirrors the real-time kernel's read-modify-write: the
-                    // annotation, then the ~200ns compute between load and
-                    // store that widens the race window.
-                    let addr = ktrace_ossim::kernel::Kernel::shared_cell_addr(cell);
-                    self.emit(cpu, events::mem::access_write(addr, task.tid));
-                    self.advance(cpu, 200, Some((&task, events::func::USER_COMPUTE)));
-                    task.ip += 1;
-                }
-                Op::UserLock { lock } => {
-                    let chain = events::pack_chain(&task.func_stack);
-                    self.vlock_acquire(cpu, LockRef::User(lock), &task, chain);
-                    task.ip += 1;
-                }
-                Op::UserUnlock { lock } => {
-                    self.vlock_release(cpu, LockRef::User(lock), task.tid, 0);
-                    task.ip += 1;
-                }
-                Op::Spawn { child } => {
-                    self.advance(
-                        cpu,
-                        SPAWN_COST_NS,
-                        Some((&task, events::func::PROCESS_FORK)),
-                    );
-                    self.spawn(cpu, &child, Some(&task));
-                    task.ip += 1;
-                }
-                Op::CountCompletion => {
-                    self.completions += 1;
-                    task.ip += 1;
-                }
+            }
+            Step::Exit => {
+                kernel.exit(&mut self.ctx(cpu), &task);
+                self.makespan = self.makespan.max(self.cpus[cpu].t);
+                return;
             }
         }
-        if self.cpus[cpu].t >= slice_end {
-            task.ready_at = self.cpus[cpu].t;
-            self.cpus[cpu].runq.push_back(task);
+        if now >= slice_end {
+            self.cpus[cpu].runq.push_back((task, now));
         } else {
             self.cpus[cpu].current = Some((task, slice_end));
         }
     }
 
-    /// The PPC-style FS server call in virtual time: the server logs
-    /// `event`, and the IPC pair names its minor as the called function.
-    fn fs_call(
-        &mut self,
-        cpu: usize,
-        task: &mut VTask,
-        event: Event<[u64; 2]>,
-        cost: u64,
-        dir_locked: bool,
-    ) {
-        let fn_id = u64::from(event.minor());
-        self.emit(cpu, ipc::call(task.pid, 1, fn_id));
-        self.emit(cpu, exception::ppc_call(task.tid));
-        task.func_stack.push(events::func::IPC_CALLEE_ENTRY);
-        if dir_locked {
-            // The directory lock covers only the name lookup; the rest of
-            // the operation runs unlocked (otherwise the FS server would be
-            // a global serialization point, which is exactly the kind of
-            // bottleneck the paper's lock tool exists to find and fix).
-            task.func_stack.push(events::func::DIR_LOOKUP);
-            let chain = events::pack_chain(&task.func_stack);
-            let lookup = (cost / 5).max(1);
-            self.vlock_acquire(cpu, LockRef::Dir, task, chain);
-            self.advance(cpu, lookup, Some((&*task, events::func::DIR_LOOKUP)));
-            self.vlock_release(cpu, LockRef::Dir, task.tid, lookup);
-            self.advance(
-                cpu,
-                cost - lookup,
-                Some((&*task, events::func::DENTRY_LOOKUP)),
-            );
-            task.func_stack.pop();
+    /// Dispatches the first ready task; else waits for the earliest one,
+    /// steals, or idles a quantum.
+    fn schedule(&mut self, cpu: usize) {
+        let (slice, quantum) = (self.slice, self.quantum);
+        let c = &mut self.cpus[cpu];
+        let now = c.t;
+        let ready = c.runq.iter().position(|&(_, at)| at <= now);
+        if let Some((mut task, _)) = ready.and_then(|i| c.runq.remove(i)) {
+            let mut x = self.ctx(cpu);
+            if let Some(since) = x.c.idle_since.take() {
+                x.idle_end(now - since);
+            }
+            let prev = x.c.prev_tid;
+            x.dispatch(cpu, prev, &mut task);
+            x.c.prev_tid = task.tid;
+            x.c.running = (task.pid, task.tid);
+            x.c.current = Some((task, x.c.t + slice));
+        } else if let Some(at) = c.runq.iter().map(|&(_, at)| at).min() {
+            c.t = at;
+        } else if let Some(stolen) = self.steal(cpu) {
+            self.cpus[cpu].runq.push_back((stolen, now));
         } else {
-            self.advance(cpu, cost, Some((&*task, events::func::SERVER_FILE_READ)));
+            let mut x = self.ctx(cpu);
+            if x.c.idle_since.is_none() {
+                x.c.idle_since = Some(now);
+                x.idle_start();
+            }
+            x.c.t += quantum;
         }
-        self.emit(cpu, event);
-        task.func_stack.pop();
-        self.advance(cpu, self.costs.ipc_cost_ns, None);
-        self.emit(cpu, exception::ppc_return(task.tid));
-        self.emit(cpu, ipc::ret(task.pid, 1, fn_id));
     }
 
-    fn finish(&mut self, cpu: usize, task: VTask) {
-        self.emit(cpu, sched::thread_exit(task.tid, task.pid));
-        self.emit(cpu, user::returned_main(task.pid));
-        self.emit(cpu, procev::exit(task.pid));
-        if let Some(parent) = &task.parent {
-            parent.set(parent.get().saturating_sub(1));
-        }
-        self.completed += 1;
-        self.live -= 1;
-        self.makespan = self.makespan.max(self.cpus[cpu].t);
-        let _ = task.name; // names currently only travel in spawn events
-    }
-
-    /// Steals a task from the most loaded sibling queue (ready tasks only).
-    fn steal(&mut self, thief: usize) -> Option<VTask> {
+    /// Steals a ready task from the most loaded sibling queue.
+    fn steal(&mut self, thief: usize) -> Option<Task> {
         let now = self.cpus[thief].t;
         let victim = (0..self.cpus.len())
             .filter(|&c| c != thief)
             .max_by_key(|&c| self.cpus[c].runq.len())?;
-        if self.cpus[victim].runq.len() < 2 {
+        let q = &mut self.cpus[victim].runq;
+        if q.len() < 2 {
             return None;
         }
-        let pos = self.cpus[victim]
-            .runq
-            .iter()
-            .rposition(|t| t.ready_at <= now)?;
-        self.cpus[victim].runq.remove(pos)
+        let pos = q.iter().rposition(|&(_, at)| at <= now)?;
+        q.remove(pos).map(|(task, _)| task)
     }
 }
 
@@ -676,10 +477,11 @@ impl Sim<'_> {
 mod tests {
     use super::*;
     use ktrace_analysis::{LockStats, Trace};
+    use ktrace_ossim::kernel::ALLOC_LOCK_BASE;
     use ktrace_ossim::workload::{micro, sdet};
 
     fn vm(ncpus: usize, scheme: Scheme) -> VirtualMachine {
-        VirtualMachine::new(VmConfig::new(ncpus), scheme, CostParams::default())
+        VirtualMachine::new(MachineConfig::new(ncpus), scheme, CostParams::default())
     }
 
     #[test]
@@ -828,7 +630,7 @@ mod tests {
         // Many allocator regions remove the kernel bottleneck: Fig. 3's
         // tuned-K42 shape.
         let mk = |p: usize| {
-            let mut cfg = VmConfig::new(p);
+            let mut cfg = MachineConfig::new(p);
             cfg.alloc_regions = 64;
             let w = sdet::build(sdet::SdetConfig {
                 scripts: 4 * p,

@@ -3,9 +3,10 @@
 //! file was produced and post-processed to detect where the cycle had
 //! occurred."
 //!
-//! Two simulated processes take two locks in opposite orders on the
-//! real-threaded machine. The watchdog aborts the hung run; the flight
-//! recorder still holds the lock events; the wait-for-graph tool finds the
+//! Two simulated processes take two locks in opposite orders. On the
+//! virtual-time executor the schedule is deterministic, so the tasks always
+//! meet in the cycle: the watchdog aborts the hung run, the flight recorder
+//! still holds the lock events, and the wait-for-graph tool finds the
 //! cycle. A printf could never have done this — it "would have changed the
 //! timing thereby masking the deadlock".
 //!
@@ -15,33 +16,26 @@
 
 use ktrace::analysis::{find_deadlock, Trace};
 use ktrace::ossim::workload::micro;
-use ktrace::ossim::{KTracer, Machine, MachineConfig};
+use ktrace::ossim::MachineConfig;
 use ktrace::prelude::*;
-use std::sync::Arc;
-use std::time::Duration;
+use ktrace::vsim::{CostParams, Scheme, VirtualMachine};
 
 fn main() {
-    let clock: Arc<SyncClock> = Arc::new(SyncClock::new());
-    let logger = TraceLogger::builder()
-        .geometry(TraceConfig::small().flight_recorder())
-        .clock(clock as Arc<dyn ClockSource>)
-        .ncpus(2)
-        .build()
-        .expect("logger");
-    ktrace::events::register_all(&logger);
+    let mut machine = VirtualMachine::new(
+        MachineConfig::new(2),
+        Scheme::LocklessPerCpu,
+        CostParams::default(),
+    )
+    .with_emission(TraceConfig::small());
 
-    let mut config = MachineConfig::fast_test(2);
-    config.watchdog = Duration::from_millis(400);
-    let machine = Machine::new(config, Arc::new(KTracer::new(logger)));
-
-    // AB-BA: each task holds one lock ~200ms before requesting the other.
-    println!("running the AB-BA workload (will hang until the watchdog fires)…");
-    let report = machine.run(micro::ab_ba_deadlock(800_000_000));
+    // AB-BA: each task holds one lock 200µs before requesting the other.
+    println!("running the AB-BA workload (hangs until the watchdog fires)…");
+    let report = machine.run(&micro::ab_ba_deadlock(200_000));
     println!("run aborted by watchdog: {}\n", report.aborted);
 
     let trace = Trace::from_logger(machine.tracer().logger(), 1_000_000_000);
     match find_deadlock(&trace) {
         Some(found) => print!("{}", found.render()),
-        None => println!("no cycle found (the tasks slipped past each other — rerun)"),
+        None => println!("no cycle found"),
     }
 }

@@ -14,8 +14,9 @@
 use ktrace::analysis::{Trace, Utilization};
 use ktrace::ossim::task::{Op, ProcessSpec, Program};
 use ktrace::ossim::workload::{sdet, Workload};
+use ktrace::ossim::MachineConfig;
 use ktrace::prelude::TraceConfig;
-use ktrace::vsim::{CostParams, Scheme, VirtualMachine, VmConfig};
+use ktrace::vsim::{CostParams, Scheme, VirtualMachine};
 
 /// Wraps the SDET scripts behind a serial launcher with per-script delay.
 fn staggered(scripts: Workload, delay_ns: u64) -> Workload {
@@ -33,7 +34,7 @@ fn staggered(scripts: Workload, delay_ns: u64) -> Workload {
 
 fn run(workload: &Workload) -> Trace {
     let mut machine = VirtualMachine::new(
-        VmConfig::new(8),
+        MachineConfig::new(8),
         Scheme::LocklessPerCpu,
         CostParams::default(),
     )

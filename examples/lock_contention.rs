@@ -11,11 +11,12 @@
 
 use ktrace::analysis::{LockStats, Trace};
 use ktrace::ossim::workload::micro;
+use ktrace::ossim::MachineConfig;
 use ktrace::prelude::TraceConfig;
-use ktrace::vsim::{CostParams, Scheme, VirtualMachine, VmConfig};
+use ktrace::vsim::{CostParams, Scheme, VirtualMachine};
 
 fn contention_run(alloc_regions: usize) -> LockStats {
-    let mut cfg = VmConfig::new(8);
+    let mut cfg = MachineConfig::new(8);
     cfg.alloc_regions = alloc_regions;
     let mut machine = VirtualMachine::new(cfg, Scheme::LocklessPerCpu, CostParams::default())
         .with_emission(TraceConfig {

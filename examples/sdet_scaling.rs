@@ -6,12 +6,14 @@
 //! ```
 
 use ktrace::ossim::workload::sdet;
-use ktrace::vsim::{CostParams, Scheme, VirtualMachine, VmConfig};
+use ktrace::ossim::MachineConfig;
+use ktrace::vsim::{CostParams, Scheme, VirtualMachine};
+use std::time::Duration;
 
 fn run(ncpus: usize, scheme: Scheme) -> f64 {
-    let mut cfg = VmConfig::new(ncpus);
+    let mut cfg = MachineConfig::new(ncpus);
     cfg.alloc_regions = 64; // the tuned system
-    cfg.idle_quantum_ns = 1_000;
+    cfg.idle_quantum = Duration::from_micros(1);
     let w = sdet::build(sdet::SdetConfig {
         scripts: 6 * ncpus,
         commands_per_script: 5,

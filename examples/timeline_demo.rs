@@ -11,11 +11,12 @@
 
 use ktrace::analysis::{Timeline, TimelineOptions, Trace};
 use ktrace::ossim::workload::sdet;
+use ktrace::ossim::MachineConfig;
 use ktrace::prelude::TraceConfig;
-use ktrace::vsim::{CostParams, Scheme, VirtualMachine, VmConfig};
+use ktrace::vsim::{CostParams, Scheme, VirtualMachine};
 
 fn main() {
-    let cfg = VmConfig::new(8);
+    let cfg = MachineConfig::new(8);
     let workload = sdet::build(sdet::SdetConfig {
         scripts: 16,
         commands_per_script: 4,

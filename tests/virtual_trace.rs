@@ -1,12 +1,17 @@
 //! Integration: virtual-time multiprocessor traces feed the same tools.
 
 use ktrace::analysis::{find_deadlock, Breakdown, LockStats, PcProfile, Trace};
-use ktrace::ossim::workload::{micro, sdet};
-use ktrace::prelude::TraceConfig;
-use ktrace::vsim::{CostParams, Scheme, VirtualMachine, VmConfig};
+use ktrace::core::reader::GarbleNote;
+use ktrace::ossim::kernel::USER_LOCK_BASE;
+use ktrace::ossim::task::{Op, ProcessSpec, Program};
+use ktrace::ossim::workload::{micro, sdet, Workload};
+use ktrace::ossim::{CrashPlan, CrashTracer, MachineConfig};
+use ktrace::prelude::{ManualClock, TraceConfig, TraceLogger};
+use ktrace::vsim::{CostParams, Scheme, VirtualMachine};
+use std::sync::Arc;
 
 fn emitted_sdet(ncpus: usize) -> Trace {
-    let mut cfg = VmConfig::new(ncpus);
+    let mut cfg = MachineConfig::new(ncpus);
     cfg.alloc_regions = 1;
     let mut machine = VirtualMachine::new(cfg, Scheme::LocklessPerCpu, CostParams::default())
         .with_emission(TraceConfig {
@@ -55,20 +60,25 @@ fn eight_way_virtual_trace_feeds_all_tools() {
 }
 
 #[test]
-fn virtual_deadlock_workload_completes_but_shows_no_cycle() {
-    // Virtual locks are time-based resources: the AB-BA workload cannot
-    // actually deadlock there (that's what the real-threaded machine is
-    // for), and the analysis agrees there is no unresolved cycle.
+fn virtual_deadlock_is_aborted_and_shows_the_cycle() {
+    // A user lock held by another task excludes in virtual time too, so the
+    // AB-BA workload deadlocks on every run: the executor aborts as soon as
+    // both tasks wait on each other, and the trace holds the two-edge cycle.
     let mut machine = VirtualMachine::new(
-        VmConfig::new(2),
+        MachineConfig::new(2),
         Scheme::LocklessPerCpu,
         CostParams::default(),
     )
     .with_emission(TraceConfig::default());
     let report = machine.run(&micro::ab_ba_deadlock(10_000));
-    assert_eq!(report.tasks_completed, 2);
+    assert!(report.aborted, "the AB-BA run must deadlock");
+    assert_eq!(report.tasks_completed, 0);
     let trace = Trace::from_logger(machine.emitted_logger().unwrap(), 1_000_000_000);
-    assert!(find_deadlock(&trace).is_none());
+    let found = find_deadlock(&trace).expect("the cycle is in the trace");
+    assert_eq!(found.cycle.len(), 2, "{}", found.render());
+    let mut locks: Vec<u64> = found.cycle.iter().map(|e| e.lock).collect();
+    locks.sort_unstable();
+    assert_eq!(locks, [USER_LOCK_BASE, USER_LOCK_BASE + 1]);
 }
 
 #[test]
@@ -93,7 +103,7 @@ fn hardware_counters_flow_through_the_unified_stream() {
 #[test]
 fn masked_majors_suppress_events_in_emission() {
     let mut machine = VirtualMachine::new(
-        VmConfig::new(2),
+        MachineConfig::new(2),
         Scheme::LocklessPerCpu,
         CostParams::default(),
     )
@@ -116,4 +126,77 @@ fn masked_majors_suppress_events_in_emission() {
         .events
         .iter()
         .any(|e| e.major == ktrace::format::MajorId::SCHED));
+}
+
+/// Runs six processes on a 2-CPU virtual machine whose CPU 1 dies after
+/// 200 events, and returns the tracer.
+fn crashed_run() -> Arc<CrashTracer> {
+    let plan = CrashPlan {
+        cpu: 1,
+        after_events: 200,
+        torn_words: 6,
+    };
+    let clock = Arc::new(ManualClock::new(0, 0));
+    let logger = TraceLogger::builder()
+        .geometry(
+            TraceConfig {
+                buffer_words: 4096,
+                buffers_per_cpu: 8,
+                ..TraceConfig::small()
+            }
+            .flight_recorder(),
+        )
+        .clock(clock.clone())
+        .ncpus(2)
+        .build()
+        .unwrap();
+    ktrace::events::register_all(&logger);
+    let tracer = Arc::new(CrashTracer::new(logger, plan));
+    let mut machine = VirtualMachine::new(
+        MachineConfig::fast_test(2),
+        Scheme::LocklessPerCpu,
+        CostParams::default(),
+    )
+    .with_tracer(tracer.clone(), clock);
+    let mut program = Program::new();
+    for _ in 0..50 {
+        program = program
+            .compute(100_000, ktrace::events::func::USER_COMPUTE)
+            .syscall(ktrace::events::sysno::GETPID)
+            .malloc(256)
+            .page_fault(0x4000);
+    }
+    let program = program.op(Op::CountCompletion);
+    let report = machine.run(&Workload {
+        processes: (0..6)
+            .map(|i| ProcessSpec::new(format!("proc{i}"), program.clone()))
+            .collect(),
+        user_locks: 0,
+    });
+    // The machine itself survives the dead CPU's silence.
+    assert!(!report.aborted);
+    tracer
+}
+
+#[test]
+fn crash_during_machine_run_is_reported_by_dump_last() {
+    let tracer = crashed_run();
+    let plan = tracer.plan();
+    assert!(tracer.crashed(), "the victim logged enough to die");
+
+    // The flight recorder holds the evidence: a garbled buffer on the
+    // victim CPU, and surviving events from the healthy CPU.
+    let dump = tracer.logger().dump_last(100_000, None);
+    assert!(!dump.clean(), "the abandoned reservation must surface");
+    assert!(dump.garbled_buffers >= 1);
+    assert!(dump.events.iter().any(|e| e.cpu == 0));
+    if let Some(at) = tracer.torn_at() {
+        let rel = (at % tracer.logger().config().buffer_words as u64) as usize;
+        assert!(dump.notes.iter().any(|(cpu, _, n)| {
+            *cpu == plan.cpu && matches!(n, GarbleNote::ZeroHeader { offset } if *offset == rel)
+        }));
+    }
+    // Virtual time makes the crash replayable.
+    let again = crashed_run().logger().dump_last(100_000, None);
+    assert_eq!(format!("{dump:?}"), format!("{again:?}"));
 }
