@@ -1,18 +1,24 @@
-//! The aggregation service: accept, shard, account, store.
+//! The aggregation service: accept, account, store.
 //!
-//! One reader thread per connection parses the stream into whole records
-//! and hands each to a store worker over a **bounded** queue. A node always
-//! hashes to the same worker, so its records are stored in arrival order
-//! with no cross-worker contention. When a queue is full the record is
-//! **dropped and counted** — backpressure reaches the node's accounting,
-//! never its socket, so a slow disk cannot wedge the fleet (the same
-//! degrade-don't-wedge contract as the session drainer in
-//! `ktrace-io::session`).
+//! One reader thread per connection parses the stream into whole records,
+//! tallies each in place and appends it to its node's store itself. There
+//! is no queue between the wire and the disk: a slow store slows the
+//! reader, the reader stops draining the socket, and TCP pushes back to the
+//! node's drainer. The node's ring then overruns and writes the loss into
+//! the stream as `DROPPED` markers, as the paper's does (§3.1) — so the one
+//! place events are lost is the one place that records it, and the
+//! collector reports that loss per node (`events_lost_at_source`) from the
+//! markers it reads. The push-back is bounded at the node: a store that
+//! never progresses stops its reader, the node's socket writes time out
+//! ([`node::SEND_TIMEOUT`](crate::node::SEND_TIMEOUT)), and the session
+//! declares its sink dead and counts what it could not ship, so `finish()`
+//! still returns.
 //!
 //! Exact accounting is the invariant everything else leans on: every
 //! well-formed record's data events land in exactly one of *stored* or
-//! *dropped*, so `events_stored + events_dropped == events_received` holds
-//! per node at all times — the reconciliation the fleet tests pin.
+//! *dropped*, and the collector drops a record only when the store fails,
+//! so `events_stored + events_dropped == events_received` holds per node at
+//! all times — the reconciliation the fleet tests pin.
 
 use crate::proto;
 use crate::scrape;
@@ -24,47 +30,38 @@ use ktrace_format::protocol::{ExactCounter, SignalFlag};
 use ktrace_io::file::{body_words, frame_record};
 use ktrace_io::FileHeader;
 use ktrace_telemetry::{counter_block, TelemetrySnapshot};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Collector tuning. The defaults suit tests and small fleets; production
-/// mostly raises `queue_depth` and `records_per_shard`.
+/// Socket read timeout — the cadence at which reader threads notice a
+/// shutdown request.
+const READ_TIMEOUT: Duration = Duration::from_millis(25);
+
+/// Collector tuning. A reader appends to its node's store itself, so there
+/// is no queue to size: a slow store pushes back to the node, whose ring
+/// records the loss.
 #[derive(Debug, Clone)]
 pub struct CollectorConfig {
     /// Root of the on-disk store (`<store>/<node>/shard-NNNN.ktrace`).
     pub store_dir: PathBuf,
-    /// Store worker threads; each owns the stores of the nodes hashed to
-    /// it.
-    pub shards: usize,
-    /// Bound of each worker's ingest queue, records. A full queue turns
-    /// arrivals into counted drops.
-    pub queue_depth: usize,
     /// Records per shard file before rolling to the next.
     pub records_per_shard: u64,
-    /// Socket read timeout — the cadence at which reader threads notice a
-    /// shutdown request.
-    pub read_timeout: Duration,
-    /// Artificial per-record store latency. A test drill: drags the workers
-    /// so bounded queues overflow and the drop path is exercised.
+    /// Artificial per-record store latency. A test drill: drags every
+    /// append so the push-back path is exercised.
     pub store_write_delay: Option<Duration>,
 }
 
 impl CollectorConfig {
-    /// Defaults rooted at `store_dir`: 4 shards, 256-record queues,
-    /// 4096-record shard files.
+    /// Defaults rooted at `store_dir`: 4096-record shard files.
     pub fn new(store_dir: impl Into<PathBuf>) -> CollectorConfig {
         CollectorConfig {
             store_dir: store_dir.into(),
-            shards: 4,
-            queue_depth: 256,
             records_per_shard: 4096,
-            read_timeout: Duration::from_millis(25),
             store_write_delay: None,
         }
     }
@@ -104,9 +101,8 @@ impl CollectError {
 
 counter_block! {
     /// Live per-node ingest accounting, shared between the node's reader
-    /// thread, its store worker, the scrape endpoint, and summaries. Plain
-    /// counters under relaxed ordering: every value is a statistic, ordered
-    /// by the happens-before edges of the queue hand-off.
+    /// threads, the scrape endpoint, and summaries. Plain counters under
+    /// relaxed ordering: every value is a statistic.
     #[derive(Default)]
     pub(crate) struct NodeCounters;
     /// Final (or live) accounting for one node.
@@ -119,7 +115,7 @@ counter_block! {
         records_received: ExactCounter = "Well-formed records read off the wire.";
         records_stored: ExactCounter = "Records written into the store.";
         records_dropped: ExactCounter =
-            "Records dropped — queue overflow or store failure — instead of blocking the stream.";
+            "Records dropped because the store failed to take them.";
         records_garbled: ExactCounter =
             "Records abandoned because the stream desynced (bad record magic).";
         events_received: ExactCounter = "Data events inside received records.";
@@ -134,6 +130,9 @@ counter_block! {
             => "ktrace_collectd_live_connections";
         heartbeats_seen: ExactCounter = "HEARTBEAT events observed in each node's stream."
             => "ktrace_collectd_heartbeats_seen_total";
+        events_lost_at_source: ExactCounter =
+            "Data events the node's own ring dropped to overrun, summed from the DROPPED markers in its stream."
+            => "ktrace_collectd_events_lost_at_source_total";
     }
     histograms {}
     totals { FleetSummary.nodes }
@@ -154,8 +153,8 @@ impl NodeCounters {
         self.events_stored.add(events);
     }
 
-    /// One record, and the data events inside it, dropped and counted
-    /// instead of blocking the stream.
+    /// One record, and the data events inside it, dropped because the store
+    /// failed to take it.
     fn tally_dropped(&self, events: u64) {
         self.records_dropped.add(1);
         self.events_dropped.add(events);
@@ -166,6 +165,10 @@ impl NodeCounters {
 pub(crate) struct NodeState {
     pub(crate) name: String,
     counters: NodeCounters,
+    /// The node's on-disk store, opened by the first record to arrive. One
+    /// lock: every connection under this name appends through it, in
+    /// arrival order.
+    store: Mutex<Option<NodeStore>>,
     /// What the node's own HEARTBEATs say about it. One lock: the beat that
     /// closes a round steps the detector over the beats it holds.
     pub(crate) health: Mutex<NodeHealth>,
@@ -222,7 +225,37 @@ impl NodeState {
         NodeState {
             name: name.to_string(),
             counters: NodeCounters::new(),
+            store: Mutex::new(None),
             health: Mutex::new(NodeHealth::default()),
+        }
+    }
+
+    /// Appends one record to the node's store and counts it stored, or
+    /// dropped if the store fails. A connection whose record size differs
+    /// from the open store's gets a fresh store (shard numbering continues;
+    /// every shard is self-describing).
+    fn store_record(&self, config: &CollectorConfig, header: &[u8], record: &[u8], events: u64) {
+        let mut store = self.store.lock().expect("store lock");
+        if let Some(delay) = config.store_write_delay {
+            std::thread::sleep(delay);
+        }
+        // `append` flushes every record, so a store is closed by dropping it.
+        *store = store
+            .take()
+            .filter(|s| s.record_size() == record.len())
+            .or_else(|| {
+                NodeStore::create(
+                    &config.store_dir,
+                    &self.name,
+                    header.to_vec(),
+                    record.len(),
+                    config.records_per_shard,
+                )
+                .ok()
+            });
+        match store.as_mut().map(|s| s.append(record)) {
+            Some(Ok(())) => self.counters.tally_stored(events),
+            _ => self.counters.tally_dropped(events),
         }
     }
 
@@ -313,7 +346,8 @@ impl NodeSummary {
             && self.records_stored + self.records_dropped == self.records_received
     }
 
-    /// True if nothing was dropped, torn, or garbled.
+    /// True if the collector dropped, tore or garbled nothing. (What the
+    /// node's own ring lost is `events_lost_at_source`.)
     pub fn lossless(&self) -> bool {
         self.records_dropped == 0 && self.records_garbled == 0 && self.torn_tail_bytes == 0
     }
@@ -346,13 +380,21 @@ impl FleetSummary {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<20} {:>9} {:>9} {:>8} {:>10} {:>10} {:>9} {:>6}",
-            "node", "records", "stored", "dropped", "events", "ev-stored", "ev-drop", "beats"
+            "{:<20} {:>9} {:>9} {:>8} {:>10} {:>10} {:>9} {:>10} {:>6}",
+            "node",
+            "records",
+            "stored",
+            "dropped",
+            "events",
+            "ev-stored",
+            "ev-drop",
+            "src-lost",
+            "beats"
         );
         for n in &self.nodes {
             let _ = writeln!(
                 out,
-                "{:<20} {:>9} {:>9} {:>8} {:>10} {:>10} {:>9} {:>6}{}",
+                "{:<20} {:>9} {:>9} {:>8} {:>10} {:>10} {:>9} {:>10} {:>6}{}",
                 n.name,
                 n.records_received,
                 n.records_stored,
@@ -360,6 +402,7 @@ impl FleetSummary {
                 n.events_received,
                 n.events_stored,
                 n.events_dropped,
+                n.events_lost_at_source,
                 n.heartbeats_seen,
                 if n.torn_tail_bytes > 0 {
                     format!("  (torn tail: {} B)", n.torn_tail_bytes)
@@ -370,15 +413,6 @@ impl FleetSummary {
         }
         out
     }
-}
-
-/// One record queued from a reader to a store worker.
-struct StoreJob {
-    node: Arc<NodeState>,
-    header_bytes: Arc<Vec<u8>>,
-    record_size: usize,
-    bytes: Vec<u8>,
-    data_events: u64,
 }
 
 /// A `Read` over a timeout-bearing socket that turns a shutdown request
@@ -428,31 +462,27 @@ fn read_up_to(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
     Ok(at)
 }
 
-/// Stable tiny string hash (FNV-1a) for node→shard assignment.
-fn shard_of(name: &str, shards: usize) -> usize {
-    let h = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    });
-    (h % shards as u64) as usize
-}
-
-/// What the reader thread takes from a record, in place: the number of data
-/// events in it (up to the first garble — what a reader of the stored record
-/// will decode), with every HEARTBEAT's payload handed to `on_heartbeat`.
-fn tally_record(words: &[u64], mut on_heartbeat: impl FnMut(&[u64])) -> u64 {
-    let mut data_events = 0;
+/// What the reader thread takes from a record, in place, up to the first
+/// garble (what a reader of the stored record will decode): the number of
+/// data events in it and the events its `DROPPED` markers say the node's
+/// ring lost, with every HEARTBEAT's payload handed to `on_heartbeat`.
+fn tally_record(words: &[u64], mut on_heartbeat: impl FnMut(&[u64])) -> (u64, u64) {
+    let (mut data_events, mut lost) = (0, 0);
     for e in walk_buffer(words, None) {
         if !e.is_control() {
             data_events += 1;
         } else if e.minor == control::HEARTBEAT {
             on_heartbeat(e.payload);
+        } else if e.minor == control::DROPPED {
+            lost += e.payload.first().copied().unwrap_or(0);
         }
     }
-    data_events
+    (data_events, lost)
 }
 
-/// One connection, hello to EOF.
-fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<StoreJob>]) {
+/// One connection, hello to EOF: each record is framed, tallied and
+/// appended to the node's store before the next is read.
+fn serve_connection(conn: TcpStream, shared: &Shared) {
     let mut r = PatientReader {
         conn: &conn,
         stop: &shared.stop,
@@ -474,8 +504,6 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
     let node = shared.node_entry(&name);
     node.counters.connects.add(1);
     node.counters.live_connections.add(1);
-    let tx = &senders[shard_of(&name, senders.len())];
-    let header_bytes = Arc::new(header_bytes);
 
     let mut buf = vec![0u8; record_size];
     let mut words: Vec<u64> = Vec::new();
@@ -493,93 +521,27 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
             node.counters.records_garbled.add(1);
             break;
         };
-        // Walk once, here: exact event accounting for the drop path and
-        // heartbeat capture for health, whatever the store decides.
+        // Walk once, here: exact event accounting, the source's own loss,
+        // and heartbeat capture for health, whatever the store decides.
         words.clear();
         words.extend(body_words(frame.body));
-        let data_events = tally_record(&words, |beat| node.note_heartbeat(beat));
+        let (data_events, lost) = tally_record(&words, |beat| node.note_heartbeat(beat));
         node.counters.tally_received(data_events, got as u64);
-        let job = StoreJob {
-            node: node.clone(),
-            header_bytes: header_bytes.clone(),
-            record_size,
-            bytes: buf.clone(),
-            data_events,
-        };
-        match tx.try_send(job) {
-            Ok(()) => {}
-            Err(TrySendError::Full(job)) => {
-                // The bounded-queue contract: never block the stream.
-                job.node.counters.tally_dropped(job.data_events);
-            }
-            Err(TrySendError::Disconnected(_)) => break,
-        }
+        node.counters.events_lost_at_source.add(lost);
+        node.store_record(&shared.config, &header_bytes, &buf, data_events);
     }
     node.counters.live_connections.sub(1);
 }
 
-/// One store worker: owns the `NodeStore`s of every node hashed to it.
-/// Exits when all senders are dropped (shutdown), after draining the queue
-/// and flushing every store.
-fn store_worker(rx: Receiver<StoreJob>, shared: &Shared) {
-    let mut stores: HashMap<String, NodeStore> = HashMap::new();
-    while let Ok(job) = rx.recv() {
-        if let Some(delay) = shared.config.store_write_delay {
-            std::thread::sleep(delay);
-        }
-        let name = job.node.name.clone();
-        // A reconnect with different geometry gets a fresh store (shard
-        // numbering continues; every shard is self-describing).
-        if stores
-            .get(&name)
-            .is_some_and(|s| s.record_size() != job.record_size)
-        {
-            if let Some(mut old) = stores.remove(&name) {
-                let _ = old.finish();
-            }
-        }
-        let store = match stores.entry(name) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                match NodeStore::create(
-                    &shared.config.store_dir,
-                    &job.node.name,
-                    job.header_bytes.as_ref().clone(),
-                    job.record_size,
-                    shared.config.records_per_shard,
-                ) {
-                    Ok(s) => e.insert(s),
-                    Err(_) => {
-                        job.node.counters.tally_dropped(job.data_events);
-                        continue;
-                    }
-                }
-            }
-        };
-        match store.append(&job.bytes) {
-            Ok(()) => {
-                job.node.counters.tally_stored(job.data_events);
-            }
-            Err(_) => {
-                job.node.counters.tally_dropped(job.data_events);
-            }
-        }
-    }
-    for store in stores.values_mut() {
-        let _ = store.finish();
-    }
-}
-
-/// The running aggregation service. Dropping it (or calling
-/// [`shutdown`](Collector::shutdown)) stops every thread; no thread ever
-/// blocks without a stop check, so teardown is prompt even with nodes
-/// mid-stream.
+/// The running aggregation service: an acceptor, a scrape thread, and one
+/// reader per connection that appends its node's records to the store.
+/// Dropping it (or calling [`shutdown`](Collector::shutdown)) stops every
+/// thread; no read ever blocks without a stop check, and a store append is
+/// one record long, so teardown is prompt even with nodes mid-stream.
 pub struct Collector {
     shared: Arc<Shared>,
     addr: SocketAddr,
     scrape_addr: SocketAddr,
-    senders: Vec<SyncSender<StoreJob>>,
-    workers: Vec<JoinHandle<()>>,
     acceptor: Option<JoinHandle<()>>,
     scraper: Option<JoinHandle<()>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -601,25 +563,9 @@ impl Collector {
 
         let shared = Arc::new(Shared::new(config));
 
-        let shards = shared.config.shards.max(1);
-        let mut senders = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let (tx, rx) = std::sync::mpsc::sync_channel(shared.config.queue_depth.max(1));
-            senders.push(tx);
-            let shared2 = shared.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("collectd-store-{i}"))
-                    .spawn(move || store_worker(rx, &shared2))
-                    .expect("spawn store worker"),
-            );
-        }
-
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared2 = shared.clone();
-            let senders2 = senders.clone();
             let readers2 = readers.clone();
             std::thread::Builder::new()
                 .name("collectd-accept".into())
@@ -629,12 +575,11 @@ impl Collector {
                             Ok((conn, _peer)) => {
                                 shared2.stats.connections_accepted.add(1);
                                 let _ = conn.set_nonblocking(false);
-                                let _ = conn.set_read_timeout(Some(shared2.config.read_timeout));
+                                let _ = conn.set_read_timeout(Some(READ_TIMEOUT));
                                 let shared3 = shared2.clone();
-                                let senders3 = senders2.clone();
                                 let handle = std::thread::Builder::new()
                                     .name("collectd-reader".into())
-                                    .spawn(move || serve_connection(conn, &shared3, &senders3))
+                                    .spawn(move || serve_connection(conn, &shared3))
                                     .expect("spawn reader");
                                 readers2.lock().expect("readers lock").push(handle);
                             }
@@ -660,8 +605,6 @@ impl Collector {
             shared,
             addr: local,
             scrape_addr,
-            senders,
-            workers,
             acceptor: Some(acceptor),
             scraper: Some(scraper),
             readers,
@@ -685,8 +628,8 @@ impl Collector {
         }
     }
 
-    /// Stops accepting, unwinds every reader, drains the store queues,
-    /// flushes every shard, and returns the final accounting.
+    /// Stops accepting, unwinds every reader, flushes every shard, and
+    /// returns the final accounting.
     pub fn shutdown(mut self) -> FleetSummary {
         self.stop_threads();
         self.summary()
@@ -705,11 +648,9 @@ impl Collector {
         for h in readers {
             let _ = h.join();
         }
-        // Dropping the senders ends the workers' recv loops; they drain
-        // what is queued and flush.
-        self.senders.clear();
-        for h in std::mem::take(&mut self.workers) {
-            let _ = h.join();
+        // `append` flushes every record, so a store is closed by dropping it.
+        for node in self.shared.node_states() {
+            node.store.lock().expect("store lock").take();
         }
     }
 }
@@ -779,40 +720,270 @@ mod tests {
         assert_eq!(stored, logged);
     }
 
-    /// The bounded queue drops a record only when it is full. With the store
-    /// worker dragged, records pile up in the queue; with fewer records sent
-    /// than it holds, none can find it full, whatever the timing.
+    /// Strict-reader counts over a node's stored shards: data events, and
+    /// the events its `DROPPED` markers say the node's ring lost.
+    fn shard_counts(store: &std::path::Path, name: &str) -> (u64, u64) {
+        let (mut events, mut lost) = (0, 0);
+        for shard in crate::store::shard_paths(store, name) {
+            let mut r = TraceFileReader::open(&shard).unwrap();
+            for e in r.events().unwrap() {
+                if !e.is_control() {
+                    events += 1;
+                } else if e.minor == control::DROPPED {
+                    lost += e.payload[0];
+                }
+            }
+        }
+        (events, lost)
+    }
+
+    /// A slow store pushes back to the node instead of dropping. The sender
+    /// waits whenever its ring is full, so nothing it logs is lost, and it
+    /// ships far more than the socket buffers between it and the collector
+    /// hold: it can only finish once the dragged store has taken most of
+    /// its records, one delay each. The collector drops none, every logged
+    /// event is stored, and the stream's DROPPED markers carry exactly the
+    /// refusals the sender saw while it waited.
     #[test]
-    fn no_record_is_dropped_while_the_queue_has_room() {
-        const DEPTH: usize = 64;
-        let tmp = TempDir::new("collect-room");
+    fn a_dragged_store_pushes_back_instead_of_dropping() {
+        const EVENTS: u64 = 1_500_000;
+        const DELAY: Duration = Duration::from_millis(5);
+        let tmp = TempDir::new("collect-pushback");
         let mut config = CollectorConfig::new(tmp.path());
-        config.shards = 1;
-        config.queue_depth = DEPTH;
-        config.store_write_delay = Some(Duration::from_millis(2));
+        config.store_write_delay = Some(DELAY);
         let collector = Collector::bind("127.0.0.1:0", config).unwrap();
 
-        let sink = node::connect(collector.local_addr(), "roomy").unwrap();
+        // 64 KiB records: ~550 of them, some 36 MB on the wire.
+        let geometry = TraceConfig {
+            buffer_words: 8192,
+            ..TraceConfig::small()
+        };
+        let started = std::time::Instant::now();
+        let sink = node::connect(collector.local_addr(), "dragged").unwrap();
+        let session = TraceSession::builder()
+            .geometry(geometry)
+            .start(sink)
+            .unwrap();
+        let logger = session.logger().clone();
+        let h = logger.handle(0).unwrap();
+        let mut refused = 0u64;
+        for i in 0..EVENTS {
+            while !h.log_slice(MajorId::TEST, 0, &[i, i]) {
+                refused += 1;
+                std::thread::yield_now();
+            }
+        }
+        let stats = session.finish();
+        let sent = started.elapsed();
+        assert!(stats.lossless(), "{stats:?}");
+        // Drops after the last buffer switch never get their marker.
+        let marked = refused - logger.dropped_pending();
+
+        wait_for_drain(&collector, "dragged", stats.records_written);
+        let summary = collector.shutdown();
+        let n = summary.node("dragged").expect("node registered");
+        assert_eq!(n.records_dropped, 0, "{n:?}");
+        assert_eq!(n.records_received, stats.records_written);
+        assert_eq!(n.records_stored, n.records_received);
+        assert_eq!(n.events_stored, EVENTS);
+        assert_eq!(n.events_lost_at_source, marked, "{n:?}");
+        assert_eq!(shard_counts(tmp.path(), "dragged"), (EVENTS, marked));
+        // Push-back, not buffering: the send lasted at least the store time
+        // of half its records.
+        assert!(
+            sent >= DELAY * (stats.records_written / 2) as u32,
+            "sent {} records in {sent:?}",
+            stats.records_written
+        );
+    }
+
+    /// A store that never progresses stalls its node's readers but never
+    /// its senders. With the store held, each sender logs (waiting on full)
+    /// until the socket buffers fill and its write times out; the session
+    /// then declares the sink dead, counts what it could not ship, and
+    /// `finish()` returns. Another node streams through untouched meanwhile.
+    /// Released, the store takes what the sockets held, and every logged
+    /// event is either stored or in the session's own `events_lost`.
+    #[test]
+    fn a_hung_store_still_lets_every_sender_finish() {
+        let tmp = TempDir::new("collect-hung");
+        let collector = Collector::bind("127.0.0.1:0", CollectorConfig::new(tmp.path())).unwrap();
+        let addr = collector.local_addr();
+        // Every append for "hung" blocks on its store lock until released.
+        let hung = collector.shared.node_entry("hung");
+        let stalled = hung.store.lock().unwrap();
+
+        // Logs until the sink dies, or `events` if it never does; returns
+        // the session's stats, its events logged and the time it took.
+        let send = |name: &str, events: u64| {
+            let started = std::time::Instant::now();
+            let sink = node::connect(addr, name).unwrap();
+            assert_eq!(sink.write_timeout().unwrap(), Some(node::SEND_TIMEOUT));
+            // Shortened so a dead sink is declared in about a second.
+            sink.set_write_timeout(Some(Duration::from_millis(100)))
+                .unwrap();
+            let session = TraceSession::builder()
+                .geometry(TraceConfig::small())
+                .start(sink)
+                .unwrap();
+            let logger = session.logger().clone();
+            let h = logger.handle(0).unwrap();
+            let sink_dead = || logger.telemetry().sink().buffers_dropped() > 0;
+            let mut i = 0;
+            while i < events && !sink_dead() {
+                if h.log_slice(MajorId::TEST, 0, &[i]) {
+                    i += 1;
+                } else {
+                    std::thread::yield_now();
+                }
+                assert!(started.elapsed() < Duration::from_secs(60), "{name} wedged");
+            }
+            let stats = session.finish();
+            (stats, i, started.elapsed())
+        };
+
+        let (hung_a, hung_b, healthy) = std::thread::scope(|s| {
+            let a = s.spawn(|| send("hung", u64::MAX));
+            let b = s.spawn(|| send("hung", u64::MAX));
+            let healthy = send("healthy", 20_000);
+            (a.join().unwrap(), b.join().unwrap(), healthy)
+        });
+        for (stats, _, took) in [&hung_a, &hung_b] {
+            assert!(stats.sink_error.is_some(), "{stats:?}");
+            assert!(stats.events_lost > 0, "{stats:?}");
+            assert!(*took < Duration::from_secs(30), "finish() took {took:?}");
+        }
+        assert!(healthy.0.lossless(), "{:?}", healthy.0);
+        let h = wait_for_drain(&collector, "healthy", healthy.0.records_written);
+        assert_eq!(h.node("healthy").unwrap().events_stored, healthy.1);
+
+        drop(stalled);
+        let written = hung_a.0.records_written + hung_b.0.records_written;
+        wait_for_drain(&collector, "hung", written);
+        let summary = collector.shutdown();
+        let n = summary.node("hung").expect("node registered");
+        assert!(n.reconciled(), "{n:?}");
+        assert_eq!(
+            (n.records_received, n.records_dropped),
+            (written, 0),
+            "{n:?}"
+        );
+        let logged = hung_a.1 + hung_b.1;
+        let lost = hung_a.0.events_lost + hung_b.0.events_lost;
+        assert_eq!(n.events_stored + lost, logged, "{n:?}");
+    }
+
+    /// A store that cannot be opened is the one cause of a collector drop:
+    /// every record is received, counted dropped, reconciled, and shown on
+    /// `/metrics`.
+    #[test]
+    fn a_store_that_fails_drops_and_counts_every_record() {
+        let tmp = TempDir::new("collect-store-fails");
+        // The node's store directory is taken by a regular file.
+        std::fs::write(tmp.path().join("blocked"), b"not a directory").unwrap();
+        let collector = Collector::bind("127.0.0.1:0", CollectorConfig::new(tmp.path())).unwrap();
+        let sink = node::connect(collector.local_addr(), "blocked").unwrap();
         let session = TraceSession::builder()
             .geometry(TraceConfig::small())
             .start(sink)
             .unwrap();
         let h = session.logger().handle(0).unwrap();
-        for i in 0..1_000u64 {
-            // Wait out a full ring rather than drop: ≈ 24 records in all.
-            while !h.log_slice(MajorId::TEST, 0, &[i, i]) {
+        for i in 0..2_000u64 {
+            while !h.log_slice(MajorId::TEST, 0, &[i]) {
                 std::thread::yield_now();
             }
         }
         let stats = session.finish();
         assert!(stats.lossless(), "{stats:?}");
-        assert!(stats.records_written <= DEPTH as u64, "{stats:?}");
 
-        let summary = wait_for_drain(&collector, "roomy", stats.records_written);
-        let n = summary.node("roomy").expect("node registered");
+        let summary = wait_for_drain(&collector, "blocked", stats.records_written);
+        let n = summary.node("blocked").expect("node registered");
+        assert!(n.reconciled(), "{n:?}");
         assert_eq!(n.records_received, stats.records_written);
-        assert_eq!(n.records_dropped, 0, "{n:?}");
-        assert_eq!(n.records_stored, n.records_received);
+        assert_eq!(n.records_dropped, n.records_received, "{n:?}");
+        assert_eq!((n.events_dropped, n.events_stored), (2_000, 0), "{n:?}");
+        let metrics = crate::scrape::fetch(collector.scrape_addr(), "/metrics").unwrap();
+        let dropped = format!(
+            "ktrace_collectd_records_total{{node=\"blocked\",outcome=\"dropped\"}} {}\n",
+            n.records_dropped
+        );
+        assert!(metrics.contains(&dropped), "{metrics}");
+        collector.shutdown();
+    }
+
+    /// Every connection under one name appends to that node's one store,
+    /// concurrently, and a later connection with a different geometry
+    /// starts a fresh shard with its own header.
+    #[test]
+    fn connections_sharing_a_name_share_its_store() {
+        use std::sync::Barrier;
+        const EVENTS: u64 = 2_000;
+        let tmp = TempDir::new("collect-same-name");
+        let collector = Collector::bind("127.0.0.1:0", CollectorConfig::new(tmp.path())).unwrap();
+        let addr = collector.local_addr();
+        let live = || {
+            collector
+                .summary()
+                .node("twin")
+                .map_or(0, |n| n.live_connections)
+        };
+        // Connects, waits at `go` (if any), logs `EVENTS` without loss, and
+        // returns the records written.
+        let stream = |geometry: TraceConfig, go: Option<&Barrier>| {
+            let sink = node::connect(addr, "twin").unwrap();
+            let session = TraceSession::builder()
+                .geometry(geometry)
+                .start(sink)
+                .unwrap();
+            if let Some(go) = go {
+                go.wait();
+            }
+            let h = session.logger().handle(0).unwrap();
+            for i in 0..EVENTS {
+                while !h.log_slice(MajorId::TEST, 1, &[i]) {
+                    std::thread::yield_now();
+                }
+            }
+            let stats = session.finish();
+            assert!(stats.lossless(), "{stats:?}");
+            stats.records_written
+        };
+
+        // Both streams are open before either logs an event.
+        let go = Barrier::new(3);
+        let records = std::thread::scope(|s| {
+            let a = s.spawn(|| stream(TraceConfig::small(), Some(&go)));
+            let b = s.spawn(|| stream(TraceConfig::small(), Some(&go)));
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while live() < 2 {
+                assert!(std::time::Instant::now() < deadline, "both never connected");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            go.wait();
+            a.join().unwrap() + b.join().unwrap()
+        });
+        wait_for_drain(&collector, "twin", records);
+        let shared_shards = crate::store::shard_paths(tmp.path(), "twin").len();
+        assert_eq!(shard_counts(tmp.path(), "twin").0, 2 * EVENTS);
+
+        let wide = TraceConfig {
+            buffer_words: 256,
+            ..TraceConfig::small()
+        };
+        let more_records = stream(wide, None);
+        wait_for_drain(&collector, "twin", records + more_records);
+        let summary = collector.shutdown();
+        let n = summary.node("twin").expect("node registered");
+        assert_eq!((n.connects, n.records_dropped), (3, 0), "{n:?}");
+        assert_eq!(n.events_stored, 3 * EVENTS);
+        assert_eq!(shard_counts(tmp.path(), "twin").0, 3 * EVENTS);
+        let shards = crate::store::shard_paths(tmp.path(), "twin");
+        assert!(shards.len() > shared_shards, "{shards:?}");
+        for (i, shard) in shards.iter().enumerate() {
+            let header = TraceFileReader::open(shard).unwrap().header().buffer_words;
+            let expected = if i < shared_shards { 128 } else { 256 };
+            assert_eq!(header, expected, "{}", shard.display());
+        }
     }
 
     /// The reader thread counts in place; every consumer of the stored
@@ -833,12 +1004,14 @@ mod tests {
         let beat = |cpu: u64| [cpu, 7, 0, 0, 0, 0, 0, 0, 1, 0];
         let chain = [
             event(100, MajorId::CONTROL, control::TIME_ANCHOR, &[100, 0]),
+            event(100, MajorId::CONTROL, control::DROPPED, &[5]),
             event(101, MajorId::TEST, 1, &[1, 2]),
             event(102, MajorId::CONTROL, control::HEARTBEAT, &beat(0)),
             event(103, MajorId::TEST, 2, &[]),
             event(104, MajorId::LOCK, 2, &[9, 9, 9, 9, 9]),
             event(105, MajorId::CONTROL, control::HEARTBEAT, &beat(1)),
             event(106, MajorId::TEST, 3, &[3]),
+            event(106, MajorId::CONTROL, control::DROPPED, &[2]),
         ];
         // The whole chain, then the chain broken before each event in turn:
         // by an unwritten header, and by a length that overruns the buffer.
@@ -853,11 +1026,18 @@ mod tests {
                     words.extend(chain[keep..].concat());
                 }
                 let mut beats: Vec<Vec<u64>> = Vec::new();
-                let tallied = tally_record(&words, |b| beats.push(b.to_vec()));
+                let (tallied, lost) = tally_record(&words, |b| beats.push(b.to_vec()));
 
                 let parsed = parse_buffer(0, 0, &words, None);
                 assert_eq!(parsed.clean(), breaker.is_none());
                 assert_eq!(tallied, parsed.data_events().count() as u64);
+                let marked: u64 = parsed
+                    .events
+                    .iter()
+                    .filter(|e| e.is_control() && e.minor == control::DROPPED)
+                    .map(|e| e.payload[0])
+                    .sum();
+                assert_eq!(lost, marked, "{keep} events before {breaker:?}");
                 let data_before =
                     |e: &&Vec<u64>| EventHeader::decode(e[0]).unwrap().major != MajorId::CONTROL;
                 assert_eq!(
@@ -877,7 +1057,7 @@ mod tests {
     }
 
     /// Polls until the node's stored+dropped records reach `records` (the
-    /// queues are asynchronous), panicking after a bounded wait.
+    /// readers run behind the senders), panicking after a bounded wait.
     fn wait_for_drain(collector: &Collector, name: &str, records: u64) -> FleetSummary {
         for _ in 0..500 {
             let s = collector.summary();

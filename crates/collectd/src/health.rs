@@ -303,7 +303,7 @@ mod tests {
             );
             labeled += 1;
         }
-        // 3 + 2 outcome samples, 4 table families, 2 + 4 adapt samples, and
+        // 3 + 2 outcome samples, 5 table families, 2 + 4 adapt samples, and
         // the node's own telemetry below them.
         assert!(labeled > 15, "{text}");
         assert!(text.contains(&format!(

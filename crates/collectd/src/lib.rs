@@ -10,10 +10,11 @@
 //! * [`proto`] — the wire protocol: an 8-byte hello frame naming the node,
 //!   then the unmodified trace byte stream a [`TraceSession`] already
 //!   produces (`ktrace-io` header + fixed-size records).
-//! * [`collector`] — the service: per-connection reader threads feeding
-//!   per-shard store workers over **bounded** queues. Backpressure degrades
-//!   to counted drops, never to a wedged producer — the same philosophy as
-//!   the session drainer (`ktrace-io::session`).
+//! * [`collector`] — the service: one reader thread per connection, which
+//!   appends its node's records to the store itself. A slow store pushes
+//!   back through TCP to the node, whose ring records the loss as in-stream
+//!   `DROPPED` markers (§3.1); the collector counts them per node and drops
+//!   a record only when the store fails.
 //! * [`store`] — the rolling sharded store: each node's stream lands as a
 //!   sequence of valid trace files (`<store>/<node>/shard-NNNN.ktrace`),
 //!   every record at a computable offset (§3.2 alignment-point random

@@ -17,12 +17,23 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// How long one socket write may wait without the collector taking a byte
+/// before it fails as `WouldBlock`. The collector's readers append to the
+/// store themselves, so a store that stops progressing stops its reader
+/// reading, and this bounds that push-back: the session retries a
+/// timed-out write 8 times, so a sink that takes no byte for about nine of
+/// these (≈ 18 s) is declared dead. The drainer then drops and counts every
+/// later buffer (`SessionStats::{sink_error, events_lost}`), and `finish()`
+/// returns.
+pub const SEND_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Connects to a collector and introduces this node by name. The returned
 /// stream is positioned exactly where a [`TraceSession`] sink should start
-/// writing (header next).
+/// writing (header next), and its writes time out after [`SEND_TIMEOUT`].
 pub fn connect(addr: impl ToSocketAddrs, name: &str) -> std::io::Result<TcpStream> {
     let mut conn = TcpStream::connect(addr)?;
     conn.set_nodelay(true)?;
+    conn.set_write_timeout(Some(SEND_TIMEOUT))?;
     proto::write_hello(&mut conn, name)?;
     Ok(conn)
 }
@@ -112,7 +123,8 @@ mod tests {
         .unwrap();
         assert!(report.run.tasks_completed > 0);
         assert!(report.session.records_written > 0);
-        // Give the queues a moment to drain, then reconcile.
+        // Give the reader a moment to store what the socket holds, then
+        // reconcile.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
             let summary = collector.summary();

@@ -93,10 +93,12 @@ pub const ASSERT_CADENCE: u8 = 39;
 pub const COLLECT_BIND: u8 = 40;
 /// The collector store could not be created, written, or re-opened.
 pub const COLLECT_STORE: u8 = 41;
-/// The run finished but ingest was lossy: backpressure degraded to counted
-/// drops somewhere in the fleet (the drops are on the scrape endpoint and
-/// in the per-node summary — this code just makes a lossy serve scriptable,
-/// the same way [`LOSSY_DRAIN`] makes a lossy record scriptable).
+/// The run finished but the fleet lost events: the collector dropped
+/// records because its store failed, or the nodes' rings dropped events to
+/// overrun and wrote DROPPED markers into their streams (both are on the
+/// scrape endpoint and in the per-node summary — this code just makes a
+/// lossy serve scriptable, the same way [`LOSSY_DRAIN`] makes a lossy
+/// record scriptable).
 pub const COLLECT_LOSSY: u8 = 42;
 
 // --- Adaptive-control band (43): ktrace-tools adapt operational outcome. ---

@@ -70,8 +70,10 @@
 //! per-node health is served on the printed scrape address. `fleet` is the
 //! batteries-included demo/smoke: it starts a collector **and** N local
 //! ossim nodes streaming into it, prints the scrape output and the fleet
-//! reconciliation table, and exits on the collector band — `collect-lossy`
-//! (42) when backpressure degraded to counted drops, 0 on a lossless run.
+//! reconciliation table with the fleet's loss at the source, and exits on
+//! the collector band — `collect-lossy` (42) when the collector dropped
+//! records (its store failed) or the nodes' rings lost events (their
+//! in-stream DROPPED markers count them), 0 on a lossless run.
 //! With `--store`, `assert` evaluates the spec over a collector store
 //! through the same query engine (fleet-wide merged, or one node with
 //! `--node`), so the props that gate a single trace gate fleet data too.
@@ -634,7 +636,9 @@ fn record(out_path: &str, secs: f64, ncpus: usize) -> ExitCode {
 fn finish_collector(collector: ktrace::collectd::Collector) -> ExitCode {
     let metrics = ktrace::collectd::scrape::fetch(collector.scrape_addr(), "/metrics");
     let summary = collector.shutdown();
+    let (dropped, lost) = (summary.records_dropped(), summary.events_lost_at_source());
     print!("{}", summary.render());
+    println!("events lost at source (in-stream DROPPED markers): {lost}");
     if let Ok(metrics) = metrics {
         println!("--- final scrape ---");
         print!("{metrics}");
@@ -644,11 +648,13 @@ fn finish_collector(collector: ktrace::collectd::Collector) -> ExitCode {
         eprintln!("error: fleet accounting failed to reconcile");
         return ExitCode::from(exit::COLLECT_STORE);
     }
-    if summary.records_dropped() > 0 {
-        eprintln!(
-            "warning: ingest was lossy — {} record(s) degraded to counted drops",
-            summary.records_dropped()
-        );
+    if dropped > 0 {
+        eprintln!("warning: collector drops — the store failed to take {dropped} record(s)");
+    }
+    if lost > 0 {
+        eprintln!("warning: source loss — the nodes' rings dropped {lost} event(s) to overrun");
+    }
+    if dropped + lost > 0 {
         return ExitCode::from(exit::COLLECT_LOSSY);
     }
     ExitCode::SUCCESS

@@ -1,8 +1,11 @@
-//! The no-wedge soak: 64 concurrent streams into a collector deliberately
-//! configured to lose — two store workers dragged by an artificial write
-//! delay behind depth-2 queues. The pin is the degrade-don't-wedge
-//! contract: every sender completes promptly, overflow shows up as counted
-//! drops (visible on the scrape endpoint), and the accounting still
+//! The no-wedge soak: 64 concurrent streams, each logging flat out, into a
+//! collector whose store is dragged by an artificial write delay. A slow
+//! store slows the readers and pushes back through TCP to the nodes; the
+//! pin is that this degrades at the source, where the paper records loss,
+//! and nowhere else: every sender completes promptly, the collector drops
+//! nothing, the events each node's ring lost arrive as its own DROPPED
+//! markers (all but those refused after its last buffer switch) and show
+//! on the scrape endpoint, and the accounting still
 //! reconciles exactly — `events_stored + events_dropped == events_received`
 //! for every node.
 
@@ -14,12 +17,21 @@ use std::time::{Duration, Instant};
 const STREAMS: usize = 64;
 const EVENTS_PER_STREAM: u64 = 3_000;
 
+/// The sum of one family's samples on a `/metrics` body, or `None` if
+/// the family has none.
+fn family_total(metrics: &str, family: &str, filter: &str) -> Option<u64> {
+    let samples: Vec<u64> = metrics
+        .lines()
+        .filter(|l| l.starts_with(&format!("{family}{{")) && l.contains(filter))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .collect();
+    (!samples.is_empty()).then(|| samples.iter().sum())
+}
+
 #[test]
 fn sixty_four_lossy_streams_never_wedge_and_always_reconcile() {
     let tmp = TempDir::new("soak");
     let mut config = CollectorConfig::new(tmp.path());
-    config.shards = 2;
-    config.queue_depth = 2;
     config.records_per_shard = 8;
     config.store_write_delay = Some(Duration::from_millis(2));
     let collector = Collector::bind("127.0.0.1:0", config).unwrap();
@@ -36,7 +48,8 @@ fn sixty_four_lossy_streams_never_wedge_and_always_reconcile() {
                     .ncpus(1)
                     .start(conn)
                     .expect("session");
-                let h = session.logger().handle(0).expect("cpu 0");
+                let logger = session.logger().clone();
+                let h = logger.handle(0).expect("cpu 0");
                 let mut logged = 0u64;
                 for n in 0..EVENTS_PER_STREAM {
                     if h.log_slice(MajorId::TEST, 1, &[n, n ^ 0x5A]) {
@@ -45,21 +58,26 @@ fn sixty_four_lossy_streams_never_wedge_and_always_reconcile() {
                 }
                 let stats = session.finish();
                 assert!(stats.lossless(), "{name}: {stats:?}");
-                (name, stats.records_written, logged)
+                // The sender's own loss as its stream records it: every
+                // refused event, less those dropped after the last buffer
+                // switch, which never get a marker.
+                let marked = EVENTS_PER_STREAM - logged - logger.dropped_pending();
+                (name, stats.records_written, logged, marked)
             })
         })
         .collect();
 
-    let sent: Vec<(String, u64, u64)> = senders.into_iter().map(|s| s.join().unwrap()).collect();
+    let sent: Vec<(String, u64, u64, u64)> =
+        senders.into_iter().map(|s| s.join().unwrap()).collect();
     let send_elapsed = started.elapsed();
-    // The wedge check: senders finish on the senders' schedule, not the
-    // dragged store's. 64 × 3k events must not take minutes.
+    // The wedge check: push-back slows a node's drainer, never stalls it.
+    // 64 × 3k events must not take minutes.
     assert!(
         send_elapsed < Duration::from_secs(60),
-        "senders took {send_elapsed:?} — backpressure reached the sockets"
+        "senders took {send_elapsed:?} — the dragged store wedged the sockets"
     );
 
-    // Wait for the queues (depth 2, so nearly nothing buffered) to drain.
+    // Wait for the readers to store what the sockets still hold.
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let s = collector.summary();
@@ -78,34 +96,49 @@ fn sixty_four_lossy_streams_never_wedge_and_always_reconcile() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    // Overflow is visible as counted drops on the scrape endpoint while the
-    // service is still up.
+    // Loss is visible where it happened, at the sources, and on the scrape
+    // endpoint while the service is still up; the collector lost nothing.
     let live = collector.summary();
+    assert_eq!(live.records_dropped(), 0, "{}", live.render());
+    // The senders' own count of refused events, wherever their markers
+    // landed (or did not): flat-out logging overruns the rings.
+    let refused: u64 = sent.iter().map(|s| EVENTS_PER_STREAM - s.2).sum();
     assert!(
-        live.records_dropped() > 0,
-        "the drag was configured to force drops:\n{}",
+        refused > 0,
+        "flat-out logging was meant to overrun the rings:\n{}",
         live.render()
     );
+    let lost_at_source: u64 = sent.iter().map(|s| s.3).sum();
     let metrics = scrape::fetch(collector.scrape_addr(), "/metrics").unwrap();
-    let dropped_on_scrape: u64 = metrics
-        .lines()
-        .filter(|l| {
-            l.starts_with("ktrace_collectd_records_total{") && l.contains("outcome=\"dropped\"")
-        })
-        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
-        .sum();
-    assert!(dropped_on_scrape > 0, "drops surface on /metrics");
+    assert_eq!(
+        family_total(
+            &metrics,
+            "ktrace_collectd_records_total",
+            "outcome=\"dropped\""
+        ),
+        Some(0),
+        "no drops on /metrics"
+    );
+    assert_eq!(
+        family_total(&metrics, "ktrace_collectd_events_lost_at_source_total", ""),
+        Some(lost_at_source),
+        "source loss surfaces on /metrics"
+    );
 
     let summary = collector.shutdown();
     assert!(summary.reconciled(), "{}", summary.render());
     assert_eq!(summary.nodes.len(), STREAMS);
-    for (name, records, logged) in &sent {
+    for (name, records, logged, marked) in &sent {
         let n = summary.node(name).expect("node registered");
         assert_eq!(
             n.records_received, *records,
             "{name}: every record crossed the wire"
         );
         assert_eq!(n.events_received, *logged, "{name}: exact event accounting");
+        assert_eq!(
+            n.events_lost_at_source, *marked,
+            "{name}: the stream's DROPPED markers carry the sender's loss"
+        );
         assert_eq!(
             n.events_stored + n.events_dropped,
             n.events_received,
