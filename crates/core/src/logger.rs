@@ -206,12 +206,15 @@ impl TraceLogger {
         admit(&self.shared, cpu, major) && self.region(cpu).log_raw(major, minor, payload).is_ok()
     }
 
-    /// Force-closes `cpu`'s current partial buffer so it can be drained.
+    /// Force-closes `cpu`'s current partial buffer so it can be drained,
+    /// then, if a slot is free, seals its pending drops into a buffer of
+    /// their own (anchor + `DROPPED` + filler).
     pub fn flush_cpu(&self, cpu: usize) -> bool {
         self.region(cpu).flush()
     }
 
-    /// Flushes every CPU.
+    /// Flushes every CPU. Once quiesced, a CPU with a free slot is left
+    /// with no drop that its stream does not record.
     pub fn flush_all(&self) {
         for cpu in 0..self.ncpus() {
             self.flush_cpu(cpu);
@@ -244,7 +247,9 @@ impl TraceLogger {
         self.shared.wake.withdraw();
     }
 
-    /// Flushes and drains every CPU, returning buffers grouped by CPU.
+    /// Flushes and drains every CPU, returning buffers grouped by CPU. A
+    /// CPU whose slots are all full when it is flushed keeps its pending
+    /// drops: drain it first for its last marker to be among them.
     pub fn drain_all(&self) -> Vec<Vec<CompletedBuffer>> {
         self.flush_all();
         (0..self.ncpus())
@@ -373,17 +378,6 @@ impl TraceLogger {
         let cap = bw * self.shared.config.buffers_per_cpu as u64;
         let outstanding = r.index().saturating_sub(r.buffers_consumed() * bw);
         (outstanding.min(cap), cap)
-    }
-
-    /// Events dropped to ring overrun whose in-stream `DROPPED` marker is
-    /// not yet written, across all CPUs. Every other count lives in
-    /// [`telemetry`](TraceLogger::telemetry).
-    pub fn dropped_pending(&self) -> u64 {
-        self.shared
-            .regions
-            .iter()
-            .map(|r| r.dropped_pending())
-            .sum()
     }
 
     /// Whether this logger streams to a consumer or runs as a flight

@@ -354,24 +354,15 @@ impl CpuRegion {
     }
 
     /// Force-closes the current partially filled buffer with filler so the
-    /// consumer can drain it (end-of-run flush). Returns false if the current
-    /// buffer is untouched.
+    /// consumer can drain it, sealing pending drops into a DROPPED marker
+    /// when a slot is free ([`Ring::flush`]), and wakes the drainer. Returns
+    /// false if no buffer closed.
     pub fn flush(&self) -> bool {
-        let bw = self.config.buffer_words as u64;
-        loop {
-            let old = self.index.load();
-            let pos = (old % bw) as usize;
-            if pos == 0 {
-                return false;
-            }
-            let ts = self.clock.now(self.cpu);
-            let new = (old / bw + 1) * bw;
-            if self.index.advance(old, new) {
-                self.ring().write_fillers(old, bw as usize - pos, ts as u32);
-                self.wake.notify();
-                return true;
-            }
+        let closed = self.ring().flush();
+        if closed {
+            self.wake.notify();
         }
+        closed
     }
 
     /// True if a closed buffer waits for the consumer (stream mode): the
@@ -504,11 +495,6 @@ impl CpuRegion {
     /// The telemetry registry this region reports into.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.tel
-    }
-
-    /// Number of events dropped to consumer overrun (not yet marked).
-    pub fn dropped_pending(&self) -> u64 {
-        self.dropped.load()
     }
 
     /// The current unwrapped word index.
@@ -654,7 +640,7 @@ mod tests {
             }
         }
         assert!(dropped_seen, "region should fill up and drop");
-        assert!(r.dropped_pending() > 0);
+        assert!(r.dropped.load() > 0);
         let idx_stuck = r.index();
         assert!(r.log_raw(MajorId::TEST, 0, &payload).is_err());
         assert_eq!(r.index(), idx_stuck, "no progress while overrun");
@@ -663,7 +649,7 @@ mod tests {
         let buf = r.take_buffer().unwrap();
         assert!(buf.complete);
         r.log_raw(MajorId::TEST, 9, &payload).unwrap();
-        assert_eq!(r.dropped_pending(), 0);
+        assert_eq!(r.dropped.load(), 0);
         let snap = r.snapshot();
         let newest = snap.buffer(snap.current_seq()).unwrap();
         let anchor = EventHeader::decode(newest[0]).unwrap();
@@ -756,7 +742,7 @@ mod tests {
             r.log_raw(MajorId::TEST, (i % 100) as u16, &payload)
                 .unwrap();
         }
-        assert_eq!(r.dropped_pending(), 0);
+        assert_eq!(r.dropped.load(), 0);
         assert_eq!(r.events_logged(), 5000, "an overwrite is not a drop");
         assert!(r.tally().flight_overwrites() > 0);
         assert!(
@@ -989,10 +975,9 @@ mod tests {
             }
             assert_eq!(off, b.words.len(), "chain must end exactly at boundary");
         }
-        // Events still sitting in undrained buffers (flush happened before
-        // the last take loop, so there are none) plus drops must account for
-        // every attempt. Drops live either in the pending counter or in
-        // already-written DROPPED markers.
+        // Logged events plus drops account for every attempt, read from the
+        // buffers alone: the consumer's final flush found a free slot and
+        // sealed the last drops into a DROPPED marker.
         assert_eq!(events, logged, "every logged event appears exactly once");
         assert_eq!(
             r.events_logged(),
@@ -1000,7 +985,7 @@ mod tests {
             "the commit words counted each one"
         );
         assert_eq!(
-            logged + marked_dropped + r.dropped_pending(),
+            logged + marked_dropped,
             nthreads as u64 * per_thread,
             "attempted = logged + dropped"
         );

@@ -638,22 +638,44 @@ mod tests {
         }
     }
 
+    /// A session built by `builder` at the small geometry, writing to
+    /// `path` through a gate the test shuts and opens.
+    fn gated_session(builder: SessionBuilder, path: &std::path::Path) -> (TraceSession, Arc<Gate>) {
+        let gate = Arc::new(Gate::default());
+        let sink = GatedSink {
+            file: std::fs::File::create(path).unwrap(),
+            gate: gate.clone(),
+        };
+        let session = builder.geometry(TraceConfig::small()).start(sink).unwrap();
+        (session, gate)
+    }
+
+    /// Finishes `session`, opening the gate only once `finish` has raised
+    /// the stop flag, so the drainer's next look at the flag is its stop
+    /// branch.
+    fn finish_behind(session: TraceSession, gate: Arc<Gate>) -> SessionStats {
+        let stop = session.stop.clone();
+        let opener = std::thread::spawn(move || {
+            while !stop.is_raised() {
+                std::thread::yield_now();
+            }
+            gate.set_shut(false);
+        });
+        let stats = session.finish();
+        opener.join().unwrap();
+        stats
+    }
+
     #[test]
     fn the_final_heartbeat_lands_on_a_cpu_whose_region_was_full() {
         let dir = std::env::temp_dir().join(format!("ktrace-fullbeat-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fullbeat.ktrace");
-        let gate = Arc::new(Gate::default());
-        let session = TraceSession::builder()
-            .geometry(TraceConfig::small())
+        // Only the final beat is ever due.
+        let builder = TraceSession::builder()
             .ncpus(2)
-            // Only the final beat is ever due.
-            .heartbeat(Duration::from_secs(3600))
-            .start(GatedSink {
-                file: std::fs::File::create(&path).unwrap(),
-                gate: gate.clone(),
-            })
-            .unwrap();
+            .heartbeat(Duration::from_secs(3600));
+        let (session, gate) = gated_session(builder, &path);
         // The header is out; shut the gate and close a buffer on CPU 1, so
         // the drainer is stuck writing it, already past CPU 0.
         gate.set_shut(true);
@@ -666,17 +688,7 @@ mod tests {
         let cpu0 = session.logger().handle(0).unwrap();
         let refused = (0..10_000u64).any(|i| !cpu0.log_slice(MajorId::TEST, 0, &[i]));
         assert!(refused, "CPU 0's region never filled");
-        // Open the gate only once `finish` has raised the stop flag, so the
-        // drainer's next look at the flag is its stop branch.
-        let stop = session.stop.clone();
-        let opener = std::thread::spawn(move || {
-            while !stop.is_raised() {
-                std::thread::yield_now();
-            }
-            gate.set_shut(false);
-        });
-        let stats = session.finish();
-        opener.join().unwrap();
+        let stats = finish_behind(session, gate);
         assert!(stats.sink_alive(), "{stats:?}");
         let mut r = TraceFileReader::open(&path).unwrap();
         let beat_cpus: std::collections::BTreeSet<usize> = r
@@ -689,6 +701,43 @@ mod tests {
             beat_cpus,
             [0, 1].into(),
             "every CPU's final heartbeat is in the file"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_session_that_ends_overrun_seals_its_last_drops() {
+        let dir = std::env::temp_dir().join(format!("ktrace-seal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seal.ktrace");
+        let (session, gate) = gated_session(TraceSession::builder(), &path);
+        // With the drainer held at the gate, CPU 0 fills its region and
+        // refuses the rest: drops after its last buffer switch.
+        gate.set_shut(true);
+        let cpu0 = session.logger().handle(0).unwrap();
+        let attempts = 2_000u64;
+        let logged = (0..attempts)
+            .filter(|&i| cpu0.log_slice(MajorId::TEST, 0, &[i]))
+            .count() as u64;
+        assert!(logged < attempts, "CPU 0's region never filled");
+        let stats = finish_behind(session, gate);
+        assert!(stats.lossless(), "{stats:?}");
+        let mut r = TraceFileReader::open(&path).unwrap();
+        let (mut events, mut marked) = (0u64, 0u64);
+        let mut all = r.events().unwrap();
+        for e in all.by_ref() {
+            match (e.major, e.minor) {
+                (MajorId::TEST, _) => events += 1,
+                (MajorId::CONTROL, ktrace_format::ids::control::DROPPED) => marked += e.payload[0],
+                _ => {}
+            }
+        }
+        all.finish().unwrap();
+        assert_eq!(events, logged);
+        assert_eq!(
+            events + marked,
+            attempts,
+            "the file alone accounts for every attempt"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -42,7 +42,8 @@ pub enum Mode {
 pub trait ReserveTally {
     /// One failed reservation CAS (the loop will retry).
     fn tally_cas_retry(&self);
-    /// One event dropped because the stream-mode consumer fell behind.
+    /// One data event dropped because the stream-mode consumer fell behind.
+    /// A refused `CONTROL` event is not data and is not tallied.
     fn tally_dropped(&self);
     /// One buffer-boundary crossing (the reservation slow path won).
     fn tally_wrap(&self);
@@ -90,7 +91,7 @@ pub struct Ring<'a, T: ReserveTally> {
     pub committed: &'a [CommitWord],
     /// Buffers released by the consumer (stream mode).
     pub consumed: &'a AcquireRelease,
-    /// Events dropped to overrun, pending an in-stream DROPPED marker.
+    /// Data events dropped to overrun, pending an in-stream DROPPED marker.
     pub dropped: &'a ExactCounter,
     /// The timestamp source, re-read on every attempt.
     pub clock: &'a dyn ClockSource,
@@ -102,12 +103,21 @@ impl<T: ReserveTally> Ring<'_, T> {
     /// Reserve, write data, write header, commit — `traceLog` of Fig. 2.
     /// `payload.len() + 1` must not exceed the geometry's largest event
     /// (the caller checks it). Returns whether a buffer closed, or `None` if
-    /// the event was dropped (stream overrun).
+    /// the event was dropped (stream overrun), in which case a data event
+    /// joins the count the next DROPPED marker carries.
     #[inline(always)]
     pub fn append(&self, major: MajorId, minor: MinorId, payload: &[u64]) -> Option<bool> {
         let total = payload.len() + 1;
         debug_assert!(total <= MAX_EVENT_WORDS);
-        let extent = self.reserve_extent(total)?;
+        let Some(extent) = self.reserve_extent(total) else {
+            // Only a data event is lost data: a refused `CONTROL` event
+            // (heartbeat, audit record) is not counted, as its commit is not.
+            if major != MajorId::CONTROL {
+                self.dropped.add(1);
+                self.tally.tally_dropped();
+            }
+            return None;
+        };
         let header = EventHeader {
             timestamp: extent.ts as u32,
             len_words: total as u16,
@@ -120,11 +130,11 @@ impl<T: ReserveTally> Ring<'_, T> {
 
     /// The reservation loop (`traceReserve` + `traceReserveSlow`, Fig. 2):
     /// the won extent, or `None` if the event must be dropped (stream
-    /// overrun). Always inlined, as is [`write_event`](Ring::write_event):
-    /// an out-of-line call takes the borrowed view through memory, which
-    /// cost the log path ≈ 2 ns an event (2-vCPU Xeon VM, measured
-    /// in-process against a loop over the owning region); inlined, its
-    /// fields stay in registers.
+    /// overrun; the caller counts the drop). Always inlined, as is
+    /// [`write_event`](Ring::write_event): an out-of-line call takes the
+    /// borrowed view through memory, which cost the log path ≈ 2 ns an
+    /// event (2-vCPU Xeon VM, measured in-process against a loop over the
+    /// owning region); inlined, its fields stay in registers.
     #[inline(always)]
     pub fn reserve_extent(&self, total_words: usize) -> Option<Extent> {
         let bw = self.buffer_words as u64;
@@ -164,8 +174,6 @@ impl<T: ReserveTally> Ring<'_, T> {
                 // with the zeroing.
                 let consumed = self.consumed.load();
                 if next_seq >= consumed + self.buffers_per_cpu as u64 {
-                    self.dropped.add(1);
-                    self.tally.tally_dropped();
                     return None;
                 }
             }
@@ -211,6 +219,38 @@ impl<T: ReserveTally> Ring<'_, T> {
                 ts,
                 closes: pos != 0 || claimed as u64 == bw,
             });
+        }
+    }
+
+    /// Force-closes the current partial buffer with filler so the consumer
+    /// can drain it (end-of-run flush). In stream mode it then seals drops
+    /// still pending: from the boundary a zero-word reservation takes the
+    /// slow path, which writes anchor + DROPPED into the next buffer, and a
+    /// second close fills it. With no free slot the count stays pending for
+    /// the next buffer switch. Returns whether a buffer closed.
+    pub fn flush(&self) -> bool {
+        let closed = self.close();
+        let pending = self.mode == Mode::Stream && self.dropped.load() > 0;
+        if pending && self.reserve_extent(0).is_some() {
+            return self.close() || closed;
+        }
+        closed
+    }
+
+    /// Closes the current buffer with filler; false if it is untouched.
+    fn close(&self) -> bool {
+        let bw = self.buffer_words as u64;
+        loop {
+            let old = self.index.load();
+            let pos = (old % bw) as usize;
+            if pos == 0 {
+                return false;
+            }
+            let ts = self.clock.now(self.cpu);
+            if self.index.advance(old, (old / bw + 1) * bw) {
+                self.write_fillers(old, bw as usize - pos, ts as u32);
+                return true;
+            }
         }
     }
 
@@ -260,13 +300,16 @@ mod tests {
     /// Counts what the loop reports; single-threaded, so plain cells.
     #[derive(Default)]
     struct Tally {
+        dropped: Cell<u64>,
         overwrites: Cell<u64>,
         retired: Cell<u64>,
     }
 
     impl ReserveTally for Tally {
         fn tally_cas_retry(&self) {}
-        fn tally_dropped(&self) {}
+        fn tally_dropped(&self) {
+            self.dropped.set(self.dropped.get() + 1);
+        }
         fn tally_wrap(&self) {}
         fn tally_overwrite(&self) {
             self.overwrites.set(self.overwrites.get() + 1);
@@ -354,6 +397,72 @@ mod tests {
         // Anchor 3 + five 3-word events + the 2-word control event.
         assert_eq!(m.live(), (3 + 5 * 3 + 2, 5));
         assert_eq!(m.index.load(), 20);
+    }
+
+    /// Logs the 18 three-word events that fill both buffers (anchor + nine
+    /// each, the first closed by a 2-word filler), so the next one is refused.
+    fn fill(ring: &Ring<'_, Tally>) {
+        for i in 0..18 {
+            assert!(ring.append(MajorId::TEST, 0, &[i, i]).is_some());
+        }
+    }
+
+    #[test]
+    fn a_refused_control_event_is_not_data_loss() {
+        let (m, tally) = (Memory::new(), Tally::default());
+        let ring = m.ring(Mode::Stream, &tally);
+        fill(&ring);
+        assert!(ring
+            .append(MajorId::CONTROL, control::HEARTBEAT, &[1, 1])
+            .is_none());
+        assert_eq!((m.dropped.load(), tally.dropped.get()), (0, 0));
+        assert!(ring.append(MajorId::TEST, 0, &[1, 1]).is_none());
+        assert_eq!((m.dropped.load(), tally.dropped.get()), (1, 1));
+    }
+
+    #[test]
+    fn flushing_an_untouched_buffer_is_a_no_op() {
+        let (m, tally) = (Memory::new(), Tally::default());
+        assert!(!m.ring(Mode::Stream, &tally).flush());
+        assert_eq!((m.index.load(), m.live()), (0, (0, 0)));
+    }
+
+    #[test]
+    fn a_flush_seals_pending_drops_once_a_slot_is_free() {
+        let (m, tally) = (Memory::new(), Tally::default());
+        let ring = m.ring(Mode::Stream, &tally);
+        fill(&ring);
+        assert!(ring.append(MajorId::TEST, 0, &[1, 1]).is_none());
+        // No free slot: the partial buffer closes, the count stays pending.
+        assert!(ring.flush());
+        let full = 2 * BUFFER_WORDS as u64;
+        assert_eq!(
+            (m.index.load(), m.live().0, m.dropped.load()),
+            (full, full, 1)
+        );
+        // The consumer takes buffer 0; the next flush seals into its slot.
+        m.committed[0].take();
+        m.consumed.store(1);
+        assert!(ring.flush());
+        assert_eq!(
+            (m.index.load(), m.dropped.load()),
+            (full + BUFFER_WORDS as u64, 0)
+        );
+        let header = |at: usize| EventHeader::decode(m.words[at].load()).unwrap();
+        assert!(header(0).is_time_anchor());
+        let marker = (header(3).major, header(3).minor, m.words[4].load());
+        assert_eq!(marker, (MajorId::CONTROL, control::DROPPED, 1));
+        let mut at = ANCHOR_WORDS + DROPPED_WORDS;
+        while at < BUFFER_WORDS {
+            assert!(header(at).is_filler(), "filler to the boundary at {at}");
+            at += header(at).len_words as usize;
+        }
+        assert_eq!(
+            m.committed[0].load(),
+            BUFFER_WORDS as u64,
+            "complete, no events"
+        );
+        assert_eq!(tally.dropped.get(), 1, "neither flush tallied a drop");
     }
 
     #[test]

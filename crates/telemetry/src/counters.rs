@@ -175,6 +175,8 @@ impl CpuCounters {
 /// The counts the reservation loop in `ktrace-lockless` reports, each on
 /// this CPU's block.
 impl ReserveTally for CpuCounters {
+    /// `events_dropped` counts data events only, as `events_logged` does:
+    /// a refused heartbeat or audit record is not lost data.
     #[inline]
     fn tally_dropped(&self) {
         self.events_dropped.add(1);

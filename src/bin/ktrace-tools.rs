@@ -399,10 +399,7 @@ fn top(secs: f64, ncpus: usize, refresh_ms: u64) -> ExitCode {
     let tasks = worker.join().expect("workload thread panicked");
     let stats = session.finish();
     println!("\nworkload finished: {tasks} simulated tasks completed");
-    print!(
-        "{}",
-        render_session_summary(&stats, logger.dropped_pending())
-    );
+    print!("{}", render_session_summary(&stats));
     if lossy(&stats) {
         return ExitCode::from(ktrace::verify::ViolationKind::LossyDrain.exit_code());
     }
@@ -414,10 +411,9 @@ fn lossy(stats: &ktrace::io::SessionStats) -> bool {
     !stats.sink_alive() || stats.buffers_dropped > 0 || stats.telemetry.events_dropped() > 0
 }
 
-/// Renders the end-of-session accounting: `SessionStats`, the telemetry
-/// counters (drop/garble counts included) and the drops still waiting for
-/// their in-stream marker.
-fn render_session_summary(stats: &ktrace::io::SessionStats, dropped_pending: u64) -> String {
+/// Renders the end-of-session accounting: `SessionStats` and the telemetry
+/// counters (drop/garble counts included).
+fn render_session_summary(stats: &ktrace::io::SessionStats) -> String {
     use ktrace::telemetry::{hist_count, hist_mean, hist_quantile};
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -436,11 +432,10 @@ fn render_session_summary(stats: &ktrace::io::SessionStats, dropped_pending: u64
     );
     let _ = writeln!(
         out,
-        "logger:  {} events logged, {} masked, {} dropped (ring overrun), {} pending markers",
+        "logger:  {} events logged, {} masked, {} dropped (ring overrun)",
         t.events_logged(),
         t.events_masked(),
         t.events_dropped(),
-        dropped_pending,
     );
     let _ = writeln!(
         out,
@@ -584,10 +579,7 @@ fn adapt_cmd(out_path: &str, secs: f64, ncpus: usize, fault: bool) -> ExitCode {
     }
     let stats = session.finish();
     println!("\nworkload finished: {offered} events offered at a paced rate");
-    print!(
-        "{}",
-        render_session_summary(&stats, logger.dropped_pending())
-    );
+    print!("{}", render_session_summary(&stats));
     println!(
         "adapt: anomalies {}fired, final shed level {}{}",
         if controller.ever_fired() {
@@ -620,10 +612,7 @@ fn record(out_path: &str, secs: f64, ncpus: usize) -> ExitCode {
         .expect("workload thread panicked");
     let stats = session.finish();
     println!("recorded {out_path}: {tasks} simulated tasks completed");
-    print!(
-        "{}",
-        render_session_summary(&stats, logger.dropped_pending())
-    );
+    print!("{}", render_session_summary(&stats));
     if lossy(&stats) {
         eprintln!("warning: lossy drain — the trace has holes");
         return ExitCode::from(ktrace::verify::ViolationKind::LossyDrain.exit_code());

@@ -3,9 +3,9 @@
 //! store slows the readers and pushes back through TCP to the nodes; the
 //! pin is that this degrades at the source, where the paper records loss,
 //! and nowhere else: every sender completes promptly, the collector drops
-//! nothing, the events each node's ring lost arrive as its own DROPPED
-//! markers (all but those refused after its last buffer switch) and show
-//! on the scrape endpoint, and the accounting still
+//! nothing, every event each node's ring refused arrives as its own DROPPED
+//! markers (the session's stop seals the last ones) and shows on the scrape
+//! endpoint, and the accounting still
 //! reconciles exactly — `events_stored + events_dropped == events_received`
 //! for every node.
 
@@ -48,8 +48,7 @@ fn sixty_four_lossy_streams_never_wedge_and_always_reconcile() {
                     .ncpus(1)
                     .start(conn)
                     .expect("session");
-                let logger = session.logger().clone();
-                let h = logger.handle(0).expect("cpu 0");
+                let h = session.logger().handle(0).expect("cpu 0");
                 let mut logged = 0u64;
                 for n in 0..EVENTS_PER_STREAM {
                     if h.log_slice(MajorId::TEST, 1, &[n, n ^ 0x5A]) {
@@ -58,17 +57,12 @@ fn sixty_four_lossy_streams_never_wedge_and_always_reconcile() {
                 }
                 let stats = session.finish();
                 assert!(stats.lossless(), "{name}: {stats:?}");
-                // The sender's own loss as its stream records it: every
-                // refused event, less those dropped after the last buffer
-                // switch, which never get a marker.
-                let marked = EVENTS_PER_STREAM - logged - logger.dropped_pending();
-                (name, stats.records_written, logged, marked)
+                (name, stats.records_written, logged)
             })
         })
         .collect();
 
-    let sent: Vec<(String, u64, u64, u64)> =
-        senders.into_iter().map(|s| s.join().unwrap()).collect();
+    let sent: Vec<(String, u64, u64)> = senders.into_iter().map(|s| s.join().unwrap()).collect();
     let send_elapsed = started.elapsed();
     // The wedge check: push-back slows a node's drainer, never stalls it.
     // 64 × 3k events must not take minutes.
@@ -100,15 +94,14 @@ fn sixty_four_lossy_streams_never_wedge_and_always_reconcile() {
     // endpoint while the service is still up; the collector lost nothing.
     let live = collector.summary();
     assert_eq!(live.records_dropped(), 0, "{}", live.render());
-    // The senders' own count of refused events, wherever their markers
-    // landed (or did not): flat-out logging overruns the rings.
+    // The senders' own count of refused events: flat-out logging overruns
+    // the rings.
     let refused: u64 = sent.iter().map(|s| EVENTS_PER_STREAM - s.2).sum();
     assert!(
         refused > 0,
         "flat-out logging was meant to overrun the rings:\n{}",
         live.render()
     );
-    let lost_at_source: u64 = sent.iter().map(|s| s.3).sum();
     let metrics = scrape::fetch(collector.scrape_addr(), "/metrics").unwrap();
     assert_eq!(
         family_total(
@@ -121,14 +114,14 @@ fn sixty_four_lossy_streams_never_wedge_and_always_reconcile() {
     );
     assert_eq!(
         family_total(&metrics, "ktrace_collectd_events_lost_at_source_total", ""),
-        Some(lost_at_source),
+        Some(refused),
         "source loss surfaces on /metrics"
     );
 
     let summary = collector.shutdown();
     assert!(summary.reconciled(), "{}", summary.render());
     assert_eq!(summary.nodes.len(), STREAMS);
-    for (name, records, logged, marked) in &sent {
+    for (name, records, logged) in &sent {
         let n = summary.node(name).expect("node registered");
         assert_eq!(
             n.records_received, *records,
@@ -136,8 +129,9 @@ fn sixty_four_lossy_streams_never_wedge_and_always_reconcile() {
         );
         assert_eq!(n.events_received, *logged, "{name}: exact event accounting");
         assert_eq!(
-            n.events_lost_at_source, *marked,
-            "{name}: the stream's DROPPED markers carry the sender's loss"
+            n.events_lost_at_source,
+            EVENTS_PER_STREAM - logged,
+            "{name}: the stream's DROPPED markers carry every refusal"
         );
         assert_eq!(
             n.events_stored + n.events_dropped,

@@ -95,10 +95,9 @@ fn many_threads_one_region_no_lost_or_corrupt_events() {
         }
     }
     assert_eq!(seen, logged, "every logged event read back exactly once");
-    assert_eq!(
-        logged + dropped_marked + logger.dropped_pending(),
-        nthreads as u64 * per_thread
-    );
+    // The consumer's final flush sealed the last drops into a marker, so
+    // the buffers alone account for every attempt.
+    assert_eq!(logged + dropped_marked, nthreads as u64 * per_thread);
 }
 
 /// Dynamic enable/disable while logging is in flight (paper goal 4).
