@@ -2,8 +2,9 @@
 //!
 //! The controller holds a **shed level** (0 = full detail). Every interval
 //! it is stepped with that interval's anomalies: any anomaly escalates one
-//! level (and resets the recovery streak); `recover_after` consecutive
-//! healthy intervals de-escalate one level. Levels map onto the logger:
+//! level (and resets the recovery streak); [`RECOVER_AFTER`] consecutive
+//! healthy intervals de-escalate one level. Levels map onto the logger's
+//! [`SHED_MAJORS`]:
 //!
 //! | level | sampling rate on shed majors | mask |
 //! |-------|------------------------------|------|
@@ -33,27 +34,19 @@ pub mod direction {
 /// The highest shed level (mask narrowing engages at this level).
 pub const MAX_LEVEL: u8 = 5;
 
-/// Controller policy.
-#[derive(Debug, Clone)]
-pub struct ControllerConfig {
-    /// Majors the controller may decimate and, at [`MAX_LEVEL`], disable.
-    /// `CONTROL` in this list is ignored (it can be neither sampled nor
-    /// masked off).
-    pub shed_majors: Vec<MajorId>,
-    /// Consecutive healthy intervals before de-escalating one level.
-    pub recover_after: u32,
-    /// CPU whose region carries the audit events.
-    pub audit_cpu: usize,
-}
+/// The majors the controller decimates and, at [`MAX_LEVEL`], masks off, as
+/// a mask word: every major but `CONTROL`, which keeps the stream decodable
+/// and carries the audit trail.
+pub const SHED_MAJORS: u64 = !MajorId::CONTROL.bit();
 
-impl Default for ControllerConfig {
-    fn default() -> ControllerConfig {
-        ControllerConfig {
-            shed_majors: MajorId::all().filter(|m| *m != MajorId::CONTROL).collect(),
-            recover_after: 3,
-            audit_cpu: 0,
-        }
-    }
+/// Consecutive healthy intervals before de-escalating one level.
+pub const RECOVER_AFTER: u32 = 3;
+
+/// CPU whose region carries the audit events.
+const AUDIT_CPU: usize = 0;
+
+fn shed_majors() -> impl Iterator<Item = MajorId> {
+    MajorId::all().filter(|m| SHED_MAJORS & m.bit() != 0)
 }
 
 /// What one [`Controller::step`] did, for logs and exit-code policy.
@@ -71,9 +64,8 @@ pub struct StepReport {
 
 /// Converts anomaly verdicts into mask/sampling actions on a live logger,
 /// with a full audit trail in the trace.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Controller {
-    cfg: ControllerConfig,
     level: u8,
     healthy_streak: u32,
     /// True once any interval ever escalated (for end-of-run policy).
@@ -82,13 +74,8 @@ pub struct Controller {
 
 impl Controller {
     /// A controller at level 0 (full detail).
-    pub fn new(cfg: ControllerConfig) -> Controller {
-        Controller {
-            cfg,
-            level: 0,
-            healthy_streak: 0,
-            ever_fired: false,
-        }
+    pub fn new() -> Controller {
+        Controller::default()
     }
 
     /// Current shed level (0 = full detail).
@@ -114,10 +101,9 @@ impl Controller {
     /// One control interval: audits `anomalies`, escalates or recovers, and
     /// applies the resulting level to `logger`'s sampling gate and mask.
     pub fn step(&mut self, logger: &TraceLogger, anomalies: &[Anomaly]) -> StepReport {
-        let cpu = self.cfg.audit_cpu;
         for a in anomalies {
             logger.log_control_event(
-                cpu,
+                AUDIT_CPU,
                 control::ANOMALY,
                 &[
                     a.track as u64,
@@ -131,7 +117,7 @@ impl Controller {
         let before = self.level;
         if anomalies.is_empty() {
             self.healthy_streak += 1;
-            if self.level > 0 && self.healthy_streak >= self.cfg.recover_after {
+            if self.level > 0 && self.healthy_streak >= RECOVER_AFTER {
                 self.level -= 1;
                 self.healthy_streak = 0;
             }
@@ -155,12 +141,8 @@ impl Controller {
 
     /// Applies the current level's rates/mask, auditing every change.
     fn apply(&self, logger: &TraceLogger, prev_level: u8) {
-        let cpu = self.cfg.audit_cpu;
         let rate = Controller::rate_for_level(self.level);
-        for &major in &self.cfg.shed_majors {
-            if major == MajorId::CONTROL {
-                continue;
-            }
+        for major in shed_majors() {
             let old = logger.sampling().set_rate(major, rate);
             if old != rate {
                 let dir = if rate > old {
@@ -169,7 +151,7 @@ impl Controller {
                     direction::WIDEN
                 };
                 logger.log_control_event(
-                    cpu,
+                    AUDIT_CPU,
                     control::SAMPLE_ADJUST,
                     &[dir, u64::from(major.raw()), old, rate],
                 );
@@ -180,7 +162,7 @@ impl Controller {
         let masked_before = prev_level >= MAX_LEVEL;
         if masked_now != masked_before {
             let old_bits = logger.mask().get();
-            for &major in &self.cfg.shed_majors {
+            for major in shed_majors() {
                 if masked_now {
                     logger.mask().disable(major);
                 } else {
@@ -194,7 +176,11 @@ impl Controller {
                 } else {
                     direction::WIDEN
                 };
-                logger.log_control_event(cpu, control::MASK_ADJUST, &[dir, old_bits, new_bits]);
+                logger.log_control_event(
+                    AUDIT_CPU,
+                    control::MASK_ADJUST,
+                    &[dir, old_bits, new_bits],
+                );
             }
         }
     }
@@ -208,9 +194,14 @@ mod tests {
     use ktrace_core::{TraceConfig, TraceLogger};
     use std::sync::Arc;
 
+    /// Every shed major's rate change is audited, so the ring must hold a
+    /// few hundred audit events undrained.
     fn logger() -> TraceLogger {
         TraceLogger::builder()
-            .geometry(TraceConfig::small())
+            .geometry(TraceConfig {
+                buffer_words: 2048,
+                ..TraceConfig::small()
+            })
             .clock(Arc::new(ManualClock::new(1, 1)))
             .ncpus(1)
             .build()
@@ -239,27 +230,25 @@ mod tests {
     #[test]
     fn escalation_raises_rates_and_recovery_restores() {
         let l = logger();
-        let cfg = ControllerConfig {
-            shed_majors: vec![MajorId::MEM, MajorId::SCHED],
-            recover_after: 2,
-            audit_cpu: 0,
-        };
-        let mut c = Controller::new(cfg);
+        let mut c = Controller::new();
         let r = c.step(&l, &[anomaly()]);
         assert!(r.escalated);
         assert_eq!(c.level(), 1);
         assert_eq!(l.sampling().rate(MajorId::MEM), 2);
-        assert_eq!(l.sampling().rate(MajorId::PROC), 1, "not a shed major");
+        assert_eq!(l.sampling().rate(MajorId::CONTROL), 1, "not a shed major");
 
-        // Two healthy intervals recover one level.
-        assert!(!c.step(&l, &[]).de_escalated);
+        // RECOVER_AFTER healthy intervals recover one level.
+        for _ in 1..RECOVER_AFTER {
+            assert!(!c.step(&l, &[]).de_escalated);
+        }
         assert!(c.step(&l, &[]).de_escalated);
         assert_eq!(c.level(), 0);
         assert_eq!(l.sampling().rate(MajorId::MEM), 1);
         assert!(c.ever_fired());
 
         let audits = audit_events(&l);
-        // 1 ANOMALY + 2 narrowing SAMPLE_ADJUST + 2 widening SAMPLE_ADJUST.
+        // 1 ANOMALY + one narrowing and one widening SAMPLE_ADJUST per shed
+        // major.
         assert_eq!(
             audits
                 .iter()
@@ -272,7 +261,7 @@ mod tests {
             .filter(|(m, _)| *m == control::SAMPLE_ADJUST)
             .map(|(_, p)| p)
             .collect();
-        assert_eq!(sample_adjusts.len(), 4);
+        assert_eq!(sample_adjusts.len(), 2 * SHED_MAJORS.count_ones() as usize);
         assert!(sample_adjusts
             .iter()
             .any(|p| p[0] == direction::NARROW && p[2] == 1 && p[3] == 2));
@@ -284,23 +273,23 @@ mod tests {
     #[test]
     fn max_level_narrows_the_mask_and_recovery_reopens_it() {
         let l = logger();
-        let cfg = ControllerConfig {
-            shed_majors: vec![MajorId::MEM],
-            recover_after: 1,
-            audit_cpu: 0,
-        };
-        let mut c = Controller::new(cfg);
+        let mut c = Controller::new();
         for _ in 0..MAX_LEVEL {
             c.step(&l, &[anomaly()]);
         }
         assert_eq!(c.level(), MAX_LEVEL);
         assert!(!l.mask().is_enabled(MajorId::MEM), "masked at max level");
-        assert!(l.mask().is_enabled(MajorId::SCHED), "others untouched");
+        assert!(
+            l.mask().is_enabled(MajorId::CONTROL),
+            "the unshed major untouched"
+        );
         // Saturates at MAX_LEVEL.
         c.step(&l, &[anomaly()]);
         assert_eq!(c.level(), MAX_LEVEL);
 
-        c.step(&l, &[]);
+        for _ in 0..RECOVER_AFTER {
+            c.step(&l, &[]);
+        }
         assert_eq!(c.level(), MAX_LEVEL - 1);
         assert!(l.mask().is_enabled(MajorId::MEM), "mask reopens below max");
 
@@ -313,19 +302,16 @@ mod tests {
         assert_eq!(masks.len(), 2, "{masks:?}");
         assert_eq!(masks[0][0], direction::NARROW);
         assert_eq!(masks[1][0], direction::WIDEN);
+        assert_eq!(masks[0][2], !SHED_MAJORS, "narrowed to the unshed majors");
         // The narrow's new bits equal the widen's old bits.
         assert_eq!(masks[0][2], masks[1][1]);
     }
 
     #[test]
     fn control_major_is_never_shed() {
+        assert_eq!(SHED_MAJORS & MajorId::CONTROL.bit(), 0);
         let l = logger();
-        let cfg = ControllerConfig {
-            shed_majors: vec![MajorId::CONTROL, MajorId::MEM],
-            recover_after: 1,
-            audit_cpu: 0,
-        };
-        let mut c = Controller::new(cfg);
+        let mut c = Controller::new();
         for _ in 0..MAX_LEVEL {
             c.step(&l, &[anomaly()]);
         }
@@ -339,7 +325,7 @@ mod tests {
     #[test]
     fn healthy_controller_does_nothing() {
         let l = logger();
-        let mut c = Controller::new(ControllerConfig::default());
+        let mut c = Controller::new();
         for _ in 0..10 {
             let r = c.step(&l, &[]);
             assert_eq!(r.level, 0);

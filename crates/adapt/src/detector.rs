@@ -9,12 +9,12 @@
 //! scale estimate the way a mean/stddev pair would.
 //!
 //! A track fires only when three guards all pass: the window holds at least
-//! `min_samples` residuals (cold-start protection), the observation clears
-//! the track's absolute floor (a z-score over an all-zero history is
-//! meaningless), and the score exceeds `z_threshold`. A zero MAD falls back
-//! to an epsilon scale, so the math is total: no input — including
-//! adversarial or wrapping counter streams — can produce NaN or a panic
-//! (pinned by the crate's proptests).
+//! [`MIN_SAMPLES`] residuals (cold-start protection), the observation clears
+//! the track's absolute floor in [`FLOORS`] (a z-score over an all-zero
+//! history is meaningless), and the score exceeds [`Z_THRESHOLD`]. A zero
+//! MAD falls back to an epsilon scale, so the math is total: no input —
+//! including adversarial or wrapping counter streams — can produce NaN or a
+//! panic (pinned by the crate's proptests).
 
 use ktrace_format::ids::control;
 use ktrace_telemetry::{hist_quantile, TelemetrySnapshot, HIST_BUCKETS};
@@ -35,37 +35,27 @@ pub mod track {
     pub const RESERVE_WAIT_P99: usize = 3;
 }
 
-/// Detector tuning. The defaults are deliberately conservative: the
-/// controller acting on verdicts sheds real detail, so a false positive is
-/// costlier than a missed interval.
-#[derive(Debug, Clone)]
-pub struct DetectorConfig {
-    /// EWMA smoothing factor for the per-track baseline (0 < alpha <= 1).
-    pub ewma_alpha: f64,
-    /// Residual window length for the median/MAD estimate.
-    pub window: usize,
-    /// Minimum residuals in the window before a track may fire.
-    pub min_samples: usize,
-    /// Robust z-score above which a track fires.
-    pub z_threshold: f64,
-    /// Absolute per-interval floor per track: observations at or below the
-    /// floor never fire, whatever their score. Index-aligned with
-    /// [`control::ANOMALY_TRACKS`].
-    pub floors: [u64; NUM_TRACKS],
-}
+// The tuning is deliberately conservative: the controller acting on
+// verdicts sheds real detail, so a false positive is costlier than a missed
+// interval.
 
-impl Default for DetectorConfig {
-    fn default() -> DetectorConfig {
-        DetectorConfig {
-            ewma_alpha: 0.3,
-            window: 32,
-            min_samples: 4,
-            z_threshold: 3.5,
-            // drop_rate, cas_retries, buffer_wraps, reserve_wait_p99
-            floors: [0, 16, 8, 1024],
-        }
-    }
-}
+/// EWMA smoothing factor for the per-track baseline (0 < alpha <= 1).
+pub const EWMA_ALPHA: f64 = 0.3;
+
+/// Residual window length for the median/MAD estimate.
+pub const WINDOW: usize = 32;
+
+/// Minimum residuals in the window before a track may fire.
+pub const MIN_SAMPLES: usize = 4;
+
+/// Robust z-score above which a track fires.
+pub const Z_THRESHOLD: f64 = 3.5;
+
+/// Absolute per-interval floor per track: observations at or below the
+/// floor never fire, whatever their score. Index-aligned with
+/// [`control::ANOMALY_TRACKS`] (drop rate, CAS retries, buffer wraps,
+/// reservation-wait p99).
+pub const FLOORS: [u64; NUM_TRACKS] = [0, 16, 8, 1024];
 
 /// One fired verdict: track `track` observed `value` this interval, scoring
 /// `z_milli` thousandths of a robust standard deviation above baseline.
@@ -96,22 +86,22 @@ struct TrackState {
 impl TrackState {
     /// Scores `x` against the current state, then absorbs it. Returns the
     /// robust z-score of the pre-update residual (0 while cold).
-    fn score_and_absorb(&mut self, x: f64, cfg: &DetectorConfig) -> f64 {
+    fn score_and_absorb(&mut self, x: f64) -> f64 {
         let baseline = if self.seeded { self.ewma } else { x };
         let residual = x - baseline;
-        let z = if self.residuals.len() >= cfg.min_samples {
+        let z = if self.residuals.len() >= MIN_SAMPLES {
             robust_z(residual, self.residuals.make_contiguous())
         } else {
             0.0
         };
         self.ewma = if self.seeded {
-            cfg.ewma_alpha * x + (1.0 - cfg.ewma_alpha) * self.ewma
+            EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * self.ewma
         } else {
             self.seeded = true;
             x
         };
         self.residuals.push_back(residual);
-        while self.residuals.len() > cfg.window.max(1) {
+        if self.residuals.len() > WINDOW {
             self.residuals.pop_front();
         }
         z
@@ -152,28 +142,13 @@ fn median(values: &[f64]) -> f64 {
 
 /// The anomaly detector: feed it telemetry snapshots (or raw track values)
 /// once per control interval; it returns the tracks that fired.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Detector {
-    cfg: DetectorConfig,
     tracks: [TrackState; NUM_TRACKS],
     prev: Option<TelemetrySnapshot>,
 }
 
 impl Detector {
-    /// A detector with the given tuning.
-    pub fn new(cfg: DetectorConfig) -> Detector {
-        Detector {
-            cfg,
-            tracks: Default::default(),
-            prev: None,
-        }
-    }
-
-    /// The active tuning.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
-    }
-
     /// Extracts the four per-interval track values from a snapshot delta.
     pub fn track_values(delta: &TelemetrySnapshot) -> [u64; NUM_TRACKS] {
         let drops = delta.events_dropped() + delta.sink.events_lost;
@@ -210,8 +185,8 @@ impl Detector {
     pub fn observe_values(&mut self, values: [u64; NUM_TRACKS]) -> Vec<Anomaly> {
         let mut fired = Vec::new();
         for (i, (&value, state)) in values.iter().zip(self.tracks.iter_mut()).enumerate() {
-            let z = state.score_and_absorb(value as f64, &self.cfg);
-            if value > self.cfg.floors[i] && z > self.cfg.z_threshold {
+            let z = state.score_and_absorb(value as f64);
+            if value > FLOORS[i] && z > Z_THRESHOLD {
                 fired.push(Anomaly {
                     track: i,
                     value,
@@ -220,12 +195,6 @@ impl Detector {
             }
         }
         fired
-    }
-}
-
-impl Default for Detector {
-    fn default() -> Detector {
-        Detector::new(DetectorConfig::default())
     }
 }
 
@@ -276,7 +245,7 @@ mod tests {
     #[test]
     fn cold_start_never_fires() {
         let mut d = Detector::default();
-        for i in 0..d.cfg.min_samples {
+        for i in 0..MIN_SAMPLES {
             let fired = d.observe_values([u64::MAX; NUM_TRACKS]);
             assert!(fired.is_empty(), "interval {i} fired during warmup");
         }

@@ -30,5 +30,5 @@
 pub mod controller;
 pub mod detector;
 
-pub use controller::{direction, Controller, ControllerConfig, StepReport, MAX_LEVEL};
-pub use detector::{track, Anomaly, Detector, DetectorConfig, NUM_TRACKS};
+pub use controller::{direction, Controller, StepReport, MAX_LEVEL, SHED_MAJORS};
+pub use detector::{track, Anomaly, Detector, NUM_TRACKS};

@@ -12,7 +12,8 @@
 //! The vendored proptest stub supplies deterministic seeds; each seed
 //! expands into a value stream via splitmix64.
 
-use ktrace_adapt::{Anomaly, Detector, DetectorConfig, NUM_TRACKS};
+use ktrace_adapt::detector::{MIN_SAMPLES, WINDOW};
+use ktrace_adapt::{Anomaly, Detector, NUM_TRACKS};
 use ktrace_telemetry::TelemetrySnapshot;
 use proptest::prelude::*;
 
@@ -93,13 +94,12 @@ proptest! {
         }
     }
 
-    /// A warm detector on a constant stream is silent, whatever the
-    /// constant and whatever tuning (within sane ranges).
+    /// A constant stream is silent, whatever the constant and however far
+    /// it runs: before the window fills, as it fills, and as it slides.
     #[test]
-    fn constant_streams_are_silent(value in any::<u64>(), window in 2usize..64) {
-        let cfg = DetectorConfig { window, ..DetectorConfig::default() };
-        let mut d = Detector::new(cfg);
-        for step in 0..128 {
+    fn constant_streams_are_silent(value in any::<u64>(), steps in 1usize..4 * WINDOW) {
+        let mut d = Detector::default();
+        for step in 0..steps {
             let fired = d.observe_values([value; NUM_TRACKS]);
             prop_assert!(fired.is_empty(), "step {step} fired {fired:?}");
         }
@@ -109,10 +109,8 @@ proptest! {
     #[test]
     fn cold_start_is_silent(seed in any::<u64>()) {
         let mut g = Gen::new(seed);
-        let cfg = DetectorConfig::default();
-        let min = cfg.min_samples;
-        let mut d = Detector::new(cfg);
-        for _ in 0..min {
+        let mut d = Detector::default();
+        for _ in 0..MIN_SAMPLES {
             let v = [g.next(), g.next(), g.next(), g.next()];
             prop_assert!(d.observe_values(v).is_empty());
         }

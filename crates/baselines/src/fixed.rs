@@ -1,4 +1,4 @@
-//! Fixed-length-slot logging with valid bits (IRIX-style lockless, ref [15]).
+//! Fixed-length-slot logging with valid bits (IRIX-style lockless, ref \[15\]).
 //!
 //! §3.1: "Previous lockless logging schemes used fixed-length events with
 //! valid bits." Each event occupies one fixed-size slot claimed with a

@@ -5,7 +5,7 @@
 //! timestamps, processes must re-determine the timestamp during each attempt
 //! to atomically increment the index. If the timestamp was not determined as
 //! part of the atomic reserve operation then that process may be interrupted
-//! by another process execut[ing] this code and get the next slot in the
+//! by another process execut\[ing\] this code and get the next slot in the
 //! buffer, but obtain[ ] an earlier timestamp."
 //!
 //! [`StaleTsSink`] implements exactly that broken protocol — timestamp read

@@ -44,7 +44,6 @@ pub fn calibrated_params(fast: bool) -> CostParams {
         check_ns: measured.disabled_ns.max(0.5),
         per_event_ns: measured.base_ns.max(10.0),
         per_word_ns: measured.per_word_ns.max(0.5),
-        ..CostParams::default()
     }
 }
 

@@ -27,18 +27,8 @@ use crate::config::TraceConfig;
 use crate::error::CoreError;
 use crate::logger::TraceLogger;
 use ktrace_clock::{ClockSource, SyncClock};
-use ktrace_format::MajorId;
+use ktrace_format::{MajorId, TraceMask};
 use std::sync::Arc;
-
-/// How the builder initializes the logger's [`TraceMask`](ktrace_format::TraceMask).
-enum MaskInit {
-    /// Every major enabled (the default).
-    All,
-    /// Only the listed majors enabled.
-    Only(Vec<MajorId>),
-    /// Every major except the listed ones enabled.
-    AllBut(Vec<MajorId>),
-}
 
 /// Builder for [`TraceLogger`]; obtained from [`TraceLogger::builder`].
 ///
@@ -48,7 +38,7 @@ pub struct LoggerBuilder {
     config: TraceConfig,
     clock: Option<Arc<dyn ClockSource>>,
     ncpus: usize,
-    mask: MaskInit,
+    mask: TraceMask,
 }
 
 impl Default for LoggerBuilder {
@@ -57,7 +47,7 @@ impl Default for LoggerBuilder {
             config: TraceConfig::default(),
             clock: None,
             ncpus: 1,
-            mask: MaskInit::All,
+            mask: TraceMask::all_enabled(),
         }
     }
 }
@@ -85,35 +75,14 @@ impl LoggerBuilder {
 
     /// Start with only these majors enabled in the trace mask.
     pub fn enable_only(mut self, majors: &[MajorId]) -> LoggerBuilder {
-        self.mask = MaskInit::Only(majors.to_vec());
-        self
-    }
-
-    /// Start with these majors disabled (everything else enabled).
-    pub fn disable(mut self, majors: &[MajorId]) -> LoggerBuilder {
-        self.mask = MaskInit::AllBut(majors.to_vec());
+        self.mask = TraceMask::with_majors(majors);
         self
     }
 
     /// Builds the logger.
     pub fn build(self) -> Result<TraceLogger, CoreError> {
         let clock = self.clock.unwrap_or_else(|| Arc::new(SyncClock::new()));
-        let logger = TraceLogger::construct(self.config, clock, self.ncpus)?;
-        match self.mask {
-            MaskInit::All => {}
-            MaskInit::Only(majors) => {
-                logger.mask().set(0);
-                for m in majors {
-                    logger.mask().enable(m);
-                }
-            }
-            MaskInit::AllBut(majors) => {
-                for m in majors {
-                    logger.mask().disable(m);
-                }
-            }
-        }
-        Ok(logger)
+        TraceLogger::construct(self.config, clock, self.ncpus, self.mask)
     }
 }
 
@@ -129,14 +98,16 @@ mod tests {
     }
 
     #[test]
-    fn disable_keeps_the_rest_enabled() {
+    fn enable_only_sets_the_listed_majors_and_control() {
         let logger = TraceLogger::builder()
             .geometry(TraceConfig::small())
-            .disable(&[MajorId::MEM])
+            .enable_only(&[MajorId::FS])
             .build()
             .unwrap();
-        assert!(!logger.mask().is_enabled(MajorId::MEM));
-        assert!(logger.mask().is_enabled(MajorId::LOCK));
+        assert_eq!(
+            logger.mask().get(),
+            MajorId::CONTROL.bit() | MajorId::FS.bit()
+        );
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The user-facing logging API.
 //!
-//! [`TraceLogger`] owns one [`CpuRegion`](crate::region::CpuRegion) per
-//! logical CPU (cache-padded so reservation CASes on different CPUs never
-//! share a line), the single [`TraceMask`] consulted by every log statement,
-//! and the self-describing [`EventRegistry`]. [`CpuHandle`] is the analogue
-//! of K42's user-mapped per-processor control structure: a cheap, cloneable
-//! binding of one thread to one CPU's buffers, through which events are
-//! logged with no syscall and no lock.
+//! [`TraceLogger`] owns one [`CpuRegion`] per logical CPU (cache-padded so
+//! reservation CASes on different CPUs never share a line), the single
+//! [`TraceMask`] consulted by every log statement, and the self-describing
+//! [`EventRegistry`]. [`CpuHandle`] is the analogue of K42's user-mapped
+//! per-processor control structure: a cheap, cloneable binding of one
+//! thread to one CPU's buffers, through which events are logged with no
+//! syscall and no lock.
 //!
 //! An event is appended through [`CpuHandle::log_event`] (a generated
 //! emitter's typed event), [`CpuHandle::log_slice`] (major, minor, payload
@@ -109,6 +109,7 @@ impl TraceLogger {
         config: TraceConfig,
         clock: Arc<dyn ClockSource>,
         ncpus: usize,
+        mask: TraceMask,
     ) -> Result<TraceLogger, CoreError> {
         config.validate()?;
         if ncpus == 0 {
@@ -124,7 +125,7 @@ impl TraceLogger {
         Ok(TraceLogger {
             shared: Arc::new(Shared {
                 config,
-                mask: TraceMask::all_enabled(),
+                mask,
                 sample: SampleGate::new(),
                 regions,
                 registry: RwLock::new(EventRegistry::with_builtin()),

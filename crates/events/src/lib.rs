@@ -508,7 +508,7 @@ ktrace_event! {
     }
 
     /// `HWPERF` minors (§2: hardware-counter values logged through the unified
-    /// stream, so "the counters [can] be sampled and understood at various
+    /// stream, so "the counters \[can\] be sampled and understood at various
     /// stages throughout the program['s] … execution").
     pub mod hwperf [MajorId::HWPERF] {
         /// Counter sample.

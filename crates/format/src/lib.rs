@@ -9,7 +9,7 @@
 //!   variable-length stream randomly accessible.
 //! * [`ids`] — the major/minor ID space. At most 64 major IDs exist so that a
 //!   single 64-bit mask test decides whether an event is logged.
-//! * [`mask`] — the [`TraceMask`](mask::TraceMask): one hot word consulted by
+//! * [`mask`] — the [`TraceMask`]: one hot word consulted by
 //!   every (inlined) log statement.
 //! * [`protocol`] — the memory-ordering roles: one atomic type per way an
 //!   atomic is used, each allowing only its role's orderings.

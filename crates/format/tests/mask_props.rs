@@ -10,7 +10,7 @@ proptest! {
 
     #[test]
     fn enable_disable_test_roundtrip_every_bit(raw in 0u8..64, start in any::<u64>()) {
-        let m = TraceMask::all_disabled();
+        let m = TraceMask::with_majors(&[]);
         m.set(start);
         let id = MajorId::new(raw).unwrap();
 
@@ -31,7 +31,7 @@ proptest! {
 
     #[test]
     fn enable_then_disable_restores_the_word(raw in 1u8..64, start in any::<u64>()) {
-        let m = TraceMask::all_disabled();
+        let m = TraceMask::with_majors(&[]);
         m.set(start & !(1u64 << raw)); // start with the bit clear
         let before = m.get();
         let id = MajorId::new(raw).unwrap();

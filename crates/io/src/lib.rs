@@ -8,7 +8,7 @@
 //!
 //! This crate provides:
 //!
-//! * [`file`] — the binary format: a self-describing header (geometry, clock
+//! * [`file`](mod@file) — the binary format: a self-describing header (geometry, clock
 //!   metadata, the serialized event registry) followed by **fixed-size buffer
 //!   records**, so record `k` lives at a computable offset: the file-level
 //!   realization of the paper's alignment-boundary random access.

@@ -4,7 +4,7 @@
 //! guarantees it), so a global view is a k-way merge. Records are parsed
 //! lazily, one per CPU at a time, so merging a huge file streams instead of
 //! loading everything. [`MergedEvents`] merges the records of an open
-//! [`TraceFileReader`]; salvage runs the same [`LazyMerge`] over the record
+//! [`TraceFileReader`]; salvage runs the same `LazyMerge` over the record
 //! slots it framed in a damaged image. Each CPU's cursor walks its current
 //! record where the words lie and builds a [`RawEvent`] only when the merge
 //! delivers it, straight into the caller's `Vec` or the iterator's item.

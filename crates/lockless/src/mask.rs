@@ -31,15 +31,9 @@ impl TraceMask {
         }
     }
 
-    /// A mask with only the mandatory `CONTROL` class enabled — i.e. tracing
-    /// effectively off, at the cost of one relaxed load per log attempt.
-    pub fn all_disabled() -> TraceMask {
-        TraceMask {
-            bits: MaskWord::new(MajorId::CONTROL.bit()),
-        }
-    }
-
-    /// A mask with exactly the given majors (plus `CONTROL`) enabled.
+    /// A mask with exactly the given majors (plus `CONTROL`) enabled;
+    /// `with_majors(&[])` is tracing effectively off, at the cost of one
+    /// relaxed load per log attempt.
     pub fn with_majors(majors: &[MajorId]) -> TraceMask {
         let mut bits = MajorId::CONTROL.bit();
         for m in majors {
@@ -102,7 +96,7 @@ mod tests {
 
     #[test]
     fn enable_disable_roundtrip() {
-        let m = TraceMask::all_disabled();
+        let m = TraceMask::with_majors(&[]);
         assert!(!m.is_enabled(MajorId::LOCK));
         m.enable(MajorId::LOCK);
         assert!(m.is_enabled(MajorId::LOCK));
@@ -112,7 +106,7 @@ mod tests {
 
     #[test]
     fn control_cannot_be_disabled() {
-        let m = TraceMask::all_disabled();
+        let m = TraceMask::with_majors(&[]);
         assert!(m.is_enabled(MajorId::CONTROL));
         m.disable(MajorId::CONTROL);
         assert!(m.is_enabled(MajorId::CONTROL));
@@ -140,7 +134,7 @@ mod tests {
 
     #[test]
     fn mask_updates_are_visible_across_threads() {
-        let m = std::sync::Arc::new(TraceMask::all_disabled());
+        let m = std::sync::Arc::new(TraceMask::with_majors(&[]));
         let m2 = m.clone();
         let h = std::thread::spawn(move || {
             m2.enable(MajorId::TEST);

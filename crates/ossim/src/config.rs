@@ -4,25 +4,16 @@ use std::time::Duration;
 
 /// Tunables of the simulated machine, read by both executors.
 ///
-/// Costs and durations are nanoseconds of the executor's own time: wall
-/// time on the real-thread [`Machine`](crate::Machine), virtual time on
-/// `ktrace-vsim`'s `VirtualMachine`.
+/// Durations are the executor's own time: wall time on the real-thread
+/// [`Machine`](crate::Machine), virtual time on `ktrace-vsim`'s
+/// `VirtualMachine`. The kernel's fixed costs are constants in
+/// [`kernel`](crate::kernel), scaled by `time_scale`.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
     /// Number of simulated CPUs.
     pub ncpus: usize,
     /// Scheduler time slice.
     pub time_slice: Duration,
-    /// Cost of the kernel part of a page fault.
-    pub pagefault_cost_ns: u64,
-    /// Fixed kernel cost of a system call (dispatch + return).
-    pub syscall_cost_ns: u64,
-    /// Cost of the PPC (IPC) crossing into and out of a server.
-    pub ipc_cost_ns: u64,
-    /// Work done inside the allocator's critical section per allocation.
-    pub alloc_hold_ns: u64,
-    /// Work per file-system server operation.
-    pub fs_op_cost_ns: u64,
     /// Statistical PC-sampling period; `None` disables sampling.
     pub pc_sample_period: Option<Duration>,
     /// Allocator region locks: 1 is the paper's contended starting point,
@@ -35,21 +26,16 @@ pub struct MachineConfig {
     /// evidence, as in §4.2). The virtual executor also aborts at once when
     /// every live task waits on a lock another task holds.
     pub watchdog: Duration,
-    /// Multiplies every cost above (quick tests use < 1.0).
+    /// Multiplies every kernel cost (quick tests use < 1.0).
     pub time_scale: f64,
 }
 
 impl MachineConfig {
-    /// A machine with `ncpus` CPUs and default costs.
+    /// A machine with `ncpus` CPUs at full cost.
     pub fn new(ncpus: usize) -> MachineConfig {
         MachineConfig {
             ncpus,
             time_slice: Duration::from_micros(200),
-            pagefault_cost_ns: 1_500,
-            syscall_cost_ns: 800,
-            ipc_cost_ns: 1_200,
-            alloc_hold_ns: 600,
-            fs_op_cost_ns: 2_000,
             pc_sample_period: Some(Duration::from_micros(50)),
             alloc_regions: 1,
             idle_quantum: Duration::from_micros(20),

@@ -54,8 +54,21 @@ const SHARED_CELL_BASE: u64 = 0x5000_0000;
 /// Number of shared-memory cells every kernel exposes.
 pub const SHARED_CELLS: usize = 16;
 
+// Fixed costs in nanoseconds of the executor's own time, before
+// `MachineConfig::time_scale` applies.
+
 /// Cost of creating a process (fork + exec).
 const SPAWN_COST_NS: u64 = 3_000;
+/// Cost of the kernel part of a page fault.
+const PAGEFAULT_COST_NS: u64 = 1_500;
+/// Fixed kernel cost of a system call (dispatch + return).
+const SYSCALL_COST_NS: u64 = 800;
+/// Cost of the PPC (IPC) crossing into and out of a server.
+const IPC_COST_NS: u64 = 1_200;
+/// Work done inside the allocator's critical section per allocation.
+const ALLOC_HOLD_NS: u64 = 600;
+/// Work per file-system server operation.
+const FS_OP_COST_NS: u64 = 2_000;
 
 /// Shared kernel state for one machine run.
 pub struct Kernel {
@@ -285,7 +298,7 @@ impl Kernel {
             events::func::ALLOC_REGION_ALLOC,
         ]);
         let region = task.pid % self.config.alloc_regions.max(1) as u64;
-        let hold = self.scaled(self.config.alloc_hold_ns);
+        let hold = self.scaled(ALLOC_HOLD_NS);
         let ok = self.locked_section(x, task, ALLOC_LOCK_BASE + region, hold);
         if ok {
             x.log(mem::alloc(size, self.fresh_addr(size)));
@@ -298,7 +311,7 @@ impl Kernel {
     pub fn free_pages<X: Exec>(&self, x: &mut X, task: &mut Task) -> bool {
         task.func_stack.push(events::func::PAGEALLOC_USER_DEALLOC);
         task.func_stack.push(events::func::PAGEALLOC_DEALLOC);
-        let hold = self.scaled(self.config.alloc_hold_ns / 2);
+        let hold = self.scaled(ALLOC_HOLD_NS / 2);
         let ok = self.locked_section(x, task, PAGE_LOCK_ID, hold);
         task.func_stack.truncate(task.func_stack.len() - 2);
         ok
@@ -311,10 +324,7 @@ impl Kernel {
         let addr = self.fresh_addr(bytes);
         let fcm = self.fresh_addr(64);
         x.log(mem::reg_create(addr, bytes));
-        x.busy(
-            self.scaled(self.config.syscall_cost_ns / 2),
-            events::func::FCM_MAP_PAGE,
-        );
+        x.busy(self.scaled(SYSCALL_COST_NS / 2), events::func::FCM_MAP_PAGE);
         x.log(mem::fcm_atch_reg(addr, fcm));
         task.func_stack.pop();
     }
@@ -327,10 +337,7 @@ impl Kernel {
         x.log(exception::pgflt(task.tid, addr));
         task.func_stack.push(events::func::PGFLT_HANDLER);
         task.func_stack.push(events::func::FCM_MAP_PAGE);
-        x.busy(
-            self.scaled(self.config.pagefault_cost_ns),
-            events::func::PGFLT_HANDLER,
-        );
+        x.busy(self.scaled(PAGEFAULT_COST_NS), events::func::PGFLT_HANDLER);
         task.func_stack.truncate(task.func_stack.len() - 2);
         x.log(exception::pgflt_done(task.tid, addr));
     }
@@ -346,10 +353,7 @@ impl Kernel {
     ) {
         x.log(sysev::entry(task.pid, task.tid, no));
         task.func_stack.push(events::func::SYSCALL_DISPATCH);
-        x.busy(
-            self.scaled(self.config.syscall_cost_ns),
-            events::func::SYSCALL_DISPATCH,
-        );
+        x.busy(self.scaled(SYSCALL_COST_NS), events::func::SYSCALL_DISPATCH);
         body(self, x, task);
         task.func_stack.pop();
         x.log(sysev::exit(task.pid, task.tid, no));
@@ -363,7 +367,7 @@ impl Kernel {
         x.log(ipc::call(task.pid, FS_SERVER_PID, op.fn_id()));
         x.log(exception::ppc_call(comm));
         task.func_stack.push(events::func::IPC_CALLEE_ENTRY);
-        let cost = self.scaled(self.config.fs_op_cost_ns);
+        let cost = self.scaled(FS_OP_COST_NS);
         // Server-side events are attributed to the server pid.
         let ok = match op {
             FsOp::Open { path } | FsOp::Close { path } => {
@@ -405,7 +409,7 @@ impl Kernel {
             }
         };
         task.func_stack.pop();
-        x.busy(self.scaled(self.config.ipc_cost_ns), task.current_func());
+        x.busy(self.scaled(IPC_COST_NS), task.current_func());
         x.log(exception::ppc_return(comm));
         x.log(ipc::ret(task.pid, FS_SERVER_PID, op.fn_id()));
         ok
@@ -669,8 +673,8 @@ mod tests {
             .unwrap();
         let tracer = KTracer::new(logger);
         let mut cfg = MachineConfig::fast_test(1);
-        cfg.time_scale = 1.0;
-        cfg.alloc_hold_ns = 200_000;
+        cfg.time_scale = 200_000.0 / ALLOC_HOLD_NS as f64;
+        assert_eq!(cfg.scaled(ALLOC_HOLD_NS), 200_000);
         let kernel = Kernel::new(cfg, 0);
         let locks = lock_table(&kernel);
         std::thread::scope(|scope| {

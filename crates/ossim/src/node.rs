@@ -56,7 +56,6 @@ impl NodeSpec {
         machine.run(sdet::build(SdetConfig {
             scripts: self.scripts,
             commands_per_script: self.commands_per_script,
-            work_scale: 1,
             seed: self.seed,
         }))
     }

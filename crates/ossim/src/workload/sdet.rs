@@ -20,8 +20,6 @@ pub struct SdetConfig {
     pub scripts: usize,
     /// Commands per script.
     pub commands_per_script: usize,
-    /// Work multiplier per command (1 = default).
-    pub work_scale: u64,
     /// RNG seed for per-command variation.
     pub seed: u64,
 }
@@ -31,7 +29,6 @@ impl Default for SdetConfig {
         SdetConfig {
             scripts: 8,
             commands_per_script: 6,
-            work_scale: 1,
             seed: 42,
         }
     }
@@ -40,7 +37,7 @@ impl Default for SdetConfig {
 const COMMANDS: &[&str] = &["awk", "grep", "nroff", "ls", "ed", "spell", "cc", "sort"];
 
 /// Builds one simulated Unix command.
-fn command(name: &str, rng: &mut StdRng, scale: u64) -> ProcessSpec {
+fn command(name: &str, rng: &mut StdRng) -> ProcessSpec {
     let mut p = Program::new();
     // exec: the loader maps text+data regions, then demand-faults them in.
     p = p.op(Op::MapRegion {
@@ -70,7 +67,7 @@ fn command(name: &str, rng: &mut StdRng, scale: u64) -> ProcessSpec {
     });
     p = p.op(Op::FsClose { path });
     // the command's own computation.
-    p = p.compute(rng.gen_range(5_000..20_000) * scale, func::USER_COMPUTE);
+    p = p.compute(rng.gen_range(5_000..20_000), func::USER_COMPUTE);
     // cleanup.
     p = p.op(Op::FreePages {
         pages: rng.gen_range(1..8),
@@ -86,7 +83,7 @@ fn script(index: usize, cfg: &SdetConfig, rng: &mut StdRng) -> ProcessSpec {
         let name = COMMANDS[(index + c) % COMMANDS.len()];
         p = p.syscall(sysno::FORK);
         p = p.op(Op::Spawn {
-            child: Box::new(command(name, rng, cfg.work_scale)),
+            child: Box::new(command(name, rng)),
         });
         p = p.op(Op::WaitChildren);
     }
@@ -113,7 +110,6 @@ mod tests {
         let w = build(SdetConfig {
             scripts: 5,
             commands_per_script: 3,
-            work_scale: 1,
             seed: 7,
         });
         assert_eq!(w.processes.len(), 5);

@@ -2,11 +2,13 @@
 //! happens-before, driven entirely by the trace stream.
 //!
 //! The detector replays a merged event stream in time order and watches four
-//! event families:
+//! event families. The `LOCK` and `SCHED` ones are read through
+//! [`ktrace_events::decode`], so an event shorter than its schema is skipped
+//! here exactly as in `lockstat`, `lockorder` and `deadlock`:
 //!
-//! - `LOCK` `ACQUIRED`/`RELEASED` (`[lock, tid, …]`) update each thread's
-//!   held-lock set *and* carry happens-before edges (release publishes the
-//!   thread's clock on the lock; acquire joins it).
+//! - `LOCK` `ACQUIRED`/`RELEASED` update each thread's held-lock set *and*
+//!   carry happens-before edges (release publishes the thread's clock on
+//!   the lock; acquire joins it).
 //! - `SCHED` `CTX_SWITCH` (`[old_tid, new_tid, pid]`) orders the outgoing
 //!   thread's work before the incoming thread's on that CPU.
 //! - `SCHED` `THREAD_START` (`[tid, pid]`) orders a new thread after
@@ -23,7 +25,8 @@ use crate::lockset::{LocksetTracker, LocksetVerdict};
 use crate::report::{Report, ViolationKind};
 use crate::vclock::VectorClock;
 use ktrace_core::RawEvent;
-use ktrace_events::{lock as lockev, mem, sched};
+use ktrace_events::decode::{lock_event, sched_event, LockEv, SchedEv};
+use ktrace_events::mem;
 use ktrace_format::MajorId;
 use ktrace_io::{IoError, Trace};
 use std::collections::{HashMap, HashSet};
@@ -169,43 +172,47 @@ pub fn detect_races(events: &[RawEvent]) -> RaceAnalysis {
 
     for e in order {
         match (e.major, e.minor) {
-            (MajorId::LOCK, lockev::ACQUIRED) if e.payload.len() >= 2 => {
-                let (lock, tid) = (e.payload[0], e.payload[1]);
-                locksets.acquired(tid, lock);
-                if let Some(lvc) = lock_vc.get(&lock) {
-                    let lvc = lvc.clone();
-                    thread(&mut thread_vc, tid).join(&lvc);
-                } else {
-                    thread(&mut thread_vc, tid);
+            (MajorId::LOCK, _) => match lock_event(e) {
+                Some(LockEv::Acquired { lock, tid, .. }) => {
+                    locksets.acquired(tid, lock);
+                    if let Some(lvc) = lock_vc.get(&lock) {
+                        let lvc = lvc.clone();
+                        thread(&mut thread_vc, tid).join(&lvc);
+                    } else {
+                        thread(&mut thread_vc, tid);
+                    }
                 }
-            }
-            (MajorId::LOCK, lockev::RELEASED) if e.payload.len() >= 2 => {
-                let (lock, tid) = (e.payload[0], e.payload[1]);
-                locksets.released(tid, lock);
-                let tvc = thread(&mut thread_vc, tid);
-                lock_vc.insert(lock, tvc.clone());
-                tvc.tick(tid);
-            }
-            (MajorId::SCHED, sched::CTX_SWITCH) if e.payload.len() >= 2 => {
-                let (old_tid, new_tid) = (e.payload[0], e.payload[1]);
-                // Publish the outgoing thread's work on the CPU clock, then
-                // advance its epoch: whatever it does after being
-                // rescheduled is NOT ordered before the incoming thread.
-                if let Some(old) = thread_vc.get_mut(&old_tid) {
-                    let published = old.clone();
-                    old.tick(old_tid);
-                    cpu_vc.entry(e.cpu).or_default().join(&published);
+                Some(LockEv::Released { lock, tid, .. }) => {
+                    locksets.released(tid, lock);
+                    let tvc = thread(&mut thread_vc, tid);
+                    lock_vc.insert(lock, tvc.clone());
+                    tvc.tick(tid);
                 }
-                let snapshot = cpu_vc.entry(e.cpu).or_default().clone();
-                thread(&mut thread_vc, new_tid).join(&snapshot);
-            }
-            (MajorId::SCHED, sched::THREAD_START) if !e.payload.is_empty() => {
-                let tid = e.payload[0];
-                if let Some(cvc) = cpu_vc.get(&e.cpu) {
-                    let cvc = cvc.clone();
-                    thread(&mut thread_vc, tid).join(&cvc);
+                _ => {}
+            },
+            (MajorId::SCHED, _) => match sched_event(e) {
+                Some(SchedEv::CtxSwitch {
+                    old_tid, new_tid, ..
+                }) => {
+                    // Publish the outgoing thread's work on the CPU clock,
+                    // then advance its epoch: whatever it does after being
+                    // rescheduled is NOT ordered before the incoming thread.
+                    if let Some(old) = thread_vc.get_mut(&old_tid) {
+                        let published = old.clone();
+                        old.tick(old_tid);
+                        cpu_vc.entry(e.cpu).or_default().join(&published);
+                    }
+                    let snapshot = cpu_vc.entry(e.cpu).or_default().clone();
+                    thread(&mut thread_vc, new_tid).join(&snapshot);
                 }
-            }
+                Some(SchedEv::ThreadStart { tid, .. }) => {
+                    if let Some(cvc) = cpu_vc.get(&e.cpu) {
+                        let cvc = cvc.clone();
+                        thread(&mut thread_vc, tid).join(&cvc);
+                    }
+                }
+                _ => {}
+            },
             (MajorId::MEM, mem::ACCESS_READ | mem::ACCESS_WRITE) if e.payload.len() >= 2 => {
                 let (addr, tid) = (e.payload[0], e.payload[1]);
                 let is_write = e.minor == mem::ACCESS_WRITE;
@@ -288,6 +295,7 @@ pub fn races_in_file(path: impl AsRef<Path>) -> Result<RaceAnalysis, IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ktrace_events::{lock as lockev, sched};
 
     fn ev(cpu: usize, time: u64, major: MajorId, minor: u16, payload: &[u64]) -> RawEvent {
         RawEvent {

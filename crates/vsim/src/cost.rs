@@ -3,10 +3,11 @@
 //! Default parameters are calibrated from the paper's own numbers (§3.2):
 //! the mask check is "4 machine instructions" (~4 ns at 1 GHz), a 1-word
 //! event costs "91 cycles (100 ns on a 1GHz processor) with 11 cycles for
-//! each additional 64-bit word logged". Cross-CPU cache-line transfer and
-//! lock/IRQ costs use conventional early-2000s SMP magnitudes; the
-//! experiment harness can override any of them (e.g. with values measured
-//! on this host by the E2 microbenchmark).
+//! each additional 64-bit word logged". Those three are [`CostParams`],
+//! which the experiment harness calibrates with values the E2
+//! microbenchmark measures on the running host. Cross-CPU cache-line
+//! transfer and lock, IRQ and kernel-crossing costs are constants at
+//! conventional early-2000s SMP magnitudes.
 
 /// Which logging scheme is being modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,16 +52,17 @@ pub struct CostParams {
     pub per_event_ns: f64,
     /// Additional cost per payload word (paper: 11 cycles).
     pub per_word_ns: f64,
-    /// Cache-line transfer when the shared index was last written by
-    /// another CPU.
-    pub line_transfer_ns: f64,
-    /// Serialized window of a CAS on the shared index.
-    pub cas_serial_ns: f64,
-    /// Interrupt disable/enable + state transitions (locking mode).
-    pub irq_ns: f64,
-    /// Kernel entry/exit for syscall-based tracing.
-    pub syscall_ns: f64,
 }
+
+/// Cache-line transfer when the shared index was last written by another
+/// CPU.
+const LINE_TRANSFER_NS: f64 = 150.0;
+/// Serialized window of a CAS on the shared index.
+const CAS_SERIAL_NS: f64 = 15.0;
+/// Interrupt disable/enable + state transitions (locking mode).
+const IRQ_NS: f64 = 200.0;
+/// Kernel entry/exit for syscall-based tracing.
+const SYSCALL_NS: f64 = 500.0;
 
 impl Default for CostParams {
     fn default() -> CostParams {
@@ -68,10 +70,6 @@ impl Default for CostParams {
             check_ns: 4.0,
             per_event_ns: 91.0,
             per_word_ns: 11.0,
-            line_transfer_ns: 150.0,
-            cas_serial_ns: 15.0,
-            irq_ns: 200.0,
-            syscall_ns: 500.0,
         }
     }
 }
@@ -125,7 +123,7 @@ impl TraceCostModel {
             }
             Scheme::SyscallPerEvent => {
                 self.events_logged += 1;
-                t + (p.check_ns + p.syscall_ns + words_cost) as u64
+                t + (p.check_ns + SYSCALL_NS + words_cost) as u64
             }
             Scheme::LocklessGlobal => {
                 self.events_logged += 1;
@@ -134,7 +132,7 @@ impl TraceCostModel {
                 // if another CPU wrote it last, the line must transfer.
                 let start = arrive.max(self.serial_free_at);
                 let cross = self.last_writer.is_some_and(|w| w != cpu);
-                let serial = p.cas_serial_ns + if cross { p.line_transfer_ns } else { 0.0 };
+                let serial = CAS_SERIAL_NS + if cross { LINE_TRANSFER_NS } else { 0.0 };
                 self.serial_free_at = start + serial as u64;
                 self.last_writer = Some(cpu);
                 // Payload writes after the reservation proceed in parallel.
@@ -145,7 +143,7 @@ impl TraceCostModel {
                 let arrive = t + p.check_ns as u64;
                 let start = arrive.max(self.serial_free_at);
                 // Everything — IRQ disable, header, payload — under the lock.
-                let done = start + (p.irq_ns + words_cost) as u64;
+                let done = start + (IRQ_NS + words_cost) as u64;
                 self.serial_free_at = done;
                 done
             }
@@ -223,7 +221,7 @@ mod tests {
             last = m.charge(cpu, 0, 1);
         }
         // n events arriving together take ≈ n * (irq + event) serial time.
-        let per = CostParams::default().irq_ns + 91.0 + 11.0;
+        let per = IRQ_NS + 91.0 + 11.0;
         assert!(last as f64 >= (n as f64 - 0.5) * per, "last {last}");
     }
 

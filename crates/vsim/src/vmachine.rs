@@ -6,10 +6,9 @@
 //! [`Kernel::run_op`], so every event and payload is the kernel's own. This
 //! executor owns only time: per-CPU clocks advanced by the cost of each op,
 //! run queues with stealing, and a lock table of `{free_at, owner}` entries.
-//! Every trace point charges the configured
-//! [`TraceCostModel`](crate::cost::TraceCostModel) and goes out through
-//! ossim's [`Tracer`] seam with the [`ManualClock`] set to the CPU's virtual
-//! time.
+//! Every trace point charges the configured [`TraceCostModel`] and goes out
+//! through ossim's [`Tracer`] seam with the [`ManualClock`] set to the CPU's
+//! virtual time.
 
 use crate::cost::{CostParams, Scheme, TraceCostModel};
 use ktrace_clock::ManualClock;

@@ -480,7 +480,7 @@ fn render_session_summary(stats: &ktrace::io::SessionStats) -> String {
 ///
 /// [`FaultySink`]: ktrace::faults::FaultySink
 fn adapt_cmd(out_path: &str, secs: f64, ncpus: usize, fault: bool) -> ExitCode {
-    use ktrace::adapt::{Controller, ControllerConfig, Detector, DetectorConfig};
+    use ktrace::adapt::{Controller, Detector};
     use ktrace::faults::{FaultySink, SinkPlan};
     use std::io::Write;
     use std::time::{Duration, Instant};
@@ -535,8 +535,8 @@ fn adapt_cmd(out_path: &str, secs: f64, ncpus: usize, fault: bool) -> ExitCode {
         })
         .expect("spawn workload thread");
 
-    let mut detector = Detector::new(DetectorConfig::default());
-    let mut controller = Controller::new(ControllerConfig::default());
+    let mut detector = Detector::default();
+    let mut controller = Controller::new();
     let interval = Duration::from_millis(100);
     let step_once = |detector: &mut Detector, controller: &mut Controller| {
         let snap = logger.telemetry().snapshot();

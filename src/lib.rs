@@ -14,7 +14,7 @@
 //!   reservation in a per-CPU buffer, with the timestamp re-read on every
 //!   retry so buffer order is timestamp order ([`core`]);
 //! * a single 64-bit trace-mask word gating all 64 major event classes, so
-//!   a disabled trace point costs a few instructions ([`format`]);
+//!   a disabled trace point costs a few instructions ([`format`](mod@format));
 //! * filler events that realign the stream at buffer boundaries, so the
 //!   variable-length stream remains **randomly accessible** ([`io`]);
 //! * per-buffer commit counts that detect garbled buffers from killed or
@@ -88,7 +88,7 @@ pub use ktrace_format::exit;
 
 /// The names needed by typical users of the tracing facility.
 pub mod prelude {
-    pub use ktrace_adapt::{Controller, ControllerConfig, Detector, DetectorConfig};
+    pub use ktrace_adapt::{Controller, Detector};
     pub use ktrace_analysis::{
         render_listing, Breakdown, ListingOptions, LockStats, PcProfile, Timeline, TimelineOptions,
         Trace,

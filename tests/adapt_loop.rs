@@ -10,7 +10,8 @@
 //! roughly constant while the controller walks the rate up: the departure
 //! stays a departure until the mask closes at [`MAX_LEVEL`].
 
-use ktrace::adapt::{direction, MAX_LEVEL};
+use ktrace::adapt::controller::RECOVER_AFTER;
+use ktrace::adapt::{direction, MAX_LEVEL, SHED_MAJORS};
 use ktrace::format::ids::control;
 use ktrace::prelude::*;
 use std::sync::Arc;
@@ -46,11 +47,7 @@ fn closed_loop_sheds_recovers_and_leaves_a_queryable_audit_trail() {
     ktrace::events::register_all(&logger);
 
     let mut detector = Detector::default();
-    let mut controller = Controller::new(ControllerConfig {
-        shed_majors: vec![MajorId::USER],
-        recover_after: 2,
-        audit_cpu: 0,
-    });
+    let mut controller = Controller::new();
     let mut buffers = Vec::new();
     let mut seq = 0u64;
 
@@ -122,7 +119,7 @@ fn closed_loop_sheds_recovers_and_leaves_a_queryable_audit_trail() {
     // -- Phase 3: recovery ------------------------------------------------
     // The overload stops; healthy intervals walk the level back to 0 and
     // restore full detail.
-    for _ in 0..(u32::from(MAX_LEVEL) * 3 + 4) {
+    for _ in 0..(u32::from(MAX_LEVEL) * RECOVER_AFTER + 4) {
         if !controller.shedding() {
             break;
         }
@@ -179,11 +176,14 @@ fn closed_loop_sheds_recovers_and_leaves_a_queryable_audit_trail() {
             direction::WIDEN
         ))
     };
-    assert!(narrow(u64::from(control::SAMPLE_ADJUST)) >= 1);
-    assert_eq!(
-        narrow(u64::from(control::SAMPLE_ADJUST)),
-        widen(u64::from(control::SAMPLE_ADJUST))
-    );
+    // Each level that changes the sampling rate audits every shed major
+    // once on the way up and once on the way down.
+    let rate_steps = (1..=MAX_LEVEL)
+        .filter(|&l| Controller::rate_for_level(l) != Controller::rate_for_level(l - 1))
+        .count() as u64;
+    let sample_adjusts = rate_steps * u64::from(SHED_MAJORS.count_ones());
+    assert_eq!(narrow(u64::from(control::SAMPLE_ADJUST)), sample_adjusts);
+    assert_eq!(widen(u64::from(control::SAMPLE_ADJUST)), sample_adjusts);
     assert_eq!(narrow(u64::from(control::MASK_ADJUST)), 1);
     assert_eq!(widen(u64::from(control::MASK_ADJUST)), 1);
     // The loss the loop was reacting to is in the trace too.
