@@ -4,17 +4,21 @@
 //! it is stepped with that interval's anomalies: any anomaly escalates one
 //! level (and resets the recovery streak); [`RECOVER_AFTER`] consecutive
 //! healthy intervals de-escalate one level. Levels map onto the logger's
-//! [`SHED_MAJORS`]:
+//! one sampling rate and its mask:
 //!
-//! | level | sampling rate on shed majors | mask |
-//! |-------|------------------------------|------|
-//! | 0     | 1 (keep all)                 | shed majors enabled |
-//! | 1–4   | 2, 4, 8, 16 (1-in-rate)      | shed majors enabled |
-//! | 5     | 16                           | shed majors disabled |
+//! | level | sampling rate             | mask                        |
+//! |-------|---------------------------|-----------------------------|
+//! | 0     | 1 (keep all)              | as built                    |
+//! | 1–4   | 2, 4, 8, 16 (1-in-rate)   | as built                    |
+//! | 5     | 16                        | `CONTROL` only              |
+//!
+//! `CONTROL` is never shed: the sampling gate admits it at any rate and the
+//! mask keeps its bit, so the stream stays decodable and carries the audit
+//! trail. Leaving level 5 sets back exactly the bits entering it cleared.
 //!
 //! Every decision is logged as a `CONTROL` audit event through
 //! [`TraceLogger::log_control_event`] — one `ANOMALY` per fired track, one
-//! `SAMPLE_ADJUST` per changed rate, one `MASK_ADJUST` per mask change —
+//! `SAMPLE_ADJUST` per rate change, one `MASK_ADJUST` per mask change —
 //! so the closed loop is reconstructible post-hoc from the trace alone
 //! (see the `adapt-*` assertions in `props/ktrace.toml`).
 
@@ -34,20 +38,11 @@ pub mod direction {
 /// The highest shed level (mask narrowing engages at this level).
 pub const MAX_LEVEL: u8 = 5;
 
-/// The majors the controller decimates and, at [`MAX_LEVEL`], masks off, as
-/// a mask word: every major but `CONTROL`, which keeps the stream decodable
-/// and carries the audit trail.
-pub const SHED_MAJORS: u64 = !MajorId::CONTROL.bit();
-
 /// Consecutive healthy intervals before de-escalating one level.
 pub const RECOVER_AFTER: u32 = 3;
 
 /// CPU whose region carries the audit events.
 const AUDIT_CPU: usize = 0;
-
-fn shed_majors() -> impl Iterator<Item = MajorId> {
-    MajorId::all().filter(|m| SHED_MAJORS & m.bit() != 0)
-}
 
 /// What one [`Controller::step`] did, for logs and exit-code policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,6 +65,9 @@ pub struct Controller {
     healthy_streak: u32,
     /// True once any interval ever escalated (for end-of-run policy).
     ever_fired: bool,
+    /// The mask bits the move to [`MAX_LEVEL`] cleared, set back on leaving
+    /// it.
+    narrowed: u64,
 }
 
 impl Controller {
@@ -93,7 +91,7 @@ impl Controller {
         self.ever_fired
     }
 
-    /// The sampling rate a shed level imposes on shed majors.
+    /// The sampling rate a shed level imposes.
     pub fn rate_for_level(level: u8) -> u64 {
         1u64 << level.min(4)
     }
@@ -139,43 +137,34 @@ impl Controller {
         }
     }
 
-    /// Applies the current level's rates/mask, auditing every change.
-    fn apply(&self, logger: &TraceLogger, prev_level: u8) {
+    /// Applies the current level's rate and mask, auditing every change.
+    fn apply(&mut self, logger: &TraceLogger, prev_level: u8) {
         let rate = Controller::rate_for_level(self.level);
-        for major in shed_majors() {
-            let old = logger.sampling().set_rate(major, rate);
-            if old != rate {
-                let dir = if rate > old {
-                    direction::NARROW
-                } else {
-                    direction::WIDEN
-                };
-                logger.log_control_event(
-                    AUDIT_CPU,
-                    control::SAMPLE_ADJUST,
-                    &[dir, u64::from(major.raw()), old, rate],
-                );
-            }
+        let old = logger.sampling().set_rate(rate);
+        if old != rate {
+            let dir = if rate > old {
+                direction::NARROW
+            } else {
+                direction::WIDEN
+            };
+            logger.log_control_event(AUDIT_CPU, control::SAMPLE_ADJUST, &[dir, old, rate]);
         }
 
         let masked_now = self.level >= MAX_LEVEL;
         let masked_before = prev_level >= MAX_LEVEL;
         if masked_now != masked_before {
-            let old_bits = logger.mask().get();
-            for major in shed_majors() {
-                if masked_now {
-                    logger.mask().disable(major);
-                } else {
-                    logger.mask().enable(major);
-                }
-            }
-            let new_bits = logger.mask().get();
+            let mask = logger.mask();
+            let old_bits = mask.get();
+            let dir = if masked_now {
+                mask.set(MajorId::CONTROL.bit());
+                self.narrowed = old_bits & !mask.get();
+                direction::NARROW
+            } else {
+                mask.set(old_bits | self.narrowed);
+                direction::WIDEN
+            };
+            let new_bits = mask.get();
             if new_bits != old_bits {
-                let dir = if masked_now {
-                    direction::NARROW
-                } else {
-                    direction::WIDEN
-                };
                 logger.log_control_event(
                     AUDIT_CPU,
                     control::MASK_ADJUST,
@@ -191,21 +180,18 @@ mod tests {
     use super::*;
     use crate::detector::track;
     use ktrace_clock::ManualClock;
-    use ktrace_core::{TraceConfig, TraceLogger};
+    use ktrace_core::{LoggerBuilder, TraceConfig, TraceLogger};
     use std::sync::Arc;
 
-    /// Every shed major's rate change is audited, so the ring must hold a
-    /// few hundred audit events undrained.
-    fn logger() -> TraceLogger {
+    fn builder() -> LoggerBuilder {
         TraceLogger::builder()
-            .geometry(TraceConfig {
-                buffer_words: 2048,
-                ..TraceConfig::small()
-            })
+            .geometry(TraceConfig::small())
             .clock(Arc::new(ManualClock::new(1, 1)))
             .ncpus(1)
-            .build()
-            .unwrap()
+    }
+
+    fn logger() -> TraceLogger {
+        builder().build().unwrap()
     }
 
     fn anomaly() -> Anomaly {
@@ -227,6 +213,14 @@ mod tests {
             .collect()
     }
 
+    fn payloads(audits: &[(u16, Vec<u64>)], minor: u16) -> Vec<Vec<u64>> {
+        audits
+            .iter()
+            .filter(|(m, _)| *m == minor)
+            .map(|(_, p)| p.clone())
+            .collect()
+    }
+
     #[test]
     fn escalation_raises_rates_and_recovery_restores() {
         let l = logger();
@@ -234,8 +228,11 @@ mod tests {
         let r = c.step(&l, &[anomaly()]);
         assert!(r.escalated);
         assert_eq!(c.level(), 1);
-        assert_eq!(l.sampling().rate(MajorId::MEM), 2);
-        assert_eq!(l.sampling().rate(MajorId::CONTROL), 1, "not a shed major");
+        assert_eq!(l.sampling().rate(), 2);
+        assert!(
+            (0..4).all(|_| l.sampling().admit(MajorId::CONTROL)),
+            "CONTROL is never sampled"
+        );
 
         // RECOVER_AFTER healthy intervals recover one level.
         for _ in 1..RECOVER_AFTER {
@@ -243,31 +240,16 @@ mod tests {
         }
         assert!(c.step(&l, &[]).de_escalated);
         assert_eq!(c.level(), 0);
-        assert_eq!(l.sampling().rate(MajorId::MEM), 1);
+        assert_eq!(l.sampling().rate(), 1);
         assert!(c.ever_fired());
 
+        // 1 ANOMALY, and one SAMPLE_ADJUST per rate change.
         let audits = audit_events(&l);
-        // 1 ANOMALY + one narrowing and one widening SAMPLE_ADJUST per shed
-        // major.
+        assert_eq!(payloads(&audits, control::ANOMALY).len(), 1);
         assert_eq!(
-            audits
-                .iter()
-                .filter(|(m, _)| *m == control::ANOMALY)
-                .count(),
-            1
+            payloads(&audits, control::SAMPLE_ADJUST),
+            [vec![direction::NARROW, 1, 2], vec![direction::WIDEN, 2, 1]]
         );
-        let sample_adjusts: Vec<&Vec<u64>> = audits
-            .iter()
-            .filter(|(m, _)| *m == control::SAMPLE_ADJUST)
-            .map(|(_, p)| p)
-            .collect();
-        assert_eq!(sample_adjusts.len(), 2 * SHED_MAJORS.count_ones() as usize);
-        assert!(sample_adjusts
-            .iter()
-            .any(|p| p[0] == direction::NARROW && p[2] == 1 && p[3] == 2));
-        assert!(sample_adjusts
-            .iter()
-            .any(|p| p[0] == direction::WIDEN && p[2] == 2 && p[3] == 1));
     }
 
     #[test]
@@ -293,29 +275,61 @@ mod tests {
         assert_eq!(c.level(), MAX_LEVEL - 1);
         assert!(l.mask().is_enabled(MajorId::MEM), "mask reopens below max");
 
-        let audits = audit_events(&l);
-        let masks: Vec<&Vec<u64>> = audits
-            .iter()
-            .filter(|(m, _)| *m == control::MASK_ADJUST)
-            .map(|(_, p)| p)
-            .collect();
+        let masks = payloads(&audit_events(&l), control::MASK_ADJUST);
         assert_eq!(masks.len(), 2, "{masks:?}");
         assert_eq!(masks[0][0], direction::NARROW);
         assert_eq!(masks[1][0], direction::WIDEN);
-        assert_eq!(masks[0][2], !SHED_MAJORS, "narrowed to the unshed majors");
+        assert_eq!(
+            masks[0][2],
+            MajorId::CONTROL.bit(),
+            "narrowed to the unshed major"
+        );
         // The narrow's new bits equal the widen's old bits.
         assert_eq!(masks[0][2], masks[1][1]);
     }
 
     #[test]
+    fn recovery_restores_the_mask_it_narrowed() {
+        let fs_only = MajorId::CONTROL.bit() | MajorId::FS.bit();
+        let l = builder().enable_only(&[MajorId::FS]).build().unwrap();
+        let mut c = Controller::new();
+        for _ in 0..MAX_LEVEL {
+            c.step(&l, &[anomaly()]);
+        }
+        while c.shedding() {
+            c.step(&l, &[]);
+        }
+        assert_eq!(l.mask().get(), fs_only, "no major the logger never had");
+        assert_eq!(
+            payloads(&audit_events(&l), control::MASK_ADJUST),
+            [
+                vec![direction::NARROW, fs_only, MajorId::CONTROL.bit()],
+                vec![direction::WIDEN, MajorId::CONTROL.bit(), fs_only]
+            ]
+        );
+
+        // A major enabled while the mask is narrowed stays enabled.
+        for _ in 0..MAX_LEVEL {
+            c.step(&l, &[anomaly()]);
+        }
+        l.mask().enable(MajorId::MEM);
+        while c.shedding() {
+            c.step(&l, &[]);
+        }
+        assert_eq!(l.mask().get(), fs_only | MajorId::MEM.bit());
+    }
+
+    #[test]
     fn control_major_is_never_shed() {
-        assert_eq!(SHED_MAJORS & MajorId::CONTROL.bit(), 0);
         let l = logger();
         let mut c = Controller::new();
         for _ in 0..MAX_LEVEL {
             c.step(&l, &[anomaly()]);
         }
-        assert_eq!(l.sampling().rate(MajorId::CONTROL), 1);
+        assert!(
+            (0..32).all(|_| l.sampling().admit(MajorId::CONTROL)),
+            "CONTROL is never sampled"
+        );
         assert!(
             l.mask().is_enabled(MajorId::CONTROL),
             "CONTROL undisablable"

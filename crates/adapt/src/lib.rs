@@ -14,9 +14,10 @@
 //!   NaN, no panic, counter wraps tolerated (pinned by proptests).
 //! * [`Controller`] — converts verdicts into actions on a live
 //!   [`TraceLogger`](ktrace_core::TraceLogger): escalating shed levels
-//!   raise per-major sampling rates
+//!   raise the one sampling rate
 //!   ([`SampleGate`](ktrace_core::SampleGate)) and, at the top level,
-//!   narrow the trace mask; sustained health walks the levels back down.
+//!   narrow the trace mask; sustained health walks the levels back down
+//!   and restores the mask bits the narrowing cleared.
 //! * **Audit trail** — every decision is logged into the trace itself as a
 //!   `CONTROL` event (`ANOMALY`, `MASK_ADJUST`, `SAMPLE_ADJUST` minors),
 //!   so a post-hoc `ktrace-tools assert` run can prove what the control
@@ -30,5 +31,5 @@
 pub mod controller;
 pub mod detector;
 
-pub use controller::{direction, Controller, StepReport, MAX_LEVEL, SHED_MAJORS};
+pub use controller::{direction, Controller, StepReport, MAX_LEVEL};
 pub use detector::{track, Anomaly, Detector, NUM_TRACKS};

@@ -123,9 +123,10 @@ pub fn measure_telemetry(fast: bool) -> GateResult {
 }
 
 /// E23: measures what rate-1 sampling adds to a mask-admitted event — one
-/// relaxed load of the major's rate plus the `<= 1` early return. The major
-/// alternates to defeat a single hot cache line staying in a register,
-/// which is pessimistic for the gate.
+/// relaxed load of the gate's one rate word plus the `<= 1` early return,
+/// the same word whatever the major. The major still alternates, as a real
+/// stream's does; the index step that costs is timed with the call, which
+/// is pessimistic for the gate.
 pub fn measure_sampling(fast: bool) -> GateResult {
     let gate_under_test = SampleGate::new();
     let majors = [MajorId::MEM, MajorId::SCHED];

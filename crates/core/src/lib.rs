@@ -33,7 +33,7 @@
 //!   crate `ktrace-lockless` over the region's borrowed words.
 //! * [`logger`] — the user-facing [`TraceLogger`] / [`CpuHandle`] API with the
 //!   mask-gated fast paths.
-//! * [`sample`] — the per-major sampling gate (counter decimation) the
+//! * [`sample`] — the sampling gate (one rate, counter decimation) the
 //!   adaptive control plane drives when shedding detail; re-exported from
 //!   `ktrace-lockless`, as are [`Mode`], [`ANCHOR_WORDS`] and
 //!   [`DROPPED_WORDS`].

@@ -50,8 +50,9 @@ const _: () =
 /// The one gate every `log*` passes, and the one place `trace-off` is
 /// spelled: compiled out, then the mask bit, then the sampling gate. A
 /// refusal tallies as masked on `cpu` (when there is such a CPU), so
-/// `logged + masked == attempts` stays exact. `CONTROL` is pinned on in
-/// both the mask and the gate, so control traffic asks only the first.
+/// `logged + masked == attempts` stays exact. The mask keeps `CONTROL`'s
+/// bit and the gate admits `CONTROL` at any rate, so control traffic is
+/// refused only when tracing is compiled out.
 #[inline(always)]
 fn admit(shared: &Shared, cpu: usize, major: MajorId) -> bool {
     if cfg!(feature = "trace-off") {
@@ -157,9 +158,9 @@ impl TraceLogger {
         &self.shared.mask
     }
 
-    /// The per-major sampling gate consulted (after the mask) by every
-    /// `log*` fast path. The adaptive controller narrows rates here when
-    /// shedding detail; everything defaults to rate 1 (keep all).
+    /// The sampling gate consulted (after the mask) by every `log*` fast
+    /// path. The adaptive controller raises its one rate here when shedding
+    /// detail; it defaults to rate 1 (keep all).
     pub fn sampling(&self) -> &SampleGate {
         &self.shared.sample
     }
@@ -686,7 +687,7 @@ mod tests {
     fn sampling_gate_decimates_after_the_mask() {
         let l = logger(1);
         let h = l.handle(0).unwrap();
-        l.sampling().set_rate(MajorId::TEST, 4);
+        l.sampling().set_rate(4);
         for i in 0..100 {
             h.log_slice(MajorId::TEST, 0, &[i]);
         }
@@ -695,10 +696,10 @@ mod tests {
         // `logged + masked == attempts` stays exact.
         let snap = l.telemetry().snapshot();
         assert_eq!(snap.per_cpu[0].events_masked, 75);
-        l.sampling().clear();
+        l.sampling().set_rate(1);
         assert!(h.log_slice(MajorId::TEST, 0, &[0]));
         // The slice/logger paths consult the gate too.
-        l.sampling().set_rate(MajorId::MEM, 2);
+        l.sampling().set_rate(2);
         let kept = (0..10).filter(|_| l.log(0, MajorId::MEM, 0, &[1])).count();
         assert_eq!(kept, 5);
     }

@@ -476,8 +476,8 @@ impl EventRegistry {
             control::SAMPLE_ADJUST,
             EventDescriptor::new(
                 "TRACE_CONTROL_SAMPLE_ADJUST",
-                "64 64 64 64",
-                "sample adjust dir %0[%d] major %1[%d] old %2[%d] new %3[%d]",
+                "64 64 64",
+                "sample adjust dir %0[%d] old %1[%d] new %2[%d]",
             )
             .unwrap(),
         );

@@ -219,9 +219,9 @@ pub mod control {
     /// Payload is `[direction, old_bits, new_bits]`; direction 0 narrows
     /// (sheds detail), 1 widens (restores it).
     pub const MASK_ADJUST: MinorId = 5;
-    /// Adaptive-control audit: the controller changed a per-major sampling
-    /// rate. Payload is `[direction, major, old_rate, new_rate]`; direction
-    /// 0 coarsens (rate goes up), 1 refines (rate comes back down).
+    /// Adaptive-control audit: the controller changed the sampling rate.
+    /// Payload is `[direction, old_rate, new_rate]`; direction 0 coarsens
+    /// (rate goes up), 1 refines (rate comes back down).
     pub const SAMPLE_ADJUST: MinorId = 6;
 
     /// Telemetry tracks the anomaly detector watches, index-aligned with

@@ -11,7 +11,7 @@
 //! * [`header`] — the packed 64-bit event header word and filler chains.
 //! * [`ids`] — the major/minor ID space (at most 64 majors).
 //! * [`mask`] — the [`TraceMask`], one hot word consulted by every log call.
-//! * [`sample`] — the per-major [`SampleGate`].
+//! * [`sample`] — the [`SampleGate`], one sampling rate for every major.
 //! * [`protocol`] — the memory-ordering roles: one atomic type per way an
 //!   atomic is used, each allowing only its role's orderings.
 //! * [`ring`] — the reserve/write/commit/filler loop of Fig. 2 over one

@@ -552,7 +552,7 @@ fn adapt_cmd(out_path: &str, secs: f64, ncpus: usize, fault: bool) -> ExitCode {
         }
         if r.escalated {
             println!(
-                "controller: escalated to level {} (1-in-{} sampling on shed majors)",
+                "controller: escalated to level {} (1-in-{} sampling)",
                 r.level,
                 Controller::rate_for_level(r.level),
             );

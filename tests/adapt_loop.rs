@@ -11,7 +11,7 @@
 //! stays a departure until the mask closes at [`MAX_LEVEL`].
 
 use ktrace::adapt::controller::RECOVER_AFTER;
-use ktrace::adapt::{direction, MAX_LEVEL, SHED_MAJORS};
+use ktrace::adapt::{direction, MAX_LEVEL};
 use ktrace::format::ids::control;
 use ktrace::prelude::*;
 use std::sync::Arc;
@@ -71,13 +71,13 @@ fn closed_loop_sheds_recovers_and_leaves_a_queryable_audit_trail() {
     // -- Phase 2: overload ------------------------------------------------
     // Each interval offers far more than the ring holds; the drop delta
     // departs its baseline, the detector fires, and the controller walks
-    // the USER sampling rate up — then closes the mask at MAX_LEVEL.
+    // the sampling rate up — then closes the mask at MAX_LEVEL.
     let mut escalations = 0;
     for _ in 0..12 {
         if controller.level() == MAX_LEVEL {
             break;
         }
-        let rate = logger.sampling().rate(MajorId::USER);
+        let rate = logger.sampling().rate();
         burst(&logger, &mut seq, 4096 * rate, 2);
         // Drain *before* stepping so the audit events always have room.
         buffers.extend(logger.drain_all().into_iter().flatten());
@@ -93,7 +93,7 @@ fn closed_loop_sheds_recovers_and_leaves_a_queryable_audit_trail() {
     );
     assert_eq!(controller.level(), MAX_LEVEL, "overload reached max shed");
     assert_eq!(escalations, usize::from(MAX_LEVEL));
-    assert_eq!(logger.sampling().rate(MajorId::USER), 16);
+    assert_eq!(logger.sampling().rate(), 16);
     assert!(
         !logger.mask().is_enabled(MajorId::USER),
         "mask closes at max level"
@@ -130,7 +130,7 @@ fn closed_loop_sheds_recovers_and_leaves_a_queryable_audit_trail() {
         controller.step(&logger, &anomalies);
     }
     assert!(!controller.shedding(), "loop never recovered");
-    assert_eq!(logger.sampling().rate(MajorId::USER), 1, "rate restored");
+    assert_eq!(logger.sampling().rate(), 1, "rate restored");
     assert!(logger.mask().is_enabled(MajorId::USER), "mask reopened");
 
     // -- Post-hoc: the episode is reconstructible from the trace ----------
@@ -176,14 +176,14 @@ fn closed_loop_sheds_recovers_and_leaves_a_queryable_audit_trail() {
             direction::WIDEN
         ))
     };
-    // Each level that changes the sampling rate audits every shed major
-    // once on the way up and once on the way down.
+    // Each level that changes the sampling rate audits it once on the way
+    // up and once on the way down.
     let rate_steps = (1..=MAX_LEVEL)
         .filter(|&l| Controller::rate_for_level(l) != Controller::rate_for_level(l - 1))
         .count() as u64;
-    let sample_adjusts = rate_steps * u64::from(SHED_MAJORS.count_ones());
-    assert_eq!(narrow(u64::from(control::SAMPLE_ADJUST)), sample_adjusts);
-    assert_eq!(widen(u64::from(control::SAMPLE_ADJUST)), sample_adjusts);
+    assert_eq!(rate_steps, 4);
+    assert_eq!(narrow(u64::from(control::SAMPLE_ADJUST)), rate_steps);
+    assert_eq!(widen(u64::from(control::SAMPLE_ADJUST)), rate_steps);
     assert_eq!(narrow(u64::from(control::MASK_ADJUST)), 1);
     assert_eq!(widen(u64::from(control::MASK_ADJUST)), 1);
     // The loss the loop was reacting to is in the trace too.
